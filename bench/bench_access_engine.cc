@@ -7,8 +7,9 @@
 //
 // The harness drives the production surface (AccessRuntime) wherever a
 // workload is measured end to end; the raw-engine benchmarks that remain
-// (BM_BatchDecision*, BM_MergedMovementsCopy) are kept deliberately as
-// the direct-engine baselines the facade numbers are compared against.
+// (BM_BatchDecision*) are kept deliberately as the direct-engine
+// baselines the facade numbers are compared against —
+// BM_BatchDecisionSequential runs the per-event oracle engine.
 
 #include <benchmark/benchmark.h>
 
@@ -254,8 +255,8 @@ BENCHMARK(BM_BatchDecisionSharded)
 //
 // The same stream as BM_BatchDecision*, but through the AccessRuntime
 // facade. The gap between BM_BatchDecision{Sequential,Sharded} (direct
-// engine) and BM_FacadeBatch{Sequential,Sharded} is the facade overhead:
-// one virtual dispatch + alert drain per batch.
+// engine) and BM_FacadeBatchSharded (/1 is the one-shard runtime) is the
+// facade overhead: one virtual dispatch + alert drain per batch.
 
 SystemState InitStateOf(const BatchWorld& w) {
   SystemState init;
@@ -282,16 +283,6 @@ void RunFacadeBatches(benchmark::State& state, RuntimeOptions options,
       static_cast<int64_t>(state.iterations() * w.total_events));
 }
 
-void BM_FacadeBatchSequential(benchmark::State& state) {
-  BatchWorld w = MakeBatchWorld();
-  RuntimeOptions options;
-  options.engine = QuietEngineOptions();
-  RunFacadeBatches(state, options, w);
-}
-BENCHMARK(BM_FacadeBatchSequential)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_FacadeBatchSharded(benchmark::State& state) {
   BatchWorld w = MakeBatchWorld();
   RuntimeOptions options;
@@ -311,10 +302,9 @@ BENCHMARK(BM_FacadeBatchSharded)
 // --- Durable batch pipeline (WAL + group commit), via the facade ------------
 //
 // The same stream as the in-memory benchmarks, but crash-safe: every
-// event is appended to a write-ahead log before it is applied, with one
-// group-commit fsync per runtime (per shard, sharded) per batch. The gap
-// between BM_FacadeBatch* and BM_DurableBatch* is the price of
-// durability.
+// event is appended to its shard's write-ahead log before it is applied,
+// with one group-commit fsync per shard per batch. The gap between
+// BM_FacadeBatch* and BM_DurableBatch* is the price of durability.
 
 std::string MakeBenchDir() {
   std::string tmpl = std::filesystem::temp_directory_path().string() +
@@ -348,16 +338,6 @@ void RunDurableBatches(benchmark::State& state, RuntimeOptions options,
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * w.total_events));
 }
-
-void BM_DurableBatchSequential(benchmark::State& state) {
-  BatchWorld w = MakeBatchWorld();
-  RuntimeOptions options;
-  options.engine = QuietEngineOptions();
-  RunDurableBatches(state, options, w);
-}
-BENCHMARK(BM_DurableBatchSequential)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // Args: {shards, batch_size}. The 2048-event batches are the
 // compute-bound shape (a handful of fsyncs per run); the 128-event
@@ -506,14 +486,11 @@ BENCHMARK(BM_CheckpointIncremental)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Cross-shard queries: MovementView fan-out vs MergedMovements copy ------
+// --- Cross-shard queries: MovementView fan-out ------------------------------
 //
-// Answering movement queries over a sharded runtime used to require
-// materializing one merged MovementDatabase (cost linear in the whole
-// history) before the first answer. The MovementView fans each query out
-// over the per-shard views instead. Both benchmarks run the identical
-// query mix over identical state; the copy side pays the merge on every
-// refresh (any batch in between invalidates a cached copy).
+// The MovementView fans each query out over the per-shard views (no
+// merged copy of the history): subject-keyed queries touch the owning
+// shard, location and contact queries merge across shards.
 
 size_t RunQueryMix(const MovementView& view, const BatchWorld& w) {
   size_t sink = 0;
@@ -544,7 +521,8 @@ struct QueryBenchWorld {
     DurableShardedOptions opt;
     opt.num_shards = shards;
     opt.engine = QuietEngineOptions();
-    opt.sync_every_batch = false;  // Query benchmarks, not durability.
+    // Query benchmarks, not durability: keep fsyncs off the setup path.
+    opt.durability.mode = SyncMode::kPipelined;
     SystemState init;
     init.graph = q->batch.graph;
     init.profiles = q->batch.profiles;
@@ -563,24 +541,7 @@ struct QueryBenchWorld {
   }
 };
 
-/// The stopgap this PR retires from the query path: merge-copy the full
-/// history, then answer.
-void BM_MergedMovementsCopy(benchmark::State& state) {
-  std::unique_ptr<QueryBenchWorld> q =
-      QueryBenchWorld::Make(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    MovementDatabase merged = q->sys->MergedMovements();
-    MovementDatabaseView view(&merged);
-    benchmark::DoNotOptimize(RunQueryMix(view, q->batch));
-  }
-  state.counters["shards"] = static_cast<double>(state.range(0));
-  state.counters["history"] =
-      static_cast<double>(q->sys->MergedMovements().history().size());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MergedMovementsCopy)->Arg(4)->Unit(benchmark::kMicrosecond);
-
-/// The replacement: fan the same queries out over the live shard views.
+/// The query mix fanned out over the live shard views.
 void BM_MovementViewFanout(benchmark::State& state) {
   std::unique_ptr<QueryBenchWorld> q =
       QueryBenchWorld::Make(static_cast<uint32_t>(state.range(0)));

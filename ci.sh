@@ -9,7 +9,10 @@
 #   ./ci.sh examples   # build + run every example binary (facade surface)
 #   ./ci.sh service    # ltam_serve round-trip + concurrent smoke + shutdown
 #                      # + live v5 metrics scrape (exposition must parse,
-#                      # ingest counters must have moved)
+#                      # ingest counters must have moved) + a one-shard
+#                      # durable server with retention that must recover
+#                      # cleanly after SIGTERM, and a removed-layout
+#                      # (state.snap) directory that must be refused
 #   ./ci.sh bench      # facade vs loopback-server throughput (io-thread
 #                      # matrix) -> BENCH_pr6.json,
 #                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
@@ -178,7 +181,53 @@ EOF
   grep -q "bye" "$log" \
     || { echo "service: server skipped the shutdown path" >&2; exit 1; }
   rm -f "$log"
-  echo "service: round-trip + smoke + clean shutdown passed"
+  # The default (one-shard) durable runtime with retention: boot, take
+  # the same ingest burst, SIGTERM, then relaunch on the same directory
+  # and demand a clean recovery boot and a clean second shutdown.
+  local durable_dir boot
+  durable_dir="$(mktemp -d)"
+  for boot in first relaunch; do
+    port=$((20000 + RANDOM % 20000))
+    log="$(mktemp)"
+    ./build/examples/ltam_serve --port="$port" --durable="$durable_dir" \
+      --retention-hot-events=512 --scenario=surge --scenario-events=500 \
+      > "$log" 2>&1 &
+    server_pid=$!
+    for _ in $(seq 1 50); do
+      grep -q "listening" "$log" && break
+      sleep 0.1
+    done
+    grep -q "listening" "$log" \
+      || { echo "service: durable server failed its $boot boot" >&2; cat "$log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
+    if [ "$boot" = first ]; then
+      ./build/examples/ltam_load --port="$port" --scenario=surge \
+        --rate=500 --duration-s=1 --connections=2 > /dev/null \
+        || { echo "service: durable ingest burst failed" >&2; kill "$server_pid"; exit 1; }
+    fi
+    kill -TERM "$server_pid"
+    wait "$server_pid" \
+      || { echo "service: durable server exited uncleanly ($boot)" >&2; cat "$log" >&2; exit 1; }
+    grep -q "bye" "$log" \
+      || { echo "service: durable server skipped the shutdown path ($boot)" >&2; exit 1; }
+    rm -f "$log"
+  done
+  rm -rf "$durable_dir"
+  # A directory in the removed sequential layout (a state.snap, no
+  # MANIFEST) must be refused with the actionable message, never
+  # shadowed by a fresh cut.
+  local legacy_dir
+  legacy_dir="$(mktemp -d)"
+  : > "$legacy_dir/state.snap"
+  log="$(mktemp)"
+  if timeout 10 ./build/examples/ltam_serve --port=0 --durable="$legacy_dir" \
+      > "$log" 2>&1; then
+    echo "service: ltam_serve opened a removed-layout directory" >&2
+    exit 1
+  fi
+  grep -q "state.snap.*removed" "$log" \
+    || { echo "service: removed-layout refusal lacks its message" >&2; cat "$log" >&2; exit 1; }
+  rm -rf "$legacy_dir" "$log"
+  echo "service: round-trip + smoke + clean shutdown + durable relaunch passed"
 }
 
 # Stamps the host core count into an emitted BENCH_*.json's context.

@@ -10,7 +10,9 @@
 // Run: ./build/examples/ltam_serve [flags]
 //   --port=N          TCP port (default 7447; 0 picks one and prints it)
 //   --host=ADDR       listen address (default 127.0.0.1)
-//   --shards=N        worker shards for the batch pipeline (default 1)
+//   --shards=N        subject shards of the batch pipeline (default 1;
+//                     shard 0 runs on the ingest thread, each further
+//                     shard on its own worker)
 //   --io-threads=N    epoll I/O loops; connections are spread across
 //                     them round-robin (default 1)
 //   --durable=DIR     crash-safe runtime rooted at DIR (must exist)
@@ -37,9 +39,9 @@
 //   --retention-horizon-s=N  drop sealed history whose stays ended
 //                          more than N chronons (~seconds of stream
 //                          time) before the newest event, judged at
-//                          each checkpoint. Requires --durable with
-//                          --shards >= 2; implies
-//                          --retention-hot-events=4096 unless set
+//                          each checkpoint. Requires --durable;
+//                          implies --retention-hot-events=4096 unless
+//                          set
 //   --retention-hot-events=N seal a shard's history into a columnar
 //                          cold segment once it exceeds N hot events
 //                          (0 = never seal, the default)

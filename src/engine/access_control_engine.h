@@ -90,7 +90,8 @@ class AccessControlEngine {
   /// Recovery support: registers an already-open stay (subject inside `l`
   /// since `since` under authorization `auth`; kInvalidAuth when the stay
   /// was unauthorized) without touching the movement database or the
-  /// ledger. Used by DurableSystem when resuming from a snapshot.
+  /// ledger. Used by durable recovery (ResumeOpenStays) when resuming
+  /// from a snapshot.
   void ResumeStay(SubjectId s, LocationId l, AuthId auth, Chronon since);
 
   /// Periodic patrol: raises one kOverstay alert per stay whose exit

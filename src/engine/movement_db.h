@@ -17,8 +17,8 @@
 // that replaying the remaining history() reconstructs the hot tier
 // exactly (the per-shard snapshot stays a plain event stream). Queries
 // transparently merge both tiers, so sealing never changes an answer;
-// only history() (the raw hot log, what snapshots persist) and
-// MergedMovements-style replay consumers see the smaller hot tier.
+// only history() (the raw hot log, what snapshots persist) and its
+// replay consumers see the smaller hot tier.
 
 #ifndef LTAM_ENGINE_MOVEMENT_DB_H_
 #define LTAM_ENGINE_MOVEMENT_DB_H_
@@ -57,9 +57,12 @@ struct RetentionOptions {
   /// event count exceeds this at a checkpoint. 0 = tiering disabled
   /// (the unbounded pre-tiering behavior).
   size_t max_hot_events = 0;
-  /// Merge the oldest `compaction_fanin` cold segments whenever a shard
-  /// has accumulated at least that many (bounds per-query segment count
-  /// at log-ish amortized cost). Minimum effective value is 2.
+  /// Merge runs of `compaction_fanin` consecutive cold segments (oldest
+  /// first) whose newest stays end in the same horizon-wide time window
+  /// — one window when horizon is 0 — bounding per-query segment count
+  /// at O(fanin) per live window. Merging never spans windows, so a
+  /// merged segment still ages past the horizon and drops. Minimum
+  /// effective value is 2.
   uint32_t compaction_fanin = 8;
 };
 

@@ -48,8 +48,11 @@ ShardedDecisionEngine::ShardedDecisionEngine(
     shards_.push_back(
         std::make_unique<Shard>(k, graph, auth_db, profiles, options.engine));
   }
-  for (auto& shard : shards_) {
-    shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(s); });
+  // Shard 0's slice runs on the calling thread (EvaluateBatch), so only
+  // shards 1..n-1 get a worker: a one-shard engine pays no hand-off.
+  for (size_t k = 1; k < shards_.size(); ++k) {
+    Shard* shard = shards_[k].get();
+    shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
   }
 }
 
@@ -148,36 +151,40 @@ void ShardedDecisionEngine::TickShard(uint32_t shard, Chronon t) {
   shards_[shard]->engine.Tick(t);
 }
 
+void ShardedDecisionEngine::RunSlice(Shard* shard) {
+  // Per-subject batch order is preserved: todo holds this shard's event
+  // indices ascending, and every event of a given subject maps here.
+  for (size_t i : shard->todo) {
+    const AccessEvent& event = current_batch_[i];
+    if (hooks_.before_apply) {
+      Result<CommitTicket> logged = hooks_.before_apply(shard->index, event);
+      if (!logged.ok()) {
+        // Write-ahead contract: an event that could not be logged is
+        // refused, never applied — state must not run ahead of the log.
+        decisions_[i] = Decision::Deny(DenyReason::kWalError);
+        RecordAppendError(logged.status());
+        continue;
+      }
+    }
+    decisions_[i] = ApplyAccessEvent(&shard->engine, event);
+  }
+  if (hooks_.after_batch) {
+    Result<CommitTicket> boundary = hooks_.after_batch(shard->index);
+    if (boundary.ok()) {
+      batch_tickets_[shard->index] = *boundary;
+    } else {
+      RecordSyncError(boundary.status());
+    }
+  }
+  shard->todo.clear();
+}
+
 void ShardedDecisionEngine::WorkerLoop(Shard* shard) {
   std::unique_lock<std::mutex> lock(shard->mu);
   while (true) {
     shard->cv.wait(lock, [shard] { return shard->has_work || shard->stop; });
     if (shard->stop && !shard->has_work) return;
-    // Per-subject batch order is preserved: todo holds this shard's event
-    // indices ascending, and every event of a given subject maps here.
-    for (size_t i : shard->todo) {
-      const AccessEvent& event = current_batch_[i];
-      if (hooks_.before_apply) {
-        Result<CommitTicket> logged = hooks_.before_apply(shard->index, event);
-        if (!logged.ok()) {
-          // Write-ahead contract: an event that could not be logged is
-          // refused, never applied — state must not run ahead of the log.
-          decisions_[i] = Decision::Deny(DenyReason::kWalError);
-          RecordAppendError(logged.status());
-          continue;
-        }
-      }
-      decisions_[i] = ApplyAccessEvent(&shard->engine, event);
-    }
-    if (hooks_.after_batch) {
-      Result<CommitTicket> boundary = hooks_.after_batch(shard->index);
-      if (boundary.ok()) {
-        batch_tickets_[shard->index] = *boundary;
-      } else {
-        RecordSyncError(boundary.status());
-      }
-    }
-    shard->todo.clear();
+    RunSlice(shard);
     shard->has_work = false;
     {
       std::lock_guard<std::mutex> done_lock(done_mu_);
@@ -197,15 +204,15 @@ std::vector<Decision> ShardedDecisionEngine::EvaluateBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     parts[ShardOf(batch[i].subject)].push_back(i);
   }
-  size_t active = 0;
-  for (const auto& p : parts) {
-    if (!p.empty()) ++active;
+  size_t handed_off = 0;
+  for (size_t k = 1; k < parts.size(); ++k) {
+    if (!parts[k].empty()) ++handed_off;
   }
   {
     std::lock_guard<std::mutex> done_lock(done_mu_);
-    pending_shards_ = active;
+    pending_shards_ = handed_off;
   }
-  for (size_t k = 0; k < shards_.size(); ++k) {
+  for (size_t k = 1; k < shards_.size(); ++k) {
     if (parts[k].empty()) continue;
     {
       std::lock_guard<std::mutex> lock(shards_[k]->mu);
@@ -214,7 +221,11 @@ std::vector<Decision> ShardedDecisionEngine::EvaluateBatch(
     }
     shards_[k]->cv.notify_one();
   }
-  if (active > 0) {
+  if (!parts[0].empty()) {
+    shards_[0]->todo = std::move(parts[0]);
+    RunSlice(shards_[0].get());
+  }
+  if (handed_off > 0) {
     std::unique_lock<std::mutex> done_lock(done_mu_);
     done_cv_.wait(done_lock, [this] { return pending_shards_ == 0; });
   }

@@ -12,12 +12,15 @@
 //
 // ShardedDecisionEngine exploits that: subjects are hash-partitioned
 // across N shards, each shard owns a private MovementDatabase view and a
-// private AccessControlEngine (hence a private alert buffer), and a
-// persistent worker thread per shard drains its slice of each batch.
-// Within a batch, events of one subject are processed in batch order on
-// one shard, so decisions are byte-identical to running the sequential
-// engine event-by-event (the equivalence property checked by
-// tests/sharded_engine_test.cc).
+// private AccessControlEngine (hence a private alert buffer), and each
+// batch is split into per-shard slices. Shard 0's slice runs on the
+// calling thread; shards 1..N-1 each have a persistent worker thread
+// that drains theirs in parallel. One rule for every shard count, so a
+// one-shard engine is the sequential engine plus the batch split — no
+// thread hand-off. Within a batch, events of one subject are processed
+// in batch order on one shard, so decisions are byte-identical to
+// running the sequential engine event-by-event (the equivalence property
+// checked by tests/sharded_engine_test.cc).
 //
 // The shared AuthorizationDatabase is safe under this discipline: reads
 // go through its subject-bucketed candidate cache, ledger updates touch
@@ -58,7 +61,8 @@ Decision ApplyAccessEvent(AccessControlEngine* engine, const AccessEvent& e);
 
 /// Tuning knobs for the sharded pipeline.
 struct ShardedEngineOptions {
-  /// Number of shards == number of worker threads. Clamped to >= 1.
+  /// Number of shards (clamped to >= 1). Shard 0 runs on the caller, so
+  /// this spawns num_shards - 1 worker threads.
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
@@ -74,7 +78,8 @@ struct ShardedEngineOptions {
 Status ComposeDurabilityError(Status append_error, Status sync_error);
 
 /// Per-shard worker callbacks, the seam the durable runtime plugs into.
-/// Both run on the shard's worker thread.
+/// Both run on the thread that evaluates the shard's slice (the caller
+/// for shard 0, the shard's worker otherwise).
 ///
 /// Both hooks return a CommitTicket instead of blocking on durability:
 /// a synchronous group-commit implementation may return only after its
@@ -104,8 +109,9 @@ struct ShardHooks {
 /// A batch-oriented, subject-sharded front end over N AccessControlEngine
 /// instances.
 ///
-/// Lifecycle: construct (spawns workers), call EvaluateBatch any number
-/// of times from one control thread, destroy (joins workers). Database
+/// Lifecycle: construct (spawns the workers for shards 1..n-1), call
+/// EvaluateBatch any number of times from one control thread (which
+/// also evaluates shard 0's slice), destroy (joins workers). Database
 /// mutations are only legal between EvaluateBatch calls.
 class ShardedDecisionEngine {
  public:
@@ -191,7 +197,8 @@ class ShardedDecisionEngine {
   size_t batches_evaluated() const { return batches_evaluated_; }
 
  private:
-  /// One shard: private movement view + engine, driven by one worker.
+  /// One shard: private movement view + engine, driven by its worker
+  /// (shard 0: by the caller of EvaluateBatch).
   struct Shard {
     explicit Shard(uint32_t index, const MultilevelLocationGraph* graph,
                    AuthorizationDatabase* auth_db,
@@ -208,9 +215,12 @@ class ShardedDecisionEngine {
     std::vector<size_t> todo;
     bool has_work = false;
     bool stop = false;
-    std::thread worker;
+    std::thread worker;  // Not started for shard 0.
   };
 
+  /// Evaluates shard->todo (write-ahead hooks, decisions, the batch
+  /// boundary) and clears it.
+  void RunSlice(Shard* shard);
   void WorkerLoop(Shard* shard);
 
   /// Records a before_apply (append) failure for the in-flight batch

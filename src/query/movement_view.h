@@ -1,15 +1,12 @@
 // Copyright 2026 The LTAM Authors.
 // MovementView: the read side of the movement store, backend-agnostic.
 //
-// The query engine historically consumed one concrete MovementDatabase,
-// which forced the sharded runtimes to materialize a full merged copy
-// (`MergedMovements`) before answering any cross-shard question. This
-// interface replaces that stopgap: a sequential deployment exposes its
-// single database directly (MovementDatabaseView), a sharded deployment
-// exposes its per-shard views behind a fan-out implementation
-// (ShardedMovementView) that routes subject-keyed queries to the owning
-// shard and merges location/contact queries across shards — no copy,
-// answers always reflect the live per-shard state.
+// The runtime exposes its per-shard movement databases behind a fan-out
+// implementation (ShardedMovementView) that routes subject-keyed queries
+// to the owning shard and merges location/contact queries across shards
+// — no merged copy of the history, and answers always reflect the live
+// per-shard state. A single database (the reference oracle's, or a
+// standalone QueryEngine's) is exposed directly (MovementDatabaseView).
 //
 // Result contract: every query returns exactly what a single sequential
 // MovementDatabase holding the union history would return, with one

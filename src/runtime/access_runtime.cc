@@ -13,7 +13,6 @@
 #include "engine/sharded_engine.h"
 #include "replication/epoch.h"
 #include "storage/durable_sharded_system.h"
-#include "storage/durable_system.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
 #include "util/logging.h"
@@ -55,6 +54,24 @@ size_t PendingShardAlerts(const ShardedDecisionEngine& engine) {
   return total;
 }
 
+/// The sequential durable layout (`state.snap` + `events.wal`) was
+/// removed. A directory holding it without a MANIFEST is refused, never
+/// shadowed by a fresh cut that would ignore its committed state.
+Status RefuseRemovedSequentialLayout(const std::string& dir) {
+  if (FileExists(dir + "/" + ManifestFileName())) return Status::OK();
+  for (const char* name : {"state.snap", "events.wal"}) {
+    const std::string path = dir + "/" + name;
+    if (FileExists(path)) {
+      return Status::FailedPrecondition(
+          "durable directory holds '" + path +
+          "' from the sequential on-disk layout (state.snap/events.wal), "
+          "which was removed; open it with a release that still reads "
+          "that layout, or point durable_dir at an empty directory");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // --- Backend interface -------------------------------------------------------
@@ -92,7 +109,7 @@ class AccessRuntime::Backend {
   virtual void FillStats(RuntimeStats* stats) const = 0;
 
   /// Replication seam (see the facade's replication surface): only the
-  /// durable sharded backend ships/applies per-shard WAL records.
+  /// durable backend ships/applies per-shard WAL records.
   virtual bool replication_capable() const { return false; }
   virtual Result<std::vector<uint64_t>> ReplicationPositions() const {
     return UnsupportedReplication();
@@ -111,82 +128,11 @@ class AccessRuntime::Backend {
  protected:
   static Status UnsupportedReplication() {
     return Status::FailedPrecondition(
-        "replication requires a durable sharded runtime "
-        "(durable_dir set, num_shards > 1)");
+        "replication requires a durable runtime (durable_dir set)");
   }
 };
 
-// --- In-memory sequential ----------------------------------------------------
-
-class AccessRuntime::SequentialBackend final : public Backend {
- public:
-  SequentialBackend(SystemState state, const EngineOptions& options)
-      : state_(std::move(state)),
-        engine_(&state_.graph, &state_.auth_db, &state_.movements,
-                &state_.profiles, options) {
-    // Pre-seeded histories resume their open stays exactly as durable
-    // recovery would, so overstay tracking starts correct.
-    ResumeOpenStays(&engine_, state_.movements, state_.auth_db,
-                    state_.profiles.AllSubjects());
-  }
-
-  Result<std::vector<Decision>> ApplyBatch(Span<const AccessEvent> batch,
-                                           Status* /*durability*/) override {
-    std::vector<Decision> out;
-    out.reserve(batch.size());
-    for (const AccessEvent& e : batch) {
-      out.push_back(ApplyAccessEvent(&engine_, e));
-    }
-    return out;
-  }
-
-  Status Tick(Chronon t) override {
-    engine_.Tick(t);
-    return Status::OK();
-  }
-
-  std::vector<Alert> DrainAlerts() override {
-    std::vector<Alert> out = engine_.alerts();
-    engine_.ClearAlerts();
-    SortAlerts(&out);
-    return out;
-  }
-
-  size_t pending_alerts() const override { return engine_.alerts().size(); }
-
-  Status Checkpoint() override { return Status::OK(); }
-
-  MutableStores Stores() override {
-    return MutableStores{state_.graph, state_.profiles, state_.auth_db,
-                         state_.rules};
-  }
-
-  const MultilevelLocationGraph& graph() const override {
-    return state_.graph;
-  }
-  const UserProfileDatabase& profiles() const override {
-    return state_.profiles;
-  }
-  const AuthorizationDatabase& auth_db() const override {
-    return state_.auth_db;
-  }
-
-  std::unique_ptr<MovementView> MakeView() const override {
-    return std::make_unique<MovementDatabaseView>(&state_.movements);
-  }
-
-  void FillStats(RuntimeStats* stats) const override {
-    stats->num_shards = 1;
-    stats->requests_processed = engine_.requests_processed();
-    stats->requests_granted = engine_.requests_granted();
-  }
-
- private:
-  SystemState state_;
-  AccessControlEngine engine_;
-};
-
-// --- In-memory sharded -------------------------------------------------------
+// --- In-memory ---------------------------------------------------------------
 
 class AccessRuntime::ShardedBackend final : public Backend {
  public:
@@ -264,113 +210,7 @@ class AccessRuntime::ShardedBackend final : public Backend {
   std::unique_ptr<ShardedDecisionEngine> engine_;
 };
 
-// --- Durable sequential ------------------------------------------------------
-
-/// The sequential durable backend is a thin adapter now: the
-/// DurableSystem owns a real ShardLog, so the pipelined/interval sync
-/// cadence (and the idle-convergence timer the old backend ran by hand)
-/// lives on the log's own thread, exactly like each shard of the
-/// sharded runtime. No backend-side mutex: ApplyBatch/Tick run on the
-/// control thread, and the watermark/counter reads are ShardLog's
-/// thread-safe accessors.
-class AccessRuntime::DurableSequentialBackend final : public Backend {
- public:
-  DurableSequentialBackend(std::unique_ptr<DurableSystem> sys,
-                           bool shard_override)
-      : sys_(std::move(sys)), shard_override_(shard_override) {}
-
-  Result<std::vector<Decision>> ApplyBatch(Span<const AccessEvent> batch,
-                                           Status* durability) override {
-    std::vector<Decision> out;
-    out.reserve(batch.size());
-    Status append_error;
-    for (const AccessEvent& e : batch) {
-      Result<Decision> decision = sys_->Apply(e);
-      if (decision.ok()) {
-        out.push_back(*decision);
-      } else {
-        // Write-ahead contract: an event that could not be logged is
-        // refused, never applied (same as the sharded workers).
-        out.push_back(Decision::Deny(DenyReason::kWalError));
-        if (append_error.ok()) append_error = decision.status();
-      }
-    }
-    Status sync_error = sys_->BatchBoundary();
-    *durability = ComposeDurabilityError(std::move(append_error),
-                                         std::move(sync_error));
-    return out;
-  }
-
-  Status Tick(Chronon t) override {
-    Status ticked = sys_->Tick(t);
-    Status synced = sys_->BatchBoundary();
-    if (!synced.ok() && ticked.ok()) return synced;
-    return ticked;
-  }
-
-  std::vector<Alert> DrainAlerts() override {
-    std::vector<Alert> out = sys_->engine().alerts();
-    sys_->engine().ClearAlerts();
-    SortAlerts(&out);
-    return out;
-  }
-
-  size_t pending_alerts() const override {
-    return sys_->engine().alerts().size();
-  }
-
-  Status Checkpoint() override { return sys_->Checkpoint(); }
-
-  Status WaitDurable() override {
-    if (sys_->total_synced() >= sys_->total_appended()) return Status::OK();
-    return sys_->Sync();
-  }
-
-  DurabilityWatermark Watermark() const override {
-    return DurabilityWatermark{sys_->total_appended(), sys_->total_synced()};
-  }
-
-  MutableStores Stores() override {
-    SystemState& state = sys_->mutable_state();
-    return MutableStores{state.graph, state.profiles, state.auth_db,
-                         state.rules};
-  }
-
-  const MultilevelLocationGraph& graph() const override {
-    return sys_->state().graph;
-  }
-  const UserProfileDatabase& profiles() const override {
-    return sys_->state().profiles;
-  }
-  const AuthorizationDatabase& auth_db() const override {
-    return sys_->state().auth_db;
-  }
-
-  std::unique_ptr<MovementView> MakeView() const override {
-    return std::make_unique<MovementDatabaseView>(&sys_->state().movements);
-  }
-
-  void FillStats(RuntimeStats* stats) const override {
-    stats->num_shards = 1;
-    stats->durable = true;
-    stats->shard_count_overridden = shard_override_;
-    stats->wal_events = sys_->wal_events();
-    stats->requests_processed = sys_->engine().requests_processed();
-    stats->requests_granted = sys_->engine().requests_granted();
-    stats->wal_append_failures = sys_->wal_append_failures();
-    stats->wal_sync_failures = sys_->wal_sync_failures();
-    stats->shard_watermarks = {
-        DurabilityWatermark{sys_->total_appended(), sys_->total_synced()}};
-  }
-
- private:
-  std::unique_ptr<DurableSystem> sys_;
-  /// True when the caller asked for >1 shard but the directory holds a
-  /// committed sequential state (which wins).
-  bool shard_override_;
-};
-
-// --- Durable sharded ---------------------------------------------------------
+// --- Durable -----------------------------------------------------------------
 
 class AccessRuntime::DurableShardedBackend final : public Backend {
  public:
@@ -509,72 +349,28 @@ Result<std::unique_ptr<AccessRuntime>> AccessRuntime::Open(
   if (!options.durable_dir.has_value()) {
     if (wants_retention) {
       return Status::InvalidArgument(
-          "retention (tiered cold storage) requires a durable sharded "
-          "backend: set durable_dir and num_shards > 1");
+          "retention (tiered cold storage) requires a durable runtime: set "
+          "durable_dir");
     }
-    if (options.num_shards == 1) {
-      rt->backend_ = std::make_unique<SequentialBackend>(std::move(initial),
-                                                         options.engine);
-    } else {
-      auto backend =
-          std::make_unique<ShardedBackend>(std::move(initial), options);
-      LTAM_RETURN_IF_ERROR(backend->Init());
-      rt->backend_ = std::move(backend);
-    }
+    auto backend =
+        std::make_unique<ShardedBackend>(std::move(initial), options);
+    LTAM_RETURN_IF_ERROR(backend->Init());
+    rt->backend_ = std::move(backend);
   } else {
     const std::string& dir = *options.durable_dir;
-    // Sniff any committed state so an existing directory is never opened
-    // through the wrong engine (a sharded MANIFEST must not be shadowed
-    // by a fresh sequential runtime, and vice versa). The directory's
-    // own shape wins over num_shards; Stats() reports the override.
-    const bool has_manifest = FileExists(dir + "/" + ManifestFileName());
-    const bool has_sequential =
-        FileExists(dir + "/" + DurableSystem::SnapshotFileName()) ||
-        FileExists(dir + "/" + DurableSystem::WalFileName());
-    const bool want_sharded = options.num_shards > 1;
-    if (has_manifest || (want_sharded && !has_sequential)) {
-      DurableShardedOptions sharded_options;
-      sharded_options.num_shards = options.num_shards;
-      sharded_options.engine = options.engine;
-      sharded_options.sync_every_batch = options.sync_every_batch;
-      sharded_options.durability = options.durability;
-      sharded_options.retention = options.retention;
-      LTAM_ASSIGN_OR_RETURN(
-          std::unique_ptr<DurableShardedSystem> sys,
-          DurableShardedSystem::Open(dir, std::move(initial),
-                                     sharded_options));
-      rt->backend_ = std::make_unique<DurableShardedBackend>(std::move(sys));
-    } else {
-      if (wants_retention) {
-        return Status::InvalidArgument(
-            "retention (tiered cold storage) requires the durable sharded "
-            "backend; this directory/request resolves to the sequential "
-            "durable runtime");
-      }
-      LTAM_ASSIGN_OR_RETURN(
-          std::unique_ptr<DurableSystem> sys,
-          DurableSystem::Open(dir, std::move(initial), options.engine,
-                              options.durability, options.sync_every_batch));
-      if (!has_sequential) {
-        // Fresh directory: commit the seed immediately so recovery never
-        // needs `initial` again — the same contract the sharded runtime
-        // establishes with its epoch-0 checkpoint.
-        LTAM_RETURN_IF_ERROR(sys->Checkpoint());
-      }
-      rt->backend_ = std::make_unique<DurableSequentialBackend>(
-          std::move(sys), /*shard_override=*/want_sharded);
-      if (want_sharded) {
-        LTAM_LOG_WARNING << "durable directory '" << dir
-                         << "' holds a sequential runtime; requested "
-                         << options.num_shards << " shards ignored";
-      }
-    }
-  }
-  if (options.durable_dir.has_value()) {
+    LTAM_RETURN_IF_ERROR(RefuseRemovedSequentialLayout(dir));
+    DurableShardedOptions sharded_options;
+    sharded_options.num_shards = options.num_shards;
+    sharded_options.engine = options.engine;
+    sharded_options.durability = options.durability;
+    sharded_options.retention = options.retention;
+    LTAM_ASSIGN_OR_RETURN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir, std::move(initial), sharded_options));
+    rt->backend_ = std::make_unique<DurableShardedBackend>(std::move(sys));
     // The promotion counter survives restarts with the rest of the
     // directory; a fenced ex-primary must come back fenced.
-    LTAM_ASSIGN_OR_RETURN(rt->replication_epoch_,
-                          LoadReplicationEpoch(*options.durable_dir));
+    LTAM_ASSIGN_OR_RETURN(rt->replication_epoch_, LoadReplicationEpoch(dir));
   }
   rt->view_ = rt->backend_->MakeView();
   rt->query_ = std::make_unique<QueryEngine>(
@@ -801,8 +597,7 @@ Status AccessRuntime::DemoteToReplica() {
   if (replica_) return Status::OK();
   if (!backend_->replication_capable()) {
     return Status::FailedPrecondition(
-        "DemoteToReplica requires a durable sharded runtime "
-        "(durable_dir set, num_shards > 1)");
+        "DemoteToReplica requires a durable runtime (durable_dir set)");
   }
   replica_ = true;
   return Status::OK();

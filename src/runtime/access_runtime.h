@@ -1,33 +1,33 @@
 // Copyright 2026 The LTAM Authors.
-// AccessRuntime: the one front door over every LTAM enforcement engine.
+// AccessRuntime: the one front door over the LTAM enforcement pipeline.
 //
-// The repo grew four ways to "apply LTAM events" — AccessControlEngine
-// (per-event, in-memory), ShardedDecisionEngine (batch, in-memory),
-// DurableSystem (per-event, crash-safe), DurableShardedSystem (batch,
-// crash-safe) — each with its own construction dance, alert draining,
-// mutation-window fine print, and error conventions. This facade selects
-// one of them from RuntimeOptions and exposes a single uniform,
-// Result/Status-only surface, in the spirit of the paper's layered
-// Figure-3 architecture: callers program against the model, not against
-// a particular scaling/durability point.
+// Every runtime is the subject-sharded batch pipeline
+// (engine/sharded_engine.h), at any shard count including one; setting
+// RuntimeOptions::durable_dir makes it crash-safe (DurableShardedSystem,
+// storage/durable_sharded_system.h). The facade hides that choice behind
+// a single uniform, Result/Status-only surface, in the spirit of the
+// paper's layered Figure-3 architecture: callers program against the
+// model, not against a particular scaling/durability point. The
+// per-event AccessControlEngine stays outside the facade as the
+// reference oracle the equivalence suites compare against.
 //
-// Uniformity contract (equivalence-tested across all four backends by
+// Uniformity contract (equivalence-tested across shard counts x
+// durability against the AccessControlEngine oracle by
 // tests/access_runtime_test.cc):
 //  - Apply/ApplyBatch produce byte-identical decision streams for the
-//    same event stream, whatever the backend;
+//    same event stream, whatever the shard count or durability;
 //  - ApplyBatch returns decisions + drained alerts + durability outcome
 //    in one BatchResult (no separate TakeAlerts/TakeBatchError calls);
 //  - alerts are deterministically ordered by (time, subject, location,
-//    type) on every backend;
+//    type) in every configuration;
 //  - Mutate() is the only door to the mutable stores, so the "mutations
 //    only between batches" rule is enforced, not documented: applying
 //    events from inside Mutate fails with kFailedPrecondition, and
 //    shared caches (the graph's flattened adjacency) are re-warmed when
 //    the mutation ends;
-//  - the read side is a MovementView: sequential backends expose their
-//    one database, sharded backends fan queries out over the per-shard
-//    views — no merged full copy — and the built-in QueryEngine answers
-//    over it.
+//  - the read side is a MovementView that fans queries out over the
+//    per-shard views — no merged full copy — and the built-in
+//    QueryEngine answers over it.
 
 #ifndef LTAM_RUNTIME_ACCESS_RUNTIME_H_
 #define LTAM_RUNTIME_ACCESS_RUNTIME_H_
@@ -52,35 +52,32 @@ namespace ltam {
 
 /// Which engine the facade runs on and how.
 struct RuntimeOptions {
-  /// 1 = the sequential engine; >1 = the subject-sharded batch pipeline
-  /// with one worker thread per shard.
+  /// Subject shards of the batch pipeline. Shard 0 runs on the calling
+  /// thread and each further shard on its own worker, so 1 (the
+  /// default) is a one-shard pipeline with no thread hand-off. Every
+  /// shard count makes byte-identical decisions.
   uint32_t num_shards = 1;
   /// When set, the runtime is crash-safe and rooted at this existing
-  /// directory (write-ahead logging + snapshots/checkpoints). When the
-  /// directory already holds a committed state, that state wins over
-  /// `initial` — and a sharded directory's pinned shard count wins over
-  /// `num_shards` (see RuntimeStats::shard_count_overridden).
+  /// directory (per-shard write-ahead logs + snapshots under a
+  /// MANIFEST). When the directory already holds a committed state, that
+  /// state wins over `initial`, and its pinned shard count wins over
+  /// `num_shards` (see RuntimeStats::shard_count_overridden). A directory
+  /// in the removed sequential layout (state.snap/events.wal, no
+  /// MANIFEST) is refused with kFailedPrecondition.
   std::optional<std::string> durable_dir;
   /// Per-engine decision/monitoring knobs.
   EngineOptions engine;
-  /// Durable backends, SyncMode::kBatch only: fsync the log(s) once per
-  /// Apply/ApplyBatch/Tick (group commit). Disable only where the OS
-  /// page cache is an acceptable durability boundary. Pipelined modes
-  /// ignore it — their cadence comes from `durability`.
-  bool sync_every_batch = true;
-  /// Durable backends: the write path's sync mode and pipelining
-  /// bounds. kBatch (the default) keeps the fsync on each batch's
-  /// critical path and is byte-identical to the pre-pipelining
-  /// behavior; kPipelined/kInterval move it to per-shard log threads —
+  /// Durable runtimes: the write path's sync mode and pipelining
+  /// bounds. kBatch (the default) fsyncs each shard log once per
+  /// Apply/ApplyBatch/Tick, on the batch's critical path;
+  /// kPipelined/kInterval move the fsync to per-shard log threads —
   /// ApplyBatch then returns before its fsync lands, and callers choose
   /// latency vs durability per call via BatchResult::watermark and
-  /// WaitDurable(). Also carries the WAL segment rotation threshold.
-  /// The sequential durable backend runs the identical ShardLog
-  /// machinery on its single log (rotation disabled; failed fsyncs
-  /// retried instead of sticky — see storage/durable_system.h), so the
-  /// idle-convergence guarantees match the sharded log threads': an
-  /// idle kInterval runtime still syncs within `sync_interval_ms`, and
-  /// an idle kPipelined one converges to durable == applied.
+  /// WaitDurable(). An idle kInterval runtime still syncs within
+  /// `sync_interval_ms`, and an idle kPipelined one converges to
+  /// durable == applied. A failed pipelined fsync sticky-fails its log
+  /// (watermark frozen) until Checkpoint(). Also carries the WAL segment
+  /// rotation threshold.
   DurabilityOptions durability;
   /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
   /// batch is rejected whole with kInvalidArgument — nothing is applied —
@@ -106,8 +103,8 @@ struct RuntimeOptions {
   /// Movement-history tiering + retention (engine/movement_db.h):
   /// checkpoints seal oversized hot shards into columnar cold segments,
   /// drop segments past the horizon, and compact the rest. Durable
-  /// sharded backends only — Open() rejects a non-default value on any
-  /// other backend with kInvalidArgument rather than silently keeping
+  /// runtimes only — Open() rejects a non-default value without
+  /// durable_dir with kInvalidArgument rather than silently keeping
   /// unbounded history.
   RetentionOptions retention;
 };
@@ -131,8 +128,8 @@ struct BatchResult {
   /// the more severe outcome is never masked.
   Status durability;
   /// The runtime's durability position after this batch: log records
-  /// accepted (events applied) vs fsynced. In-memory backends and
-  /// kBatch+sync_every_batch report durable == applied; pipelined modes
+  /// accepted (events applied) vs fsynced. In-memory runtimes and
+  /// kBatch report durable == applied; pipelined modes
   /// may trail until the log threads catch up (or WaitDurable forces
   /// it).
   DurabilityWatermark watermark;
@@ -140,7 +137,8 @@ struct BatchResult {
 
 /// A point-in-time snapshot of runtime counters and configuration.
 struct RuntimeStats {
-  /// Shards actually in effect (1 = sequential backend).
+  /// Shards actually in effect: the requested count, or the count a
+  /// recovered durable directory pinned.
   uint32_t num_shards = 1;
   /// Shards the caller asked for.
   uint32_t requested_shards = 1;
@@ -149,8 +147,8 @@ struct RuntimeStats {
   /// True when the durable directory's committed state pinned a shard
   /// count different from the requested one (the directory wins).
   bool shard_count_overridden = false;
-  /// Durable backends: committed checkpoint epoch (sharded only) and
-  /// events appended to the current log tail(s).
+  /// Durable runtimes: committed checkpoint epoch and events appended
+  /// to the current log tails.
   uint64_t epoch = 0;
   size_t wal_events = 0;
   /// Engine counters, aggregated across shards.
@@ -170,8 +168,8 @@ struct RuntimeStats {
   /// Alerts raised but not yet drained.
   size_t pending_alerts = 0;
   /// The durability watermark: records accepted (events applied) vs
-  /// fsynced. Equal on in-memory backends and in sync-every-batch mode;
-  /// durable trails applied while pipelined fsyncs are in flight.
+  /// fsynced. Equal on in-memory runtimes and in kBatch mode; durable
+  /// trails applied while pipelined fsyncs are in flight.
   uint64_t applied_offset = 0;
   uint64_t durable_offset = 0;
   /// Physical log failures observed (see BatchResult::durability for
@@ -182,17 +180,16 @@ struct RuntimeStats {
   /// Durable backends: one (applied, durable) watermark per shard log,
   /// monotonic across checkpoints — the aggregate applied/durable_offset
   /// above is their sum, so a single stuck shard log is visible here
-  /// rather than drowned in global lag. Sequential durable backends
-  /// report one entry; in-memory backends report none. Carried over the
-  /// wire verbatim (protocol v3).
+  /// rather than drowned in global lag. In-memory runtimes report none.
+  /// Carried over the wire verbatim (protocol v3).
   std::vector<DurabilityWatermark> shard_watermarks;
   /// Replication role and promotion epoch (replication/epoch.h): a
   /// replica refuses writes and applies shipped records instead.
   /// Carried over the wire since protocol v4.
   bool replica = false;
   uint64_t replication_epoch = 0;
-  /// Movement-history tiering (durable sharded backends; zero
-  /// elsewhere). Carried over the wire since protocol v6.
+  /// Movement-history tiering (durable runtimes; zero in memory).
+  /// Carried over the wire since protocol v6.
   uint64_t cold_segments = 0;     ///< Sealed segments currently live.
   uint64_t cold_bytes = 0;        ///< Approx bytes held by cold columns.
   uint64_t dropped_events = 0;    ///< Events dropped past the horizon.
@@ -213,9 +210,9 @@ struct MutableStores {
   std::vector<AuthorizationRule>& rules;
 };
 
-/// One backend-polymorphic enforcement runtime. All methods must be
-/// called from one control thread (the same discipline every underlying
-/// engine already required); sharded backends parallelize internally.
+/// One enforcement runtime. All methods must be called from one control
+/// thread (the same discipline every underlying engine already
+/// required); the pipeline parallelizes across shards internally.
 class AccessRuntime {
  public:
   /// Opens a runtime over `initial` (graph, profiles, authorizations,
@@ -239,7 +236,7 @@ class AccessRuntime {
   /// message says do not resubmit), or when called from inside Mutate.
   Result<Decision> Apply(const AccessEvent& event);
 
-  /// Applies a batch (fanned out across shards on sharded backends;
+  /// Applies a batch (fanned out across the shards;
   /// events of one subject must be in nondecreasing time order) and
   /// returns decisions, drained alerts, and the durability outcome in
   /// one struct. Non-OK only for contract violations (inside Mutate).
@@ -278,8 +275,8 @@ class AccessRuntime {
 
   /// Durability barrier: blocks until every accepted log record is
   /// fsynced (forcing the flush on pipelined backends), or returns the
-  /// log's sticky error. In-memory backends and kBatch+sync_every_batch
-  /// runtimes return OK immediately. Checkpoint() is the stronger
+  /// log's sticky error. In-memory and kBatch runtimes return OK
+  /// immediately. Checkpoint() is the stronger
   /// barrier (it also persists snapshots and truncates the logs).
   Status WaitDurable();
 
@@ -287,16 +284,16 @@ class AccessRuntime {
   /// In-memory backends report durable == applied.
   DurabilityWatermark Watermark() const;
 
-  /// Durable backends: persist the full state (a new epoch on sharded
-  /// directories) and truncate the log(s). In-memory backends: a no-op
-  /// returning OK.
+  /// Durable runtimes: persist the full state as a new epoch and
+  /// truncate the logs (this also repairs a sticky-failed log).
+  /// In-memory runtimes: a no-op returning OK.
   Status Checkpoint();
 
   /// Counters and effective configuration.
   RuntimeStats Stats() const;
 
   // --- Replication surface -------------------------------------------------
-  // Only the durable sharded backend replicates: the unit of shipping
+  // Only durable runtimes replicate: the unit of shipping
   // is the per-shard WAL record stream, and the replication position in
   // shard k is the monotonic record count ShardWatermark(k) reports
   // (retired generations + current log). Epoch semantics live in
@@ -313,8 +310,8 @@ class AccessRuntime {
 
   /// Turns this runtime into a read-only replica: Apply/ApplyBatch/
   /// ApplyFix/Tick/Mutate fail with kFailedPrecondition from here on;
-  /// ApplyReplicated becomes the only write path. Requires the durable
-  /// sharded backend. Demotion is a boot-time decision (after the
+  /// ApplyReplicated becomes the only write path. Requires a durable
+  /// runtime. Demotion is a boot-time decision (after the
   /// policy-script mutation window) — there is no demote-back except
   /// reopening the directory.
   Status DemoteToReplica();
@@ -378,17 +375,15 @@ class AccessRuntime {
   const MultilevelLocationGraph& graph() const;
   const UserProfileDatabase& profiles() const;
   const AuthorizationDatabase& auth_db() const;
-  /// The movement read side: one database sequentially, per-shard
-  /// fan-out on sharded backends. Valid between event applications.
+  /// The movement read side: per-shard fan-out (subject-keyed queries
+  /// touch only the owning shard). Valid between event applications.
   const MovementView& movements() const { return *view_; }
   /// A query engine wired over this runtime's stores and movement view.
   const QueryEngine& query() const { return *query_; }
 
  private:
   class Backend;
-  class SequentialBackend;
   class ShardedBackend;
-  class DurableSequentialBackend;
   class DurableShardedBackend;
 
   explicit AccessRuntime(RuntimeOptions options);

@@ -532,18 +532,6 @@ Result<uint32_t> PeekApplyEventCount(MessageType type,
   return count;
 }
 
-std::optional<SubjectId> PeekFirstSubject(MessageType type,
-                                          std::string_view payload) {
-  // The subject sits after the kind (u8) and time (i64) of the first
-  // event; PeekApplyEventCount already vouched for the payload shape.
-  if (type == MessageType::kApply) {
-    return PeekU32(payload.data() + 1 + 8);
-  }
-  LTAM_CHECK(type == MessageType::kApplyBatch);
-  if (PeekU32(payload.data()) == 0) return std::nullopt;
-  return PeekU32(payload.data() + 4 + 1 + 8);
-}
-
 Status DecodeApplyEventsInto(MessageType type, std::string_view payload,
                              std::vector<AccessEvent>* out) {
   Reader r(payload);

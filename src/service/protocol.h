@@ -249,12 +249,6 @@ Result<std::vector<AccessEvent>> DecodeApplyBatchRequest(
 Result<uint32_t> PeekApplyEventCount(MessageType type,
                                      std::string_view payload);
 
-/// The routing key: the subject of the payload's first event, read in
-/// place. Requires PeekApplyEventCount to have accepted the payload;
-/// nullopt for an empty batch.
-std::optional<SubjectId> PeekFirstSubject(MessageType type,
-                                          std::string_view payload);
-
 /// Single-pass decode of an apply/apply-batch payload, appending the
 /// events to *out (no intermediate vector — the zero-copy server decodes
 /// straight into its merge buffer). Strict like the owning decoders:

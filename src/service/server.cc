@@ -23,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/sharded_engine.h"
 #include "query/query_language.h"
 #include "replication/epoch.h"
 #include "replication/log_shipper.h"
@@ -45,9 +44,9 @@ bool SetNonBlocking(int fd) {
 }
 
 /// One accepted connection. The owning I/O loop (index `owner`) has
-/// exclusive use of the socket's read side, the frame assembler, the
-/// sequence counter, and the epoll interest; any thread may append (or
-/// directly send) response bytes under out_mu.
+/// exclusive use of the socket's read side, the frame assembler, and the
+/// epoll interest — so it is the connection's only ingest producer. Any
+/// thread may append (or directly send) response bytes under out_mu.
 struct Connection {
   Connection(int fd_in, uint64_t id_in, uint32_t owner_in)
       : fd(fd_in), id(id_in), owner(owner_in) {}
@@ -62,7 +61,6 @@ struct Connection {
 
   // Owner-loop-only state.
   FrameAssembler assembler;
-  uint64_t next_seq = 0;  // Ingest sequence numbers handed out.
 
   /// This connection's share of the global ingest quota, in queue
   /// units. Charged by the owner loop, released by the coalescer.
@@ -96,7 +94,6 @@ bool IsBarrier(MessageType type) {
 /// decoded exactly once, at merge time.
 struct IngestJob {
   ConnectionPtr conn;
-  uint64_t seq = 0;
   uint32_t request_id = 0;
   MessageType type = MessageType::kApply;
   FrameView frame;          // kApply / kApplyBatch payload view.
@@ -108,18 +105,13 @@ struct IngestJob {
   uint64_t pickup_ns = 0;   // The coalescer merged it into a group.
 };
 
-/// Node of one per-shard MPSC ingest queue (a Treiber stack: I/O
-/// threads CAS-push, the coalescer exchanges the whole head off and
-/// reverses it back into arrival order).
+/// Node of the MPSC ingest queue (a Treiber stack: I/O threads
+/// CAS-push, the coalescer exchanges the whole head off and reverses it
+/// back into push order).
 struct IngestNode {
   explicit IngestNode(IngestJob job_in) : job(std::move(job_in)) {}
   IngestJob job;
   IngestNode* next = nullptr;
-};
-
-struct ShardQueue {
-  std::atomic<IngestNode*> head{nullptr};
-  std::atomic<uint64_t> frames{0};  // Accepted frames, for stats.
 };
 
 /// One frame bound for the read pool.
@@ -208,11 +200,8 @@ class ServiceServer::Impl {
       return st;
     }
 
-    // One ingest queue per runtime shard: frames are routed by the
-    // shard of their first event, so a shard's frames arrive already
-    // grouped for the runtime's fan-out.
+    // Pinned for the replication handshake (a replica must match it).
     nshards_ = std::max<uint32_t>(1, runtime_->Stats().num_shards);
-    shard_queues_ = std::make_unique<ShardQueue[]>(nshards_);
 
     const uint32_t nloops = std::max(1u, options_.io_threads);
     loops_.clear();
@@ -275,8 +264,8 @@ class ServiceServer::Impl {
     // The loops are gone, so no new subscription can start; retire the
     // log shippers before their connections are torn down.
     StopAllShippers();
-    // Phase 2: the producers are gone, so the coalescer can drain every
-    // queue (and every held reorder gap resolves) before exiting.
+    // Phase 2: the producers are gone, so the coalescer can drain the
+    // queue before exiting.
     coal_stop_ = true;
     {
       std::lock_guard<std::mutex> lock(coal_mu_);
@@ -319,11 +308,6 @@ class ServiceServer::Impl {
       std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
       out = coalescer_stats_;
     }
-    out.shard_queue_frames.resize(nshards_);
-    for (uint32_t k = 0; k < nshards_; ++k) {
-      out.shard_queue_frames[k] =
-          shard_queues_[k].frames.load(std::memory_order_relaxed);
-    }
     out.io_thread_connections.reserve(loops_.size());
     for (const auto& loop : loops_) {
       out.io_thread_connections.push_back(
@@ -349,14 +333,11 @@ class ServiceServer::Impl {
     std::atomic<size_t> accepted{0};
   };
 
-  /// Per-connection reorder state on the coalescer: per-shard queues
-  /// deliver a connection's frames possibly out of order (a drain can
-  /// catch shard A after frame n+1 landed there but before frame n
-  /// reached shard B), and the sequence numbers restore FIFO here.
+  /// One connection's queued frames on the coalescer, in arrival
+  /// order: the connection's owner loop is its only producer, and the
+  /// single queue drains in push order, so FIFO needs no bookkeeping.
   struct ConnState {
     std::weak_ptr<Connection> wconn;
-    uint64_t next_seq = 0;
-    std::unordered_map<uint64_t, IngestJob> held;
     std::deque<IngestJob> ready;
   };
 
@@ -633,14 +614,8 @@ class ServiceServer::Impl {
         job.event_count = *count;
         job.units = std::max<size_t>(1, *count);
         if (instrumented()) job.recv_ns = MonotonicNowNs();
-        std::optional<SubjectId> subject =
-            PeekFirstSubject(type, frame.payload);
         job.frame = std::move(frame);
-        const uint32_t shard =
-            subject.has_value()
-                ? ShardedDecisionEngine::ShardOfSubject(*subject, nshards_)
-                : 0;
-        EnqueueIngest(std::move(job), shard);
+        EnqueueIngest(std::move(job));
         return;
       }
       case MessageType::kApplyFix: {
@@ -656,9 +631,7 @@ class ServiceServer::Impl {
         job.type = MessageType::kApplyFix;
         job.fix = *fix;
         job.units = 1;
-        EnqueueIngest(std::move(job),
-                      ShardedDecisionEngine::ShardOfSubject(fix->subject,
-                                                            nshards_));
+        EnqueueIngest(std::move(job));
         return;
       }
       case MessageType::kCheckpoint: {
@@ -673,7 +646,7 @@ class ServiceServer::Impl {
         job.request_id = id;
         job.type = MessageType::kCheckpoint;
         job.units = 1;
-        EnqueueIngest(std::move(job), 0);
+        EnqueueIngest(std::move(job));
         return;
       }
       case MessageType::kQuery: {
@@ -815,8 +788,8 @@ class ServiceServer::Impl {
     {
       std::shared_lock<std::shared_mutex> lock(runtime_mu_);
       *local_epoch = runtime_->replication_epoch();
-      // Probes replication capability (in-memory and sequential
-      // runtimes refuse here).
+      // Probes replication capability (in-memory runtimes refuse
+      // here).
       LTAM_RETURN_IF_ERROR(runtime_->ReplicationPositions().status());
     }
     if (hello.num_shards != nshards_) {
@@ -973,13 +946,11 @@ class ServiceServer::Impl {
     if (need_attention) SignalAttention(conn);
   }
 
-  // --- Ingest queues ---------------------------------------------------------
+  // --- Ingest queue ----------------------------------------------------------
 
   /// Quota check (global budget first, then the per-connection share),
-  /// then a lock-free push onto the frame's shard queue. The sequence
-  /// number is assigned only after acceptance, so the coalescer's
-  /// reorder never waits on a refused frame.
-  void EnqueueIngest(IngestJob job, uint32_t shard) {
+  /// then a lock-free push onto the ingest queue.
+  void EnqueueIngest(IngestJob job) {
     const size_t units = job.units;
     const size_t global_before =
         queued_units_.fetch_add(units, std::memory_order_acq_rel);
@@ -1012,7 +983,6 @@ class ServiceServer::Impl {
                   "retry later")));
       return;
     }
-    job.seq = job.conn->next_seq++;
     // Apply frames only: barriers (Checkpoint/ApplyFix) never enter the
     // merge group, so counting them here would strand the counter above
     // every per-frame stage histogram and break the reconciliation.
@@ -1020,15 +990,13 @@ class ServiceServer::Impl {
       c_frames_->Increment();
       c_events_->Increment(job.event_count);
     }
-    ShardQueue& q = shard_queues_[shard];
     auto* node = new IngestNode(std::move(job));
-    IngestNode* head = q.head.load(std::memory_order_relaxed);
+    IngestNode* head = ingest_head_.load(std::memory_order_relaxed);
     do {
       node->next = head;
-    } while (!q.head.compare_exchange_weak(head, node,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed));
-    q.frames.fetch_add(1, std::memory_order_relaxed);
+    } while (!ingest_head_.compare_exchange_weak(head, node,
+                                                 std::memory_order_release,
+                                                 std::memory_order_relaxed));
     if (coalescer_idle_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lock(coal_mu_);
       coal_cv_.notify_one();
@@ -1053,18 +1021,13 @@ class ServiceServer::Impl {
 
   // --- Ingest coalescer ------------------------------------------------------
 
-  bool AnyQueueNonEmpty() const {
-    for (uint32_t k = 0; k < nshards_; ++k) {
-      if (shard_queues_[k].head.load(std::memory_order_acquire) != nullptr) {
-        return true;
-      }
-    }
-    return false;
+  bool QueueNonEmpty() const {
+    return ingest_head_.load(std::memory_order_acquire) != nullptr;
   }
 
   bool AnyStateHasWork() const {
     for (const auto& [id, st] : states_) {
-      if (!st.ready.empty() || !st.held.empty()) return true;
+      if (!st.ready.empty()) return true;
     }
     return false;
   }
@@ -1074,14 +1037,14 @@ class ServiceServer::Impl {
       const bool did_work = RoundOnce();
       if (coal_stop_.load(std::memory_order_acquire)) {
         // Drain to empty: the producers joined before coal_stop_, so
-        // every pushed frame is reachable and every reorder gap closes.
-        if (!did_work && !AnyQueueNonEmpty() && !AnyStateHasWork()) return;
+        // every pushed frame is reachable.
+        if (!did_work && !QueueNonEmpty() && !AnyStateHasWork()) return;
         continue;
       }
       if (did_work) continue;
       std::unique_lock<std::mutex> lock(coal_mu_);
       coalescer_idle_.store(true, std::memory_order_seq_cst);
-      if (AnyQueueNonEmpty() || coal_stop_.load(std::memory_order_acquire)) {
+      if (QueueNonEmpty() || coal_stop_.load(std::memory_order_acquire)) {
         coalescer_idle_.store(false, std::memory_order_seq_cst);
         continue;
       }
@@ -1094,13 +1057,13 @@ class ServiceServer::Impl {
     }
   }
 
-  /// One coalescer round: drain the shard queues into per-connection
+  /// One coalescer round: drain the ingest queue into per-connection
   /// FIFO state, apply any leading barriers, merge one apply frame per
   /// connection into a single runtime batch, then GC dead connections.
   /// Returns whether anything moved.
   bool RoundOnce() {
     FlushFsyncWaits(/*final=*/false);
-    bool any = DrainShardQueues();
+    bool any = DrainIngestQueue();
     // Barriers: ApplyFix/Checkpoint apply alone, in their connection's
     // FIFO position.
     for (auto& [id, st] : states_) {
@@ -1149,8 +1112,7 @@ class ServiceServer::Impl {
     }
     if (!group_.empty()) ProcessMergedBatch(&group_);
     for (auto it = states_.begin(); it != states_.end();) {
-      if (it->second.wconn.expired() && it->second.ready.empty() &&
-          it->second.held.empty()) {
+      if (it->second.wconn.expired() && it->second.ready.empty()) {
         it = states_.erase(it);
       } else {
         ++it;
@@ -1159,48 +1121,27 @@ class ServiceServer::Impl {
     return any;
   }
 
-  bool DrainShardQueues() {
-    bool any = false;
-    for (uint32_t k = 0; k < nshards_; ++k) {
-      IngestNode* node =
-          shard_queues_[k].head.exchange(nullptr, std::memory_order_acquire);
-      // The stack pops newest-first; reverse back to arrival order.
-      IngestNode* ordered = nullptr;
-      while (node != nullptr) {
-        IngestNode* next = node->next;
-        node->next = ordered;
-        ordered = node;
-        node = next;
-      }
-      while (ordered != nullptr) {
-        Feed(std::move(ordered->job));
-        IngestNode* next = ordered->next;
-        delete ordered;
-        ordered = next;
-        any = true;
-      }
+  bool DrainIngestQueue() {
+    IngestNode* node = ingest_head_.exchange(nullptr, std::memory_order_acquire);
+    // The stack pops newest-first; reverse back to push order.
+    IngestNode* ordered = nullptr;
+    while (node != nullptr) {
+      IngestNode* next = node->next;
+      node->next = ordered;
+      ordered = node;
+      node = next;
+    }
+    const bool any = ordered != nullptr;
+    while (ordered != nullptr) {
+      IngestJob& job = ordered->job;
+      ConnState& st = states_[job.conn->id];
+      if (st.wconn.expired()) st.wconn = job.conn;
+      st.ready.push_back(std::move(job));
+      IngestNode* next = ordered->next;
+      delete ordered;
+      ordered = next;
     }
     return any;
-  }
-
-  /// Restores per-connection FIFO: in-sequence frames go to `ready`,
-  /// early arrivals wait in `held` until their gap closes.
-  void Feed(IngestJob job) {
-    ConnState& st = states_[job.conn->id];
-    if (st.wconn.expired()) st.wconn = job.conn;
-    if (job.seq == st.next_seq) {
-      st.ready.push_back(std::move(job));
-      ++st.next_seq;
-      auto it = st.held.find(st.next_seq);
-      while (it != st.held.end()) {
-        st.ready.push_back(std::move(it->second));
-        st.held.erase(it);
-        ++st.next_seq;
-        it = st.held.find(st.next_seq);
-      }
-    } else {
-      st.held.emplace(job.seq, std::move(job));
-    }
   }
 
   /// Returns the frame's quota units (charged at dispatch) as its
@@ -1661,14 +1602,16 @@ class ServiceServer::Impl {
   /// server's parallel read path.
   std::shared_mutex runtime_mu_;
 
-  /// Per-shard MPSC ingest queues (size nshards_).
-  std::unique_ptr<ShardQueue[]> shard_queues_;
-  /// Queue units pending across all shard queues and the coalescer's
-  /// ready/held frames (released as processing begins).
+  /// The MPSC ingest queue's head (every I/O loop pushes, the coalescer
+  /// drains). Each connection has one producer, its owner loop, so the
+  /// drained push order is already per-connection FIFO.
+  std::atomic<IngestNode*> ingest_head_{nullptr};
+  /// Queue units pending in the ingest queue and the coalescer's ready
+  /// frames (released as processing begins).
   std::atomic<size_t> queued_units_{0};
 
   /// Coalescer sleep/wake handshake: producers notify only when the
-  /// idle flag is up; the coalescer re-checks the queue heads after
+  /// idle flag is up; the coalescer re-checks the queue head after
   /// raising it, so a push can never slip between check and wait.
   std::mutex coal_mu_;
   std::condition_variable coal_cv_;

@@ -19,9 +19,9 @@
 //    produced them when the socket is writable (the common loopback
 //    case); only a short write falls back to the owner loop's EPOLLOUT.
 //  - the ingest coalescer: ONE thread that owns event application. It
-//    drains per-shard lock-free MPSC ingest queues (frames are routed
-//    by ShardOfSubject of their first event; per-connection sequence
-//    numbers restore per-connection FIFO at the consumer) and merges
+//    drains one lock-free MPSC ingest queue that every I/O thread
+//    pushes to (each connection's only producer is its owner loop, so
+//    the queue's push order is already per-connection FIFO) and merges
 //    Apply/ApplyBatch frames — at most one per connection per round,
 //    each frame's events contiguous and in order, so per-subject time
 //    order within a connection is preserved — into a single
@@ -168,9 +168,6 @@ struct CoalescerStats {
   /// the alert delivery guarantee above). Zero means every alert was
   /// attributed exactly.
   size_t stranded_alerts_delivered = 0;
-  /// Frames accepted into each per-shard ingest queue (index = runtime
-  /// shard; quota-refused frames are not counted).
-  std::vector<size_t> shard_queue_frames;
   /// Connections each I/O loop has accepted over the server's lifetime
   /// (index = I/O thread; round-robin steering makes these near-equal).
   std::vector<size_t> io_thread_connections;

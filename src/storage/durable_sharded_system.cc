@@ -161,7 +161,7 @@ Status DurableShardedSystem::PartitionBaseMovements() {
 void DurableShardedSystem::RebuildShardStays(uint32_t k) {
   // Each inside subject resumes their stay under the first active
   // in-window authorization for (s, current location) — the same choice
-  // CheckAccess (and the sequential DurableSystem's recovery) makes.
+  // CheckAccess makes.
   ResumeOpenStays(&engine_->shard_engine(k), engine_->shard_movements(k),
                   base_.auth_db,
                   SubjectsOnShard(base_.profiles, *engine_, k));
@@ -210,7 +210,6 @@ std::unique_ptr<ShardLog> DurableShardedSystem::MakeShardLog(
     uint32_t segment_index) {
   return std::make_unique<ShardLog>(
       std::move(writer), writer_bytes, segment_index, options_.durability,
-      options_.sync_every_batch,
       [this, shard](uint32_t next_segment) {
         return RotateShardSegment(shard, next_segment);
       });
@@ -496,20 +495,39 @@ void DurableShardedSystem::MaintainColdTiers() {
       }
     }
     // Compaction: merge runs of small segments so the tier stays at
-    // O(fanin) segments instead of one per seal.
+    // O(fanin) segments per horizon-wide window instead of one per seal.
+    // Only segments whose stays end in the same window merge: a merge
+    // across windows would pin old stays to a segment that keeps
+    // absorbing fresh seals, and under frequent checkpoints it would
+    // never age past the horizon, so nothing would ever drop.
     const size_t fanin = std::max<uint32_t>(2, r.compaction_fanin);
-    while (cold_files_[k].size() >= fanin) {
-      std::vector<std::shared_ptr<const ColdSegment>> oldest;
-      oldest.reserve(fanin);
-      for (size_t i = 0; i < fanin; ++i) {
-        oldest.push_back(cold_files_[k][i].segment);
+    auto window = [&r](const ColdFile& f) -> Chronon {
+      if (r.horizon <= 0) return 0;
+      const Chronon t = f.segment->max_exit;
+      return t / r.horizon - (t % r.horizon < 0 ? 1 : 0);  // Floor.
+    };
+    std::vector<ColdFile>& files = cold_files_[k];
+    for (size_t start = 0; start + fanin <= files.size();) {
+      const Chronon w = window(files[start]);
+      size_t run = 1;
+      while (run < fanin && window(files[start + run]) == w) ++run;
+      if (run < fanin) {
+        start += run;  // No full run starts inside this one either.
+        continue;
       }
-      std::shared_ptr<const ColdSegment> merged = MergeColdSegments(oldest);
-      cold_files_[k].erase(cold_files_[k].begin(),
-                           cold_files_[k].begin() + static_cast<long>(fanin));
-      cold_files_[k].insert(
-          cold_files_[k].begin(),
-          {ColdSegName(k, next_cold_index_[k]++), std::move(merged), false});
+      std::vector<std::shared_ptr<const ColdSegment>> inputs;
+      inputs.reserve(fanin);
+      for (size_t i = start; i < start + fanin; ++i) {
+        inputs.push_back(files[i].segment);
+      }
+      std::shared_ptr<const ColdSegment> merged = MergeColdSegments(inputs);
+      const auto first = files.begin() + static_cast<long>(start);
+      files.erase(first, first + static_cast<long>(fanin));
+      // The merged segment stays at `start` and may merge again with the
+      // next segments of its window.
+      files.insert(files.begin() + static_cast<long>(start),
+                   {ColdSegName(k, next_cold_index_[k]++), std::move(merged),
+                    false});
       db.ReplaceColdSegments(segments_of(cold_files_[k]),
                              db.dropped_events());
       ++compaction_runs_;
@@ -1005,27 +1023,6 @@ DurableShardedSystem::ApplyReplicatedRecords(
   }
   out.alerts = engine_->DrainAlerts();
   return out;
-}
-
-MovementDatabase DurableShardedSystem::MergedMovements() const {
-  std::vector<MovementEvent> all;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const std::vector<MovementEvent>& history =
-        engine_->shard_movements(k).history();
-    all.insert(all.end(), history.begin(), history.end());
-  }
-  // Stable by time: a subject's events sit on one shard in order, so the
-  // per-subject nondecreasing invariant survives the merge.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const MovementEvent& a, const MovementEvent& b) {
-                     return a.time < b.time;
-                   });
-  MovementDatabase merged;
-  for (const MovementEvent& ev : all) {
-    Status recorded = merged.RecordMovement(ev.time, ev.subject, ev.to);
-    (void)recorded;  // Invariant: cannot fail; shards preserve order.
-  }
-  return merged;
 }
 
 }  // namespace ltam

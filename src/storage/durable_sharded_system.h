@@ -1,6 +1,7 @@
 // Copyright 2026 The LTAM Authors.
 // Durable sharded LTAM runtime: the batch decision pipeline of
-// engine/sharded_engine.h made crash-safe.
+// engine/sharded_engine.h made crash-safe. It is the only durable
+// runtime, at every shard count (one included).
 //
 // Layout of one durable directory (all names recorded in `MANIFEST`):
 //
@@ -16,9 +17,9 @@
 //                               each rotation republishes the MANIFEST
 //                               with the extended segment list
 //
-// Durability discipline: each shard's worker thread appends every event
-// of its batch slice to its own log *before* applying it (write-ahead,
-// via ShardHooks::before_apply), then marks the group-commit boundary
+// Durability discipline: each shard appends every event of its batch
+// slice to its own log *before* applying it (write-ahead, via
+// ShardHooks::before_apply), then marks the group-commit boundary
 // (ShardHooks::after_batch). What the boundary costs depends on
 // DurabilityOptions::mode:
 //
@@ -61,8 +62,8 @@
 // or superseded by compaction are swept with the old epoch's files.
 //
 // Open() recovers by loading the manifest's base snapshot and shard
-// segments, rebuilding each shard's open-stay attribution exactly as the
-// sequential DurableSystem does (first in-window authorization wins),
+// segments, rebuilding each shard's open-stay attribution with the
+// choice CheckAccess would make (first in-window authorization wins),
 // then replaying every shard's log segments — in committed order within
 // a shard, and across shards *in parallel* — safe because the partition
 // confines each subject's events to one shard. Only the final segment
@@ -103,11 +104,6 @@ struct DurableShardedOptions {
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
-  /// kBatch mode only: fsync each shard's log once per batch (and per
-  /// tick). Disable only for throughput experiments where the OS page
-  /// cache is an acceptable durability boundary. Pipelined modes ignore
-  /// it (their cadence comes from `durability`).
-  bool sync_every_batch = true;
   /// The write path's sync mode, pipelining bounds, segment rotation
   /// threshold, and (tests only) fault injection.
   DurabilityOptions durability;
@@ -173,8 +169,7 @@ class DurableShardedSystem {
 
   /// Durability barrier: blocks until every accepted log record is
   /// fsynced (forcing the flush), or returns the first log's sticky
-  /// error. A no-op in kBatch + sync_every_batch mode, where every
-  /// batch already synced.
+  /// error. A no-op in kBatch mode, where every batch already synced.
   Status WaitDurable();
 
   /// The runtime's durability position: log records accepted (their
@@ -311,14 +306,6 @@ class DurableShardedSystem {
   /// clearing the per-shard buffers.
   std::vector<Alert> DrainAlerts() { return engine_->DrainAlerts(); }
 
-  /// Rebuilds one unified movement database from every shard's view
-  /// (history merged in time order; per-subject order is preserved since
-  /// each subject lives on exactly one shard). For cross-shard queries
-  /// and tests; cost is linear in total history. HOT tier only: sealed
-  /// cold segments are not folded in — use the sharded MovementView for
-  /// tier-transparent cross-shard queries.
-  MovementDatabase MergedMovements() const;
-
  private:
   DurableShardedSystem(std::string dir, DurableShardedOptions options);
 
@@ -343,8 +330,7 @@ class DurableShardedSystem {
   Status PartitionBaseMovements();
 
   /// Re-registers open stays on shard `k`'s engine from its movement
-  /// view — the same first-in-window-authorization-wins choice the
-  /// sequential DurableSystem makes.
+  /// view (first in-window authorization wins, as in CheckAccess).
   void RebuildShardStays(uint32_t k);
 
   /// Wraps an open segment writer in this shard's ShardLog (wiring the

@@ -1,9 +1,8 @@
 // Copyright 2026 The LTAM Authors.
-// Logged-event codec shared by every durable runtime.
+// Logged-event codec of the durable runtime.
 //
-// The write-ahead logs (the sequential runtime's `events.wal` and the
-// sharded runtime's per-shard `events-<k>-<epoch>.wal`) persist the
-// enforcement event stream as codec records:
+// The write-ahead logs (one per shard, `events-<k>-<epoch>.wal`) persist
+// the enforcement event stream as codec records:
 //
 //   ev-entry <t> <s> <l>   access request (Definition 6)
 //   ev-exit  <t> <s>       site exit

@@ -39,9 +39,8 @@ std::string EncodeLine(const Record& record) {
 
 ShardLog::ShardLog(WalWriter writer, uint64_t writer_bytes,
                    uint32_t segment_index, DurabilityOptions options,
-                   bool sync_each_batch, RotateFn rotate)
+                   RotateFn rotate)
     : options_(std::move(options)),
-      sync_each_batch_(sync_each_batch),
       rotate_(std::move(rotate)),
       writer_(std::move(writer)),
       segment_bytes_(writer_bytes),
@@ -175,7 +174,6 @@ Result<CommitTicket> ShardLog::Append(const Record& record) {
 Result<CommitTicket> ShardLog::BatchBoundary() {
   const uint64_t covered = appended_.load(std::memory_order_relaxed);
   if (options_.mode == SyncMode::kBatch) {
-    if (!sync_each_batch_) return CommitTicket{covered};
     LTAM_RETURN_IF_ERROR(SyncNow(covered));
     return CommitTicket{covered};
   }
@@ -206,13 +204,10 @@ Status ShardLog::WaitDurable(uint64_t seq) {
   flush_requested_ = true;
   work_cv_.notify_one();
   durable_cv_.wait(lock, [this, seq] {
-    return durable_ >= seq || !sticky_error_.ok() || !flush_error_.ok();
+    return durable_ >= seq || !sticky_error_.ok();
   });
   if (durable_ >= seq) return Status::OK();
-  if (!sticky_error_.ok()) return sticky_error_;
-  Status failed_flush = std::move(flush_error_);
-  flush_error_ = Status::OK();
-  return failed_flush;
+  return sticky_error_;
 }
 
 Status ShardLog::Flush() { return WaitDurable(appended_seq()); }
@@ -318,14 +313,7 @@ void ShardLog::ThreadLoop() {
       if (!synced.ok()) {
         failed = true;
         std::lock_guard<std::mutex> relock(mu_);
-        if (options_.retry_failed_syncs) {
-          // No hole: everything is written, only the barrier failed.
-          // Leave the sticky slot clear so the next cadence retries;
-          // hand the error to any barrier that demanded this fsync.
-          if (flush || stopping) {
-            flush_error_ = synced.WithContext("WAL fsync");
-          }
-        } else if (sticky_error_.ok()) {
+        if (sticky_error_.ok()) {
           sticky_error_ = synced.WithContext("pipelined WAL fsync");
         }
         durable_cv_.notify_all();

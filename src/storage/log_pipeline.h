@@ -33,8 +33,8 @@
 //  - kBatch reproduces the PR-2 discipline byte for byte: Append writes
 //    synchronously on the caller's thread and a failure REFUSES the
 //    event (the engine turns that into Deny(kWalError) and never
-//    applies it); BatchBoundary fsyncs (when sync_each_batch) and its
-//    failure means applied events' durability is in doubt.
+//    applies it); BatchBoundary fsyncs and its failure means applied
+//    events' durability is in doubt.
 //  - kPipelined/kInterval never refuse an append: the event was already
 //    accepted when the worker enqueued it, so a later write/fsync
 //    failure must not rewrite history. The log goes STICKY-FAILED
@@ -43,7 +43,11 @@
 //    replay a stream that never happened), failure counters tick, and
 //    the sticky error surfaces through BatchBoundary / WaitDurable /
 //    Flush. Decisions are never affected — that is the contract the
-//    fault-injection tests pin down.
+//    fault-injection tests pin down. A failed fsync is sticky too, even
+//    though every record was already written: a retried fsync can
+//    report success for dirty pages the kernel dropped after the first
+//    failure, so only a Checkpoint (which rebuilds the log from a fresh
+//    snapshot) clears the error.
 
 #ifndef LTAM_STORAGE_LOG_PIPELINE_H_
 #define LTAM_STORAGE_LOG_PIPELINE_H_
@@ -102,16 +106,6 @@ struct DurabilityOptions {
   /// Rotate to a fresh numbered WAL segment once the current one
   /// crosses this many bytes (0 disables rotation).
   size_t segment_max_bytes = 64u << 20;
-  /// kPipelined/kInterval: a failed fsync normally sticky-fails the log
-  /// (the sharded contract — the watermark freezes until a checkpoint
-  /// rebuilds the chain). The sequential runtime sets this instead: a
-  /// failed fsync leaves NO hole — every record is already written, in
-  /// order, by the single log thread; only the barrier failed — so the
-  /// log counts the failure, keeps the error out of the sticky slot,
-  /// and retries on its next cadence. Barriers that explicitly demanded
-  /// the failed fsync (Flush/WaitDurable) still report it. Append
-  /// failures stay sticky regardless: a lost record is a hole.
-  bool retry_failed_syncs = false;
   /// Test-only fault injection, called before every physical append and
   /// fsync with op "append"/"sync" and the 1-based attempt count on
   /// this log; a non-OK return simulates that failure. Null in
@@ -161,10 +155,9 @@ class ShardLog {
 
   /// `writer` is the open current segment, `writer_bytes` its existing
   /// size (rotation accounting), `segment_index` its number within the
-  /// epoch. `sync_each_batch` only matters in kBatch mode (false = the
-  /// legacy page-cache-boundary configuration: no automatic fsync).
+  /// epoch.
   ShardLog(WalWriter writer, uint64_t writer_bytes, uint32_t segment_index,
-           DurabilityOptions options, bool sync_each_batch, RotateFn rotate);
+           DurabilityOptions options, RotateFn rotate);
   ~ShardLog();
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
@@ -176,12 +169,12 @@ class ShardLog {
   /// comment).
   Result<CommitTicket> Append(const Record& record);
 
-  /// Marks a batch boundary (the group-commit point). kBatch: fsync now
-  /// when sync_each_batch. kPipelined/kInterval: counts one pipeline
-  /// group and returns immediately. The returned ticket covers every
-  /// record appended so far; a non-OK status reports a sync failure (or
-  /// the sticky pipelined error) — applied events' durability is in
-  /// doubt but they were applied.
+  /// Marks a batch boundary (the group-commit point). kBatch: fsync
+  /// now. kPipelined/kInterval: counts one pipeline group and returns
+  /// immediately. The returned ticket covers every record appended so
+  /// far; a non-OK status reports a sync failure (or the sticky
+  /// pipelined error) — applied events' durability is in doubt but they
+  /// were applied.
   Result<CommitTicket> BatchBoundary();
 
   /// Durability barrier: blocks until every accepted record is durable
@@ -230,7 +223,6 @@ class ShardLog {
   Result<CommitTicket> AppendSynchronous(const std::string& line);
 
   const DurabilityOptions options_;
-  const bool sync_each_batch_;
   const RotateFn rotate_;
   Histogram* sync_histogram_ = nullptr;  // Resolved once in the ctor.
 
@@ -262,10 +254,6 @@ class ShardLog {
   std::deque<Entry> queue_;
   uint64_t durable_ = 0;        // Last fsynced seq.
   Status sticky_error_;         // First pipelined write/sync failure.
-  /// retry_failed_syncs only: the failure of an explicitly demanded
-  /// fsync (flush/stop), parked here so the barrier waiter can report
-  /// it without the log going sticky. Consumed by WaitDurable.
-  Status flush_error_;
   uint64_t append_failures_ = 0;
   uint64_t sync_failures_ = 0;
   uint32_t shared_segment_index_ = 0;  // Mirror for segment_index().

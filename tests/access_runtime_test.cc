@@ -1,24 +1,30 @@
 // Copyright 2026 The LTAM Authors.
 // The AccessRuntime facade: the same event stream through every
-// RuntimeOptions configuration (1/N shards x in-memory/durable) must
-// yield byte-identical decisions, equal alert sets, and equal query
-// answers through the MovementView — plus the facade-only contracts:
-// the enforced mutation window, BatchResult draining, shard-count
-// override reporting, and position-fix routing.
+// RuntimeOptions configuration (1/N shards x in-memory/durable x sync
+// mode) must yield byte-identical decisions, equal alert sets, and equal
+// query answers through the MovementView to the reference oracle — the
+// per-event AccessControlEngine fed the stream outside the runtime —
+// plus the facade-only contracts: the enforced mutation window,
+// BatchResult draining, shard-count override reporting, the refusal of
+// the removed sequential directory layout, and position-fix routing.
 
 #include "runtime/access_runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "engine/sharded_engine.h"
 #include "query/query_language.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
@@ -106,6 +112,87 @@ struct RunOutcome {
   size_t granted = 0;
 };
 
+void InsertAlerts(const std::vector<Alert>& alerts,
+                  std::multiset<AlertKey>* out) {
+  for (const Alert& a : alerts) {
+    out->insert(std::make_tuple(a.time, a.subject, a.location,
+                                static_cast<int>(a.type), a.detail));
+  }
+}
+
+/// Per-subject facts and location scans through a movement view, plus
+/// WhereWas through the query engine that consumes it.
+void RecordQueries(const World& w, const MovementView& view,
+                   const QueryEngine& query, RunOutcome* out) {
+  for (SubjectId s : w.subjects) {
+    out->queries["cur/" + std::to_string(s)] =
+        std::to_string(view.CurrentLocation(s));
+    for (Chronon t : {50, 150, 250, 350}) {
+      out->queries["at/" + std::to_string(s) + "/" + std::to_string(t)] =
+          std::to_string(view.LocationAt(s, t));
+    }
+    std::string stays;
+    for (const StayKey& key : StayKeys(view.StaysOf(s))) {
+      stays += std::to_string(std::get<1>(key)) + ":" +
+               std::to_string(std::get<2>(key)) + "-" +
+               std::to_string(std::get<3>(key)) + ";";
+    }
+    out->queries["stays/" + std::to_string(s)] = stays;
+    std::string contacts;
+    for (const MovementDatabase::Contact& c :
+         view.ContactsOf(s, TimeInterval(0, 400), 1)) {
+      contacts += std::to_string(c.other) + "@" + std::to_string(c.location) +
+                  ":" + std::to_string(c.overlap_start) + "-" +
+                  std::to_string(c.overlap_end) + ";";
+    }
+    out->queries["contacts/" + std::to_string(s)] = contacts;
+    out->queries["qe-where/" + std::to_string(s)] =
+        std::to_string(query.WhereWas(s, 200));
+  }
+  for (LocationId l : w.graph.Primitives()) {
+    for (Chronon t : {100, 300}) {
+      std::string occ;
+      for (SubjectId s : view.OccupantsAt(l, t)) {
+        occ += std::to_string(s) + ",";
+      }
+      out->queries["occ/" + std::to_string(l) + "/" + std::to_string(t)] = occ;
+    }
+    std::string stays;
+    for (const StayKey& key : StayKeys(view.StaysIn(l))) {
+      stays += std::to_string(std::get<0>(key)) + ":" +
+               std::to_string(std::get<2>(key)) + "-" +
+               std::to_string(std::get<3>(key)) + ";";
+    }
+    out->queries["staysin/" + std::to_string(l)] = stays;
+  }
+  out->queries["tracked"] = std::to_string(view.tracked_subjects());
+  out->queries["history"] = std::to_string(view.history_size());
+}
+
+/// The reference oracle: the paper's per-event Figure-3 engine, fed the
+/// stream event by event outside the runtime, then ticked and queried
+/// exactly like RunConfig does.
+RunOutcome RunOracle(const World& w,
+                     const std::vector<std::vector<AccessEvent>>& batches,
+                     const EngineOptions& engine_options = {}) {
+  RunOutcome out;
+  SystemState state = StateOf(w);
+  AccessControlEngine oracle(&state.graph, &state.auth_db, &state.movements,
+                             &state.profiles, engine_options);
+  for (const auto& batch : batches) {
+    for (const AccessEvent& e : batch) {
+      out.decisions.push_back(DecisionString(ApplyAccessEvent(&oracle, e)));
+    }
+  }
+  oracle.Tick(500);
+  InsertAlerts(oracle.alerts(), &out.alerts);
+  out.granted = oracle.requests_granted();
+  MovementDatabaseView view(&state.movements);
+  QueryEngine query(&state.graph, &state.auth_db, &view, &state.profiles);
+  RecordQueries(w, view, query, &out);
+  return out;
+}
+
 RunOutcome RunConfig(const World& w,
                      const std::vector<std::vector<AccessEvent>>& batches,
                      RuntimeOptions options) {
@@ -124,68 +211,31 @@ RunOutcome RunConfig(const World& w,
     for (const Decision& d : r->decisions) {
       out.decisions.push_back(DecisionString(d));
     }
-    for (const Alert& a : r->alerts) {
-      out.alerts.insert(std::make_tuple(a.time, a.subject, a.location,
-                                        static_cast<int>(a.type), a.detail));
-    }
+    InsertAlerts(r->alerts, &out.alerts);
   }
   EXPECT_OK(rt->Tick(500));
-  for (const Alert& a : rt->DrainAlerts()) {
-    out.alerts.insert(std::make_tuple(a.time, a.subject, a.location,
-                                      static_cast<int>(a.type), a.detail));
-  }
+  InsertAlerts(rt->DrainAlerts(), &out.alerts);
   out.granted = rt->Stats().requests_granted;
-
-  // Query the movement view: per-subject facts and location scans.
-  const MovementView& view = rt->movements();
-  for (SubjectId s : w.subjects) {
-    out.queries["cur/" + std::to_string(s)] =
-        std::to_string(view.CurrentLocation(s));
-    for (Chronon t : {50, 150, 250, 350}) {
-      out.queries["at/" + std::to_string(s) + "/" + std::to_string(t)] =
-          std::to_string(view.LocationAt(s, t));
-    }
-    std::string stays;
-    for (const StayKey& key : StayKeys(view.StaysOf(s))) {
-      stays += std::to_string(std::get<1>(key)) + ":" +
-               std::to_string(std::get<2>(key)) + "-" +
-               std::to_string(std::get<3>(key)) + ";";
-    }
-    out.queries["stays/" + std::to_string(s)] = stays;
-    std::string contacts;
-    for (const MovementDatabase::Contact& c :
-         view.ContactsOf(s, TimeInterval(0, 400), 1)) {
-      contacts += std::to_string(c.other) + "@" + std::to_string(c.location) +
-                  ":" + std::to_string(c.overlap_start) + "-" +
-                  std::to_string(c.overlap_end) + ";";
-    }
-    out.queries["contacts/" + std::to_string(s)] = contacts;
-  }
-  for (LocationId l : w.graph.Primitives()) {
-    for (Chronon t : {100, 300}) {
-      std::string occ;
-      for (SubjectId s : view.OccupantsAt(l, t)) {
-        occ += std::to_string(s) + ",";
-      }
-      out.queries["occ/" + std::to_string(l) + "/" + std::to_string(t)] = occ;
-    }
-    std::string stays;
-    for (const StayKey& key : StayKeys(view.StaysIn(l))) {
-      stays += std::to_string(std::get<0>(key)) + ":" +
-               std::to_string(std::get<2>(key)) + "-" +
-               std::to_string(std::get<3>(key)) + ";";
-    }
-    out.queries["staysin/" + std::to_string(l)] = stays;
-  }
-  out.queries["tracked"] = std::to_string(view.tracked_subjects());
-  out.queries["history"] = std::to_string(view.history_size());
-
-  // And through the built-in query engine (which consumes the view).
-  for (SubjectId s : w.subjects) {
-    out.queries["qe-where/" + std::to_string(s)] =
-        std::to_string(rt->query().WhereWas(s, 200));
-  }
+  RecordQueries(w, rt->movements(), rt->query(), &out);
   return out;
+}
+
+void ExpectSameOutcome(const RunOutcome& want, const RunOutcome& got) {
+  ASSERT_EQ(want.decisions.size(), got.decisions.size());
+  for (size_t i = 0; i < want.decisions.size(); ++i) {
+    ASSERT_EQ(want.decisions[i], got.decisions[i])
+        << "decision " << i << " diverged";
+  }
+  EXPECT_EQ(want.granted, got.granted);
+  EXPECT_TRUE(want.alerts == got.alerts)
+      << "alert sets diverged (" << want.alerts.size() << " vs "
+      << got.alerts.size() << ")";
+  ASSERT_EQ(want.queries.size(), got.queries.size());
+  for (const auto& [key, value] : want.queries) {
+    auto it = got.queries.find(key);
+    ASSERT_TRUE(it != got.queries.end()) << key;
+    EXPECT_EQ(value, it->second) << "query '" << key << "' diverged";
+  }
 }
 
 class AccessRuntimeEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
@@ -194,115 +244,91 @@ class AccessRuntimeEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     root_ = ::testing::TempDir() + "/ltam_facade_" +
             std::to_string(GetParam());
     fs::remove_all(root_);
-    fs::create_directories(root_ + "/seq");
-    fs::create_directories(root_ + "/sharded");
-    fs::create_directories(root_ + "/seq-pipelined");
-    fs::create_directories(root_ + "/sharded-pipelined");
-    fs::create_directories(root_ + "/sharded-interval");
   }
   void TearDown() override { fs::remove_all(root_); }
+
+  /// A fresh durable directory under the fixture root.
+  std::string Dir(const std::string& name) {
+    const std::string dir = root_ + "/" + name;
+    fs::create_directories(dir);
+    return dir;
+  }
 
   std::string root_;
 };
 
-TEST_P(AccessRuntimeEquivalenceTest, AllFourBackendsAgree) {
+TEST_P(AccessRuntimeEquivalenceTest, EveryConfigurationMatchesOracle) {
   const uint64_t seed = GetParam();
   World w = MakeWorld(seed);
   std::vector<std::vector<AccessEvent>> batches =
       MakeBatches(w, /*total_events=*/1500, seed + 7);
 
-  RuntimeOptions sequential;  // 1 shard, in-memory.
-  RuntimeOptions sharded;
-  sharded.num_shards = 3;
-  RuntimeOptions durable_seq;
-  durable_seq.durable_dir = root_ + "/seq";
-  RuntimeOptions durable_sharded;
-  durable_sharded.num_shards = 3;
-  durable_sharded.durable_dir = root_ + "/sharded";
-  // The pipelined/interval write paths must be invisible to decisions,
-  // alerts, and queries — durability timing is their only difference.
-  RuntimeOptions durable_seq_pipelined = durable_seq;
-  durable_seq_pipelined.durable_dir = root_ + "/seq-pipelined";
-  durable_seq_pipelined.durability.mode = SyncMode::kPipelined;
-  RuntimeOptions durable_sharded_pipelined = durable_sharded;
-  durable_sharded_pipelined.durable_dir = root_ + "/sharded-pipelined";
-  durable_sharded_pipelined.durability.mode = SyncMode::kPipelined;
-  durable_sharded_pipelined.durability.segment_max_bytes = 4096;  // Rotate.
-  RuntimeOptions durable_sharded_interval = durable_sharded;
-  durable_sharded_interval.durable_dir = root_ + "/sharded-interval";
-  durable_sharded_interval.durability.mode = SyncMode::kInterval;
-  durable_sharded_interval.durability.sync_interval_ms = 1;
-
-  RunOutcome reference = RunConfig(w, batches, sequential);
-  ASSERT_FALSE(reference.decisions.empty());
+  RunOutcome oracle = RunOracle(w, batches);
+  ASSERT_FALSE(oracle.decisions.empty());
   struct Config {
-    const char* name;
+    std::string name;
     RuntimeOptions options;
   };
-  const Config configs[] = {
-      {"sharded", sharded},
-      {"durable-seq", durable_seq},
-      {"durable-sharded", durable_sharded},
-      {"durable-seq-pipelined", durable_seq_pipelined},
-      {"durable-sharded-pipelined", durable_sharded_pipelined},
-      {"durable-sharded-interval", durable_sharded_interval}};
+  std::vector<Config> configs;
+  for (uint32_t shards : {1u, 3u}) {
+    const std::string tag = std::to_string(shards) + "-shard";
+    RuntimeOptions memory;
+    memory.num_shards = shards;
+    configs.push_back({tag + "-memory", memory});
+    RuntimeOptions durable = memory;
+    durable.durable_dir = Dir(tag + "-durable");
+    configs.push_back({tag + "-durable", durable});
+    // The pipelined/interval write paths must be invisible to decisions,
+    // alerts, and queries — durability timing is their only difference.
+    RuntimeOptions pipelined = memory;
+    pipelined.durable_dir = Dir(tag + "-pipelined");
+    pipelined.durability.mode = SyncMode::kPipelined;
+    pipelined.durability.segment_max_bytes = 4096;  // Rotate.
+    configs.push_back({tag + "-durable-pipelined", pipelined});
+    RuntimeOptions interval = memory;
+    interval.durable_dir = Dir(tag + "-interval");
+    interval.durability.mode = SyncMode::kInterval;
+    interval.durability.sync_interval_ms = 1;
+    configs.push_back({tag + "-durable-interval", interval});
+  }
   for (const Config& config : configs) {
     SCOPED_TRACE(config.name);
-    RunOutcome outcome = RunConfig(w, batches, config.options);
-    ASSERT_EQ(reference.decisions.size(), outcome.decisions.size());
-    for (size_t i = 0; i < reference.decisions.size(); ++i) {
-      ASSERT_EQ(reference.decisions[i], outcome.decisions[i])
-          << "decision " << i << " diverged";
-    }
-    EXPECT_EQ(reference.granted, outcome.granted);
-    EXPECT_TRUE(reference.alerts == outcome.alerts)
-        << "alert sets diverged (" << reference.alerts.size() << " vs "
-        << outcome.alerts.size() << ")";
-    ASSERT_EQ(reference.queries.size(), outcome.queries.size());
-    for (const auto& [key, value] : reference.queries) {
-      auto it = outcome.queries.find(key);
-      ASSERT_TRUE(it != outcome.queries.end()) << key;
-      EXPECT_EQ(value, it->second) << "query '" << key << "' diverged";
-    }
+    ExpectSameOutcome(oracle, RunConfig(w, batches, config.options));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccessRuntimeEquivalenceTest,
                          ::testing::Values(1ull, 2026ull, 424242ull));
 
-TEST(AccessRuntimeTest, EngineOptionsReachEveryBackend) {
-  // Non-default engine knobs must reach all four backends (the durable
-  // sequential one historically dropped them) — and must actually
-  // change behavior relative to the defaults.
+TEST(AccessRuntimeTest, EngineOptionsReachEveryConfiguration) {
+  // Non-default engine knobs must reach every shard count, in memory
+  // and durable — and must actually change behavior relative to the
+  // defaults.
   World w = MakeWorld(61);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 800, 67);
   std::string root = ::testing::TempDir() + "/ltam_facade_engopts";
   fs::remove_all(root);
-  fs::create_directories(root + "/seq");
-  fs::create_directories(root + "/sharded");
 
   EngineOptions open_doors;
   open_doors.enforce_adjacency = false;
   open_doors.alert_on_denial = false;
 
-  RuntimeOptions sequential;
-  sequential.engine = open_doors;
-  RuntimeOptions sharded = sequential;
-  sharded.num_shards = 3;
-  RuntimeOptions durable_seq = sequential;
-  durable_seq.durable_dir = root + "/seq";
-  RuntimeOptions durable_sharded = sharded;
-  durable_sharded.durable_dir = root + "/sharded";
-
-  RunOutcome reference = RunConfig(w, batches, sequential);
-  for (const RuntimeOptions& options :
-       {sharded, durable_seq, durable_sharded}) {
-    RunOutcome outcome = RunConfig(w, batches, options);
-    ASSERT_EQ(reference.decisions, outcome.decisions);
+  RunOutcome oracle = RunOracle(w, batches, open_doors);
+  for (uint32_t shards : {1u, 3u}) {
+    for (bool durable : {false, true}) {
+      SCOPED_TRACE(std::to_string(shards) + (durable ? " durable" : ""));
+      RuntimeOptions options;
+      options.num_shards = shards;
+      options.engine = open_doors;
+      if (durable) {
+        options.durable_dir = root + "/" + std::to_string(shards);
+        fs::create_directories(*options.durable_dir);
+      }
+      ASSERT_EQ(oracle.decisions, RunConfig(w, batches, options).decisions);
+    }
   }
   // Sanity: the knobs changed something vs the defaults.
-  RunOutcome defaults = RunConfig(w, batches, RuntimeOptions{});
-  EXPECT_NE(defaults.decisions, reference.decisions);
+  EXPECT_NE(RunOracle(w, batches).decisions, oracle.decisions);
   fs::remove_all(root);
 }
 
@@ -434,8 +460,8 @@ TEST_F(AccessRuntimeDurableTest, ShardCountOverrideIsReported) {
     EXPECT_EQ(5u, stats.requested_shards);
     EXPECT_TRUE(stats.shard_count_overridden);
   }
-  // Even requesting a sequential runtime over a sharded directory must
-  // route to the sharded backend (never shadow the committed state).
+  // Asking for one shard over a 3-shard directory is the same override
+  // (never a fresh cut that would shadow the committed state).
   {
     RuntimeOptions options;
     options.num_shards = 1;
@@ -448,34 +474,88 @@ TEST_F(AccessRuntimeDurableTest, ShardCountOverrideIsReported) {
   }
 }
 
-TEST_F(AccessRuntimeDurableTest, SequentialDirectoryWinsOverShardRequest) {
+TEST_F(AccessRuntimeDurableTest, RemovedSequentialLayoutIsRefused) {
+  // A directory from the removed sequential runtime (state.snap and/or
+  // events.wal, no MANIFEST) must not open: a fresh cut would silently
+  // ignore its committed state.
   World w = MakeWorld(37, /*subject_count=*/6);
-  LocationId door = w.graph.EntryPrimitives(w.graph.root())[0];
-  w.auth_db.Add(LocationTemporalAuthorization::Make(
-                    TimeInterval(0, 100), TimeInterval(0, 200),
-                    LocationAuthorization{w.subjects[0], door},
-                    kUnlimitedEntries)
-                    .ValueOrDie());
+  for (const std::string legacy : {"state.snap", "events.wal"}) {
+    SCOPED_TRACE(legacy);
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    // What that runtime left behind: a whole-system snapshot, or an
+    // (empty) event log from before its first checkpoint.
+    if (legacy == "state.snap") {
+      ASSERT_OK(SaveSnapshot(StateOf(w), dir_ + "/" + legacy));
+    } else {
+      std::ofstream touch(dir_ + "/" + legacy);
+    }
+    for (uint32_t shards : {1u, 4u}) {
+      RuntimeOptions options;
+      options.num_shards = shards;
+      options.durable_dir = dir_;
+      Result<std::unique_ptr<AccessRuntime>> opened =
+          AccessRuntime::Open(StateOf(w), options);
+      ASSERT_FALSE(opened.ok());
+      const std::string message = opened.status().ToString();
+      EXPECT_TRUE(opened.status().IsFailedPrecondition()) << message;
+      EXPECT_NE(message.find(legacy), std::string::npos) << message;
+      EXPECT_NE(message.find("removed"), std::string::npos) << message;
+    }
+    EXPECT_FALSE(fs::exists(dir_ + "/MANIFEST"))
+        << "a refused directory must be left untouched";
+  }
+}
+
+TEST_F(AccessRuntimeDurableTest, OneShardDurableRuntimeRetainsAndReplicates) {
+  // One shard is a full durable citizen: tiered retention seals,
+  // compacts, and drops; the runtime is replication-capable; and the
+  // retained state recovers. In-memory retention is still refused.
+  World w = MakeWorld(43);
+  std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 1200, 47);
+  RuntimeOptions options;
+  options.durable_dir = dir_;
+  options.retention.max_hot_events = 8;
+  options.retention.horizon = 40;
+  options.retention.compaction_fanin = 3;
+  std::map<SubjectId, LocationId> live;
   {
-    RuntimeOptions options;  // Sequential durable.
-    options.durable_dir = dir_;
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                          AccessRuntime::Open(StateOf(w), options));
-    ASSERT_OK_AND_ASSIGN(Decision d,
-                         rt->Apply(AccessEvent::Entry(5, w.subjects[0], door)));
-    ASSERT_TRUE(d.granted) << d.ToString();
+    for (const auto& batch : batches) {
+      ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(batch));
+      ASSERT_OK(r.durability);
+      ASSERT_OK(rt->Checkpoint());
+    }
+    RuntimeStats stats = rt->Stats();
+    EXPECT_EQ(1u, stats.num_shards);
+    EXPECT_GT(stats.cold_segments, 0u);
+    EXPECT_GT(stats.compaction_runs, 0u);
+    EXPECT_GT(stats.dropped_events, 0u);
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> positions,
+                         rt->ReplicationPositions());
+    EXPECT_EQ(1u, positions.size());
+    for (SubjectId s : w.subjects) {
+      live[s] = rt->movements().CurrentLocation(s);
+    }
+    ASSERT_OK(rt->DemoteToReplica());
+    EXPECT_TRUE(rt->ApplyBatch(batches[0]).status().IsFailedPrecondition());
   }
-  RuntimeOptions options;
-  options.num_shards = 4;
-  options.durable_dir = dir_;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(SystemState(), options));
-  RuntimeStats stats = rt->Stats();
-  EXPECT_EQ(1u, stats.num_shards);
-  EXPECT_EQ(4u, stats.requested_shards);
-  EXPECT_TRUE(stats.shard_count_overridden);
-  // The logged entry survived into the reopened runtime.
-  EXPECT_EQ(door, rt->movements().CurrentLocation(w.subjects[0]));
+  EXPECT_GT(rt->Stats().cold_segments, 0u);
+  for (SubjectId s : w.subjects) {
+    EXPECT_EQ(live[s], rt->movements().CurrentLocation(s)) << "subject " << s;
+  }
+
+  RuntimeOptions in_memory;
+  in_memory.retention = options.retention;
+  Result<std::unique_ptr<AccessRuntime>> refused =
+      AccessRuntime::Open(StateOf(w), in_memory);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument());
+  EXPECT_EQ(std::string::npos, refused.status().ToString().find("shards"))
+      << refused.status().ToString();
 }
 
 TEST_F(AccessRuntimeDurableTest, MutationsSurviveReopenWithoutExplicitCheckpoint) {
@@ -631,9 +711,9 @@ TEST(AccessRuntimeTest, InMemoryWatermarkEqualsApplied) {
 }
 
 TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
-  // Both durable backends under every sync mode: the watermark must
-  // cover every accepted record after WaitDurable, and the batch-mode
-  // configuration must report durable == applied on every batch.
+  // One and three durable shards under every sync mode: the watermark
+  // must cover every accepted record after WaitDurable, and batch mode
+  // must report durable == applied on every batch.
   World w = MakeWorld(79);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 400, 83);
   struct Case {
@@ -641,12 +721,12 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
     uint32_t shards;
     SyncMode mode;
   };
-  const Case cases[] = {{"seq-batch", 1, SyncMode::kBatch},
-                        {"seq-pipelined", 1, SyncMode::kPipelined},
-                        {"seq-interval", 1, SyncMode::kInterval},
-                        {"sharded-batch", 3, SyncMode::kBatch},
-                        {"sharded-pipelined", 3, SyncMode::kPipelined},
-                        {"sharded-interval", 3, SyncMode::kInterval}};
+  const Case cases[] = {{"1-shard-batch", 1, SyncMode::kBatch},
+                        {"1-shard-pipelined", 1, SyncMode::kPipelined},
+                        {"1-shard-interval", 1, SyncMode::kInterval},
+                        {"3-shard-batch", 3, SyncMode::kBatch},
+                        {"3-shard-pipelined", 3, SyncMode::kPipelined},
+                        {"3-shard-interval", 3, SyncMode::kInterval}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string dir =
@@ -666,7 +746,7 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
       EXPECT_LE(r.watermark.durable, r.watermark.applied);
       if (c.mode == SyncMode::kBatch) {
         EXPECT_EQ(r.watermark.durable, r.watermark.applied)
-            << "sync-every-batch must never trail";
+            << "batch mode must never trail";
       }
     }
     ASSERT_OK(rt->WaitDurable());
@@ -697,13 +777,10 @@ bool WatermarkConvergesUnprompted(AccessRuntime* rt,
 }
 
 TEST(AccessRuntimeTest, IntervalSyncDeadlineHoldsWithoutTraffic) {
-  // The interval-mode bugfix on the sequential durable backend: the
-  // sync deadline used to be checked only on the next Apply/Tick, so a
-  // runtime that went quiet kept unsynced records (and a stale
-  // watermark) indefinitely. The backend now runs a timer thread, so
-  // durable must catch up to applied within ~sync_interval_ms of the
-  // last batch even when nothing else happens. Pipelined mode on the
-  // same backend gets the identical idle-convergence guarantee.
+  // An idle one-shard durable runtime still converges: the shard log's
+  // own thread syncs within ~sync_interval_ms of the last batch (or, in
+  // pipelined mode, as soon as its queue drains) with no further
+  // traffic and no WaitDurable.
   World w = MakeWorld(997);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 60, 991);
   for (SyncMode mode : {SyncMode::kInterval, SyncMode::kPipelined}) {
@@ -712,7 +789,7 @@ TEST(AccessRuntimeTest, IntervalSyncDeadlineHoldsWithoutTraffic) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     RuntimeOptions options;
-    options.num_shards = 1;  // The sequential backend is the fixed one.
+    options.num_shards = 1;
     options.durable_dir = dir;
     options.durability.mode = mode;
     options.durability.sync_interval_ms = 5;
@@ -723,44 +800,73 @@ TEST(AccessRuntimeTest, IntervalSyncDeadlineHoldsWithoutTraffic) {
     }
     EXPECT_TRUE(
         WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
-        << "the timer thread never synced the tail";
+        << "the log thread never synced the tail";
     rt.reset();
     fs::remove_all(dir);
   }
 }
 
-TEST(AccessRuntimeTest, IntervalTimerRetriesThroughInjectedSyncFailures) {
-  // Fault injection through the timer path: the first few fsyncs fail,
-  // the failures are counted in wal_sync_failures, and a later timer
-  // tick (not a manual WaitDurable) still converges the watermark.
+TEST(AccessRuntimeTest, IntervalSyncFailureIsStickyUntilCheckpoint) {
+  // Fault injection through the timer path at one shard: the first
+  // fsync fails. The log does NOT retry — a retried fsync can report
+  // success for dirty pages the kernel dropped after the first failure —
+  // so the failure is counted, the watermark freezes, every barrier
+  // reports it, and only Checkpoint() (a fresh snapshot plus fresh
+  // logs) repairs the log.
   World w = MakeWorld(1013);
-  std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 40, 1019);
+  std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 300, 1019);
+  ASSERT_GE(batches.size(), 3u);
   const std::string dir = ::testing::TempDir() + "/ltam_timer_faults";
   fs::remove_all(dir);
   fs::create_directories(dir);
+  auto failures_left = std::make_shared<std::atomic<int>>(1);
   RuntimeOptions options;
   options.num_shards = 1;
   options.durable_dir = dir;
   options.durability.mode = SyncMode::kInterval;
   options.durability.sync_interval_ms = 5;
-  options.durability.fault_injector = [](const char* op, uint64_t count) {
-    if (std::string(op) == "sync" && count <= 3) {
+  options.durability.fault_injector = [failures_left](const char* op,
+                                                      uint64_t) {
+    if (std::string(op) == "sync" && failures_left->fetch_sub(1) > 0) {
       return Status::IOError("injected sync failure");
     }
     return Status::OK();
   };
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(StateOf(w), options));
-  for (const auto& batch : batches) {
-    ASSERT_OK(rt->ApplyBatch(batch).status());
+  ASSERT_OK(rt->ApplyBatch(batches[0]).status());
+  // The timer's first fsync fails; wait for the log to notice.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rt->Stats().wal_sync_failures == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  RuntimeStats failed = rt->Stats();
+  ASSERT_EQ(1u, failed.wal_sync_failures) << "one failure, no retries";
+  EXPECT_EQ(0u, failed.wal_append_failures);
+  EXPECT_FALSE(
+      WatermarkConvergesUnprompted(rt.get(), std::chrono::milliseconds(100)))
+      << "a failed fsync must freeze the watermark, not retry";
+  EXPECT_LT(rt->Stats().durable_offset, rt->Stats().applied_offset);
+  EXPECT_FALSE(rt->WaitDurable().ok()) << "the barrier reports the failure";
+  ASSERT_OK_AND_ASSIGN(BatchResult after, rt->ApplyBatch(batches[1]));
+  EXPECT_FALSE(after.durability.ok()) << "later batches report it too";
+
+  // Checkpoint repairs: the snapshot covers everything applied, and the
+  // fresh log syncs on its own timer again.
+  ASSERT_OK(rt->Checkpoint());
+  RuntimeStats repaired = rt->Stats();
+  EXPECT_EQ(repaired.durable_offset, repaired.applied_offset);
+  EXPECT_GE(repaired.wal_sync_failures, 1u)
+      << "failure history must survive the checkpoint";
+  for (size_t i = 2; i < batches.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(batches[i]));
+    EXPECT_OK(r.durability);
   }
   EXPECT_TRUE(
       WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
-      << "the timer must retry past the injected failures";
-  RuntimeStats stats = rt->Stats();
-  EXPECT_GE(stats.wal_sync_failures, 3u)
-      << "every injected failure is visible in the stats";
-  EXPECT_EQ(stats.wal_append_failures, 0u);
+      << "the repaired log must sync on its own again";
   rt.reset();
   fs::remove_all(dir);
 }
@@ -769,9 +875,9 @@ TEST(AccessRuntimeTest, IntervalTimerRetriesThroughInjectedSyncFailures) {
 // Each load-harness scenario family (sim/workload.h), replayed in its
 // canonical frame order with its mutations applied at the recorded
 // frame boundaries, must produce a byte-identical decision stream and
-// equal alerts across the in-memory/durable x sequential/sharded
-// backend matrix — the property that lets the open-loop load generator
-// treat any backend as "the" server for a given scenario.
+// equal alerts across the in-memory/durable x 1/3-shard matrix — the
+// property that lets the open-loop load generator treat any
+// configuration as "the" server for a given scenario.
 
 struct ScenarioOutcome {
   std::vector<std::string> decisions;
@@ -845,8 +951,8 @@ class ScenarioFamilyEquivalenceTest
     root_ = ::testing::TempDir() + "/ltam_scenario_" +
             std::string(ScenarioFamilyToString(GetParam()));
     fs::remove_all(root_);
-    fs::create_directories(root_ + "/seq");
-    fs::create_directories(root_ + "/sharded");
+    fs::create_directories(root_ + "/1-shard");
+    fs::create_directories(root_ + "/3-shard");
   }
   void TearDown() override { fs::remove_all(root_); }
 
@@ -878,24 +984,27 @@ TEST_P(ScenarioFamilyEquivalenceTest, BackendMatrixAgrees) {
     EXPECT_TRUE(scenario.mutations.empty());
   }
 
-  RuntimeOptions sequential;  // 1 shard, in-memory.
+  // Scenario mutations run through the Mutate window, so the reference
+  // is the in-memory one-shard runtime (itself pinned to the oracle by
+  // EveryConfigurationMatchesOracle).
+  RuntimeOptions one_shard;
   RuntimeOptions sharded;
   sharded.num_shards = 3;
-  RuntimeOptions durable_seq;
-  durable_seq.durable_dir = root_ + "/seq";
+  RuntimeOptions durable_one;
+  durable_one.durable_dir = root_ + "/1-shard";
   RuntimeOptions durable_sharded;
   durable_sharded.num_shards = 3;
-  durable_sharded.durable_dir = root_ + "/sharded";
+  durable_sharded.durable_dir = root_ + "/3-shard";
 
-  ScenarioOutcome reference = ReplayScenario(scenario, sequential);
+  ScenarioOutcome reference = ReplayScenario(scenario, one_shard);
   ASSERT_EQ(reference.decisions.size(), scenario.total_events);
   struct Config {
     const char* name;
     RuntimeOptions options;
   };
-  const Config configs[] = {{"sharded", sharded},
-                            {"durable-seq", durable_seq},
-                            {"durable-sharded", durable_sharded}};
+  const Config configs[] = {{"3-shard", sharded},
+                            {"1-shard-durable", durable_one},
+                            {"3-shard-durable", durable_sharded}};
   for (const Config& config : configs) {
     SCOPED_TRACE(config.name);
     ScenarioOutcome outcome = ReplayScenario(scenario, config.options);

@@ -1,10 +1,11 @@
 // Copyright 2026 The LTAM Authors.
-// The durability equivalence property (satellite of the sharded-WAL PR):
-// for randomized GenerateEventBatches workloads with interleaved
-// Checkpoint() and Tick() calls, the DurableShardedSystem's decisions —
-// live and after crash recovery — are identical to the sequential
-// DurableSystem fed the same stream event-by-event, and their
-// post-recovery alert/movement/ledger state matches exactly.
+// The durability equivalence property: for randomized
+// GenerateEventBatches workloads with interleaved Checkpoint() and
+// Tick() calls, a 5-shard and a 1-shard DurableShardedSystem make the
+// decisions of the reference oracle — the per-event AccessControlEngine
+// fed the same stream — live and after crash recovery, and their
+// post-recovery movement traces (read through MovementView), ledgers,
+// and re-raised alerts match each other and the oracle.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +17,10 @@
 #include <tuple>
 #include <vector>
 
+#include "query/movement_view.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
 #include "storage/durable_sharded_system.h"
-#include "storage/durable_system.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -45,31 +46,6 @@ SystemState MakeInitialState(uint64_t seed,
   return state;
 }
 
-/// Feeds one event to the sequential durable runtime using the same
-/// outcome mapping as ApplyAccessEvent, so decisions are comparable.
-Decision ApplyToDurable(DurableSystem* sys, const AccessEvent& e) {
-  switch (e.kind) {
-    case AccessEventKind::kRequestEntry: {
-      Result<Decision> d = sys->RequestEntry(e.time, e.subject, e.location);
-      EXPECT_TRUE(d.ok()) << d.status().ToString();
-      return d.ok() ? *d : Decision::Deny(DenyReason::kWalError);
-    }
-    case AccessEventKind::kRequestExit: {
-      Status st = sys->RequestExit(e.time, e.subject);
-      return st.ok() ? Decision::Grant(kInvalidAuth)
-                     : Decision::Deny(DenyReason::kExitRejected);
-    }
-    case AccessEventKind::kObserve: {
-      // ObservePresence now reports refusals (unknown location,
-      // out-of-order time); mirror ApplyAccessEvent's mapping.
-      Status st = sys->ObservePresence(e.time, e.subject, e.location);
-      return st.ok() ? Decision::Grant(kInvalidAuth)
-                     : Decision::Deny(DenyReason::kObservationRejected);
-    }
-  }
-  return Decision::Deny(DenyReason::kNone);  // Unreachable.
-}
-
 using AlertKey = std::tuple<Chronon, SubjectId, LocationId, int, std::string>;
 
 std::multiset<AlertKey> AlertMultiset(const std::vector<Alert>& alerts) {
@@ -81,13 +57,36 @@ std::multiset<AlertKey> AlertMultiset(const std::vector<Alert>& alerts) {
   return out;
 }
 
-/// Per-subject movement traces (the order that matters: each subject's
-/// own history; cross-subject interleaving is shard-dependent).
+/// Per-subject movement traces through the read side every runtime
+/// serves queries from (each subject's own stays in time order;
+/// cross-subject interleaving is shard-dependent and not compared).
 std::map<SubjectId, std::vector<std::string>> TracesOf(
-    const std::vector<MovementEvent>& history) {
+    const MovementView& view, const std::vector<SubjectId>& subjects) {
   std::map<SubjectId, std::vector<std::string>> out;
-  for (const MovementEvent& ev : history) {
-    out[ev.subject].push_back(ev.ToString());
+  for (SubjectId s : subjects) {
+    for (const Stay& stay : view.StaysOf(s)) {
+      out[s].push_back(std::to_string(stay.location) + "@" +
+                       std::to_string(stay.enter_time) + "-" +
+                       std::to_string(stay.exit_time));
+    }
+  }
+  return out;
+}
+
+std::map<SubjectId, std::vector<std::string>> TracesOf(
+    const DurableShardedSystem& sys, const std::vector<SubjectId>& subjects) {
+  std::vector<const MovementDatabase*> shards;
+  for (uint32_t k = 0; k < sys.num_shards(); ++k) {
+    shards.push_back(&sys.shard_movements(k));
+  }
+  return TracesOf(ShardedMovementView(std::move(shards)), subjects);
+}
+
+/// Authorization ledger usage counts, indexed by AuthId.
+std::vector<uint32_t> LedgerOf(const AuthorizationDatabase& db) {
+  std::vector<uint32_t> out;
+  for (AuthId id = 0; id < db.size(); ++id) {
+    out.push_back(db.record(id).entries_used);
   }
   return out;
 }
@@ -98,15 +97,15 @@ class DurableEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     root_ = ::testing::TempDir() + "/ltam_deq_" +
             std::to_string(GetParam());
     fs::remove_all(root_);
-    fs::create_directories(root_ + "/seq");
-    fs::create_directories(root_ + "/sharded");
+    fs::create_directories(root_ + "/five");
+    fs::create_directories(root_ + "/one");
   }
   void TearDown() override { fs::remove_all(root_); }
 
   std::string root_;
 };
 
-TEST_P(DurableEquivalenceTest, ShardedMatchesSequentialAcrossCheckpoints) {
+TEST_P(DurableEquivalenceTest, ShardCountsMatchOracleAcrossCheckpoints) {
   const uint64_t seed = GetParam();
   std::vector<SubjectId> subjects;
   SystemState gen_state = MakeInitialState(seed, &subjects);
@@ -119,89 +118,104 @@ TEST_P(DurableEquivalenceTest, ShardedMatchesSequentialAcrossCheckpoints) {
   auto batches = GenerateEventBatches(gen_state.graph, subjects,
                                       /*total_events=*/900, batch_opt, &rng);
 
+  // The oracle never crashes: it is the live truth both recoveries must
+  // reproduce.
+  SystemState oracle_state = MakeInitialState(seed);
+  AccessControlEngine oracle(&oracle_state.graph, &oracle_state.auth_db,
+                             &oracle_state.movements, &oracle_state.profiles);
+  DurableShardedOptions five_opt;
+  five_opt.num_shards = 5;
+  DurableShardedOptions one_opt;
+  one_opt.num_shards = 1;
   ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<DurableSystem> seq,
-      DurableSystem::Open(root_ + "/seq", MakeInitialState(seed)));
-  DurableShardedOptions opt;
-  opt.num_shards = 5;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DurableShardedSystem> sharded,
-                       DurableShardedSystem::Open(root_ + "/sharded",
-                                                  MakeInitialState(seed),
-                                                  opt));
+      std::unique_ptr<DurableShardedSystem> five,
+      DurableShardedSystem::Open(root_ + "/five", MakeInitialState(seed),
+                                 five_opt));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> one,
+      DurableShardedSystem::Open(root_ + "/one", MakeInitialState(seed),
+                                 one_opt));
+
+  // Feeds one batch to all three and checks every decision against the
+  // oracle's.
+  auto feed = [&](const std::vector<AccessEvent>& batch, const char* phase) {
+    ASSERT_OK_AND_ASSIGN(std::vector<Decision> five_decisions,
+                         five->EvaluateBatch(batch));
+    ASSERT_OK_AND_ASSIGN(std::vector<Decision> one_decisions,
+                         one->EvaluateBatch(batch));
+    ASSERT_EQ(five_decisions.size(), batch.size());
+    ASSERT_EQ(one_decisions.size(), batch.size());
+    for (size_t j = 0; j < batch.size(); ++j) {
+      const std::string want = ApplyAccessEvent(&oracle, batch[j]).ToString();
+      EXPECT_EQ(want, five_decisions[j].ToString()) << phase << ", event " << j;
+      EXPECT_EQ(want, one_decisions[j].ToString()) << phase << ", event " << j;
+    }
+  };
+  auto tick = [&](Chronon t) {
+    ASSERT_OK(five->Tick(t));
+    ASSERT_OK(one->Tick(t));
+    oracle.Tick(t);
+  };
 
   // Live equivalence, with checkpoints and ticks interleaved at the same
-  // stream positions on both sides.
+  // stream positions on every side.
   Chronon clock = 0;
   for (size_t i = 0; i < batches.size(); ++i) {
     for (const AccessEvent& e : batches[i]) {
       clock = std::max(clock, e.time);
     }
-    ASSERT_OK_AND_ASSIGN(std::vector<Decision> sharded_decisions,
-                         sharded->EvaluateBatch(batches[i]));
-    ASSERT_EQ(sharded_decisions.size(), batches[i].size());
-    for (size_t j = 0; j < batches[i].size(); ++j) {
-      Decision seq_decision = ApplyToDurable(seq.get(), batches[i][j]);
-      EXPECT_EQ(sharded_decisions[j].ToString(), seq_decision.ToString())
-          << "batch " << i << ", event " << j;
-    }
-    if (i % 2 == 1) {
-      ASSERT_OK(seq->Tick(clock));
-      ASSERT_OK(sharded->Tick(clock));
-    }
+    feed(batches[i], "live");
+    if (i % 2 == 1) tick(clock);
     if (i % 3 == 2) {
-      ASSERT_OK(seq->Checkpoint());
-      ASSERT_OK(sharded->Checkpoint());
+      ASSERT_OK(five->Checkpoint());
+      ASSERT_OK(one->Checkpoint());
     }
   }
 
-  // Live alert equivalence (both buffers drained up to here).
-  EXPECT_EQ(AlertMultiset(sharded->DrainAlerts()),
-            AlertMultiset(seq->engine().alerts()));
+  // Live alert equivalence (every buffer drained up to here).
+  const std::multiset<AlertKey> oracle_alerts = AlertMultiset(oracle.alerts());
+  oracle.ClearAlerts();
+  EXPECT_EQ(AlertMultiset(five->DrainAlerts()), oracle_alerts);
+  EXPECT_EQ(AlertMultiset(one->DrainAlerts()), oracle_alerts);
 
-  // "Crash" both runtimes (no final checkpoint) and recover.
-  seq.reset();
-  sharded.reset();
-  ASSERT_OK_AND_ASSIGN(
-      seq, DurableSystem::Open(root_ + "/seq", MakeInitialState(seed)));
-  ASSERT_OK_AND_ASSIGN(sharded,
-                       DurableShardedSystem::Open(root_ + "/sharded",
-                                                  MakeInitialState(seed),
-                                                  opt));
+  // "Crash" both durable runtimes (no final checkpoint) and recover.
+  five.reset();
+  one.reset();
+  ASSERT_OK_AND_ASSIGN(five,
+                       DurableShardedSystem::Open(
+                           root_ + "/five", MakeInitialState(seed), five_opt));
+  ASSERT_OK_AND_ASSIGN(one,
+                       DurableShardedSystem::Open(
+                           root_ + "/one", MakeInitialState(seed), one_opt));
+  EXPECT_EQ(5u, five->num_shards());
+  EXPECT_EQ(1u, one->num_shards());
 
   // Post-recovery state equivalence: per-subject movement traces...
-  EXPECT_EQ(TracesOf(sharded->MergedMovements().history()),
-            TracesOf(seq->state().movements.history()));
+  const auto oracle_traces =
+      TracesOf(MovementDatabaseView(&oracle_state.movements), subjects);
+  EXPECT_EQ(TracesOf(*five, subjects), oracle_traces);
+  EXPECT_EQ(TracesOf(*one, subjects), oracle_traces);
   // ...the shared ledger...
-  const AuthorizationDatabase& seq_db = seq->state().auth_db;
-  const AuthorizationDatabase& sharded_db = sharded->base().auth_db;
-  ASSERT_EQ(sharded_db.size(), seq_db.size());
-  for (AuthId id = 0; id < seq_db.size(); ++id) {
-    EXPECT_EQ(sharded_db.record(id).entries_used,
-              seq_db.record(id).entries_used)
-        << "auth " << id;
-  }
-  // ...and the alerts the two recoveries re-raised replaying their tails.
-  EXPECT_EQ(AlertMultiset(sharded->DrainAlerts()),
-            AlertMultiset(seq->engine().alerts()));
-  seq->engine().ClearAlerts();
+  EXPECT_EQ(LedgerOf(five->base().auth_db), LedgerOf(oracle_state.auth_db));
+  EXPECT_EQ(LedgerOf(one->base().auth_db), LedgerOf(oracle_state.auth_db));
+  // ...and the alerts the two recoveries re-raised replaying their
+  // (identically positioned) tails.
+  EXPECT_EQ(AlertMultiset(five->DrainAlerts()),
+            AlertMultiset(one->DrainAlerts()));
 
-  // The recovered runtimes stay equivalent on fresh traffic.
+  // The recovered runtimes stay equivalent to the oracle on fresh
+  // traffic.
   Rng probe_rng(seed * 104729 + 3);
   auto probe = GenerateEventBatches(gen_state.graph, subjects, 200, batch_opt,
                                     &probe_rng);
   for (auto& batch : probe) {
     for (AccessEvent& e : batch) e.time += 100000;
-    ASSERT_OK_AND_ASSIGN(std::vector<Decision> sharded_decisions,
-                         sharded->EvaluateBatch(batch));
-    for (size_t j = 0; j < batch.size(); ++j) {
-      Decision seq_decision = ApplyToDurable(seq.get(), batch[j]);
-      EXPECT_EQ(sharded_decisions[j].ToString(), seq_decision.ToString());
-    }
+    feed(batch, "post-recovery");
   }
-  ASSERT_OK(seq->Tick(200001));
-  ASSERT_OK(sharded->Tick(200001));
-  EXPECT_EQ(AlertMultiset(sharded->DrainAlerts()),
-            AlertMultiset(seq->engine().alerts()));
+  tick(200001);
+  const std::multiset<AlertKey> probe_alerts = AlertMultiset(oracle.alerts());
+  EXPECT_EQ(AlertMultiset(five->DrainAlerts()), probe_alerts);
+  EXPECT_EQ(AlertMultiset(one->DrainAlerts()), probe_alerts);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DurableEquivalenceTest,

@@ -1,10 +1,12 @@
 // Copyright 2026 The LTAM Authors.
-// The durable sharded runtime: lifecycle, checkpoint/epoch rotation, and
-// the crash-injection recovery matrix (the PR's acceptance criterion):
-// truncate each shard's WAL at randomized byte offsets after a random
-// workload, reopen, and assert the recovered ledger/movement/alert state
-// equals a sequential replay of the surviving log prefix. Run under ASan
-// and TSan via ci.sh (recovery replays shard logs in parallel).
+// The durable runtime: lifecycle, checkpoint/epoch rotation, and the
+// crash-injection recovery matrix: truncate each shard's WAL at
+// randomized byte offsets after a random workload, reopen, and assert the
+// recovered ledger/movement/alert state equals a sequential replay of the
+// surviving log prefix. Every test runs at 1 and 4 shards — one shard is
+// the whole durable runtime at its smallest, not a special case. Run
+// under ASan and TSan via ci.sh (recovery replays shard logs in
+// parallel).
 
 #include "storage/durable_sharded_system.h"
 
@@ -35,8 +37,6 @@ namespace ltam {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr uint32_t kShards = 4;
 
 /// A reproducible world: grid graph, subjects, random authorizations.
 SystemState MakeInitialState(uint64_t seed, uint32_t subjects = 24,
@@ -88,19 +88,21 @@ std::string MovementKey(const MovementEvent& ev) { return ev.ToString(); }
 /// wins) applied at the cut.
 struct ReferenceShards {
   SystemState state;  // Holds graph/profiles/auth_db; movements unused.
+  uint32_t num_shards;
   std::vector<std::unique_ptr<MovementDatabase>> movements;
   std::vector<std::unique_ptr<AccessControlEngine>> engines;
 
-  explicit ReferenceShards(SystemState s) : state(std::move(s)) {
-    for (uint32_t k = 0; k < kShards; ++k) {
+  ReferenceShards(SystemState s, uint32_t shards)
+      : state(std::move(s)), num_shards(shards) {
+    for (uint32_t k = 0; k < num_shards; ++k) {
       movements.push_back(std::make_unique<MovementDatabase>());
       engines.push_back(std::make_unique<AccessControlEngine>(
           &state.graph, &state.auth_db, movements[k].get(), &state.profiles));
     }
   }
 
-  static uint32_t ShardOf(SubjectId s) {
-    return ShardedDecisionEngine::ShardOfSubject(s, kShards);
+  uint32_t ShardOf(SubjectId s) const {
+    return ShardedDecisionEngine::ShardOfSubject(s, num_shards);
   }
 
   /// Applies one live event stream position (entry/exit/observe to its
@@ -122,10 +124,10 @@ struct ReferenceShards {
   }
 
   /// The recovery spec's stay rebuild: drop all in-memory stay state and
-  /// re-match every inside subject, exactly like DurableShardedSystem
-  /// (and the sequential DurableSystem) at Open.
+  /// re-match every inside subject, exactly like DurableShardedSystem at
+  /// Open.
   void RebuildStaysAtCut() {
-    for (uint32_t k = 0; k < kShards; ++k) {
+    for (uint32_t k = 0; k < num_shards; ++k) {
       // Fresh engine, same stores: forgets active-stay bookkeeping but
       // keeps ledger + movements (what a snapshot persists).
       engines[k] = std::make_unique<AccessControlEngine>(
@@ -167,8 +169,8 @@ struct ReferenceShards {
 void ExpectStateEquals(const DurableShardedSystem& recovered,
                        const ReferenceShards& reference,
                        const char* context) {
-  ASSERT_EQ(recovered.num_shards(), kShards) << context;
-  for (uint32_t k = 0; k < kShards; ++k) {
+  ASSERT_EQ(recovered.num_shards(), reference.num_shards) << context;
+  for (uint32_t k = 0; k < reference.num_shards; ++k) {
     const auto& got = recovered.shard_movements(k).history();
     const auto& want = reference.movements[k]->history();
     ASSERT_EQ(got.size(), want.size()) << context << ", shard " << k;
@@ -209,37 +211,54 @@ uint32_t ShardIndexOf(const fs::path& wal) {
   return static_cast<uint32_t>(std::stoul(name.substr(start, end - start)));
 }
 
-class DurableShardedTest : public ::testing::Test {
+/// Parameterized by shard count.
+class DurableShardedTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/ltam_dsh_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = ::testing::TempDir() + "/ltam_dsh_" + name;
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  DurableShardedOptions Options() {
+  uint32_t shards() const { return GetParam(); }
+
+  DurableShardedOptions Options() const {
     DurableShardedOptions opt;
-    opt.num_shards = kShards;
+    opt.num_shards = shards();
+    return opt;
+  }
+
+  DurableShardedOptions PipelinedOptions(SyncMode mode,
+                                         size_t segment_max_bytes = 0) const {
+    DurableShardedOptions opt = Options();
+    opt.durability.mode = mode;
+    opt.durability.pipeline_depth = 3;
+    opt.durability.sync_interval_ms = 1;
+    if (segment_max_bytes > 0) {
+      opt.durability.segment_max_bytes = segment_max_bytes;
+    }
     return opt;
   }
 
   std::string dir_;
 };
 
-TEST_F(DurableShardedTest, FreshOpenWritesEpochZeroCut) {
+TEST_P(DurableShardedTest, FreshOpenWritesEpochZeroCut) {
   std::vector<SubjectId> subjects;
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir_, MakeInitialState(7, 16, &subjects),
                                  Options()));
   EXPECT_EQ(sys->epoch(), 0u);
-  EXPECT_EQ(sys->num_shards(), kShards);
+  EXPECT_EQ(sys->num_shards(), shards());
   EXPECT_EQ(sys->wal_events(), 0u);
   EXPECT_TRUE(fs::exists(dir_ + "/MANIFEST"));
   EXPECT_TRUE(fs::exists(dir_ + "/base-0.snap"));
-  EXPECT_EQ(ShardWalPaths(dir_).size(), kShards);
+  EXPECT_EQ(ShardWalPaths(dir_).size(), shards());
 
   auto batches = MakeBatches(sys->base(), subjects, 120, 40, 11);
   size_t fed = 0;
@@ -252,7 +271,7 @@ TEST_F(DurableShardedTest, FreshOpenWritesEpochZeroCut) {
   EXPECT_EQ(sys->wal_events(), fed);
 }
 
-TEST_F(DurableShardedTest, RecoveryReplaysEveryShardTail) {
+TEST_P(DurableShardedTest, RecoveryReplaysEveryShardTail) {
   std::vector<SubjectId> subjects;
   SystemState init = MakeInitialState(7, 16, &subjects);
   std::vector<std::vector<AccessEvent>> batches;
@@ -271,7 +290,7 @@ TEST_F(DurableShardedTest, RecoveryReplaysEveryShardTail) {
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir_, MakeInitialState(7, 16), Options()));
 
-  ReferenceShards reference(MakeInitialState(7, 16));
+  ReferenceShards reference(MakeInitialState(7, 16), shards());
   for (const auto& batch : batches) {
     for (const AccessEvent& e : batch) reference.ApplyEvent(e);
   }
@@ -281,7 +300,7 @@ TEST_F(DurableShardedTest, RecoveryReplaysEveryShardTail) {
             AlertMultiset(reference.MergedAlerts()));
 }
 
-TEST_F(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
+TEST_P(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
   std::vector<SubjectId> subjects;
   SystemState init = MakeInitialState(21, 16, &subjects);
   auto batches = MakeBatches(init, subjects, 160, 40, 23);
@@ -305,7 +324,7 @@ TEST_F(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
       DurableShardedSystem::Open(dir_, MakeInitialState(21, 16), Options()));
   EXPECT_EQ(sys->epoch(), 1u);
 
-  ReferenceShards reference(MakeInitialState(21, 16));
+  ReferenceShards reference(MakeInitialState(21, 16), shards());
   for (const AccessEvent& e : batches[0]) reference.ApplyEvent(e);
   reference.RebuildStaysAtCut();
   reference.ClearAlerts();
@@ -315,7 +334,7 @@ TEST_F(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
             AlertMultiset(reference.MergedAlerts()));
 }
 
-TEST_F(DurableShardedTest, OverstayDetectionSurvivesRecovery) {
+TEST_P(DurableShardedTest, OverstayDetectionSurvivesRecovery) {
   // Alice enters a room whose exit window closes at 40, the runtime
   // checkpoints with the stay open, crashes, recovers — the resumed stay
   // must still trip the overstay patrol.
@@ -351,7 +370,7 @@ TEST_F(DurableShardedTest, OverstayDetectionSurvivesRecovery) {
       << "resumed stay lost its exit-window tracking across recovery";
 }
 
-TEST_F(DurableShardedTest, RecoveryIgnoresFreshOptionsShardCount) {
+TEST_P(DurableShardedTest, RecoveryIgnoresFreshOptionsShardCount) {
   std::vector<SubjectId> subjects;
   {
     ASSERT_OK_AND_ASSIGN(
@@ -368,44 +387,21 @@ TEST_F(DurableShardedTest, RecoveryIgnoresFreshOptionsShardCount) {
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir_, MakeInitialState(3, 12), other));
-  EXPECT_EQ(sys->num_shards(), kShards);
+  EXPECT_EQ(sys->num_shards(), shards());
 }
 
-TEST_F(DurableShardedTest, OpenRejectsMissingDirectory) {
+TEST_P(DurableShardedTest, OpenRejectsMissingDirectory) {
   EXPECT_TRUE(DurableShardedSystem::Open("/nonexistent/ltam", SystemState(),
                                          DurableShardedOptions{})
                   .status()
                   .IsIOError());
 }
 
-TEST_F(DurableShardedTest, MergedMovementsUnifiesShardViews) {
-  std::vector<SubjectId> subjects;
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<DurableShardedSystem> sys,
-      DurableShardedSystem::Open(dir_, MakeInitialState(31, 20, &subjects),
-                                 Options()));
-  auto batches = MakeBatches(sys->base(), subjects, 200, 50, 37);
-  for (const auto& batch : batches) {
-    ASSERT_OK(sys->EvaluateBatch(batch).status());
-  }
-  MovementDatabase merged = sys->MergedMovements();
-  size_t shard_total = 0;
-  for (uint32_t k = 0; k < sys->num_shards(); ++k) {
-    shard_total += sys->shard_movements(k).history().size();
-    for (SubjectId s : subjects) {
-      if (sys->ShardOf(s) != k) continue;
-      EXPECT_EQ(merged.CurrentLocation(s),
-                sys->shard_movements(k).CurrentLocation(s));
-    }
-  }
-  EXPECT_EQ(merged.history().size(), shard_total);
-}
-
 /// The acceptance criterion: truncate each shard's WAL at randomized
 /// byte offsets (simulating a crash with partially-durable logs), reopen,
 /// and assert the recovered state equals a sequential replay of the
 /// surviving per-shard prefixes — including alerts.
-TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
+TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
   const uint64_t kWorldSeed = 97;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -435,7 +431,7 @@ TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
     // Truncate every shard WAL at an independent random offset. Trials 0
     // and 1 pin the boundary cases: everything lost / nothing lost.
     std::vector<fs::path> wals = ShardWalPaths(trial_dir);
-    ASSERT_EQ(wals.size(), kShards);
+    ASSERT_EQ(wals.size(), shards());
     for (const fs::path& wal : wals) {
       uintmax_t size = fs::file_size(wal);
       uintmax_t keep = trial == 0   ? 0
@@ -450,7 +446,7 @@ TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
                                    Options()));
 
     // Reference: sequential replay of exactly the surviving prefixes.
-    ReferenceShards reference(MakeInitialState(kWorldSeed));
+    ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (const fs::path& wal : wals) {
       ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
                                              wal.string()));
@@ -475,9 +471,8 @@ TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
     std::vector<Decision> want_decisions;
     for (const AccessEvent& e : late) {
       want_decisions.push_back(
-          ApplyAccessEvent(reference.engines[ReferenceShards::ShardOf(
-                               e.subject)].get(),
-                           e));
+          ApplyAccessEvent(
+              reference.engines[reference.ShardOf(e.subject)].get(), e));
     }
     ASSERT_EQ(got_decisions.size(), want_decisions.size());
     for (size_t i = 0; i < got_decisions.size(); ++i) {
@@ -503,7 +498,7 @@ TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
 /// WriteEpoch creates every WAL before the manifest commit, so a cut
 /// whose log vanished is data loss — recovery must refuse, not silently
 /// drop the shard's tail.
-TEST_F(DurableShardedTest, MissingShardWalIsARecoveryError) {
+TEST_P(DurableShardedTest, MissingShardWalIsARecoveryError) {
   std::vector<SubjectId> subjects;
   {
     ASSERT_OK_AND_ASSIGN(
@@ -516,32 +511,19 @@ TEST_F(DurableShardedTest, MissingShardWalIsARecoveryError) {
     }
   }
   std::vector<fs::path> wals = ShardWalPaths(dir_);
-  ASSERT_EQ(wals.size(), kShards);
-  fs::remove(wals[1]);
+  ASSERT_EQ(wals.size(), shards());
+  fs::remove(wals.back());
   Result<std::unique_ptr<DurableShardedSystem>> reopened =
       DurableShardedSystem::Open(dir_, MakeInitialState(41, 12), Options());
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsIOError()) << reopened.status().ToString();
 }
 
-DurableShardedOptions PipelinedOptions(SyncMode mode,
-                                       size_t segment_max_bytes = 0) {
-  DurableShardedOptions opt;
-  opt.num_shards = kShards;
-  opt.durability.mode = mode;
-  opt.durability.pipeline_depth = 3;
-  opt.durability.sync_interval_ms = 1;
-  if (segment_max_bytes > 0) {
-    opt.durability.segment_max_bytes = segment_max_bytes;
-  }
-  return opt;
-}
-
 /// The tentpole equivalence gate: the pipelined and interval write
 /// paths must produce decision streams (and alerts) byte-identical to
 /// the synchronous group-commit mode — durability timing is the ONLY
 /// difference — and a reopened directory must recover the same state.
-TEST_F(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
+TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
   const uint64_t kWorldSeed = 211;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -609,7 +591,7 @@ TEST_F(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
       reference = std::move(sys);
       continue;
     }
-    for (uint32_t k = 0; k < kShards; ++k) {
+    for (uint32_t k = 0; k < shards(); ++k) {
       const auto& got = sys->shard_movements(k).history();
       const auto& want = reference->shard_movements(k).history();
       ASSERT_EQ(got.size(), want.size()) << "shard " << k;
@@ -627,7 +609,7 @@ TEST_F(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
 /// rotation fsyncs a segment before its successor exists, so only the
 /// final one can tear) must recover exactly the surviving prefix, and
 /// never less than the reported durable watermark.
-TEST_F(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
+TEST_P(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
   const uint64_t kWorldSeed = 307;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -652,10 +634,10 @@ TEST_F(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
     ASSERT_EQ(watermark.durable, watermark.applied);
     // Rotation must actually have happened for this test to bite.
     size_t total_segments = 0;
-    for (uint32_t k = 0; k < kShards; ++k) {
+    for (uint32_t k = 0; k < shards(); ++k) {
       total_segments += sys->shard_log(k).segment_index() + 1;
     }
-    ASSERT_GT(total_segments, kShards)
+    ASSERT_GT(total_segments, shards())
         << "no shard rotated; shrink segment_max_bytes";
     // "Crash": the object goes away without a checkpoint.
   }
@@ -669,13 +651,13 @@ TEST_F(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
 
     ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
                          LoadManifest(trial_dir + "/MANIFEST"));
-    ASSERT_EQ(manifest.num_shards, kShards);
+    ASSERT_EQ(manifest.num_shards, shards());
     // Trial 0 pins the no-loss boundary case; the rest tear the final
     // segment at random offsets (earlier segments are durable by
     // construction: rotation synced them before their successor
     // existed).
     uint64_t surviving_records = 0;
-    for (uint32_t k = 0; k < kShards; ++k) {
+    for (uint32_t k = 0; k < shards(); ++k) {
       ASSERT_GE(manifest.shards[k].wals.size(), 1u);
       const fs::path tail =
           fs::path(trial_dir) / manifest.shards[k].wals.back();
@@ -706,8 +688,8 @@ TEST_F(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
 
     // Reference: sequential replay of exactly the surviving segment
     // chains, in committed order.
-    ReferenceShards reference(MakeInitialState(kWorldSeed));
-    for (uint32_t k = 0; k < kShards; ++k) {
+    ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
+    for (uint32_t k = 0; k < shards(); ++k) {
       for (const std::string& wal : manifest.shards[k].wals) {
         ASSERT_OK(reference.ReplaySurvivingLog(
             k, (fs::path(trial_dir) / wal).string()));
@@ -722,7 +704,7 @@ TEST_F(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
 /// A mid-chain segment with a torn tail is data loss (rotation synced
 /// it before its successor existed) — recovery must refuse, not replay
 /// around the hole.
-TEST_F(DurableShardedTest, TornNonFinalSegmentIsARecoveryError) {
+TEST_P(DurableShardedTest, TornNonFinalSegmentIsARecoveryError) {
   const uint64_t kWorldSeed = 331;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -742,14 +724,14 @@ TEST_F(DurableShardedTest, TornNonFinalSegmentIsARecoveryError) {
   }
   ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
                        LoadManifest(dir_ + "/MANIFEST"));
-  uint32_t victim = kShards;
-  for (uint32_t k = 0; k < kShards; ++k) {
+  uint32_t victim = shards();
+  for (uint32_t k = 0; k < shards(); ++k) {
     if (manifest.shards[k].wals.size() >= 2) {
       victim = k;
       break;
     }
   }
-  ASSERT_LT(victim, kShards) << "no shard rotated; shrink segment_max_bytes";
+  ASSERT_LT(victim, shards()) << "no shard rotated; shrink segment_max_bytes";
   const fs::path mid = fs::path(dir_) / manifest.shards[victim].wals[0];
   uintmax_t size = fs::file_size(mid);
   ASSERT_GT(size, 2u);
@@ -766,7 +748,7 @@ TEST_F(DurableShardedTest, TornNonFinalSegmentIsARecoveryError) {
 /// failure surfaces exclusively through the batch durability status,
 /// the frozen watermark, and the failure counters — and a checkpoint
 /// repairs the log (the snapshot supersedes the lost tail).
-TEST_F(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
+TEST_P(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
   const uint64_t kWorldSeed = 401;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -855,7 +837,7 @@ TEST_F(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
       std::unique_ptr<DurableShardedSystem> recovered,
       DurableShardedSystem::Open(faulty_dir, MakeInitialState(kWorldSeed),
                                  Options()));
-  ReferenceShards reference(MakeInitialState(kWorldSeed));
+  ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
   for (const auto& batch : batches) {
     for (const AccessEvent& e : batch) reference.ApplyEvent(e);
   }
@@ -865,7 +847,7 @@ TEST_F(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
 
 /// Crash injection across a checkpoint: pre-checkpoint state comes from
 /// the snapshot cut, only the tail is at the mercy of the truncation.
-TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
+TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
   const uint64_t kWorldSeed = 131;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -894,7 +876,7 @@ TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
     fs::remove_all(trial_dir);
     fs::copy(golden, trial_dir);
     std::vector<fs::path> wals = ShardWalPaths(trial_dir);
-    ASSERT_EQ(wals.size(), kShards);
+    ASSERT_EQ(wals.size(), shards());
     for (const fs::path& wal : wals) {
       fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
     }
@@ -904,7 +886,7 @@ TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
         DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
                                    Options()));
 
-    ReferenceShards reference(MakeInitialState(kWorldSeed));
+    ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (size_t i = 0; i < cut; ++i) {
       for (const AccessEvent& e : batches[i]) reference.ApplyEvent(e);
     }
@@ -923,7 +905,7 @@ TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
 /// SaveManifestIfChanged is rotation's no-op detector: a republish whose
 /// serialized cut equals the previously published bytes must skip the
 /// write + three fsyncs, and anything else must publish.
-TEST_F(DurableShardedTest, ManifestRepublishSkipsByteIdenticalRewrites) {
+TEST_P(DurableShardedTest, ManifestRepublishSkipsByteIdenticalRewrites) {
   ShardManifest m;
   m.epoch = 3;
   m.num_shards = 2;
@@ -960,7 +942,7 @@ TEST_F(DurableShardedTest, ManifestRepublishSkipsByteIdenticalRewrites) {
 /// The system-level counters: every happy-path rotation commits a NEW
 /// segment, so it publishes; the skip path is reserved for retried
 /// republishes of an unchanged cut (exercised directly above).
-TEST_F(DurableShardedTest, RotationPublishesManifestOncePerNewSegment) {
+TEST_P(DurableShardedTest, RotationPublishesManifestOncePerNewSegment) {
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(401, 24, &subjects);
   ASSERT_OK_AND_ASSIGN(
@@ -976,7 +958,7 @@ TEST_F(DurableShardedTest, RotationPublishesManifestOncePerNewSegment) {
   }
   ASSERT_OK(sys->WaitDurable());
   size_t rotations = 0;
-  for (uint32_t k = 0; k < kShards; ++k) {
+  for (uint32_t k = 0; k < shards(); ++k) {
     rotations += sys->shard_log(k).segment_index();
   }
   ASSERT_GT(rotations, 0u) << "no shard rotated; shrink segment_max_bytes";
@@ -1001,7 +983,7 @@ std::vector<fs::path> ColdSegPaths(const std::string& dir) {
   return out;
 }
 
-TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
+TEST_P(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(211, 24, &subjects);
   ASSERT_OK_AND_ASSIGN(
@@ -1014,7 +996,7 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
     ASSERT_OK(sys->EvaluateBatch(batch).status());
   }
   ASSERT_OK(sys->Checkpoint());
-  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
+  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), shards());
   ASSERT_OK_AND_ASSIGN(ShardManifest after_full,
                        LoadManifest(dir_ + "/MANIFEST"));
 
@@ -1025,7 +1007,7 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   ASSERT_OK_AND_ASSIGN(ShardManifest after_idle,
                        LoadManifest(dir_ + "/MANIFEST"));
   EXPECT_EQ(after_idle.epoch, after_full.epoch + 1);
-  for (uint32_t k = 0; k < kShards; ++k) {
+  for (uint32_t k = 0; k < shards(); ++k) {
     EXPECT_EQ(after_idle.shards[k].snapshot, after_full.shards[k].snapshot)
         << "idle checkpoint rewrote shard " << k;
     EXPECT_TRUE(fs::exists(dir_ + "/" + after_idle.shards[k].snapshot));
@@ -1040,7 +1022,7 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   EXPECT_EQ(sys->last_checkpoint_dirty_segments(), 1u);
   ASSERT_OK_AND_ASSIGN(ShardManifest after_lone,
                        LoadManifest(dir_ + "/MANIFEST"));
-  for (uint32_t k = 0; k < kShards; ++k) {
+  for (uint32_t k = 0; k < shards(); ++k) {
     if (k == lone_shard) {
       EXPECT_NE(after_lone.shards[k].snapshot, after_idle.shards[k].snapshot);
     } else {
@@ -1055,7 +1037,7 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
 /// was only written back when something dropped), so persisting the
 /// sealed segments dereferenced null — this exact configuration (a
 /// horizon far wider than the data) crashed the soak server.
-TEST_F(DurableShardedTest, CheckpointPersistsColdFilesWhenHorizonDropsNothing) {
+TEST_P(DurableShardedTest, CheckpointPersistsColdFilesWhenHorizonDropsNothing) {
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(229, 24, &subjects);
   DurableShardedOptions opt = Options();
@@ -1083,7 +1065,7 @@ TEST_F(DurableShardedTest, CheckpointPersistsColdFilesWhenHorizonDropsNothing) {
   EXPECT_EQ(sys->dropped_events(), 0u);
 }
 
-TEST_F(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
+TEST_P(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(239, 24, &subjects);
   DurableShardedOptions opt = Options();
@@ -1093,7 +1075,10 @@ TEST_F(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir_, MakeInitialState(239, 24), opt));
-  auto batches = MakeBatches(probe, subjects, 600, 50, 241);
+  // A checkpoint after every batch; the stream spans several horizon
+  // windows, so at 4 shards too some window collects `fanin` seals of
+  // one shard (compaction) while older windows age out (drops).
+  auto batches = MakeBatches(probe, subjects, 1200, 50, 241);
   uint64_t total_fed = 0;
   for (const auto& batch : batches) {
     ASSERT_OK(sys->EvaluateBatch(batch).status());
@@ -1105,19 +1090,30 @@ TEST_F(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
   EXPECT_GT(sys->compaction_runs(), 0u);
   EXPECT_GT(sys->retention_dropped_segments(), 0u);
   EXPECT_GT(sys->dropped_events(), 0u);
-  // Compaction keeps every shard's tier below the fanin.
-  for (uint32_t k = 0; k < kShards; ++k) {
-    EXPECT_LT(sys->shard_movements(k).cold_segments().size(),
-              static_cast<size_t>(opt.retention.compaction_fanin));
+  // Compaction leaves no run of `fanin` consecutive segments whose stays
+  // end in the same horizon-wide window (such a run would have merged).
+  const size_t fanin = opt.retention.compaction_fanin;
+  auto window = [&opt](const std::shared_ptr<const ColdSegment>& seg) {
+    return seg->max_exit / opt.retention.horizon;
+  };
+  for (uint32_t k = 0; k < shards(); ++k) {
+    const auto& segs = sys->shard_movements(k).cold_segments();
+    for (size_t i = 0; i + fanin <= segs.size(); ++i) {
+      size_t same = 1;
+      while (same < fanin && window(segs[i + same]) == window(segs[i])) {
+        ++same;
+      }
+      EXPECT_LT(same, fanin) << "shard " << k << " left a full run at " << i;
+    }
   }
   // Dropped events left the store but not the ledger arithmetic:
   // total_events still counts them.
   uint64_t total_recorded = 0;
-  for (uint32_t k = 0; k < kShards; ++k) {
+  for (uint32_t k = 0; k < shards(); ++k) {
     total_recorded += sys->shard_movements(k).total_events();
   }
   uint64_t hot = 0;
-  for (uint32_t k = 0; k < kShards; ++k) {
+  for (uint32_t k = 0; k < shards(); ++k) {
     hot += sys->shard_movements(k).history().size();
   }
   EXPECT_LT(hot, total_recorded) << "nothing was ever sealed or dropped";
@@ -1126,7 +1122,7 @@ TEST_F(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
 /// The tentpole equivalence: with tiering + retention on, every answer
 /// inside the retained window matches a runtime that never seals or
 /// drops — decision streams included — live AND after a crash-recovery.
-TEST_F(DurableShardedTest, TieredAnswersMatchUnboundedWithinRetainedWindow) {
+TEST_P(DurableShardedTest, TieredAnswersMatchUnboundedWithinRetainedWindow) {
   const uint64_t kSeed = 251;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kSeed, 24, &subjects);
@@ -1151,7 +1147,7 @@ TEST_F(DurableShardedTest, TieredAnswersMatchUnboundedWithinRetainedWindow) {
                              const char* context) {
     uint64_t tiered_total = 0;
     uint64_t unbounded_total = 0;
-    for (uint32_t k = 0; k < kShards; ++k) {
+    for (uint32_t k = 0; k < shards(); ++k) {
       tiered_total += tiered->shard_movements(k).total_events();
       unbounded_total += unbounded->shard_movements(k).total_events();
     }
@@ -1216,7 +1212,7 @@ TEST_F(DurableShardedTest, TieredAnswersMatchUnboundedWithinRetainedWindow) {
 /// Crash-matrix extension for the cold tier: a committed cut that names
 /// a segment file the directory lost (or holds only a torn prefix of)
 /// must refuse to open — never recover a shorter history silently.
-TEST_F(DurableShardedTest, TornOrMissingColdSegmentFailsRecovery) {
+TEST_P(DurableShardedTest, TornOrMissingColdSegmentFailsRecovery) {
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(263, 24, &subjects);
   DurableShardedOptions opt = Options();
@@ -1272,7 +1268,7 @@ TEST_F(DurableShardedTest, TornOrMissingColdSegmentFailsRecovery) {
 /// checkpoint.dirty_segments must count exactly the snapshot rewrites,
 /// and the tier counters/gauges must agree with the accessors — the
 /// same reconciliation ci.sh's soak scrape asserts over the wire.
-TEST_F(DurableShardedTest, RetentionTelemetryReconciles) {
+TEST_P(DurableShardedTest, RetentionTelemetryReconciles) {
   MetricsRegistry registry;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(271, 24, &subjects);
@@ -1318,6 +1314,12 @@ TEST_F(DurableShardedTest, RetentionTelemetryReconciles) {
   EXPECT_GT(registry.GetGauge("storage.resident_bytes")->value(), 0);
 #endif
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shards, DurableShardedTest, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return std::to_string(info.param) + "shard";
+    });
 
 }  // namespace
 }  // namespace ltam

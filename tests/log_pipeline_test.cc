@@ -65,8 +65,7 @@ class LogPipelineTest : public ::testing::Test {
   /// Builds a log over segment 0 with a rotation callback that creates
   /// numbered segment files and records their names (thread-safely: the
   /// callback runs on the log thread).
-  std::unique_ptr<ShardLog> MakeLog(DurabilityOptions options,
-                                    bool sync_each_batch = true) {
+  std::unique_ptr<ShardLog> MakeLog(DurabilityOptions options) {
     WalWriter writer = WalWriter::Create(SegmentPath(0)).ValueOrDie();
     {
       std::lock_guard<std::mutex> lock(segments_mu_);
@@ -74,7 +73,7 @@ class LogPipelineTest : public ::testing::Test {
     }
     return std::make_unique<ShardLog>(
         std::move(writer), /*writer_bytes=*/0, /*segment_index=*/0, options,
-        sync_each_batch, [this](uint32_t seg) -> Result<WalWriter> {
+        [this](uint32_t seg) -> Result<WalWriter> {
           LTAM_ASSIGN_OR_RETURN(WalWriter next,
                                 WalWriter::Create(SegmentPath(seg)));
           std::lock_guard<std::mutex> lock(segments_mu_);
@@ -111,20 +110,6 @@ TEST_F(LogPipelineTest, BatchModeSyncsEveryBoundary) {
   EXPECT_EQ(log->durable_seq(), 6u);
   log.reset();
   EXPECT_EQ(ReplayAll(Segments()).size(), 6u);
-}
-
-TEST_F(LogPipelineTest, BatchModeWithoutSyncLeavesWatermarkBehind) {
-  DurabilityOptions options;
-  options.mode = SyncMode::kBatch;
-  std::unique_ptr<ShardLog> log =
-      MakeLog(options, /*sync_each_batch=*/false);
-  ASSERT_OK(log->Append(NumberedRecord(1)).status());
-  ASSERT_OK(log->BatchBoundary().status());
-  EXPECT_EQ(log->appended_seq(), 1u);
-  EXPECT_EQ(log->durable_seq(), 0u) << "no automatic fsync in this mode";
-  // The explicit barrier still closes the gap.
-  ASSERT_OK(log->Flush());
-  EXPECT_EQ(log->durable_seq(), 1u);
 }
 
 TEST_F(LogPipelineTest, BatchModeAppendFailureRefuses) {

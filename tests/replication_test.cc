@@ -128,11 +128,11 @@ struct Node {
   /// [primary=...] token, kept current across repoints and cleared on
   /// promotion. Default off so refusal-shape tests see the bare error.
   void Start(const World& w, const std::string& d, int upstream_port,
-             bool advertise_primary = false) {
+             bool advertise_primary = false, uint32_t shards = kShards) {
     dir = d;
     fs::create_directories(dir);
     RuntimeOptions options;
-    options.num_shards = kShards;
+    options.num_shards = shards;
     options.durable_dir = dir;
     Result<std::unique_ptr<AccessRuntime>> opened =
         AccessRuntime::Open(StateOf(w), options);
@@ -350,6 +350,56 @@ TEST_F(ReplicationTest, ReplicaCatchesUpServesReadsAndRefusesWrites) {
                 Render(replica_client->Query(statement)))
           << statement;
     }
+  }
+
+  primary_client.reset();
+  replica_client.reset();
+  replica.Stop();
+  primary.Stop();
+  for (SubjectId s : w.subjects) {
+    EXPECT_EQ(primary.runtime->movements().CurrentLocation(s),
+              replica.runtime->movements().CurrentLocation(s))
+        << "subject " << s;
+  }
+}
+
+TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
+  // One shard is a full durable citizen: its single log ships and
+  // applies like any shard of a multi-shard runtime.
+  World w = MakeWorld(7101);
+  auto batches = MakeBatches(w, /*total_events=*/320, 7109);
+
+  Node primary;
+  Node replica;
+  primary.Start(w, root_ + "/primary", -1, /*advertise_primary=*/false,
+                /*shards=*/1);
+  replica.Start(w, root_ + "/replica", primary.port,
+                /*advertise_primary=*/false, /*shards=*/1);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
+                       ServiceClient::Connect("127.0.0.1", primary.port));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
+                       ServiceClient::Connect("127.0.0.1", replica.port));
+
+  size_t fed = 0;
+  for (const auto& batch : batches) {
+    ASSERT_OK(primary_client->ApplyBatch(batch).status());
+    fed += batch.size();
+  }
+  RuntimeStats caught = AwaitStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) { return s.applied_offset == fed; },
+      "one-shard replica catch-up to " + std::to_string(fed) + " records");
+  EXPECT_TRUE(caught.replica);
+  EXPECT_EQ(1u, caught.num_shards);
+  ASSERT_EQ(1u, caught.shard_watermarks.size());
+  EXPECT_EQ(fed, caught.shard_watermarks[0].applied);
+
+  for (size_t i = 0; i < w.subjects.size(); ++i) {
+    const std::string statement =
+        "WHERE WAS u" + std::to_string(i) + " AT 200";
+    EXPECT_EQ(Render(primary_client->Query(statement)),
+              Render(replica_client->Query(statement)))
+        << statement;
   }
 
   primary_client.reset();
