@@ -54,14 +54,14 @@ void BM_DeriveSubjectFanout(benchmark::State& state) {
   rule.base = org.base;
   rule.op_subject = SubjectOperatorPtr(new SubordinatesOfOp());
   RuleId id = rules.AddRule(rule).ValueOrDie();
-  (void)id;
-  size_t derived = 0;
   for (auto _ : state) {
-    DerivationReport report = rules.DeriveAll().ValueOrDie();
-    derived = report.derived;
-    benchmark::DoNotOptimize(report);
+    benchmark::DoNotOptimize(rules.DeriveAll().ValueOrDie());
   }
-  state.counters["derived"] = static_cast<double>(derived);
+  // Re-derivation keeps unchanged records, so count the rule's active
+  // derivations rather than the last pass's additions (zero after the
+  // first iteration).
+  state.counters["derived"] =
+      static_cast<double>(org.auth_db.DerivedBy(id).size());
 }
 BENCHMARK(BM_DeriveSubjectFanout)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
@@ -84,14 +84,11 @@ void BM_DeriveLocationFanout(benchmark::State& state) {
   rule.op_location = LocationOperatorPtr(
       new AllRouteFromOp("R0_0", /*max_routes=*/64, /*max_length=*/512));
   RuleId id = rules.AddRule(rule).ValueOrDie();
-  (void)id;
-  size_t derived = 0;
   for (auto _ : state) {
-    DerivationReport report = rules.DeriveAll().ValueOrDie();
-    derived = report.derived;
-    benchmark::DoNotOptimize(report);
+    benchmark::DoNotOptimize(rules.DeriveAll().ValueOrDie());
   }
-  state.counters["derived"] = static_cast<double>(derived);
+  state.counters["derived"] =
+      static_cast<double>(org.auth_db.DerivedBy(id).size());
 }
 BENCHMARK(BM_DeriveLocationFanout)->Arg(8)->Arg(32)->Arg(128);
 

@@ -43,13 +43,18 @@
 # Every future PR is expected to pass `./ci.sh` locally; the tier-1 gate
 # is exactly the ROADMAP verify command. For a quick pre-commit signal,
 # `ctest --test-dir build -L fast` skips the slow crash-matrix suites.
-# Emitted BENCH_*.json artifacts carry context.host_nproc so scaling
-# rows can be read against the machine shape they were measured on.
+# The bench and load jobs write every artifact and intermediate file
+# under build/ci-bench/ (ignored by git), never over the BENCH_pr<N>.json
+# files committed at the repository root: those are the historical
+# record and are never rewritten. Emitted BENCH_*.json artifacts carry
+# context.host_nproc so scaling rows can be read against the machine
+# shape they were measured on.
 
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
+BENCH_OUT=build/ci-bench
 
 tier1() {
   echo "=== tier1: build + full test suite ==="
@@ -252,12 +257,13 @@ EOF
 
 # Loud artifact gate: a bench/load job that "passed" without emitting
 # the BENCH_pr<N>.json rows it exists to produce is a silent regression
-# in the trajectory record. Usage: require_bench_artifacts <job> <file>...
+# in the trajectory record. Usage: require_bench_artifacts <job> <name>...
+# (each name is looked up under $BENCH_OUT).
 require_bench_artifacts() {
   local job=$1
   shift
   local artifact
-  for artifact in "$@"; do
+  for artifact in "${@/#/$BENCH_OUT/}"; do
     if [ ! -s "$artifact" ]; then
       echo "$job: expected artifact $artifact is missing or empty" >&2
       exit 1
@@ -272,12 +278,13 @@ assert doc.get('benchmarks'), '$artifact has no benchmark rows'
 }
 
 bench() {
-  echo "=== bench: loopback overhead -> BENCH_pr6.json, durability modes -> BENCH_pr5.json ==="
+  echo "=== bench: loopback overhead -> BENCH_pr6.json, durability modes -> BENCH_pr5.json (under $BENCH_OUT) ==="
   cmake -B build -S .
   if ! cmake --build build -j"$JOBS" --target bench_service bench_access_engine; then
     echo "bench: google-benchmark not available; skipping" >&2
     return 0
   fi
+  mkdir -p "$BENCH_OUT"
   # BM_FacadeBatch is the direct AccessRuntime baseline on the service
   # workload; BM_ServiceLoopbackBatch drives the identical per-stream
   # batches through a loopback ltam-serve with 4 pipelined connections
@@ -291,9 +298,9 @@ bench() {
   ./build/bench/bench_service \
     --benchmark_filter='FacadeBatch|ServiceLoopbackBatch/' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_pr6.json --benchmark_out_format=json
-  record_host_meta BENCH_pr6.json
-  echo "bench: wrote $(pwd)/BENCH_pr6.json"
+    --benchmark_out="$BENCH_OUT/BENCH_pr6.json" --benchmark_out_format=json
+  record_host_meta "$BENCH_OUT/BENCH_pr6.json"
+  echo "bench: wrote $(pwd)/$BENCH_OUT/BENCH_pr6.json"
   # PR 5: the durable write path's three sync modes on the identical
   # stream (every iteration ends at the same durability barrier, so the
   # comparison is honest), plus the durable loopback server in batch vs
@@ -303,27 +310,31 @@ bench() {
   ./build/bench/bench_access_engine \
     --benchmark_filter='BM_DurableBatch' \
     --benchmark_min_time=0.2 \
-    --benchmark_out=BENCH_pr5_durable.json --benchmark_out_format=json
+    --benchmark_out="$BENCH_OUT/BENCH_pr5_durable.json" --benchmark_out_format=json
   ./build/bench/bench_service \
     --benchmark_filter='ServiceLoopbackBatch(Durable|Pipelined)' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_pr5_service.json --benchmark_out_format=json
-  python3 - <<'EOF'
+    --benchmark_out="$BENCH_OUT/BENCH_pr5_service.json" --benchmark_out_format=json
+  python3 - "$BENCH_OUT" <<'EOF'
 import json
+import os
+import sys
+
+out_dir = sys.argv[1]
 out = None
-for path in ("BENCH_pr5_durable.json", "BENCH_pr5_service.json"):
-    with open(path) as f:
+for name in ("BENCH_pr5_durable.json", "BENCH_pr5_service.json"):
+    with open(os.path.join(out_dir, name)) as f:
         part = json.load(f)
     if out is None:
         out = part
     else:
         out["benchmarks"].extend(part["benchmarks"])
-with open("BENCH_pr5.json", "w") as f:
+with open(os.path.join(out_dir, "BENCH_pr5.json"), "w") as f:
     json.dump(out, f, indent=1)
 EOF
-  rm -f BENCH_pr5_durable.json BENCH_pr5_service.json
-  record_host_meta BENCH_pr5.json
-  echo "bench: wrote $(pwd)/BENCH_pr5.json"
+  rm -f "$BENCH_OUT/BENCH_pr5_durable.json" "$BENCH_OUT/BENCH_pr5_service.json"
+  record_host_meta "$BENCH_OUT/BENCH_pr5.json"
+  echo "bench: wrote $(pwd)/$BENCH_OUT/BENCH_pr5.json"
   # PR 10: checkpoint latency, full rewrite vs incremental + tiered.
   # Same dirtying work per timed checkpoint at every history length;
   # the full variant dirties every shard (all snapshots rewritten, cost
@@ -333,16 +344,17 @@ EOF
   ./build/bench/bench_access_engine \
     --benchmark_filter='BM_Checkpoint(Full|Incremental)' \
     --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_pr10.json --benchmark_out_format=json
-  record_host_meta BENCH_pr10.json
-  echo "bench: wrote $(pwd)/BENCH_pr10.json"
+    --benchmark_out="$BENCH_OUT/BENCH_pr10.json" --benchmark_out_format=json
+  record_host_meta "$BENCH_OUT/BENCH_pr10.json"
+  echo "bench: wrote $(pwd)/$BENCH_OUT/BENCH_pr10.json"
   require_bench_artifacts bench BENCH_pr5.json BENCH_pr6.json BENCH_pr10.json
 }
 
 load() {
-  echo "=== load: open-loop tail latency per scenario family -> BENCH_pr7.json ==="
+  echo "=== load: open-loop tail latency per scenario family -> BENCH_pr7.json (under $BENCH_OUT) ==="
   cmake -B build -S .
   cmake --build build -j"$JOBS" --target ltam_serve ltam_load ltam_shell
+  mkdir -p "$BENCH_OUT"
   # One short open-loop pass per (scenario family, arrival rate) against
   # a real ltam_serve process booted with the matching world. The
   # loader measures latency from each frame's SCHEDULED arrival, so a
@@ -397,7 +409,7 @@ load() {
           || { echo "load: replica never came up" >&2; kill "$server_pid" "$replica_pid"; exit 1; }
         load_extra=(--query-host=127.0.0.1 --query-port="$replica_port")
       fi
-      local out="BENCH_pr7_${scenario}_${rate}.json"
+      local out="$BENCH_OUT/BENCH_pr7_${scenario}_${rate}.json"
       ./build/examples/ltam_load --port="$port" --scenario="$scenario" \
         --rate="$rate" --duration-s="$duration" \
         --connections="$connections" --json-out="$out" "${load_extra[@]}" \
@@ -406,7 +418,7 @@ load() {
       # Scrape the server the run just hammered, before teardown: the
       # per-stage snapshot rides into BENCH_pr9.json next to the client
       # rows, and the merge below gates the reconciliation between them.
-      local prom="BENCH_pr9_${scenario}_${rate}.prom"
+      local prom="$BENCH_OUT/BENCH_pr9_${scenario}_${rate}.prom"
       printf 'connect 127.0.0.1:%d\nmetrics prom\nquit\n' "$port" \
         | ./build/examples/ltam_shell 2>/dev/null \
         | grep -E '^(#|ltam_)' > "$prom" \
@@ -427,15 +439,16 @@ load() {
   done
   # Merge the per-run reports and hard-fail if any (family, rate) row
   # lost its latency percentiles — the trajectory gate, not a warning.
-  python3 - "${parts[@]}" <<'EOF'
+  python3 - "$BENCH_OUT" "${parts[@]}" <<'EOF'
 import json
 import os
 import sys
 
+out_dir = sys.argv[1]
 merged = {"context": {"executable": "ltam_load", "open_loop": True,
                       "host_nproc": os.cpu_count()},
           "benchmarks": []}
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     with open(path) as f:
         merged["benchmarks"].extend(json.load(f)["benchmarks"])
 families = set()
@@ -450,7 +463,7 @@ for row in merged["benchmarks"]:
 assert len(families) >= 3, f"need >=3 scenario families, got {families}"
 for family, rates in rates_per_family.items():
     assert len(rates) >= 2, f"{family} needs >=2 arrival rates, got {rates}"
-with open("BENCH_pr7.json", "w") as f:
+with open(os.path.join(out_dir, "BENCH_pr7.json"), "w") as f:
     json.dump(merged, f, indent=1)
 EOF
   # BENCH_pr9.json: the same client rows plus each run's server-side
@@ -459,12 +472,13 @@ EOF
   # their sums must nest inside the latency the client observed. A
   # drifting count basis or a non-monotonic clock fails the job, not a
   # code-review eyeball.
-  python3 - "${parts[@]}" "${proms[@]}" <<'EOF'
+  python3 - "$BENCH_OUT" "${parts[@]}" "${proms[@]}" <<'EOF'
 import json
 import os
 import sys
 
-paths = sys.argv[1:]
+out_dir = sys.argv[1]
+paths = sys.argv[2:]
 half = len(paths) // 2
 client_paths, prom_paths = paths[:half], paths[half:]
 
@@ -535,11 +549,11 @@ for cpath, ppath in zip(client_paths, prom_paths):
         row[f"{s}_p99_ms"] = \
             m[f'ltam_ingest_{s}_seconds{{quantile="0.99"}}'] * 1e3
     merged["benchmarks"].append(row)
-with open("BENCH_pr9.json", "w") as f:
+with open(os.path.join(out_dir, "BENCH_pr9.json"), "w") as f:
     json.dump(merged, f, indent=1)
 EOF
   rm -f "${parts[@]}" "${proms[@]}"
-  echo "load: wrote $(pwd)/BENCH_pr7.json"
+  echo "load: wrote $(pwd)/$BENCH_OUT/BENCH_pr7.json"
   # The telemetry tax: the identical loopback workload with and without
   # a registry wired in. Both rows land in BENCH_pr9.json; the gap is
   # reported (CI containers are too noisy for a hard gate, multi-core
@@ -548,13 +562,16 @@ EOF
     ./build/bench/bench_service \
       --benchmark_filter='ServiceLoopbackBatch(Instrumented)?/4/1' \
       --benchmark_min_time=0.05 \
-      --benchmark_out=BENCH_pr9_bench.json --benchmark_out_format=json
-    python3 - <<'EOF'
+      --benchmark_out="$BENCH_OUT/BENCH_pr9_bench.json" --benchmark_out_format=json
+    python3 - "$BENCH_OUT" <<'EOF'
 import json
+import os
+import sys
 
-with open("BENCH_pr9.json") as f:
+out_dir = sys.argv[1]
+with open(os.path.join(out_dir, "BENCH_pr9.json")) as f:
     doc = json.load(f)
-with open("BENCH_pr9_bench.json") as f:
+with open(os.path.join(out_dir, "BENCH_pr9_bench.json")) as f:
     bench = json.load(f)["benchmarks"]
 doc["benchmarks"].extend(bench)
 rate = {}
@@ -567,15 +584,15 @@ assert len(rate) == 2, f"missing a telemetry-tax row: {sorted(rate)}"
 gap = 100.0 * (1.0 - rate["instrumented"] / rate["baseline"])
 print(f"load: telemetry tax {gap:+.1f}% "
       f"({rate['instrumented']:.0f} vs {rate['baseline']:.0f} events/s)")
-with open("BENCH_pr9.json", "w") as f:
+with open(os.path.join(out_dir, "BENCH_pr9.json"), "w") as f:
     json.dump(doc, f, indent=1)
 EOF
-    rm -f BENCH_pr9_bench.json
+    rm -f "$BENCH_OUT/BENCH_pr9_bench.json"
   else
     echo "load: google-benchmark not available; BENCH_pr9.json carries no telemetry-tax rows" >&2
   fi
-  record_host_meta BENCH_pr9.json
-  echo "load: wrote $(pwd)/BENCH_pr9.json"
+  record_host_meta "$BENCH_OUT/BENCH_pr9.json"
+  echo "load: wrote $(pwd)/$BENCH_OUT/BENCH_pr9.json"
 
   # PR 10 soak: sustained ingest against a retention-enabled durable
   # server, checkpointing as it goes so the cold tier seals, compacts,
@@ -605,7 +622,7 @@ EOF
   }
   ./build/examples/ltam_load --port="$soak_port" --scenario=soak \
     --rate=4000 --duration-s=3 --connections=2 \
-    --checkpoint-every-frames=8 --json-out=BENCH_pr10_soak.json &
+    --checkpoint-every-frames=8 --json-out="$BENCH_OUT/BENCH_pr10_soak.json" &
   local soak_load_pid=$!
   sleep 1.8
   local soak_mid
@@ -621,9 +638,10 @@ EOF
     || { echo "load: soak server exited uncleanly" >&2; exit 1; }
   rm -f "$soak_log"
   rm -rf "$soak_root"
-  SOAK_MID="$soak_mid" SOAK_END="$soak_end" python3 - <<'EOF'
+  SOAK_MID="$soak_mid" SOAK_END="$soak_end" python3 - "$BENCH_OUT" <<'EOF'
 import json
 import os
+import sys
 
 def parse(text):
     values = {}
@@ -668,24 +686,30 @@ row = {"name": "SOAK_retention_metrics/rate:4000", "run_type": "iteration",
        "resident_bytes_mid": int(rss_mid),
        "resident_bytes_end": int(rss_end)}
 
-with open("BENCH_pr10_soak.json") as f:
+out_dir = sys.argv[1]
+with open(os.path.join(out_dir, "BENCH_pr10_soak.json")) as f:
     soak = json.load(f)
 soak["benchmarks"].append(row)
+# Merge into the checkpoint rows `./ci.sh bench` wrote, replacing the
+# rows of any earlier soak pass so repeated runs do not pile up.
+pr10 = os.path.join(out_dir, "BENCH_pr10.json")
 try:
-    with open("BENCH_pr10.json") as f:
+    with open(pr10) as f:
         doc = json.load(f)
-    doc["benchmarks"].extend(soak["benchmarks"])
+    names = {r["name"] for r in soak["benchmarks"]}
+    doc["benchmarks"] = [r for r in doc["benchmarks"]
+                         if r["name"] not in names] + soak["benchmarks"]
 except FileNotFoundError:
     doc = soak
-with open("BENCH_pr10.json", "w") as f:
+with open(pr10, "w") as f:
     json.dump(doc, f, indent=1)
 print(f"load: soak plateau ok (rss mid={rss_mid/1e6:.0f}MB "
       f"end={rss_end/1e6:.0f}MB, compaction_runs="
       f"{int(end['ltam_compaction_runs'])})")
 EOF
-  rm -f BENCH_pr10_soak.json
-  record_host_meta BENCH_pr10.json
-  echo "load: wrote $(pwd)/BENCH_pr10.json (soak rows)"
+  rm -f "$BENCH_OUT/BENCH_pr10_soak.json"
+  record_host_meta "$BENCH_OUT/BENCH_pr10.json"
+  echo "load: wrote $(pwd)/$BENCH_OUT/BENCH_pr10.json (soak rows)"
   require_bench_artifacts load BENCH_pr7.json BENCH_pr9.json BENCH_pr10.json
 }
 

@@ -222,6 +222,11 @@ std::vector<AuthId> AuthorizationDatabase::Active() const {
   return out;
 }
 
+std::vector<AuthId> AuthorizationDatabase::DerivedBy(RuleId rule) const {
+  auto it = by_rule_.find(rule);
+  return FilterActive(records_, it == by_rule_.end() ? nullptr : &it->second);
+}
+
 Decision AuthorizationDatabase::CheckAccess(Chronon t, SubjectId s,
                                             LocationId l) const {
   // Hot path: candidate ids come from the derived-authorization cache

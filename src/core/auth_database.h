@@ -124,6 +124,9 @@ class AuthorizationDatabase {
   /// Every active authorization id, ascending.
   std::vector<AuthId> Active() const;
 
+  /// Active authorization ids derived by `rule`, ascending.
+  std::vector<AuthId> DerivedBy(RuleId rule) const;
+
   // --- Decision procedure (Definition 7) -----------------------------------
 
   /// Evaluates an access request: granted iff some active authorization

@@ -3,6 +3,7 @@
 #include "core/rules/rule_engine.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -112,14 +113,36 @@ Result<DerivationReport> RuleEngine::DeriveRule(RuleId id) {
   auto it = std::find_if(rules_.begin(), rules_.end(),
                          [id](const AuthorizationRule& r) { return r.id == id; });
   if (it == rules_.end()) return Status::NotFound("no such rule");
-  DerivationReport report;
-  report.rules_evaluated = 1;
-  report.revoked = auth_db_->RevokeDerivedBy(id);
   LTAM_ASSIGN_OR_RETURN(std::vector<LocationTemporalAuthorization> derived,
                         Expand(*it));
+  DerivationReport report;
+  report.rules_evaluated = 1;
+  // The rule's active records, bucketed by (subject, location); each
+  // derivation that equals one of them keeps it instead of re-adding.
+  auto pair_key = [](const LocationTemporalAuthorization& auth) {
+    return (static_cast<uint64_t>(auth.subject()) << 32) | auth.location();
+  };
+  std::unordered_map<uint64_t, std::vector<AuthId>> unmatched;
+  for (AuthId prev : auth_db_->DerivedBy(id)) {
+    unmatched[pair_key(auth_db_->record(prev).auth)].push_back(prev);
+  }
   for (const LocationTemporalAuthorization& auth : derived) {
+    std::vector<AuthId>& same_pair = unmatched[pair_key(auth)];
+    auto kept = std::find_if(
+        same_pair.begin(), same_pair.end(),
+        [&](AuthId prev) { return auth_db_->record(prev).auth == auth; });
+    if (kept != same_pair.end()) {
+      same_pair.erase(kept);
+      continue;
+    }
     auth_db_->AddDerived(auth, id);
     ++report.derived;
+  }
+  for (const auto& [key, stale] : unmatched) {
+    for (AuthId prev : stale) {
+      LTAM_RETURN_IF_ERROR(auth_db_->Revoke(prev));
+      ++report.revoked;
+    }
   }
   last_profile_version_ = profiles_->version();
   return report;

@@ -30,9 +30,11 @@ namespace ltam {
 struct DerivationReport {
   /// Rules evaluated.
   size_t rules_evaluated = 0;
-  /// Authorizations newly added.
+  /// Authorizations newly added. A record the rule derives again is
+  /// kept as it is and not counted.
   size_t derived = 0;
-  /// Previously derived authorizations revoked before re-derivation.
+  /// Previously derived authorizations revoked because the rule no
+  /// longer derives them.
   size_t revoked = 0;
   /// Candidate derivations dropped because the operator pipeline produced
   /// an entry/exit combination violating Definition 4 even after
@@ -57,12 +59,15 @@ class RuleEngine {
   /// The registered rules.
   const std::vector<AuthorizationRule>& rules() const { return rules_; }
 
-  /// Re-derives all rules: first revokes prior derivations of each rule,
-  /// then derives afresh from current profiles and graph. Idempotent when
-  /// nothing changed.
+  /// Re-derives all rules from current profiles and graph (see
+  /// DeriveRule). Idempotent when nothing changed.
   Result<DerivationReport> DeriveAll();
 
-  /// Derives a single rule (same revoke-then-derive contract).
+  /// Re-derives a single rule. Every active record the rule derives again
+  /// is kept unchanged, with its id and its entries_used, so re-deriving
+  /// (as every boot of a recovered runtime does) never refunds spent
+  /// entries. Only records the rule no longer derives are revoked, and
+  /// only new derivations are added.
   Result<DerivationReport> DeriveRule(RuleId id);
 
   /// DeriveAll() only when the profile database changed since the last

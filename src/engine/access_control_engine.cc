@@ -216,24 +216,4 @@ void AccessControlEngine::Tick(Chronon t) {
   }
 }
 
-void ResumeOpenStays(AccessControlEngine* engine,
-                     const MovementDatabase& movements,
-                     const AuthorizationDatabase& auth_db,
-                     const std::vector<SubjectId>& subjects) {
-  for (SubjectId s : subjects) {
-    LocationId cur = movements.CurrentLocation(s);
-    if (cur == kInvalidLocation) continue;
-    Result<Chronon> since = movements.CurrentStaySince(s);
-    if (!since.ok()) continue;
-    AuthId chosen = kInvalidAuth;
-    for (AuthId id : auth_db.ForSubjectLocation(s, cur)) {
-      if (auth_db.record(id).auth.entry_duration().Contains(*since)) {
-        chosen = id;
-        break;
-      }
-    }
-    engine->ResumeStay(s, cur, chosen, *since);
-  }
-}
-
 }  // namespace ltam

@@ -90,8 +90,8 @@ class AccessControlEngine {
   /// Recovery support: registers an already-open stay (subject inside `l`
   /// since `since` under authorization `auth`; kInvalidAuth when the stay
   /// was unauthorized) without touching the movement database or the
-  /// ledger. Used by durable recovery (ResumeOpenStays) when resuming
-  /// from a snapshot.
+  /// ledger. Used by ShardedDecisionEngine::Seed when resuming over an
+  /// existing movement history.
   void ResumeStay(SubjectId s, LocationId l, AuthId auth, Chronon since);
 
   /// Periodic patrol: raises one kOverstay alert per stay whose exit
@@ -139,18 +139,6 @@ class AccessControlEngine {
   size_t requests_processed_ = 0;
   size_t requests_granted_ = 0;
 };
-
-/// Re-registers every open stay recorded in `movements` on `engine`
-/// (restricted to `subjects`): each inside subject resumes under the
-/// first active in-window authorization for (s, current location) — the
-/// same preference order CheckAccess uses, so overstay tracking survives
-/// recovery and pre-seeded histories. Shared by every runtime that
-/// rebuilds an engine over an existing movement history (the durable
-/// runtimes' recovery, the facade's seeding of in-memory backends).
-void ResumeOpenStays(AccessControlEngine* engine,
-                     const MovementDatabase& movements,
-                     const AuthorizationDatabase& auth_db,
-                     const std::vector<SubjectId>& subjects);
 
 }  // namespace ltam
 

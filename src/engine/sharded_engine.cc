@@ -3,6 +3,7 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -37,7 +38,8 @@ ShardedDecisionEngine::Shard::Shard(uint32_t index,
 
 ShardedDecisionEngine::ShardedDecisionEngine(
     const MultilevelLocationGraph* graph, AuthorizationDatabase* auth_db,
-    const UserProfileDatabase* profiles, ShardedEngineOptions options) {
+    const UserProfileDatabase* profiles, ShardedEngineOptions options)
+    : auth_db_(auth_db), profiles_(profiles) {
   LTAM_CHECK(graph != nullptr);
   // Build the graph's lazy flattened-adjacency cache before any worker
   // exists; adjacency checks on the shards then only read it.
@@ -109,23 +111,14 @@ void ShardedDecisionEngine::SetShardHooks(ShardHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-Status ComposeDurabilityError(Status append_error, Status sync_error) {
-  if (!sync_error.ok()) {
-    return append_error.ok()
-               ? sync_error
-               : sync_error.WithContext("batch also refused events (" +
-                                        append_error.ToString() + ")");
-  }
-  return append_error;
-}
-
 Status ShardedDecisionEngine::TakeBatchError() {
   std::lock_guard<std::mutex> lock(done_mu_);
-  Status append = std::move(batch_error_);
-  batch_error_ = Status::OK();
-  Status sync = std::move(sync_error_);
-  sync_error_ = Status::OK();
-  return ComposeDurabilityError(std::move(append), std::move(sync));
+  Status append = std::exchange(batch_error_, Status::OK());
+  Status sync = std::exchange(sync_error_, Status::OK());
+  if (sync.ok()) return append;
+  if (append.ok()) return sync;
+  return sync.WithContext("batch also refused events (" + append.ToString() +
+                          ")");
 }
 
 void ShardedDecisionEngine::RecordAppendError(Status status) {
@@ -157,24 +150,20 @@ void ShardedDecisionEngine::RunSlice(Shard* shard) {
   for (size_t i : shard->todo) {
     const AccessEvent& event = current_batch_[i];
     if (hooks_.before_apply) {
-      Result<CommitTicket> logged = hooks_.before_apply(shard->index, event);
+      Status logged = hooks_.before_apply(shard->index, event);
       if (!logged.ok()) {
         // Write-ahead contract: an event that could not be logged is
         // refused, never applied — state must not run ahead of the log.
         decisions_[i] = Decision::Deny(DenyReason::kWalError);
-        RecordAppendError(logged.status());
+        RecordAppendError(std::move(logged));
         continue;
       }
     }
     decisions_[i] = ApplyAccessEvent(&shard->engine, event);
   }
   if (hooks_.after_batch) {
-    Result<CommitTicket> boundary = hooks_.after_batch(shard->index);
-    if (boundary.ok()) {
-      batch_tickets_[shard->index] = *boundary;
-    } else {
-      RecordSyncError(boundary.status());
-    }
+    Status boundary = hooks_.after_batch(shard->index);
+    if (!boundary.ok()) RecordSyncError(std::move(boundary));
   }
   shard->todo.clear();
 }
@@ -197,7 +186,6 @@ std::vector<Decision> ShardedDecisionEngine::EvaluateBatch(
     Span<const AccessEvent> batch) {
   ++batches_evaluated_;
   decisions_.assign(batch.size(), Decision());
-  batch_tickets_.assign(shards_.size(), CommitTicket{});
   current_batch_ = batch;
 
   std::vector<std::vector<size_t>> parts(shards_.size());
@@ -257,27 +245,34 @@ size_t ShardedDecisionEngine::requests_granted() const {
   return total;
 }
 
-Status PartitionMovementsIntoShards(const MovementDatabase& seed,
-                                    ShardedDecisionEngine* engine) {
-  for (const MovementEvent& ev : seed.history()) {
-    uint32_t k = engine->ShardOf(ev.subject);
-    Status recorded = engine->mutable_shard_movements(k).RecordMovement(
+Status ShardedDecisionEngine::Seed(const MovementDatabase& history) {
+  for (const MovementEvent& ev : history.history()) {
+    Status recorded = shards_[ShardOf(ev.subject)]->movements.RecordMovement(
         ev.time, ev.subject, ev.to);
     if (!recorded.ok()) {
       return recorded.WithContext("partitioning initial movement history");
     }
   }
-  return Status::OK();
-}
-
-std::vector<SubjectId> SubjectsOnShard(const UserProfileDatabase& profiles,
-                                       const ShardedDecisionEngine& engine,
-                                       uint32_t shard) {
-  std::vector<SubjectId> owned;
-  for (SubjectId s : profiles.AllSubjects()) {
-    if (engine.ShardOf(s) == shard) owned.push_back(s);
+  std::vector<std::vector<SubjectId>> owned(shards_.size());
+  for (SubjectId s : profiles_->AllSubjects()) owned[ShardOf(s)].push_back(s);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    const MovementDatabase& movements = shards_[k]->movements;
+    for (SubjectId s : owned[k]) {
+      const LocationId cur = movements.CurrentLocation(s);
+      if (cur == kInvalidLocation) continue;
+      Result<Chronon> since = movements.CurrentStaySince(s);
+      if (!since.ok()) continue;
+      AuthId chosen = kInvalidAuth;
+      for (AuthId id : auth_db_->ForSubjectLocation(s, cur)) {
+        if (auth_db_->record(id).auth.entry_duration().Contains(*since)) {
+          chosen = id;
+          break;
+        }
+      }
+      shards_[k]->engine.ResumeStay(s, cur, chosen, *since);
+    }
   }
-  return owned;
+  return Status::OK();
 }
 
 }  // namespace ltam

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "engine/access_control_engine.h"
-#include "storage/log_pipeline.h"
 #include "util/span.h"
 
 namespace ltam {
@@ -68,25 +67,12 @@ struct ShardedEngineOptions {
   EngineOptions engine;
 };
 
-/// Composes a batch's durability outcome from its first append
-/// (write-ahead refusal) and first group-commit (fsync) failures. The
-/// group-commit failure outranks the append error — applied events'
-/// durability is in doubt, which must never be masked by a mere refusal
-/// (refusals stay visible as Deny(kWalError) decisions) — and carries
-/// the append error in its context when both occurred. Shared by every
-/// durable batch surface so error reporting cannot drift per backend.
-Status ComposeDurabilityError(Status append_error, Status sync_error);
-
 /// Per-shard worker callbacks, the seam the durable runtime plugs into.
 /// Both run on the thread that evaluates the shard's slice (the caller
-/// for shard 0, the shard's worker otherwise).
-///
-/// Both hooks return a CommitTicket instead of blocking on durability:
-/// a synchronous group-commit implementation may return only after its
-/// fsync (the ticket is then already durable), while a pipelined log
-/// returns the record's sequence number immediately and lets the shard's
-/// log thread make it durable later — the caller redeems the ticket
-/// through the log's WaitDurable.
+/// for shard 0, the shard's worker otherwise). Neither blocks on a
+/// pipelined fsync: a pipelined log accepts the record and lets the
+/// shard's log thread make it durable later (the durability watermark
+/// reports when).
 struct ShardHooks {
   /// Invoked for every event before it is applied (write-ahead: append
   /// the event to the shard's log here). A non-OK status refuses the
@@ -94,16 +80,15 @@ struct ShardHooks {
   /// Deny(kWalError) — so state never runs ahead of the *accepted* log.
   /// Pipelined logs never refuse here (acceptance happened; failures
   /// surface through the durability watermark instead).
-  std::function<Result<CommitTicket>(uint32_t shard, const AccessEvent& event)>
+  std::function<Status(uint32_t shard, const AccessEvent& event)>
       before_apply;
   /// Invoked once per batch per participating shard, after its whole
   /// slice has been appended and applied — the group-commit boundary
-  /// (one fsync in batch mode; a pipeline-group mark otherwise). The
-  /// ticket covers the shard's whole slice and is recorded per shard
-  /// (see batch_tickets()). A non-OK status is reported through
-  /// TakeBatchError but does NOT undo the slice: the events are applied,
-  /// only their durability is in doubt.
-  std::function<Result<CommitTicket>(uint32_t shard)> after_batch;
+  /// (one fsync in batch mode; a pipeline-group mark otherwise). A
+  /// non-OK status is reported through TakeBatchError but does NOT undo
+  /// the slice: the events are applied, only their durability is in
+  /// doubt.
+  std::function<Status(uint32_t shard)> after_batch;
 };
 
 /// A batch-oriented, subject-sharded front end over N AccessControlEngine
@@ -154,19 +139,22 @@ class ShardedDecisionEngine {
   void SetShardHooks(ShardHooks hooks);
 
   /// The batch's durability outcome, cleared by the read. OK when every
-  /// hook succeeded. Append (before_apply) and group-commit
-  /// (after_batch) failures are tracked separately and a group-commit
-  /// failure takes precedence — it means applied events' durability is
-  /// in doubt, which must never be masked by a mere append refusal
-  /// (those are already visible as Deny(kWalError) decisions).
+  /// hook succeeded (always, without hooks). Append (before_apply) and
+  /// group-commit (after_batch) failures are tracked separately and a
+  /// group-commit failure takes precedence — it means applied events'
+  /// durability is in doubt, which must never be masked by a mere append
+  /// refusal (those are already visible as Deny(kWalError) decisions) —
+  /// carrying the append error in its context when both occurred.
   Status TakeBatchError();
 
-  /// The last batch's per-shard commit tickets, indexed by shard (seq 0
-  /// for shards that contributed nothing or whose boundary hook
-  /// failed). Valid until the next EvaluateBatch.
-  const std::vector<CommitTicket>& batch_tickets() const {
-    return batch_tickets_;
-  }
+  /// Seeds the shards from an existing movement history before the
+  /// first batch: moves every event of `history` into its subject's
+  /// shard view (per-subject order preserved), then resumes every open
+  /// stay the shard views hold under the first active in-window
+  /// authorization for (subject, location) — the choice CheckAccess
+  /// makes — so overstay tracking survives. Recovery restores the shard
+  /// views itself and passes an empty history.
+  Status Seed(const MovementDatabase& history);
 
   /// Mutable access to one shard's movement view, for recovery seeding
   /// (restoring a snapshot segment before the first batch).
@@ -231,6 +219,9 @@ class ShardedDecisionEngine {
   /// within the category; the category outranks append errors).
   void RecordSyncError(Status status);
 
+  /// Borrowed; Seed reads them.
+  const AuthorizationDatabase* auth_db_;
+  const UserProfileDatabase* profiles_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Worker callbacks; written only between batches (SetShardHooks),
@@ -242,9 +233,6 @@ class ShardedDecisionEngine {
   Span<const AccessEvent> current_batch_;
   /// Output slots; workers write disjoint indices.
   std::vector<Decision> decisions_;
-  /// Per-shard commit tickets of the in-flight batch; each worker
-  /// writes only its own slot.
-  std::vector<CommitTicket> batch_tickets_;
 
   /// Completion latch for the in-flight batch.
   std::mutex done_mu_;
@@ -257,19 +245,6 @@ class ShardedDecisionEngine {
 
   size_t batches_evaluated_ = 0;
 };
-
-/// Moves every event of `seed`'s history into the engine's per-shard
-/// movement views (partitioned by subject, per-subject order
-/// preserved). The seeding step every sharded runtime performs when
-/// starting from an existing movement history.
-Status PartitionMovementsIntoShards(const MovementDatabase& seed,
-                                    ShardedDecisionEngine* engine);
-
-/// The subjects of `profiles` owned by `shard` under the engine's
-/// partition.
-std::vector<SubjectId> SubjectsOnShard(const UserProfileDatabase& profiles,
-                                       const ShardedDecisionEngine& engine,
-                                       uint32_t shard);
 
 }  // namespace ltam
 

@@ -3,19 +3,13 @@
 #include "runtime/access_runtime.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "core/rules/rule_engine.h"
-#include "engine/sharded_engine.h"
 #include "replication/epoch.h"
-#include "storage/durable_sharded_system.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
-#include "util/logging.h"
+#include "telemetry/metrics.h"
 
 namespace ltam {
 
@@ -46,14 +40,6 @@ size_t CountRefusedEvents(const std::vector<Decision>& decisions,
   return refused;
 }
 
-size_t PendingShardAlerts(const ShardedDecisionEngine& engine) {
-  size_t total = 0;
-  for (uint32_t k = 0; k < engine.num_shards(); ++k) {
-    total += engine.shard_engine(k).alerts().size();
-  }
-  return total;
-}
-
 /// The sequential durable layout (`state.snap` + `events.wal`) was
 /// removed. A directory holding it without a MANIFEST is refused, never
 /// shadowed by a fresh cut that would ignore its committed state.
@@ -72,253 +58,12 @@ Status RefuseRemovedSequentialLayout(const std::string& dir) {
   return Status::OK();
 }
 
+Status ReplicationNeedsDurability() {
+  return Status::FailedPrecondition(
+      "replication requires a durable runtime (durable_dir set)");
+}
+
 }  // namespace
-
-// --- Backend interface -------------------------------------------------------
-
-class AccessRuntime::Backend {
- public:
-  virtual ~Backend() = default;
-
-  /// Applies `batch`, one decision per event in input order. Durability
-  /// trouble (append refusals already visible as Deny(kWalError),
-  /// group-commit failures) lands in *durability, first error wins;
-  /// in-memory backends leave it OK.
-  virtual Result<std::vector<Decision>> ApplyBatch(Span<const AccessEvent> batch,
-                                                   Status* durability) = 0;
-  virtual Status Tick(Chronon t) = 0;
-  /// Pending alerts in the canonical SortAlerts order, cleared.
-  virtual std::vector<Alert> DrainAlerts() = 0;
-  virtual size_t pending_alerts() const = 0;
-  virtual Status Checkpoint() = 0;
-  /// Durability barrier (no-op on in-memory backends, which are always
-  /// "durable" to the extent they can be).
-  virtual Status WaitDurable() { return Status::OK(); }
-  /// Records accepted vs fsynced. In-memory backends return nothing;
-  /// the facade substitutes its applied-event counter (durable ==
-  /// applied by definition there).
-  virtual DurabilityWatermark Watermark() const { return {}; }
-  virtual MutableStores Stores() = 0;
-  /// Restores invariants a mutation may have broken (e.g. re-warms the
-  /// graph's flattened adjacency cache before workers read it again).
-  virtual void AfterMutate() {}
-  virtual const MultilevelLocationGraph& graph() const = 0;
-  virtual const UserProfileDatabase& profiles() const = 0;
-  virtual const AuthorizationDatabase& auth_db() const = 0;
-  virtual std::unique_ptr<MovementView> MakeView() const = 0;
-  virtual void FillStats(RuntimeStats* stats) const = 0;
-
-  /// Replication seam (see the facade's replication surface): only the
-  /// durable backend ships/applies per-shard WAL records.
-  virtual bool replication_capable() const { return false; }
-  virtual Result<std::vector<uint64_t>> ReplicationPositions() const {
-    return UnsupportedReplication();
-  }
-  virtual Result<ReplicationSlice> ReadReplicationSlice(uint32_t /*shard*/,
-                                                        uint64_t /*from*/,
-                                                        size_t /*max_records*/) {
-    return UnsupportedReplication();
-  }
-  virtual Result<ReplicationApplyResult> ApplyReplicated(
-      uint32_t /*shard*/, uint64_t /*start*/,
-      const std::vector<std::string>& /*records*/) {
-    return UnsupportedReplication();
-  }
-
- protected:
-  static Status UnsupportedReplication() {
-    return Status::FailedPrecondition(
-        "replication requires a durable runtime (durable_dir set)");
-  }
-};
-
-// --- In-memory ---------------------------------------------------------------
-
-class AccessRuntime::ShardedBackend final : public Backend {
- public:
-  ShardedBackend(SystemState state, const RuntimeOptions& options)
-      : state_(std::move(state)) {
-    ShardedEngineOptions engine_options;
-    engine_options.num_shards = options.num_shards;
-    engine_options.engine = options.engine;
-    engine_ = std::make_unique<ShardedDecisionEngine>(
-        &state_.graph, &state_.auth_db, &state_.profiles, engine_options);
-  }
-
-  /// Partitions any pre-seeded movement history across the shards and
-  /// resumes open stays — the same seeding DurableShardedSystem performs
-  /// on a fresh directory, so backends stay interchangeable.
-  Status Init() {
-    MovementDatabase seed = std::move(state_.movements);
-    state_.movements = MovementDatabase();
-    LTAM_RETURN_IF_ERROR(PartitionMovementsIntoShards(seed, engine_.get()));
-    for (uint32_t k = 0; k < engine_->num_shards(); ++k) {
-      ResumeOpenStays(&engine_->shard_engine(k), engine_->shard_movements(k),
-                      state_.auth_db,
-                      SubjectsOnShard(state_.profiles, *engine_, k));
-    }
-    return Status::OK();
-  }
-
-  Result<std::vector<Decision>> ApplyBatch(Span<const AccessEvent> batch,
-                                           Status* /*durability*/) override {
-    return engine_->EvaluateBatch(batch);
-  }
-
-  Status Tick(Chronon t) override {
-    engine_->Tick(t);
-    return Status::OK();
-  }
-
-  std::vector<Alert> DrainAlerts() override { return engine_->DrainAlerts(); }
-
-  size_t pending_alerts() const override {
-    return PendingShardAlerts(*engine_);
-  }
-
-  Status Checkpoint() override { return Status::OK(); }
-
-  MutableStores Stores() override {
-    return MutableStores{state_.graph, state_.profiles, state_.auth_db,
-                         state_.rules};
-  }
-
-  void AfterMutate() override { state_.graph.WarmEffectiveAdjacency(); }
-
-  const MultilevelLocationGraph& graph() const override {
-    return state_.graph;
-  }
-  const UserProfileDatabase& profiles() const override {
-    return state_.profiles;
-  }
-  const AuthorizationDatabase& auth_db() const override {
-    return state_.auth_db;
-  }
-
-  std::unique_ptr<MovementView> MakeView() const override {
-    return MakeShardedView(*engine_);
-  }
-
-  void FillStats(RuntimeStats* stats) const override {
-    stats->num_shards = engine_->num_shards();
-    stats->requests_processed = engine_->requests_processed();
-    stats->requests_granted = engine_->requests_granted();
-  }
-
- private:
-  SystemState state_;
-  std::unique_ptr<ShardedDecisionEngine> engine_;
-};
-
-// --- Durable -----------------------------------------------------------------
-
-class AccessRuntime::DurableShardedBackend final : public Backend {
- public:
-  explicit DurableShardedBackend(std::unique_ptr<DurableShardedSystem> sys)
-      : sys_(std::move(sys)) {}
-
-  Result<std::vector<Decision>> ApplyBatch(Span<const AccessEvent> batch,
-                                           Status* durability) override {
-    return sys_->EvaluateBatchWithStatus(batch, durability);
-  }
-
-  Status Tick(Chronon t) override { return sys_->Tick(t); }
-
-  std::vector<Alert> DrainAlerts() override { return sys_->DrainAlerts(); }
-
-  size_t pending_alerts() const override {
-    return PendingShardAlerts(sys_->engine());
-  }
-
-  Status Checkpoint() override { return sys_->Checkpoint(); }
-
-  Status WaitDurable() override { return sys_->WaitDurable(); }
-
-  DurabilityWatermark Watermark() const override { return sys_->Watermark(); }
-
-  MutableStores Stores() override {
-    SystemState& base = sys_->mutable_base();
-    return MutableStores{base.graph, base.profiles, base.auth_db, base.rules};
-  }
-
-  void AfterMutate() override {
-    sys_->base().graph.WarmEffectiveAdjacency();
-  }
-
-  const MultilevelLocationGraph& graph() const override {
-    return sys_->base().graph;
-  }
-  const UserProfileDatabase& profiles() const override {
-    return sys_->base().profiles;
-  }
-  const AuthorizationDatabase& auth_db() const override {
-    return sys_->base().auth_db;
-  }
-
-  std::unique_ptr<MovementView> MakeView() const override {
-    return MakeShardedView(sys_->engine());
-  }
-
-  void FillStats(RuntimeStats* stats) const override {
-    stats->num_shards = sys_->num_shards();
-    stats->durable = true;
-    stats->shard_count_overridden = sys_->shard_count_overridden();
-    stats->epoch = sys_->epoch();
-    stats->wal_events = sys_->wal_events();
-    stats->requests_processed = sys_->engine().requests_processed();
-    stats->requests_granted = sys_->engine().requests_granted();
-    stats->wal_append_failures = sys_->wal_append_failures();
-    stats->wal_sync_failures = sys_->wal_sync_failures();
-    stats->shard_watermarks.reserve(sys_->num_shards());
-    for (uint32_t k = 0; k < sys_->num_shards(); ++k) {
-      stats->shard_watermarks.push_back(sys_->ShardWatermark(k));
-    }
-    stats->cold_segments = sys_->cold_segment_count();
-    stats->cold_bytes = sys_->cold_bytes();
-    stats->dropped_events = sys_->dropped_events();
-    stats->compaction_runs = sys_->compaction_runs();
-    stats->checkpoint_dirty_segments = sys_->checkpoint_dirty_segments();
-  }
-
-  bool replication_capable() const override { return true; }
-
-  Result<std::vector<uint64_t>> ReplicationPositions() const override {
-    std::vector<uint64_t> positions;
-    positions.reserve(sys_->num_shards());
-    for (uint32_t k = 0; k < sys_->num_shards(); ++k) {
-      positions.push_back(sys_->ShardWatermark(k).durable);
-    }
-    return positions;
-  }
-
-  Result<ReplicationSlice> ReadReplicationSlice(uint32_t shard, uint64_t from,
-                                                size_t max_records) override {
-    LTAM_ASSIGN_OR_RETURN(DurableShardedSystem::ReplicationSlice slice,
-                          sys_->ReadShardRecords(shard, from, max_records));
-    ReplicationSlice out;
-    out.records = std::move(slice.records);
-    out.next = slice.next;
-    out.durable = slice.durable;
-    return out;
-  }
-
-  Result<ReplicationApplyResult> ApplyReplicated(
-      uint32_t shard, uint64_t start,
-      const std::vector<std::string>& records) override {
-    LTAM_ASSIGN_OR_RETURN(DurableShardedSystem::ReplicationApply applied,
-                          sys_->ApplyReplicatedRecords(shard, start, records));
-    ReplicationApplyResult out;
-    out.decisions = std::move(applied.decisions);
-    out.alerts = std::move(applied.alerts);
-    out.position = applied.position;
-    return out;
-  }
-
- private:
-  std::unique_ptr<DurableShardedSystem> sys_;
-};
-
-// --- AccessRuntime -----------------------------------------------------------
 
 AccessRuntime::AccessRuntime(RuntimeOptions options)
     : options_(std::move(options)) {
@@ -352,30 +97,39 @@ Result<std::unique_ptr<AccessRuntime>> AccessRuntime::Open(
           "retention (tiered cold storage) requires a durable runtime: set "
           "durable_dir");
     }
-    auto backend =
-        std::make_unique<ShardedBackend>(std::move(initial), options);
-    LTAM_RETURN_IF_ERROR(backend->Init());
-    rt->backend_ = std::move(backend);
+    rt->owned_state_ = std::make_unique<SystemState>(std::move(initial));
+    SystemState& state = *rt->owned_state_;
+    ShardedEngineOptions engine_options;
+    engine_options.num_shards = options.num_shards;
+    engine_options.engine = options.engine;
+    rt->owned_engine_ = std::make_unique<ShardedDecisionEngine>(
+        &state.graph, &state.auth_db, &state.profiles, engine_options);
+    LTAM_RETURN_IF_ERROR(rt->owned_engine_->Seed(state.movements));
+    // Movement state lives in the shard views from here on.
+    state.movements = MovementDatabase();
+    rt->state_ = &state;
+    rt->engine_ = rt->owned_engine_.get();
   } else {
     const std::string& dir = *options.durable_dir;
     LTAM_RETURN_IF_ERROR(RefuseRemovedSequentialLayout(dir));
-    DurableShardedOptions sharded_options;
-    sharded_options.num_shards = options.num_shards;
-    sharded_options.engine = options.engine;
-    sharded_options.durability = options.durability;
-    sharded_options.retention = options.retention;
+    DurableShardedOptions durable_options;
+    durable_options.num_shards = options.num_shards;
+    durable_options.engine = options.engine;
+    durable_options.durability = options.durability;
+    durable_options.retention = options.retention;
     LTAM_ASSIGN_OR_RETURN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(dir, std::move(initial), sharded_options));
-    rt->backend_ = std::make_unique<DurableShardedBackend>(std::move(sys));
+        rt->durable_,
+        DurableShardedSystem::Open(dir, std::move(initial), durable_options));
     // The promotion counter survives restarts with the rest of the
     // directory; a fenced ex-primary must come back fenced.
     LTAM_ASSIGN_OR_RETURN(rt->replication_epoch_, LoadReplicationEpoch(dir));
+    rt->state_ = &rt->durable_->mutable_base();
+    rt->engine_ = &rt->durable_->engine();
   }
-  rt->view_ = rt->backend_->MakeView();
+  rt->view_ = MakeShardedView(*rt->engine_);
   rt->query_ = std::make_unique<QueryEngine>(
-      &rt->backend_->graph(), &rt->backend_->auth_db(), rt->view_.get(),
-      &rt->backend_->profiles());
+      &rt->state_->graph, &rt->state_->auth_db, rt->view_.get(),
+      &rt->state_->profiles);
   return rt;
 }
 
@@ -400,11 +154,9 @@ Result<Decision> AccessRuntime::Apply(const AccessEvent& event) {
         "mutation windows");
   }
   if (replica_) return ReplicaRefusal("Apply");
-  Status durability;
-  LTAM_ASSIGN_OR_RETURN(
-      std::vector<Decision> decisions,
-      backend_->ApplyBatch(Span<const AccessEvent>(&event, 1), &durability));
-  LTAM_CHECK(decisions.size() == 1);
+  std::vector<Decision> decisions =
+      engine_->EvaluateBatch(Span<const AccessEvent>(&event, 1));
+  const Status durability = engine_->TakeBatchError();
   ++events_applied_;
   events_refused_ += CountRefusedEvents(decisions, durability);
   if (!durability.ok()) {
@@ -441,15 +193,13 @@ Result<BatchResult> AccessRuntime::ApplyBatch(Span<const AccessEvent> batch) {
         "; nothing was applied");
   }
   BatchResult out;
-  Status durability;
   const uint64_t t0 = apply_histogram_ != nullptr ? MonotonicNowNs() : 0;
-  LTAM_ASSIGN_OR_RETURN(out.decisions,
-                        backend_->ApplyBatch(batch, &durability));
+  out.decisions = engine_->EvaluateBatch(batch);
+  out.durability = engine_->TakeBatchError();
   if (apply_histogram_ != nullptr) {
     apply_histogram_->Record(MonotonicNowNs() - t0);
   }
-  out.durability = std::move(durability);
-  out.alerts = TakePendingAlerts();
+  out.alerts = engine_->DrainAlerts();
   ++batches_applied_;
   events_applied_ += batch.size();
   events_refused_ += CountRefusedEvents(out.decisions, out.durability);
@@ -504,14 +254,13 @@ Status AccessRuntime::Tick(Chronon t) {
   // Patrol ticks are WAL-logged, so a replica receives the primary's
   // over the stream; a locally injected one would fork the history.
   if (replica_) return ReplicaRefusal("Tick");
-  return backend_->Tick(t);
+  if (durable_ != nullptr) return durable_->Tick(t);
+  engine_->Tick(t);
+  return Status::OK();
 }
 
-std::vector<Alert> AccessRuntime::DrainAlerts() { return TakePendingAlerts(); }
-
-std::vector<Alert> AccessRuntime::TakePendingAlerts() {
-  // Every backend drains in the canonical SortAlerts order already.
-  return backend_->DrainAlerts();
+std::vector<Alert> AccessRuntime::DrainAlerts() {
+  return engine_->DrainAlerts();
 }
 
 Status AccessRuntime::Mutate(
@@ -526,7 +275,9 @@ Status AccessRuntime::Mutate(
     AccessRuntime* rt;
     ~WindowGuard() {
       rt->in_mutate_ = false;
-      rt->backend_->AfterMutate();
+      // Re-warm the graph's flattened adjacency cache before the shard
+      // workers read it again.
+      rt->state_->graph.WarmEffectiveAdjacency();
       // The layout may have changed; rebuild the fix resolver on demand.
       rt->resolver_.reset();
     }
@@ -535,13 +286,14 @@ Status AccessRuntime::Mutate(
   {
     in_mutate_ = true;
     WindowGuard guard{this};
-    status = fn(backend_->Stores());
+    status = fn(MutableStores{state_->graph, state_->profiles,
+                              state_->auth_db, state_->rules});
   }
-  if (options_.durable_dir.has_value() && options_.checkpoint_after_mutate) {
+  if (durable_ != nullptr) {
     // Mutations are not write-ahead logged and are applied in place, so
     // even a failed callback may have mutated the stores — checkpoint
     // unconditionally to keep recovery equivalent to the live state.
-    Status checkpointed = backend_->Checkpoint();
+    Status checkpointed = durable_->Checkpoint();
     if (!checkpointed.ok()) {
       return status.ok()
                  ? checkpointed.WithContext("checkpointing after a mutation")
@@ -558,44 +310,66 @@ Status AccessRuntime::Checkpoint() {
     return Status::FailedPrecondition("Checkpoint called inside Mutate");
   }
   const uint64_t t0 = checkpoint_histogram_ != nullptr ? MonotonicNowNs() : 0;
-  Status status = backend_->Checkpoint();
+  Status status = durable_ != nullptr ? durable_->Checkpoint() : Status::OK();
   if (checkpoint_histogram_ != nullptr) {
     checkpoint_histogram_->Record(MonotonicNowNs() - t0);
   }
   return status;
 }
 
-Status AccessRuntime::WaitDurable() { return backend_->WaitDurable(); }
+Status AccessRuntime::WaitDurable() {
+  return durable_ != nullptr ? durable_->WaitDurable() : Status::OK();
+}
 
 DurabilityWatermark AccessRuntime::Watermark() const {
-  if (!options_.durable_dir.has_value()) {
-    // In-memory: every applied event is as durable as it will ever be.
-    const uint64_t applied = static_cast<uint64_t>(events_applied_);
-    return DurabilityWatermark{applied, applied};
-  }
-  return backend_->Watermark();
+  if (durable_ != nullptr) return durable_->Watermark();
+  // In memory: every applied event is as durable as it will ever be.
+  const uint64_t applied = static_cast<uint64_t>(events_applied_);
+  return DurabilityWatermark{applied, applied};
 }
 
 RuntimeStats AccessRuntime::Stats() const {
   RuntimeStats stats;
+  stats.num_shards = engine_->num_shards();
   stats.requested_shards = options_.num_shards;
-  backend_->FillStats(&stats);
+  // A recovered durable directory's pinned shard count wins.
+  stats.shard_count_overridden = stats.num_shards != stats.requested_shards;
+  stats.requests_processed = engine_->requests_processed();
+  stats.requests_granted = engine_->requests_granted();
   stats.batches_applied = batches_applied_;
   stats.events_applied = events_applied_;
   stats.events_refused = events_refused_;
   stats.batches_rejected = batches_rejected_;
-  stats.pending_alerts = backend_->pending_alerts();
+  for (uint32_t k = 0; k < stats.num_shards; ++k) {
+    stats.pending_alerts += engine_->shard_engine(k).alerts().size();
+  }
   const DurabilityWatermark mark = Watermark();
   stats.applied_offset = mark.applied;
   stats.durable_offset = mark.durable;
   stats.replica = replica_;
   stats.replication_epoch = replication_epoch_;
+  if (durable_ != nullptr) {
+    stats.durable = true;
+    stats.epoch = durable_->epoch();
+    stats.wal_events = durable_->wal_events();
+    stats.wal_append_failures = durable_->wal_append_failures();
+    stats.wal_sync_failures = durable_->wal_sync_failures();
+    stats.shard_watermarks.reserve(stats.num_shards);
+    for (uint32_t k = 0; k < stats.num_shards; ++k) {
+      stats.shard_watermarks.push_back(durable_->ShardWatermark(k));
+    }
+    stats.cold_segments = durable_->cold_segment_count();
+    stats.cold_bytes = durable_->cold_bytes();
+    stats.dropped_events = durable_->dropped_events();
+    stats.compaction_runs = durable_->compaction_runs();
+    stats.checkpoint_dirty_segments = durable_->checkpoint_dirty_segments();
+  }
   return stats;
 }
 
 Status AccessRuntime::DemoteToReplica() {
   if (replica_) return Status::OK();
-  if (!backend_->replication_capable()) {
+  if (durable_ == nullptr) {
     return Status::FailedPrecondition(
         "DemoteToReplica requires a durable runtime (durable_dir set)");
   }
@@ -604,7 +378,7 @@ Status AccessRuntime::DemoteToReplica() {
 }
 
 Result<uint64_t> AccessRuntime::Promote() {
-  if (!options_.durable_dir.has_value()) {
+  if (durable_ == nullptr) {
     return Status::FailedPrecondition(
         "Promote requires a durable runtime (no directory to persist the "
         "epoch into)");
@@ -622,7 +396,7 @@ Result<uint64_t> AccessRuntime::Promote() {
 Status AccessRuntime::AdoptReplicationEpoch(uint64_t epoch) {
   if (epoch == replication_epoch_) return Status::OK();
   LTAM_RETURN_IF_ERROR(CheckStreamEpoch(replication_epoch_, epoch));
-  if (!options_.durable_dir.has_value()) {
+  if (durable_ == nullptr) {
     return Status::FailedPrecondition(
         "cannot persist a replication epoch without a durable directory");
   }
@@ -632,12 +406,19 @@ Status AccessRuntime::AdoptReplicationEpoch(uint64_t epoch) {
 }
 
 Result<std::vector<uint64_t>> AccessRuntime::ReplicationPositions() const {
-  return backend_->ReplicationPositions();
+  if (durable_ == nullptr) return ReplicationNeedsDurability();
+  std::vector<uint64_t> positions;
+  positions.reserve(durable_->num_shards());
+  for (uint32_t k = 0; k < durable_->num_shards(); ++k) {
+    positions.push_back(durable_->ShardWatermark(k).durable);
+  }
+  return positions;
 }
 
 Result<AccessRuntime::ReplicationSlice> AccessRuntime::ReadReplicationSlice(
     uint32_t shard, uint64_t from, size_t max_records) {
-  return backend_->ReadReplicationSlice(shard, from, max_records);
+  if (durable_ == nullptr) return ReplicationNeedsDurability();
+  return durable_->ReadShardRecords(shard, from, max_records);
 }
 
 Result<AccessRuntime::ReplicationApplyResult> AccessRuntime::ApplyReplicated(
@@ -649,23 +430,13 @@ Result<AccessRuntime::ReplicationApplyResult> AccessRuntime::ApplyReplicated(
   if (in_mutate_) {
     return Status::FailedPrecondition("ApplyReplicated called inside Mutate");
   }
-  LTAM_ASSIGN_OR_RETURN(ReplicationApplyResult out,
-                        backend_->ApplyReplicated(shard, start, records));
+  // Only a durable runtime can be demoted, so a replica holds durable_.
+  LTAM_ASSIGN_OR_RETURN(
+      ReplicationApplyResult out,
+      durable_->ApplyReplicatedRecords(shard, start, records));
   ++batches_applied_;
   events_applied_ += out.decisions.size();
   return out;
-}
-
-const MultilevelLocationGraph& AccessRuntime::graph() const {
-  return backend_->graph();
-}
-
-const UserProfileDatabase& AccessRuntime::profiles() const {
-  return backend_->profiles();
-}
-
-const AuthorizationDatabase& AccessRuntime::auth_db() const {
-  return backend_->auth_db();
 }
 
 std::string RuntimeStatsToString(const RuntimeStats& stats) {

@@ -2,14 +2,20 @@
 // AccessRuntime: the one front door over the LTAM enforcement pipeline.
 //
 // Every runtime is the subject-sharded batch pipeline
-// (engine/sharded_engine.h), at any shard count including one; setting
-// RuntimeOptions::durable_dir makes it crash-safe (DurableShardedSystem,
-// storage/durable_sharded_system.h). The facade hides that choice behind
-// a single uniform, Result/Status-only surface, in the spirit of the
-// paper's layered Figure-3 architecture: callers program against the
-// model, not against a particular scaling/durability point. The
-// per-event AccessControlEngine stays outside the facade as the
-// reference oracle the equivalence suites compare against.
+// (engine/sharded_engine.h), at any shard count including one, driving
+// one set of stores (graph, profiles, authorizations, rules). In memory
+// the runtime owns the pipeline and the stores itself; setting
+// RuntimeOptions::durable_dir makes it crash-safe, and then a
+// DurableShardedSystem (storage/durable_sharded_system.h) owns both and
+// write-ahead logs through hooks on the same pipeline. Only the
+// durable-only calls (replication, promotion, checkpoints, the
+// durability barrier and storage stats) branch on which of the two
+// holds them. The facade presents one uniform, Result/Status-only
+// surface, in the spirit of the paper's layered Figure-3 architecture:
+// callers program against the model, not against a particular
+// scaling/durability point. The per-event AccessControlEngine stays
+// outside the facade as the reference oracle the equivalence suites
+// compare against.
 //
 // Uniformity contract (equivalence-tested across shard counts x
 // durability against the AccessControlEngine oracle by
@@ -43,6 +49,7 @@
 #include "engine/location_resolver.h"
 #include "query/movement_view.h"
 #include "query/query_engine.h"
+#include "storage/durable_sharded_system.h"
 #include "storage/log_pipeline.h"
 #include "storage/snapshot.h"
 #include "util/result.h"
@@ -85,15 +92,6 @@ struct RuntimeOptions {
   /// set this so a remote client cannot stall every shard with one
   /// giant frame.
   size_t max_batch_events = 0;
-  /// Durable backends: Checkpoint() automatically after every Mutate()
-  /// — even one whose callback failed, since mutations are applied in
-  /// place and a partial mutation is still the live state. Mutations
-  /// are not write-ahead logged, so without a checkpoint a crash would
-  /// replay the log against the pre-mutation stores and recover a state
-  /// that diverges from the live one. Disable only to batch several
-  /// mutation windows per checkpoint — an explicit Checkpoint() before
-  /// relying on recovery is then on the caller.
-  bool checkpoint_after_mutate = true;
   /// Telemetry (may be null; borrowed, must outlive the runtime). When
   /// set, the facade records "runtime.apply_batch" and
   /// "runtime.checkpoint" duration histograms, and the registry flows
@@ -118,7 +116,7 @@ struct BatchResult {
   /// earlier Apply/Tick calls), ordered by (time, subject, location,
   /// type). Draining is built in — there is no separate TakeAlerts.
   std::vector<Alert> alerts;
-  /// Durability outcome. OK on in-memory backends. The two failure
+  /// Durability outcome. OK on in-memory runtimes. The two failure
   /// classes are decoupled: refused events are ALWAYS identifiable by
   /// their Deny(kWalError) decisions (never applied — resubmitting them
   /// is safe), while a non-OK status of IO kind signals a failed
@@ -142,7 +140,7 @@ struct RuntimeStats {
   uint32_t num_shards = 1;
   /// Shards the caller asked for.
   uint32_t requested_shards = 1;
-  /// True when the backend persists (durable_dir was set).
+  /// True when the runtime persists (durable_dir was set).
   bool durable = false;
   /// True when the durable directory's committed state pinned a shard
   /// count different from the requested one (the directory wins).
@@ -174,10 +172,10 @@ struct RuntimeStats {
   uint64_t durable_offset = 0;
   /// Physical log failures observed (see BatchResult::durability for
   /// the per-batch view): appends that refused or lost records, fsyncs
-  /// that failed. Zero on in-memory backends.
+  /// that failed. Zero on in-memory runtimes.
   uint64_t wal_append_failures = 0;
   uint64_t wal_sync_failures = 0;
-  /// Durable backends: one (applied, durable) watermark per shard log,
+  /// Durable runtimes: one (applied, durable) watermark per shard log,
   /// monotonic across checkpoints — the aggregate applied/durable_offset
   /// above is their sum, so a single stuck shard log is visible here
   /// rather than drowned in global lag. In-memory runtimes report none.
@@ -228,7 +226,7 @@ class AccessRuntime {
 
   // --- Event surface -------------------------------------------------------
 
-  /// Applies one event (logged first on durable backends) and returns
+  /// Applies one event (logged first on durable runtimes) and returns
   /// its decision. Alerts it raises stay buffered for the next
   /// ApplyBatch/DrainAlerts. Non-OK when the event was refused by the
   /// durability layer (not applied — safe to resubmit), when a
@@ -253,7 +251,7 @@ class AccessRuntime {
   /// AccessControlEngine::HandlePositionFix).
   Status ApplyFix(const PositionFix& fix);
 
-  /// Patrol tick on every shard (logged on durable backends): raises
+  /// Patrol tick on every shard (logged on durable runtimes): raises
   /// overstay alerts into the pending buffer.
   Status Tick(Chronon t);
 
@@ -267,21 +265,22 @@ class AccessRuntime {
   /// Runs `fn` over the mutable stores between batches — the only legal
   /// mutation window, now enforced: event application from inside `fn`
   /// fails, reentrant Mutate fails, and shared read caches are re-warmed
-  /// after `fn` returns. Durable backends do not write-ahead log
-  /// mutations, so a successful `fn` is followed by an automatic
-  /// Checkpoint() (see RuntimeOptions::checkpoint_after_mutate) to keep
-  /// recovery equivalent to the live state.
+  /// after `fn` returns. Durable runtimes do not write-ahead log
+  /// mutations, so every `fn` — even a failed one, since mutations are
+  /// applied in place and a partial mutation is still the live state —
+  /// is followed by a checkpoint that keeps recovery equivalent to the
+  /// live state.
   Status Mutate(const std::function<Status(const MutableStores&)>& fn);
 
   /// Durability barrier: blocks until every accepted log record is
-  /// fsynced (forcing the flush on pipelined backends), or returns the
+  /// fsynced (forcing the flush on pipelined runtimes), or returns the
   /// log's sticky error. In-memory and kBatch runtimes return OK
   /// immediately. Checkpoint() is the stronger
   /// barrier (it also persists snapshots and truncates the logs).
   Status WaitDurable();
 
   /// The current durability position (see BatchResult::watermark).
-  /// In-memory backends report durable == applied.
+  /// In-memory runtimes report durable == applied.
   DurabilityWatermark Watermark() const;
 
   /// Durable runtimes: persist the full state as a new epoch and
@@ -348,11 +347,7 @@ class AccessRuntime {
   /// record, `durable` the shard's current durable position. A `from`
   /// below the retained floor (a checkpoint retired it) fails:
   /// the replica must resync from a snapshot.
-  struct ReplicationSlice {
-    std::vector<std::string> records;
-    uint64_t next = 0;
-    uint64_t durable = 0;
-  };
+  using ReplicationSlice = DurableShardedSystem::ReplicationSlice;
   Result<ReplicationSlice> ReadReplicationSlice(uint32_t shard,
                                                 uint64_t from,
                                                 size_t max_records);
@@ -362,19 +357,15 @@ class AccessRuntime {
   /// position are skipped — reconnect overlap is idempotent; a gap is
   /// an error). Returns the decisions the events produced (byte-
   /// identical to the primary's), alerts raised, and the new position.
-  struct ReplicationApplyResult {
-    std::vector<Decision> decisions;
-    std::vector<Alert> alerts;
-    uint64_t position = 0;
-  };
+  using ReplicationApplyResult = DurableShardedSystem::ReplicationApply;
   Result<ReplicationApplyResult> ApplyReplicated(
       uint32_t shard, uint64_t start, const std::vector<std::string>& records);
 
   // --- Read surface --------------------------------------------------------
 
-  const MultilevelLocationGraph& graph() const;
-  const UserProfileDatabase& profiles() const;
-  const AuthorizationDatabase& auth_db() const;
+  const MultilevelLocationGraph& graph() const { return state_->graph; }
+  const UserProfileDatabase& profiles() const { return state_->profiles; }
+  const AuthorizationDatabase& auth_db() const { return state_->auth_db; }
   /// The movement read side: per-shard fan-out (subject-keyed queries
   /// touch only the owning shard). Valid between event applications.
   const MovementView& movements() const { return *view_; }
@@ -382,21 +373,22 @@ class AccessRuntime {
   const QueryEngine& query() const { return *query_; }
 
  private:
-  class Backend;
-  class ShardedBackend;
-  class DurableShardedBackend;
-
   explicit AccessRuntime(RuntimeOptions options);
-
-  /// Collects + deterministically orders the backend's pending alerts.
-  std::vector<Alert> TakePendingAlerts();
 
   /// The kFailedPrecondition every write path returns while demoted;
   /// appends the structured primary token when the hint is set.
   Status ReplicaRefusal(const char* op) const;
 
   RuntimeOptions options_;
-  std::unique_ptr<Backend> backend_;
+  /// Set iff options_.durable_dir is: the durable system then owns the
+  /// stores and the engine. Every durable-only call branches on this.
+  std::unique_ptr<DurableShardedSystem> durable_;
+  /// In memory, the runtime owns the stores and the engine itself.
+  std::unique_ptr<SystemState> owned_state_;
+  std::unique_ptr<ShardedDecisionEngine> owned_engine_;
+  /// The stores and the engine every call drives, wherever they live.
+  SystemState* state_ = nullptr;
+  ShardedDecisionEngine* engine_ = nullptr;
   std::unique_ptr<MovementView> view_;
   std::unique_ptr<QueryEngine> query_;
   /// Lazily built from the graph's boundaries; reset by Mutate.

@@ -1,15 +1,13 @@
 // Copyright 2026 The LTAM Authors.
 // Shared shutdown discipline for LTAM hosts (the shell, ltam_serve).
 //
-// A durable runtime's mutations are not write-ahead logged and its WAL
-// tail replays from the last checkpoint, so a host that exits without
-// checkpointing leaves recovery with a long replay (or, after Mutate
-// with checkpoint_after_mutate disabled, a diverged state). Every host
-// therefore follows the same exit path: latch the Ctrl-C/SIGTERM
-// request, fall out of the serving/input loop, and checkpoint the
-// runtime before the process ends. EOF on stdin takes the same path as
-// a signal — interactive and scripted shutdowns are not different
-// cases.
+// A durable runtime's WAL tail replays from the last checkpoint, so a
+// host that exits without checkpointing leaves recovery with a long
+// replay. Every host therefore follows the same exit path: latch the
+// Ctrl-C/SIGTERM request, fall out of the serving/input loop, and
+// checkpoint the runtime before the process ends. EOF on stdin takes
+// the same path as a signal — interactive and scripted shutdowns are
+// not different cases.
 
 #ifndef LTAM_SERVICE_SHUTDOWN_H_
 #define LTAM_SERVICE_SHUTDOWN_H_

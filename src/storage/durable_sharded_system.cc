@@ -152,21 +152,6 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
   maintenance_dirty_.assign(num_shards, false);
 }
 
-Status DurableShardedSystem::PartitionBaseMovements() {
-  MovementDatabase seed = std::move(base_.movements);
-  base_.movements = MovementDatabase();
-  return PartitionMovementsIntoShards(seed, engine_.get());
-}
-
-void DurableShardedSystem::RebuildShardStays(uint32_t k) {
-  // Each inside subject resumes their stay under the first active
-  // in-window authorization for (s, current location) — the same choice
-  // CheckAccess makes.
-  ResumeOpenStays(&engine_->shard_engine(k), engine_->shard_movements(k),
-                  base_.auth_db,
-                  SubjectsOnShard(base_.profiles, *engine_, k));
-}
-
 Result<WalWriter> DurableShardedSystem::RotateShardSegment(
     uint32_t shard, uint32_t next_segment) {
   // Serialized against rotations on other shards' log threads and
@@ -629,10 +614,10 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    return logs_[shard]->Append(EncodeEventRecord(event));
+    return logs_[shard]->Append(EncodeEventRecord(event)).status();
   };
   hooks.after_batch = [this](uint32_t shard) {
-    return logs_[shard]->BatchBoundary();
+    return logs_[shard]->BatchBoundary().status();
   };
   engine_->SetShardHooks(std::move(hooks));
 }
@@ -647,7 +632,6 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   options.num_shards = std::max<uint32_t>(1, options.num_shards);
   std::unique_ptr<DurableShardedSystem> sys(
       new DurableShardedSystem(dir, options));
-  sys->requested_shards_ = options.num_shards;
   const std::string manifest_path = sys->FilePath(ManifestFileName());
   if (FileExists(manifest_path)) {
     LTAM_ASSIGN_OR_RETURN(ShardManifest manifest,
@@ -656,7 +640,6 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
       // The on-disk partition always wins — the logged subjects were
       // routed under it — but callers asked for something else, so say
       // so explicitly instead of letting them guess from behavior.
-      sys->shard_count_overridden_ = true;
       LTAM_LOG_WARNING << "durable directory '" << dir << "' pins "
                        << manifest.num_shards << " shards; requested "
                        << options.num_shards
@@ -718,8 +701,9 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
         sys->engine_->mutable_shard_movements(k).AttachColdTier(
             std::move(segs), files.dropped_events);
       }
-      sys->RebuildShardStays(k);
     }
+    // The shard views are restored: resume their open stays, then replay.
+    LTAM_RETURN_IF_ERROR(sys->engine_->Seed(MovementDatabase()));
     LTAM_RETURN_IF_ERROR(sys->ReplayShardLogs(manifest));
     sys->epoch_ = manifest.epoch;
     sys->manifest_ = std::move(manifest);
@@ -736,10 +720,9 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   } else {
     sys->base_ = std::move(initial);
     sys->InitEngine(options.num_shards);
-    LTAM_RETURN_IF_ERROR(sys->PartitionBaseMovements());
-    for (uint32_t k = 0; k < sys->num_shards(); ++k) {
-      sys->RebuildShardStays(k);
-    }
+    LTAM_RETURN_IF_ERROR(sys->engine_->Seed(sys->base_.movements));
+    // Movement state lives in the shard views from here on.
+    sys->base_.movements = MovementDatabase();
     // Checkpoint the seed immediately: recovery never needs `initial`.
     LTAM_RETURN_IF_ERROR(sys->WriteEpoch(0));
     sys->epoch_ = 0;

@@ -99,8 +99,9 @@ class Gauge;
 struct DurableShardedOptions {
   /// Shard count for a *fresh* directory. Recovery always reuses the
   /// manifest's count — the on-disk partition is fixed at creation. When
-  /// a recovered manifest pins a different count the mismatch is logged
-  /// and surfaced through shard_count_overridden(), never guessed away.
+  /// a recovered manifest pins a different count the mismatch is logged,
+  /// and num_shards() differs from the count requested here (the
+  /// runtime reports that as RuntimeStats::shard_count_overridden).
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
@@ -139,7 +140,7 @@ class DurableShardedSystem {
   /// Logs and applies a batch: each shard's worker appends its slice to
   /// its log before applying, then marks the group-commit boundary.
   /// Returns one decision per event in input order; *durability receives
-  /// the batch's durability outcome (composed by ComposeDurabilityError:
+  /// the batch's durability outcome (ShardedDecisionEngine::TakeBatchError:
   /// refused events are visible as Deny(kWalError) decisions and safe to
   /// resubmit, while a boundary/fsync failure — which outranks refusals
   /// in the status — means applied events' durability is in doubt and
@@ -280,21 +281,12 @@ class DurableShardedSystem {
   const SystemState& base() const { return base_; }
   SystemState& mutable_base() { return base_; }
 
-  const ShardedDecisionEngine& engine() const { return *engine_; }
+  /// The pipeline this system logs for (its write-ahead hooks are
+  /// installed at Open); AccessRuntime drives it directly.
   ShardedDecisionEngine& engine() { return *engine_; }
 
   uint32_t num_shards() const { return engine_->num_shards(); }
   uint32_t ShardOf(SubjectId s) const { return engine_->ShardOf(s); }
-
-  /// True when Open() recovered a MANIFEST whose shard count differs
-  /// from the one the caller requested — the manifest always wins (the
-  /// on-disk partition is fixed at creation), and callers that care can
-  /// detect the override here instead of comparing counts by hand.
-  bool shard_count_overridden() const { return shard_count_overridden_; }
-
-  /// The shard count the caller asked Open() for (num_shards() is the
-  /// count actually in effect).
-  uint32_t requested_shards() const { return requested_shards_; }
   const MovementDatabase& shard_movements(uint32_t shard) const {
     return engine_->shard_movements(shard);
   }
@@ -324,14 +316,6 @@ class DurableShardedSystem {
 
   /// Constructs the engine over base_ with `num_shards` shards.
   void InitEngine(uint32_t num_shards);
-
-  /// Moves base_.movements into the per-shard views (partitioned by
-  /// subject, history order preserved), leaving base_.movements empty.
-  Status PartitionBaseMovements();
-
-  /// Re-registers open stays on shard `k`'s engine from its movement
-  /// view (first in-window authorization wins, as in CheckAccess).
-  void RebuildShardStays(uint32_t k);
 
   /// Wraps an open segment writer in this shard's ShardLog (wiring the
   /// rotation callback and durability options).
@@ -417,10 +401,6 @@ class DurableShardedSystem {
   /// Per-shard slice of retired_records_, so ShardWatermark stays
   /// monotonic across checkpoints too.
   std::vector<uint64_t> retired_records_per_shard_;
-  /// Shard count requested at Open (clamped); differs from num_shards()
-  /// iff a recovered manifest pinned another count.
-  uint32_t requested_shards_ = 0;
-  bool shard_count_overridden_ = false;
   /// One shard's on-disk cold tier entry. The in-memory segment list of
   /// shard k's MovementDatabase and cold_files_[k] stay index-aligned.
   struct ColdFile {

@@ -6,7 +6,9 @@
 // per-event AccessControlEngine fed the stream outside the runtime —
 // plus the facade-only contracts: the enforced mutation window,
 // BatchResult draining, shard-count override reporting, the refusal of
-// the removed sequential directory layout, and position-fix routing.
+// the removed sequential directory layout, position-fix routing, the
+// in-memory answers to the durable-only calls, and a restart that
+// re-derives rules without refunding spent entries.
 
 #include "runtime/access_runtime.h"
 
@@ -28,6 +30,7 @@
 #include "query/query_language.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
+#include "storage/policy_script.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -560,9 +563,8 @@ TEST_F(AccessRuntimeDurableTest, OneShardDurableRuntimeRetainsAndReplicates) {
 
 TEST_F(AccessRuntimeDurableTest, MutationsSurviveReopenWithoutExplicitCheckpoint) {
   // Mutations are not write-ahead logged; the facade checkpoints after
-  // Mutate (checkpoint_after_mutate default) so a crash right after
-  // still recovers the mutated stores — and replays post-mutation
-  // events against them.
+  // every Mutate so a crash right after still recovers the mutated
+  // stores — and replays post-mutation events against them.
   World w = MakeWorld(71, /*subject_count=*/8);
   RuntimeOptions options;
   options.num_shards = 3;
@@ -592,6 +594,59 @@ TEST_F(AccessRuntimeDurableTest, MutationsSurviveReopenWithoutExplicitCheckpoint
                        AccessRuntime::Open(SystemState(), options));
   EXPECT_TRUE(rt->profiles().Exists(newcomer));
   EXPECT_EQ(door, rt->movements().CurrentLocation(newcomer));
+}
+
+TEST_F(AccessRuntimeDurableTest, RestartKeepsRuleDerivedEntriesSpent) {
+  // ltam_serve and ltam_shell re-derive the scripted rules after every
+  // Open, on a recovered directory too. A restart must not refund the
+  // entries Bob already spent under his rule-derived authorization, nor
+  // grow the ledger with a fresh copy of it.
+  const char* policy = R"(
+SITE S
+ROOM A IN S
+ENTRY A
+SUBJECT Alice
+SUBJECT Bob
+SUPERVISOR Alice Bob
+AUTH Alice A ENTER [0,100] EXIT [0,200] TIMES 1
+RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
+)";
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir_;
+  auto boot = [&]() -> Result<std::unique_ptr<AccessRuntime>> {
+    LTAM_ASSIGN_OR_RETURN(SystemState state, ParsePolicyScript(policy));
+    LTAM_ASSIGN_OR_RETURN(std::unique_ptr<AccessRuntime> rt,
+                          AccessRuntime::Open(std::move(state), options));
+    LTAM_RETURN_IF_ERROR(RegisterAndDeriveScriptedRules(rt.get()));
+    return rt;
+  };
+  SubjectId bob = kInvalidSubject;
+  LocationId room = kInvalidLocation;
+  size_t ledger = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    ASSERT_OK_AND_ASSIGN(bob, rt->profiles().Find("Bob"));
+    ASSERT_OK_AND_ASSIGN(room, rt->graph().Find("A"));
+    ASSERT_OK_AND_ASSIGN(Decision entered,
+                         rt->Apply(AccessEvent::Entry(10, bob, room)));
+    ASSERT_TRUE(entered.granted) << entered.ToString();
+    ASSERT_OK_AND_ASSIGN(Decision left, rt->Apply(AccessEvent::Exit(20, bob)));
+    ASSERT_TRUE(left.granted) << left.ToString();
+    ASSERT_OK_AND_ASSIGN(Decision again,
+                         rt->Apply(AccessEvent::Entry(30, bob, room)));
+    ASSERT_EQ(DenyReason::kEntriesExhausted, again.reason) << again.ToString();
+    ledger = rt->auth_db().size();
+  }
+  for (Chronon t : {40, 50}) {
+    SCOPED_TRACE(t);
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    ASSERT_OK_AND_ASSIGN(Decision d,
+                         rt->Apply(AccessEvent::Entry(t, bob, room)));
+    EXPECT_FALSE(d.granted) << d.ToString();
+    EXPECT_EQ(DenyReason::kEntriesExhausted, d.reason) << d.ToString();
+    EXPECT_EQ(ledger, rt->auth_db().size());
+  }
 }
 
 TEST_F(AccessRuntimeDurableTest, StateSurvivesReopenAndCheckpoint) {
@@ -707,6 +762,58 @@ TEST(AccessRuntimeTest, InMemoryWatermarkEqualsApplied) {
     EXPECT_EQ(stats.durable_offset, events);
     EXPECT_EQ(stats.wal_append_failures, 0u);
     EXPECT_EQ(stats.wal_sync_failures, 0u);
+  }
+}
+
+TEST(AccessRuntimeTest, InMemoryRuntimeAnswersTheDurableOnlySurface) {
+  // An in-memory runtime has no directory: replication and promotion
+  // are refused, the durability barriers are trivially met, and Stats()
+  // reports no storage at all.
+  World w = MakeWorld(89, /*subject_count=*/6);
+  const std::string needs_dir = "requires a durable runtime (durable_dir set)";
+  for (uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    RuntimeOptions options;
+    options.num_shards = shards;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                         AccessRuntime::Open(StateOf(w), options));
+
+    Status demoted = rt->DemoteToReplica();
+    EXPECT_TRUE(demoted.IsFailedPrecondition()) << demoted.ToString();
+    EXPECT_NE(std::string::npos, demoted.ToString().find(needs_dir))
+        << demoted.ToString();
+    EXPECT_FALSE(rt->is_replica());
+    Status positions = rt->ReplicationPositions().status();
+    EXPECT_TRUE(positions.IsFailedPrecondition()) << positions.ToString();
+    EXPECT_NE(std::string::npos, positions.ToString().find(needs_dir))
+        << positions.ToString();
+    Status slice = rt->ReadReplicationSlice(0, 0, 16).status();
+    EXPECT_TRUE(slice.IsFailedPrecondition()) << slice.ToString();
+    EXPECT_NE(std::string::npos, slice.ToString().find(needs_dir))
+        << slice.ToString();
+    EXPECT_TRUE(rt->ApplyReplicated(0, 0, {}).status().IsFailedPrecondition());
+    EXPECT_TRUE(rt->Promote().status().IsFailedPrecondition());
+    EXPECT_OK(rt->AdoptReplicationEpoch(0));
+    EXPECT_TRUE(rt->AdoptReplicationEpoch(1).IsFailedPrecondition());
+    EXPECT_EQ(0u, rt->replication_epoch());
+    EXPECT_OK(rt->Checkpoint());
+    EXPECT_OK(rt->WaitDurable());
+
+    RuntimeStats stats = rt->Stats();
+    EXPECT_EQ(shards, stats.num_shards);
+    EXPECT_EQ(shards, stats.requested_shards);
+    EXPECT_FALSE(stats.shard_count_overridden);
+    EXPECT_FALSE(stats.durable);
+    EXPECT_FALSE(stats.replica);
+    EXPECT_EQ(0u, stats.replication_epoch);
+    EXPECT_EQ(0u, stats.epoch);
+    EXPECT_EQ(0u, stats.wal_events);
+    EXPECT_TRUE(stats.shard_watermarks.empty());
+    EXPECT_EQ(0u, stats.cold_segments);
+    EXPECT_EQ(0u, stats.cold_bytes);
+    EXPECT_EQ(0u, stats.dropped_events);
+    EXPECT_EQ(0u, stats.compaction_runs);
+    EXPECT_EQ(0u, stats.checkpoint_dirty_segments);
   }
 }
 

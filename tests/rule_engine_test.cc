@@ -242,6 +242,35 @@ TEST_F(RuleEngineTest, DeriveAllIsIdempotent) {
   EXPECT_EQ(DerivedOf(rid).size(), 1u);
 }
 
+TEST_F(RuleEngineTest, RederivationKeepsUnchangedRecordsAndTheirLedger) {
+  // Re-deriving a rule whose output has not changed keeps each derived
+  // record, its id and its entries_used: an exhausted derived grant
+  // stays exhausted and the ledger does not grow.
+  AuthorizationRule rule;
+  rule.valid_from = 0;
+  rule.base = a1_;
+  rule.op_subject = SubjectOperatorPtr(new SupervisorOfOp());
+  ASSERT_OK(engine_->AddRule(rule).status());
+  ASSERT_OK(engine_->DeriveAll().status());
+  // a1 allows two entries, and so does Bob's derived copy.
+  Decision first = auth_db_.CheckAndRecordAccess(10, bob_, cais_);
+  ASSERT_TRUE(first.granted);
+  ASSERT_TRUE(auth_db_.CheckAndRecordAccess(11, bob_, cais_).granted);
+  ASSERT_EQ(DenyReason::kEntriesExhausted,
+            auth_db_.CheckAccess(12, bob_, cais_).reason);
+  const size_t ledger = auth_db_.size();
+
+  ASSERT_OK_AND_ASSIGN(DerivationReport report, engine_->DeriveAll());
+  EXPECT_EQ(0u, report.derived);
+  EXPECT_EQ(0u, report.revoked);
+  EXPECT_EQ(ledger, auth_db_.size());
+  Decision after = auth_db_.CheckAccess(12, bob_, cais_);
+  EXPECT_FALSE(after.granted);
+  EXPECT_EQ(DenyReason::kEntriesExhausted, after.reason);
+  EXPECT_FALSE(auth_db_.record(first.auth).revoked);
+  EXPECT_EQ(2, auth_db_.record(first.auth).entries_used);
+}
+
 TEST_F(RuleEngineTest, RuleToString) {
   AuthorizationRule rule;
   rule.valid_from = 7;
