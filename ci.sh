@@ -11,8 +11,10 @@
 #                      # + live v5 metrics scrape (exposition must parse,
 #                      # ingest counters must have moved) + a one-shard
 #                      # durable server with retention that must recover
-#                      # cleanly after SIGTERM, and a removed-layout
-#                      # (state.snap) directory that must be refused
+#                      # cleanly after SIGTERM, a kill -9 crash round
+#                      # whose two relaunches must answer the same
+#                      # history, and a removed-layout (state.snap)
+#                      # directory that must be refused
 #   ./ci.sh bench      # facade vs loopback-server throughput (io-thread
 #                      # matrix) -> BENCH_pr6.json,
 #                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
@@ -186,15 +188,12 @@ EOF
   grep -q "bye" "$log" \
     || { echo "service: server skipped the shutdown path" >&2; exit 1; }
   rm -f "$log"
-  # The default (one-shard) durable runtime with retention: boot, take
-  # the same ingest burst, SIGTERM, then relaunch on the same directory
-  # and demand a clean recovery boot and a clean second shutdown.
-  local durable_dir boot
-  durable_dir="$(mktemp -d)"
-  for boot in first relaunch; do
+  # The default (one-shard) durable runtime with retention. Boots it on
+  # directory $1 (boot name $2) and waits for its banner.
+  start_durable() {
     port=$((20000 + RANDOM % 20000))
     log="$(mktemp)"
-    ./build/examples/ltam_serve --port="$port" --durable="$durable_dir" \
+    ./build/examples/ltam_serve --port="$port" --durable="$1" \
       --retention-hot-events=512 --scenario=surge --scenario-events=500 \
       > "$log" 2>&1 &
     server_pid=$!
@@ -203,20 +202,71 @@ EOF
       sleep 0.1
     done
     grep -q "listening" "$log" \
-      || { echo "service: durable server failed its $boot boot" >&2; cat "$log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
-    if [ "$boot" = first ]; then
-      ./build/examples/ltam_load --port="$port" --scenario=surge \
-        --rate=500 --duration-s=1 --connections=2 > /dev/null \
-        || { echo "service: durable ingest burst failed" >&2; kill "$server_pid"; exit 1; }
-    fi
+      || { echo "service: durable server failed its $2 boot" >&2; cat "$log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
+  }
+  durable_burst() {
+    ./build/examples/ltam_load --port="$port" --scenario=surge \
+      --rate=500 --duration-s=1 --connections=2 > /dev/null \
+      || { echo "service: durable ingest burst failed ($1)" >&2; kill "$server_pid"; exit 1; }
+  }
+  # SIGTERM, then demand a clean exit through the shutdown path.
+  stop_durable() {
     kill -TERM "$server_pid"
     wait "$server_pid" \
-      || { echo "service: durable server exited uncleanly ($boot)" >&2; cat "$log" >&2; exit 1; }
+      || { echo "service: durable server exited uncleanly ($1)" >&2; cat "$log" >&2; exit 1; }
     grep -q "bye" "$log" \
-      || { echo "service: durable server skipped the shutdown path ($boot)" >&2; exit 1; }
+      || { echo "service: durable server skipped the shutdown path ($1)" >&2; exit 1; }
     rm -f "$log"
+  }
+  # Boot, take the same ingest burst, SIGTERM, then relaunch on the same
+  # directory and demand a clean recovery boot and a clean second
+  # shutdown.
+  local durable_dir boot
+  durable_dir="$(mktemp -d)"
+  for boot in first relaunch; do
+    start_durable "$durable_dir" "$boot"
+    if [ "$boot" = first ]; then
+      durable_burst "$boot"
+    fi
+    stop_durable "$boot"
   done
   rm -rf "$durable_dir"
+  # Crash round on a fresh directory: the same server takes the ingest
+  # burst and is kill -9'd, then relaunches twice. Every boot re-derives
+  # the scripted rules, which checkpoints, so the second relaunch must
+  # answer exactly the pre-crash history the first one recovered.
+  history_sweep() {
+    { printf 'connect 127.0.0.1:%d\n' "$1"
+      local i
+      for i in 0 1 2 3 4 5 6 7 8 9; do
+        printf 'HISTORY OF u%d\n' "$i"
+      done
+      printf 'quit\n'
+    } | ./build/examples/ltam_shell 2>&1 \
+      | sed 's/connected to 127.0.0.1:[0-9]*/connected/'
+  }
+  local crash_dir sweep first_sweep=""
+  crash_dir="$(mktemp -d)"
+  start_durable "$crash_dir" crash
+  durable_burst crash
+  kill -9 "$server_pid"
+  wait "$server_pid" 2>/dev/null || true
+  rm -f "$log"
+  for boot in relaunch-1 relaunch-2; do
+    start_durable "$crash_dir" "$boot"
+    sweep="$(history_sweep "$port")"
+    stop_durable "$boot"
+    grep -Eq '^[0-9]+ *\|' <<< "$sweep" \
+      || { echo "service: $boot answered no history rows: $sweep" >&2; exit 1; }
+    if [ -z "$first_sweep" ]; then
+      first_sweep="$sweep"
+    elif [ "$sweep" != "$first_sweep" ]; then
+      echo "service: $boot lost history the first relaunch recovered" >&2
+      diff <(echo "$first_sweep") <(echo "$sweep") >&2 || true
+      exit 1
+    fi
+  done
+  rm -rf "$crash_dir"
   # A directory in the removed sequential layout (a state.snap, no
   # MANIFEST) must be refused with the actionable message, never
   # shadowed by a fresh cut.
@@ -232,7 +282,7 @@ EOF
   grep -q "state.snap.*removed" "$log" \
     || { echo "service: removed-layout refusal lacks its message" >&2; cat "$log" >&2; exit 1; }
   rm -rf "$legacy_dir" "$log"
-  echo "service: round-trip + smoke + clean shutdown + durable relaunch passed"
+  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round passed"
 }
 
 # Stamps the host core count into an emitted BENCH_*.json's context.

@@ -35,7 +35,6 @@
 //                     fsyncs)
 //   --pipeline-depth=N   pipelined: batches per fsync (default 4)
 //   --sync-interval-ms=N interval: fsync cadence (default 5)
-//   --wal-segment-mb=N   rotate WAL segments at N MiB (default 64)
 //   --retention-horizon-s=N  drop sealed history whose stays ended
 //                          more than N chronons (~seconds of stream
 //                          time) before the newest event, judged at
@@ -190,10 +189,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--sync-interval-ms=", 0) == 0) {
       runtime_options.durability.sync_interval_ms = static_cast<uint32_t>(
           std::max(1, std::atoi(value(19).c_str())));
-    } else if (arg.rfind("--wal-segment-mb=", 0) == 0) {
-      runtime_options.durability.segment_max_bytes =
-          static_cast<size_t>(std::max(1, std::atoi(value(17).c_str())))
-          << 20;
     } else if (arg.rfind("--metrics-dump-s=", 0) == 0) {
       metrics_dump_s = static_cast<uint32_t>(
           std::max(0, std::atoi(value(17).c_str())));
@@ -223,7 +218,7 @@ int main(int argc, char** argv) {
                    "[--scenario-tenants=N] "
                    "[--max-batch=N] [--sync-mode=M] "
                    "[--pipeline-depth=N] [--sync-interval-ms=N] "
-                   "[--wal-segment-mb=N] [--retention-horizon-s=N] "
+                   "[--retention-horizon-s=N] "
                    "[--retention-hot-events=N] [--metrics-dump-s=N] "
                    "[--trace-threshold-us=N] [--log-level=L] "
                    "[--replica-of=HOST:PORT]\n",

@@ -2,8 +2,6 @@
 
 #include "replication/epoch.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <fstream>
 
 #include "storage/wal.h"
@@ -32,31 +30,8 @@ Result<uint64_t> LoadReplicationEpoch(const std::string& dir) {
 }
 
 Status StoreReplicationEpoch(const std::string& dir, uint64_t epoch) {
-  const std::string path = dir + "/" + ReplicationEpochFileName();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::IOError("cannot open epoch temp '" + tmp + "'");
-    }
-    out << epoch << '\n';
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IOError("epoch write failed");
-    }
-  }
-  Status synced = SyncFile(tmp);
-  if (!synced.ok()) {
-    std::remove(tmp.c_str());
-    return synced;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish epoch '" + path + "'");
-  }
-  return SyncDir(dir);
+  return WriteFileAtomically(dir + "/" + ReplicationEpochFileName(),
+                             std::to_string(epoch) + "\n");
 }
 
 Status CheckSubscriptionEpoch(uint64_t local_epoch, uint64_t hello_epoch) {

@@ -78,7 +78,7 @@ bool LogShipper::SweepOnce(bool* fatal) {
       Result<AccessRuntime::ReplicationSlice> slice =
           [&]() -> Result<AccessRuntime::ReplicationSlice> {
         // Shared lock: checkpoints (exclusive writers server-side)
-        // cannot retire segments mid-read.
+        // cannot retire a WAL mid-read.
         std::shared_lock<std::shared_mutex> lock(*runtime_mu_);
         epoch = runtime_->replication_epoch();
         return runtime_->ReadReplicationSlice(k, positions_[k],

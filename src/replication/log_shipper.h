@@ -4,9 +4,9 @@
 // A LogShipper is born when a kReplicaHello lands on a server
 // connection. It owns the replica's per-shard replication positions
 // (seeded from the hello) and streams forward from them: each sweep it
-// reads the committed suffix of every shard's WAL chain through
+// reads the committed suffix of every shard's WAL through
 // AccessRuntime::ReadReplicationSlice — under the server's SHARED
-// runtime lock, so a checkpoint can never swap segment files out from
+// runtime lock, so a checkpoint can never swap the WAL files out from
 // under a read — and pushes the records as server-initiated
 // kSegmentChunk frames (request_id 0), followed by one
 // kWatermarkAdvance whenever the primary's durable positions moved.

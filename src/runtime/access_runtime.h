@@ -83,8 +83,7 @@ struct RuntimeOptions {
   /// WaitDurable(). An idle kInterval runtime still syncs within
   /// `sync_interval_ms`, and an idle kPipelined one converges to
   /// durable == applied. A failed pipelined fsync sticky-fails its log
-  /// (watermark frozen) until Checkpoint(). Also carries the WAL segment
-  /// rotation threshold.
+  /// (watermark frozen) until Checkpoint().
   DurabilityOptions durability;
   /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
   /// batch is rejected whole with kInvalidArgument — nothing is applied —

@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <limits>
 #include <thread>
 #include <unordered_set>
@@ -20,47 +18,6 @@
 #include "util/logging.h"
 
 namespace ltam {
-
-namespace {
-
-Result<uint64_t> SizeOfFile(const std::string& path) {
-  struct ::stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IOError("cannot stat '" + path + "'");
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-/// True when the file is empty or ends with a newline — i.e. no torn
-/// final record. Non-final rotated segments were fully fsynced before
-/// their successor existed, so a torn tail there is data loss, not a
-/// crash window.
-Result<bool> SegmentEndsClean(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open segment '" + path + "'");
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek segment '" + path + "'");
-  }
-  long size = std::ftell(f);
-  if (size <= 0) {
-    std::fclose(f);
-    return size == 0 ? Result<bool>(true)
-                     : Result<bool>(Status::IOError("cannot size segment '" +
-                                                    path + "'"));
-  }
-  if (std::fseek(f, -1, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek segment '" + path + "'");
-  }
-  int last = std::fgetc(f);
-  std::fclose(f);
-  return last == '\n';
-}
-
-}  // namespace
 
 DurableShardedSystem::DurableShardedSystem(std::string dir,
                                            DurableShardedOptions options)
@@ -97,12 +54,10 @@ std::string DurableShardedSystem::ShardSnapName(uint32_t shard,
          ".snap";
 }
 
-std::string DurableShardedSystem::ShardWalName(uint32_t shard, uint64_t epoch,
-                                               uint32_t segment) const {
-  std::string name =
-      "events-" + std::to_string(shard) + "-" + std::to_string(epoch);
-  if (segment > 0) name += "-" + std::to_string(segment);
-  return name + ".wal";
+std::string DurableShardedSystem::ShardWalName(uint32_t shard,
+                                               uint64_t epoch) const {
+  return "events-" + std::to_string(shard) + "-" + std::to_string(epoch) +
+         ".wal";
 }
 
 std::string DurableShardedSystem::ColdSegName(uint32_t shard,
@@ -149,122 +104,50 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
       &base_.graph, &base_.auth_db, &base_.profiles, opt);
   cold_files_.assign(num_shards, {});
   next_cold_index_.assign(num_shards, 0);
-  maintenance_dirty_.assign(num_shards, false);
-}
-
-Result<WalWriter> DurableShardedSystem::RotateShardSegment(
-    uint32_t shard, uint32_t next_segment) {
-  // Serialized against rotations on other shards' log threads and
-  // against Checkpoint's WriteEpoch (all republish the shared
-  // manifest). Ordering makes the overlap with Checkpoint unreachable
-  // anyway: a log finishes rotating before its sync advertises
-  // durability, so a barrier-woken Checkpoint never finds a rotation
-  // mid-flight — the mutex keeps the MANIFEST path single-writer even
-  // if that reasoning ever rots.
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  const std::string name = ShardWalName(shard, manifest_.epoch, next_segment);
-  LTAM_ASSIGN_OR_RETURN(WalWriter writer, WalWriter::Create(FilePath(name)));
-  LTAM_RETURN_IF_ERROR(SyncDir(dir_));
-  // Commit the extended segment list BEFORE any append reaches the new
-  // file: a record in a segment the manifest does not name would be
-  // durable on disk yet invisible to recovery. A retried rotation whose
-  // previous attempt already committed this segment (the manifest save
-  // failed after the list grew, or the retry re-created an empty tail)
-  // leaves the list unchanged — and then the republish below is
-  // byte-identical and skipped, sparing the rewrite + three fsyncs.
-  ShardManifest next = manifest_;
-  if (next.shards[shard].wals.empty() ||
-      next.shards[shard].wals.back() != name) {
-    next.shards[shard].wals.push_back(name);
-  }
-  LTAM_ASSIGN_OR_RETURN(
-      bool published,
-      SaveManifestIfChanged(next, FilePath(ManifestFileName()),
-                            &published_manifest_bytes_));
-  if (published) {
-    ++manifest_publishes_;
-  } else {
-    ++manifest_publish_skips_;
-  }
-  manifest_ = std::move(next);
-  return writer;
-}
-
-std::unique_ptr<ShardLog> DurableShardedSystem::MakeShardLog(
-    uint32_t shard, WalWriter writer, uint64_t writer_bytes,
-    uint32_t segment_index) {
-  return std::make_unique<ShardLog>(
-      std::move(writer), writer_bytes, segment_index, options_.durability,
-      [this, shard](uint32_t next_segment) {
-        return RotateShardSegment(shard, next_segment);
-      });
+  snapshot_stale_.assign(num_shards, false);
 }
 
 Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
   const uint32_t n = engine_->num_shards();
   std::vector<Status> results(n, Status::OK());
+  std::vector<uint64_t> replayed(n, 0);
   std::vector<std::thread> replayers;
   replayers.reserve(n);
   for (uint32_t k = 0; k < n; ++k) {
-    const std::vector<std::string>& segments = manifest.shards[k].wals;
-    Status prepared;
-    for (size_t s = 0; s < segments.size() && prepared.ok(); ++s) {
-      const std::string path = FilePath(segments[s]);
-      if (!FileExists(path)) {
-        // Every committed segment was created (and the directory
-        // fsynced) before the manifest named it, so a committed cut
-        // whose log vanished is data loss, not a crash window — refuse
-        // to silently drop the shard's tail.
-        prepared = Status::IOError("shard WAL segment '" + path +
+    const std::string path = FilePath(manifest.shards[k].wal);
+    if (!FileExists(path)) {
+      // WriteEpoch creates every log (and fsyncs the directory through
+      // the manifest rename) before the manifest names it, so a
+      // committed cut whose log vanished is data loss, not a crash
+      // window — refuse to silently drop the shard's tail.
+      results[k] = Status::IOError("shard WAL '" + path +
                                    "' named by the manifest is missing");
-        break;
-      }
-      if (s + 1 < segments.size()) {
-        // Rotation fsyncs a segment before its successor exists, so a
-        // non-final segment must end on a record boundary.
-        Result<bool> clean = SegmentEndsClean(path);
-        if (!clean.ok()) {
-          prepared = clean.status();
-        } else if (!*clean) {
-          prepared = Status::IOError(
-              "rotated WAL segment '" + path +
-              "' has a torn tail but is not the final segment (data loss)");
-        }
-      } else {
-        // Repair the final segment's torn record now, before replay and
-        // before any new append lands on the same line as the torn
-        // bytes.
-        Result<size_t> dropped = TruncateTornWalTail(path);
-        if (!dropped.ok()) prepared = dropped.status();
-      }
+      continue;
     }
-    if (!prepared.ok()) {
-      results[k] = std::move(prepared);
+    // Repair a torn final record now, before replay and before any new
+    // append lands on the same line as the torn bytes.
+    Result<size_t> dropped = TruncateTornWalTail(path);
+    if (!dropped.ok()) {
+      results[k] = dropped.status();
       continue;
     }
     // Parallel replay across shards is safe under the live pipeline's
     // discipline: each log holds only its own shard's subjects
     // (validated below), so no two replayers ever touch the same
-    // subject's records. Within a shard, segments replay incrementally
-    // in committed order.
-    replayers.emplace_back([this, k, segments, &results] {
+    // subject's records.
+    replayers.emplace_back([this, k, path, &results, &replayed] {
       AccessControlEngine& shard_engine = engine_->shard_engine(k);
-      for (const std::string& segment : segments) {
-        results[k] =
-            ReplayWal(FilePath(segment), [&](const Record& rec) -> Status {
-              LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventRecord(rec));
-              if (!event.is_tick &&
-                  engine_->ShardOf(event.event.subject) != k) {
-                return Status::ParseError(
-                    "log for shard " + std::to_string(k) +
-                    " contains foreign subject " +
-                    std::to_string(event.event.subject));
-              }
-              ApplyLoggedEvent(&shard_engine, event);
-              return Status::OK();
-            });
-        if (!results[k].ok()) return;
-      }
+      results[k] = ReplayWal(path, [&](const Record& rec) -> Status {
+        LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventRecord(rec));
+        if (!event.is_tick && engine_->ShardOf(event.event.subject) != k) {
+          return Status::ParseError("log for shard " + std::to_string(k) +
+                                    " contains foreign subject " +
+                                    std::to_string(event.event.subject));
+        }
+        ApplyLoggedEvent(&shard_engine, event);
+        ++replayed[k];
+        return Status::OK();
+      });
     });
   }
   for (std::thread& t : replayers) t.join();
@@ -272,6 +155,10 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
     if (!results[k].ok()) {
       return results[k].WithContext("replaying shard " + std::to_string(k));
     }
+    // The replayed tail lives only in this shard's log, which the next
+    // checkpoint deletes: that checkpoint must rewrite the snapshot even
+    // though the fresh log has accepted nothing yet.
+    if (replayed[k] > 0) snapshot_stale_[k] = true;
   }
   return Status::OK();
 }
@@ -284,41 +171,29 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   m.base_snapshot = BaseSnapName(epoch);
   LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot)));
   LTAM_RETURN_IF_ERROR(SyncFile(FilePath(m.base_snapshot)));
-  // The previous cut's snapshot names, for the clean-shard
-  // short-circuit (copied under manifest_mu_; rotation threads own the
-  // live manifest). Epoch 0 — no previous cut — rewrites everything.
-  std::vector<std::string> prev_snapshots;
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    if (manifest_.shards.size() == n) {
-      for (const ShardManifest::ShardFiles& files : manifest_.shards) {
-        prev_snapshots.push_back(files.snapshot);
-      }
-    }
-  }
-  const bool incremental = prev_snapshots.size() == n && logs_.size() == n;
+  // Epoch 0 — no previous cut — rewrites everything.
+  const bool incremental = manifest_.shards.size() == n && logs_.size() == n;
   uint64_t dirty = 0;
   for (uint32_t k = 0; k < n; ++k) {
     ShardManifest::ShardFiles files;
     const MovementDatabase& db = engine_->shard_movements(k);
-    const bool shard_dirty = !incremental || logs_[k]->appended_seq() > 0 ||
-                             (k < maintenance_dirty_.size() &&
-                              maintenance_dirty_[k]);
+    const bool shard_dirty =
+        !incremental || logs_[k]->appended_seq() > 0 || snapshot_stale_[k];
     if (shard_dirty) {
       files.snapshot = ShardSnapName(k, epoch);
       LTAM_RETURN_IF_ERROR(SaveMovements(db, FilePath(files.snapshot)));
       LTAM_RETURN_IF_ERROR(SyncFile(FilePath(files.snapshot)));
       ++dirty;
     } else {
-      // Clean shard: no log record landed since the previous cut and
-      // tier maintenance left the hot history alone, so the previous
-      // epoch's snapshot file is byte-exact for this shard.
+      // Clean shard: no log record landed or replayed since the previous
+      // cut and tier maintenance left the hot history alone, so the
+      // previous epoch's snapshot file is byte-exact for this shard.
       // Re-reference it instead of rewriting — the incremental
       // discipline that keeps checkpoint latency proportional to the
       // events since the last checkpoint, not to total history.
-      files.snapshot = prev_snapshots[k];
+      files.snapshot = manifest_.shards[k].snapshot;
     }
-    files.wals = {ShardWalName(k, epoch)};
+    files.wal = ShardWalName(k, epoch);
     for (const ColdFile& f : cold_files_[k]) files.cold.push_back(f.name);
     files.dropped_events = db.dropped_events();
     m.shards.push_back(std::move(files));
@@ -328,34 +203,22 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   if (dirty_segments_counter_ != nullptr && dirty > 0) {
     dirty_segments_counter_->Increment(dirty);
   }
-  maintenance_dirty_.assign(n, false);
   // Fresh, empty logs for the new epoch (truncating any orphan a crashed
   // earlier attempt at this epoch left behind).
   std::vector<WalWriter> fresh;
   fresh.reserve(n);
   for (uint32_t k = 0; k < n; ++k) {
     LTAM_ASSIGN_OR_RETURN(WalWriter wal,
-                          WalWriter::Create(FilePath(m.shards[k].wals[0])));
+                          WalWriter::Create(FilePath(m.shards[k].wal)));
     fresh.push_back(std::move(wal));
   }
   // The commit point: everything above becomes the recovered state the
-  // instant this rename lands. Published under manifest_mu_ so it can
-  // never interleave with a rotation's republication on a log thread
-  // (rotation also completes before a sync advertises durability, so a
-  // barrier-woken Checkpoint cannot overlap one — the lock is
-  // belt-and-braces for the shared MANIFEST/MANIFEST.tmp path).
+  // instant this rename lands.
+  LTAM_RETURN_IF_ERROR(SaveManifest(m, FilePath(ManifestFileName())));
+  snapshot_stale_.assign(n, false);
   std::vector<std::unique_ptr<ShardLog>> retiring;
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
-    LTAM_ASSIGN_OR_RETURN(
-        bool published,
-        SaveManifestIfChanged(m, FilePath(ManifestFileName()),
-                              &published_manifest_bytes_));
-    if (published) {
-      ++manifest_publishes_;
-    } else {
-      ++manifest_publish_skips_;  // Unreachable: the epoch advanced.
-    }
     manifest_ = std::move(m);
     // Retire the old log generation: everything it accepted is durable
     // now (the snapshot carries the live state, lost pipelined tails
@@ -372,12 +235,12 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
     }
     retiring.swap(logs_);
     for (uint32_t k = 0; k < n; ++k) {
-      logs_.push_back(MakeShardLog(k, std::move(fresh[k]), /*writer_bytes=*/0,
-                                   /*segment_index=*/0));
+      logs_.push_back(
+          std::make_unique<ShardLog>(std::move(fresh[k]), options_.durability));
     }
   }
-  // Joins the old log threads before their files go — outside
-  // manifest_mu_, which a log thread takes to rotate.
+  // Joins the old log threads before their files go, outside
+  // manifest_mu_ so shippers never wait on a drain.
   retiring.clear();
   return Status::OK();
 }
@@ -386,15 +249,11 @@ void DurableShardedSystem::RemoveEpochFiles(const ShardManifest& old_manifest) {
   // Incremental checkpoints re-reference clean shards' snapshot files
   // (and cold segments live across many epochs), so only files the NEW
   // committed cut no longer names may go.
-  std::unordered_set<std::string> keep;
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    keep.insert(manifest_.base_snapshot);
-    for (const ShardManifest::ShardFiles& files : manifest_.shards) {
-      keep.insert(files.snapshot);
-      keep.insert(files.wals.begin(), files.wals.end());
-      keep.insert(files.cold.begin(), files.cold.end());
-    }
+  std::unordered_set<std::string> keep{manifest_.base_snapshot};
+  for (const ShardManifest::ShardFiles& files : manifest_.shards) {
+    keep.insert(files.snapshot);
+    keep.insert(files.wal);
+    keep.insert(files.cold.begin(), files.cold.end());
   }
   auto remove_unless_kept = [this, &keep](const std::string& name) {
     if (keep.count(name) == 0) std::remove(FilePath(name).c_str());
@@ -402,7 +261,7 @@ void DurableShardedSystem::RemoveEpochFiles(const ShardManifest& old_manifest) {
   remove_unless_kept(old_manifest.base_snapshot);
   for (const ShardManifest::ShardFiles& files : old_manifest.shards) {
     remove_unless_kept(files.snapshot);
-    for (const std::string& wal : files.wals) remove_unless_kept(wal);
+    remove_unless_kept(files.wal);
     for (const std::string& seg : files.cold) remove_unless_kept(seg);
   }
 }
@@ -410,7 +269,6 @@ void DurableShardedSystem::RemoveEpochFiles(const ShardManifest& old_manifest) {
 void DurableShardedSystem::MaintainColdTiers() {
   const RetentionOptions& r = options_.retention;
   const uint32_t n = engine_->num_shards();
-  maintenance_dirty_.assign(n, false);
   if (r.max_hot_events == 0) return;
   // Retention is judged against the stream's own clock — the newest
   // time any shard has recorded (hot event times and sealed closing
@@ -443,7 +301,7 @@ void DurableShardedSystem::MaintainColdTiers() {
     // new cold segment and the hot snapshot must be rewritten.
     if (db.history().size() > r.max_hot_events) {
       if (std::shared_ptr<const ColdSegment> seg = db.SealCompletedStays()) {
-        maintenance_dirty_[k] = true;
+        snapshot_stale_[k] = true;
         cold_files_[k].push_back(
             {ColdSegName(k, next_cold_index_[k]++), std::move(seg), false});
       }
@@ -560,11 +418,8 @@ void DurableShardedSystem::UpdateColdGauges() {
 
 void DurableShardedSystem::SweepOrphanColdFiles() {
   std::unordered_set<std::string> referenced;
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    for (const ShardManifest::ShardFiles& files : manifest_.shards) {
-      referenced.insert(files.cold.begin(), files.cold.end());
-    }
+  for (const ShardManifest::ShardFiles& files : manifest_.shards) {
+    referenced.insert(files.cold.begin(), files.cold.end());
   }
   DIR* dir = ::opendir(dir_.c_str());
   if (dir == nullptr) return;
@@ -707,15 +562,12 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
     LTAM_RETURN_IF_ERROR(sys->ReplayShardLogs(manifest));
     sys->epoch_ = manifest.epoch;
     sys->manifest_ = std::move(manifest);
-    // Appends resume on each shard's final committed segment.
-    for (uint32_t k = 0; k < sys->manifest_.num_shards; ++k) {
-      const std::vector<std::string>& segments = sys->manifest_.shards[k].wals;
-      const std::string tail = sys->FilePath(segments.back());
-      LTAM_ASSIGN_OR_RETURN(WalWriter wal, WalWriter::Open(tail));
-      LTAM_ASSIGN_OR_RETURN(uint64_t bytes, SizeOfFile(tail));
-      sys->logs_.push_back(sys->MakeShardLog(
-          k, std::move(wal), bytes,
-          static_cast<uint32_t>(segments.size() - 1)));
+    // Appends resume on each shard's committed WAL.
+    for (const ShardManifest::ShardFiles& files : sys->manifest_.shards) {
+      LTAM_ASSIGN_OR_RETURN(WalWriter wal,
+                            WalWriter::Open(sys->FilePath(files.wal)));
+      sys->logs_.push_back(std::make_unique<ShardLog>(
+          std::move(wal), sys->options_.durability));
     }
   } else {
     sys->base_ = std::move(initial);
@@ -836,11 +688,7 @@ Status DurableShardedSystem::Checkpoint() {
   // re-derives an equivalent tier.
   MaintainColdTiers();
   LTAM_RETURN_IF_ERROR(PersistColdFiles());
-  ShardManifest old_manifest;
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    old_manifest = manifest_;
-  }
+  const ShardManifest old_manifest = manifest_;
   LTAM_RETURN_IF_ERROR(WriteEpoch(epoch_ + 1));
   epoch_ += 1;
   RemoveEpochFiles(old_manifest);
@@ -856,35 +704,6 @@ size_t DurableShardedSystem::wal_events() const {
   return total;
 }
 
-uint64_t DurableShardedSystem::manifest_publishes() const {
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  return manifest_publishes_;
-}
-
-uint64_t DurableShardedSystem::manifest_publish_skips() const {
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  return manifest_publish_skips_;
-}
-
-namespace {
-
-/// Streams a WAL segment's raw lines to `fn` (return false to stop).
-Status ForEachWalLine(const std::string& path,
-                      const std::function<bool(std::string&&)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open segment '" + path + "'");
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!fn(std::move(line))) break;
-    line.clear();
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<DurableShardedSystem::ReplicationSlice>
 DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
                                        size_t max_records) {
@@ -893,15 +712,15 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
                                    std::to_string(shard) + " of " +
                                    std::to_string(num_shards()));
   }
-  // Two passes: a checkpoint may sweep the chain we snapshotted out
-  // from under the file reads; the second pass sees the fresh cut (and
-  // its higher retired floor turns the race into "resync required").
+  // Two passes: a checkpoint may sweep the log we snapshotted out from
+  // under the file read; the second pass sees the fresh cut (and its
+  // higher retired floor turns the race into "resync required").
   Status last_read = Status::OK();
   for (int attempt = 0; attempt < 2; ++attempt) {
     uint64_t retired = 0;
     uint64_t durable = 0;
     uint64_t appended = 0;
-    std::vector<std::string> segments;
+    std::string wal;
     {
       std::lock_guard<std::mutex> lock(manifest_mu_);
       retired = shard < retired_records_per_shard_.size()
@@ -909,7 +728,7 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
                     : 0;
       durable = retired + logs_[shard]->durable_seq();
       appended = retired + logs_[shard]->appended_seq();
-      segments = manifest_.shards[shard].wals;
+      wal = manifest_.shards[shard].wal;
     }
     if (from < retired) {
       return Status::FailedPrecondition(
@@ -930,21 +749,15 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
     const uint64_t want =
         std::min<uint64_t>(durable - from, static_cast<uint64_t>(max_records));
     uint64_t skip = from - retired;
-    last_read = Status::OK();
-    for (const std::string& segment : segments) {
-      if (slice.records.size() >= want) break;
-      last_read =
-          ForEachWalLine(FilePath(segment), [&](std::string&& line) {
-            if (skip > 0) {
-              --skip;
-              return true;
-            }
-            if (slice.records.size() >= want) return false;
-            slice.records.push_back(std::move(line));
-            return true;
-          });
-      if (!last_read.ok()) break;
-    }
+    last_read = ForEachWalLine(FilePath(wal), [&](std::string& line) {
+      if (skip > 0) {
+        --skip;
+        return true;
+      }
+      if (slice.records.size() >= want) return false;
+      slice.records.push_back(std::move(line));
+      return true;
+    });
     if (last_read.ok() && slice.records.size() == want) {
       slice.next = from + want;
       return slice;
@@ -952,7 +765,7 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
   }
   if (!last_read.ok()) return last_read;
   return Status::IOError("shard " + std::to_string(shard) +
-                         " chain is shorter than its durable watermark");
+                         " log is shorter than its durable watermark");
 }
 
 Result<DurableShardedSystem::ReplicationApply>

@@ -11,11 +11,6 @@
 //                               authorization ledger, rules
 //   shard-<k>-<epoch>.snap      shard k's movement history at the cut
 //   events-<k>-<epoch>.wal      shard k's log tail since the cut
-//   events-<k>-<epoch>-<s>.wal  rotated log segments (s >= 1), created
-//                               once the previous segment crossed
-//                               DurabilityOptions::segment_max_bytes;
-//                               each rotation republishes the MANIFEST
-//                               with the extended segment list
 //
 // Durability discipline: each shard appends every event of its batch
 // slice to its own log *before* applying it (write-ahead, via
@@ -44,11 +39,12 @@
 // supersedes), writes the dirty segments of the next epoch, publishes
 // them by atomically renaming a fresh MANIFEST, then deletes the files
 // the new cut no longer references. A crash at any instant leaves a
-// committed cut. Checkpoints are INCREMENTAL: a shard whose log
-// accepted no records since the previous cut (and whose cold tier did
-// not change) re-references its previous snapshot file in the new
-// manifest instead of rewriting it, so checkpoint latency scales with
-// the events since the last checkpoint, not with total history.
+// committed cut. Checkpoints are INCREMENTAL: a shard whose snapshot is
+// still exact — its log accepted no records since the previous cut,
+// recovery replayed none into it, and its cold tier did not change —
+// re-references its previous snapshot file in the new manifest instead
+// of rewriting it, so checkpoint latency scales with the events since
+// the last checkpoint, not with total history.
 //
 // With RetentionOptions::max_hot_events set, Checkpoint() also runs the
 // per-shard tier maintenance pass first: shards whose hot history
@@ -64,15 +60,14 @@
 // Open() recovers by loading the manifest's base snapshot and shard
 // segments, rebuilding each shard's open-stay attribution with the
 // choice CheckAccess would make (first in-window authorization wins),
-// then replaying every shard's log segments — in committed order within
-// a shard, and across shards *in parallel* — safe because the partition
-// confines each subject's events to one shard. Only the final segment
-// of a shard may carry a torn tail (rotation fsyncs a segment before
-// its successor exists); a short tail on an earlier segment is data
-// loss and recovery refuses it. Recovered state is identical to a
-// sequential replay of the surviving log prefix (the property
-// tests/durable_sharded_test.cc enforces under crash injection, now
-// across rotated segments and pipelined commits).
+// then truncating any torn final record off each shard's WAL and
+// replaying it line by line (so replay memory stays one record however
+// long the tail) — across shards *in parallel*, safe because the
+// partition confines each subject's events to one shard. Appends then
+// resume on the same file. Recovered state is identical to a sequential
+// replay of the surviving log prefix (the property
+// tests/durable_sharded_test.cc enforces under crash injection, in
+// batch and pipelined modes).
 
 #ifndef LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
 #define LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
@@ -105,8 +100,8 @@ struct DurableShardedOptions {
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
-  /// The write path's sync mode, pipelining bounds, segment rotation
-  /// threshold, and (tests only) fault injection.
+  /// The write path's sync mode, pipelining bounds, and (tests only)
+  /// fault injection.
   DurabilityOptions durability;
   /// Tiering + retention (engine/movement_db.h). max_hot_events == 0
   /// disables sealing entirely — the pre-tiering behavior.
@@ -162,10 +157,10 @@ class DurableShardedSystem {
 
   // --- Durability ----------------------------------------------------------
 
-  /// Persists the full state as a new epoch and truncates every shard's
-  /// log (all rotated segments swept with it). Subsequent recovery
-  /// starts from here. Restores durable == applied: the snapshot
-  /// supersedes any tail a sticky-failed pipelined log lost.
+  /// Persists the full state as a new epoch and starts every shard on a
+  /// fresh, empty log. Subsequent recovery starts from here. Restores
+  /// durable == applied: the snapshot supersedes any tail a
+  /// sticky-failed pipelined log lost.
   Status Checkpoint();
 
   /// Durability barrier: blocks until every accepted log record is
@@ -224,7 +219,7 @@ class DurableShardedSystem {
   // The replication position of shard k is the monotonic per-shard
   // record count ShardWatermark() reports: retired generations plus the
   // live log's sequence. Shipping reads committed records back out of
-  // the segment chain; applying appends them to the replica's own chain
+  // the shard's WAL; applying appends them to the replica's own log
   // (write-ahead, so replica restart and onward promotion replay the
   // identical stream) and then applies them through the recovery codec.
 
@@ -268,12 +263,6 @@ class DurableShardedSystem {
   Result<ReplicationApply> ApplyReplicatedRecords(
       uint32_t shard, uint64_t start, const std::vector<std::string>& records);
 
-  /// Manifest republish accounting: rotations that would rewrite the
-  /// MANIFEST byte-identically (e.g. a retried rotation whose segment
-  /// was already committed) skip the write + three fsyncs.
-  uint64_t manifest_publishes() const;
-  uint64_t manifest_publish_skips() const;
-
   // --- Introspection -------------------------------------------------------
 
   /// Shared state (graph/profiles/auth ledger/rules). Movement state
@@ -291,9 +280,6 @@ class DurableShardedSystem {
     return engine_->shard_movements(shard);
   }
 
-  /// One shard's log (watermark/segment introspection for tests).
-  const ShardLog& shard_log(uint32_t shard) const { return *logs_[shard]; }
-
   /// Merged alerts from every shard (deterministically ordered),
   /// clearing the per-shard buffers.
   std::vector<Alert> DrainAlerts() { return engine_->DrainAlerts(); }
@@ -309,39 +295,26 @@ class DurableShardedSystem {
   /// every subsequent manifest until retention or compaction retires
   /// it).
   std::string ColdSegName(uint32_t shard, uint64_t index) const;
-  /// Segment 0 keeps the legacy name events-<k>-<epoch>.wal; rotated
-  /// segments are events-<k>-<epoch>-<seg>.wal.
-  std::string ShardWalName(uint32_t shard, uint64_t epoch,
-                           uint32_t segment = 0) const;
+  std::string ShardWalName(uint32_t shard, uint64_t epoch) const;
 
   /// Constructs the engine over base_ with `num_shards` shards.
   void InitEngine(uint32_t num_shards);
 
-  /// Wraps an open segment writer in this shard's ShardLog (wiring the
-  /// rotation callback and durability options).
-  std::unique_ptr<ShardLog> MakeShardLog(uint32_t shard, WalWriter writer,
-                                         uint64_t writer_bytes,
-                                         uint32_t segment_index);
-
-  /// Rotation callback body: creates the next numbered segment, commits
-  /// the extended segment list to the manifest, returns the new writer.
-  /// Runs on shard `shard`'s log thread.
-  Result<WalWriter> RotateShardSegment(uint32_t shard, uint32_t next_segment);
-
-  /// Replays every shard's committed WAL segments (parallel across
-  /// shards, ordered within one) and installs the tail writers;
+  /// Repairs and replays every shard's committed WAL (parallel across
+  /// shards), marking each shard that replayed a record stale;
   /// `manifest` names the files.
   Status ReplayShardLogs(const ShardManifest& manifest);
 
   /// Writes the dirty segments of `epoch` + its manifest and swaps in
   /// fresh logs; clean shards re-reference their previous snapshot
-  /// file. On success the committed cut is in manifest_.
+  /// file. On success the committed cut is in manifest_ and every
+  /// snapshot_stale_ mark is cleared.
   Status WriteEpoch(uint64_t epoch);
 
   /// Checkpoint's tier maintenance pass: seals oversized hot shards,
   /// drops sealed segments past the retention horizon, merges segment
   /// runs of compaction_fanin. Marks shards whose hot snapshot must be
-  /// rewritten in maintenance_dirty_. No-op unless
+  /// rewritten in snapshot_stale_. No-op unless
   /// options_.retention.max_hot_events > 0.
   void MaintainColdTiers();
 
@@ -363,7 +336,7 @@ class DurableShardedSystem {
   void InstallHooks();
 
   /// Best-effort removal of a superseded epoch's files (as named by its
-  /// manifest, so rotated segments are swept too).
+  /// manifest) that the committed cut no longer references.
   void RemoveEpochFiles(const ShardManifest& old_manifest);
 
   std::string dir_;
@@ -376,22 +349,14 @@ class DurableShardedSystem {
   /// by the control thread for ticks between batches, and flushed by
   /// its own log thread in pipelined modes.
   std::vector<std::unique_ptr<ShardLog>> logs_;
-  /// The committed cut (segment lists grow under rotation). Guarded by
-  /// manifest_mu_: rotation runs on log threads while the control
-  /// thread may be reading; Checkpoint republishes it wholesale.
-  /// Shipper threads also snapshot {segment list, retired floor, log
-  /// pointers} under it, so manifest_mu_ additionally guards
-  /// retired_records_per_shard_ and the logs_ vector itself (never a
-  /// ShardLog's destruction: joining a log thread that may be blocked
-  /// on manifest_mu_ inside a rotation must happen outside the lock).
+  /// The committed cut. Only the control thread (Open/Checkpoint)
+  /// writes it, and it does so under manifest_mu_, because shipper
+  /// threads snapshot {WAL name, retired floor, log pointers} under the
+  /// same lock; manifest_mu_ therefore also guards
+  /// retired_records_per_shard_ and the logs_ vector itself. The
+  /// control thread's own reads need no lock.
   ShardManifest manifest_;
   mutable std::mutex manifest_mu_;
-  /// The exact bytes of the last published MANIFEST plus publish/skip
-  /// counters (guarded by manifest_mu_): rotation republishes only when
-  /// the serialized cut actually changed.
-  std::string published_manifest_bytes_;
-  uint64_t manifest_publishes_ = 0;
-  uint64_t manifest_publish_skips_ = 0;
   uint64_t epoch_ = 0;
   /// Watermark/counter accumulators for log generations retired by
   /// Checkpoint (their records are all durable via the snapshot).
@@ -415,9 +380,11 @@ class DurableShardedSystem {
   std::vector<std::vector<ColdFile>> cold_files_;
   /// Per-shard naming counter for the next sealed/merged segment file.
   std::vector<uint64_t> next_cold_index_;
-  /// Shards whose hot snapshot the tier maintenance pass invalidated
-  /// (a seal rewrote the hot history); consumed by WriteEpoch.
-  std::vector<bool> maintenance_dirty_;
+  /// Shards whose previous snapshot is stale although their live log
+  /// may be empty: recovery replayed log records into them, or the tier
+  /// maintenance pass sealed hot history. Cleared only by a committed
+  /// WriteEpoch.
+  std::vector<bool> snapshot_stale_;
   uint64_t last_checkpoint_dirty_segments_ = 0;
   uint64_t checkpoint_dirty_segments_ = 0;
   uint64_t compaction_runs_ = 0;

@@ -6,8 +6,6 @@
 #include <chrono>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace ltam {
 
 const char* SyncModeToString(SyncMode mode) {
@@ -37,15 +35,8 @@ std::string EncodeLine(const Record& record) {
 
 }  // namespace
 
-ShardLog::ShardLog(WalWriter writer, uint64_t writer_bytes,
-                   uint32_t segment_index, DurabilityOptions options,
-                   RotateFn rotate)
-    : options_(std::move(options)),
-      rotate_(std::move(rotate)),
-      writer_(std::move(writer)),
-      segment_bytes_(writer_bytes),
-      segment_index_(segment_index),
-      shared_segment_index_(segment_index) {
+ShardLog::ShardLog(WalWriter writer, DurabilityOptions options)
+    : options_(std::move(options)), writer_(std::move(writer)) {
   if (options_.metrics != nullptr) {
     sync_histogram_ = options_.metrics->GetHistogram("wal.sync");
   }
@@ -86,7 +77,6 @@ Status ShardLog::WriteLine(const std::string& line) {
     LTAM_RETURN_IF_ERROR(options_.fault_injector("append", append_attempts_));
   }
   LTAM_RETURN_IF_ERROR(writer_.AppendEncoded(line));
-  segment_bytes_ += line.size();
   unsynced_bytes_ += line.size();
   return Status::OK();
 }
@@ -106,11 +96,6 @@ Status ShardLog::SyncNow(uint64_t covered_seq) {
   if (synced.ok()) {
     unsynced_bytes_ = 0;
     unsynced_groups_ = 0;
-    // Rotate BEFORE advertising durability: a barrier waiter (e.g.
-    // Checkpoint) wakes the instant durable_ advances, and it must
-    // never find this thread still republishing the manifest — the
-    // owner's manifest writes would race ours.
-    MaybeRotate();
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (synced.ok()) {
@@ -120,29 +105,6 @@ Status ShardLog::SyncNow(uint64_t covered_seq) {
   }
   durable_cv_.notify_all();
   return synced;
-}
-
-void ShardLog::MaybeRotate() {
-  if (!rotate_ || options_.segment_max_bytes == 0 ||
-      segment_bytes_ < options_.segment_max_bytes) {
-    return;
-  }
-  // Everything in the current segment is durable (callers rotate only
-  // after a successful sync), so switching files loses nothing.
-  Result<WalWriter> next = rotate_(segment_index_ + 1);
-  if (!next.ok()) {
-    // Keep appending to the oversized segment; growth retries the
-    // rotation after the next sync.
-    LTAM_LOG_WARNING << "WAL segment rotation failed (staying on segment "
-                     << segment_index_
-                     << "): " << next.status().ToString();
-    return;
-  }
-  writer_ = std::move(next).ValueOrDie();
-  ++segment_index_;
-  segment_bytes_ = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  shared_segment_index_ = segment_index_;
 }
 
 Result<CommitTicket> ShardLog::AppendSynchronous(const std::string& line) {
@@ -229,11 +191,6 @@ uint64_t ShardLog::append_failures() const {
 uint64_t ShardLog::sync_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sync_failures_;
-}
-
-uint32_t ShardLog::segment_index() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shared_segment_index_;
 }
 
 void ShardLog::ThreadLoop() {

@@ -1,6 +1,6 @@
 // Copyright 2026 The LTAM Authors.
-// Pipelined write-ahead logging: per-shard log threads, commit
-// pipelining, and WAL segment rotation.
+// Pipelined write-ahead logging: per-shard log threads and commit
+// pipelining.
 //
 // The original durability discipline (PR 2) has every shard worker
 // append its slice to the shard's WAL and then pay one group-commit
@@ -16,12 +16,10 @@
 //    file, drains the queue, and batches appends across *multiple*
 //    engine batches into one fsync (commit pipelining), bounded by
 //    DurabilityOptions{pipeline_depth, max_unsynced_bytes,
-//    sync_interval_ms};
-//  - bound segment size: once the current segment crosses
-//    segment_max_bytes the log thread rotates to a fresh numbered
-//    segment via the owner-supplied callback (which commits the new
-//    name to the manifest), so a long epoch tail replays incrementally
-//    instead of as one monolith.
+//    sync_interval_ms}.
+//
+// A log writes one file for its whole checkpoint epoch; the owner's
+// Checkpoint starts the next epoch with a fresh log.
 //
 // The durability position is the watermark pair (applied, durable):
 // `applied` counts records accepted onto the queue (their events are
@@ -103,9 +101,6 @@ struct DurabilityOptions {
   size_t max_unsynced_bytes = 1u << 20;
   /// kInterval: fsync cadence in milliseconds (clamped to >= 1).
   uint32_t sync_interval_ms = 5;
-  /// Rotate to a fresh numbered WAL segment once the current one
-  /// crosses this many bytes (0 disables rotation).
-  size_t segment_max_bytes = 64u << 20;
   /// Test-only fault injection, called before every physical append and
   /// fsync with op "append"/"sync" and the 1-based attempt count on
   /// this log; a non-OK return simulates that failure. Null in
@@ -134,7 +129,7 @@ struct DurabilityWatermark {
 };
 
 /// One shard's write-ahead log under a chosen SyncMode. Construction
-/// wraps an open WalWriter positioned at the current segment's tail;
+/// wraps an open WalWriter positioned at the log file's tail;
 /// kPipelined/kInterval spawn the log thread, kBatch stays synchronous
 /// on the caller's thread (and is byte-identical to driving the
 /// WalWriter directly, which the equivalence matrix relies on).
@@ -146,18 +141,7 @@ struct DurabilityWatermark {
 /// sync, and joins the thread.
 class ShardLog {
  public:
-  /// Called on the log thread when the current segment crosses
-  /// segment_max_bytes (after it has been fully fsynced): must create
-  /// the next numbered segment, commit its name (manifest), and return
-  /// its writer. A failure leaves the current segment in place (growth
-  /// retries on the next sync).
-  using RotateFn = std::function<Result<WalWriter>(uint32_t next_segment)>;
-
-  /// `writer` is the open current segment, `writer_bytes` its existing
-  /// size (rotation accounting), `segment_index` its number within the
-  /// epoch.
-  ShardLog(WalWriter writer, uint64_t writer_bytes, uint32_t segment_index,
-           DurabilityOptions options, RotateFn rotate);
+  ShardLog(WalWriter writer, DurabilityOptions options);
   ~ShardLog();
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
@@ -197,9 +181,6 @@ class ShardLog {
   uint64_t append_failures() const;
   uint64_t sync_failures() const;
 
-  /// Current segment number within the epoch (grows with rotation).
-  uint32_t segment_index() const;
-
  private:
   struct Entry {
     uint64_t seq = 0;     // 0 for pure boundary markers.
@@ -216,20 +197,14 @@ class ShardLog {
   Status WriteLine(const std::string& line);
   /// fsyncs through the fault injector; on success advances durable_.
   Status SyncNow(uint64_t covered_seq);
-  /// Rotates if the threshold tripped (call only with everything
-  /// synced).
-  void MaybeRotate();
   /// Batch-mode synchronous body of Append.
   Result<CommitTicket> AppendSynchronous(const std::string& line);
 
   const DurabilityOptions options_;
-  const RotateFn rotate_;
   Histogram* sync_histogram_ = nullptr;  // Resolved once in the ctor.
 
   // Log-thread-owned (batch mode: caller-thread-owned; no concurrency).
   WalWriter writer_;
-  uint64_t segment_bytes_ = 0;
-  uint32_t segment_index_ = 0;
   uint64_t written_seq_ = 0;     // Last seq physically written.
   uint64_t unsynced_bytes_ = 0;
   size_t unsynced_groups_ = 0;
@@ -256,7 +231,6 @@ class ShardLog {
   Status sticky_error_;         // First pipelined write/sync failure.
   uint64_t append_failures_ = 0;
   uint64_t sync_failures_ = 0;
-  uint32_t shared_segment_index_ = 0;  // Mirror for segment_index().
   bool flush_requested_ = false;
   bool stop_ = false;
 

@@ -2,7 +2,6 @@
 
 #include "storage/manifest.h"
 
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
@@ -17,12 +16,9 @@ namespace {
 constexpr uint32_t kFormatVersion = 1;
 /// Generous ceiling; a corrupted shard count must not drive allocation.
 constexpr uint32_t kMaxShards = 4096;
-/// Ceiling on rotated WAL segments named by one shard record — far
-/// above anything rotation produces between checkpoints, small enough
-/// that a corrupt record cannot drive allocation.
-constexpr size_t kMaxWalSegments = 65536;
-/// Same role for a shard's sealed cold-segment list (compaction keeps
-/// real lists near compaction_fanin).
+/// Ceiling on a shard's sealed cold-segment list (compaction keeps real
+/// lists near compaction_fanin), so a corrupt record cannot drive
+/// allocation.
 constexpr size_t kMaxColdSegments = 65536;
 
 Result<int64_t> Field(const Record& rec, size_t i) {
@@ -47,8 +43,8 @@ Status CheckFileName(const std::string& name) {
   return Status::OK();
 }
 
-}  // namespace
-
+/// Validates `manifest` and renders the exact bytes SaveManifest
+/// publishes.
 Result<std::string> SerializeManifest(const ShardManifest& manifest) {
   if (manifest.num_shards == 0 || manifest.num_shards > kMaxShards) {
     return Status::InvalidArgument("manifest num_shards out of range");
@@ -59,12 +55,7 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
   LTAM_RETURN_IF_ERROR(CheckFileName(manifest.base_snapshot));
   for (const ShardManifest::ShardFiles& files : manifest.shards) {
     LTAM_RETURN_IF_ERROR(CheckFileName(files.snapshot));
-    if (files.wals.empty()) {
-      return Status::InvalidArgument("manifest shard has no WAL segments");
-    }
-    for (const std::string& wal : files.wals) {
-      LTAM_RETURN_IF_ERROR(CheckFileName(wal));
-    }
+    LTAM_RETURN_IF_ERROR(CheckFileName(files.wal));
     for (const std::string& seg : files.cold) {
       LTAM_RETURN_IF_ERROR(CheckFileName(seg));
     }
@@ -82,11 +73,9 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
          std::to_string(manifest.num_shards)}});
   emit({"base", {manifest.base_snapshot}});
   for (uint32_t k = 0; k < manifest.num_shards; ++k) {
-    std::vector<std::string> fields{std::to_string(k),
-                                    manifest.shards[k].snapshot};
-    fields.insert(fields.end(), manifest.shards[k].wals.begin(),
-                  manifest.shards[k].wals.end());
-    emit({"shard", std::move(fields)});
+    emit({"shard",
+          {std::to_string(k), manifest.shards[k].snapshot,
+           manifest.shards[k].wal}});
     // Only shards with an actual cold tier emit a record: untiered
     // directories keep the pre-tiering serialization byte for byte.
     if (!manifest.shards[k].cold.empty() ||
@@ -102,59 +91,11 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
   return bytes;
 }
 
-namespace {
-
-Status PublishManifestBytes(const std::string& bytes,
-                            const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::IOError("cannot open manifest temp '" + tmp + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IOError("manifest write failed");
-    }
-  }
-  Status synced = SyncFile(tmp);
-  if (!synced.ok()) {
-    std::remove(tmp.c_str());
-    return synced;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish manifest '" + path + "'");
-  }
-  // Make the rename itself durable.
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) {
-    LTAM_RETURN_IF_ERROR(SyncDir(path.substr(0, slash)));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SaveManifest(const ShardManifest& manifest, const std::string& path) {
   LTAM_ASSIGN_OR_RETURN(std::string bytes, SerializeManifest(manifest));
-  return PublishManifestBytes(bytes, path);
-}
-
-Result<bool> SaveManifestIfChanged(const ShardManifest& manifest,
-                                   const std::string& path,
-                                   std::string* last_serialized) {
-  LTAM_ASSIGN_OR_RETURN(std::string bytes, SerializeManifest(manifest));
-  if (last_serialized != nullptr && !last_serialized->empty() &&
-      *last_serialized == bytes) {
-    return false;
-  }
-  LTAM_RETURN_IF_ERROR(PublishManifestBytes(bytes, path));
-  if (last_serialized != nullptr) *last_serialized = std::move(bytes);
-  return true;
+  return WriteFileAtomically(path, bytes);
 }
 
 Result<ShardManifest> LoadManifest(const std::string& path) {
@@ -222,10 +163,18 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       continue;
     }
     if (rec.type == "shard") {
-      // <k> <snapshot> and at least one WAL segment; rotation may have
-      // committed more (replayed in record order).
-      if (rec.fields.size() < 3 || rec.fields.size() > 3 + kMaxWalSegments) {
+      // <k> <snapshot> <wal>.
+      if (rec.fields.size() < 3) {
         return Status::ParseError("shard record field count");
+      }
+      if (rec.fields.size() > 3) {
+        return Status::FailedPrecondition(
+            "manifest '" + path + "' lists " +
+            std::to_string(rec.fields.size() - 2) + " WAL files for shard " +
+            rec.fields[0] +
+            ": rotated WAL segments were removed; open and checkpoint the "
+            "directory with the release that wrote it (a checkpoint leaves "
+            "one WAL per shard), then reopen it");
       }
       LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
       if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
@@ -237,12 +186,10 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
                                   std::to_string(k));
       }
       LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[1]));
+      LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[2]));
       ShardManifest::ShardFiles files;
       files.snapshot = rec.fields[1];
-      for (size_t i = 2; i < rec.fields.size(); ++i) {
-        LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[i]));
-        files.wals.push_back(rec.fields[i]);
-      }
+      files.wal = rec.fields[2];
       out.shards[static_cast<size_t>(k)] = std::move(files);
       saw_shard[static_cast<size_t>(k)] = true;
       ++records;

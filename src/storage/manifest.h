@@ -14,8 +14,7 @@
 //
 //   manifest <format-version> <epoch> <num-shards>
 //   base <file>
-//   shard <k> <snapshot-file> <wal-seg-0> [<wal-seg-1> ...]
-//                                            (one per shard, k ascending)
+//   shard <k> <snapshot-file> <wal-file>   (one per shard, k ascending)
 //   cold <k> <dropped-events> <seg-file> [...]
 //                      (optional, at most one per shard: the shard's
 //                       sealed cold segments in sequence order plus the
@@ -23,11 +22,10 @@
 //                       the retention horizon; absent = no cold tier)
 //   commit <record-count>
 //
-// A shard's WAL may span several rotated segments within one epoch
-// (`events-<k>-<epoch>.wal`, then `events-<k>-<epoch>-<seg>.wal` once
-// the size threshold trips); the shard record commits the ordered
-// segment list, and rotation republishes the manifest so a crash at any
-// instant still names exactly the files recovery must replay, in order.
+// A shard's WAL is the one file `events-<k>-<epoch>.wal` for the whole
+// epoch. Releases that rotated WAL segments could commit a longer list
+// on the shard record; such a manifest is refused with
+// FailedPrecondition (checkpoint it with the release that wrote it).
 // The `cold` record is emitted only for shards that actually sealed (or
 // dropped) history, so directories without tiering serialize
 // byte-identically to the pre-tiering format.
@@ -59,10 +57,7 @@ struct ShardManifest {
   std::string base_snapshot;
   struct ShardFiles {
     std::string snapshot;  ///< Per-shard hot movement segment.
-    /// Per-shard log tail, in replay order: the first entry is the
-    /// segment the checkpoint created, later entries were committed by
-    /// rotation. Never empty after a successful load.
-    std::vector<std::string> wals;
+    std::string wal;       ///< Per-shard log tail since the cut.
     /// Sealed cold segments (storage/cold_codec.h), oldest first. Empty
     /// for shards that never sealed.
     std::vector<std::string> cold;
@@ -77,29 +72,13 @@ struct ShardManifest {
 /// Canonical manifest file name inside a durable directory.
 inline const char* ManifestFileName() { return "MANIFEST"; }
 
-/// Validates `manifest` and renders the exact bytes SaveManifest would
-/// publish. Exposed so callers can detect no-op republishes: two
-/// manifests naming the same cut serialize identically.
-Result<std::string> SerializeManifest(const ShardManifest& manifest);
-
-/// Serializes `manifest` to `path` durably: writes `<path>.tmp`, fsyncs
-/// it, renames it over `path`, and fsyncs the parent directory.
+/// Serializes `manifest` to `path` durably (WriteFileAtomically).
 Status SaveManifest(const ShardManifest& manifest, const std::string& path);
-
-/// SaveManifest, unless the serialized bytes equal `*last_serialized`
-/// (the previously published bytes, as maintained by this function) — a
-/// rotation that left every shard's segment list unchanged does not pay
-/// for a rewrite + three fsyncs. Returns true when the manifest was
-/// published, false when the byte-identical write was skipped. On a
-/// successful publish `*last_serialized` is updated; pass the same
-/// string across calls. An empty cache always publishes.
-Result<bool> SaveManifestIfChanged(const ShardManifest& manifest,
-                                   const std::string& path,
-                                   std::string* last_serialized);
 
 /// Parses and validates a manifest file. Errors on unknown records,
 /// duplicate or missing shard entries, bad counts, path-escaping file
-/// names, or a missing/incorrect commit record.
+/// names, or a missing/incorrect commit record; a shard record naming
+/// rotated WAL segments is FailedPrecondition.
 Result<ShardManifest> LoadManifest(const std::string& path);
 
 }  // namespace ltam

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -76,53 +77,52 @@ Status WalWriter::Sync() {
   return Status::OK();
 }
 
-Status ReplayWal(const std::string& path,
-                 const std::function<Status(const Record&)>& apply) {
+Status ForEachWalLine(const std::string& path,
+                      const std::function<bool(std::string& line)>& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
-    return Status::IOError("cannot open WAL '" + path + "' for replay");
+    return Status::IOError("cannot open WAL '" + path + "' for reading");
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  size_t start = 0;
-  while (start < contents.size()) {
-    size_t nl = contents.find('\n', start);
-    if (nl == std::string::npos) {
-      // Torn final append (no trailing newline): ignore it; everything
-      // before it replays normally.
-      break;
-    }
-    std::string line = contents.substr(start, nl - start);
-    start = nl + 1;
-    if (line.empty()) continue;
-    Result<Record> rec = DecodeRecord(line);
-    if (!rec.ok()) {
-      return rec.status().WithContext("WAL replay of '" + path + "'");
-    }
-    LTAM_RETURN_IF_ERROR(apply(*rec));
+  std::string line;
+  // getline sets eof only when the line lacks its newline: a torn tail.
+  while (std::getline(in, line) && !in.eof()) {
+    if (!fn(line)) return Status::OK();
   }
+  if (in.bad()) return Status::IOError("cannot read WAL '" + path + "'");
   return Status::OK();
 }
 
+Status ReplayWal(const std::string& path,
+                 const std::function<Status(const Record&)>& apply) {
+  Status applied;
+  LTAM_RETURN_IF_ERROR(ForEachWalLine(path, [&](std::string& line) {
+    if (line.empty()) return true;
+    Result<Record> rec = DecodeRecord(line);
+    applied = rec.ok() ? apply(*rec)
+                       : rec.status().WithContext("WAL replay of '" + path +
+                                                  "'");
+    return applied.ok();
+  }));
+  return applied;
+}
+
 Result<size_t> TruncateTornWalTail(const std::string& path) {
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IOError("cannot open WAL '" + path +
-                             "' for tail repair");
-    }
-    contents.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  uint64_t keep = 0;
+  LTAM_RETURN_IF_ERROR(ForEachWalLine(path, [&keep](std::string& line) {
+    keep += line.size() + 1;
+    return true;
+  }));
+  struct ::stat st;
+  if (::stat(path.c_str(), &st) != 0) {
+    return Status::IOError("cannot stat WAL '" + path + "'");
   }
-  size_t last_nl = contents.find_last_of('\n');
-  size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
-  if (keep == contents.size()) return size_t{0};
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (keep == size) return size_t{0};
   if (::truncate(path.c_str(), static_cast<off_t>(keep)) != 0) {
     return Status::IOError("cannot truncate torn tail of WAL '" + path +
                            "': " + std::strerror(errno));
   }
-  return contents.size() - keep;
+  return static_cast<size_t>(size - keep);
 }
 
 namespace {
@@ -154,6 +154,35 @@ Status SyncFile(const std::string& path) { return SyncFd(path, O_RDONLY); }
 
 Status SyncDir(const std::string& path) {
   return SyncFd(path, O_RDONLY | O_DIRECTORY);
+}
+
+Status WriteFileAtomically(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+      return Status::IOError("cannot open temp file '" + tmp + "'");
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out.good()) {
+      out.close();
+      std::remove(tmp.c_str());
+      return Status::IOError("write of '" + tmp + "' failed");
+    }
+  }
+  Status synced = SyncFile(tmp);
+  if (!synced.ok()) {
+    std::remove(tmp.c_str());
+    return synced;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot publish '" + path + "'");
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.find_last_of('/');
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
 }  // namespace ltam

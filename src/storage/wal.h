@@ -24,7 +24,7 @@ class WalWriter {
   static Result<WalWriter> Open(const std::string& path);
 
   /// Creates (truncating any leftover) the log at `path`. Used when a
-  /// checkpoint rotates to a fresh epoch: an orphaned file from a crashed
+  /// checkpoint starts a fresh epoch: an orphaned file from a crashed
   /// earlier attempt at the same epoch must not leak stale records.
   static Result<WalWriter> Create(const std::string& path);
 
@@ -55,10 +55,16 @@ class WalWriter {
   size_t appended_ = 0;
 };
 
+/// Streams the complete lines of a log file to `fn` in order (newline
+/// stripped, empty lines included), holding one line in memory at a
+/// time. A torn final line — no trailing newline, as an in-flight append
+/// crash would leave — is not delivered. `fn` returns false to stop.
+Status ForEachWalLine(const std::string& path,
+                      const std::function<bool(std::string& line)>& fn);
+
 /// Replays a log file, invoking `apply` per record in order. Stops with
-/// an error on the first malformed line (a torn final line — no trailing
-/// newline — is tolerated and ignored, as an in-flight append crash would
-/// leave one).
+/// an error on the first malformed line (a torn final line is tolerated
+/// and ignored).
 Status ReplayWal(const std::string& path,
                  const std::function<Status(const Record&)>& apply);
 
@@ -81,6 +87,11 @@ Status SyncFile(const std::string& path);
 /// fsyncs a directory, making completed renames/creates inside it
 /// durable.
 Status SyncDir(const std::string& path);
+
+/// Replaces `path` with `bytes` atomically and durably: writes
+/// `<path>.tmp`, fsyncs it, renames it over `path`, and fsyncs the
+/// parent directory. A crash leaves either the old file or the new one.
+Status WriteFileAtomically(const std::string& path, const std::string& bytes);
 
 }  // namespace ltam
 

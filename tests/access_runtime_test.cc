@@ -7,8 +7,9 @@
 // plus the facade-only contracts: the enforced mutation window,
 // BatchResult draining, shard-count override reporting, the refusal of
 // the removed sequential directory layout, position-fix routing, the
-// in-memory answers to the durable-only calls, and a restart that
-// re-derives rules without refunding spent entries.
+// in-memory answers to the durable-only calls, a restart that
+// re-derives rules without refunding spent entries, and a second
+// restart that keeps the log tail the first one recovered.
 
 #include "runtime/access_runtime.h"
 
@@ -286,7 +287,6 @@ TEST_P(AccessRuntimeEquivalenceTest, EveryConfigurationMatchesOracle) {
     RuntimeOptions pipelined = memory;
     pipelined.durable_dir = Dir(tag + "-pipelined");
     pipelined.durability.mode = SyncMode::kPipelined;
-    pipelined.durability.segment_max_bytes = 4096;  // Rotate.
     configs.push_back({tag + "-durable-pipelined", pipelined});
     RuntimeOptions interval = memory;
     interval.durable_dir = Dir(tag + "-interval");
@@ -646,6 +646,52 @@ RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
     EXPECT_FALSE(d.granted) << d.ToString();
     EXPECT_EQ(DenyReason::kEntriesExhausted, d.reason) << d.ToString();
     EXPECT_EQ(ledger, rt->auth_db().size());
+  }
+}
+
+TEST_F(AccessRuntimeDurableTest, SecondRestartKeepsTheFirstRecoveredTail) {
+  // Every ltam_serve and ltam_shell boot re-derives the scripted rules,
+  // and that Mutate checkpoints. After a crash, the first boot's
+  // checkpoint must keep the log tail it just recovered, so a second
+  // restart still finds Alice inside A and grants her exit.
+  const char* policy = R"(
+SITE S
+ROOM A IN S
+ENTRY A
+SUBJECT Alice
+AUTH Alice A ENTER [0,100] EXIT [0,200]
+)";
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir_;
+  auto boot = [&]() -> Result<std::unique_ptr<AccessRuntime>> {
+    LTAM_ASSIGN_OR_RETURN(SystemState state, ParsePolicyScript(policy));
+    LTAM_ASSIGN_OR_RETURN(std::unique_ptr<AccessRuntime> rt,
+                          AccessRuntime::Open(std::move(state), options));
+    LTAM_RETURN_IF_ERROR(RegisterAndDeriveScriptedRules(rt.get()));
+    return rt;
+  };
+  SubjectId alice = kInvalidSubject;
+  LocationId room = kInvalidLocation;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    ASSERT_OK_AND_ASSIGN(alice, rt->profiles().Find("Alice"));
+    ASSERT_OK_AND_ASSIGN(room, rt->graph().Find("A"));
+    ASSERT_OK_AND_ASSIGN(Decision entered,
+                         rt->Apply(AccessEvent::Entry(10, alice, room)));
+    ASSERT_TRUE(entered.granted) << entered.ToString();
+    // No checkpoint after the entry: drop the runtime as a crash
+    // stand-in.
+  }
+  for (int restart = 1; restart <= 2; ++restart) {
+    SCOPED_TRACE(restart);
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    EXPECT_EQ(room, rt->movements().CurrentLocation(alice));
+    if (restart == 2) {
+      ASSERT_OK_AND_ASSIGN(Decision left,
+                           rt->Apply(AccessEvent::Exit(20, alice)));
+      EXPECT_TRUE(left.granted) << left.ToString();
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Copyright 2026 The LTAM Authors.
-// The durable runtime: lifecycle, checkpoint/epoch rotation, and the
+// The durable runtime: lifecycle, checkpoint epochs, and the
 // crash-injection recovery matrix: truncate each shard's WAL at
 // randomized byte offsets after a random workload, reopen, and assert the
 // recovered ledger/movement/alert state equals a sequential replay of the
@@ -232,15 +232,11 @@ class DurableShardedTest : public ::testing::TestWithParam<uint32_t> {
     return opt;
   }
 
-  DurableShardedOptions PipelinedOptions(SyncMode mode,
-                                         size_t segment_max_bytes = 0) const {
+  DurableShardedOptions PipelinedOptions(SyncMode mode) const {
     DurableShardedOptions opt = Options();
     opt.durability.mode = mode;
     opt.durability.pipeline_depth = 3;
     opt.durability.sync_interval_ms = 1;
-    if (segment_max_bytes > 0) {
-      opt.durability.segment_max_bytes = segment_max_bytes;
-    }
     return opt;
   }
 
@@ -537,9 +533,7 @@ TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
   };
   std::vector<ModeRun> runs;
   runs.push_back({"sync", Options(), {}, {}});
-  // Tiny segments so the pipelined run also exercises rotation.
-  runs.push_back(
-      {"pipelined", PipelinedOptions(SyncMode::kPipelined, 4096), {}, {}});
+  runs.push_back({"pipelined", PipelinedOptions(SyncMode::kPipelined), {}, {}});
   runs.push_back({"interval", PipelinedOptions(SyncMode::kInterval), {}, {}});
 
   for (ModeRun& run : runs) {
@@ -603,13 +597,11 @@ TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
   }
 }
 
-/// Crash injection across rotated segments: a pipelined run with tiny
-/// segments leaves a multi-segment WAL chain per shard; a simulated
-/// crash (directory copy + truncation of each shard's FINAL segment —
-/// rotation fsyncs a segment before its successor exists, so only the
-/// final one can tear) must recover exactly the surviving prefix, and
-/// never less than the reported durable watermark.
-TEST_P(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
+/// Crash injection on the pipelined write path: a pipelined run leaves
+/// one WAL per shard; a simulated crash (directory copy + truncation of
+/// each shard's WAL at a random offset) must recover exactly the
+/// surviving prefix, and never less than the reported durable watermark.
+TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
   const uint64_t kWorldSeed = 307;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
@@ -619,9 +611,8 @@ TEST_P(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
   {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(
-            golden, MakeInitialState(kWorldSeed),
-            PipelinedOptions(SyncMode::kPipelined, /*segment_max_bytes=*/2048)));
+        DurableShardedSystem::Open(golden, MakeInitialState(kWorldSeed),
+                                   PipelinedOptions(SyncMode::kPipelined)));
     auto batches = MakeBatches(probe, subjects, 600, 100, 311);
     for (const auto& batch : batches) {
       Status durability;
@@ -632,49 +623,30 @@ TEST_P(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
     ASSERT_OK(sys->WaitDurable());
     watermark = sys->Watermark();
     ASSERT_EQ(watermark.durable, watermark.applied);
-    // Rotation must actually have happened for this test to bite.
-    size_t total_segments = 0;
-    for (uint32_t k = 0; k < shards(); ++k) {
-      total_segments += sys->shard_log(k).segment_index() + 1;
-    }
-    ASSERT_GT(total_segments, shards())
-        << "no shard rotated; shrink segment_max_bytes";
     // "Crash": the object goes away without a checkpoint.
   }
 
   Rng rng(6464);
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const std::string trial_dir = dir_ + "/rot" + std::to_string(trial);
+    const std::string trial_dir = dir_ + "/pipe" + std::to_string(trial);
     fs::remove_all(trial_dir);
     fs::copy(golden, trial_dir);
 
-    ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
-                         LoadManifest(trial_dir + "/MANIFEST"));
-    ASSERT_EQ(manifest.num_shards, shards());
-    // Trial 0 pins the no-loss boundary case; the rest tear the final
-    // segment at random offsets (earlier segments are durable by
-    // construction: rotation synced them before their successor
-    // existed).
+    // Trial 0 pins the no-loss boundary case; the rest tear every
+    // shard's WAL at random offsets.
+    std::vector<fs::path> wals = ShardWalPaths(trial_dir);
+    ASSERT_EQ(wals.size(), shards());
     uint64_t surviving_records = 0;
-    for (uint32_t k = 0; k < shards(); ++k) {
-      ASSERT_GE(manifest.shards[k].wals.size(), 1u);
-      const fs::path tail =
-          fs::path(trial_dir) / manifest.shards[k].wals.back();
-      uintmax_t size = fs::file_size(tail);
+    for (const fs::path& wal : wals) {
       if (trial > 0) {
-        fs::resize_file(tail, rng.Uniform(size + 1));
+        fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
       }
-      for (const std::string& wal : manifest.shards[k].wals) {
-        // Count whole surviving records for the watermark check.
-        Status counted =
-            ReplayWal((fs::path(trial_dir) / wal).string(),
-                      [&surviving_records](const Record&) {
-                        ++surviving_records;
-                        return Status::OK();
-                      });
-        ASSERT_OK(counted);
-      }
+      // Count whole surviving records for the watermark check.
+      ASSERT_OK(ReplayWal(wal.string(), [&surviving_records](const Record&) {
+        ++surviving_records;
+        return Status::OK();
+      }));
     }
     if (trial == 0) {
       // Everything was durable at the crash: nothing may be missing.
@@ -686,61 +658,93 @@ TEST_P(DurableShardedTest, CrashInjectionAcrossRotatedSegments) {
         DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
                                    Options()));
 
-    // Reference: sequential replay of exactly the surviving segment
-    // chains, in committed order.
+    // Reference: sequential replay of exactly the surviving prefixes.
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
-    for (uint32_t k = 0; k < shards(); ++k) {
-      for (const std::string& wal : manifest.shards[k].wals) {
-        ASSERT_OK(reference.ReplaySurvivingLog(
-            k, (fs::path(trial_dir) / wal).string()));
-      }
+    for (const fs::path& wal : wals) {
+      ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
+                                             wal.string()));
     }
-    ExpectStateEquals(*sys, reference, "rotated-segment crash trial");
+    ExpectStateEquals(*sys, reference, "pipelined crash trial");
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));
   }
 }
 
-/// A mid-chain segment with a torn tail is data loss (rotation synced
-/// it before its successor existed) — recovery must refuse, not replay
-/// around the hole.
-TEST_P(DurableShardedTest, TornNonFinalSegmentIsARecoveryError) {
-  const uint64_t kWorldSeed = 331;
+/// Recovery replays a shard's tail into memory while the shard's log has
+/// accepted nothing yet. The next checkpoint must still rewrite that
+/// shard's snapshot: re-referencing the pre-crash one and then deleting
+/// the log that held the tail would lose it at the following restart.
+TEST_P(DurableShardedTest, CheckpointAfterRecoveryKeepsReplayedTail) {
+  const uint64_t kWorldSeed = 53;
   std::vector<SubjectId> subjects;
-  SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
+  SystemState probe = MakeInitialState(kWorldSeed, 16, &subjects);
+  auto batches = MakeBatches(probe, subjects, 200, 50, 59);
   {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(
-            dir_, MakeInitialState(kWorldSeed),
-            PipelinedOptions(SyncMode::kPipelined, /*segment_max_bytes=*/1024)));
-    auto batches = MakeBatches(probe, subjects, 600, 100, 337);
+        DurableShardedSystem::Open(dir_, MakeInitialState(kWorldSeed, 16),
+                                   Options()));
     for (const auto& batch : batches) {
-      Status durability;
-      (void)sys->EvaluateBatchWithStatus(batch, &durability);
-      ASSERT_OK(durability);
+      ASSERT_OK(sys->EvaluateBatch(batch).status());
     }
-    ASSERT_OK(sys->WaitDurable());
+    ASSERT_OK(sys->Tick(500));
+    // "Crash": no checkpoint, the tail lives only in the logs.
   }
-  ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
-                       LoadManifest(dir_ + "/MANIFEST"));
-  uint32_t victim = shards();
-  for (uint32_t k = 0; k < shards(); ++k) {
-    if (manifest.shards[k].wals.size() >= 2) {
-      victim = k;
-      break;
-    }
+  {
+    // First restart: recover the tail, then checkpoint at once — the
+    // boot sequence of ltam_serve and ltam_shell.
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(kWorldSeed, 16),
+                                   Options()));
+    ASSERT_OK(sys->Checkpoint());
   }
-  ASSERT_LT(victim, shards()) << "no shard rotated; shrink segment_max_bytes";
-  const fs::path mid = fs::path(dir_) / manifest.shards[victim].wals[0];
-  uintmax_t size = fs::file_size(mid);
-  ASSERT_GT(size, 2u);
-  fs::resize_file(mid, size - 1);  // Chop the trailing newline: torn.
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(kWorldSeed, 16),
+                                 Options()));
+  ReferenceShards reference(MakeInitialState(kWorldSeed, 16), shards());
+  for (const auto& batch : batches) {
+    for (const AccessEvent& e : batch) reference.ApplyEvent(e);
+  }
+  reference.ApplyTick(500);
+  ExpectStateEquals(*sys, reference, "second restart");
+}
+
+/// Rotated WAL segments were removed: a committed cut whose shard record
+/// lists more than one WAL is refused with an actionable error instead
+/// of being read as a single log.
+TEST_P(DurableShardedTest, RotatedSegmentManifestIsRefused) {
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(61, 12), Options()));
+  }
+  // Extend shard 0's record the way a rotation committed a second
+  // segment.
+  const std::string manifest_path = dir_ + "/MANIFEST";
+  std::string text;
+  {
+    std::ifstream in(manifest_path, std::ios::binary);
+    text.assign((std::istreambuf_iterator<char>(in)),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string wal0 = "\tevents-0-0.wal\n";
+  const size_t at = text.find(wal0);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, wal0.size(), "\tevents-0-0.wal\tevents-0-0-1.wal\n");
+  {
+    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
   Result<std::unique_ptr<DurableShardedSystem>> reopened =
-      DurableShardedSystem::Open(dir_, MakeInitialState(kWorldSeed),
-                                 Options());
+      DurableShardedSystem::Open(dir_, MakeInitialState(61, 12), Options());
   ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsIOError()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.status().IsFailedPrecondition())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().ToString().find("rotated WAL segments"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 /// Fault injection on the pipelined path: failing the Nth append (and
@@ -900,72 +904,6 @@ TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));
   }
-}
-
-/// SaveManifestIfChanged is rotation's no-op detector: a republish whose
-/// serialized cut equals the previously published bytes must skip the
-/// write + three fsyncs, and anything else must publish.
-TEST_P(DurableShardedTest, ManifestRepublishSkipsByteIdenticalRewrites) {
-  ShardManifest m;
-  m.epoch = 3;
-  m.num_shards = 2;
-  m.base_snapshot = "base-3.snap";
-  m.shards.resize(2);
-  m.shards[0].snapshot = "movements-0-3.snap";
-  m.shards[0].wals = {"events-0-3.wal"};
-  m.shards[1].snapshot = "movements-1-3.snap";
-  m.shards[1].wals = {"events-1-3.wal"};
-  const std::string path = dir_ + "/MANIFEST";
-  std::string cache;
-
-  // An empty cache always publishes.
-  ASSERT_OK_AND_ASSIGN(bool published, SaveManifestIfChanged(m, path, &cache));
-  EXPECT_TRUE(published);
-  ASSERT_OK_AND_ASSIGN(std::string bytes, SerializeManifest(m));
-  EXPECT_EQ(cache, bytes);
-
-  // The same cut again: byte-identical, skipped, cache untouched.
-  ASSERT_OK_AND_ASSIGN(bool again, SaveManifestIfChanged(m, path, &cache));
-  EXPECT_FALSE(again);
-  EXPECT_EQ(cache, bytes);
-
-  // A rotation that actually commits a new segment republishes, and the
-  // published file is the new cut.
-  m.shards[1].wals.push_back("events-1-3-1.wal");
-  ASSERT_OK_AND_ASSIGN(bool changed, SaveManifestIfChanged(m, path, &cache));
-  EXPECT_TRUE(changed);
-  ASSERT_OK_AND_ASSIGN(ShardManifest loaded, LoadManifest(path));
-  ASSERT_EQ(loaded.shards[1].wals.size(), 2u);
-  EXPECT_EQ(loaded.shards[1].wals[1], "events-1-3-1.wal");
-}
-
-/// The system-level counters: every happy-path rotation commits a NEW
-/// segment, so it publishes; the skip path is reserved for retried
-/// republishes of an unchanged cut (exercised directly above).
-TEST_P(DurableShardedTest, RotationPublishesManifestOncePerNewSegment) {
-  std::vector<SubjectId> subjects;
-  SystemState probe = MakeInitialState(401, 24, &subjects);
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<DurableShardedSystem> sys,
-      DurableShardedSystem::Open(
-          dir_, MakeInitialState(401),
-          PipelinedOptions(SyncMode::kPipelined, /*segment_max_bytes=*/2048)));
-  auto batches = MakeBatches(probe, subjects, 600, 100, 409);
-  for (const auto& batch : batches) {
-    Status durability;
-    (void)sys->EvaluateBatchWithStatus(batch, &durability);
-    ASSERT_OK(durability);
-  }
-  ASSERT_OK(sys->WaitDurable());
-  size_t rotations = 0;
-  for (uint32_t k = 0; k < shards(); ++k) {
-    rotations += sys->shard_log(k).segment_index();
-  }
-  ASSERT_GT(rotations, 0u) << "no shard rotated; shrink segment_max_bytes";
-  // One publish for the fresh directory's epoch-0 cut, one per rotated
-  // segment — and never a skipped rewrite on this path.
-  EXPECT_EQ(sys->manifest_publishes(), rotations + 1);
-  EXPECT_EQ(sys->manifest_publish_skips(), 0u);
 }
 
 // --- Cold tier: incremental checkpoints, retention, recovery ---------------

@@ -2,10 +2,9 @@
 // ShardLog: the pipelined write-ahead log primitive. Batch mode must be
 // byte-identical to driving a WalWriter directly (synchronous append,
 // fsync per boundary, refusal on append failure); pipelined/interval
-// modes must advance the durability watermark asynchronously, freeze it
-// on a sticky failure WITHOUT affecting accepted records' sequence
-// numbers (the decision stream's proxy here), and rotate numbered
-// segments once the size threshold trips. Runs under TSan via ci.sh
+// modes must advance the durability watermark asynchronously and freeze
+// it on a sticky failure WITHOUT affecting accepted records' sequence
+// numbers (the decision stream's proxy here). Runs under TSan via ci.sh
 // (the log thread vs the appending/flushing threads is the whole
 // point).
 
@@ -16,7 +15,6 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,17 +32,15 @@ Record NumberedRecord(uint64_t n) {
   return Record{"rec", {std::to_string(n)}};
 }
 
-/// Replays every segment in order, returning the record numbers seen.
-std::vector<uint64_t> ReplayAll(const std::vector<std::string>& segments) {
+/// Replays the log file, returning the record numbers seen in order.
+std::vector<uint64_t> ReplayAll(const std::string& path) {
   std::vector<uint64_t> out;
-  for (const std::string& path : segments) {
-    Status replayed = ReplayWal(path, [&out](const Record& rec) {
-      EXPECT_EQ(rec.type, "rec");
-      out.push_back(std::stoull(rec.fields.at(0)));
-      return Status::OK();
-    });
-    EXPECT_OK(replayed);
-  }
+  Status replayed = ReplayWal(path, [&out](const Record& rec) {
+    EXPECT_EQ(rec.type, "rec");
+    out.push_back(std::stoull(rec.fields.at(0)));
+    return Status::OK();
+  });
+  EXPECT_OK(replayed);
   return out;
 }
 
@@ -58,38 +54,14 @@ class LogPipelineTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  std::string SegmentPath(uint32_t seg) const {
-    return dir_ + "/seg-" + std::to_string(seg) + ".wal";
-  }
+  std::string LogPath() const { return dir_ + "/shard.wal"; }
 
-  /// Builds a log over segment 0 with a rotation callback that creates
-  /// numbered segment files and records their names (thread-safely: the
-  /// callback runs on the log thread).
   std::unique_ptr<ShardLog> MakeLog(DurabilityOptions options) {
-    WalWriter writer = WalWriter::Create(SegmentPath(0)).ValueOrDie();
-    {
-      std::lock_guard<std::mutex> lock(segments_mu_);
-      segments_ = {SegmentPath(0)};
-    }
     return std::make_unique<ShardLog>(
-        std::move(writer), /*writer_bytes=*/0, /*segment_index=*/0, options,
-        [this](uint32_t seg) -> Result<WalWriter> {
-          LTAM_ASSIGN_OR_RETURN(WalWriter next,
-                                WalWriter::Create(SegmentPath(seg)));
-          std::lock_guard<std::mutex> lock(segments_mu_);
-          segments_.push_back(SegmentPath(seg));
-          return next;
-        });
-  }
-
-  std::vector<std::string> Segments() {
-    std::lock_guard<std::mutex> lock(segments_mu_);
-    return segments_;
+        WalWriter::Create(LogPath()).ValueOrDie(), options);
   }
 
   std::string dir_;
-  std::mutex segments_mu_;
-  std::vector<std::string> segments_;
 };
 
 TEST_F(LogPipelineTest, BatchModeSyncsEveryBoundary) {
@@ -109,7 +81,7 @@ TEST_F(LogPipelineTest, BatchModeSyncsEveryBoundary) {
   EXPECT_EQ(log->appended_seq(), 6u);
   EXPECT_EQ(log->durable_seq(), 6u);
   log.reset();
-  EXPECT_EQ(ReplayAll(Segments()).size(), 6u);
+  EXPECT_EQ(ReplayAll(LogPath()).size(), 6u);
 }
 
 TEST_F(LogPipelineTest, BatchModeAppendFailureRefuses) {
@@ -130,7 +102,7 @@ TEST_F(LogPipelineTest, BatchModeAppendFailureRefuses) {
   EXPECT_EQ(log->appended_seq(), 2u) << "the refused record takes no seq";
   EXPECT_EQ(log->append_failures(), 1u);
   log.reset();
-  EXPECT_EQ(ReplayAll(Segments()), (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(ReplayAll(LogPath()), (std::vector<uint64_t>{1, 3}));
 }
 
 TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
@@ -151,7 +123,7 @@ TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
   EXPECT_GE(log->durable_seq(), 10u);
   EXPECT_EQ(log->append_failures(), 0u);
   log.reset();
-  std::vector<uint64_t> replayed = ReplayAll(Segments());
+  std::vector<uint64_t> replayed = ReplayAll(LogPath());
   ASSERT_EQ(replayed.size(), 10u);
   for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(replayed[i], i + 1);
 }
@@ -208,7 +180,7 @@ TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
   EXPECT_FALSE(log->BatchBoundary().ok());
   log.reset();
   // The file holds exactly the clean prefix — no holes.
-  EXPECT_EQ(ReplayAll(Segments()), (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(ReplayAll(LogPath()), (std::vector<uint64_t>{1, 2, 3}));
 }
 
 TEST_F(LogPipelineTest, PipelinedSyncFailureIsSticky) {
@@ -248,44 +220,6 @@ TEST_F(LogPipelineTest, IntervalModeSyncsOnTimer) {
   EXPECT_EQ(log->durable_seq(), 1u);
 }
 
-TEST_F(LogPipelineTest, RotationProducesNumberedSegments) {
-  DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
-  options.pipeline_depth = 1;
-  options.segment_max_bytes = 32;  // A handful of records per segment.
-  std::unique_ptr<ShardLog> log = MakeLog(options);
-  for (uint64_t i = 1; i <= 40; ++i) {
-    ASSERT_OK(log->Append(NumberedRecord(i)).status());
-    ASSERT_OK(log->BatchBoundary().status());
-    // Rotation is checked once per fsync; the barrier forces one, so
-    // every over-threshold decade rotates deterministically.
-    if (i % 10 == 0) ASSERT_OK(log->Flush());
-  }
-  ASSERT_OK(log->Flush());
-  EXPECT_GE(log->segment_index(), 2u);
-  log.reset();
-  std::vector<std::string> segments = Segments();
-  ASSERT_GE(segments.size(), 3u);
-  // Every record survives, in order, across the segment chain.
-  std::vector<uint64_t> replayed = ReplayAll(segments);
-  ASSERT_EQ(replayed.size(), 40u);
-  for (uint64_t i = 0; i < 40; ++i) EXPECT_EQ(replayed[i], i + 1);
-}
-
-TEST_F(LogPipelineTest, BatchModeRotatesAfterGroupCommit) {
-  DurabilityOptions options;
-  options.mode = SyncMode::kBatch;
-  options.segment_max_bytes = 64;
-  std::unique_ptr<ShardLog> log = MakeLog(options);
-  for (uint64_t i = 1; i <= 20; ++i) {
-    ASSERT_OK(log->Append(NumberedRecord(i)).status());
-    ASSERT_OK(log->BatchBoundary().status());
-  }
-  EXPECT_GE(log->segment_index(), 1u);
-  log.reset();
-  EXPECT_EQ(ReplayAll(Segments()).size(), 20u);
-}
-
 TEST_F(LogPipelineTest, ParseSyncModeRoundTrips) {
   for (SyncMode mode :
        {SyncMode::kBatch, SyncMode::kPipelined, SyncMode::kInterval}) {
@@ -307,7 +241,7 @@ TEST_F(LogPipelineTest, DestructorDrainsAndSyncs) {
   }
   ASSERT_OK(log->BatchBoundary().status());
   log.reset();  // Clean shutdown: everything queued must reach the file.
-  EXPECT_EQ(ReplayAll(Segments()).size(), 25u);
+  EXPECT_EQ(ReplayAll(LogPath()).size(), 25u);
 }
 
 }  // namespace

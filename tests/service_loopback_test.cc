@@ -453,8 +453,8 @@ TEST_F(ServiceLoopbackTest, CoalescedOverflowFallsBackToPerFrameBatches) {
 
 TEST_F(ServiceLoopbackTest, PipelinedSyncModeServerMatchesDirectSyncReplay) {
   // The serving-path acceptance gate for commit pipelining: a server
-  // whose durable runtime runs --sync-mode=pipelined (log threads, WAL
-  // rotation) must stream decisions/alerts byte-identical to a direct
+  // whose durable runtime runs --sync-mode=pipelined (log threads)
+  // must stream decisions/alerts byte-identical to a direct
   // synchronous-group-commit replay, and its directory must recover the
   // same state.
   World w = MakeWorld(907);
@@ -468,7 +468,6 @@ TEST_F(ServiceLoopbackTest, PipelinedSyncModeServerMatchesDirectSyncReplay) {
   served_options.num_shards = 3;
   served_options.durable_dir = root_ + "/served-pipelined";
   served_options.durability.mode = SyncMode::kPipelined;
-  served_options.durability.segment_max_bytes = 8192;  // Exercise rotation.
   std::vector<ConnectionOutcome> direct =
       RunDirect(w, streams, direct_options);
   std::vector<ConnectionOutcome> served =

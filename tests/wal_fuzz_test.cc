@@ -216,11 +216,9 @@ TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
   for (uint32_t k = 0; k < 4; ++k) {
     ShardManifest::ShardFiles files;
     files.snapshot = "shard-" + std::to_string(k) + "-3.snap";
-    // Multi-segment lists (rotation committed extra segments) are part
+    files.wal = "events-" + std::to_string(k) + "-3.wal";
+    // Cold-tier records (sealed segment lists + dropped counts) are part
     // of the fuzzed surface.
-    files.wals = {"events-" + std::to_string(k) + "-3.wal",
-                  "events-" + std::to_string(k) + "-3-1.wal"};
-    // So are cold-tier records (sealed segment lists + dropped counts).
     if (k % 2 == 0) {
       files.cold = {"cold-" + std::to_string(k) + "-0.seg",
                     "cold-" + std::to_string(k) + "-1.seg"};
@@ -260,12 +258,9 @@ TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
       EXPECT_EQ(m->base_snapshot.find('/'), std::string::npos);
       for (const ShardManifest::ShardFiles& files : m->shards) {
         EXPECT_FALSE(files.snapshot.empty());
-        EXPECT_FALSE(files.wals.empty());
         EXPECT_EQ(files.snapshot.find('/'), std::string::npos);
-        for (const std::string& wal : files.wals) {
-          EXPECT_FALSE(wal.empty());
-          EXPECT_EQ(wal.find('/'), std::string::npos);
-        }
+        EXPECT_FALSE(files.wal.empty());
+        EXPECT_EQ(files.wal.find('/'), std::string::npos);
         for (const std::string& seg : files.cold) {
           EXPECT_FALSE(seg.empty());
           EXPECT_EQ(seg.find('/'), std::string::npos);
@@ -312,13 +307,13 @@ TEST(ManifestTest, RejectsTornAndMalformedManifests) {
   // Absurd shard counts must not drive allocation.
   EXPECT_FALSE(load("manifest\t1\t0\t999999999\nbase\tb.snap\ncommit\t2\n")
                    .ok());
-  // A shard record needs at least one WAL segment.
+  // A shard record needs its WAL.
   EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
                     "shard\t0\ts.snap\ncommit\t3\n")
                    .ok());
-  // Rotated segment names must obey the plain-file-name rule too.
+  // The WAL name must obey the plain-file-name rule too.
   EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\t../w-1.wal\ncommit\t3\n")
+                    "shard\t0\ts.snap\t../w.wal\ncommit\t3\n")
                    .ok());
   // The well-formed equivalent loads.
   ASSERT_OK_AND_ASSIGN(ShardManifest m,
@@ -327,19 +322,18 @@ TEST(ManifestTest, RejectsTornAndMalformedManifests) {
   EXPECT_EQ(m.epoch, 5u);
   EXPECT_EQ(m.num_shards, 1u);
   EXPECT_EQ(m.base_snapshot, "b.snap");
-  ASSERT_EQ(m.shards[0].wals.size(), 1u);
-  // Rotated-segment lists load in committed order.
-  ASSERT_OK_AND_ASSIGN(
-      ShardManifest rotated,
+  EXPECT_EQ(m.shards[0].wal, "w.wal");
+  // Rotated-segment lists (a removed layout) are refused, not misread.
+  Result<ShardManifest> rotated =
       load("manifest\t1\t5\t1\nbase\tb.snap\n"
-           "shard\t0\ts.snap\tw.wal\tw-1.wal\tw-2.wal\ncommit\t3\n"));
-  ASSERT_EQ(rotated.shards[0].wals.size(), 3u);
-  EXPECT_EQ(rotated.shards[0].wals[0], "w.wal");
-  EXPECT_EQ(rotated.shards[0].wals[2], "w-2.wal");
-  // And survive a save/load round trip unchanged.
-  ASSERT_OK(SaveManifest(rotated, path));
+           "shard\t0\ts.snap\tw.wal\tw-1.wal\tw-2.wal\ncommit\t3\n");
+  ASSERT_FALSE(rotated.ok());
+  EXPECT_TRUE(rotated.status().IsFailedPrecondition())
+      << rotated.status().ToString();
+  // The one-WAL cut survives a save/load round trip unchanged.
+  ASSERT_OK(SaveManifest(m, path));
   ASSERT_OK_AND_ASSIGN(ShardManifest reloaded, LoadManifest(path));
-  EXPECT_EQ(reloaded.shards[0].wals, rotated.shards[0].wals);
+  EXPECT_EQ(reloaded.shards[0].wal, m.shards[0].wal);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "test_util.h"
 
@@ -82,6 +84,40 @@ TEST_F(WalTest, TornFinalLineIgnored) {
     return Status::OK();
   }));
   EXPECT_EQ(types, std::vector<std::string>{"good"});
+}
+
+TEST_F(WalTest, TruncateTornWalTailDropsExactlyTheTornBytes) {
+  auto write = [this](const std::string& bytes) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+  auto read = [this] {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string prefix = EncodeRecord({"good", {"1"}}) + "\n" +
+                             EncodeRecord({"good", {"2", "x y"}}) + "\n";
+  // A clean log loses nothing and stays byte-identical.
+  write(prefix);
+  ASSERT_OK_AND_ASSIGN(size_t clean, TruncateTornWalTail(path_));
+  EXPECT_EQ(clean, 0u);
+  EXPECT_EQ(read(), prefix);
+  // A final record torn at every byte offset: exactly the torn bytes go.
+  const std::string last = EncodeRecord({"last", {"3", "tail"}}) + "\n";
+  for (size_t cut = 0; cut <= last.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write(prefix + last.substr(0, cut));
+    ASSERT_OK_AND_ASSIGN(size_t dropped, TruncateTornWalTail(path_));
+    const bool whole = cut == last.size();
+    EXPECT_EQ(dropped, whole ? 0u : cut);
+    EXPECT_EQ(read(), whole ? prefix + last : prefix);
+  }
+  // No newline anywhere: the whole file is one torn record.
+  write("torn\trecord-without-newline");
+  ASSERT_OK_AND_ASSIGN(size_t all, TruncateTornWalTail(path_));
+  EXPECT_EQ(all, std::string("torn\trecord-without-newline").size());
+  EXPECT_EQ(read(), "");
 }
 
 TEST_F(WalTest, ReplayPropagatesApplyErrors) {
