@@ -123,9 +123,7 @@ BENCHMARK(BM_FacadeBatch)
 
 /// The same streams through a loopback server: kStreams concurrent
 /// connections, each pipelining its whole stream so the coalescer has
-/// frames from many connections in flight at once. Args: {shards,
-/// io_threads} — the second axis spreads the connections over per-thread
-/// epoll loops (a wash on 1-core CI, a read-path win with real cores).
+/// frames from many connections in flight at once. Arg: shards.
 /// With `instrumented` a MetricsRegistry is wired through both the
 /// server and runtime options, so every per-stage histogram and counter
 /// records on the hot path — the telemetry-overhead series CI compares
@@ -133,12 +131,9 @@ BENCHMARK(BM_FacadeBatch)
 void RunServiceLoopback(benchmark::State& state, bool instrumented) {
   ServiceWorld w = MakeServiceWorld();
   const uint32_t shards = static_cast<uint32_t>(state.range(0));
-  const uint32_t io_threads = static_cast<uint32_t>(state.range(1));
   state.counters["shards"] = static_cast<double>(shards);
-  state.counters["io_threads"] = static_cast<double>(io_threads);
   state.counters["connections"] = static_cast<double>(kStreams);
   ServerOptions server_options;
-  server_options.io_threads = io_threads;
   size_t merged_batches = 0;
   size_t merged_frames = 0;
   for (auto _ : state) {
@@ -204,21 +199,19 @@ void BM_ServiceLoopbackBatch(benchmark::State& state) {
   RunServiceLoopback(state, /*instrumented=*/false);
 }
 BENCHMARK(BM_ServiceLoopbackBatch)
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({4, 1})
-    ->Args({4, 4})
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 /// The telemetry tax: identical to BM_ServiceLoopbackBatch except every
 /// stage histogram and counter records. ci.sh compares this row against
-/// the {4,1} baseline row — the gap must stay within run-to-run noise.
+/// the 4-shard baseline row — the gap must stay within run-to-run noise.
 void BM_ServiceLoopbackBatchInstrumented(benchmark::State& state) {
   RunServiceLoopback(state, /*instrumented=*/true);
 }
 BENCHMARK(BM_ServiceLoopbackBatchInstrumented)
-    ->Args({4, 1})
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -13,10 +13,11 @@
 #                      # durable server with retention that must recover
 #                      # cleanly after SIGTERM, a kill -9 crash round
 #                      # whose two relaunches must answer the same
-#                      # history, and a removed-layout (state.snap)
-#                      # directory that must be refused
-#   ./ci.sh bench      # facade vs loopback-server throughput (io-thread
-#                      # matrix) -> BENCH_pr6.json,
+#                      # history, and two inputs that must be refused:
+#                      # a removed-layout (state.snap) directory and an
+#                      # out-of-range --port
+#   ./ci.sh bench      # facade vs loopback-server throughput (1 and 4
+#                      # shards) -> BENCH_pr6.json,
 #                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
 #                      # checkpoint latency full-rewrite vs incremental+tiered
 #                      # -> BENCH_pr10.json; fails loudly if any expected
@@ -128,15 +129,15 @@ service() {
   # Scenario world so the metrics gate below can drive real ingest at
   # the server (the shell's remote mode only speaks the query/control
   # surface).
-  ./build/examples/ltam_serve --port="$port" --io-threads=2 \
+  ./build/examples/ltam_serve --port="$port" \
     --scenario=surge --scenario-events=500 > "$log" 2>&1 &
   local server_pid=$!
   for _ in $(seq 1 50); do
     grep -q "listening" "$log" && break
     sleep 0.1
   done
-  grep -q "2 io-threads" "$log" \
-    || { echo "service: banner missing the io-thread count" >&2; kill "$server_pid"; exit 1; }
+  grep -q "listening on 127.0.0.1:$port " "$log" \
+    || { echo "service: server never printed its listening banner" >&2; cat "$log" >&2; kill "$server_pid"; exit 1; }
   # Capture the shell output (no grep -q on the live pipe: the early
   # close would SIGPIPE the shell under pipefail) and demand the
   # remote-mode banner — a failed connect falls back to local mode,
@@ -282,12 +283,25 @@ EOF
   grep -q "state.snap.*removed" "$log" \
     || { echo "service: removed-layout refusal lacks its message" >&2; cat "$log" >&2; exit 1; }
   rm -rf "$legacy_dir" "$log"
-  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round passed"
+  # An out-of-range port is a usage error (exit 2) naming the flag, never
+  # a listener on the port's low 16 bits.
+  log="$(mktemp)"
+  local port_status=0
+  timeout 5 ./build/examples/ltam_serve --port=70000 > "$log" 2>&1 \
+    || port_status=$?
+  if [ "$port_status" -ne 2 ] || grep -q "listening" "$log"; then
+    echo "service: ltam_serve --port=70000 was not refused (exit $port_status)" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  grep -q -- "--port" "$log" \
+    || { echo "service: the port refusal does not name the flag" >&2; cat "$log" >&2; exit 1; }
+  rm -f "$log"
+  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round + port refusal passed"
 }
 
 # Stamps the host core count into an emitted BENCH_*.json's context.
-# Shard- and io-thread-scaling rows are only meaningful relative to the
-# machine shape (on a 1-core container they measure scheduling
+# Shard-scaling rows are only meaningful relative to the machine shape (on a 1-core container they measure scheduling
 # overhead), so the standing caveat is machine-readable in the artifact
 # itself instead of living as a ROADMAP footnote.
 record_host_meta() {
@@ -338,13 +352,11 @@ bench() {
   # BM_FacadeBatch is the direct AccessRuntime baseline on the service
   # workload; BM_ServiceLoopbackBatch drives the identical per-stream
   # batches through a loopback ltam-serve with 4 pipelined connections
-  # at io_threads={1,4} — the gap is the network + coalescing overhead,
+  # at 1 and 4 shards — the gap is the network + coalescing overhead,
   # and frames_per_merge reports how much the coalescer amortizes. The
-  # filter is deliberately unanchored: the io-thread matrix suffixes
-  # benchmark names with their args ("BM_ServiceLoopbackBatch/1/4"), so
-  # a '$'-anchored filter would silently drop every loopback row. On
-  # 1-core CI containers the io_threads=4 rows measure scheduling
-  # overhead, not parallelism — compare them only on multi-core hosts.
+  # filter is deliberately unanchored: the shard arg suffixes benchmark
+  # names ("BM_ServiceLoopbackBatch/4/real_time"), so a '$'-anchored
+  # filter would silently drop every loopback row.
   ./build/bench/bench_service \
     --benchmark_filter='FacadeBatch|ServiceLoopbackBatch/' \
     --benchmark_min_time=0.05 \
@@ -610,7 +622,7 @@ EOF
   # hosts should see it within run-to-run noise).
   if cmake --build build -j"$JOBS" --target bench_service 2>/dev/null; then
     ./build/bench/bench_service \
-      --benchmark_filter='ServiceLoopbackBatch(Instrumented)?/4/1' \
+      --benchmark_filter='ServiceLoopbackBatch(Instrumented)?/4/' \
       --benchmark_min_time=0.05 \
       --benchmark_out="$BENCH_OUT/BENCH_pr9_bench.json" --benchmark_out_format=json
     python3 - "$BENCH_OUT" <<'EOF'

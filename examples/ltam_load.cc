@@ -51,6 +51,7 @@
 #include <thread>
 
 #include "loadgen/loadgen.h"
+#include "service/client.h"
 #include "sim/workload.h"
 #include "util/logging.h"
 
@@ -62,18 +63,30 @@ int main(int argc, char** argv) {
   LoadGenOptions load_options;
   double duration_s = 2.0;
   std::string json_out;
+  // A bad port names its flag; the caller exits 2.
+  auto parse_port = [](const char* flag, const std::string& text,
+                       uint16_t* out) {
+    Result<uint16_t> port = ParsePort(text);
+    if (!port.ok()) {
+      std::fprintf(stderr, "%s: %s\n", flag, port.status().ToString().c_str());
+      return false;
+    }
+    *out = *port;
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value = [&arg](size_t prefix) { return arg.substr(prefix); };
     if (arg.rfind("--host=", 0) == 0) {
       load_options.host = value(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      load_options.port = static_cast<uint16_t>(std::atoi(value(7).c_str()));
+      if (!parse_port("--port", value(7), &load_options.port)) return 2;
     } else if (arg.rfind("--query-host=", 0) == 0) {
       load_options.query_host = value(13);
     } else if (arg.rfind("--query-port=", 0) == 0) {
-      load_options.query_port =
-          static_cast<uint16_t>(std::atoi(value(13).c_str()));
+      if (!parse_port("--query-port", value(13), &load_options.query_port)) {
+        return 2;
+      }
     } else if (arg.rfind("--scenario=", 0) == 0) {
       scenario_name = value(11);
     } else if (arg.rfind("--rate=", 0) == 0) {

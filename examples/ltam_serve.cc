@@ -13,8 +13,6 @@
 //   --shards=N        subject shards of the batch pipeline (default 1;
 //                     shard 0 runs on the ingest thread, each further
 //                     shard on its own worker)
-//   --io-threads=N    epoll I/O loops; connections are spread across
-//                     them round-robin (default 1)
 //   --durable=DIR     crash-safe runtime rooted at DIR (must exist)
 //   --policy=FILE     policy script (default: built-in demo policy)
 //   --scenario=NAME   boot a load-scenario world instead of a policy
@@ -78,6 +76,7 @@
 
 #include "replication/replica_link.h"
 #include "runtime/access_runtime.h"
+#include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/shutdown.h"
@@ -87,20 +86,6 @@
 #include "util/logging.h"
 
 namespace {
-
-/// Splits "host:port"; false on malformed input.
-bool ParseEndpoint(const std::string& arg, std::string* host,
-                   uint16_t* port) {
-  size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size()) {
-    return false;
-  }
-  *host = arg.substr(0, colon);
-  int parsed = std::atoi(arg.c_str() + colon + 1);
-  if (parsed <= 0 || parsed > 65535) return false;
-  *port = static_cast<uint16_t>(parsed);
-  return true;
-}
 
 /// What the failover hooks act on: the upstream link (promote retires
 /// it, repoint re-targets it) and the runtime behind the server's lock.
@@ -139,16 +124,17 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     auto value = [&arg](size_t prefix) { return arg.substr(prefix); };
     if (arg.rfind("--port=", 0) == 0) {
-      server_options.port =
-          static_cast<uint16_t>(std::atoi(value(7).c_str()));
+      Result<uint16_t> port = ParsePort(value(7));
+      if (!port.ok()) {
+        std::fprintf(stderr, "--port: %s\n", port.status().ToString().c_str());
+        return 2;
+      }
+      server_options.port = *port;
     } else if (arg.rfind("--host=", 0) == 0) {
       server_options.host = value(7);
     } else if (arg.rfind("--shards=", 0) == 0) {
       runtime_options.num_shards = static_cast<uint32_t>(
           std::max(1, std::atoi(value(9).c_str())));
-    } else if (arg.rfind("--io-threads=", 0) == 0) {
-      server_options.io_threads = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(13).c_str())));
     } else if (arg.rfind("--durable=", 0) == 0) {
       runtime_options.durable_dir = value(10);
     } else if (arg.rfind("--policy=", 0) == 0) {
@@ -203,16 +189,18 @@ int main(int argc, char** argv) {
       }
       SetLogLevel(*level);
     } else if (arg.rfind("--replica-of=", 0) == 0) {
-      if (!ParseEndpoint(value(13), &upstream_host, &upstream_port)) {
-        std::fprintf(stderr, "--replica-of wants HOST:PORT\n");
+      Status endpoint = ParseEndpoint(value(13), &upstream_host,
+                                      &upstream_port);
+      if (!endpoint.ok()) {
+        std::fprintf(stderr, "--replica-of: %s\n",
+                     endpoint.ToString().c_str());
         return 2;
       }
       replica = true;
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s'\nusage: ltam_serve [--port=N] "
-                   "[--host=ADDR] [--shards=N] [--io-threads=N] "
-                   "[--durable=DIR] "
+                   "[--host=ADDR] [--shards=N] [--durable=DIR] "
                    "[--policy=FILE] [--scenario=NAME] [--scenario-seed=N] "
                    "[--scenario-subjects=N] [--scenario-events=N] "
                    "[--scenario-tenants=N] "
@@ -343,11 +331,9 @@ int main(int argc, char** argv) {
   }
   RuntimeStats stats = runtime->Stats();
   std::printf(
-      "ltam_serve: listening on %s:%u (%u shard%s, %u io-thread%s, %s, "
-      "%s sync)\n",
+      "ltam_serve: listening on %s:%u (%u shard%s, %s, %s sync)\n",
       server_options.host.c_str(), server.bound_port(), stats.num_shards,
-      stats.num_shards == 1 ? "" : "s", server_options.io_threads,
-      server_options.io_threads == 1 ? "" : "s",
+      stats.num_shards == 1 ? "" : "s",
       stats.durable ? "durable" : "in-memory",
       SyncModeToString(runtime_options.durability.mode));
   if (replica) {

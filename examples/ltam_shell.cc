@@ -46,30 +46,7 @@
 #include "storage/policy_script.h"
 #include "telemetry/metrics.h"
 
-namespace {
-
 using namespace ltam;  // NOLINT: example brevity.
-
-/// Splits "host:port"; false on malformed input.
-bool ParseEndpoint(const std::string& arg, std::string* host,
-                   uint16_t* port) {
-  size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= arg.size()) {
-    return false;
-  }
-  *host = arg.substr(0, colon);
-  try {
-    int parsed = std::stoi(arg.substr(colon + 1));
-    if (parsed <= 0 || parsed > 65535) return false;
-    *port = static_cast<uint16_t>(parsed);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   InstallShutdownSignalHandlers();
@@ -138,7 +115,7 @@ int main(int argc, char** argv) {
     } else if (line.rfind("connect ", 0) == 0) {
       std::string host;
       uint16_t port = 0;
-      if (!ParseEndpoint(line.substr(8), &host, &port)) {
+      if (!ParseEndpoint(line.substr(8), &host, &port).ok()) {
         std::printf("error: usage: connect <host:port>\n");
       } else {
         Result<std::unique_ptr<ServiceClient>> connected =
@@ -221,7 +198,7 @@ int main(int argc, char** argv) {
       uint16_t port = 0;
       if (remote == nullptr) {
         std::printf("error: repoint needs a remote server (connect first)\n");
-      } else if (!ParseEndpoint(line.substr(8), &host, &port)) {
+      } else if (!ParseEndpoint(line.substr(8), &host, &port).ok()) {
         std::printf("error: usage: repoint <host:port>\n");
       } else {
         Status st = remote->Repoint(host, port);

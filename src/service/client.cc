@@ -48,26 +48,46 @@ bool ParsePrimaryToken(const std::string& message, std::string* host,
   const size_t value = begin + sizeof(kToken) - 1;
   const size_t end = message.find(']', value);
   if (end == std::string::npos) return false;
-  const std::string endpoint = message.substr(value, end - value);
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    return false;
-  }
-  uint32_t parsed = 0;
-  for (size_t i = colon + 1; i < endpoint.size(); ++i) {
-    const char c = endpoint[i];
-    if (c < '0' || c > '9') return false;
-    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
-    if (parsed > 65535) return false;
-  }
-  if (parsed == 0) return false;
-  *host = endpoint.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return true;
+  return ParseEndpoint(std::string_view(message).substr(value, end - value),
+                       host, port)
+      .ok();
 }
 
 }  // namespace
+
+Result<uint16_t> ParsePort(std::string_view text) {
+  uint32_t parsed = 0;
+  bool valid = !text.empty();
+  for (const char c : text) {
+    if (c < '0' || c > '9' || parsed > 65535) {
+      valid = false;
+      break;
+    }
+    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
+  }
+  if (!valid || parsed > 65535) {
+    return Status::InvalidArgument("port '" + std::string(text) +
+                                   "' is not a number in 0..65535");
+  }
+  return static_cast<uint16_t>(parsed);
+}
+
+Status ParseEndpoint(std::string_view text, std::string* host,
+                     uint16_t* port) {
+  const size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) {
+    return Status::InvalidArgument("endpoint '" + std::string(text) +
+                                   "' is not HOST:PORT");
+  }
+  LTAM_ASSIGN_OR_RETURN(uint16_t parsed, ParsePort(text.substr(colon + 1)));
+  if (parsed == 0) {
+    return Status::InvalidArgument("endpoint '" + std::string(text) +
+                                   "' needs a nonzero port");
+  }
+  *host = std::string(text.substr(0, colon));
+  *port = parsed;
+  return Status::OK();
+}
 
 ServiceClient::ServiceClient(int fd) : fd_(fd) {}
 

@@ -24,12 +24,24 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/protocol.h"
 #include "util/result.h"
 
 namespace ltam {
+
+/// Parses a TCP port: ASCII digits only, 0..65535 (0 asks a listener
+/// for an ephemeral port). Anything else — empty, a sign, a suffix, or
+/// an out-of-range value — is InvalidArgument, never a wrapped port.
+Result<uint16_t> ParsePort(std::string_view text);
+
+/// Parses a dialable "host:port", split at the last colon: the host must
+/// be non-empty and the port must pass ParsePort and be nonzero.
+/// InvalidArgument otherwise; *host and *port are set only on success.
+Status ParseEndpoint(std::string_view text, std::string* host,
+                     uint16_t* port);
 
 class ServiceClient {
  public:

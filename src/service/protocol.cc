@@ -2,7 +2,6 @@
 
 #include "service/protocol.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/logging.h"
@@ -369,112 +368,31 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size) {
   return header;
 }
 
-char* FrameAssembler::BeginFill(size_t min_bytes, size_t* capacity) {
-  // A chunk pinned by an outstanding FrameView must never reallocate, so
-  // append only while this assembler is the sole owner; otherwise open a
-  // fresh chunk.
-  if (chunks_.empty() || !Appendable(chunks_.back())) {
-    chunks_.push_back(std::make_shared<std::string>());
-    chunks_.back()->reserve(std::max(min_bytes, kChunkBytes));
-  }
-  std::string& tail = *chunks_.back();
-  fill_base_ = tail.size();
-  const size_t cap = std::max(min_bytes, tail.capacity() - tail.size());
-  tail.resize(fill_base_ + cap);
-  *capacity = cap;
-  return &tail[fill_base_];
-}
-
-void FrameAssembler::CommitFill(size_t filled) {
-  LTAM_CHECK(!chunks_.empty());
-  chunks_.back()->resize(fill_base_ + filled);
-  buffered_ += filled;
-}
-
 void FrameAssembler::Append(const char* data, size_t size) {
-  if (size == 0) return;
-  size_t cap = 0;
-  char* dst = BeginFill(size, &cap);
-  std::memcpy(dst, data, size);
-  CommitFill(size);
-}
-
-size_t FrameAssembler::PeekBytes(char* dst, size_t n) const {
-  size_t copied = 0;
-  size_t offset = front_consumed_;
-  for (const std::shared_ptr<std::string>& chunk : chunks_) {
-    if (copied == n) break;
-    const size_t take = std::min(chunk->size() - offset, n - copied);
-    std::memcpy(dst + copied, chunk->data() + offset, take);
-    copied += take;
-    offset = 0;
+  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
+    buffer_.erase(0, consumed_);
+    consumed_ = 0;
   }
-  return copied;
+  buffer_.append(data, size);
 }
 
-void FrameAssembler::Consume(size_t n) {
-  LTAM_CHECK(n <= buffered_);
-  buffered_ -= n;
-  while (n > 0) {
-    std::string& front = *chunks_.front();
-    const size_t take = std::min(front.size() - front_consumed_, n);
-    front_consumed_ += take;
-    n -= take;
-    if (front_consumed_ < front.size()) break;
-    if (chunks_.size() == 1 && Appendable(chunks_.front())) {
-      // Sole remaining chunk with no pins: recycle its capacity.
-      front.clear();
-      front_consumed_ = 0;
-      break;
-    }
-    chunks_.pop_front();
-    front_consumed_ = 0;
-  }
-}
-
-Result<std::optional<FrameView>> FrameAssembler::NextView() {
+Result<std::optional<Frame>> FrameAssembler::Next() {
   if (!error_.ok()) return error_;
-  if (buffered_ < kFrameHeaderBytes) return std::optional<FrameView>();
-  uint8_t head[kFrameHeaderBytes];
-  PeekBytes(reinterpret_cast<char*>(head), kFrameHeaderBytes);
-  Result<FrameHeader> header = DecodeFrameHeader(head, kFrameHeaderBytes);
+  const size_t available = buffer_.size() - consumed_;
+  if (available < kFrameHeaderBytes) return std::optional<Frame>();
+  const char* head = buffer_.data() + consumed_;
+  Result<FrameHeader> header =
+      DecodeFrameHeader(reinterpret_cast<const uint8_t*>(head), available);
   if (!header.ok()) {
     error_ = header.status();
     return error_;
   }
   const size_t total = kFrameHeaderBytes + header->payload_length;
-  if (buffered_ < total) return std::optional<FrameView>();
-  FrameView view;
-  view.header = *header;
-  std::shared_ptr<std::string> front = chunks_.front();
-  if (front->size() - front_consumed_ >= total) {
-    // Whole frame inside the front chunk: view it in place.
-    view.payload = std::string_view(
-        front->data() + front_consumed_ + kFrameHeaderBytes,
-        header->payload_length);
-    view.pin = std::move(front);
-    Consume(total);
-  } else {
-    // Straddles chunks: coalesce the payload into a dedicated
-    // exact-size chunk (the one copy on this path).
-    Consume(kFrameHeaderBytes);
-    auto owned = std::make_shared<std::string>();
-    owned->resize(header->payload_length);
-    const size_t copied = PeekBytes(owned->data(), header->payload_length);
-    LTAM_CHECK(copied == header->payload_length);
-    Consume(header->payload_length);
-    view.payload = std::string_view(owned->data(), owned->size());
-    view.pin = std::move(owned);
-  }
-  return std::optional<FrameView>(std::move(view));
-}
-
-Result<std::optional<Frame>> FrameAssembler::Next() {
-  LTAM_ASSIGN_OR_RETURN(std::optional<FrameView> view, NextView());
-  if (!view.has_value()) return std::optional<Frame>();
+  if (available < total) return std::optional<Frame>();
   Frame frame;
-  frame.header = view->header;
-  frame.payload.assign(view->payload.data(), view->payload.size());
+  frame.header = *header;
+  frame.payload.assign(head + kFrameHeaderBytes, header->payload_length);
+  consumed_ += total;
   return std::optional<Frame>(std::move(frame));
 }
 

@@ -30,8 +30,6 @@
 #define LTAM_SERVICE_PROTOCOL_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -149,18 +147,6 @@ struct Frame {
   std::string payload;
 };
 
-/// One complete frame viewed in place: `payload` points into a read
-/// chunk still owned by the FrameAssembler, and `pin` keeps that chunk
-/// alive (and immutable) for as long as the view exists. This is the
-/// zero-copy ingest path — a server can hold the view across queueing
-/// and decode the events exactly once, straight into the coalescer's
-/// merge buffer.
-struct FrameView {
-  FrameHeader header;
-  std::string_view payload;
-  std::shared_ptr<const std::string> pin;
-};
-
 /// Encodes a complete frame (header + payload).
 std::string EncodeFrame(MessageType type, uint32_t request_id,
                         const std::string& payload);
@@ -171,61 +157,27 @@ std::string EncodeFrame(MessageType type, uint32_t request_id,
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size);
 
 /// Incremental frame extraction for a byte stream (the read side of a
-/// socket). Append raw stream bytes as they arrive (or recv straight
-/// into the buffer via BeginFill/CommitFill); Next()/NextView() yield
-/// complete frames in order. A malformed header is a sticky error — the
-/// stream can no longer be framed and the connection must be dropped.
-///
-/// Storage is a chain of reference-counted chunks. NextView() hands out
-/// frames as views pinning their chunk; a pinned chunk is never mutated
-/// or reallocated, so the view stays valid however long the caller keeps
-/// it — at the cost of holding the whole chunk (up to ~64 KiB) until the
-/// last view into it dies. Frames that straddle a chunk boundary are
-/// coalesced into a dedicated exact-size chunk (the one copy on that
-/// path).
+/// socket). Append raw stream bytes as they arrive; Next() yields
+/// complete frames in order, each payload copied out so the caller owns
+/// it. A malformed header is a sticky error — the stream can no longer
+/// be framed and the connection must be dropped.
 class FrameAssembler {
  public:
-  /// Appends raw stream bytes (copying them into the current chunk).
+  /// Appends raw stream bytes. Drops the consumed prefix first once it
+  /// is at least half the buffer, so each byte moves O(1) times
+  /// amortized and never once per frame.
   void Append(const char* data, size_t size);
 
-  /// Zero-copy fill: returns a writable region of at least `min_bytes`
-  /// (capacity reported via *capacity) to recv into, then CommitFill()
-  /// publishes how many bytes actually landed. The pair must be used
-  /// back-to-back — no Next()/Append() between them.
-  char* BeginFill(size_t min_bytes, size_t* capacity);
-  void CommitFill(size_t filled);
-
-  /// Returns the next complete frame (payload copied out), nullopt when
-  /// more bytes are needed, or ParseError once the stream is unframeable.
+  /// Returns the next complete frame, nullopt when more bytes are
+  /// needed, or ParseError once the stream is unframeable.
   Result<std::optional<Frame>> Next();
 
-  /// Like Next(), but the payload is a view pinning its chunk — no copy
-  /// unless the frame straddled a chunk boundary.
-  Result<std::optional<FrameView>> NextView();
-
   /// Bytes buffered but not yet returned as frames.
-  size_t buffered_bytes() const { return buffered_; }
+  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
-  /// A chunk may be appended to only while the assembler is its sole
-  /// owner (no outstanding FrameView pins it).
-  static bool Appendable(const std::shared_ptr<std::string>& chunk) {
-    return chunk.use_count() == 1;
-  }
-
-  /// Copies up to `n` unconsumed bytes into dst without consuming them;
-  /// returns the count actually copied.
-  size_t PeekBytes(char* dst, size_t n) const;
-
-  /// Consumes `n` buffered bytes (requires n <= buffered_).
-  void Consume(size_t n);
-
-  static constexpr size_t kChunkBytes = 64 * 1024;
-
-  std::deque<std::shared_ptr<std::string>> chunks_;
-  size_t front_consumed_ = 0;  // consumed prefix of chunks_.front()
-  size_t buffered_ = 0;        // unconsumed bytes across all chunks
-  size_t fill_base_ = 0;       // tail size at BeginFill, for CommitFill
+  std::string buffer_;
+  size_t consumed_ = 0;  // Prefix of buffer_ already returned as frames.
   Status error_;
 };
 
@@ -243,16 +195,17 @@ Result<std::vector<AccessEvent>> DecodeApplyBatchRequest(
 
 /// O(1) shape check of an apply/apply-batch payload: validates the event
 /// count against the payload size and the wire ceiling without touching
-/// the events themselves, and returns that count. This is what an I/O
+/// the events themselves, and returns that count. This is what the I/O
 /// thread runs per frame — full event validation is deferred to
 /// DecodeApplyEventsInto at merge time.
 Result<uint32_t> PeekApplyEventCount(MessageType type,
                                      std::string_view payload);
 
 /// Single-pass decode of an apply/apply-batch payload, appending the
-/// events to *out (no intermediate vector — the zero-copy server decodes
-/// straight into its merge buffer). Strict like the owning decoders:
-/// exact consumption, every event kind validated.
+/// events to *out (no intermediate vector — the server's coalescer
+/// decodes each queued payload straight into its merge buffer). Strict
+/// like the owning decoders: exact consumption, every event kind
+/// validated.
 Status DecodeApplyEventsInto(MessageType type, std::string_view payload,
                              std::vector<AccessEvent>* out);
 

@@ -43,27 +43,44 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One accepted connection. The owning I/O loop (index `owner`) has
-/// exclusive use of the socket's read side, the frame assembler, and the
-/// epoll interest — so it is the connection's only ingest producer. Any
-/// thread may append (or directly send) response bytes under out_mu.
+/// Read worker pool size (Query/Stats/Metrics concurrency).
+constexpr uint32_t kReadWorkers = 2;
+
+/// Ceiling on events merged into one coalesced ApplyBatch. The
+/// coalescer always takes at least one frame, so a single frame at the
+/// wire maximum still applies.
+constexpr size_t kMaxCoalescedEvents = 8192;
+
+/// Read-queue backpressure: Query/Stats/Metrics frames beyond this many
+/// queued are refused with kFailedPrecondition.
+constexpr size_t kMaxQueuedReads = 4096;
+
+/// A connection whose unread response backlog exceeds this many bytes
+/// (a client writing requests but never reading responses) is dropped.
+constexpr size_t kMaxConnectionBacklogBytes = 64u << 20;
+
+/// listen(2) backlog.
+constexpr int kListenBacklog = 64;
+
+/// One accepted connection. The I/O thread has exclusive use of the
+/// socket's read side, the frame assembler, and the epoll interest — so
+/// it is the connection's only ingest producer. Any thread may append
+/// (or directly send) response bytes under out_mu.
 struct Connection {
-  Connection(int fd_in, uint64_t id_in, uint32_t owner_in)
-      : fd(fd_in), id(id_in), owner(owner_in) {}
+  Connection(int fd_in, uint64_t id_in) : fd(fd_in), id(id_in) {}
   ~Connection() {
     if (!fd_closed) ::close(fd);
   }
 
   const int fd;
-  const uint64_t id;     // Unique forever (keys coalescer state safely
-                         // across address reuse).
-  const uint32_t owner;  // Owning I/O loop index.
+  const uint64_t id;  // Unique forever (keys coalescer state safely
+                      // across address reuse).
 
-  // Owner-loop-only state.
+  // I/O-thread-only state.
   FrameAssembler assembler;
 
   /// This connection's share of the global ingest quota, in queue
-  /// units. Charged by the owner loop, released by the coalescer.
+  /// units. Charged by the I/O thread, released by the coalescer.
   std::atomic<size_t> queued_units{0};
 
   /// True once the connection is torn down; set under out_mu, readable
@@ -71,16 +88,15 @@ struct Connection {
   /// closed (possibly reused) fd.
   std::atomic<bool> dead{false};
 
-  /// Dedups attention signals to the owner loop.
+  /// Dedups attention signals to the I/O thread.
   std::atomic<bool> attention_pending{false};
 
   std::mutex out_mu;
   std::string out;                 // Unsent response bytes.
-  bool want_attention = false;     // Set with out growth off-loop.
   bool write_armed = false;        // EPOLLOUT currently registered.
   bool close_after_flush = false;  // Drop once out drains.
   bool io_failed = false;          // Hard send error or backlog overflow.
-  bool fd_closed = false;          // fd already closed by the owner loop.
+  bool fd_closed = false;          // fd already closed by the I/O thread.
 };
 
 using ConnectionPtr = std::shared_ptr<Connection>;
@@ -90,28 +106,19 @@ bool IsBarrier(MessageType type) {
 }
 
 /// One ingest frame queued for the coalescer. Apply/ApplyBatch frames
-/// carry their payload as a pinned zero-copy view — the events are
-/// decoded exactly once, at merge time.
+/// carry their undecoded payload — the events are decoded exactly once,
+/// at merge time.
 struct IngestJob {
   ConnectionPtr conn;
   uint32_t request_id = 0;
   MessageType type = MessageType::kApply;
-  FrameView frame;          // kApply / kApplyBatch payload view.
+  std::string payload;      // kApply / kApplyBatch payload.
   uint32_t event_count = 0; // Validated by PeekApplyEventCount.
   PositionFix fix;          // kApplyFix.
   size_t units = 0;         // Quota units charged for this frame.
   // Telemetry stamps (0 when the server runs uninstrumented):
   uint64_t recv_ns = 0;     // Dispatch saw the complete frame.
   uint64_t pickup_ns = 0;   // The coalescer merged it into a group.
-};
-
-/// Node of the MPSC ingest queue (a Treiber stack: I/O threads
-/// CAS-push, the coalescer exchanges the whole head off and reverses it
-/// back into push order).
-struct IngestNode {
-  explicit IngestNode(IngestJob job_in) : job(std::move(job_in)) {}
-  IngestJob job;
-  IngestNode* next = nullptr;
 };
 
 /// One frame bound for the read pool.
@@ -181,7 +188,7 @@ class ServiceServer::Impl {
       CloseListen();
       return st;
     }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+    if (::listen(listen_fd_, kListenBacklog) != 0) {
       Status st = Errno("listen");
       CloseListen();
       return st;
@@ -203,31 +210,20 @@ class ServiceServer::Impl {
     // Pinned for the replication handshake (a replica must match it).
     nshards_ = std::max<uint32_t>(1, runtime_->Stats().num_shards);
 
-    const uint32_t nloops = std::max(1u, options_.io_threads);
-    loops_.clear();
-    loops_.reserve(nloops);
-    for (uint32_t i = 0; i < nloops; ++i) {
-      auto loop = std::make_unique<IoLoop>();
-      loop->index = i;
-      loop->epoll_fd = ::epoll_create1(0);
-      loop->event_fd = ::eventfd(0, EFD_NONBLOCK);
-      if (loop->epoll_fd < 0 || loop->event_fd < 0) {
-        Status st = Errno(loop->epoll_fd < 0 ? "epoll_create1" : "eventfd");
-        loops_.push_back(std::move(loop));  // So TeardownLoops sees it.
-        TeardownLoops();
-        CloseListen();
-        return st;
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = loop->event_fd;
-      ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->event_fd, &ev);
-      if (i == 0) {
-        ev.data.fd = listen_fd_;
-        ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
-      }
-      loops_.push_back(std::move(loop));
+    epoll_fd_ = ::epoll_create1(0);
+    event_fd_ = ::eventfd(0, EFD_NONBLOCK);
+    if (epoll_fd_ < 0 || event_fd_ < 0) {
+      Status st = Errno(epoll_fd_ < 0 ? "epoll_create1" : "eventfd");
+      CloseLoopFds();
+      CloseListen();
+      return st;
     }
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = event_fd_;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+    ev.data.fd = listen_fd_;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
 
     // The one interpreter every read worker shares: its referents (the
     // runtime's stores and MovementView) are stable for the runtime's
@@ -239,14 +235,10 @@ class ServiceServer::Impl {
     stopping_ = false;
     coal_stop_ = false;
     started_ = true;
-    for (auto& loop : loops_) {
-      IoLoop* raw = loop.get();
-      loop->thread = std::thread([this, raw] { IoLoopRun(raw); });
-    }
+    io_thread_ = std::thread([this] { IoLoopRun(); });
     coalescer_thread_ = std::thread([this] { CoalescerLoop(); });
-    const uint32_t workers = std::max(1u, options_.read_workers);
-    read_threads_.reserve(workers);
-    for (uint32_t i = 0; i < workers; ++i) {
+    read_threads_.reserve(kReadWorkers);
+    for (uint32_t i = 0; i < kReadWorkers; ++i) {
       read_threads_.emplace_back([this] { ReadLoop(); });
     }
     return Status::OK();
@@ -254,23 +246,21 @@ class ServiceServer::Impl {
 
   void Stop() {
     if (!started_) return;
-    // Phase 1: stop the I/O loops. Connections stay open — queued
-    // frames still owe responses.
+    // Phase 1: stop the I/O loop. Connections stay open — queued frames
+    // still owe responses.
     stopping_ = true;
-    for (auto& loop : loops_) SignalLoop(loop.get());
-    for (auto& loop : loops_) {
-      if (loop->thread.joinable()) loop->thread.join();
-    }
-    // The loops are gone, so no new subscription can start; retire the
+    SignalLoop();
+    io_thread_.join();
+    // The loop is gone, so no new subscription can start; retire the
     // log shippers before their connections are torn down.
     StopAllShippers();
-    // Phase 2: the producers are gone, so the coalescer can drain the
+    // Phase 2: the producer is gone, so the coalescer can drain the
     // queue before exiting.
-    coal_stop_ = true;
     {
       std::lock_guard<std::mutex> lock(coal_mu_);
-      coal_cv_.notify_all();
+      coal_stop_ = true;
     }
+    coal_cv_.notify_all();
     coalescer_thread_.join();
     // The coalescer is gone; close out any fsync-wait spans it left
     // (the watermark has settled — the runtime's log threads idle-sync).
@@ -287,8 +277,9 @@ class ServiceServer::Impl {
     DrainStrandedAlerts();
     // Phase 5: best-effort blocking flush, then teardown.
     FinalFlush();
-    for (auto& loop : loops_) loop->connections.clear();
-    TeardownLoops();
+    connections_.clear();
+    attention_.clear();
+    CloseLoopFds();
     CloseListen();
     states_.clear();
     last_toucher_.clear();
@@ -303,39 +294,14 @@ class ServiceServer::Impl {
   std::shared_mutex& runtime_mutex() { return runtime_mu_; }
 
   CoalescerStats coalescer_stats() const {
-    CoalescerStats out;
-    {
-      std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
-      out = coalescer_stats_;
-    }
-    out.io_thread_connections.reserve(loops_.size());
-    for (const auto& loop : loops_) {
-      out.io_thread_connections.push_back(
-          loop->accepted.load(std::memory_order_relaxed));
-    }
-    return out;
+    std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
+    return coalescer_stats_;
   }
 
  private:
-  /// One epoll I/O loop. `connections` and all epoll interest mutation
-  /// belong to the loop's own thread; `pending_adds` / `attention` are
-  /// the handoff from other threads, guarded by pending_mu and signaled
-  /// via event_fd.
-  struct IoLoop {
-    uint32_t index = 0;
-    int epoll_fd = -1;
-    int event_fd = -1;
-    std::thread thread;
-    std::unordered_map<int, ConnectionPtr> connections;
-    std::mutex pending_mu;
-    std::vector<ConnectionPtr> pending_adds;
-    std::vector<ConnectionPtr> attention;
-    std::atomic<size_t> accepted{0};
-  };
-
   /// One connection's queued frames on the coalescer, in arrival
-  /// order: the connection's owner loop is its only producer, and the
-  /// single queue drains in push order, so FIFO needs no bookkeeping.
+  /// order: the I/O thread is the only producer, and the queue drains
+  /// in push order, so FIFO needs no bookkeeping.
   struct ConnState {
     std::weak_ptr<Connection> wconn;
     std::deque<IngestJob> ready;
@@ -346,41 +312,37 @@ class ServiceServer::Impl {
     listen_fd_ = -1;
   }
 
-  void TeardownLoops() {
-    for (auto& loop : loops_) {
-      if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
-      if (loop->event_fd >= 0) ::close(loop->event_fd);
-      loop->epoll_fd = loop->event_fd = -1;
-    }
-    loops_.clear();
+  void CloseLoopFds() {
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    if (event_fd_ >= 0) ::close(event_fd_);
+    epoll_fd_ = event_fd_ = -1;
   }
 
-  void SignalLoop(IoLoop* loop) {
+  void SignalLoop() {
     uint64_t one = 1;
-    ssize_t ignored = ::write(loop->event_fd, &one, sizeof(one));
+    ssize_t ignored = ::write(event_fd_, &one, sizeof(one));
     (void)ignored;
   }
 
-  /// Queues `conn` for its owner loop's attention (output to arm, or a
+  /// Queues `conn` for the I/O thread's attention (output to arm, or a
   /// failure to reap) and wakes the loop. Deduped per connection.
   void SignalAttention(const ConnectionPtr& conn) {
     if (conn->attention_pending.exchange(true, std::memory_order_acq_rel)) {
       return;
     }
-    IoLoop* loop = loops_[conn->owner].get();
     {
-      std::lock_guard<std::mutex> lock(loop->pending_mu);
-      loop->attention.push_back(conn);
+      std::lock_guard<std::mutex> lock(attention_mu_);
+      attention_.push_back(conn);
     }
-    SignalLoop(loop);
+    SignalLoop();
   }
 
-  // --- I/O loops -------------------------------------------------------------
+  // --- I/O loop --------------------------------------------------------------
 
-  void IoLoopRun(IoLoop* loop) {
+  void IoLoopRun() {
     epoll_event events[64];
     while (!stopping_) {
-      int n = ::epoll_wait(loop->epoll_fd, events, 64, /*timeout_ms=*/200);
+      int n = ::epoll_wait(epoll_fd_, events, 64, /*timeout_ms=*/200);
       if (n < 0) {
         if (errno == EINTR) continue;
         LTAM_LOG_ERROR << "server epoll_wait failed: " << std::strerror(errno);
@@ -389,51 +351,48 @@ class ServiceServer::Impl {
       for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
         const uint32_t ev = events[i].events;
-        if (fd == loop->event_fd) {
-          DrainEventFd(loop);
-          HandleAttention(loop);
+        if (fd == event_fd_) {
+          DrainEventFd();
+          HandleAttention();
           continue;
         }
         if (fd == listen_fd_) {
-          AcceptPending(loop);
+          AcceptPending();
           continue;
         }
-        auto it = loop->connections.find(fd);
-        if (it == loop->connections.end()) continue;  // Dropped this batch.
+        auto it = connections_.find(fd);
+        if (it == connections_.end()) continue;  // Dropped this batch.
         ConnectionPtr conn = it->second;
         bool drop = false;
         {
           std::lock_guard<std::mutex> lock(conn->out_mu);
           if (conn->io_failed ||
-              conn->out.size() > options_.max_connection_backlog_bytes) {
+              conn->out.size() > kMaxConnectionBacklogBytes) {
             drop = true;
           }
         }
         if (!drop && (ev & (EPOLLERR | EPOLLHUP))) drop = true;
-        if (!drop && (ev & EPOLLIN)) drop = !ReadFrom(loop, conn);
-        if (!drop && (ev & EPOLLOUT)) drop = !FlushTo(loop, conn);
-        if (drop) Drop(loop, conn);
+        if (!drop && (ev & EPOLLIN)) drop = !ReadFrom(conn);
+        if (!drop && (ev & EPOLLOUT)) drop = !FlushTo(conn);
+        if (drop) Drop(conn);
       }
     }
     // Leave connections intact: Stop() still owes them queued responses
     // and the final flush.
   }
 
-  void DrainEventFd(IoLoop* loop) {
+  void DrainEventFd() {
     uint64_t count = 0;
-    while (::read(loop->event_fd, &count, sizeof(count)) > 0) {
+    while (::read(event_fd_, &count, sizeof(count)) > 0) {
     }
   }
 
-  void HandleAttention(IoLoop* loop) {
-    std::vector<ConnectionPtr> adds;
+  void HandleAttention() {
     std::vector<ConnectionPtr> attention;
     {
-      std::lock_guard<std::mutex> lock(loop->pending_mu);
-      adds.swap(loop->pending_adds);
-      attention.swap(loop->attention);
+      std::lock_guard<std::mutex> lock(attention_mu_);
+      attention.swap(attention_);
     }
-    for (ConnectionPtr& conn : adds) Register(loop, std::move(conn));
     for (const ConnectionPtr& conn : attention) {
       conn->attention_pending.store(false, std::memory_order_release);
       if (conn->dead.load(std::memory_order_acquire)) continue;
@@ -442,7 +401,7 @@ class ServiceServer::Impl {
       {
         std::lock_guard<std::mutex> lock(conn->out_mu);
         if (conn->io_failed ||
-            conn->out.size() > options_.max_connection_backlog_bytes) {
+            conn->out.size() > kMaxConnectionBacklogBytes) {
           drop = true;
         } else if (!conn->out.empty() && !conn->write_armed) {
           conn->write_armed = true;
@@ -452,55 +411,40 @@ class ServiceServer::Impl {
         }
       }
       if (drop) {
-        Drop(loop, conn);
+        Drop(conn);
       } else if (arm) {
-        UpdateInterest(loop, conn, /*want_read=*/true, /*want_write=*/true);
+        UpdateInterest(conn, /*want_read=*/true, /*want_write=*/true);
       }
     }
   }
 
-  void Register(IoLoop* loop, ConnectionPtr conn) {
-    const int fd = conn->fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      conn->dead.store(true, std::memory_order_release);
-      conn->fd_closed = true;
-      ::close(fd);
-      return;
-    }
-    loop->connections.emplace(fd, std::move(conn));
-  }
-
-  void UpdateInterest(IoLoop* loop, const ConnectionPtr& conn, bool want_read,
+  void UpdateInterest(const ConnectionPtr& conn, bool want_read,
                       bool want_write) {
     epoll_event ev{};
     ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = conn->fd;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 
   /// Tears a connection down: marks it dead (responders drop their
   /// bytes), then closes the fd. The dead store happens under out_mu so
   /// no responder can be mid-send on the fd when it closes.
-  void Drop(IoLoop* loop, const ConnectionPtr& conn) {
+  void Drop(const ConnectionPtr& conn) {
     {
       std::lock_guard<std::mutex> lock(conn->out_mu);
       conn->dead.store(true, std::memory_order_release);
       conn->out.clear();
       if (!conn->fd_closed) {
-        ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
         ::close(conn->fd);
         conn->fd_closed = true;
       }
     }
-    loop->connections.erase(conn->fd);
+    connections_.erase(conn->fd);
     StopShipper(conn->id);  // No-op for the non-subscribed majority.
   }
 
-  void AcceptPending(IoLoop* loop0) {
+  void AcceptPending() {
     while (!stopping_) {
       int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) return;
@@ -510,47 +454,35 @@ class ServiceServer::Impl {
       }
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      // Round-robin steering: each loop owns its connections for life.
-      const uint32_t target =
-          next_loop_.fetch_add(1, std::memory_order_relaxed) %
-          static_cast<uint32_t>(loops_.size());
-      auto conn = std::make_shared<Connection>(
-          fd, next_conn_id_.fetch_add(1, std::memory_order_relaxed), target);
-      loops_[target]->accepted.fetch_add(1, std::memory_order_relaxed);
-      if (target == loop0->index) {
-        Register(loop0, std::move(conn));
-      } else {
-        IoLoop* peer = loops_[target].get();
-        {
-          std::lock_guard<std::mutex> lock(peer->pending_mu);
-          peer->pending_adds.push_back(std::move(conn));
-        }
-        SignalLoop(peer);
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = fd;
+      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+        ::close(fd);
+        continue;
       }
+      connections_.emplace(
+          fd, std::make_shared<Connection>(fd, next_conn_id_++));
     }
   }
 
   /// Reads what the socket has; false when the connection is done.
-  /// recv() lands straight in the assembler's chunk (BeginFill), so the
-  /// bytes are copied exactly once off the kernel.
-  bool ReadFrom(IoLoop* loop, const ConnectionPtr& conn) {
+  bool ReadFrom(const ConnectionPtr& conn) {
+    char buf[64 * 1024];
     while (true) {
-      size_t capacity = 0;
-      char* dst = conn->assembler.BeginFill(4096, &capacity);
-      ssize_t n = ::recv(conn->fd, dst, capacity, 0);
+      ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
-        conn->assembler.CommitFill(static_cast<size_t>(n));
-        if (!DrainFrames(loop, conn)) return false;
+        conn->assembler.Append(buf, static_cast<size_t>(n));
+        if (!DrainFrames(conn)) return false;
         {
           std::lock_guard<std::mutex> lock(conn->out_mu);
           if (conn->close_after_flush) return true;  // Stop reading.
         }
-        // A partial fill means the socket buffer is drained — skip the
+        // A partial read means the socket buffer is drained — skip the
         // recv that would only return EAGAIN.
-        if (static_cast<size_t>(n) < capacity) return true;
+        if (static_cast<size_t>(n) < sizeof(buf)) return true;
         continue;
       }
-      conn->assembler.CommitFill(0);
       if (n == 0) return false;  // Peer closed.
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;
@@ -558,11 +490,11 @@ class ServiceServer::Impl {
     }
   }
 
-  /// Extracts complete frames as zero-copy views and dispatches them;
-  /// false to drop the connection now.
-  bool DrainFrames(IoLoop* loop, const ConnectionPtr& conn) {
+  /// Extracts complete frames and dispatches them; false to drop the
+  /// connection now.
+  bool DrainFrames(const ConnectionPtr& conn) {
     while (true) {
-      Result<std::optional<FrameView>> next = conn->assembler.NextView();
+      Result<std::optional<Frame>> next = conn->assembler.Next();
       if (!next.ok()) {
         // The stream can no longer be framed: send one final error
         // (request id 0 — no frame to attribute it to) and close once
@@ -580,7 +512,7 @@ class ServiceServer::Impl {
           }
         }
         if (!drop_now) {
-          UpdateInterest(loop, conn, /*want_read=*/false, /*want_write=*/true);
+          UpdateInterest(conn, /*want_read=*/false, /*want_write=*/true);
         }
         return !drop_now;
       }
@@ -589,7 +521,7 @@ class ServiceServer::Impl {
     }
   }
 
-  void Dispatch(const ConnectionPtr& conn, FrameView frame) {
+  void Dispatch(const ConnectionPtr& conn, Frame frame) {
     const uint32_t id = frame.header.request_id;
     const MessageType type = frame.header.type;
     switch (type) {
@@ -600,7 +532,7 @@ class ServiceServer::Impl {
       case MessageType::kApply:
       case MessageType::kApplyBatch: {
         // O(1) shape check only — the events are decoded once, at merge
-        // time, straight from this pinned view.
+        // time, straight from this payload.
         Result<uint32_t> count = PeekApplyEventCount(type, frame.payload);
         if (!count.ok()) {
           Respond(conn, MessageType::kError, id,
@@ -614,7 +546,7 @@ class ServiceServer::Impl {
         job.event_count = *count;
         job.units = std::max<size_t>(1, *count);
         if (instrumented()) job.recv_ns = MonotonicNowNs();
-        job.frame = std::move(frame);
+        job.payload = std::move(frame.payload);
         EnqueueIngest(std::move(job));
         return;
       }
@@ -802,7 +734,7 @@ class ServiceServer::Impl {
   }
 
   /// Spawns the per-subscription shipper, keyed by connection id so the
-  /// owner loop can retire it when the connection drops. A second hello
+  /// I/O thread can retire it when the connection drops. A second hello
   /// on the same connection replaces (and stops) the first shipper.
   void StartShipper(const ConnectionPtr& conn,
                     std::vector<uint64_t> positions) {
@@ -854,9 +786,9 @@ class ServiceServer::Impl {
     for (auto& [id, shipper] : taken) shipper->Stop();
   }
 
-  /// Flushes pending output from the owner loop; false when the
+  /// Flushes pending output from the I/O thread; false when the
   /// connection is done.
-  bool FlushTo(IoLoop* loop, const ConnectionPtr& conn) {
+  bool FlushTo(const ConnectionPtr& conn) {
     bool disarm = false;
     {
       std::lock_guard<std::mutex> lock(conn->out_mu);
@@ -883,7 +815,7 @@ class ServiceServer::Impl {
       }
     }
     if (disarm) {
-      UpdateInterest(loop, conn, /*want_read=*/true, /*want_write=*/false);
+      UpdateInterest(conn, /*want_read=*/true, /*want_write=*/false);
     }
     return true;
   }
@@ -891,7 +823,7 @@ class ServiceServer::Impl {
   /// Sends one response frame. Safe from any thread: when the
   /// connection's buffer is empty the frame goes straight to the socket
   /// (the common case — no wakeup, no extra epoll round-trip); only a
-  /// short write leaves residue for the owner loop's EPOLLOUT. A
+  /// short write leaves residue for the I/O loop's EPOLLOUT. A
   /// payload over the wire ceiling (e.g. a query whose table outgrew
   /// 8 MiB) degrades to a structured error — it must never reach
   /// EncodeFrame's fatal check and take the whole service down.
@@ -924,7 +856,7 @@ class ServiceServer::Impl {
           }
           if (n < 0 && errno == EINTR) continue;
           if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          conn->io_failed = true;  // Hard error: owner loop reaps it.
+          conn->io_failed = true;  // Hard error: the I/O loop reaps it.
           need_attention = true;
           break;
         }
@@ -935,7 +867,7 @@ class ServiceServer::Impl {
       } else {
         conn->out += frame;
         need_attention = !conn->write_armed;
-        if (conn->out.size() > options_.max_connection_backlog_bytes) {
+        if (conn->out.size() > kMaxConnectionBacklogBytes) {
           // A client writing requests but never reading responses
           // cannot buffer without bound.
           conn->io_failed = true;
@@ -949,7 +881,7 @@ class ServiceServer::Impl {
   // --- Ingest queue ----------------------------------------------------------
 
   /// Quota check (global budget first, then the per-connection share),
-  /// then a lock-free push onto the ingest queue.
+  /// then a push onto the ingest queue.
   void EnqueueIngest(IngestJob job) {
     const size_t units = job.units;
     const size_t global_before =
@@ -990,23 +922,17 @@ class ServiceServer::Impl {
       c_frames_->Increment();
       c_events_->Increment(job.event_count);
     }
-    auto* node = new IngestNode(std::move(job));
-    IngestNode* head = ingest_head_.load(std::memory_order_relaxed);
-    do {
-      node->next = head;
-    } while (!ingest_head_.compare_exchange_weak(head, node,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed));
-    if (coalescer_idle_.load(std::memory_order_seq_cst)) {
+    {
       std::lock_guard<std::mutex> lock(coal_mu_);
-      coal_cv_.notify_one();
+      ingest_queue_.push_back(std::move(job));
     }
+    coal_cv_.notify_one();
   }
 
   void EnqueueRead(ReadJob job) {
     {
       std::lock_guard<std::mutex> lock(reads_mu_);
-      if (read_queue_.size() >= options_.max_queued_reads) {
+      if (read_queue_.size() >= kMaxQueuedReads) {
         Respond(job.conn, MessageType::kError, job.request_id,
                 EncodeErrorResult(Status::FailedPrecondition(
                     "read queue full (" +
@@ -1021,10 +947,6 @@ class ServiceServer::Impl {
 
   // --- Ingest coalescer ------------------------------------------------------
 
-  bool QueueNonEmpty() const {
-    return ingest_head_.load(std::memory_order_acquire) != nullptr;
-  }
-
   bool AnyStateHasWork() const {
     for (const auto& [id, st] : states_) {
       if (!st.ready.empty()) return true;
@@ -1034,26 +956,17 @@ class ServiceServer::Impl {
 
   void CoalescerLoop() {
     while (true) {
-      const bool did_work = RoundOnce();
-      if (coal_stop_.load(std::memory_order_acquire)) {
-        // Drain to empty: the producers joined before coal_stop_, so
-        // every pushed frame is reachable.
-        if (!did_work && !QueueNonEmpty() && !AnyStateHasWork()) return;
-        continue;
-      }
-      if (did_work) continue;
+      if (RoundOnce()) continue;
       std::unique_lock<std::mutex> lock(coal_mu_);
-      coalescer_idle_.store(true, std::memory_order_seq_cst);
-      if (QueueNonEmpty() || coal_stop_.load(std::memory_order_acquire)) {
-        coalescer_idle_.store(false, std::memory_order_seq_cst);
-        continue;
-      }
+      // Drain to empty before exiting: the producer joined before
+      // coal_stop_ was set, so every pushed frame is reachable.
+      if (coal_stop_ && ingest_queue_.empty() && !AnyStateHasWork()) return;
       // Unresolved fsync-wait spans cap the nap: their durations are
       // resolved by polling the watermark at round starts, so a long
       // idle sleep would overstate them.
-      coal_cv_.wait_for(lock, std::chrono::milliseconds(
-                                  fsync_pending_.empty() ? 100 : 5));
-      coalescer_idle_.store(false, std::memory_order_seq_cst);
+      coal_cv_.wait_for(
+          lock, std::chrono::milliseconds(fsync_pending_.empty() ? 100 : 5),
+          [this] { return coal_stop_ || !ingest_queue_.empty(); });
     }
   }
 
@@ -1080,7 +993,7 @@ class ServiceServer::Impl {
       }
     }
     // Merge group: at most ONE Apply/ApplyBatch frame per connection
-    // (the earliest queued), bounded by max_coalesced_events. Merging
+    // (the earliest queued), bounded by kMaxCoalescedEvents. Merging
     // across connections is the whole point — it amortizes the sharded
     // fan-out and group commit — while one-frame-per-connection keeps
     // batch-scoped alert attribution exact and preserves every
@@ -1095,7 +1008,7 @@ class ServiceServer::Impl {
       if (IsBarrier(front.type)) continue;  // Arrived during this loop? No —
                                             // but cheap to keep exact.
       if (!group_.empty() &&
-          events + front.event_count > options_.max_coalesced_events) {
+          events + front.event_count > kMaxCoalescedEvents) {
         continue;  // Over budget this round; a smaller frame may still fit.
       }
       events += front.event_count;
@@ -1121,26 +1034,20 @@ class ServiceServer::Impl {
     return any;
   }
 
+  /// Swaps the pushed frames out (in push order) and files each under
+  /// its connection's FIFO state. Returns whether anything arrived.
   bool DrainIngestQueue() {
-    IngestNode* node = ingest_head_.exchange(nullptr, std::memory_order_acquire);
-    // The stack pops newest-first; reverse back to push order.
-    IngestNode* ordered = nullptr;
-    while (node != nullptr) {
-      IngestNode* next = node->next;
-      node->next = ordered;
-      ordered = node;
-      node = next;
+    {
+      std::lock_guard<std::mutex> lock(coal_mu_);
+      draining_.swap(ingest_queue_);
     }
-    const bool any = ordered != nullptr;
-    while (ordered != nullptr) {
-      IngestJob& job = ordered->job;
+    const bool any = !draining_.empty();
+    for (IngestJob& job : draining_) {
       ConnState& st = states_[job.conn->id];
       if (st.wconn.expired()) st.wconn = job.conn;
       st.ready.push_back(std::move(job));
-      IngestNode* next = ordered->next;
-      delete ordered;
-      ordered = next;
     }
+    draining_.clear();
     return any;
   }
 
@@ -1152,7 +1059,7 @@ class ServiceServer::Impl {
   }
 
   void ProcessMergedBatch(std::vector<IngestJob>* group) {
-    // The ONE event decode: straight from each frame's pinned view into
+    // The ONE event decode: straight from each frame's payload into
     // the reused merge buffer, each frame's events contiguous in
     // arrival order. A frame that fails validation here gets its error
     // now and drops out of the merge.
@@ -1167,7 +1074,7 @@ class ServiceServer::Impl {
       offsets[i] = merged_.size();
       const uint64_t t_decode = instrumented() ? MonotonicNowNs() : 0;
       Status decoded =
-          DecodeApplyEventsInto(job.type, job.frame.payload, &merged_);
+          DecodeApplyEventsInto(job.type, job.payload, &merged_);
       if (!decoded.ok()) {
         merged_.resize(offsets[i]);
         Respond(job.conn, MessageType::kError, job.request_id,
@@ -1461,14 +1368,11 @@ class ServiceServer::Impl {
   void DrainStrandedAlerts() {
     if (pending_alerts_.empty()) return;
     ConnectionPtr fallback;
-    for (const auto& loop : loops_) {
-      for (const auto& [fd, conn] : loop->connections) {
-        if (!conn->dead.load(std::memory_order_acquire)) {
-          fallback = conn;
-          break;
-        }
+    for (const auto& [fd, conn] : connections_) {
+      if (!conn->dead.load(std::memory_order_acquire)) {
+        fallback = conn;
+        break;
       }
-      if (fallback) break;
     }
     std::unordered_map<Connection*, std::vector<Alert>> buckets;
     std::unordered_map<Connection*, ConnectionPtr> keepalive;
@@ -1499,30 +1403,28 @@ class ServiceServer::Impl {
   /// (bounded by a send timeout) so final responses and alert pushes
   /// actually reach peers before the sockets close.
   void FinalFlush() {
-    for (const auto& loop : loops_) {
-      for (const auto& [fd, conn] : loop->connections) {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        if (conn->dead.load(std::memory_order_acquire) || conn->out.empty()) {
+    for (const auto& [fd, conn] : connections_) {
+      std::lock_guard<std::mutex> lock(conn->out_mu);
+      if (conn->dead.load(std::memory_order_acquire) || conn->out.empty()) {
+        continue;
+      }
+      int flags = ::fcntl(conn->fd, F_GETFL, 0);
+      if (flags >= 0) ::fcntl(conn->fd, F_SETFL, flags & ~O_NONBLOCK);
+      timeval tv{};
+      tv.tv_usec = 500 * 1000;
+      ::setsockopt(conn->fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+      size_t off = 0;
+      while (off < conn->out.size()) {
+        ssize_t sent = ::send(conn->fd, conn->out.data() + off,
+                              conn->out.size() - off, MSG_NOSIGNAL);
+        if (sent > 0) {
+          off += static_cast<size_t>(sent);
           continue;
         }
-        int flags = ::fcntl(conn->fd, F_GETFL, 0);
-        if (flags >= 0) ::fcntl(conn->fd, F_SETFL, flags & ~O_NONBLOCK);
-        timeval tv{};
-        tv.tv_usec = 500 * 1000;
-        ::setsockopt(conn->fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        size_t off = 0;
-        while (off < conn->out.size()) {
-          ssize_t sent = ::send(conn->fd, conn->out.data() + off,
-                                conn->out.size() - off, MSG_NOSIGNAL);
-          if (sent > 0) {
-            off += static_cast<size_t>(sent);
-            continue;
-          }
-          if (sent < 0 && errno == EINTR) continue;
-          break;
-        }
-        conn->out.clear();
+        if (sent < 0 && errno == EINTR) continue;
+        break;
       }
+      conn->out.clear();
     }
   }
 
@@ -1589,9 +1491,16 @@ class ServiceServer::Impl {
   uint16_t bound_port_ = 0;
   uint32_t nshards_ = 0;
 
-  std::vector<std::unique_ptr<IoLoop>> loops_;
-  std::atomic<uint32_t> next_loop_{0};
-  std::atomic<uint64_t> next_conn_id_{1};
+  // The I/O loop. The connection map, the id counter and all epoll
+  // interest changes belong to io_thread_; other threads hand it work
+  // through attention_ and wake it via event_fd_.
+  int epoll_fd_ = -1;
+  int event_fd_ = -1;
+  std::unordered_map<int, ConnectionPtr> connections_;
+  uint64_t next_conn_id_ = 1;
+  std::mutex attention_mu_;
+  std::vector<ConnectionPtr> attention_;
+  std::thread io_thread_;
 
   std::thread coalescer_thread_;
   std::vector<std::thread> read_threads_;
@@ -1602,21 +1511,17 @@ class ServiceServer::Impl {
   /// server's parallel read path.
   std::shared_mutex runtime_mu_;
 
-  /// The MPSC ingest queue's head (every I/O loop pushes, the coalescer
-  /// drains). Each connection has one producer, its owner loop, so the
-  /// drained push order is already per-connection FIFO.
-  std::atomic<IngestNode*> ingest_head_{nullptr};
   /// Queue units pending in the ingest queue and the coalescer's ready
   /// frames (released as processing begins).
   std::atomic<size_t> queued_units_{0};
 
-  /// Coalescer sleep/wake handshake: producers notify only when the
-  /// idle flag is up; the coalescer re-checks the queue head after
-  /// raising it, so a push can never slip between check and wait.
+  /// The ingest queue: the I/O thread pushes, the coalescer swaps the
+  /// whole vector out. One producer, so push order is already
+  /// per-connection FIFO.
   std::mutex coal_mu_;
   std::condition_variable coal_cv_;
-  std::atomic<bool> coalescer_idle_{false};
-  std::atomic<bool> coal_stop_{false};
+  std::vector<IngestJob> ingest_queue_;  // Guarded by coal_mu_.
+  bool coal_stop_ = false;               // Guarded by coal_mu_.
 
   std::mutex reads_mu_;
   std::condition_variable reads_cv_;
@@ -1624,6 +1529,7 @@ class ServiceServer::Impl {
 
   // Coalescer-thread-only state (Stop() touches it after the join).
   std::unordered_map<uint64_t, ConnState> states_;  // By Connection::id.
+  std::vector<IngestJob> draining_;  // Swapped with ingest_queue_.
   std::vector<IngestJob> group_;
   std::vector<AccessEvent> merged_;
   uint64_t round_ = 0;
@@ -1654,7 +1560,7 @@ class ServiceServer::Impl {
   CoalescerStats coalescer_stats_;
 
   /// Live log shippers, keyed by subscriber connection id. Entries are
-  /// retired by the owner loop's Drop, by a replacing hello, or by
+  /// retired by the I/O thread's Drop, by a replacing hello, or by
   /// Stop().
   std::mutex shippers_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<LogShipper>> shippers_;

@@ -6,28 +6,25 @@
 // hand each connection its own runtime calls. ServiceServer instead runs
 // three thread groups around one runtime:
 //
-//  - N I/O threads (ServerOptions::io_threads): each runs its own
-//    epoll(7) readiness loop with an eventfd wakeup. Accepted
-//    connections are steered round-robin across the loops, and each
-//    loop owns its connections' reads, writes, and epoll interest for
-//    their whole lifetime — no socket is ever touched by two I/O
-//    threads. Frames are received straight into the connection's
-//    FrameAssembler chunks and dispatched as zero-copy FrameViews: the
-//    I/O thread validates an Apply/ApplyBatch payload's shape in O(1)
-//    (count vs size), never decodes the events, and enqueues the pinned
-//    view. Response bytes are written directly from whichever thread
-//    produced them when the socket is writable (the common loopback
-//    case); only a short write falls back to the owner loop's EPOLLOUT.
+//  - one I/O thread: an epoll(7) readiness loop with an eventfd wakeup
+//    that accepts connections and owns every socket's reads and epoll
+//    interest. Each read lands in the connection's FrameAssembler,
+//    which hands out complete frames with owned payloads: the I/O
+//    thread validates an Apply/ApplyBatch payload's shape in O(1)
+//    (count vs size), never decodes the events, and queues the payload
+//    for the coalescer. Response bytes are written directly from
+//    whichever thread produced them when the socket is writable (the
+//    common loopback case); only a short write falls back to the
+//    loop's EPOLLOUT.
 //  - the ingest coalescer: ONE thread that owns event application. It
-//    drains one lock-free MPSC ingest queue that every I/O thread
-//    pushes to (each connection's only producer is its owner loop, so
-//    the queue's push order is already per-connection FIFO) and merges
-//    Apply/ApplyBatch frames — at most one per connection per round,
-//    each frame's events contiguous and in order, so per-subject time
-//    order within a connection is preserved — into a single
+//    swaps out the ingest queue the I/O thread pushes to (one producer,
+//    so the queue's push order is already per-connection FIFO) and
+//    merges Apply/ApplyBatch frames — at most one per connection per
+//    round, each frame's events contiguous and in order, so per-subject
+//    time order within a connection is preserved — into a single
 //    AccessRuntime::ApplyBatch call. The merge is also where the ONE
-//    event decode happens, straight from the pinned frame views into
-//    the reused merge buffer. Decisions are demultiplexed back to their
+//    event decode happens, straight from the queued payloads into the
+//    reused merge buffer. Decisions are demultiplexed back to their
 //    originating frames by offset and drained alerts are routed to
 //    frames by subject (exact, because one round holds one frame per
 //    connection). This is the scaling mechanism: the sharded fan-out
@@ -36,10 +33,10 @@
 //    per-connection barriers, applied alone when they reach the front
 //    of their connection's queue.
 //  - read workers: a small pool answering Query (the query language over
-//    the runtime's MovementView) and Stats concurrently — they take the
-//    runtime lock shared, so reads run in parallel with each other and
-//    with all network I/O, and only exclude the coalescer's exclusive
-//    application window.
+//    the runtime's MovementView), Stats and Metrics concurrently — they
+//    take the runtime lock shared (Metrics takes none), so reads run in
+//    parallel with each other and with all network I/O, and only
+//    exclude the coalescer's exclusive application window.
 //
 // Responses preserve per-connection order within the ingest path (the
 // coalescer is FIFO per connection) but reads may overtake writes; every
@@ -71,7 +68,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "runtime/access_runtime.h"
 #include "util/result.h"
@@ -85,17 +81,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (see bound_port()).
   uint16_t port = 0;
-  /// Number of epoll I/O loops. Accepted connections are steered
-  /// round-robin; each loop owns its connections exclusively. 1 is
-  /// right for a handful of connections; scale up with connection
-  /// count and core count.
-  uint32_t io_threads = 1;
-  /// Read worker pool size (Query/Stats concurrency).
-  uint32_t read_workers = 2;
-  /// Ceiling on events merged into one coalesced ApplyBatch. The
-  /// coalescer always takes at least one frame, so a single frame at the
-  /// wire maximum still applies.
-  size_t max_coalesced_events = 8192;
   /// Ingest-queue backpressure: frames arriving while this many queue
   /// units (one per event, minimum one per frame — so event-free
   /// Checkpoint floods are bounded too) are already queued are refused
@@ -107,27 +92,18 @@ struct ServerOptions {
   /// every other connection. Refusals are counted in
   /// CoalescerStats::connection_quota_refusals.
   size_t max_connection_queued_events = 1u << 16;
-  /// Read-queue backpressure: Query/Stats frames beyond this many
-  /// queued are refused with kFailedPrecondition.
-  size_t max_queued_reads = 4096;
-  /// A connection whose unread response backlog exceeds this many bytes
-  /// (a client writing requests but never reading responses) is
-  /// dropped.
-  size_t max_connection_backlog_bytes = 64u << 20;
-  /// listen(2) backlog.
-  int listen_backlog = 64;
   /// Failover hooks, supplied by the embedding binary (which owns the
   /// replica link and knows how to retire it). A kPromote / kRepoint
-  /// frame invokes the hook inline on the receiving I/O thread — these
-  /// are rare, operator-driven frames, and blocking one loop briefly
-  /// during a failover is the point. An unset hook refuses the frame
-  /// with a structured error.
+  /// frame invokes the hook inline on the I/O thread — these are rare,
+  /// operator-driven frames, and blocking the loop briefly during a
+  /// failover is the point. An unset hook refuses the frame with a
+  /// structured error.
   std::function<Result<uint64_t>()> promote_hook;
   std::function<Status(const std::string& host, uint16_t port)> repoint_hook;
   /// Telemetry registry (may be null; borrowed, must outlive the
   /// server). When set, the ingest path records per-stage histograms —
   /// ingest.queue_wait (dispatch to coalesce pickup), ingest.decode
-  /// (frame view to merge buffer), ingest.apply (the merged
+  /// (queued payload to merge buffer), ingest.apply (the merged
   /// ApplyBatch, lock wait included), ingest.fsync_wait (apply return
   /// to durable watermark catch-up, per merged batch — the part of
   /// durability the pipelined ack does NOT wait for), ingest.write
@@ -168,9 +144,6 @@ struct CoalescerStats {
   /// the alert delivery guarantee above). Zero means every alert was
   /// attributed exactly.
   size_t stranded_alerts_delivered = 0;
-  /// Connections each I/O loop has accepted over the server's lifetime
-  /// (index = I/O thread; round-robin steering makes these near-equal).
-  std::vector<size_t> io_thread_connections;
 };
 
 /// One TCP server over one AccessRuntime. The runtime is borrowed: the
@@ -188,7 +161,7 @@ class ServiceServer {
   /// when already started; IOError for socket failures.
   Status Start();
 
-  /// Stops accepting, drains the ingest queues (queued frames still get
+  /// Stops accepting, drains the ingest queue (queued frames still get
   /// their responses), pushes any still-held alerts to a live
   /// connection, flushes what the sockets will take, closes every
   /// connection, and joins all threads. Idempotent.

@@ -588,52 +588,36 @@ TEST_F(ServiceLoopbackTest, PerConnectionQuotaRefusesFloodingClient) {
 }
 
 TEST_F(ServiceLoopbackTest, EpollEquivalenceMatrix) {
-  // The scaling gate for the per-thread epoll loops: 1 and 4 I/O
-  // threads, in-memory-sharded and durable-pipelined, all byte-identical
-  // (decisions AND alerts) to the direct facade replay. Round-robin
-  // steering spreads the four connections across the loops, so at
-  // io_threads=4 every loop owns traffic.
+  // The epoll loop's equivalence gate: in-memory-sharded and
+  // durable-pipelined, both byte-identical (decisions AND alerts) to the
+  // direct facade replay of four concurrent connections.
   World w = MakeWorld(1103);
   auto streams = MakeConnectionStreams(w, 1109);
-  for (uint32_t io_threads : {1u, 4u}) {
-    for (bool durable : {false, true}) {
-      SCOPED_TRACE("io_threads=" + std::to_string(io_threads) +
-                   (durable ? " durable-pipelined" : " in-memory"));
-      RuntimeOptions direct_options;
-      direct_options.num_shards = 3;
-      RuntimeOptions served_options = direct_options;
-      if (durable) {
-        const std::string tag = std::to_string(io_threads);
-        fs::create_directories(root_ + "/matrix-direct-" + tag);
-        fs::create_directories(root_ + "/matrix-served-" + tag);
-        direct_options.durable_dir = root_ + "/matrix-direct-" + tag;
-        served_options.durable_dir = root_ + "/matrix-served-" + tag;
-        served_options.durability.mode = SyncMode::kPipelined;
-      }
-      std::vector<ConnectionOutcome> direct =
-          RunDirect(w, streams, direct_options);
-      ServerOptions server_options;
-      server_options.io_threads = io_threads;
-      CoalescerStats coalescing;
-      std::vector<ConnectionOutcome> served = RunThroughServer(
-          w, streams, served_options, &coalescing, server_options);
-      ExpectByteIdentical(direct, served);
-      // Every loop exists in the stats; with 4 loops and 4 connections
-      // the round-robin gives each loop exactly one.
-      ASSERT_EQ(io_threads, coalescing.io_thread_connections.size());
-      if (io_threads == kConnections) {
-        for (size_t accepted : coalescing.io_thread_connections) {
-          EXPECT_EQ(1u, accepted);
-        }
-      }
-      // Every frame went through the one ingest queue into exactly one
-      // merged ApplyBatch (no refusals, so no per-frame retries).
-      size_t frames = 0;
-      for (const auto& stream : streams) frames += stream.size();
-      EXPECT_EQ(frames, coalescing.merged_frames);
-      EXPECT_EQ(0u, coalescing.stranded_alerts_delivered)
-          << "disjoint-subject streams attribute every alert exactly";
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable-pipelined" : "in-memory");
+    RuntimeOptions direct_options;
+    direct_options.num_shards = 3;
+    RuntimeOptions served_options = direct_options;
+    if (durable) {
+      fs::create_directories(root_ + "/matrix-direct");
+      fs::create_directories(root_ + "/matrix-served");
+      direct_options.durable_dir = root_ + "/matrix-direct";
+      served_options.durable_dir = root_ + "/matrix-served";
+      served_options.durability.mode = SyncMode::kPipelined;
     }
+    std::vector<ConnectionOutcome> direct =
+        RunDirect(w, streams, direct_options);
+    CoalescerStats coalescing;
+    std::vector<ConnectionOutcome> served =
+        RunThroughServer(w, streams, served_options, &coalescing);
+    ExpectByteIdentical(direct, served);
+    // Every frame went through the one ingest queue into exactly one
+    // merged ApplyBatch (no refusals, so no per-frame retries).
+    size_t frames = 0;
+    for (const auto& stream : streams) frames += stream.size();
+    EXPECT_EQ(frames, coalescing.merged_frames);
+    EXPECT_EQ(0u, coalescing.stranded_alerts_delivered)
+        << "disjoint-subject streams attribute every alert exactly";
   }
 }
 
@@ -1003,6 +987,42 @@ TEST_F(ServiceLoopbackTest, SlowRequestTracingCountsEmittedTraces) {
   // The single request tripped the threshold; the rate limiter admits
   // the first trace of the window.
   EXPECT_EQ(1u, metrics.GetCounter("trace.emitted")->value());
+}
+
+TEST(ServiceEndpointTest, ParsePortAndEndpointAreStrict) {
+  struct PortCase {
+    const char* text;
+    bool ok;
+    uint16_t port;
+  };
+  for (const PortCase& c : {PortCase{"0", true, 0},
+                            PortCase{"7447", true, 7447},
+                            PortCase{"65535", true, 65535},
+                            PortCase{"", false, 0},
+                            PortCase{"+1", false, 0},
+                            PortCase{"65536", false, 0}}) {
+    SCOPED_TRACE(std::string("port '") + c.text + "'");
+    Result<uint16_t> port = ParsePort(c.text);
+    ASSERT_EQ(c.ok, port.ok()) << port.status().ToString();
+    if (c.ok) {
+      EXPECT_EQ(c.port, *port);
+    }
+  }
+
+  std::string host;
+  uint16_t port = 0;
+  ASSERT_OK(ParseEndpoint("127.0.0.1:7447", &host, &port));
+  EXPECT_EQ("127.0.0.1", host);
+  EXPECT_EQ(7447, port);
+  for (const char* bad :
+       {"h:0", "h:65536", "h:70000", "h:12x", "h:-1", "h:", ":1", "h"}) {
+    SCOPED_TRACE(std::string("endpoint '") + bad + "'");
+    Status parsed = ParseEndpoint(bad, &host, &port);
+    EXPECT_TRUE(parsed.IsInvalidArgument()) << parsed.ToString();
+  }
+  // A refusal leaves the outputs untouched.
+  EXPECT_EQ("127.0.0.1", host);
+  EXPECT_EQ(7447, port);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -578,85 +577,66 @@ TEST(ServiceProtocolTest, AssemblerReassemblesArbitrarySplits) {
   }
 }
 
-/// NextView() must frame the identical byte stream as Next(), and its
-/// views must stay byte-valid however the assembler recycles chunks
-/// afterwards — including frames big enough to straddle a chunk
-/// boundary, and bytes landed through the BeginFill/CommitFill recv
-/// path rather than Append().
-TEST(ServiceProtocolTest, NextViewMatchesNextAndPinsSurviveRecycling) {
+/// Next() must hand back every payload byte-exact however a long
+/// stream is split across Append() calls — big frames spanning many
+/// appends beside tiny ones — while the assembler drops its consumed
+/// prefix along the way.
+TEST(ServiceProtocolTest, RandomSplitsYieldEveryPayloadAndDrainTheBuffer) {
   Rng rng(17);
   std::vector<AccessEvent> batch;
   for (int i = 0; i < 40; ++i) batch.push_back(RandomEvent(&rng));
-  // Enough apply-batch frames that the stream crosses several 64 KiB
-  // chunks, forcing straddle handling and chunk turnover.
   std::vector<AccessEvent> big(4000, batch[0]);
+  std::vector<Frame> encoded;
   std::string stream;
   for (uint32_t i = 1; i <= 24; ++i) {
+    Frame frame;
+    frame.header.request_id = i;
     switch (i % 4) {
       case 0:
-        stream += EncodeFrame(MessageType::kApplyBatch, i,
-                              EncodeApplyBatchRequest(big));
+        frame.header.type = MessageType::kApplyBatch;
+        frame.payload = EncodeApplyBatchRequest(big);
         break;
       case 1:
-        stream += EncodeFrame(MessageType::kApplyBatch, i,
-                              EncodeApplyBatchRequest(batch));
+        frame.header.type = MessageType::kApplyBatch;
+        frame.payload = EncodeApplyBatchRequest(batch);
         break;
       case 2:
-        stream += EncodeFrame(MessageType::kPing, i, "");
+        frame.header.type = MessageType::kPing;
         break;
       default:
-        stream += EncodeFrame(MessageType::kQuery, i,
-                              EncodeQueryRequest("HISTORY OF Alice"));
+        frame.header.type = MessageType::kQuery;
+        frame.payload = EncodeQueryRequest("HISTORY OF Alice");
     }
+    stream += EncodeFrame(frame.header.type, i, frame.payload);
+    encoded.push_back(std::move(frame));
   }
-  ASSERT_GT(stream.size(), 3u * 64 * 1024);  // Spans several chunks.
+  ASSERT_GT(stream.size(), 3u * 64 * 1024);  // Many appends per round.
   for (int round = 0; round < 6; ++round) {
-    FrameAssembler by_copy;
-    FrameAssembler by_view;
-    std::vector<Frame> copies;
-    std::vector<FrameView> views;  // Held to the end: pins must survive.
+    FrameAssembler assembler;
+    std::vector<Frame> frames;
     size_t pos = 0;
     while (pos < stream.size()) {
       size_t len =
           std::min<size_t>(1 + rng.Uniform(9000), stream.size() - pos);
-      by_copy.Append(stream.data() + pos, len);
-      // The view-side assembler ingests through the recv-style fill
-      // path, possibly in two commits.
-      size_t filled = 0;
-      while (filled < len) {
-        size_t capacity = 0;
-        char* dst = by_view.BeginFill(1, &capacity);
-        ASSERT_NE(nullptr, dst);
-        size_t take = std::min(capacity, len - filled);
-        std::memcpy(dst, stream.data() + pos + filled, take);
-        by_view.CommitFill(take);
-        filled += take;
-      }
+      assembler.Append(stream.data() + pos, len);
       pos += len;
       while (true) {
-        Result<std::optional<Frame>> next = by_copy.Next();
+        Result<std::optional<Frame>> next = assembler.Next();
         ASSERT_OK(next.status());
         if (!next->has_value()) break;
-        copies.push_back(std::move(**next));
-      }
-      while (true) {
-        Result<std::optional<FrameView>> next = by_view.NextView();
-        ASSERT_OK(next.status());
-        if (!next->has_value()) break;
-        views.push_back(std::move(**next));
+        frames.push_back(std::move(**next));
       }
     }
-    ASSERT_EQ(24u, copies.size());
-    ASSERT_EQ(copies.size(), views.size());
-    EXPECT_EQ(0u, by_view.buffered_bytes());
-    for (size_t i = 0; i < copies.size(); ++i) {
-      EXPECT_EQ(copies[i].header.type, views[i].header.type);
-      EXPECT_EQ(copies[i].header.request_id, views[i].header.request_id);
-      ASSERT_EQ(std::string_view(copies[i].payload), views[i].payload);
+    ASSERT_EQ(encoded.size(), frames.size());
+    EXPECT_EQ(0u, assembler.buffered_bytes());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(encoded[i].header.type, frames[i].header.type);
+      EXPECT_EQ(encoded[i].header.request_id, frames[i].header.request_id);
+      ASSERT_EQ(encoded[i].payload, frames[i].payload);
     }
-    // The big frames decode straight out of their views.
+    // The big frames decode straight out of their payloads.
     ASSERT_OK_AND_ASSIGN(std::vector<AccessEvent> decoded,
-                         DecodeApplyBatchRequest(views[3].payload));
+                         DecodeApplyBatchRequest(frames[3].payload));
     EXPECT_EQ(big.size(), decoded.size());
   }
 }
