@@ -13,12 +13,13 @@
 #                      # durable server with retention that must recover
 #                      # cleanly after SIGTERM, a kill -9 crash round
 #                      # whose two relaunches must answer the same
-#                      # history, and two inputs that must be refused:
-#                      # a removed-layout (state.snap) directory and an
-#                      # out-of-range --port
+#                      # history, and inputs that must be refused: a
+#                      # removed-layout (state.snap) directory and bad
+#                      # flag values (out-of-range --port, malformed
+#                      # numbers, the removed interval sync mode)
 #   ./ci.sh bench      # facade vs loopback-server throughput (1 and 4
 #                      # shards) -> BENCH_pr6.json,
-#                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
+#                      # durable batch vs pipelined sync -> BENCH_pr5.json,
 #                      # checkpoint latency full-rewrite vs incremental+tiered
 #                      # -> BENCH_pr10.json; fails loudly if any expected
 #                      # BENCH_pr<N>.json artifact is missing or empty
@@ -51,7 +52,8 @@
 # files committed at the repository root: those are the historical
 # record and are never rewritten. Emitted BENCH_*.json artifacts carry
 # context.host_nproc so scaling rows can be read against the machine
-# shape they were measured on.
+# shape they were measured on. Every job boots ltam_serve on --port=0
+# (see boot_serve), so no job can collide with a port already in use.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -109,6 +111,32 @@ examples() {
   echo "examples: all ran clean"
 }
 
+# Boots ltam_serve on --port=0 with its output in $1 and the remaining
+# arguments as its flags, then reads the port the kernel picked back from
+# the "listening on 127.0.0.1:PORT " banner (as perfbench does). A fixed
+# or random port can collide with a listener or an ephemeral port
+# already in use; port 0 cannot. Sets serve_pid and serve_port. If the
+# banner never shows, prints the log, stops the server and returns 1.
+boot_serve() {
+  local log=$1
+  shift
+  ./build/examples/ltam_serve --port=0 "$@" > "$log" 2>&1 &
+  serve_pid=$!
+  serve_port=""
+  local _
+  for _ in $(seq 1 100); do
+    serve_port="$(sed -n 's/^ltam_serve: listening on 127\.0\.0\.1:\([0-9][0-9]*\) .*/\1/p' \
+      "$log" 2>/dev/null || true)"
+    [ -n "$serve_port" ] && return 0
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  echo "ltam_serve $* never printed its listening banner" >&2
+  cat "$log" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  return 1
+}
+
 service() {
   echo "=== service: ltam_serve round-trip + concurrent smoke + shutdown ==="
   cmake -B build -S .
@@ -123,21 +151,14 @@ service() {
   ./build/tests/telemetry_test > /dev/null
   # End-to-end: a real server process, a real client round-trip through
   # the shell's remote mode, and a clean SIGTERM shutdown.
-  local port=$((20000 + RANDOM % 20000))
   local log
   log="$(mktemp)"
   # Scenario world so the metrics gate below can drive real ingest at
   # the server (the shell's remote mode only speaks the query/control
   # surface).
-  ./build/examples/ltam_serve --port="$port" \
-    --scenario=surge --scenario-events=500 > "$log" 2>&1 &
-  local server_pid=$!
-  for _ in $(seq 1 50); do
-    grep -q "listening" "$log" && break
-    sleep 0.1
-  done
-  grep -q "listening on 127.0.0.1:$port " "$log" \
-    || { echo "service: server never printed its listening banner" >&2; cat "$log" >&2; kill "$server_pid"; exit 1; }
+  boot_serve "$log" --scenario=surge --scenario-events=500 \
+    || { echo "service: server never printed its listening banner" >&2; exit 1; }
+  local server_pid=$serve_pid port=$serve_port
   # Capture the shell output (no grep -q on the live pipe: the early
   # close would SIGPIPE the shell under pipefail) and demand the
   # remote-mode banner — a failed connect falls back to local mode,
@@ -192,18 +213,12 @@ EOF
   # The default (one-shard) durable runtime with retention. Boots it on
   # directory $1 (boot name $2) and waits for its banner.
   start_durable() {
-    port=$((20000 + RANDOM % 20000))
     log="$(mktemp)"
-    ./build/examples/ltam_serve --port="$port" --durable="$1" \
-      --retention-hot-events=512 --scenario=surge --scenario-events=500 \
-      > "$log" 2>&1 &
-    server_pid=$!
-    for _ in $(seq 1 50); do
-      grep -q "listening" "$log" && break
-      sleep 0.1
-    done
-    grep -q "listening" "$log" \
-      || { echo "service: durable server failed its $2 boot" >&2; cat "$log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
+    boot_serve "$log" --durable="$1" --retention-hot-events=512 \
+      --scenario=surge --scenario-events=500 \
+      || { echo "service: durable server failed its $2 boot" >&2; exit 1; }
+    server_pid=$serve_pid
+    port=$serve_port
   }
   durable_burst() {
     ./build/examples/ltam_load --port="$port" --scenario=surge \
@@ -283,21 +298,26 @@ EOF
   grep -q "state.snap.*removed" "$log" \
     || { echo "service: removed-layout refusal lacks its message" >&2; cat "$log" >&2; exit 1; }
   rm -rf "$legacy_dir" "$log"
-  # An out-of-range port is a usage error (exit 2) naming the flag, never
-  # a listener on the port's low 16 bits.
-  log="$(mktemp)"
-  local port_status=0
-  timeout 5 ./build/examples/ltam_serve --port=70000 > "$log" 2>&1 \
-    || port_status=$?
-  if [ "$port_status" -ne 2 ] || grep -q "listening" "$log"; then
-    echo "service: ltam_serve --port=70000 was not refused (exit $port_status)" >&2
-    cat "$log" >&2
-    exit 1
-  fi
-  grep -q -- "--port" "$log" \
-    || { echo "service: the port refusal does not name the flag" >&2; cat "$log" >&2; exit 1; }
-  rm -f "$log"
-  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round + port refusal passed"
+  # A bad flag value is a usage error (exit 2) naming the flag, never a
+  # listener booted with a guessed value: an out-of-range port, malformed
+  # numbers, a sync mode or a knob that does not exist.
+  local bad_flag flag_status
+  for bad_flag in --port=70000 --shards=abc --max-batch=12x \
+      --sync-mode=interval --pipeline-depth=4; do
+    log="$(mktemp)"
+    flag_status=0
+    timeout 5 ./build/examples/ltam_serve --port=0 "$bad_flag" > "$log" 2>&1 \
+      || flag_status=$?
+    if [ "$flag_status" -ne 2 ] || grep -q "listening" "$log"; then
+      echo "service: ltam_serve $bad_flag was not refused (exit $flag_status)" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+    grep -q -- "${bad_flag%%=*}" "$log" \
+      || { echo "service: the $bad_flag refusal does not name the flag" >&2; cat "$log" >&2; exit 1; }
+    rm -f "$log"
+  done
+  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round + flag refusals passed"
 }
 
 # Stamps the host core count into an emitted BENCH_*.json's context.
@@ -363,10 +383,10 @@ bench() {
     --benchmark_out="$BENCH_OUT/BENCH_pr6.json" --benchmark_out_format=json
   record_host_meta "$BENCH_OUT/BENCH_pr6.json"
   echo "bench: wrote $(pwd)/$BENCH_OUT/BENCH_pr6.json"
-  # PR 5: the durable write path's three sync modes on the identical
-  # stream (every iteration ends at the same durability barrier, so the
-  # comparison is honest), plus the durable loopback server in batch vs
-  # pipelined mode. Pipelined throughput must be >= sync mode.
+  # BENCH_pr5.json: the durable write path's two sync modes (batch,
+  # pipelined) on the identical stream (every iteration ends at the same
+  # durability barrier, so the comparison is honest), plus the durable
+  # loopback server in batch vs pipelined mode.
   # Longer min time than the service benches: the durable modes differ
   # by tens of percent with ~10% run-to-run noise at 1-2 iterations.
   ./build/bench/bench_access_engine \
@@ -431,7 +451,6 @@ load() {
   for scenario in surge contact churn tenant replication; do
     for rate in 2000 6000; do
       local events=$((rate * duration))
-      local port=$((20000 + RANDOM % 20000))
       local log
       log="$(mktemp)"
       # The replication family runs in its real topology: a durable
@@ -446,30 +465,22 @@ load() {
         server_extra=(--durable="$repl_root/primary" --shards=2
                       --sync-mode=pipelined)
       fi
-      ./build/examples/ltam_serve --port="$port" --scenario="$scenario" \
-        --scenario-events="$events" "${server_extra[@]}" > "$log" 2>&1 &
-      local server_pid=$!
-      for _ in $(seq 1 50); do
-        grep -q "listening" "$log" && break
-        sleep 0.1
-      done
+      boot_serve "$log" --scenario="$scenario" \
+        --scenario-events="$events" "${server_extra[@]}" \
+        || { echo "load: $scenario server never came up" >&2; exit 1; }
+      local server_pid=$serve_pid port=$serve_port
       grep -q "scenario $scenario" "$log" \
         || { echo "load: server missing the scenario banner" >&2; kill "$server_pid"; exit 1; }
       if [ "$scenario" = replication ]; then
-        local replica_port=$((port + 1))
         replica_log="$(mktemp)"
-        ./build/examples/ltam_serve --port="$replica_port" \
-          --scenario="$scenario" --scenario-events="$events" \
-          --durable="$repl_root/replica" --shards=2 \
-          --replica-of=127.0.0.1:"$port" > "$replica_log" 2>&1 &
-        replica_pid=$!
-        for _ in $(seq 1 50); do
-          grep -q "replica of" "$replica_log" && break
-          sleep 0.1
-        done
+        boot_serve "$replica_log" --scenario="$scenario" \
+          --scenario-events="$events" --durable="$repl_root/replica" \
+          --shards=2 --replica-of=127.0.0.1:"$port" \
+          || { echo "load: replica never came up" >&2; kill "$server_pid"; exit 1; }
+        replica_pid=$serve_pid
         grep -q "replica of" "$replica_log" \
-          || { echo "load: replica never came up" >&2; kill "$server_pid" "$replica_pid"; exit 1; }
-        load_extra=(--query-host=127.0.0.1 --query-port="$replica_port")
+          || { echo "load: replica missing its replica banner" >&2; kill "$server_pid" "$replica_pid"; exit 1; }
+        load_extra=(--query-host=127.0.0.1 --query-port="$serve_port")
       fi
       local out="$BENCH_OUT/BENCH_pr7_${scenario}_${rate}.json"
       ./build/examples/ltam_load --port="$port" --scenario="$scenario" \
@@ -662,20 +673,16 @@ EOF
   # history. The run is backgrounded so the server can be scraped
   # mid-flight: the end-of-run scrape must show compaction.runs moved
   # and resident bytes staying near the mid-run level.
-  local soak_port=$((20000 + RANDOM % 20000))
   local soak_root soak_log
   soak_root="$(mktemp -d)"
   soak_log="$(mktemp)"
   local soak_events=12000
-  ./build/examples/ltam_serve --port="$soak_port" --scenario=soak \
+  boot_serve "$soak_log" --scenario=soak \
     --scenario-events="$soak_events" --durable="$soak_root" --shards=2 \
     --sync-mode=pipelined --retention-horizon-s=100000 \
-    --retention-hot-events=128 > "$soak_log" 2>&1 &
-  local soak_server_pid=$!
-  for _ in $(seq 1 50); do
-    grep -q "listening" "$soak_log" && break
-    sleep 0.1
-  done
+    --retention-hot-events=128 \
+    || { echo "load: soak server never came up" >&2; exit 1; }
+  local soak_server_pid=$serve_pid soak_port=$serve_port
   grep -q "scenario soak" "$soak_log" \
     || { echo "load: soak server missing the scenario banner" >&2; kill "$soak_server_pid"; exit 1; }
   soak_scrape() {
@@ -794,21 +801,9 @@ replication() {
   local root
   root="$(mktemp -d)"
   mkdir -p "$root/primary" "$root/r1" "$root/r2"
-  local pport=$((20000 + RANDOM % 20000))
-  local r1port=$((pport + 1)) r2port=$((pport + 2))
   local events=4000
   local world=(--scenario=replication --scenario-events="$events" --shards=2)
 
-  await_banner() {
-    local log=$1 pat=$2
-    for _ in $(seq 1 100); do
-      grep -q "$pat" "$log" && return 0
-      sleep 0.1
-    done
-    echo "replication: timed out waiting for '$pat' in $log" >&2
-    cat "$log" >&2
-    return 1
-  }
   # Prints a server's applied offset (the "durable/applied" watermark's
   # right half) via the shell's remote stats.
   applied_of() {
@@ -829,18 +824,20 @@ replication() {
       | sed 's/connected to 127.0.0.1:[0-9]*/connected/'
   }
 
-  ./build/examples/ltam_serve --port="$pport" --durable="$root/primary" \
-    --sync-mode=pipelined "${world[@]}" > "$root/primary.log" 2>&1 &
-  local primary_pid=$!
-  await_banner "$root/primary.log" "listening"
-  ./build/examples/ltam_serve --port="$r1port" --durable="$root/r1" \
-    "${world[@]}" --replica-of=127.0.0.1:"$pport" > "$root/r1.log" 2>&1 &
-  local r1_pid=$!
-  ./build/examples/ltam_serve --port="$r2port" --durable="$root/r2" \
-    "${world[@]}" --replica-of=127.0.0.1:"$pport" > "$root/r2.log" 2>&1 &
-  local r2_pid=$!
-  await_banner "$root/r1.log" "replica of"
-  await_banner "$root/r2.log" "replica of"
+  boot_serve "$root/primary.log" --durable="$root/primary" \
+    --sync-mode=pipelined "${world[@]}" \
+    || { echo "replication: primary never came up" >&2; exit 1; }
+  local primary_pid=$serve_pid pport=$serve_port
+  boot_serve "$root/r1.log" --durable="$root/r1" "${world[@]}" \
+    --replica-of=127.0.0.1:"$pport" \
+    || { echo "replication: replica 1 never came up" >&2; kill "$primary_pid"; exit 1; }
+  local r1_pid=$serve_pid r1port=$serve_port
+  boot_serve "$root/r2.log" --durable="$root/r2" "${world[@]}" \
+    --replica-of=127.0.0.1:"$pport" \
+    || { echo "replication: replica 2 never came up" >&2; kill "$primary_pid" "$r1_pid"; exit 1; }
+  local r2_pid=$serve_pid r2port=$serve_port
+  grep -q "replica of" "$root/r1.log" && grep -q "replica of" "$root/r2.log" \
+    || { echo "replication: a replica is missing its replica banner" >&2; kill "$primary_pid" "$r1_pid" "$r2_pid"; exit 1; }
 
   ./build/examples/ltam_load --port="$pport" --scenario=replication \
     --query-host=127.0.0.1 --query-port="$r1port" \

@@ -10,9 +10,9 @@
 // Run: ./build/examples/ltam_serve [flags]
 //   --port=N          TCP port (default 7447; 0 picks one and prints it)
 //   --host=ADDR       listen address (default 127.0.0.1)
-//   --shards=N        subject shards of the batch pipeline (default 1;
-//                     shard 0 runs on the ingest thread, each further
-//                     shard on its own worker)
+//   --shards=N        subject shards of the batch pipeline, 1..256
+//                     (default 1; shard 0 runs on the ingest thread,
+//                     each further shard on its own worker)
 //   --durable=DIR     crash-safe runtime rooted at DIR (must exist)
 //   --policy=FILE     policy script (default: built-in demo policy)
 //   --scenario=NAME   boot a load-scenario world instead of a policy
@@ -26,13 +26,12 @@
 //                          the authorization horizon, so it must match
 //                          the load driver)
 //   --scenario-tenants=N   tenant count for --scenario=tenant
-//   --max-batch=N     per-ApplyBatch event ceiling (default 65536)
+//   --max-batch=N     per-ApplyBatch event ceiling (default 65536;
+//                     0 = no ceiling)
 //   --sync-mode=M     durable write path: batch (fsync per batch, the
-//                     default), pipelined (per-shard log threads batch
-//                     fsyncs across merged batches), interval (timed
-//                     fsyncs)
-//   --pipeline-depth=N   pipelined: batches per fsync (default 4)
-//   --sync-interval-ms=N interval: fsync cadence (default 5)
+//                     default) or pipelined (per-shard log threads
+//                     batch fsyncs across merged batches: one fsync per
+//                     4 batches or 1 MiB, and whenever a log goes idle)
 //   --retention-horizon-s=N  drop sealed history whose stays ended
 //                          more than N chronons (~seconds of stream
 //                          time) before the newest event, judged at
@@ -61,6 +60,10 @@
 //                     into a primary (epoch-fenced against its old
 //                     upstream); `repoint` re-targets the upstream.
 //
+// Every numeric flag is parsed strictly: a value that is not a whole
+// number in the flag's range is a usage error that names the flag and
+// exits 2.
+//
 // Shutdown discipline (shared with ltam_shell): SIGINT/SIGTERM stop the
 // server, then a durable runtime checkpoints before the process exits,
 // so the next open recovers the serving state instead of replaying the
@@ -69,6 +72,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -84,8 +88,28 @@
 #include "storage/policy_script.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace {
+
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kUint32Max = std::numeric_limits<uint32_t>::max();
+
+/// The value of the numeric flag `arg` ("--name=VALUE", the value at
+/// `prefix`), which must be a whole number in [lo, hi]. Anything else
+/// is a usage error: it names the flag and exits 2.
+int64_t NumericFlag(const std::string& arg, size_t prefix, int64_t lo,
+                    int64_t hi) {
+  const std::string text = arg.substr(prefix);
+  ltam::Result<int64_t> parsed = ltam::ParseInt64(text);
+  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
+    std::fprintf(stderr, "%s: '%s' is not a number in %lld..%lld\n",
+                 arg.substr(0, prefix - 1).c_str(), text.c_str(),
+                 static_cast<long long>(lo), static_cast<long long>(hi));
+    std::exit(2);
+  }
+  return *parsed;
+}
 
 /// What the failover hooks act on: the upstream link (promote retires
 /// it, repoint re-targets it) and the runtime behind the server's lock.
@@ -133,8 +157,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--host=", 0) == 0) {
       server_options.host = value(7);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      runtime_options.num_shards = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(9).c_str())));
+      // Each shard past the first is an OS thread.
+      runtime_options.num_shards =
+          static_cast<uint32_t>(NumericFlag(arg, 9, 1, 256));
     } else if (arg.rfind("--durable=", 0) == 0) {
       runtime_options.durable_dir = value(10);
     } else if (arg.rfind("--policy=", 0) == 0) {
@@ -143,44 +168,38 @@ int main(int argc, char** argv) {
       scenario_name = value(11);
     } else if (arg.rfind("--scenario-seed=", 0) == 0) {
       scenario_options.seed =
-          static_cast<uint64_t>(std::atoll(value(16).c_str()));
+          static_cast<uint64_t>(NumericFlag(arg, 16, 0, kInt64Max));
     } else if (arg.rfind("--scenario-subjects=", 0) == 0) {
-      scenario_options.subjects = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(20).c_str())));
+      scenario_options.subjects =
+          static_cast<uint32_t>(NumericFlag(arg, 20, 1, kUint32Max));
     } else if (arg.rfind("--scenario-events=", 0) == 0) {
       scenario_options.total_events =
-          static_cast<size_t>(std::atoll(value(18).c_str()));
+          static_cast<size_t>(NumericFlag(arg, 18, 0, kInt64Max));
     } else if (arg.rfind("--scenario-tenants=", 0) == 0) {
-      scenario_options.tenants = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(19).c_str())));
+      scenario_options.tenants =
+          static_cast<uint32_t>(NumericFlag(arg, 19, 1, kUint32Max));
     } else if (arg.rfind("--max-batch=", 0) == 0) {
       runtime_options.max_batch_events =
-          static_cast<size_t>(std::atoll(value(12).c_str()));
+          static_cast<size_t>(NumericFlag(arg, 12, 0, kInt64Max));
     } else if (arg.rfind("--retention-horizon-s=", 0) == 0) {
-      runtime_options.retention.horizon =
-          static_cast<Chronon>(std::max(0LL, std::atoll(value(22).c_str())));
+      runtime_options.retention.horizon = NumericFlag(arg, 22, 0, kInt64Max);
     } else if (arg.rfind("--retention-hot-events=", 0) == 0) {
       runtime_options.retention.max_hot_events =
-          static_cast<size_t>(std::max(0LL, std::atoll(value(23).c_str())));
+          static_cast<size_t>(NumericFlag(arg, 23, 0, kInt64Max));
     } else if (arg.rfind("--sync-mode=", 0) == 0) {
       Result<SyncMode> mode = ParseSyncMode(value(12));
       if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
+        std::fprintf(stderr, "--sync-mode: %s\n",
+                     mode.status().ToString().c_str());
         return 2;
       }
       runtime_options.durability.mode = *mode;
-    } else if (arg.rfind("--pipeline-depth=", 0) == 0) {
-      runtime_options.durability.pipeline_depth =
-          static_cast<size_t>(std::max(1, std::atoi(value(17).c_str())));
-    } else if (arg.rfind("--sync-interval-ms=", 0) == 0) {
-      runtime_options.durability.sync_interval_ms = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(19).c_str())));
     } else if (arg.rfind("--metrics-dump-s=", 0) == 0) {
-      metrics_dump_s = static_cast<uint32_t>(
-          std::max(0, std::atoi(value(17).c_str())));
+      metrics_dump_s =
+          static_cast<uint32_t>(NumericFlag(arg, 17, 0, kUint32Max));
     } else if (arg.rfind("--trace-threshold-us=", 0) == 0) {
       server_options.trace_threshold_us =
-          static_cast<uint64_t>(std::max(0, std::atoi(value(21).c_str())));
+          static_cast<uint64_t>(NumericFlag(arg, 21, 0, kInt64Max));
     } else if (arg.rfind("--log-level=", 0) == 0) {
       Result<LogLevel> level = ParseLogLevel(value(12));
       if (!level.ok()) {
@@ -205,7 +224,6 @@ int main(int argc, char** argv) {
                    "[--scenario-subjects=N] [--scenario-events=N] "
                    "[--scenario-tenants=N] "
                    "[--max-batch=N] [--sync-mode=M] "
-                   "[--pipeline-depth=N] [--sync-interval-ms=N] "
                    "[--retention-horizon-s=N] "
                    "[--retention-hot-events=N] [--metrics-dump-s=N] "
                    "[--trace-threshold-us=N] [--log-level=L] "

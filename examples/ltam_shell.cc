@@ -7,6 +7,7 @@
 // answering over the runtime's MovementView.
 //
 // Run: ./build/examples/ltam_shell [policy.ltam] [--durable=DIR] [--shards=N]
+// (--shards takes a whole number in 1..256; anything else exits 2)
 //
 // Shell commands besides query statements:
 //   connect <host:port>   switch to remote mode: statements are sent to
@@ -45,6 +46,7 @@
 #include "service/shutdown.h"
 #include "storage/policy_script.h"
 #include "telemetry/metrics.h"
+#include "util/string_util.h"
 
 using namespace ltam;  // NOLINT: example brevity.
 
@@ -60,8 +62,14 @@ int main(int argc, char** argv) {
     if (arg.rfind("--durable=", 0) == 0) {
       options.durable_dir = arg.substr(10);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.num_shards = static_cast<uint32_t>(
-          std::max(1, std::atoi(arg.c_str() + 9)));
+      // Each shard past the first is an OS thread.
+      Result<int64_t> shards = ParseInt64(arg.substr(9));
+      if (!shards.ok() || *shards < 1 || *shards > 256) {
+        std::fprintf(stderr, "--shards: '%s' is not a number in 1..256\n",
+                     arg.c_str() + 9);
+        return 2;
+      }
+      options.num_shards = static_cast<uint32_t>(*shards);
     } else {
       policy_path = arg;
     }

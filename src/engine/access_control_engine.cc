@@ -144,24 +144,23 @@ Status AccessControlEngine::ObservePresence(Chronon t, SubjectId s,
                std::string("no usable authorization: ") +
                    DenyReasonToString(hypothetical.reason));
   }
-  if (options_.record_unauthorized_movement) {
-    auto it = active_.find(s);
-    if (it != active_.end()) {
-      CheckExitWindow(t, s, it->second);
-    }
-    Status st = movement_db_->RecordMovement(t, s, l);
-    if (!st.ok()) {
-      // Out-of-order observation: refused, nothing recorded.
-      return st;
-    }
-    if (hypothetical.granted) {
-      Status ledger = auth_db_->RecordEntry(hypothetical.auth);
-      LTAM_CHECK(ledger.ok())
-          << "ledger update failed: " << ledger.ToString();
-      active_[s] = ActiveStay{l, hypothetical.auth, t, false};
-    } else {
-      active_[s] = ActiveStay{l, kInvalidAuth, t, false};
-    }
+  // The observation is recorded even without a grant, so the movement
+  // DB stays equal to physical reality.
+  auto it = active_.find(s);
+  if (it != active_.end()) {
+    CheckExitWindow(t, s, it->second);
+  }
+  Status st = movement_db_->RecordMovement(t, s, l);
+  if (!st.ok()) {
+    // Out-of-order observation: refused, nothing recorded.
+    return st;
+  }
+  if (hypothetical.granted) {
+    Status ledger = auth_db_->RecordEntry(hypothetical.auth);
+    LTAM_CHECK(ledger.ok()) << "ledger update failed: " << ledger.ToString();
+    active_[s] = ActiveStay{l, hypothetical.auth, t, false};
+  } else {
+    active_[s] = ActiveStay{l, kInvalidAuth, t, false};
   }
   return Status::OK();
 }

@@ -36,10 +36,6 @@ struct EngineOptions {
   bool enforce_adjacency = true;
   /// Raise kAccessDenied alerts for denied requests.
   bool alert_on_denial = true;
-  /// When a subject is *observed* somewhere without a grant, also record
-  /// the movement (true keeps the movement DB equal to physical reality;
-  /// false keeps only authorized movement).
-  bool record_unauthorized_movement = true;
 };
 
 /// The LTAM enforcement engine.

@@ -7,6 +7,18 @@
 
 namespace ltam {
 
+namespace {
+
+// Records per kSegmentChunk frame. Bounds both the frame size and how
+// long one slice read holds the shared runtime lock.
+constexpr uint32_t kMaxRecordsPerChunk = 2048;
+
+// Idle poll cadence: how often the shipper re-checks the shards for new
+// durable records when the last sweep moved nothing.
+constexpr std::chrono::milliseconds kPollInterval{20};
+
+}  // namespace
+
 LogShipper::LogShipper(AccessRuntime* runtime, std::shared_mutex* runtime_mu,
                        std::vector<uint64_t> start_positions, SendFn send,
                        LogShipperOptions options)
@@ -58,8 +70,7 @@ void LogShipper::Run() {
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) return;
     if (moved) continue;  // Drain hot shards before sleeping.
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.poll_interval_ms),
-                 [this] { return stop_; });
+    cv_.wait_for(lock, kPollInterval, [this] { return stop_; });
     if (stop_) return;
   }
 }
@@ -82,7 +93,7 @@ bool LogShipper::SweepOnce(bool* fatal) {
         std::shared_lock<std::shared_mutex> lock(*runtime_mu_);
         epoch = runtime_->replication_epoch();
         return runtime_->ReadReplicationSlice(k, positions_[k],
-                                              options_.max_records_per_chunk);
+                                              kMaxRecordsPerChunk);
       }();
       if (!slice.ok()) {
         // The stream cannot continue from this position (most likely a

@@ -48,14 +48,6 @@
 namespace ltam {
 
 struct LogShipperOptions {
-  /// Records per kSegmentChunk frame. Bounds both the frame size and
-  /// how long one slice read holds the shared runtime lock.
-  uint32_t max_records_per_chunk = 2048;
-
-  /// Idle poll cadence: how often the shipper re-checks the shards for
-  /// new durable records when the last sweep moved nothing.
-  uint32_t poll_interval_ms = 20;
-
   /// Telemetry (may be null). When set, the shipper maintains the gauge
   /// "replication.replica.<subscriber_id>.lag_records" — the sum over
   /// shards of (primary durable − shipped position), i.e. how many

@@ -74,16 +74,15 @@ struct RuntimeOptions {
   std::optional<std::string> durable_dir;
   /// Per-engine decision/monitoring knobs.
   EngineOptions engine;
-  /// Durable runtimes: the write path's sync mode and pipelining
-  /// bounds. kBatch (the default) fsyncs each shard log once per
-  /// Apply/ApplyBatch/Tick, on the batch's critical path;
-  /// kPipelined/kInterval move the fsync to per-shard log threads —
-  /// ApplyBatch then returns before its fsync lands, and callers choose
-  /// latency vs durability per call via BatchResult::watermark and
-  /// WaitDurable(). An idle kInterval runtime still syncs within
-  /// `sync_interval_ms`, and an idle kPipelined one converges to
-  /// durable == applied. A failed pipelined fsync sticky-fails its log
-  /// (watermark frozen) until Checkpoint().
+  /// Durable runtimes: the write path's sync mode. kBatch (the
+  /// default) fsyncs each shard log once per Apply/ApplyBatch/Tick, on
+  /// the batch's critical path; kPipelined moves the fsync to per-shard
+  /// log threads (one fsync per 4 batches or 1 MiB, and whenever a log
+  /// goes idle) — ApplyBatch then returns before its fsync lands, and
+  /// callers choose latency vs durability per call via
+  /// BatchResult::watermark and WaitDurable(). An idle kPipelined
+  /// runtime converges to durable == applied. A failed pipelined fsync
+  /// sticky-fails its log (watermark frozen) until Checkpoint().
   DurabilityOptions durability;
   /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
   /// batch is rejected whole with kInvalidArgument — nothing is applied —
@@ -126,9 +125,8 @@ struct BatchResult {
   Status durability;
   /// The runtime's durability position after this batch: log records
   /// accepted (events applied) vs fsynced. In-memory runtimes and
-  /// kBatch report durable == applied; pipelined modes
-  /// may trail until the log threads catch up (or WaitDurable forces
-  /// it).
+  /// kBatch report durable == applied; kPipelined may trail until the
+  /// log threads catch up (or WaitDurable forces it).
   DurabilityWatermark watermark;
 };
 

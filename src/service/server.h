@@ -51,7 +51,7 @@
 // frame before the sockets close. No alert is silently dropped.
 //
 // Commit pipelining (RuntimeOptions::durability, ltam_serve
-// --sync-mode=pipelined|interval): ApplyBatch on a pipelined runtime
+// --sync-mode=pipelined): ApplyBatch on a pipelined runtime
 // returns as soon as the decisions are computed and the log records
 // queued — the fsync happens on the runtime's per-shard log threads. The
 // coalescer therefore acks each frame's decisions immediately and merges

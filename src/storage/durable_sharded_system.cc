@@ -469,10 +469,10 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    return logs_[shard]->Append(EncodeEventRecord(event)).status();
+    return logs_[shard]->Append(EncodeEventRecord(event));
   };
   hooks.after_batch = [this](uint32_t shard) {
-    return logs_[shard]->BatchBoundary().status();
+    return logs_[shard]->BatchBoundary();
   };
   engine_->SetShardHooks(std::move(hooks));
 }
@@ -585,40 +585,23 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   return sys;
 }
 
-std::vector<Decision> DurableShardedSystem::EvaluateBatchWithStatus(
-    Span<const AccessEvent> batch, Status* durability) {
-  std::vector<Decision> decisions = engine_->EvaluateBatch(batch);
-  *durability = engine_->TakeBatchError();
-  return decisions;
-}
-
-Result<std::vector<Decision>> DurableShardedSystem::EvaluateBatch(
-    Span<const AccessEvent> batch) {
-  Status durability;
-  std::vector<Decision> decisions = EvaluateBatchWithStatus(batch, &durability);
-  if (!durability.ok()) {
-    return durability.WithContext("durable batch");
-  }
-  return decisions;
-}
-
 Status DurableShardedSystem::Tick(Chronon t) {
   const Record record = EncodeTickRecord(t);
   Status first_error;
   for (uint32_t k = 0; k < num_shards(); ++k) {
-    Result<CommitTicket> appended = logs_[k]->Append(record);
+    Status appended = logs_[k]->Append(record);
     if (!appended.ok()) {
       // Write-ahead per shard: a shard whose tick could not be logged is
       // not ticked, so its live state never diverges from what recovery
       // would replay (pipelined logs never refuse here).
-      if (first_error.ok()) first_error = appended.status();
+      if (first_error.ok()) first_error = std::move(appended);
       continue;
     }
     engine_->TickShard(k, t);
-    Result<CommitTicket> boundary = logs_[k]->BatchBoundary();
+    Status boundary = logs_[k]->BatchBoundary();
     // A failed boundary leaves the tick appended and applied
     // (consistent); only its durability is in doubt — report it.
-    if (!boundary.ok() && first_error.ok()) first_error = boundary.status();
+    if (!boundary.ok() && first_error.ok()) first_error = std::move(boundary);
   }
   return first_error;
 }
@@ -699,7 +682,7 @@ Status DurableShardedSystem::Checkpoint() {
 size_t DurableShardedSystem::wal_events() const {
   size_t total = 0;
   for (const std::unique_ptr<ShardLog>& log : logs_) {
-    total += static_cast<size_t>(log->appended());
+    total += static_cast<size_t>(log->appended_seq());
   }
   return total;
 }
@@ -802,10 +785,8 @@ DurableShardedSystem::ApplyReplicatedRecords(
     // Write-ahead on the replica too: the record lands in this
     // directory's own log before it applies, so a replica restart — or
     // this replica's own promotion — replays the identical stream.
-    Result<CommitTicket> appended = logs_[shard]->Append(rec);
-    if (!appended.ok()) {
-      return appended.status().WithContext("replica log append");
-    }
+    Status appended = logs_[shard]->Append(rec);
+    if (!appended.ok()) return appended.WithContext("replica log append");
     if (event.is_tick) {
       engine_->TickShard(shard, event.tick_time);
     } else {
@@ -813,10 +794,8 @@ DurableShardedSystem::ApplyReplicatedRecords(
     }
     out.position += 1;
   }
-  Result<CommitTicket> boundary = logs_[shard]->BatchBoundary();
-  if (!boundary.ok()) {
-    return boundary.status().WithContext("replica commit boundary");
-  }
+  Status boundary = logs_[shard]->BatchBoundary();
+  if (!boundary.ok()) return boundary.WithContext("replica commit boundary");
   out.alerts = engine_->DrainAlerts();
   return out;
 }

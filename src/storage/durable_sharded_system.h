@@ -24,13 +24,11 @@
 //   kPipelined  appends go to an in-memory commit queue; a dedicated
 //               log thread per shard writes them and batches fsyncs
 //               across multiple engine batches (commit pipelining,
-//               bounded by pipeline_depth / max_unsynced_bytes). The
+//               bounded by a fixed batch depth and byte count). The
 //               batch returns before its fsync lands; WaitDurable()
 //               and the (applied, durable) watermark close the gap.
-//   kInterval   like kPipelined, but the log thread fsyncs on a timer
-//               (sync_interval_ms).
 //
-// Decision streams are byte-identical across all three modes (pipelined
+// Decision streams are byte-identical across both modes (pipelined
 // failures surface through the watermark and failure counters, never by
 // rewriting decisions) — the property the equivalence matrix enforces.
 //
@@ -100,8 +98,7 @@ struct DurableShardedOptions {
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
-  /// The write path's sync mode, pipelining bounds, and (tests only)
-  /// fault injection.
+  /// The write path's sync mode and (tests only) fault injection.
   DurabilityOptions durability;
   /// Tiering + retention (engine/movement_db.h). max_hot_events == 0
   /// disables sealing entirely — the pre-tiering behavior.
@@ -111,7 +108,8 @@ struct DurableShardedOptions {
 /// A crash-safe, subject-sharded batch runtime rooted at one directory.
 ///
 /// Lifecycle mirrors ShardedDecisionEngine: Open (recovers or
-/// initializes), EvaluateBatch/Tick/Checkpoint from one control thread,
+/// initializes), engine().EvaluateBatch/Tick/Checkpoint from one
+/// control thread,
 /// destroy (joins workers, then log threads). Database mutations on
 /// base() are only legal between batches and are NOT logged — persist
 /// them via Checkpoint().
@@ -131,26 +129,16 @@ class DurableShardedSystem {
   DurableShardedSystem& operator=(const DurableShardedSystem&) = delete;
 
   // --- Logged entry points -------------------------------------------------
-
-  /// Logs and applies a batch: each shard's worker appends its slice to
-  /// its log before applying, then marks the group-commit boundary.
-  /// Returns one decision per event in input order; *durability receives
-  /// the batch's durability outcome (ShardedDecisionEngine::TakeBatchError:
-  /// refused events are visible as Deny(kWalError) decisions and safe to
-  /// resubmit, while a boundary/fsync failure — which outranks refusals
-  /// in the status — means applied events' durability is in doubt and
-  /// they must NOT be resubmitted; in pipelined modes a sticky log
-  /// failure keeps reporting here until a Checkpoint repairs it). The
-  /// decisions always survive, so a partial failure never hides which
-  /// events applied.
-  std::vector<Decision> EvaluateBatchWithStatus(Span<const AccessEvent> batch,
-                                                Status* durability);
-
-  /// Legacy convenience over EvaluateBatchWithStatus: folds any
-  /// durability trouble into an error Result, DISCARDING the decisions.
-  /// Callers that must know which events applied (anything that might
-  /// resubmit) should use EvaluateBatchWithStatus instead.
-  Result<std::vector<Decision>> EvaluateBatch(Span<const AccessEvent> batch);
+  //
+  // Batches run through engine().EvaluateBatch(): each shard's worker
+  // appends its slice to its log before applying, then marks the
+  // group-commit boundary. engine().TakeBatchError() then reports the
+  // batch's durability outcome: refused events are visible as
+  // Deny(kWalError) decisions and safe to resubmit, while a
+  // boundary/fsync failure — which outranks refusals in the status —
+  // means applied events' durability is in doubt and they must NOT be
+  // resubmitted; in pipelined mode a sticky log failure keeps reporting
+  // there until a Checkpoint repairs it.
 
   /// Logs and applies a patrol tick on every shard.
   Status Tick(Chronon t);
@@ -347,7 +335,7 @@ class DurableShardedSystem {
   std::unique_ptr<ShardedDecisionEngine> engine_;
   /// One log per shard; appended by that shard's worker during a batch,
   /// by the control thread for ticks between batches, and flushed by
-  /// its own log thread in pipelined modes.
+  /// its own log thread in pipelined mode.
   std::vector<std::unique_ptr<ShardLog>> logs_;
   /// The committed cut. Only the control thread (Open/Checkpoint)
   /// writes it, and it does so under manifest_mu_, because shipper

@@ -10,13 +10,11 @@
 // replicated-log daemons do:
 //
 //  - append fast: workers push encoded records onto an in-memory commit
-//    queue and return immediately, receiving a CommitTicket (the
-//    record's per-log sequence number);
+//    queue and return immediately;
 //  - sync in a dedicated flusher: one log thread per shard owns the
 //    file, drains the queue, and batches appends across *multiple*
-//    engine batches into one fsync (commit pipelining), bounded by
-//    DurabilityOptions{pipeline_depth, max_unsynced_bytes,
-//    sync_interval_ms}.
+//    engine batches into one fsync (commit pipelining), bounded by a
+//    fixed batch depth and byte count (log_pipeline.cc).
 //
 // A log writes one file for its whole checkpoint epoch; the owner's
 // Checkpoint starts the next epoch with a fresh log.
@@ -24,8 +22,8 @@
 // The durability position is the watermark pair (applied, durable):
 // `applied` counts records accepted onto the queue (their events are
 // applied to live state), `durable` counts records whose bytes an fsync
-// has made crash-proof. WaitDurable/Flush are the barriers that close
-// the gap on demand.
+// has made crash-proof. Flush is the barrier that closes the gap on
+// demand.
 //
 // Error semantics by mode:
 //  - kBatch reproduces the PR-2 discipline byte for byte: Append writes
@@ -33,14 +31,14 @@
 //    event (the engine turns that into Deny(kWalError) and never
 //    applies it); BatchBoundary fsyncs and its failure means applied
 //    events' durability is in doubt.
-//  - kPipelined/kInterval never refuse an append: the event was already
+//  - kPipelined never refuses an append: the event was already
 //    accepted when the worker enqueued it, so a later write/fsync
 //    failure must not rewrite history. The log goes STICKY-FAILED
 //    instead: the watermark freezes at the last durable record,
 //    subsequent queued records are dropped (a log with holes would
 //    replay a stream that never happened), failure counters tick, and
-//    the sticky error surfaces through BatchBoundary / WaitDurable /
-//    Flush. Decisions are never affected — that is the contract the
+//    the sticky error surfaces through BatchBoundary / Flush.
+//    Decisions are never affected — that is the contract the
 //    fault-injection tests pin down. A failed fsync is sticky too, even
 //    though every record was already written: a retried fsync can
 //    report success for dirty pages the kernel dropped after the first
@@ -73,34 +71,22 @@ enum class SyncMode {
   /// critical path (the PR-2 discipline; byte-identical to it).
   kBatch,
   /// A dedicated log thread per shard batches appends across engine
-  /// batches into one fsync; syncs when pipeline_depth batch
-  /// boundaries or max_unsynced_bytes accumulate, and whenever the
-  /// queue drains with a completed batch pending (so an idle system
-  /// converges to durable == applied without waiting on a timer).
+  /// batches into one fsync; syncs when 4 batch boundaries or 1 MiB of
+  /// unsynced bytes accumulate, and whenever the queue drains with a
+  /// completed batch pending (so an idle system converges to
+  /// durable == applied without waiting on a timer).
   kPipelined,
-  /// Like kPipelined, but the flusher syncs on a timer
-  /// (sync_interval_ms) instead of per accumulated work — the loosest
-  /// latency bound, the fewest fsyncs.
-  kInterval,
 };
 
 const char* SyncModeToString(SyncMode mode);
 
-/// Parses "batch" / "pipelined" / "interval".
+/// Parses "batch" / "pipelined".
 Result<SyncMode> ParseSyncMode(const std::string& name);
 
-/// Tuning knobs for the durable write path, threaded from RuntimeOptions
+/// The durable write path's settings, threaded from RuntimeOptions
 /// down to each shard's log.
 struct DurabilityOptions {
   SyncMode mode = SyncMode::kBatch;
-  /// kPipelined: fsync after this many batch boundaries accumulate
-  /// unsynced (clamped to >= 1).
-  size_t pipeline_depth = 4;
-  /// kPipelined: fsync once this many appended-but-unsynced bytes
-  /// accumulate, whatever the boundary count (0 = no byte bound).
-  size_t max_unsynced_bytes = 1u << 20;
-  /// kInterval: fsync cadence in milliseconds (clamped to >= 1).
-  uint32_t sync_interval_ms = 5;
   /// Test-only fault injection, called before every physical append and
   /// fsync with op "append"/"sync" and the 1-based attempt count on
   /// this log; a non-OK return simulates that failure. Null in
@@ -113,13 +99,6 @@ struct DurabilityOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// A claim check for the durability of logged work: the per-log
-/// sequence number of the last record covered. A log's WaitDurable(seq)
-/// returns once an fsync has covered that record. seq 0 = nothing.
-struct CommitTicket {
-  uint64_t seq = 0;
-};
-
 /// The durability position of a runtime: how many log records have been
 /// accepted (their events applied to live state) vs made crash-proof.
 /// durable == applied means nothing would be lost by a crash right now.
@@ -130,12 +109,12 @@ struct DurabilityWatermark {
 
 /// One shard's write-ahead log under a chosen SyncMode. Construction
 /// wraps an open WalWriter positioned at the log file's tail;
-/// kPipelined/kInterval spawn the log thread, kBatch stays synchronous
+/// kPipelined spawns the log thread, kBatch stays synchronous
 /// on the caller's thread (and is byte-identical to driving the
 /// WalWriter directly, which the equivalence matrix relies on).
 ///
 /// Thread contract: Append/BatchBoundary are called by the owning
-/// shard's worker (one at a time); Flush/WaitDurable/watermark/counters
+/// shard's worker (one at a time); Flush/watermark/counters
 /// may be called from the control thread concurrently with the log
 /// thread. The destructor drains the queue, makes a best-effort final
 /// sync, and joins the thread.
@@ -148,35 +127,26 @@ class ShardLog {
 
   /// Appends one record. kBatch: synchronous write-through; a non-OK
   /// status means the record was NOT written (refuse the event).
-  /// kPipelined/kInterval: enqueues and returns the record's ticket —
-  /// never an error (failures surface asynchronously; see file
-  /// comment).
-  Result<CommitTicket> Append(const Record& record);
+  /// kPipelined: enqueues and returns OK — never an error (failures
+  /// surface asynchronously; see file comment).
+  Status Append(const Record& record);
 
   /// Marks a batch boundary (the group-commit point). kBatch: fsync
-  /// now. kPipelined/kInterval: counts one pipeline group and returns
-  /// immediately. The returned ticket covers every record appended so
-  /// far; a non-OK status reports a sync failure (or the sticky
+  /// now. kPipelined: counts one pipeline group and returns
+  /// immediately. A non-OK status reports a sync failure (or the sticky
   /// pipelined error) — applied events' durability is in doubt but they
   /// were applied.
-  Result<CommitTicket> BatchBoundary();
+  Status BatchBoundary();
 
   /// Durability barrier: blocks until every accepted record is durable
   /// (forcing an fsync), or returns the sticky error.
   Status Flush();
 
-  /// Blocks until `seq` is durable or the log is sticky-failed.
-  Status WaitDurable(uint64_t seq);
-
   /// Sequence of the last accepted record / last durable record.
   uint64_t appended_seq() const;
   uint64_t durable_seq() const;
 
-  /// Records accepted through this log (== appended_seq; the name kept
-  /// for parity with WalWriter::appended()).
-  uint64_t appended() const { return appended_seq(); }
-
-  /// Physical failures observed (sticky in pipelined modes; per-event
+  /// Physical failures observed (sticky in pipelined mode; per-event
   /// refusals in batch mode).
   uint64_t append_failures() const;
   uint64_t sync_failures() const;
@@ -198,7 +168,7 @@ class ShardLog {
   /// fsyncs through the fault injector; on success advances durable_.
   Status SyncNow(uint64_t covered_seq);
   /// Batch-mode synchronous body of Append.
-  Result<CommitTicket> AppendSynchronous(const std::string& line);
+  Status AppendSynchronous(const std::string& line);
 
   const DurabilityOptions options_;
   Histogram* sync_histogram_ = nullptr;  // Resolved once in the ctor.
@@ -234,7 +204,7 @@ class ShardLog {
   bool flush_requested_ = false;
   bool stop_ = false;
 
-  std::thread thread_;  // Joinable only in kPipelined/kInterval.
+  std::thread thread_;  // Joinable only in kPipelined.
 };
 
 }  // namespace ltam

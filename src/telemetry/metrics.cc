@@ -9,22 +9,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "util/string_util.h"
 
 namespace ltam {
 
 namespace {
-
-// Stripe selection: hash the thread id once per thread. Distinct
-// threads may share a stripe (that is what the atomics/mutexes are
-// for); the hash only spreads steady-state load.
-size_t ThreadStripe() {
-  static thread_local const size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripe;
-}
 
 // Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. The registry's
 // dotted names become underscored with an "ltam_" prefix.
@@ -50,32 +40,14 @@ uint64_t MonotonicNowNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-void Counter::Increment(uint64_t delta) {
-  cells_[ThreadStripe() % kStripes].v.fetch_add(delta,
-                                                std::memory_order_relaxed);
-}
-
-uint64_t Counter::value() const {
-  uint64_t total = 0;
-  for (const Cell& cell : cells_) {
-    total += cell.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void Histogram::Record(uint64_t value_ns) {
-  Cell& cell = cells_[ThreadStripe() % kStripes];
-  std::lock_guard<std::mutex> lock(cell.mu);
-  cell.histogram.Record(value_ns);
+  std::lock_guard<std::mutex> lock(mu_);
+  histogram_.Record(value_ns);
 }
 
 LatencyHistogram Histogram::Snapshot() const {
-  LatencyHistogram merged;
-  for (const Cell& cell : cells_) {
-    std::lock_guard<std::mutex> lock(cell.mu);
-    merged.Merge(cell.histogram);
-  }
-  return merged;
+  std::lock_guard<std::mutex> lock(mu_);
+  return histogram_;
 }
 
 MetricsRegistry::Entry* MetricsRegistry::FindEntry(const std::string& name) {

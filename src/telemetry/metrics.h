@@ -4,24 +4,26 @@
 //
 // Design constraints, in order:
 //
-//  1. Recording must never serialize hot-path threads against each
-//     other. Counters are striped across cache-line-aligned atomic
-//     cells indexed by a hash of the calling thread's id — an
-//     uncontended relaxed fetch_add per increment, aggregated by
-//     summing the stripes at read time (the classic "statistical
-//     counter": reads are O(stripes) and may tear across stripes, but
-//     a quiescent read is exact — telemetry_test asserts exactness).
-//     Histograms take a striped mutex per Record; a LatencyHistogram
-//     update touches several fields, and an uncontended spin on a
-//     per-stripe lock is cheaper than making every bucket atomic.
+//  1. One storage cell per metric. A counter is one relaxed atomic; a
+//     histogram is one LatencyHistogram behind one mutex (an update
+//     touches several fields, and an uncontended lock is cheaper than
+//     making every bucket atomic). Few threads write any one metric:
+//     in ltam_serve the coalescer thread records the ingest.*
+//     histograms and the runtime.* and trace.* metrics, the I/O
+//     thread the ingest.frames/events/quota_refusals counters, the two
+//     read workers query.run, each shard's log thread (its worker in
+//     batch mode) wal.sync, and the control thread the storage
+//     counters. Per-thread stripes would buy little against that
+//     contention and multiply the memory: each LatencyHistogram
+//     zero-fills about 30 KiB of buckets.
 //  2. A metric handle, once returned, is valid for the registry's
 //     lifetime. Lookup (Counter()/Gauge()/Histogram()) takes the
 //     registry mutex, so call sites resolve handles once and reuse
 //     them; the instrumented paths never re-resolve names.
 //  3. Snapshots are consistent per metric, not across metrics — a
 //     scrape while writers run sees each histogram internally
-//     coherent (per-stripe locks held during merge) but no global
-//     barrier. That is the standard Prometheus contract.
+//     coherent (its lock held during the copy) but no global barrier.
+//     That is the standard Prometheus contract.
 //
 // There is deliberately no process-global registry: tests run many
 // servers in one process, and a bench baseline wants a server with no
@@ -49,25 +51,18 @@ namespace ltam {
 /// negative stage durations).
 uint64_t MonotonicNowNs();
 
-/// A monotonically increasing sum, striped for write scalability.
-/// Increment is a relaxed fetch_add on one cache-line-private cell;
-/// value() sums the cells.
+/// A monotonically increasing sum: one relaxed atomic.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1);
-  /// Sum over every stripe. Exact when writers are quiescent; may
-  /// miss in-flight increments (never double-counts) while they run.
-  uint64_t value() const;
+  void Increment(uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-
-  static constexpr size_t kStripes = 16;
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  Cell cells_[kStripes];
+  std::atomic<uint64_t> value_{0};
 };
 
 /// A last-write-wins instantaneous value (watermark lag, queue depth).
@@ -82,25 +77,18 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// A latency histogram striped across mutex-guarded LatencyHistogram
-/// cells; Record locks one stripe (selected by thread id), snapshot
-/// merges all stripes.
+/// A latency histogram: one LatencyHistogram behind one mutex.
 class Histogram {
  public:
   void Record(uint64_t value_ns);
-  /// Merged view of every stripe.
+  /// A copy of the distribution so far.
   LatencyHistogram Snapshot() const;
 
  private:
   friend class MetricsRegistry;
   Histogram() = default;
-
-  static constexpr size_t kStripes = 8;
-  struct Cell {
-    mutable std::mutex mu;
-    LatencyHistogram histogram;
-  };
-  Cell cells_[kStripes];
+  mutable std::mutex mu_;
+  LatencyHistogram histogram_;
 };
 
 /// One metric's value at scrape time.

@@ -282,17 +282,12 @@ TEST_P(AccessRuntimeEquivalenceTest, EveryConfigurationMatchesOracle) {
     RuntimeOptions durable = memory;
     durable.durable_dir = Dir(tag + "-durable");
     configs.push_back({tag + "-durable", durable});
-    // The pipelined/interval write paths must be invisible to decisions,
-    // alerts, and queries — durability timing is their only difference.
+    // The pipelined write path must be invisible to decisions, alerts,
+    // and queries — durability timing is its only difference.
     RuntimeOptions pipelined = memory;
     pipelined.durable_dir = Dir(tag + "-pipelined");
     pipelined.durability.mode = SyncMode::kPipelined;
     configs.push_back({tag + "-durable-pipelined", pipelined});
-    RuntimeOptions interval = memory;
-    interval.durable_dir = Dir(tag + "-interval");
-    interval.durability.mode = SyncMode::kInterval;
-    interval.durability.sync_interval_ms = 1;
-    configs.push_back({tag + "-durable-interval", interval});
   }
   for (const Config& config : configs) {
     SCOPED_TRACE(config.name);
@@ -876,10 +871,8 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
   };
   const Case cases[] = {{"1-shard-batch", 1, SyncMode::kBatch},
                         {"1-shard-pipelined", 1, SyncMode::kPipelined},
-                        {"1-shard-interval", 1, SyncMode::kInterval},
                         {"3-shard-batch", 3, SyncMode::kBatch},
-                        {"3-shard-pipelined", 3, SyncMode::kPipelined},
-                        {"3-shard-interval", 3, SyncMode::kInterval}};
+                        {"3-shard-pipelined", 3, SyncMode::kPipelined}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string dir =
@@ -890,7 +883,6 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
     options.num_shards = c.shards;
     options.durable_dir = dir;
     options.durability.mode = c.mode;
-    options.durability.sync_interval_ms = 1;
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                          AccessRuntime::Open(StateOf(w), options));
     for (const auto& batch : batches) {
@@ -916,7 +908,7 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
 
 /// Polls the durability watermark until durable == applied or the
 /// deadline passes. The point: NO further traffic and NO WaitDurable —
-/// only the backend's own timer may close the gap.
+/// only the log thread's own sync may close the gap.
 bool WatermarkConvergesUnprompted(AccessRuntime* rt,
                                   std::chrono::milliseconds deadline) {
   const auto until = std::chrono::steady_clock::now() + deadline;
@@ -929,39 +921,35 @@ bool WatermarkConvergesUnprompted(AccessRuntime* rt,
   return stats.durable_offset == stats.applied_offset;
 }
 
-TEST(AccessRuntimeTest, IntervalSyncDeadlineHoldsWithoutTraffic) {
+TEST(AccessRuntimeTest, PipelinedSyncConvergesWithoutTraffic) {
   // An idle one-shard durable runtime still converges: the shard log's
-  // own thread syncs within ~sync_interval_ms of the last batch (or, in
-  // pipelined mode, as soon as its queue drains) with no further
+  // own thread syncs as soon as its queue drains, with no further
   // traffic and no WaitDurable.
   World w = MakeWorld(997);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 60, 991);
-  for (SyncMode mode : {SyncMode::kInterval, SyncMode::kPipelined}) {
-    SCOPED_TRACE(mode == SyncMode::kInterval ? "interval" : "pipelined");
-    const std::string dir = ::testing::TempDir() + "/ltam_timer_sync";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    RuntimeOptions options;
-    options.num_shards = 1;
-    options.durable_dir = dir;
-    options.durability.mode = mode;
-    options.durability.sync_interval_ms = 5;
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
-                         AccessRuntime::Open(StateOf(w), options));
-    for (const auto& batch : batches) {
-      ASSERT_OK(rt->ApplyBatch(batch).status());
-    }
-    EXPECT_TRUE(
-        WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
-        << "the log thread never synced the tail";
-    rt.reset();
-    fs::remove_all(dir);
+  const std::string dir = ::testing::TempDir() + "/ltam_idle_sync";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  RuntimeOptions options;
+  options.num_shards = 1;
+  options.durable_dir = dir;
+  options.durability.mode = SyncMode::kPipelined;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(StateOf(w), options));
+  for (const auto& batch : batches) {
+    ASSERT_OK(rt->ApplyBatch(batch).status());
   }
+  EXPECT_TRUE(
+      WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
+      << "the log thread never synced the tail";
+  rt.reset();
+  fs::remove_all(dir);
 }
 
-TEST(AccessRuntimeTest, IntervalSyncFailureIsStickyUntilCheckpoint) {
-  // Fault injection through the timer path at one shard: the first
-  // fsync fails. The log does NOT retry — a retried fsync can report
+TEST(AccessRuntimeTest, PipelinedSyncFailureIsStickyUntilCheckpoint) {
+  // Fault injection through the log thread's own sync at one shard:
+  // the first fsync, which the thread issues unprompted once its queue
+  // drains, fails. The log does NOT retry — a retried fsync can report
   // success for dirty pages the kernel dropped after the first failure —
   // so the failure is counted, the watermark freezes, every barrier
   // reports it, and only Checkpoint() (a fresh snapshot plus fresh
@@ -969,15 +957,14 @@ TEST(AccessRuntimeTest, IntervalSyncFailureIsStickyUntilCheckpoint) {
   World w = MakeWorld(1013);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 300, 1019);
   ASSERT_GE(batches.size(), 3u);
-  const std::string dir = ::testing::TempDir() + "/ltam_timer_faults";
+  const std::string dir = ::testing::TempDir() + "/ltam_sync_faults";
   fs::remove_all(dir);
   fs::create_directories(dir);
   auto failures_left = std::make_shared<std::atomic<int>>(1);
   RuntimeOptions options;
   options.num_shards = 1;
   options.durable_dir = dir;
-  options.durability.mode = SyncMode::kInterval;
-  options.durability.sync_interval_ms = 5;
+  options.durability.mode = SyncMode::kPipelined;
   options.durability.fault_injector = [failures_left](const char* op,
                                                       uint64_t) {
     if (std::string(op) == "sync" && failures_left->fetch_sub(1) > 0) {
@@ -988,7 +975,7 @@ TEST(AccessRuntimeTest, IntervalSyncFailureIsStickyUntilCheckpoint) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(StateOf(w), options));
   ASSERT_OK(rt->ApplyBatch(batches[0]).status());
-  // The timer's first fsync fails; wait for the log to notice.
+  // The log thread's first fsync fails; wait for the log to notice.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (rt->Stats().wal_sync_failures == 0 &&
@@ -1007,7 +994,7 @@ TEST(AccessRuntimeTest, IntervalSyncFailureIsStickyUntilCheckpoint) {
   EXPECT_FALSE(after.durability.ok()) << "later batches report it too";
 
   // Checkpoint repairs: the snapshot covers everything applied, and the
-  // fresh log syncs on its own timer again.
+  // fresh log syncs on its own again.
   ASSERT_OK(rt->Checkpoint());
   RuntimeStats repaired = rt->Stats();
   EXPECT_EQ(repaired.durable_offset, repaired.applied_offset);

@@ -29,6 +29,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Logs and applies one batch through the durable system's engine, the
+/// way AccessRuntime drives it, folding a durability failure into the
+/// result.
+Result<std::vector<Decision>> EvaluateBatch(DurableShardedSystem* sys,
+                                            Span<const AccessEvent> batch) {
+  std::vector<Decision> decisions = sys->engine().EvaluateBatch(batch);
+  LTAM_RETURN_IF_ERROR(sys->engine().TakeBatchError());
+  return decisions;
+}
+
 SystemState MakeInitialState(uint64_t seed,
                              std::vector<SubjectId>* out_subjects = nullptr) {
   SystemState state;
@@ -140,9 +150,9 @@ TEST_P(DurableEquivalenceTest, ShardCountsMatchOracleAcrossCheckpoints) {
   // oracle's.
   auto feed = [&](const std::vector<AccessEvent>& batch, const char* phase) {
     ASSERT_OK_AND_ASSIGN(std::vector<Decision> five_decisions,
-                         five->EvaluateBatch(batch));
+                         EvaluateBatch(five.get(), batch));
     ASSERT_OK_AND_ASSIGN(std::vector<Decision> one_decisions,
-                         one->EvaluateBatch(batch));
+                         EvaluateBatch(one.get(), batch));
     ASSERT_EQ(five_decisions.size(), batch.size());
     ASSERT_EQ(one_decisions.size(), batch.size());
     for (size_t j = 0; j < batch.size(); ++j) {

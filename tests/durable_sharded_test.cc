@@ -38,6 +38,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Logs and applies one batch through the durable system's engine, the
+/// way AccessRuntime drives it: the decisions come back whatever
+/// happened, and *durability receives the batch's durability outcome.
+std::vector<Decision> EvaluateBatch(DurableShardedSystem* sys,
+                                    Span<const AccessEvent> batch,
+                                    Status* durability) {
+  std::vector<Decision> decisions = sys->engine().EvaluateBatch(batch);
+  *durability = sys->engine().TakeBatchError();
+  return decisions;
+}
+
+/// The same, with any durability failure folded into the result (the
+/// decisions are then dropped).
+Result<std::vector<Decision>> EvaluateBatch(DurableShardedSystem* sys,
+                                            Span<const AccessEvent> batch) {
+  Status durability;
+  std::vector<Decision> decisions = EvaluateBatch(sys, batch, &durability);
+  if (!durability.ok()) return durability;
+  return decisions;
+}
+
 /// A reproducible world: grid graph, subjects, random authorizations.
 SystemState MakeInitialState(uint64_t seed, uint32_t subjects = 24,
                              std::vector<SubjectId>* out_subjects = nullptr) {
@@ -235,8 +256,6 @@ class DurableShardedTest : public ::testing::TestWithParam<uint32_t> {
   DurableShardedOptions PipelinedOptions(SyncMode mode) const {
     DurableShardedOptions opt = Options();
     opt.durability.mode = mode;
-    opt.durability.pipeline_depth = 3;
-    opt.durability.sync_interval_ms = 1;
     return opt;
   }
 
@@ -260,7 +279,7 @@ TEST_P(DurableShardedTest, FreshOpenWritesEpochZeroCut) {
   size_t fed = 0;
   for (const auto& batch : batches) {
     ASSERT_OK_AND_ASSIGN(std::vector<Decision> decisions,
-                         sys->EvaluateBatch(batch));
+                         EvaluateBatch(sys.get(), batch));
     EXPECT_EQ(decisions.size(), batch.size());
     fed += batch.size();
   }
@@ -277,7 +296,7 @@ TEST_P(DurableShardedTest, RecoveryReplaysEveryShardTail) {
         DurableShardedSystem::Open(dir_, MakeInitialState(7, 16), Options()));
     batches = MakeBatches(sys->base(), subjects, 200, 50, 13);
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     }
     ASSERT_OK(sys->Tick(500));
     // "Crash": no checkpoint, the object goes away.
@@ -304,14 +323,14 @@ TEST_P(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
         DurableShardedSystem::Open(dir_, std::move(init), Options()));
-    ASSERT_OK(sys->EvaluateBatch(batches[0]).status());
+    ASSERT_OK(EvaluateBatch(sys.get(), batches[0]).status());
     ASSERT_OK(sys->Checkpoint());
     EXPECT_EQ(sys->epoch(), 1u);
     EXPECT_EQ(sys->wal_events(), 0u);
     // Old epoch's files are swept.
     EXPECT_FALSE(fs::exists(dir_ + "/base-0.snap"));
     EXPECT_TRUE(fs::exists(dir_ + "/base-1.snap"));
-    ASSERT_OK(sys->EvaluateBatch(batches[1]).status());
+    ASSERT_OK(EvaluateBatch(sys.get(), batches[1]).status());
     EXPECT_EQ(sys->wal_events(), batches[1].size());
   }
   // Recovery = snapshot cut + replay of the post-checkpoint tail only.
@@ -348,7 +367,7 @@ TEST_P(DurableShardedTest, OverstayDetectionSurvivesRecovery) {
         DurableShardedSystem::Open(dir_, std::move(init), Options()));
     ASSERT_OK_AND_ASSIGN(
         std::vector<Decision> decisions,
-        sys->EvaluateBatch({AccessEvent::Entry(10, alice, a)}));
+        EvaluateBatch(sys.get(), {AccessEvent::Entry(10, alice, a)}));
     ASSERT_TRUE(decisions[0].granted);
     ASSERT_OK(sys->Checkpoint());
   }
@@ -375,7 +394,7 @@ TEST_P(DurableShardedTest, RecoveryIgnoresFreshOptionsShardCount) {
                                    Options()));
     auto batches = MakeBatches(sys->base(), subjects, 80, 40, 5);
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     }
   }
   DurableShardedOptions other;
@@ -410,7 +429,7 @@ TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
                                    Options()));
     auto batches = MakeBatches(probe, subjects, 600, 100, 101);
     for (size_t i = 0; i < batches.size(); ++i) {
-      ASSERT_OK(sys->EvaluateBatch(batches[i]).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batches[i]).status());
       if (i == batches.size() / 2) ASSERT_OK(sys->Tick(250));
     }
     ASSERT_OK(sys->Tick(600));
@@ -463,7 +482,7 @@ TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
       late.push_back(e);
     }
     ASSERT_OK_AND_ASSIGN(std::vector<Decision> got_decisions,
-                         sys->EvaluateBatch(late));
+                         EvaluateBatch(sys.get(), late));
     std::vector<Decision> want_decisions;
     for (const AccessEvent& e : late) {
       want_decisions.push_back(
@@ -503,7 +522,7 @@ TEST_P(DurableShardedTest, MissingShardWalIsARecoveryError) {
                                    Options()));
     auto batches = MakeBatches(sys->base(), subjects, 80, 40, 43);
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     }
   }
   std::vector<fs::path> wals = ShardWalPaths(dir_);
@@ -534,7 +553,6 @@ TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
   std::vector<ModeRun> runs;
   runs.push_back({"sync", Options(), {}, {}});
   runs.push_back({"pipelined", PipelinedOptions(SyncMode::kPipelined), {}, {}});
-  runs.push_back({"interval", PipelinedOptions(SyncMode::kInterval), {}, {}});
 
   for (ModeRun& run : runs) {
     SCOPED_TRACE(run.name);
@@ -547,7 +565,7 @@ TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
     for (const auto& batch : batches) {
       Status durability;
       std::vector<Decision> decisions =
-          sys->EvaluateBatchWithStatus(batch, &durability);
+          EvaluateBatch(sys.get(), batch, &durability);
       ASSERT_OK(durability);
       for (const Decision& d : decisions) {
         run.decisions.push_back(d.ToString());
@@ -616,7 +634,7 @@ TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
     auto batches = MakeBatches(probe, subjects, 600, 100, 311);
     for (const auto& batch : batches) {
       Status durability;
-      (void)sys->EvaluateBatchWithStatus(batch, &durability);
+      (void)EvaluateBatch(sys.get(), batch, &durability);
       ASSERT_OK(durability);
     }
     ASSERT_OK(sys->Tick(600));
@@ -685,7 +703,7 @@ TEST_P(DurableShardedTest, CheckpointAfterRecoveryKeepsReplayedTail) {
         DurableShardedSystem::Open(dir_, MakeInitialState(kWorldSeed, 16),
                                    Options()));
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     }
     ASSERT_OK(sys->Tick(500));
     // "Crash": no checkpoint, the tail lives only in the logs.
@@ -770,7 +788,7 @@ TEST_P(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
     for (const auto& batch : batches) {
       Status durability;
       for (const Decision& d :
-           sys->EvaluateBatchWithStatus(batch, &durability)) {
+           EvaluateBatch(sys.get(), batch, &durability)) {
         want_decisions.push_back(d.ToString());
       }
       ASSERT_OK(durability);
@@ -796,7 +814,7 @@ TEST_P(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
   for (const auto& batch : batches) {
     Status durability;
     for (const Decision& d :
-         sys->EvaluateBatchWithStatus(batch, &durability)) {
+         EvaluateBatch(sys.get(), batch, &durability)) {
       got_decisions.push_back(d.ToString());
     }
     if (!durability.ok()) saw_durability_error = true;
@@ -865,11 +883,11 @@ TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
         DurableShardedSystem::Open(golden, MakeInitialState(kWorldSeed),
                                    Options()));
     for (size_t i = 0; i < cut; ++i) {
-      ASSERT_OK(sys->EvaluateBatch(batches[i]).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batches[i]).status());
     }
     ASSERT_OK(sys->Checkpoint());
     for (size_t i = cut; i < batches.size(); ++i) {
-      ASSERT_OK(sys->EvaluateBatch(batches[i]).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batches[i]).status());
     }
   }
 
@@ -931,7 +949,7 @@ TEST_P(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   // Traffic to every shard: the first checkpoint rewrites all of them.
   auto batches = MakeBatches(probe, subjects, 200, 100, 223);
   for (const auto& batch : batches) {
-    ASSERT_OK(sys->EvaluateBatch(batch).status());
+    ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
   }
   ASSERT_OK(sys->Checkpoint());
   EXPECT_EQ(sys->last_checkpoint_dirty_segments(), shards());
@@ -955,7 +973,7 @@ TEST_P(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   const SubjectId lone = subjects[0];
   const uint32_t lone_shard = sys->ShardOf(lone);
   ASSERT_OK(
-      sys->EvaluateBatch({AccessEvent::Observe(450, lone, 0)}).status());
+      EvaluateBatch(sys.get(), {AccessEvent::Observe(450, lone, 0)}).status());
   ASSERT_OK(sys->Checkpoint());
   EXPECT_EQ(sys->last_checkpoint_dirty_segments(), 1u);
   ASSERT_OK_AND_ASSIGN(ShardManifest after_lone,
@@ -987,7 +1005,7 @@ TEST_P(DurableShardedTest, CheckpointPersistsColdFilesWhenHorizonDropsNothing) {
         DurableShardedSystem::Open(dir_, MakeInitialState(229, 24), opt));
     auto batches = MakeBatches(probe, subjects, 300, 60, 233);
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
       ASSERT_OK(sys->Checkpoint());
     }
     EXPECT_GT(sys->cold_segment_count(), 0u);
@@ -1019,7 +1037,7 @@ TEST_P(DurableShardedTest, RetentionTierSealsCompactsAndDrops) {
   auto batches = MakeBatches(probe, subjects, 1200, 50, 241);
   uint64_t total_fed = 0;
   for (const auto& batch : batches) {
-    ASSERT_OK(sys->EvaluateBatch(batch).status());
+    ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     total_fed += batch.size();
     ASSERT_OK(sys->Checkpoint());
   }
@@ -1115,9 +1133,9 @@ TEST_P(DurableShardedTest, TieredAnswersMatchUnboundedWithinRetainedWindow) {
                                    Options()));
     for (size_t i = 0; i < batches.size(); ++i) {
       ASSERT_OK_AND_ASSIGN(std::vector<Decision> tiered_decisions,
-                           tiered->EvaluateBatch(batches[i]));
+                           EvaluateBatch(tiered.get(), batches[i]));
       ASSERT_OK_AND_ASSIGN(std::vector<Decision> unbounded_decisions,
-                           unbounded->EvaluateBatch(batches[i]));
+                           EvaluateBatch(unbounded.get(), batches[i]));
       ASSERT_EQ(tiered_decisions.size(), unbounded_decisions.size());
       for (size_t j = 0; j < tiered_decisions.size(); ++j) {
         EXPECT_EQ(tiered_decisions[j].granted, unbounded_decisions[j].granted)
@@ -1161,7 +1179,7 @@ TEST_P(DurableShardedTest, TornOrMissingColdSegmentFailsRecovery) {
         DurableShardedSystem::Open(dir_, MakeInitialState(263, 24), opt));
     auto batches = MakeBatches(probe, subjects, 300, 60, 269);
     for (const auto& batch : batches) {
-      ASSERT_OK(sys->EvaluateBatch(batch).status());
+      ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
       ASSERT_OK(sys->Checkpoint());
     }
     ASSERT_GT(sys->cold_segment_count(), 0u);
@@ -1226,7 +1244,7 @@ TEST_P(DurableShardedTest, RetentionTelemetryReconciles) {
 
   auto batches = MakeBatches(probe, subjects, 600, 50, 277);
   for (const auto& batch : batches) {
-    ASSERT_OK(sys->EvaluateBatch(batch).status());
+    ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     ASSERT_OK(sys->Checkpoint());
     expected_dirty += sys->last_checkpoint_dirty_segments();
   }

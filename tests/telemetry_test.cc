@@ -1,8 +1,8 @@
 // Copyright 2026 The LTAM Authors.
-// The metrics registry's contracts: striped counters aggregate exactly,
-// handles stay valid and shared, kind collisions degrade instead of
-// aborting, snapshots are safe while writers run (the TSan job hammers
-// this file), and the two text renderings are well-formed.
+// The metrics registry's contracts: counters aggregate exactly across
+// threads, handles stay valid and shared, kind collisions degrade
+// instead of aborting, snapshots are safe while writers run (the TSan
+// job hammers this file), and the two text renderings are well-formed.
 
 #include "telemetry/metrics.h"
 
@@ -33,7 +33,6 @@ TEST(MetricsRegistryTest, CounterAggregatesExactlyAcrossThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  // Striped cells may tear mid-run, but a quiescent read is exact.
   EXPECT_EQ(kThreads * kPerThread, counter->value());
 
   counter->Increment(42);
@@ -84,7 +83,7 @@ TEST(MetricsRegistryTest, GaugeIsLastWriteWins) {
   EXPECT_EQ(0, gauge->value());
 }
 
-TEST(MetricsRegistryTest, HistogramMergesStripesIntoOneDistribution) {
+TEST(MetricsRegistryTest, HistogramCollectsEveryThreadIntoOneDistribution) {
   MetricsRegistry registry;
   Histogram* histogram = registry.GetHistogram("ingest.apply");
   constexpr int kThreads = 8;
