@@ -27,11 +27,14 @@
 //                             (default surge)
 //   --rate=N                  target events/sec across connections
 //   --duration-s=N            run length; total events = rate * duration
-//   --connections=N           worker threads = TCP connections
-//   --events-per-frame=N      events per scheduled arrival (default 32)
+//                             (both finite and > 0)
+//   --connections=N           worker threads = TCP connections, 1..1024
+//   --events-per-frame=N      events per scheduled arrival (default 32,
+//                             at most the wire's per-frame ceiling)
 //   --max-in-flight=N         pipelined frames per connection (default 64)
 //   --scenario-seed=N --scenario-subjects=N --scenario-tenants=N
-//                             world knobs; must match the server's
+//                             world knobs; must match the server's (same
+//                             ranges as ltam_serve's)
 //   --schedule-seed=N         arrival-schedule seed (driver-only)
 //   --json-out=FILE           write a google-benchmark-shaped report;
 //                             each row carries the full histogram
@@ -43,10 +46,14 @@
 //   --log-level=L             debug|info|warning|error (default info)
 //
 // Exit code: 0 on a completed run (refusals included — overload is a
-// measurement, not an error), nonzero on harness/connection failures.
+// measurement, not an error), 2 on a usage error (an unknown flag or a
+// value that does not parse whole and in range, reported before any
+// dial), other nonzero codes on harness/connection failures.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -54,6 +61,42 @@
 #include "service/client.h"
 #include "sim/workload.h"
 #include "util/logging.h"
+#include "util/string_util.h"
+
+namespace {
+
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kUint32Max = std::numeric_limits<uint32_t>::max();
+
+/// The value of the numeric flag `arg` ("--name=VALUE", the value at
+/// `prefix`), which must be a whole number in [lo, hi] (the ranges of
+/// the world-shaping flags are ltam_serve's). Anything else is a usage
+/// error: it names the flag and exits 2.
+int64_t NumericFlag(const std::string& arg, size_t prefix, int64_t lo,
+                    int64_t hi) {
+  ltam::Result<int64_t> parsed =
+      ltam::ParseInt64InRange(arg.substr(prefix), lo, hi);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", arg.substr(0, prefix - 1).c_str(),
+                 parsed.status().message().c_str());
+    std::exit(2);
+  }
+  return *parsed;
+}
+
+/// Like NumericFlag, for a finite number > 0.
+double PositiveFlag(const std::string& arg, size_t prefix) {
+  ltam::Result<double> parsed = ltam::ParseDouble(arg.substr(prefix));
+  if (!parsed.ok() || !std::isfinite(*parsed) || *parsed <= 0) {
+    std::fprintf(stderr, "%s: '%s' is not a finite number > 0\n",
+                 arg.substr(0, prefix - 1).c_str(),
+                 arg.substr(prefix).c_str());
+    std::exit(2);
+  }
+  return *parsed;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ltam;  // NOLINT: example brevity.
@@ -90,33 +133,33 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--scenario=", 0) == 0) {
       scenario_name = value(11);
     } else if (arg.rfind("--rate=", 0) == 0) {
-      load_options.rate = std::atof(value(7).c_str());
+      load_options.rate = PositiveFlag(arg, 7);
     } else if (arg.rfind("--duration-s=", 0) == 0) {
-      duration_s = std::atof(value(13).c_str());
+      duration_s = PositiveFlag(arg, 13);
     } else if (arg.rfind("--connections=", 0) == 0) {
-      load_options.connections = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(14).c_str())));
+      load_options.connections =
+          static_cast<uint32_t>(NumericFlag(arg, 14, 1, 1024));
     } else if (arg.rfind("--events-per-frame=", 0) == 0) {
       scenario_options.events_per_frame =
-          static_cast<size_t>(std::max(1, std::atoi(value(19).c_str())));
+          static_cast<size_t>(NumericFlag(arg, 19, 1, kMaxWireBatchEvents));
     } else if (arg.rfind("--max-in-flight=", 0) == 0) {
       load_options.max_in_flight =
-          static_cast<size_t>(std::max(1, std::atoi(value(16).c_str())));
+          static_cast<size_t>(NumericFlag(arg, 16, 1, kUint32Max));
     } else if (arg.rfind("--scenario-seed=", 0) == 0) {
       scenario_options.seed =
-          static_cast<uint64_t>(std::atoll(value(16).c_str()));
+          static_cast<uint64_t>(NumericFlag(arg, 16, 0, kInt64Max));
     } else if (arg.rfind("--scenario-subjects=", 0) == 0) {
-      scenario_options.subjects = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(20).c_str())));
+      scenario_options.subjects =
+          static_cast<uint32_t>(NumericFlag(arg, 20, 1, kUint32Max));
     } else if (arg.rfind("--scenario-tenants=", 0) == 0) {
-      scenario_options.tenants = static_cast<uint32_t>(
-          std::max(1, std::atoi(value(19).c_str())));
+      scenario_options.tenants =
+          static_cast<uint32_t>(NumericFlag(arg, 19, 1, kUint32Max));
     } else if (arg.rfind("--schedule-seed=", 0) == 0) {
       load_options.schedule_seed =
-          static_cast<uint64_t>(std::atoll(value(16).c_str()));
+          static_cast<uint64_t>(NumericFlag(arg, 16, 0, kInt64Max));
     } else if (arg.rfind("--checkpoint-every-frames=", 0) == 0) {
       load_options.checkpoint_every_frames =
-          static_cast<size_t>(std::max(0, std::atoi(value(26).c_str())));
+          static_cast<size_t>(NumericFlag(arg, 26, 0, kInt64Max));
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_out = value(11);
     } else if (arg.rfind("--log-level=", 0) == 0) {
@@ -144,10 +187,6 @@ int main(int argc, char** argv) {
   Result<ScenarioFamily> family = ParseScenarioFamily(scenario_name);
   if (!family.ok()) {
     std::fprintf(stderr, "%s\n", family.status().ToString().c_str());
-    return 2;
-  }
-  if (load_options.rate <= 0 || duration_s <= 0) {
-    std::fprintf(stderr, "--rate and --duration-s must be positive\n");
     return 2;
   }
   scenario_options.streams = load_options.connections;

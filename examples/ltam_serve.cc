@@ -100,12 +100,11 @@ constexpr int64_t kUint32Max = std::numeric_limits<uint32_t>::max();
 /// is a usage error: it names the flag and exits 2.
 int64_t NumericFlag(const std::string& arg, size_t prefix, int64_t lo,
                     int64_t hi) {
-  const std::string text = arg.substr(prefix);
-  ltam::Result<int64_t> parsed = ltam::ParseInt64(text);
-  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
-    std::fprintf(stderr, "%s: '%s' is not a number in %lld..%lld\n",
-                 arg.substr(0, prefix - 1).c_str(), text.c_str(),
-                 static_cast<long long>(lo), static_cast<long long>(hi));
+  ltam::Result<int64_t> parsed =
+      ltam::ParseInt64InRange(arg.substr(prefix), lo, hi);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", arg.substr(0, prefix - 1).c_str(),
+                 parsed.status().message().c_str());
     std::exit(2);
   }
   return *parsed;

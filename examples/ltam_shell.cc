@@ -22,7 +22,8 @@
 //                         histograms, counters, gauges. Summary lines
 //                         by default; `metrics prom` prints the
 //                         Prometheus text exposition instead. Remote
-//                         mode scrapes the server over the wire.
+//                         mode scrapes the server's snapshot over the
+//                         wire and renders it here.
 //   checkpoint            persist the runtime (local or remote)
 //   promote               remote only: promote a replica server to
 //                         primary (bumps its replication epoch; the
@@ -63,10 +64,10 @@ int main(int argc, char** argv) {
       options.durable_dir = arg.substr(10);
     } else if (arg.rfind("--shards=", 0) == 0) {
       // Each shard past the first is an OS thread.
-      Result<int64_t> shards = ParseInt64(arg.substr(9));
-      if (!shards.ok() || *shards < 1 || *shards > 256) {
-        std::fprintf(stderr, "--shards: '%s' is not a number in 1..256\n",
-                     arg.c_str() + 9);
+      Result<int64_t> shards = ParseInt64InRange(arg.substr(9), 1, 256);
+      if (!shards.ok()) {
+        std::fprintf(stderr, "--shards: %s\n",
+                     shards.status().message().c_str());
         return 2;
       }
       options.num_shards = static_cast<uint32_t>(*shards);
@@ -162,28 +163,14 @@ int main(int argc, char** argv) {
         std::printf("%s", RuntimeStatsToString(runtime->Stats()).c_str());
       }
     } else if (line == "metrics" || line == "metrics prom") {
-      const bool prom = line == "metrics prom";
-      if (remote != nullptr) {
-        if (prom) {
-          Result<std::string> text = remote->MetricsText();
-          if (text.ok()) {
-            std::printf("%s", text->c_str());
-          } else {
-            std::printf("error: %s\n", text.status().ToString().c_str());
-          }
-        } else {
-          Result<MetricsSnapshot> snapshot = remote->Metrics();
-          if (snapshot.ok()) {
-            std::printf("%s", MetricsSummaryText(*snapshot).c_str());
-          } else {
-            std::printf("error: %s\n",
-                        snapshot.status().ToString().c_str());
-          }
-        }
+      Result<MetricsSnapshot> snapshot =
+          remote != nullptr ? remote->Metrics() : metrics.Snapshot();
+      if (!snapshot.ok()) {
+        std::printf("error: %s\n", snapshot.status().ToString().c_str());
+      } else if (line == "metrics prom") {
+        std::printf("%s", ToPrometheusText(*snapshot).c_str());
       } else {
-        MetricsSnapshot snapshot = metrics.Snapshot();
-        std::printf("%s", prom ? ToPrometheusText(snapshot).c_str()
-                               : MetricsSummaryText(snapshot).c_str());
+        std::printf("%s", MetricsSummaryText(*snapshot).c_str());
       }
     } else if (line == "checkpoint") {
       Status st = remote != nullptr ? remote->Checkpoint()

@@ -271,10 +271,6 @@ void ReplicaLink::RunOnce() {
         }
         return;
       }
-      case MessageType::kAlertPush:
-        // The upstream's shutdown drain; a replica has no client to
-        // forward to — alerts re-materialize from the replayed records.
-        break;
       default:
         break;  // Future stream frames: ignore, don't drop the link.
     }

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iterator>
 
 namespace ltam {
 
@@ -124,7 +123,7 @@ Status ServiceClient::SendFrame(MessageType type, uint32_t request_id,
   return Flush();
 }
 
-Result<Frame> ServiceClient::ReceiveFrameRaw() {
+Result<Frame> ServiceClient::ReceiveFrame() {
   while (true) {
     Result<std::optional<Frame>> next = assembler_.Next();
     if (!next.ok()) return next.status();
@@ -140,21 +139,6 @@ Result<Frame> ServiceClient::ReceiveFrameRaw() {
     }
     if (errno == EINTR) continue;
     return Errno("recv");
-  }
-}
-
-Result<Frame> ServiceClient::ReceiveFrame() {
-  while (true) {
-    LTAM_ASSIGN_OR_RETURN(Frame frame, ReceiveFrameRaw());
-    if (frame.header.type != MessageType::kAlertPush) return frame;
-    // A server-initiated alert push (its shutdown drain) can land
-    // between any request and its response; stash it for
-    // TakePushedAlerts instead of confusing the caller.
-    LTAM_ASSIGN_OR_RETURN(std::vector<Alert> alerts,
-                          DecodeAlertPush(frame.payload));
-    pushed_alerts_.insert(pushed_alerts_.end(),
-                          std::make_move_iterator(alerts.begin()),
-                          std::make_move_iterator(alerts.end()));
   }
 }
 
@@ -191,26 +175,6 @@ Status ServiceClient::Ping() {
     return Status::ParseError("pong: unexpected payload");
   }
   return Status::OK();
-}
-
-Result<WireBatchResult> ServiceClient::ApplyOnce(const AccessEvent& event) {
-  const uint32_t id = next_request_id_++;
-  LTAM_RETURN_IF_ERROR(
-      SendFrame(MessageType::kApply, id, EncodeApplyRequest(event)));
-  LTAM_ASSIGN_OR_RETURN(Frame frame,
-                        ReceiveResponse(id, MessageType::kApplyResult));
-  LTAM_ASSIGN_OR_RETURN(WireBatchResult result,
-                        DecodeBatchResult(frame.payload));
-  if (result.decisions.size() != 1) {
-    return Status::ParseError("apply-result: expected exactly one decision");
-  }
-  return result;
-}
-
-Result<WireBatchResult> ServiceClient::Apply(const AccessEvent& event) {
-  Result<WireBatchResult> first = ApplyOnce(event);
-  if (first.ok() || !FollowPrimaryRedirect(first.status())) return first;
-  return ApplyOnce(event);
 }
 
 Result<WireBatchResult> ServiceClient::ApplyBatchOnce(
@@ -266,8 +230,7 @@ bool ServiceClient::FollowPrimaryRedirect(const Status& refusal) {
     return false;
   }
   // Adopt the fresh connection. Redirects fire only from synchronous
-  // write calls, so there is no pipelined backlog to preserve — but
-  // alerts the replica already pushed stay in the stash.
+  // write calls, so there is no pipelined backlog to preserve.
   ::close(fd_);
   fd_ = (*redialed)->fd_;
   (*redialed)->fd_ = -1;
@@ -307,21 +270,10 @@ Result<RuntimeStats> ServiceClient::Stats() {
 
 Result<MetricsSnapshot> ServiceClient::Metrics() {
   const uint32_t id = next_request_id_++;
-  LTAM_RETURN_IF_ERROR(SendFrame(
-      MessageType::kMetrics, id,
-      EncodeMetricsRequest(kMetricsFormatStructured)));
+  LTAM_RETURN_IF_ERROR(SendFrame(MessageType::kMetrics, id, ""));
   LTAM_ASSIGN_OR_RETURN(Frame frame,
                         ReceiveResponse(id, MessageType::kMetricsResult));
   return DecodeMetricsResult(frame.payload);
-}
-
-Result<std::string> ServiceClient::MetricsText() {
-  const uint32_t id = next_request_id_++;
-  LTAM_RETURN_IF_ERROR(SendFrame(MessageType::kMetrics, id,
-                                 EncodeMetricsRequest(kMetricsFormatText)));
-  LTAM_ASSIGN_OR_RETURN(Frame frame,
-                        ReceiveResponse(id, MessageType::kMetricsResult));
-  return frame.payload;
 }
 
 Result<uint64_t> ServiceClient::Promote() {
@@ -352,7 +304,7 @@ Status ServiceClient::SendRawFrame(MessageType type, uint32_t request_id,
   return SendFrame(type, request_id, payload);
 }
 
-Result<Frame> ServiceClient::ReceiveRaw() { return ReceiveFrameRaw(); }
+Result<Frame> ServiceClient::ReceiveRaw() { return ReceiveFrame(); }
 
 void ServiceClient::ShutdownSocket() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
@@ -406,14 +358,6 @@ ServiceClient::PollBatchResult(int timeout_ms) {
     if (!next.ok()) return next.status();
     if (next->has_value()) {
       Frame frame = std::move(**next);
-      if (frame.header.type == MessageType::kAlertPush) {
-        LTAM_ASSIGN_OR_RETURN(std::vector<Alert> alerts,
-                              DecodeAlertPush(frame.payload));
-        pushed_alerts_.insert(pushed_alerts_.end(),
-                              std::make_move_iterator(alerts.begin()),
-                              std::make_move_iterator(alerts.end()));
-        continue;
-      }
       if (frame.header.type == MessageType::kError) {
         Status error;
         LTAM_RETURN_IF_ERROR(DecodeErrorResult(frame.payload, &error));
@@ -464,22 +408,6 @@ ServiceClient::PollBatchResult(int timeout_ms) {
     if (errno == EINTR) continue;
     return Errno("recv");
   }
-}
-
-std::vector<Alert> ServiceClient::TakePushedAlerts() {
-  std::vector<Alert> out = std::move(pushed_alerts_);
-  pushed_alerts_.clear();
-  return out;
-}
-
-Result<std::vector<Alert>> ServiceClient::ReceiveAlertPush() {
-  if (!pushed_alerts_.empty()) return TakePushedAlerts();
-  LTAM_ASSIGN_OR_RETURN(Frame frame, ReceiveFrameRaw());
-  if (frame.header.type != MessageType::kAlertPush) {
-    return Status::Internal(std::string("expected an alert-push, got ") +
-                            MessageTypeToString(frame.header.type));
-  }
-  return DecodeAlertPush(frame.payload);
 }
 
 }  // namespace ltam

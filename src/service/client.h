@@ -69,9 +69,11 @@ class ServiceClient {
   /// so it succeeds even while ingestion is busy).
   Status Ping();
 
-  /// One event through the server's ingest path. The result carries the
-  /// decision (decisions.size() == 1), the alerts the server attributed
-  /// to this frame, and the durability outcome.
+  /// One batch (at most kMaxWireBatchEvents events, per-subject
+  /// nondecreasing time order within the batch; a single event is a
+  /// one-event batch). The result carries one decision per event, the
+  /// alerts the server attributed to this frame, and the durability
+  /// outcome.
   ///
   /// Write calls auto-follow a replica's structured refusal: when the
   /// server answers kFailedPrecondition carrying a `[primary=host:port]`
@@ -80,15 +82,11 @@ class ServiceClient {
   /// retries the call once. An unparseable token, a failed re-dial, or
   /// a second refusal surfaces the server's error unchanged; follows
   /// and failed dials are counted in client_stats().
-  Result<WireBatchResult> Apply(const AccessEvent& event);
-
-  /// One batch (at most kMaxWireBatchEvents events, per-subject
-  /// nondecreasing time order within the batch). Auto-follows a
-  /// structured replica refusal like Apply().
   Result<WireBatchResult> ApplyBatch(Span<const AccessEvent> events);
 
-  /// One raw position fix, resolved server-side. Auto-follows a
-  /// structured replica refusal like Apply().
+  /// One raw position fix, resolved server-side; the result carries
+  /// every alert the fix's drain returned. Auto-follows a structured
+  /// replica refusal like ApplyBatch().
   Result<WireFixResult> ApplyFix(const PositionFix& fix);
 
   /// A query-language statement, answered over the server runtime's
@@ -102,14 +100,11 @@ class ServiceClient {
   /// Stats() call on the server's runtime returns.
   Result<RuntimeStats> Stats();
 
-  /// The server's telemetry registry as a structured snapshot. Fails
-  /// with kFailedPrecondition when the server runs uninstrumented
-  /// (no registry attached).
+  /// The server's telemetry registry as a structured snapshot (render
+  /// it with ToPrometheusText or MetricsSummaryText). Fails with
+  /// kFailedPrecondition when the server runs uninstrumented (no
+  /// registry attached).
   Result<MetricsSnapshot> Metrics();
-
-  /// The same registry as Prometheus text exposition, rendered
-  /// server-side so any scraper can consume it verbatim.
-  Result<std::string> MetricsText();
 
   /// Promotes a replica server to primary; returns the new replication
   /// epoch. Legal against a primary too (an epoch bump that fences any
@@ -128,8 +123,8 @@ class ServiceClient {
                       const std::string& payload);
 
   /// Blocks until the next complete frame — server-initiated frames
-  /// (kSegmentChunk, kWatermarkAdvance, kAlertPush) included, nothing
-  /// stashed or skipped. The replica link's receive loop lives here.
+  /// (kSegmentChunk, kWatermarkAdvance) included. The replica link's
+  /// receive loop lives here.
   Result<Frame> ReceiveRaw();
 
   /// Half-closes the socket from another thread so a blocked
@@ -176,18 +171,6 @@ class ServiceClient {
   /// connection; every other error frame is still a failed Result.
   Result<std::optional<PipelinedBatch>> PollBatchResult(int timeout_ms);
 
-  // --- Server-pushed alerts --------------------------------------------------
-
-  /// A server shutting down pushes alerts it could not attach to any
-  /// response as kAlertPush frames (request_id 0). The receive loops
-  /// above stash such frames instead of failing; this returns (and
-  /// clears) the stash.
-  std::vector<Alert> TakePushedAlerts();
-
-  /// Blocks until one kAlertPush frame arrives (or returns the stash if
-  /// one already did). For clients that expect the shutdown drain.
-  Result<std::vector<Alert>> ReceiveAlertPush();
-
  private:
   explicit ServiceClient(int fd);
 
@@ -196,12 +179,7 @@ class ServiceClient {
   Status SendFrame(MessageType type, uint32_t request_id,
                    const std::string& payload);
 
-  /// Blocks until one complete frame arrives, kAlertPush included.
-  Result<Frame> ReceiveFrameRaw();
-
-  /// Blocks until one complete frame arrives. kAlertPush frames are
-  /// stashed in pushed_alerts_ and skipped — callers only ever see
-  /// request/response traffic.
+  /// Blocks until one complete frame arrives.
   Result<Frame> ReceiveFrame();
 
   /// Blocks for the response to `request_id`; decodes kError frames
@@ -211,22 +189,20 @@ class ServiceClient {
                                 MessageType expected_type);
 
   /// Single-shot bodies behind the redirect-following write calls.
-  Result<WireBatchResult> ApplyOnce(const AccessEvent& event);
   Result<WireBatchResult> ApplyBatchOnce(Span<const AccessEvent> events);
   Result<WireFixResult> ApplyFixOnce(const PositionFix& fix);
 
   /// When `refusal` is a replica refusal naming a primary, re-dials it
   /// and swaps this client onto the new connection (old socket closed,
-  /// assembler reset, pushed-alert stash kept). Returns true when the
-  /// caller should retry its request once; false leaves the connection
-  /// untouched so the original error can surface.
+  /// assembler reset). Returns true when the caller should retry its
+  /// request once; false leaves the connection untouched so the
+  /// original error can surface.
   bool FollowPrimaryRedirect(const Status& refusal);
 
   int fd_;
   uint32_t next_request_id_ = 1;
   std::string send_buffer_;
   FrameAssembler assembler_;
-  std::vector<Alert> pushed_alerts_;
   ClientStats client_stats_;
 };
 

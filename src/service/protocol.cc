@@ -250,43 +250,21 @@ constexpr size_t kWireAlertMinBytes = 8 + 4 + 4 + 1 + 4;
 
 // --- Frame layer -------------------------------------------------------------
 
-bool IsRequestType(MessageType type) {
-  switch (type) {
-    case MessageType::kPing:
-    case MessageType::kApply:
-    case MessageType::kApplyBatch:
-    case MessageType::kApplyFix:
-    case MessageType::kQuery:
-    case MessageType::kCheckpoint:
-    case MessageType::kStats:
-    case MessageType::kReplicaHello:
-    case MessageType::kPromote:
-    case MessageType::kRepoint:
-    case MessageType::kMetrics:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const char* MessageTypeToString(MessageType type) {
   switch (type) {
     case MessageType::kPing: return "ping";
-    case MessageType::kApply: return "apply";
     case MessageType::kApplyBatch: return "apply-batch";
     case MessageType::kApplyFix: return "apply-fix";
     case MessageType::kQuery: return "query";
     case MessageType::kCheckpoint: return "checkpoint";
     case MessageType::kStats: return "stats";
     case MessageType::kPong: return "pong";
-    case MessageType::kApplyResult: return "apply-result";
     case MessageType::kBatchResult: return "batch-result";
     case MessageType::kFixResult: return "fix-result";
     case MessageType::kQueryResult: return "query-result";
     case MessageType::kCheckpointResult: return "checkpoint-result";
     case MessageType::kStatsResult: return "stats-result";
     case MessageType::kError: return "error";
-    case MessageType::kAlertPush: return "alert-push";
     case MessageType::kReplicaHello: return "replica-hello";
     case MessageType::kPromote: return "promote";
     case MessageType::kRepoint: return "repoint";
@@ -303,10 +281,36 @@ const char* MessageTypeToString(MessageType type) {
 
 namespace {
 
+/// Every assigned code, listed: a range check would also admit the
+/// retired codes inside the response range.
 bool IsKnownType(uint8_t type) {
-  return IsRequestType(static_cast<MessageType>(type)) ||
-         (type >= static_cast<uint8_t>(MessageType::kPong) &&
-          type <= static_cast<uint8_t>(MessageType::kMetricsResult));
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kPing:
+    case MessageType::kApplyBatch:
+    case MessageType::kApplyFix:
+    case MessageType::kQuery:
+    case MessageType::kCheckpoint:
+    case MessageType::kStats:
+    case MessageType::kReplicaHello:
+    case MessageType::kPromote:
+    case MessageType::kRepoint:
+    case MessageType::kMetrics:
+    case MessageType::kPong:
+    case MessageType::kBatchResult:
+    case MessageType::kFixResult:
+    case MessageType::kQueryResult:
+    case MessageType::kCheckpointResult:
+    case MessageType::kStatsResult:
+    case MessageType::kError:
+    case MessageType::kReplicaWelcome:
+    case MessageType::kSegmentChunk:
+    case MessageType::kWatermarkAdvance:
+    case MessageType::kPromoteResult:
+    case MessageType::kRepointResult:
+    case MessageType::kMetricsResult:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -398,22 +402,6 @@ Result<std::optional<Frame>> FrameAssembler::Next() {
 
 // --- Requests ----------------------------------------------------------------
 
-std::string EncodeApplyRequest(const AccessEvent& event) {
-  std::string out;
-  PutEvent(&out, event);
-  return out;
-}
-
-Result<AccessEvent> DecodeApplyRequest(std::string_view payload) {
-  Reader r(payload);
-  AccessEvent event;
-  if (!ReadEvent(&r, &event)) {
-    return Status::ParseError("apply: malformed event");
-  }
-  LTAM_RETURN_IF_ERROR(r.Finish("apply"));
-  return event;
-}
-
 std::string EncodeApplyBatchRequest(Span<const AccessEvent> events) {
   LTAM_CHECK(events.size() <= kMaxWireBatchEvents)
       << "batch over the wire ceiling";
@@ -424,15 +412,7 @@ std::string EncodeApplyBatchRequest(Span<const AccessEvent> events) {
   return out;
 }
 
-Result<uint32_t> PeekApplyEventCount(MessageType type,
-                                     std::string_view payload) {
-  if (type == MessageType::kApply) {
-    if (payload.size() != kWireEventBytes) {
-      return Status::ParseError("apply: malformed event");
-    }
-    return 1u;
-  }
-  LTAM_CHECK(type == MessageType::kApplyBatch);
+Result<uint32_t> PeekApplyEventCount(std::string_view payload) {
   if (payload.size() < 4) {
     return Status::ParseError("apply-batch: malformed event count");
   }
@@ -450,40 +430,34 @@ Result<uint32_t> PeekApplyEventCount(MessageType type,
   return count;
 }
 
-Status DecodeApplyEventsInto(MessageType type, std::string_view payload,
+Status DecodeApplyEventsInto(std::string_view payload,
                              std::vector<AccessEvent>* out) {
   Reader r(payload);
-  uint32_t count = 1;
-  if (type == MessageType::kApplyBatch) {
-    if (!ReadCount(&r, kWireEventBytes, &count)) {
-      return Status::ParseError("apply-batch: malformed event count");
-    }
-    if (count > kMaxWireBatchEvents) {
-      return Status::ParseError("apply-batch: " + std::to_string(count) +
-                                " events over the " +
-                                std::to_string(kMaxWireBatchEvents) +
-                                " per-frame ceiling");
-    }
-  } else {
-    LTAM_CHECK(type == MessageType::kApply);
+  uint32_t count = 0;
+  if (!ReadCount(&r, kWireEventBytes, &count)) {
+    return Status::ParseError("apply-batch: malformed event count");
   }
-  const char* what = type == MessageType::kApply ? "apply" : "apply-batch";
+  if (count > kMaxWireBatchEvents) {
+    return Status::ParseError("apply-batch: " + std::to_string(count) +
+                              " events over the " +
+                              std::to_string(kMaxWireBatchEvents) +
+                              " per-frame ceiling");
+  }
   out->reserve(out->size() + count);
   for (uint32_t i = 0; i < count; ++i) {
     AccessEvent e;
     if (!ReadEvent(&r, &e)) {
-      return Status::ParseError(std::string(what) + ": malformed event");
+      return Status::ParseError("apply-batch: malformed event");
     }
     out->push_back(e);
   }
-  return r.Finish(what);
+  return r.Finish("apply-batch");
 }
 
 Result<std::vector<AccessEvent>> DecodeApplyBatchRequest(
     std::string_view payload) {
   std::vector<AccessEvent> events;
-  LTAM_RETURN_IF_ERROR(
-      DecodeApplyEventsInto(MessageType::kApplyBatch, payload, &events));
+  LTAM_RETURN_IF_ERROR(DecodeApplyEventsInto(payload, &events));
   return events;
 }
 
@@ -739,29 +713,6 @@ Result<RuntimeStats> DecodeStatsResult(std::string_view payload) {
   return stats;
 }
 
-std::string EncodeAlertPush(Span<const Alert> alerts) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(alerts.size()));
-  for (const Alert& a : alerts) PutAlert(&out, a);
-  return out;
-}
-
-Result<std::vector<Alert>> DecodeAlertPush(std::string_view payload) {
-  Reader r(payload);
-  uint32_t count = 0;
-  if (!ReadCount(&r, kWireAlertMinBytes, &count)) {
-    return Status::ParseError("alert-push: malformed alert count");
-  }
-  std::vector<Alert> alerts(count);
-  for (Alert& a : alerts) {
-    if (!ReadAlert(&r, &a)) {
-      return Status::ParseError("alert-push: malformed alert");
-    }
-  }
-  LTAM_RETURN_IF_ERROR(r.Finish("alert-push"));
-  return alerts;
-}
-
 std::string EncodeErrorResult(const Status& status) {
   LTAM_CHECK(!status.ok()) << "an OK status is not an error payload";
   std::string out;
@@ -907,22 +858,6 @@ Result<uint64_t> DecodePromoteResult(std::string_view payload) {
   }
   LTAM_RETURN_IF_ERROR(r.Finish("promote-result"));
   return epoch;
-}
-
-std::string EncodeMetricsRequest(uint8_t format) {
-  std::string out;
-  PutU8(&out, format);
-  return out;
-}
-
-Result<uint8_t> DecodeMetricsRequest(std::string_view payload) {
-  Reader r(payload);
-  uint8_t format = 0;
-  if (!r.ReadU8(&format) || format > kMetricsFormatText) {
-    return Status::ParseError("metrics: malformed format byte");
-  }
-  LTAM_RETURN_IF_ERROR(r.Finish("metrics"));
-  return format;
 }
 
 std::string EncodeMetricsResult(const MetricsSnapshot& snapshot) {

@@ -11,13 +11,14 @@
 //   length     u32le  payload byte count, <= kMaxFramePayload
 //   payload    <length> bytes, encoding per MessageType
 //
-// Requests cover the whole AccessRuntime event/read surface — ApplyBatch,
-// Apply, ApplyFix, Query (a query-language string answered over the
-// MovementView), Checkpoint, Stats, Ping — and responses carry decisions,
-// drained alerts, the batch durability outcome, query tables, runtime
-// stats, or a structured error mapped from Status. One frame — AlertPush —
-// travels server-to-client outside any request: the shutdown drain of
-// alerts no response could carry.
+// Requests cover the whole AccessRuntime event/read surface — ApplyBatch
+// (a single event is a one-event batch), ApplyFix, Query (a
+// query-language string answered over the MovementView), Checkpoint,
+// Stats, Metrics, Ping — and responses carry decisions, drained alerts,
+// the batch durability outcome, query tables, runtime stats, or a
+// structured error mapped from Status. Every alert rides the response
+// of the request whose application drained it; only the replication
+// stream frames travel outside a request/response pair.
 //
 // Decoding follows the storage/event_log.h discipline: every integer is
 // bounds-checked, every enum value validated, every string length checked
@@ -54,8 +55,11 @@ namespace ltam {
 /// (telemetry-registry scrape, structured or Prometheus text); v6 added
 /// the tiered-storage fields (cold segments/bytes, dropped events,
 /// compaction runs, checkpoint dirty segments) to stats results and the
-/// structured primary endpoint in replica write refusals.
-inline constexpr uint8_t kWireVersion = 6;
+/// structured primary endpoint in replica write refusals; v7 retired
+/// the single-event apply/apply-result frames (codes 2 and 33), the
+/// alert-push frame (code 40) and the metrics format byte (a metrics
+/// request carries no payload and its answer is always structured).
+inline constexpr uint8_t kWireVersion = 7;
 
 /// "LTAM" as a little-endian u32 ('L' is the first byte on the wire).
 inline constexpr uint32_t kWireMagic = 0x4D41544Cu;
@@ -73,11 +77,11 @@ inline constexpr uint32_t kMaxWireBatchEvents = 1u << 16;
 inline constexpr size_t kFrameHeaderBytes = 16;
 
 /// Every message type of the protocol. Requests and responses share the
-/// numbering space; responses start at 32.
+/// numbering space; responses start at 32. Retired codes (2, 33, 40)
+/// stay unassigned: a frame carrying one is refused at the header.
 enum class MessageType : uint8_t {
   // Requests.
   kPing = 1,
-  kApply = 2,
   kApplyBatch = 3,
   kApplyFix = 4,
   kQuery = 5,
@@ -92,22 +96,17 @@ enum class MessageType : uint8_t {
   /// Re-target a replica server's upstream (host:port payload) — the
   /// survivor-reconnect step of a failover.
   kRepoint = 10,
-  /// Scrape the server's telemetry registry. Payload = one format
-  /// byte (kMetricsFormat*). Refused with kFailedPrecondition when
-  /// the server runs without a registry.
+  /// Scrape the server's telemetry registry. No payload. Refused with
+  /// kFailedPrecondition when the server runs without a registry.
   kMetrics = 11,
   // Responses.
   kPong = 32,
-  kApplyResult = 33,
   kBatchResult = 34,
   kFixResult = 35,
   kQueryResult = 36,
   kCheckpointResult = 37,
   kStatsResult = 38,
   kError = 39,
-  /// Server-initiated (request_id 0): alerts the server could not attach
-  /// to any response before shutting down. Payload = EncodeAlertPush.
-  kAlertPush = 40,
   /// The primary's answer to kReplicaHello: its epoch + shard count.
   kReplicaWelcome = 41,
   /// Server-initiated on a subscribed connection (request_id 0): one
@@ -119,16 +118,9 @@ enum class MessageType : uint8_t {
   /// kPromote's answer: the new replication epoch.
   kPromoteResult = 44,
   kRepointResult = 45,
-  /// kMetrics' answer: the snapshot, in the requested format.
+  /// kMetrics' answer: the structured registry snapshot.
   kMetricsResult = 46,
 };
-
-/// kMetrics request payload: which representation the response carries.
-inline constexpr uint8_t kMetricsFormatStructured = 0;
-inline constexpr uint8_t kMetricsFormatText = 1;
-
-/// True for the request half of the numbering space.
-bool IsRequestType(MessageType type);
 
 /// Stable lower-case name ("apply-batch", "stats-result", ...).
 const char* MessageTypeToString(MessageType type);
@@ -183,30 +175,26 @@ class FrameAssembler {
 
 // --- Request payloads --------------------------------------------------------
 
-/// Ping / Checkpoint / Stats requests and the Pong / CheckpointResult
-/// responses carry no payload; encode with EncodeFrame(type, id, "").
-
-std::string EncodeApplyRequest(const AccessEvent& event);
-Result<AccessEvent> DecodeApplyRequest(std::string_view payload);
+/// Ping / Checkpoint / Stats / Metrics requests and the Pong /
+/// CheckpointResult responses carry no payload; encode with
+/// EncodeFrame(type, id, "").
 
 std::string EncodeApplyBatchRequest(Span<const AccessEvent> events);
 Result<std::vector<AccessEvent>> DecodeApplyBatchRequest(
     std::string_view payload);
 
-/// O(1) shape check of an apply/apply-batch payload: validates the event
+/// O(1) shape check of an apply-batch payload: validates the event
 /// count against the payload size and the wire ceiling without touching
 /// the events themselves, and returns that count. This is what the I/O
 /// thread runs per frame — full event validation is deferred to
 /// DecodeApplyEventsInto at merge time.
-Result<uint32_t> PeekApplyEventCount(MessageType type,
-                                     std::string_view payload);
+Result<uint32_t> PeekApplyEventCount(std::string_view payload);
 
-/// Single-pass decode of an apply/apply-batch payload, appending the
-/// events to *out (no intermediate vector — the server's coalescer
-/// decodes each queued payload straight into its merge buffer). Strict
-/// like the owning decoders: exact consumption, every event kind
-/// validated.
-Status DecodeApplyEventsInto(MessageType type, std::string_view payload,
+/// Single-pass decode of an apply-batch payload, appending the events to
+/// *out (no intermediate vector — the server's coalescer decodes each
+/// queued payload straight into its merge buffer). Strict like the
+/// owning decoder: exact consumption, every event kind validated.
+Status DecodeApplyEventsInto(std::string_view payload,
                              std::vector<AccessEvent>* out);
 
 std::string EncodeApplyFixRequest(const PositionFix& fix);
@@ -217,7 +205,7 @@ Result<std::string> DecodeQueryRequest(std::string_view payload);
 
 // --- Response payloads -------------------------------------------------------
 
-/// What one Apply/ApplyBatch produced, as seen through the wire: the
+/// What one ApplyBatch produced, as seen through the wire: the
 /// per-event decisions, the alerts the server attributed to this frame
 /// (routed by subject out of the coalesced batch), the durability
 /// outcome of the underlying AccessRuntime::ApplyBatch, and the
@@ -231,12 +219,12 @@ struct WireBatchResult {
   DurabilityWatermark watermark;
 };
 
-/// kApplyResult and kBatchResult share this payload encoding (an Apply
-/// is a one-event batch server-side).
+/// kBatchResult's payload.
 std::string EncodeBatchResult(const WireBatchResult& result);
 Result<WireBatchResult> DecodeBatchResult(std::string_view payload);
 
-/// kFixResult: the ApplyFix status plus the alerts the fix raised.
+/// kFixResult: the ApplyFix status plus every alert the fix's drain
+/// returned (its own subject's and any that were already pending).
 struct WireFixResult {
   Status status;
   std::vector<Alert> alerts;
@@ -254,11 +242,6 @@ Result<QueryResult> DecodeQueryResult(std::string_view payload);
 /// including the per-shard watermarks).
 std::string EncodeStatsResult(const RuntimeStats& stats);
 Result<RuntimeStats> DecodeStatsResult(std::string_view payload);
-
-/// kAlertPush: alerts delivered outside any request/response pair (the
-/// server's shutdown drain of otherwise-stranded alerts).
-std::string EncodeAlertPush(Span<const Alert> alerts);
-Result<std::vector<Alert>> DecodeAlertPush(std::string_view payload);
 
 /// kError: a Status by value (code + message). OK is not a valid error
 /// payload — encoding it is a programming error, decoding it a
@@ -341,17 +324,12 @@ Result<uint64_t> DecodePromoteResult(std::string_view payload);
 inline constexpr uint32_t kMaxWireMetrics = 1u << 12;
 inline constexpr uint32_t kMaxWireHistogramBuckets = 1u << 14;
 
-/// kMetrics: the requested representation (kMetricsFormatStructured or
-/// kMetricsFormatText).
-std::string EncodeMetricsRequest(uint8_t format);
-Result<uint8_t> DecodeMetricsRequest(std::string_view payload);
-
-/// kMetricsResult, structured format: the registry snapshot — counters
-/// and gauges as (name, value), histograms as exact parts plus sparse
-/// nonzero buckets (LatencyHistogram::FromParts validates on decode,
-/// so a decoded histogram is internally consistent or the frame is a
-/// ParseError). Text format instead carries the Prometheus exposition
-/// as the raw payload; it needs no codec beyond the frame layer.
+/// kMetricsResult: the registry snapshot — counters and gauges as
+/// (name, value), histograms as exact parts plus sparse nonzero buckets
+/// (LatencyHistogram::FromParts validates on decode, so a decoded
+/// histogram is internally consistent or the frame is a ParseError).
+/// Clients render text formats (ToPrometheusText) from the decoded
+/// snapshot.
 std::string EncodeMetricsResult(const MetricsSnapshot& snapshot);
 Result<MetricsSnapshot> DecodeMetricsResult(std::string_view payload);
 

@@ -105,14 +105,14 @@ bool IsBarrier(MessageType type) {
   return type == MessageType::kApplyFix || type == MessageType::kCheckpoint;
 }
 
-/// One ingest frame queued for the coalescer. Apply/ApplyBatch frames
-/// carry their undecoded payload — the events are decoded exactly once,
-/// at merge time.
+/// One ingest frame queued for the coalescer. ApplyBatch frames carry
+/// their undecoded payload — the events are decoded exactly once, at
+/// merge time.
 struct IngestJob {
   ConnectionPtr conn;
   uint32_t request_id = 0;
-  MessageType type = MessageType::kApply;
-  std::string payload;      // kApply / kApplyBatch payload.
+  MessageType type = MessageType::kApplyBatch;
+  std::string payload;      // kApplyBatch payload.
   uint32_t event_count = 0; // Validated by PeekApplyEventCount.
   PositionFix fix;          // kApplyFix.
   size_t units = 0;         // Quota units charged for this frame.
@@ -126,18 +126,7 @@ struct ReadJob {
   ConnectionPtr conn;
   uint32_t request_id = 0;
   MessageType type = MessageType::kQuery;
-  std::string statement;     // kQuery.
-  uint8_t metrics_format = 0;  // kMetrics.
-};
-
-/// An alert no in-flight frame could carry by subject. Held until the
-/// bounded deadline: attached to the preferred connection's next frame
-/// immediately, to ANY frame of a merge once a full coalescer round has
-/// passed, or pushed as kAlertPush at shutdown.
-struct PendingAlert {
-  Alert alert;
-  uint64_t parked_round = 0;
-  std::weak_ptr<Connection> preferred;  // Last toucher of the subject.
+  std::string statement;  // kQuery.
 };
 
 }  // namespace
@@ -272,18 +261,13 @@ class ServiceServer::Impl {
     }
     for (std::thread& t : read_threads_) t.join();
     read_threads_.clear();
-    // Phase 4: whatever alerts are still held get pushed to a live
-    // connection — the tail of the delivery guarantee.
-    DrainStrandedAlerts();
-    // Phase 5: best-effort blocking flush, then teardown.
+    // Phase 4: best-effort blocking flush, then teardown.
     FinalFlush();
     connections_.clear();
     attention_.clear();
     CloseLoopFds();
     CloseListen();
     states_.clear();
-    last_toucher_.clear();
-    pending_alerts_.clear();
     read_queue_.clear();
     queued_units_ = 0;
     started_ = false;
@@ -529,11 +513,10 @@ class ServiceServer::Impl {
         // No runtime state involved: answered inline on the I/O thread.
         Respond(conn, MessageType::kPong, id, "");
         return;
-      case MessageType::kApply:
       case MessageType::kApplyBatch: {
         // O(1) shape check only — the events are decoded once, at merge
         // time, straight from this payload.
-        Result<uint32_t> count = PeekApplyEventCount(type, frame.payload);
+        Result<uint32_t> count = PeekApplyEventCount(frame.payload);
         if (!count.ok()) {
           Respond(conn, MessageType::kError, id,
                   EncodeErrorResult(count.status()));
@@ -542,7 +525,6 @@ class ServiceServer::Impl {
         IngestJob job;
         job.conn = conn;
         job.request_id = id;
-        job.type = type;
         job.event_count = *count;
         job.units = std::max<size_t>(1, *count);
         if (instrumented()) job.recv_ns = MonotonicNowNs();
@@ -611,10 +593,10 @@ class ServiceServer::Impl {
         return;
       }
       case MessageType::kMetrics: {
-        Result<uint8_t> format = DecodeMetricsRequest(frame.payload);
-        if (!format.ok()) {
+        if (!frame.payload.empty()) {
           Respond(conn, MessageType::kError, id,
-                  EncodeErrorResult(format.status()));
+                  EncodeErrorResult(
+                      Status::ParseError("metrics: unexpected payload")));
           return;
         }
         if (!instrumented()) {
@@ -628,7 +610,6 @@ class ServiceServer::Impl {
         job.conn = conn;
         job.request_id = id;
         job.type = MessageType::kMetrics;
-        job.metrics_format = *format;
         EnqueueRead(std::move(job));
         return;
       }
@@ -992,7 +973,7 @@ class ServiceServer::Impl {
         any = true;
       }
     }
-    // Merge group: at most ONE Apply/ApplyBatch frame per connection
+    // Merge group: at most ONE ApplyBatch frame per connection
     // (the earliest queued), bounded by kMaxCoalescedEvents. Merging
     // across connections is the whole point — it amortizes the sharded
     // fan-out and group commit — while one-frame-per-connection keeps
@@ -1073,8 +1054,7 @@ class ServiceServer::Impl {
       IngestJob& job = (*group)[i];
       offsets[i] = merged_.size();
       const uint64_t t_decode = instrumented() ? MonotonicNowNs() : 0;
-      Status decoded =
-          DecodeApplyEventsInto(job.type, job.payload, &merged_);
+      Status decoded = DecodeApplyEventsInto(job.payload, &merged_);
       if (!decoded.ok()) {
         merged_.resize(offsets[i]);
         Respond(job.conn, MessageType::kError, job.request_id,
@@ -1138,8 +1118,6 @@ class ServiceServer::Impl {
       return;
     }
 
-    ++round_;
-
     if (instrumented()) {
       // Durable-ack span: the pipelined coalescer acks before the fsync
       // lands, so "how long until this batch's records were actually
@@ -1155,28 +1133,30 @@ class ServiceServer::Impl {
       }
     }
 
-    // Demux decisions back to their frames by offset, and route alerts
-    // by subject: an alert belongs to the first frame of this merge
-    // that touched its subject. Alerts for subjects no frame touched
-    // (e.g. raised by an earlier ApplyFix whose subject went quiet) are
-    // parked with a bounded deadline — see RouteAlerts.
+    // Demux decisions back to their frames by offset. Every alert this
+    // apply drained rides this merge: to the first frame that touched
+    // its subject, else (an alert already pending before the merge — a
+    // Tick before Start() or one recovery replay raised) to the first
+    // live frame.
     std::unordered_map<SubjectId, size_t> owner;
-    std::unordered_map<const Connection*, size_t> conn_index;
     size_t first_live = n;
     for (size_t i = 0; i < n; ++i) {
       if (!live[i]) continue;
       if (first_live == n) first_live = i;
-      conn_index.emplace((*group)[i].conn.get(), i);
-      const size_t end =
-          i + 1 < n ? offsets[i + 1] : merged_.size();
+      const size_t end = i + 1 < n ? offsets[i + 1] : merged_.size();
       for (size_t e = offsets[i]; e < end; ++e) {
         owner.emplace(merged_[e].subject, i);
-        last_toucher_[merged_[e].subject] = (*group)[i].conn;
       }
     }
-
     std::vector<std::vector<Alert>> routed(n);
-    RouteAlerts(owner, conn_index, first_live, &result->alerts, &routed);
+    size_t unowned = 0;
+    for (Alert& alert : result->alerts) {
+      auto it = owner.find(alert.subject);
+      if (it == owner.end()) ++unowned;
+      routed[it == owner.end() ? first_live : it->second].push_back(
+          std::move(alert));
+    }
+    CountUnownedAlerts(unowned);
 
     for (size_t i = 0; i < n; ++i) {
       if (!live[i]) continue;
@@ -1190,11 +1170,9 @@ class ServiceServer::Impl {
       SortAlerts(&wire.alerts);
       wire.durability = result->durability;
       wire.watermark = result->watermark;
-      const MessageType type = job.type == MessageType::kApply
-                                   ? MessageType::kApplyResult
-                                   : MessageType::kBatchResult;
       const uint64_t t_write = instrumented() ? MonotonicNowNs() : 0;
-      Respond(job.conn, type, job.request_id, EncodeBatchResult(wire));
+      Respond(job.conn, MessageType::kBatchResult, job.request_id,
+              EncodeBatchResult(wire));
       if (t_write != 0) {
         const uint64_t done = MonotonicNowNs();
         const uint64_t write_ns = done - t_write;
@@ -1267,80 +1245,27 @@ class ServiceServer::Impl {
     }
   }
 
-  /// Routes this merge's fresh alerts and the parked backlog. Exact
-  /// subject attribution when a frame of the merge touched the subject;
-  /// otherwise the alert is parked and delivered on a bounded deadline:
-  /// to the subject's last toucher as soon as that connection has a
-  /// frame in a merge, or to ANY frame once a full round has passed.
-  void RouteAlerts(const std::unordered_map<SubjectId, size_t>& owner,
-                   const std::unordered_map<const Connection*, size_t>&
-                       conn_index,
-                   size_t first_live, std::vector<Alert>* fresh,
-                   std::vector<std::vector<Alert>>* routed) {
-    size_t stranded = 0;
-    std::vector<PendingAlert> still_pending;
-    for (PendingAlert& pa : pending_alerts_) {
-      auto it = owner.find(pa.alert.subject);
-      if (it != owner.end()) {
-        (*routed)[it->second].push_back(std::move(pa.alert));
-        continue;  // A frame touched the subject: exact, not stranded.
-      }
-      if (ConnectionPtr pref = pa.preferred.lock()) {
-        auto ci = conn_index.find(pref.get());
-        if (ci != conn_index.end()) {
-          (*routed)[ci->second].push_back(std::move(pa.alert));
-          ++stranded;
-          continue;
-        }
-      }
-      if (pa.parked_round < round_) {
-        // Waited a full round with no better carrier: any frame will do.
-        (*routed)[first_live].push_back(std::move(pa.alert));
-        ++stranded;
-        continue;
-      }
-      still_pending.push_back(std::move(pa));
-    }
-    pending_alerts_ = std::move(still_pending);
-    for (Alert& alert : *fresh) {
-      auto it = owner.find(alert.subject);
-      if (it != owner.end()) {
-        (*routed)[it->second].push_back(std::move(alert));
-        continue;
-      }
-      PendingAlert pa;
-      pa.parked_round = round_;
-      auto lt = last_toucher_.find(alert.subject);
-      if (lt != last_toucher_.end()) pa.preferred = lt->second;
-      pa.alert = std::move(alert);
-      pending_alerts_.push_back(std::move(pa));
-    }
-    if (stranded > 0) {
-      std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
-      coalescer_stats_.stranded_alerts_delivered += stranded;
-    }
+  /// Counts alerts a response carried without its frame touching their
+  /// subject (CoalescerStats::stranded_alerts_delivered).
+  void CountUnownedAlerts(size_t unowned) {
+    if (unowned == 0) return;
+    std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
+    coalescer_stats_.stranded_alerts_delivered += unowned;
   }
 
+  /// The fix response carries every alert its drain returned.
   void ProcessFix(const IngestJob& job) {
     WireFixResult wire;
     {
       std::unique_lock<std::shared_mutex> lock(runtime_mu_);
       wire.status = runtime_->ApplyFix(job.fix);
-      std::vector<Alert> alerts = runtime_->DrainAlerts();
-      for (Alert& alert : alerts) {
-        if (alert.subject == job.fix.subject) {
-          wire.alerts.push_back(std::move(alert));
-        } else {
-          // Orphaned by this fix: prefer its connection as the carrier.
-          PendingAlert pa;
-          pa.parked_round = round_;
-          pa.preferred = job.conn;
-          pa.alert = std::move(alert);
-          pending_alerts_.push_back(std::move(pa));
-        }
-      }
+      wire.alerts = runtime_->DrainAlerts();
     }
-    last_toucher_[job.fix.subject] = job.conn;
+    size_t unowned = 0;
+    for (const Alert& alert : wire.alerts) {
+      if (alert.subject != job.fix.subject) ++unowned;
+    }
+    CountUnownedAlerts(unowned);
     Respond(job.conn, MessageType::kFixResult, job.request_id,
             EncodeFixResult(wire));
   }
@@ -1359,49 +1284,9 @@ class ServiceServer::Impl {
     }
   }
 
-  // --- Shutdown tail ---------------------------------------------------------
-
-  /// Delivers whatever pending_alerts_ still holds as kAlertPush frames
-  /// (request_id 0): each alert goes to its preferred connection when
-  /// that socket is still live, else to the first live connection. Only
-  /// when NO connection survives is an alert truly undeliverable.
-  void DrainStrandedAlerts() {
-    if (pending_alerts_.empty()) return;
-    ConnectionPtr fallback;
-    for (const auto& [fd, conn] : connections_) {
-      if (!conn->dead.load(std::memory_order_acquire)) {
-        fallback = conn;
-        break;
-      }
-    }
-    std::unordered_map<Connection*, std::vector<Alert>> buckets;
-    std::unordered_map<Connection*, ConnectionPtr> keepalive;
-    size_t delivered = 0;
-    for (PendingAlert& pa : pending_alerts_) {
-      ConnectionPtr target = pa.preferred.lock();
-      if (!target || target->dead.load(std::memory_order_acquire)) {
-        target = fallback;
-      }
-      if (!target) continue;  // No live connection at all.
-      keepalive.emplace(target.get(), target);
-      buckets[target.get()].push_back(std::move(pa.alert));
-      ++delivered;
-    }
-    pending_alerts_.clear();
-    for (auto& [raw, alerts] : buckets) {
-      SortAlerts(&alerts);
-      Respond(keepalive[raw], MessageType::kAlertPush, 0,
-              EncodeAlertPush(alerts));
-    }
-    if (delivered > 0) {
-      std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
-      coalescer_stats_.stranded_alerts_delivered += delivered;
-    }
-  }
-
   /// Best-effort blocking flush of every surviving connection's buffer
-  /// (bounded by a send timeout) so final responses and alert pushes
-  /// actually reach peers before the sockets close.
+  /// (bounded by a send timeout) so final responses actually reach
+  /// peers before the sockets close.
   void FinalFlush() {
     for (const auto& [fd, conn] : connections_) {
       std::lock_guard<std::mutex> lock(conn->out_mu);
@@ -1460,9 +1345,7 @@ class ServiceServer::Impl {
         // a scrape can never stall behind (or stall) the coalescer.
         const MetricsSnapshot snapshot = options_.metrics->Snapshot();
         Respond(job.conn, MessageType::kMetricsResult, job.request_id,
-                job.metrics_format == kMetricsFormatText
-                    ? ToPrometheusText(snapshot)
-                    : EncodeMetricsResult(snapshot));
+                EncodeMetricsResult(snapshot));
         continue;
       }
       const uint64_t t_query = instrumented() ? MonotonicNowNs() : 0;
@@ -1532,9 +1415,6 @@ class ServiceServer::Impl {
   std::vector<IngestJob> draining_;  // Swapped with ingest_queue_.
   std::vector<IngestJob> group_;
   std::vector<AccessEvent> merged_;
-  uint64_t round_ = 0;
-  std::vector<PendingAlert> pending_alerts_;
-  std::unordered_map<SubjectId, std::weak_ptr<Connection>> last_toucher_;
 
   // Telemetry (all coalescer-thread-only except the registry handles,
   // which are internally synchronized). Handles resolved once in the

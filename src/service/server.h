@@ -10,18 +10,18 @@
 //    that accepts connections and owns every socket's reads and epoll
 //    interest. Each read lands in the connection's FrameAssembler,
 //    which hands out complete frames with owned payloads: the I/O
-//    thread validates an Apply/ApplyBatch payload's shape in O(1)
-//    (count vs size), never decodes the events, and queues the payload
-//    for the coalescer. Response bytes are written directly from
-//    whichever thread produced them when the socket is writable (the
-//    common loopback case); only a short write falls back to the
-//    loop's EPOLLOUT.
+//    thread validates an ApplyBatch payload's shape in O(1) (count vs
+//    size), never decodes the events, and queues the payload for the
+//    coalescer. Response bytes are written directly from whichever
+//    thread produced them when the socket is writable (the common
+//    loopback case); only a short write falls back to the loop's
+//    EPOLLOUT.
 //  - the ingest coalescer: ONE thread that owns event application. It
 //    swaps out the ingest queue the I/O thread pushes to (one producer,
 //    so the queue's push order is already per-connection FIFO) and
-//    merges Apply/ApplyBatch frames — at most one per connection per
-//    round, each frame's events contiguous and in order, so per-subject
-//    time order within a connection is preserved — into a single
+//    merges ApplyBatch frames — at most one per connection per round,
+//    each frame's events contiguous and in order, so per-subject time
+//    order within a connection is preserved — into a single
 //    AccessRuntime::ApplyBatch call. The merge is also where the ONE
 //    event decode happens, straight from the queued payloads into the
 //    reused merge buffer. Decisions are demultiplexed back to their
@@ -42,13 +42,14 @@
 // coalescer is FIFO per connection) but reads may overtake writes; every
 // response echoes its request_id, so pipelined clients demultiplex by id.
 //
-// Alert delivery guarantee: an alert whose subject no in-flight frame
-// touched (e.g. raised by a Tick or an ApplyFix for an idle subject) is
-// held, then attached to the next merged response — preferring the
-// connection that most recently touched that subject, falling back to
-// any frame of the merge after one coalescer round — and whatever is
-// still held at Stop() is pushed to a live connection as a kAlertPush
-// frame before the sockets close. No alert is silently dropped.
+// Alert delivery: every alert rides the response of the frame whose
+// application drained it, so the server holds no alert from one
+// coalescer round to the next. Within a merged batch that is the first
+// frame that touched the alert's subject, else the merge's first live
+// frame (an alert already pending before the merge: a Tick before
+// Start(), or one recovery replay raised). An ApplyFix response carries
+// every alert its drain returned. Alerts pending while no frame arrives
+// stay in the runtime's buffer until one does.
 //
 // Commit pipelining (RuntimeOptions::durability, ltam_serve
 // --sync-mode=pipelined): ApplyBatch on a pipelined runtime
@@ -139,10 +140,9 @@ struct CoalescerStats {
   /// exceeded ServerOptions::max_connection_queued_events (the global
   /// max_queued_events refusals are not counted here).
   size_t connection_quota_refusals = 0;
-  /// Alerts no response could carry by subject, delivered via the
-  /// bounded-deadline fallback or the shutdown alert-push drain (see
-  /// the alert delivery guarantee above). Zero means every alert was
-  /// attributed exactly.
+  /// Alerts a response carried without its frame touching their
+  /// subject (see the alert delivery note above). Zero means every
+  /// alert was attributed exactly.
   size_t stranded_alerts_delivered = 0;
 };
 
@@ -162,8 +162,7 @@ class ServiceServer {
   Status Start();
 
   /// Stops accepting, drains the ingest queue (queued frames still get
-  /// their responses), pushes any still-held alerts to a live
-  /// connection, flushes what the sockets will take, closes every
+  /// their responses), flushes what the sockets will take, closes every
   /// connection, and joins all threads. Idempotent.
   void Stop();
 

@@ -98,6 +98,17 @@ Result<int64_t> ParseInt64(std::string_view s) {
   return static_cast<int64_t>(v);
 }
 
+Result<int64_t> ParseInt64InRange(std::string_view s, int64_t lo,
+                                  int64_t hi) {
+  Result<int64_t> parsed = ParseInt64(s);
+  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
+    return Status::InvalidArgument(StrFormat(
+        "'%s' is not a number in %lld..%lld", std::string(s).c_str(),
+        static_cast<long long>(lo), static_cast<long long>(hi)));
+  }
+  return *parsed;
+}
+
 Result<double> ParseDouble(std::string_view s) {
   std::string buf = Trim(s);
   if (buf.empty()) return Status::ParseError("empty float literal");

@@ -39,6 +39,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// Parses a signed 64-bit integer; the whole string must be consumed.
 Result<int64_t> ParseInt64(std::string_view s);
 
+/// ParseInt64 plus a range: the value must lie in [lo, hi].
+/// InvalidArgument naming the range otherwise.
+Result<int64_t> ParseInt64InRange(std::string_view s, int64_t lo, int64_t hi);
+
 /// Parses a double; the whole string must be consumed.
 Result<double> ParseDouble(std::string_view s);
 

@@ -309,7 +309,7 @@ TEST_F(ReplicationTest, ReplicaCatchesUpServesReadsAndRefusesWrites) {
   EXPECT_NE(refused.status().ToString().find("primary"), std::string::npos)
       << "the refusal must redirect to the primary, got: "
       << refused.status().ToString();
-  Result<WireBatchResult> single = replica_client->Apply(batches[0][0]);
+  Result<WireBatchResult> single = replica_client->ApplyBatch({batches[0][0]});
   ASSERT_FALSE(single.ok());
   EXPECT_TRUE(single.status().IsFailedPrecondition())
       << single.status().ToString();
@@ -450,7 +450,7 @@ TEST_F(ReplicationTest, ClientFollowsStructuredPrimaryRedirect) {
 
   // The client now talks to the primary directly: further writes do not
   // redirect again, and Stats reports the primary role.
-  ASSERT_OK(client->Apply(batches[1][0]).status());
+  ASSERT_OK(client->ApplyBatch({batches[1][0]}).status());
   EXPECT_EQ(1u, client->client_stats().redirects_followed);
   ASSERT_OK_AND_ASSIGN(RuntimeStats role, client->Stats());
   EXPECT_FALSE(role.replica);

@@ -646,36 +646,18 @@ SystemState AlertState(SubjectId* alice, SubjectId* bob, LocationId* a,
   return state;
 }
 
-TEST_F(ServiceLoopbackTest, StrandedAlertsAreDeliveredOnDeadline) {
-  // The stranded-alert bugfix: an alert whose subject no in-flight
-  // frame touches used to park in the coalescer forever. Here Alice's
-  // overstay alert is raised by a pre-serve Tick, and the only client
-  // only ever sends Bob's events — yet the alert must surface on that
-  // client's next response after one coalescer round, not vanish.
+TEST_F(ServiceLoopbackTest, UnownedAlertsRideTheFirstResponseThatDrainsThem) {
+  // An alert whose subject no frame touches rides the response of the
+  // first frame whose application drains it. Here Alice's overstay
+  // alert is raised by a pre-serve Tick, and the only client only ever
+  // sends Bob's events — yet the alert must surface on that client's
+  // first response, a batch's or a fix's alike: the server holds no
+  // alert from one coalescer round to the next.
   SubjectId alice, bob;
   LocationId a, b;
   SystemState state = AlertState(&alice, &bob, &a, &b);
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
-                       AccessRuntime::Open(state, RuntimeOptions{}));
-  std::vector<AccessEvent> enter;
-  enter.push_back(AccessEvent::Entry(10, alice, a));
-  ASSERT_OK(rt->ApplyBatch(enter).status());
-  ASSERT_OK(rt->Tick(50));  // Past Alice's exit window: overstay buffered.
-
-  ServiceServer server(rt.get(), ServerOptions{});
-  ASSERT_OK(server.Start());
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<ServiceClient> client,
-      ServiceClient::Connect("127.0.0.1", server.bound_port()));
-
-  // Batch 1 (Bob only) drains the runtime's buffer; Alice's alert has
-  // no frame to ride, so the server parks it.
-  std::vector<AccessEvent> first;
-  first.push_back(AccessEvent::Entry(60, bob, b));
-  ASSERT_OK_AND_ASSIGN(WireBatchResult r1, client->ApplyBatch(first));
-
-  // Batch 2 (still Bob only): the parked alert has now waited a full
-  // coalescer round, so the deadline fallback attaches it here.
+  // The fix phase's position resolver needs a boundary (b is A too).
+  ASSERT_OK(state.graph.SetBoundary(a, Polygon::Rect(0, 0, 10, 10)));
   auto has_overstay = [&](const std::vector<Alert>& alerts) {
     for (const Alert& alert : alerts) {
       if (alert.type == AlertType::kOverstay && alert.subject == alice) {
@@ -684,63 +666,59 @@ TEST_F(ServiceLoopbackTest, StrandedAlertsAreDeliveredOnDeadline) {
     }
     return false;
   };
-  bool overstay = has_overstay(r1.alerts);
-  for (int attempt = 0; attempt < 3 && !overstay; ++attempt) {
-    std::vector<AccessEvent> next;
-    next.push_back(
-        AccessEvent::Observe(static_cast<Chronon>(61 + attempt), bob, b));
-    ASSERT_OK_AND_ASSIGN(WireBatchResult rn, client->ApplyBatch(next));
-    overstay = has_overstay(rn.alerts);
+
+  {
+    SCOPED_TRACE("batch");
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                         AccessRuntime::Open(state, RuntimeOptions{}));
+    std::vector<AccessEvent> enter;
+    enter.push_back(AccessEvent::Entry(10, alice, a));
+    ASSERT_OK(rt->ApplyBatch(enter).status());
+    ASSERT_OK(rt->Tick(50));  // Past Alice's exit window: overstay buffered.
+
+    ServiceServer server(rt.get(), ServerOptions{});
+    ASSERT_OK(server.Start());
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<ServiceClient> client,
+        ServiceClient::Connect("127.0.0.1", server.bound_port()));
+
+    // Batch 1 (Bob only) drains the runtime's buffer, so it carries
+    // Alice's alert.
+    std::vector<AccessEvent> first;
+    first.push_back(AccessEvent::Entry(60, bob, b));
+    ASSERT_OK_AND_ASSIGN(WireBatchResult r1, client->ApplyBatch(first));
+    EXPECT_TRUE(has_overstay(r1.alerts))
+        << "the first response lacks Alice's overstay alert";
+    EXPECT_EQ(1u, server.coalescer_stats().stranded_alerts_delivered);
+    server.Stop();
   }
-  EXPECT_TRUE(overstay) << "Alice's overstay alert was never delivered";
-  EXPECT_GE(server.coalescer_stats().stranded_alerts_delivered, 1u);
-  server.Stop();
-}
 
-TEST_F(ServiceLoopbackTest, ShutdownDrainsStrandedAlertsAsAlertPush) {
-  // The tail of the delivery guarantee: an alert still parked when the
-  // server stops is pushed to a live connection as a kAlertPush frame
-  // instead of dying with the coalescer.
-  SubjectId alice, bob;
-  LocationId a, b;
-  SystemState state = AlertState(&alice, &bob, &a, &b);
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
-                       AccessRuntime::Open(state, RuntimeOptions{}));
-  std::vector<AccessEvent> enter;
-  enter.push_back(AccessEvent::Entry(10, alice, a));
-  ASSERT_OK(rt->ApplyBatch(enter).status());
-  ASSERT_OK(rt->Tick(50));
+  {
+    SCOPED_TRACE("fix");
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                         AccessRuntime::Open(state, RuntimeOptions{}));
+    std::vector<AccessEvent> enter;
+    enter.push_back(AccessEvent::Entry(10, alice, a));
+    enter.push_back(AccessEvent::Entry(12, bob, b));
+    ASSERT_OK(rt->ApplyBatch(enter).status());
+    ASSERT_OK(rt->Tick(50));
 
-  ServiceServer server(rt.get(), ServerOptions{});
-  ASSERT_OK(server.Start());
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<ServiceClient> client,
-      ServiceClient::Connect("127.0.0.1", server.bound_port()));
+    ServiceServer server(rt.get(), ServerOptions{});
+    ASSERT_OK(server.Start());
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<ServiceClient> client,
+        ServiceClient::Connect("127.0.0.1", server.bound_port()));
 
-  // One Bob-only batch parks Alice's alert; then the server stops with
-  // the alert still held.
-  std::vector<AccessEvent> first;
-  first.push_back(AccessEvent::Entry(60, bob, b));
-  ASSERT_OK_AND_ASSIGN(WireBatchResult r1, client->ApplyBatch(first));
-  server.Stop();
-
-  bool overstay = false;
-  for (const Alert& alert : r1.alerts) {
-    if (alert.type == AlertType::kOverstay && alert.subject == alice) {
-      overstay = true;  // Delivered even earlier than required: fine.
-    }
+    // Bob's fix resolves inside A: an observation that agrees with his
+    // recorded stay. Its drain returns Alice's alert too.
+    ASSERT_OK_AND_ASSIGN(WireFixResult fixed,
+                         client->ApplyFix({60, bob, {3, 3}}));
+    ASSERT_OK(fixed.status);
+    EXPECT_TRUE(has_overstay(fixed.alerts))
+        << "the fix response lacks Alice's overstay alert";
+    EXPECT_EQ(1u, server.coalescer_stats().stranded_alerts_delivered);
+    server.Stop();
   }
-  if (!overstay) {
-    ASSERT_OK_AND_ASSIGN(std::vector<Alert> pushed,
-                         client->ReceiveAlertPush());
-    for (const Alert& alert : pushed) {
-      if (alert.type == AlertType::kOverstay && alert.subject == alice) {
-        overstay = true;
-      }
-    }
-  }
-  EXPECT_TRUE(overstay) << "the shutdown drain lost Alice's alert";
-  EXPECT_GE(server.coalescer_stats().stranded_alerts_delivered, 1u);
 }
 
 TEST_F(ServiceLoopbackTest, StatsCarryPerShardWatermarks) {
@@ -865,7 +843,7 @@ TEST_F(ServiceLoopbackTest, MetricsReconcileWithFramesSentOverTheWire) {
   // the read worker times the run either way).
   (void)scraper->Query("WHERE WAS u0 AT 60");
   ASSERT_OK_AND_ASSIGN(MetricsSnapshot snapshot, scraper->Metrics());
-  ASSERT_OK_AND_ASSIGN(std::string text, scraper->MetricsText());
+  const std::string text = ToPrometheusText(snapshot);
   server.Stop();
 
   auto histogram = [&](const std::string& name) -> const LatencyHistogram& {

@@ -62,7 +62,6 @@ AccessEvent RandomEvent(Rng* rng) {
 
 /// Every decoder in one place, so fuzz loops can hammer them all.
 void DecodeEverything(const std::string& payload) {
-  (void)DecodeApplyRequest(payload);
   (void)DecodeApplyBatchRequest(payload);
   (void)DecodeApplyFixRequest(payload);
   (void)DecodeQueryRequest(payload);
@@ -78,7 +77,6 @@ void DecodeEverything(const std::string& payload) {
   (void)DecodeWatermarkAdvance(payload);
   (void)DecodeRepointRequest(payload);
   (void)DecodePromoteResult(payload);
-  (void)DecodeMetricsRequest(payload);
   (void)DecodeMetricsResult(payload);
 }
 
@@ -87,10 +85,11 @@ void DecodeEverything(const std::string& payload) {
 TEST(ServiceProtocolTest, EventPayloadsRoundTrip) {
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
-    AccessEvent event = RandomEvent(&rng);
-    ASSERT_OK_AND_ASSIGN(AccessEvent decoded,
-                         DecodeApplyRequest(EncodeApplyRequest(event)));
-    EXPECT_EQ(event.ToString(), decoded.ToString());
+    const std::vector<AccessEvent> one = {RandomEvent(&rng)};
+    ASSERT_OK_AND_ASSIGN(std::vector<AccessEvent> decoded,
+                         DecodeApplyBatchRequest(EncodeApplyBatchRequest(one)));
+    ASSERT_EQ(1u, decoded.size());
+    EXPECT_EQ(one[0].ToString(), decoded[0].ToString());
   }
   std::vector<AccessEvent> batch;
   for (int i = 0; i < 200; ++i) batch.push_back(RandomEvent(&rng));
@@ -232,28 +231,6 @@ TEST(ServiceProtocolTest, StatsShardWatermarksRoundTrip) {
   EXPECT_FALSE(DecodeStatsResult(EncodeStatsResult(stats)).ok());
 }
 
-TEST(ServiceProtocolTest, AlertPushRoundTrips) {
-  std::vector<Alert> alerts;
-  alerts.push_back(Alert{30, 2, 5, AlertType::kOverstay, "stay expired"});
-  alerts.push_back(Alert{31, 3, kInvalidLocation, AlertType::kEarlyExit, ""});
-  ASSERT_OK_AND_ASSIGN(std::vector<Alert> decoded,
-                       DecodeAlertPush(EncodeAlertPush(alerts)));
-  ASSERT_EQ(alerts.size(), decoded.size());
-  for (size_t i = 0; i < alerts.size(); ++i) {
-    EXPECT_EQ(alerts[i].ToString(), decoded[i].ToString());
-  }
-  // An empty push is a legal (if pointless) frame.
-  ASSERT_OK_AND_ASSIGN(decoded,
-                       DecodeAlertPush(EncodeAlertPush(std::vector<Alert>{})));
-  EXPECT_TRUE(decoded.empty());
-  // Truncations never parse.
-  const std::string payload = EncodeAlertPush(alerts);
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(DecodeAlertPush(payload.substr(0, cut)).ok());
-  }
-  EXPECT_FALSE(DecodeAlertPush(payload + 'x').ok());
-}
-
 // --- Replication payloads (v4) -----------------------------------------------
 
 TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
@@ -392,19 +369,6 @@ TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
 // --- Metrics payloads (v5) ---------------------------------------------------
 
 TEST(ServiceProtocolTest, MetricsPayloadsRoundTrip) {
-  ASSERT_OK_AND_ASSIGN(
-      uint8_t format,
-      DecodeMetricsRequest(EncodeMetricsRequest(kMetricsFormatStructured)));
-  EXPECT_EQ(kMetricsFormatStructured, format);
-  ASSERT_OK_AND_ASSIGN(
-      format, DecodeMetricsRequest(EncodeMetricsRequest(kMetricsFormatText)));
-  EXPECT_EQ(kMetricsFormatText, format);
-  // Unknown format bytes are refused at decode, not interpreted.
-  std::string bad_format = EncodeMetricsRequest(kMetricsFormatText);
-  bad_format[0] = 7;
-  EXPECT_FALSE(DecodeMetricsRequest(bad_format).ok());
-  EXPECT_FALSE(DecodeMetricsRequest("").ok());
-
   MetricsSnapshot snapshot;
   snapshot.counters = {{"ingest.events", 12345}, {"ingest.frames", 99}};
   snapshot.gauges = {{"replication.replica.3.lag_records", -2},
@@ -432,6 +396,9 @@ TEST(ServiceProtocolTest, MetricsPayloadsRoundTrip) {
     EXPECT_EQ(a.p999(), b.p999());
     EXPECT_EQ(a.NonZeroBuckets(), b.NonZeroBuckets());
   }
+  // Clients render the text exposition from the decoded snapshot, so it
+  // must match the rendering of the snapshot the server encoded.
+  EXPECT_EQ(ToPrometheusText(snapshot), ToPrometheusText(decoded));
 
   // Truncation at every byte boundary, and strict consumption.
   const std::string payload = EncodeMetricsResult(snapshot);
@@ -496,6 +463,21 @@ TEST(ServiceProtocolTest, HeaderRejectsMalformedFields) {
   EXPECT_FALSE(decode(huge_length).ok());
 }
 
+TEST(ServiceProtocolTest, HeaderRefusesRetiredTypeCodes) {
+  // v7 retired apply (2), apply-result (33) and alert-push (40). The
+  // last two sit inside the response range, so only an explicit list
+  // of assigned codes refuses them.
+  std::string frame = EncodeFrame(MessageType::kPing, 7, "");
+  for (const uint8_t code : {2, 33, 40}) {
+    frame[5] = static_cast<char>(code);
+    EXPECT_FALSE(DecodeFrameHeader(
+                     reinterpret_cast<const uint8_t*>(frame.data()),
+                     frame.size())
+                     .ok())
+        << "type code " << static_cast<int>(code);
+  }
+}
+
 TEST(ServiceProtocolTest, PayloadDecodersRejectCorruption) {
   // Truncation at every byte boundary: never OK with trailing intent,
   // never a crash.
@@ -519,9 +501,9 @@ TEST(ServiceProtocolTest, PayloadDecodersRejectCorruption) {
   EXPECT_FALSE(DecodeApplyBatchRequest(lying).ok());
 
   // Enum fields outside their ranges are errors, not casts.
-  std::string bad_kind = EncodeApplyRequest(batch[0]);
-  bad_kind[0] = 9;
-  EXPECT_FALSE(DecodeApplyRequest(bad_kind).ok());
+  std::string bad_kind = EncodeApplyBatchRequest({batch[0]});
+  bad_kind[4] = 9;  // count, then the event's kind byte.
+  EXPECT_FALSE(DecodeApplyBatchRequest(bad_kind).ok());
 
   WireBatchResult result;
   result.decisions.push_back(Decision::Grant(1));
@@ -737,7 +719,6 @@ TEST_P(ServiceProtocolFuzzTest, PayloadDecodersNeverCrash) {
   for (int i = 0; i < 20; ++i) hist.Record(100 + i * 53);
   snapshot.histograms = {{"ingest.apply", hist}};
   const std::string seeds[] = {
-      EncodeApplyRequest(batch[0]),
       EncodeApplyBatchRequest(batch),
       EncodeApplyFixRequest({1, 2, {3.0, 4.0}}),
       EncodeQueryRequest("OCCUPANTS OF CAIS AT 10"),
@@ -752,7 +733,6 @@ TEST_P(ServiceProtocolFuzzTest, PayloadDecodersNeverCrash) {
       EncodeWatermarkAdvance(advance),
       EncodeRepointRequest({"replica-2.internal", 7411}),
       EncodePromoteResult(3),
-      EncodeMetricsRequest(kMetricsFormatStructured),
       EncodeMetricsResult(snapshot),
   };
   for (int i = 0; i < 400; ++i) {

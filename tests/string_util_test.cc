@@ -61,6 +61,19 @@ TEST(ParseInt64Test, ParsesAndRejects) {
   EXPECT_TRUE(ParseInt64("99999999999999999999").status().IsParseError());
 }
 
+TEST(ParseInt64InRangeTest, AcceptsOnlyWholeNumbersInRange) {
+  EXPECT_EQ(*ParseInt64InRange("1", 1, 256), 1);
+  EXPECT_EQ(*ParseInt64InRange("256", 1, 256), 256);
+  EXPECT_TRUE(ParseInt64InRange("0", 1, 256).status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64InRange("257", 1, 256).status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64InRange("2x", 1, 256).status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64InRange("abc", 1, 256).status().IsInvalidArgument());
+  EXPECT_TRUE(ParseInt64InRange("", 1, 256).status().IsInvalidArgument());
+  // The refusal names the value and the range.
+  EXPECT_EQ("'2x' is not a number in 1..256",
+            ParseInt64InRange("2x", 1, 256).status().message());
+}
+
 TEST(ParseDoubleTest, ParsesAndRejects) {
   EXPECT_DOUBLE_EQ(*ParseDouble("2.5"), 2.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-1e3"), -1000.0);
