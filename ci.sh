@@ -13,7 +13,10 @@
 #                      # durable server with retention that must recover
 #                      # cleanly after SIGTERM, a kill -9 crash round
 #                      # whose two relaunches must answer the same
-#                      # history, and inputs that must be refused: a
+#                      # history, checks that each boot commits at most
+#                      # one checkpoint (a fresh boot leaves MANIFEST at
+#                      # epoch 0, a crash relaunch adds exactly one), and
+#                      # inputs that must be refused: a
 #                      # removed-layout (state.snap) directory and bad
 #                      # flag values (out-of-range --port, malformed
 #                      # numbers, the removed interval sync mode)
@@ -225,6 +228,18 @@ EOF
       --rate=500 --duration-s=1 --connections=2 > /dev/null \
       || { echo "service: durable ingest burst failed ($1)" >&2; kill "$server_pid"; exit 1; }
   }
+  # The committed checkpoint epoch of directory $1: the third field of
+  # the MANIFEST header ("manifest<TAB>version<TAB>epoch<TAB>shards").
+  manifest_epoch() {
+    awk -F'\t' 'NR == 1 && $1 == "manifest" { print $3 }' "$1/MANIFEST"
+  }
+  # Demands that directory $1 sits at epoch $2 ($3 names the boot).
+  expect_epoch() {
+    local got
+    got="$(manifest_epoch "$1")"
+    [ "$got" = "$2" ] \
+      || { echo "service: $3 left MANIFEST at epoch '$got', expected $2" >&2; kill "$server_pid"; exit 1; }
+  }
   # SIGTERM, then demand a clean exit through the shutdown path.
   stop_durable() {
     kill -TERM "$server_pid"
@@ -236,20 +251,28 @@ EOF
   }
   # Boot, take the same ingest burst, SIGTERM, then relaunch on the same
   # directory and demand a clean recovery boot and a clean second
-  # shutdown.
-  local durable_dir boot
+  # shutdown. The fresh boot commits one cut, epoch 0 (the scenario's
+  # rules are derived before the runtime opens); the relaunch finds the
+  # logs empty after the SIGTERM checkpoint and commits none.
+  local durable_dir boot epoch
   durable_dir="$(mktemp -d)"
   for boot in first relaunch; do
     start_durable "$durable_dir" "$boot"
     if [ "$boot" = first ]; then
+      expect_epoch "$durable_dir" 0 "the fresh boot"
       durable_burst "$boot"
+    else
+      expect_epoch "$durable_dir" "$epoch" "the clean relaunch"
     fi
     stop_durable "$boot"
+    epoch="$(manifest_epoch "$durable_dir")"
   done
   rm -rf "$durable_dir"
   # Crash round on a fresh directory: the same server takes the ingest
-  # burst and is kill -9'd, then relaunches twice. Every boot re-derives
-  # the scripted rules, which checkpoints, so the second relaunch must
+  # burst and is kill -9'd, then relaunches twice. The first relaunch
+  # replays the logged burst and commits exactly one recovery cut; that
+  # cut (and the SIGTERM checkpoint after it) must keep the tail, so the
+  # second relaunch, which finds empty logs and commits no cut, must
   # answer exactly the pre-crash history the first one recovered.
   history_sweep() {
     { printf 'connect 127.0.0.1:%d\n' "$1"
@@ -268,10 +291,17 @@ EOF
   kill -9 "$server_pid"
   wait "$server_pid" 2>/dev/null || true
   rm -f "$log"
+  epoch="$(manifest_epoch "$crash_dir")"
   for boot in relaunch-1 relaunch-2; do
     start_durable "$crash_dir" "$boot"
+    if [ "$boot" = relaunch-1 ]; then
+      expect_epoch "$crash_dir" "$((epoch + 1))" "$boot"
+    else
+      expect_epoch "$crash_dir" "$epoch" "$boot"
+    fi
     sweep="$(history_sweep "$port")"
     stop_durable "$boot"
+    epoch="$(manifest_epoch "$crash_dir")"
     grep -Eq '^[0-9]+ *\|' <<< "$sweep" \
       || { echo "service: $boot answered no history rows: $sweep" >&2; exit 1; }
     if [ -z "$first_sweep" ]; then

@@ -1,11 +1,21 @@
 // Copyright 2026 The LTAM Authors.
 //
 // ltam_serve: the LTAM enforcement runtime as a network service. Loads
-// a policy script (or the built-in demo policy) into an AccessRuntime,
-// derives the scripted rules, and serves the wire protocol on TCP:
-// remote clients stream access events (coalesced across connections
-// into shared batches) and movement queries, and get back the same
-// decisions, alerts, and answers a local caller would see.
+// a policy script (or the built-in demo policy, or a load-scenario
+// world), derives the scripted rules into it, opens an AccessRuntime
+// over it, and serves the wire protocol on TCP: remote clients stream
+// access events (coalesced across connections into shared batches) and
+// movement queries, and get back the same decisions, alerts, and
+// answers a local caller would see.
+//
+// A boot commits at most one checkpoint. A fresh durable directory is
+// cut once, as epoch 0, with the rules already derived; a recovered
+// directory keeps the rules, derived authorizations and spent entries
+// its snapshot carries, and commits one recovery cut only if its logs
+// held records to replay. After the listening banner the server prints
+// one `startup` line with the milliseconds spent building the world,
+// deriving rules, opening the runtime (with the records replayed and
+// whether recovery committed a cut) and starting the server.
 //
 // Run: ./build/examples/ltam_serve [flags]
 //   --port=N          TCP port (default 7447; 0 picks one and prints it)
@@ -239,6 +249,7 @@ int main(int argc, char** argv) {
     runtime_options.retention.max_hot_events = 4096;
   }
 
+  const uint64_t boot_ns = MonotonicNowNs();
   SystemState initial;
   if (!scenario_name.empty()) {
     if (!policy_path.empty()) {
@@ -251,7 +262,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     Result<LoadScenario> scenario =
-        GenerateLoadScenario(*family, scenario_options);
+        GenerateScenarioWorld(*family, scenario_options);
     if (!scenario.ok()) {
       std::fprintf(stderr, "scenario error: %s\n",
                    scenario.status().ToString().c_str());
@@ -270,6 +281,13 @@ int main(int argc, char** argv) {
     }
     initial = std::move(state_or).ValueOrDie();
   }
+  const uint64_t world_ns = MonotonicNowNs();
+  Status rules = DeriveScriptedRules(&initial);
+  if (!rules.ok()) {
+    std::fprintf(stderr, "rule error: %s\n", rules.ToString().c_str());
+    return 1;
+  }
+  const uint64_t rules_ns = MonotonicNowNs();
   Result<std::unique_ptr<AccessRuntime>> opened =
       AccessRuntime::Open(std::move(initial), runtime_options);
   if (!opened.ok()) {
@@ -278,11 +296,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::unique_ptr<AccessRuntime> runtime = std::move(opened).ValueOrDie();
-  Status rules = RegisterAndDeriveScriptedRules(runtime.get());
-  if (!rules.ok()) {
-    std::fprintf(stderr, "rule error: %s\n", rules.ToString().c_str());
-    return 1;
-  }
+  const uint64_t open_ns = MonotonicNowNs();
 
   ReplicaControl control;
   if (replica) {
@@ -331,6 +345,7 @@ int main(int argc, char** argv) {
     };
   }
 
+  const uint64_t start_ns = MonotonicNowNs();
   ServiceServer server(runtime.get(), server_options);
   control.runtime = runtime.get();
   control.runtime_mu = &server.runtime_mutex();
@@ -339,6 +354,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server error: %s\n", started.ToString().c_str());
     return 1;
   }
+  const uint64_t started_ns = MonotonicNowNs();
   if (replica) {
     auto link = std::make_unique<ReplicaLink>(
         runtime.get(), &server.runtime_mutex(), upstream_host, upstream_port);
@@ -364,6 +380,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(scenario_options.seed),
                 scenario_options.subjects, scenario_options.total_events);
   }
+  const AccessRuntime::RecoveryReport recovery = runtime->recovery();
+  std::string open_report = stats.durable ? "fresh directory" : "in memory";
+  if (recovery.recovered) {
+    open_report =
+        "recovered, " + std::to_string(recovery.replayed_records) +
+        " records replayed, " +
+        (recovery.replayed_records > 0
+             ? "recovery cut to epoch " + std::to_string(stats.epoch)
+             : "no recovery cut");
+  }
+  auto ms = [](uint64_t from, uint64_t to) { return (to - from) / 1e6; };
+  std::printf(
+      "ltam_serve: startup world %.2f ms, rules %.2f ms, open %.2f ms (%s), "
+      "start %.2f ms\n",
+      ms(boot_ns, world_ns), ms(world_ns, rules_ns), ms(rules_ns, open_ns),
+      open_report.c_str(), ms(start_ns, started_ns));
   std::fflush(stdout);
 
   // Park until SIGINT/SIGTERM; the handler latches the flag and this

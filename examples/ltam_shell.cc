@@ -1,10 +1,11 @@
 // Copyright 2026 The LTAM Authors.
 //
 // An administrator shell: loads a policy script (or the built-in demo
-// policy) into an AccessRuntime, derives the scripted rules inside the
-// runtime's mutation window, then evaluates query-language statements
-// from stdin — the interactive face of Figure 3's query engine,
-// answering over the runtime's MovementView.
+// policy), derives the scripted rules into it, opens an AccessRuntime
+// over it (a recovered durable directory keeps its own rules and
+// derivations), then evaluates query-language statements from stdin —
+// the interactive face of Figure 3's query engine, answering over the
+// runtime's MovementView.
 //
 // Run: ./build/examples/ltam_shell [policy.ltam] [--durable=DIR] [--shards=N]
 // (--shards takes a whole number in 1..256; anything else exits 2)
@@ -84,22 +85,25 @@ int main(int argc, char** argv) {
                  state_or.status().ToString().c_str());
     return 1;
   }
+  SystemState initial = std::move(state_or).ValueOrDie();
+  size_t derived = 0;
+  Status rules = DeriveScriptedRules(&initial, &derived);
+  if (!rules.ok()) {
+    std::fprintf(stderr, "rule error: %s\n", rules.ToString().c_str());
+    return 1;
+  }
 
   Result<std::unique_ptr<AccessRuntime>> opened =
-      AccessRuntime::Open(std::move(state_or).ValueOrDie(), options);
+      AccessRuntime::Open(std::move(initial), options);
   if (!opened.ok()) {
     std::fprintf(stderr, "runtime error: %s\n",
                  opened.status().ToString().c_str());
     return 1;
   }
   std::unique_ptr<AccessRuntime> runtime = std::move(opened).ValueOrDie();
-
-  size_t derived = 0;
-  Status mutated = RegisterAndDeriveScriptedRules(runtime.get(), &derived);
-  if (!mutated.ok()) {
-    std::fprintf(stderr, "rule error: %s\n", mutated.ToString().c_str());
-    return 1;
-  }
+  // A recovered directory ignored the initial state: this boot derived
+  // nothing into the runtime.
+  if (runtime->recovery().recovered) derived = 0;
   std::printf(
       "loaded: %zu locations, %zu subjects, %zu authorizations "
       "(%zu rule-derived)\n",

@@ -65,9 +65,9 @@ class RuleEngine {
 
   /// Re-derives a single rule. Every active record the rule derives again
   /// is kept unchanged, with its id and its entries_used, so re-deriving
-  /// (as every boot of a recovered runtime does) never refunds spent
-  /// entries. Only records the rule no longer derives are revoked, and
-  /// only new derivations are added.
+  /// (as an in-process caller may after reopening a runtime) never
+  /// refunds spent entries. Only records the rule no longer derives are
+  /// revoked, and only new derivations are added.
   Result<DerivationReport> DeriveRule(RuleId id);
 
   /// DeriveAll() only when the profile database changed since the last

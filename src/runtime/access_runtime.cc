@@ -321,6 +321,10 @@ Status AccessRuntime::WaitDurable() {
   return durable_ != nullptr ? durable_->WaitDurable() : Status::OK();
 }
 
+AccessRuntime::RecoveryReport AccessRuntime::recovery() const {
+  return durable_ != nullptr ? durable_->recovery() : RecoveryReport{};
+}
+
 DurabilityWatermark AccessRuntime::Watermark() const {
   if (durable_ != nullptr) return durable_->Watermark();
   // In memory: every applied event is as durable as it will ever be.
@@ -488,17 +492,35 @@ std::string RuntimeStatsToString(const RuntimeStats& stats) {
   return out;
 }
 
+namespace {
+
+Status DeriveRules(const MutableStores& stores, size_t* derived) {
+  RuleEngine rules(&stores.auth_db, &stores.profiles, &stores.graph);
+  for (AuthorizationRule& rule : stores.rules) {
+    LTAM_ASSIGN_OR_RETURN(RuleId id, rules.AddRule(rule));
+    (void)id;
+  }
+  LTAM_ASSIGN_OR_RETURN(DerivationReport report, rules.DeriveAll());
+  if (derived != nullptr) *derived = report.derived;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DeriveScriptedRules(SystemState* state, size_t* derived) {
+  return DeriveRules(MutableStores{state->graph, state->profiles,
+                                   state->auth_db, state->rules},
+                     derived);
+}
+
 Status RegisterAndDeriveScriptedRules(AccessRuntime* runtime,
                                       size_t* derived) {
-  return runtime->Mutate([derived](const MutableStores& stores) {
-    RuleEngine rules(&stores.auth_db, &stores.profiles, &stores.graph);
-    for (AuthorizationRule& rule : stores.rules) {
-      LTAM_ASSIGN_OR_RETURN(RuleId id, rules.AddRule(rule));
-      (void)id;
-    }
-    LTAM_ASSIGN_OR_RETURN(DerivationReport report, rules.DeriveAll());
-    if (derived != nullptr) *derived = report.derived;
+  if (runtime->rules().empty()) {
+    if (derived != nullptr) *derived = 0;
     return Status::OK();
+  }
+  return runtime->Mutate([derived](const MutableStores& stores) {
+    return DeriveRules(stores, derived);
   });
 }
 

@@ -288,6 +288,12 @@ class AccessRuntime {
   /// Counters and effective configuration.
   RuntimeStats Stats() const;
 
+  /// What Open found in a durable directory: whether it recovered a
+  /// committed cut, and how many log records it replayed (and therefore
+  /// committed as the recovery cut). All zero in memory.
+  using RecoveryReport = DurableShardedSystem::RecoveryReport;
+  RecoveryReport recovery() const;
+
   // --- Replication surface -------------------------------------------------
   // Only durable runtimes replicate: the unit of shipping
   // is the per-shard WAL record stream, and the replication position in
@@ -307,9 +313,10 @@ class AccessRuntime {
   /// Turns this runtime into a read-only replica: Apply/ApplyBatch/
   /// ApplyFix/Tick/Mutate fail with kFailedPrecondition from here on;
   /// ApplyReplicated becomes the only write path. Requires a durable
-  /// runtime. Demotion is a boot-time decision (after the
-  /// policy-script mutation window) — there is no demote-back except
-  /// reopening the directory.
+  /// runtime. Demotion is a boot-time decision, taken right after Open
+  /// (hosts derive the scripted rules into the initial state before
+  /// Open, so no mutation window is left to run) — there is no
+  /// demote-back except reopening the directory.
   Status DemoteToReplica();
 
   /// Failover: durably bumps the replication epoch (persisted BEFORE a
@@ -363,6 +370,7 @@ class AccessRuntime {
   const MultilevelLocationGraph& graph() const { return state_->graph; }
   const UserProfileDatabase& profiles() const { return state_->profiles; }
   const AuthorizationDatabase& auth_db() const { return state_->auth_db; }
+  const std::vector<AuthorizationRule>& rules() const { return state_->rules; }
   /// The movement read side: per-shard fan-out (subject-keyed queries
   /// touch only the owning shard). Valid between event applications.
   const MovementView& movements() const { return *view_; }
@@ -410,11 +418,20 @@ class AccessRuntime {
 /// (the wire carries the struct verbatim, so the reports match).
 std::string RuntimeStatsToString(const RuntimeStats& stats);
 
-/// Registers the runtime's scripted rules (SystemState::rules, e.g. from
-/// a policy script) with a RuleEngine and derives the implied
-/// authorizations, inside one Mutate window. `derived`, when non-null,
-/// receives the number of derived authorizations. Shared by every host
-/// that boots a runtime from a policy script.
+/// Registers the scripted rules of `state` (SystemState::rules, e.g.
+/// from a policy script) with a RuleEngine and derives the implied
+/// authorizations into its ledger. `derived`, when non-null, receives
+/// the number of authorizations added. Hosts that boot from a policy
+/// script call this before AccessRuntime::Open, so a fresh durable
+/// directory's epoch 0 already holds the derivations; a recovered
+/// directory ignores the initial state and keeps the rules, derived
+/// records and spent entries its snapshot carries.
+Status DeriveScriptedRules(SystemState* state, size_t* derived = nullptr);
+
+/// The same derivation over an open runtime's stores, inside one Mutate
+/// window (so a durable runtime checkpoints after it). A runtime that
+/// holds no rules gets no window: `derived` is set to 0 and nothing is
+/// checkpointed.
 Status RegisterAndDeriveScriptedRules(AccessRuntime* runtime,
                                       size_t* derived = nullptr);
 

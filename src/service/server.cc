@@ -923,7 +923,12 @@ class ServiceServer::Impl {
       }
       read_queue_.push_back(std::move(job));
     }
-    reads_cv_.notify_all();
+    // One job wakes one worker. Waking both lets the faster waker take
+    // the job, which trims the query round trip, but every frame then
+    // pays for a second wakeup that finds the queue empty. A busy worker
+    // re-checks the queue before it waits again, so no job is left
+    // without a taker.
+    reads_cv_.notify_one();
   }
 
   // --- Ingest coalescer ------------------------------------------------------

@@ -267,10 +267,21 @@ std::vector<std::vector<std::vector<AccessEvent>>> GenerateScenarioStreams(
   return out;
 }
 
-}  // namespace
+/// What a family's traffic is drawn from, beside its world: the event
+/// mix, the location sampler, and the authorization horizon the
+/// mutation windows are sized by.
+struct TrafficShape {
+  StreamMix mix;
+  std::function<LocationId(SubjectId, Rng*)> sample_location;
+  Chronon horizon = 0;
+};
 
-Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
-                                          const ScenarioOptions& options) {
+/// Builds the world both public entry points share: every LoadScenario
+/// field but streams, mutations and total_events, plus the shape the
+/// traffic is drawn from.
+Result<LoadScenario> BuildScenarioWorld(ScenarioFamily family,
+                                        const ScenarioOptions& options,
+                                        TrafficShape* shape) {
   if (options.subjects == 0) {
     return Status::InvalidArgument("scenario needs at least one subject");
   }
@@ -310,8 +321,10 @@ Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
   auth_opt.max_slack = horizon * 2;
   auth_opt.max_entries = 0;
 
-  StreamMix mix;
-  std::function<LocationId(SubjectId, Rng*)> sample_location;
+  shape->horizon = horizon;
+  StreamMix& mix = shape->mix;
+  std::function<LocationId(SubjectId, Rng*)>& sample_location =
+      shape->sample_location;
 
   switch (family) {
     case ScenarioFamily::kSurge: {
@@ -490,11 +503,26 @@ Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
       break;
     }
   }
+  return s;
+}
 
+}  // namespace
+
+Result<LoadScenario> GenerateScenarioWorld(ScenarioFamily family,
+                                           const ScenarioOptions& options) {
+  TrafficShape unused;
+  return BuildScenarioWorld(family, options, &unused);
+}
+
+Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
+                                          const ScenarioOptions& options) {
+  TrafficShape shape;
+  LTAM_ASSIGN_OR_RETURN(LoadScenario s,
+                        BuildScenarioWorld(family, options, &shape));
   s.streams = GenerateScenarioStreams(s.subjects, options.streams,
                                       options.total_events,
-                                      options.events_per_frame, mix,
-                                      sample_location, options.seed);
+                                      options.events_per_frame, shape.mix,
+                                      shape.sample_location, options.seed);
   for (const auto& stream : s.streams) {
     for (const auto& frame : stream) s.total_events += frame.size();
   }
@@ -511,8 +539,8 @@ Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
       m.subject = s.subjects[mut_rng.Uniform(s.subjects.size())];
       m.location = prims[mut_rng.Uniform(prims.size())];
       m.entry_start = 0;
-      m.entry_end = horizon * 4;
-      m.exit_end = horizon * 5;
+      m.entry_end = shape.horizon * 4;
+      m.exit_end = shape.horizon * 5;
       s.mutations.push_back(m);
     }
   }

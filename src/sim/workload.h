@@ -147,9 +147,10 @@ size_t GenerateAuthorizationsOver(const std::vector<LocationId>& locations,
 //    must stop growing once retention starts dropping history.
 //
 // The same world must be constructible on both sides of a TCP
-// connection (ltam_serve boots the world, ltam_load generates the
-// traffic), so construction is deterministic given (family, options):
-// subject and location ids agree by construction.
+// connection (ltam_serve boots the world alone via
+// GenerateScenarioWorld, ltam_load generates world and traffic), so
+// construction is deterministic given (family, options): subject and
+// location ids agree by construction.
 
 enum class ScenarioFamily : uint8_t {
   kSurge = 0,
@@ -249,6 +250,14 @@ struct LoadScenario {
 /// subjects/streams, more streams than subjects, ...).
 Result<LoadScenario> GenerateLoadScenario(ScenarioFamily family,
                                           const ScenarioOptions& options);
+
+/// The world of GenerateLoadScenario(family, options) without its
+/// traffic: every field but streams, mutations and total_events (left
+/// empty and 0). Built by the same routine, so `initial` and `engine`
+/// are identical to the full scenario's; a server that only boots the
+/// world (ltam_serve --scenario) calls this and skips the streams.
+Result<LoadScenario> GenerateScenarioWorld(ScenarioFamily family,
+                                           const ScenarioOptions& options);
 
 /// The scenario's frames in the canonical global round order: round r
 /// is streams[0][r], streams[1][r], ... (streams exhausted earlier are

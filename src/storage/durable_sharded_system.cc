@@ -159,6 +159,7 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
     // checkpoint deletes: that checkpoint must rewrite the snapshot even
     // though the fresh log has accepted nothing yet.
     if (replayed[k] > 0) snapshot_stale_[k] = true;
+    recovery_.replayed_records += replayed[k];
   }
   return Status::OK();
 }
@@ -508,6 +509,7 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
           "(movements live in the per-shard segments)");
     }
     sys->base_ = std::move(recovered);
+    sys->recovery_.recovered = true;
     sys->InitEngine(manifest.num_shards);
     for (uint32_t k = 0; k < manifest.num_shards; ++k) {
       LTAM_ASSIGN_OR_RETURN(
@@ -580,6 +582,16 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
     sys->epoch_ = 0;
   }
   sys->SweepOrphanColdFiles();
+  if (sys->recovery_.replayed_records > 0) {
+    // The recovery cut. The replayed tail would otherwise stay in logs
+    // whose lines precede every record this instance appends, while
+    // replication positions count from this instance's first append:
+    // position 0 would name a pre-crash line. The cut folds the tail
+    // into snapshots and starts every shard on an empty log. A clean
+    // restart replays nothing and commits nothing.
+    LTAM_RETURN_IF_ERROR(
+        sys->Checkpoint().WithContext("committing the recovery cut"));
+  }
   sys->UpdateColdGauges();
   sys->InstallHooks();
   return sys;

@@ -61,8 +61,12 @@
 // then truncating any torn final record off each shard's WAL and
 // replaying it line by line (so replay memory stays one record however
 // long the tail) — across shards *in parallel*, safe because the
-// partition confines each subject's events to one shard. Appends then
-// resume on the same file. Recovered state is identical to a sequential
+// partition confines each subject's events to one shard. When replay
+// applied any record, Open then checkpoints the recovered state as the
+// next epoch (the recovery cut), so appends start on empty logs and a
+// replication position never names a pre-crash line; after a clean
+// shutdown the logs are empty, and appends resume on the same files
+// with no new epoch. Recovered state is identical to a sequential
 // replay of the surviving log prefix (the property
 // tests/durable_sharded_test.cc enforces under crash injection, in
 // batch and pipelined modes).
@@ -119,7 +123,10 @@ class DurableShardedSystem {
   /// seeded from `initial` (its movement history is partitioned across
   /// the shards) and immediately checkpointed as epoch 0, so recovery
   /// never needs `initial` again; when a MANIFEST exists, `initial` is
-  /// ignored and state is recovered from the committed cut.
+  /// ignored and state is recovered from the committed cut. When replay
+  /// applied any log record, Open commits the recovered state as the
+  /// next epoch (the recovery cut) before it returns; a directory whose
+  /// logs are empty (a clean shutdown) opens at its committed epoch.
   static Result<std::unique_ptr<DurableShardedSystem>> Open(
       const std::string& dir, SystemState initial,
       DurableShardedOptions options = {});
@@ -176,6 +183,16 @@ class DurableShardedSystem {
 
   /// Current committed checkpoint epoch.
   uint64_t epoch() const { return epoch_; }
+
+  /// What Open found in the directory.
+  struct RecoveryReport {
+    /// A committed cut was loaded (and `initial` ignored).
+    bool recovered = false;
+    /// Log records (events and ticks) replayed across every shard. Open
+    /// committed a recovery cut exactly when this is nonzero.
+    uint64_t replayed_records = 0;
+  };
+  const RecoveryReport& recovery() const { return recovery_; }
 
   // --- Tiering & retention -------------------------------------------------
 
@@ -346,6 +363,7 @@ class DurableShardedSystem {
   ShardManifest manifest_;
   mutable std::mutex manifest_mu_;
   uint64_t epoch_ = 0;
+  RecoveryReport recovery_;
   /// Watermark/counter accumulators for log generations retired by
   /// Checkpoint (their records are all durable via the snapshot).
   uint64_t retired_records_ = 0;

@@ -7,9 +7,10 @@
 // plus the facade-only contracts: the enforced mutation window,
 // BatchResult draining, shard-count override reporting, the refusal of
 // the removed sequential directory layout, position-fix routing, the
-// in-memory answers to the durable-only calls, a restart that
-// re-derives rules without refunding spent entries, and a second
-// restart that keeps the log tail the first one recovered.
+// in-memory answers to the durable-only calls, a restart that keeps
+// rule-derived entries spent, a second restart that keeps the log tail
+// the first one recovered, at most one checkpoint per boot, and
+// replication positions that name only records appended after Open.
 
 #include "runtime/access_runtime.h"
 
@@ -31,6 +32,8 @@
 #include "query/query_language.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
+#include "storage/codec.h"
+#include "storage/event_log.h"
 #include "storage/policy_script.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -592,10 +595,12 @@ TEST_F(AccessRuntimeDurableTest, MutationsSurviveReopenWithoutExplicitCheckpoint
 }
 
 TEST_F(AccessRuntimeDurableTest, RestartKeepsRuleDerivedEntriesSpent) {
-  // ltam_serve and ltam_shell re-derive the scripted rules after every
-  // Open, on a recovered directory too. A restart must not refund the
-  // entries Bob already spent under his rule-derived authorization, nor
-  // grow the ledger with a fresh copy of it.
+  // ltam_serve and ltam_shell derive the scripted rules into the initial
+  // state before Open; a recovered directory ignores that state and keeps
+  // the derived records of its snapshot. An in-process caller may still
+  // re-derive after Open (RegisterAndDeriveScriptedRules). Neither path
+  // may refund the entries Bob already spent under his rule-derived
+  // authorization, nor grow the ledger with a fresh copy of it.
   const char* policy = R"(
 SITE S
 ROOM A IN S
@@ -609,18 +614,21 @@ RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
   RuntimeOptions options;
   options.num_shards = 2;
   options.durable_dir = dir_;
-  auto boot = [&]() -> Result<std::unique_ptr<AccessRuntime>> {
+  auto boot = [&](bool rederive) -> Result<std::unique_ptr<AccessRuntime>> {
     LTAM_ASSIGN_OR_RETURN(SystemState state, ParsePolicyScript(policy));
+    LTAM_RETURN_IF_ERROR(DeriveScriptedRules(&state));
     LTAM_ASSIGN_OR_RETURN(std::unique_ptr<AccessRuntime> rt,
                           AccessRuntime::Open(std::move(state), options));
-    LTAM_RETURN_IF_ERROR(RegisterAndDeriveScriptedRules(rt.get()));
+    if (rederive) {
+      LTAM_RETURN_IF_ERROR(RegisterAndDeriveScriptedRules(rt.get()));
+    }
     return rt;
   };
   SubjectId bob = kInvalidSubject;
   LocationId room = kInvalidLocation;
   size_t ledger = 0;
   {
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot(false));
     ASSERT_OK_AND_ASSIGN(bob, rt->profiles().Find("Bob"));
     ASSERT_OK_AND_ASSIGN(room, rt->graph().Find("A"));
     ASSERT_OK_AND_ASSIGN(Decision entered,
@@ -635,7 +643,7 @@ RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
   }
   for (Chronon t : {40, 50}) {
     SCOPED_TRACE(t);
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot(t == 50));
     ASSERT_OK_AND_ASSIGN(Decision d,
                          rt->Apply(AccessEvent::Entry(t, bob, room)));
     EXPECT_FALSE(d.granted) << d.ToString();
@@ -645,10 +653,11 @@ RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
 }
 
 TEST_F(AccessRuntimeDurableTest, SecondRestartKeepsTheFirstRecoveredTail) {
-  // Every ltam_serve and ltam_shell boot re-derives the scripted rules,
-  // and that Mutate checkpoints. After a crash, the first boot's
-  // checkpoint must keep the log tail it just recovered, so a second
-  // restart still finds Alice inside A and grants her exit.
+  // After a crash, Open replays the log tail and commits the recovered
+  // state as the recovery cut. Only the replayed shard's log holds the
+  // tail, and its fresh log has accepted nothing, so the cut must still
+  // rewrite that shard's snapshot: a second restart then still finds
+  // Alice inside A and grants her exit.
   const char* policy = R"(
 SITE S
 ROOM A IN S
@@ -661,10 +670,8 @@ AUTH Alice A ENTER [0,100] EXIT [0,200]
   options.durable_dir = dir_;
   auto boot = [&]() -> Result<std::unique_ptr<AccessRuntime>> {
     LTAM_ASSIGN_OR_RETURN(SystemState state, ParsePolicyScript(policy));
-    LTAM_ASSIGN_OR_RETURN(std::unique_ptr<AccessRuntime> rt,
-                          AccessRuntime::Open(std::move(state), options));
-    LTAM_RETURN_IF_ERROR(RegisterAndDeriveScriptedRules(rt.get()));
-    return rt;
+    LTAM_RETURN_IF_ERROR(DeriveScriptedRules(&state));
+    return AccessRuntime::Open(std::move(state), options);
   };
   SubjectId alice = kInvalidSubject;
   LocationId room = kInvalidLocation;
@@ -687,6 +694,119 @@ AUTH Alice A ENTER [0,100] EXIT [0,200]
                            rt->Apply(AccessEvent::Exit(20, alice)));
       EXPECT_TRUE(left.granted) << left.ToString();
     }
+  }
+}
+
+TEST_F(AccessRuntimeDurableTest, EveryBootCommitsAtMostOneCut) {
+  // The hosts' boot: derive the scripted rules into the initial state,
+  // then Open. A fresh directory is cut once, as epoch 0, already
+  // holding the derivation; a relaunch after a crash commits exactly one
+  // recovery cut; a relaunch after a clean checkpoint commits none.
+  const char* policy = R"(
+SITE S
+ROOM A IN S
+ENTRY A
+SUBJECT Alice
+SUBJECT Bob
+SUPERVISOR Alice Bob
+AUTH Alice A ENTER [0,100] EXIT [0,200]
+RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
+)";
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir_;
+  auto boot = [&]() -> Result<std::unique_ptr<AccessRuntime>> {
+    LTAM_ASSIGN_OR_RETURN(SystemState state, ParsePolicyScript(policy));
+    LTAM_RETURN_IF_ERROR(DeriveScriptedRules(&state));
+    return AccessRuntime::Open(std::move(state), options);
+  };
+  SubjectId bob = kInvalidSubject;
+  LocationId room = kInvalidLocation;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    EXPECT_EQ(0u, rt->Stats().epoch);
+    EXPECT_FALSE(rt->recovery().recovered);
+    ASSERT_OK_AND_ASSIGN(bob, rt->profiles().Find("Bob"));
+    ASSERT_OK_AND_ASSIGN(room, rt->graph().Find("A"));
+    // Bob's only grant is the rule's derivation.
+    ASSERT_OK_AND_ASSIGN(Decision d,
+                         rt->Apply(AccessEvent::Entry(10, bob, room)));
+    EXPECT_TRUE(d.granted) << d.ToString();
+    // No checkpoint: drop the runtime as a crash stand-in.
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+    EXPECT_TRUE(rt->recovery().recovered);
+    EXPECT_EQ(1u, rt->recovery().replayed_records);
+    EXPECT_EQ(1u, rt->Stats().epoch);
+    EXPECT_EQ(room, rt->movements().CurrentLocation(bob));
+    ASSERT_OK_AND_ASSIGN(Decision d, rt->Apply(AccessEvent::Exit(20, bob)));
+    EXPECT_TRUE(d.granted) << d.ToString();
+    ASSERT_OK(rt->Checkpoint());
+    EXPECT_EQ(2u, rt->Stats().epoch);
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt, boot());
+  EXPECT_TRUE(rt->recovery().recovered);
+  EXPECT_EQ(0u, rt->recovery().replayed_records);
+  EXPECT_EQ(2u, rt->Stats().epoch);
+  EXPECT_EQ(kInvalidLocation, rt->movements().CurrentLocation(bob));
+  // An in-process re-derivation over a runtime that holds no rules opens
+  // no Mutate window, so it commits no cut either.
+  ASSERT_OK_AND_ASSIGN(SystemState ruleless, ParsePolicyScript(policy));
+  ruleless.rules.clear();
+  const std::string plain_dir = dir_ + "/ruleless";
+  fs::create_directories(plain_dir);
+  RuntimeOptions plain = options;
+  plain.durable_dir = plain_dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> bare,
+                       AccessRuntime::Open(std::move(ruleless), plain));
+  size_t derived = 1;
+  ASSERT_OK(RegisterAndDeriveScriptedRules(bare.get(), &derived));
+  EXPECT_EQ(0u, derived);
+  EXPECT_EQ(0u, bare->Stats().epoch);
+}
+
+TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
+  // Replication position 0 of a reopened runtime must name the first
+  // record this instance appended. Without a recovery cut, appends land
+  // after the pre-crash lines of the reopened log, and a slice from 0
+  // ships those stale records instead.
+  World w = MakeWorld(83, /*subject_count=*/12);
+  std::vector<std::vector<AccessEvent>> batches =
+      MakeBatches(w, /*total_events=*/400, 89);
+  ASSERT_GE(batches.size(), 3u);
+  const size_t crash_at = batches.size() / 2;
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir_;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                         AccessRuntime::Open(StateOf(w), options));
+    for (size_t i = 0; i < crash_at; ++i) {
+      ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(batches[i]));
+      ASSERT_OK(r.durability);
+    }
+    // No checkpoint: drop the runtime as a crash stand-in.
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(SystemState(), options));
+  const std::vector<AccessEvent>& fresh = batches[crash_at];
+  ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(fresh));
+  ASSERT_OK(r.durability);
+  ASSERT_OK(rt->WaitDurable());
+  for (uint32_t k = 0; k < options.num_shards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    std::vector<std::string> expected;
+    for (const AccessEvent& e : fresh) {
+      if (ShardedDecisionEngine::ShardOfSubject(e.subject,
+                                                options.num_shards) == k) {
+        expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(AccessRuntime::ReplicationSlice slice,
+                         rt->ReadReplicationSlice(k, 0, 1 << 20));
+    EXPECT_EQ(expected, slice.records);
+    EXPECT_EQ(expected.size(), slice.next);
   }
 }
 

@@ -333,11 +333,12 @@ TEST_P(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
     ASSERT_OK(EvaluateBatch(sys.get(), batches[1]).status());
     EXPECT_EQ(sys->wal_events(), batches[1].size());
   }
-  // Recovery = snapshot cut + replay of the post-checkpoint tail only.
+  // Recovery = snapshot cut + replay of the post-checkpoint tail only,
+  // which Open then commits as the recovery cut.
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir_, MakeInitialState(21, 16), Options()));
-  EXPECT_EQ(sys->epoch(), 1u);
+  EXPECT_EQ(sys->epoch(), 2u);
 
   ReferenceShards reference(MakeInitialState(21, 16), shards());
   for (const AccessEvent& e : batches[0]) reference.ApplyEvent(e);
@@ -455,17 +456,17 @@ TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
       fs::resize_file(wal, keep);
     }
 
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
-                                   Options()));
-
-    // Reference: sequential replay of exactly the surviving prefixes.
+    // Reference: sequential replay of exactly the surviving prefixes,
+    // read before Open, whose recovery cut retires those logs.
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (const fs::path& wal : wals) {
       ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
                                              wal.string()));
     }
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
+                                   Options()));
     ExpectStateEquals(*sys, reference, "crash trial");
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));
@@ -671,17 +672,17 @@ TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
       EXPECT_GE(surviving_records, watermark.durable);
     }
 
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
-                                   Options()));
-
-    // Reference: sequential replay of exactly the surviving prefixes.
+    // Reference: sequential replay of exactly the surviving prefixes,
+    // read before Open, whose recovery cut retires those logs.
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (const fs::path& wal : wals) {
       ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
                                              wal.string()));
     }
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
+                                   Options()));
     ExpectStateEquals(*sys, reference, "pipelined crash trial");
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));
@@ -903,21 +904,21 @@ TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
       fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
     }
 
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
-                                   Options()));
-
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (size_t i = 0; i < cut; ++i) {
       for (const AccessEvent& e : batches[i]) reference.ApplyEvent(e);
     }
     reference.RebuildStaysAtCut();
     reference.ClearAlerts();
+    // Read before Open, whose recovery cut retires the logs.
     for (const fs::path& wal : wals) {
       ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
                                              wal.string()));
     }
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
+                                   Options()));
     ExpectStateEquals(*sys, reference, "checkpointed crash trial");
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));

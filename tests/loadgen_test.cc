@@ -8,18 +8,24 @@
 // shuts down cleanly enough to run back-to-back against the same
 // runtime. Part of the TSan CI job: N worker threads with pipelined
 // clients against the epoll server exercise the full concurrent
-// surface.
+// surface. The world a server boots on its own (GenerateScenarioWorld)
+// is pinned to the load generator's world byte for byte.
 
 #include "loadgen/loadgen.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "runtime/access_runtime.h"
 #include "service/server.h"
 #include "sim/workload.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace ltam {
@@ -60,6 +66,50 @@ TEST(ArrivalScheduleTest, BurstShapeConfinesArrivalsToDutyWindow) {
   // last arrival of a rate-8000 schedule of 4000 events lands near
   // 0.5s regardless of the burst shape.
   EXPECT_NEAR(static_cast<double>(sched.back()) / 1e9, 0.5, 0.15);
+}
+
+std::string SnapshotBytes(const SystemState& state, const std::string& path) {
+  const Status saved = SaveSnapshot(state, path);
+  EXPECT_TRUE(saved.ok()) << saved.ToString();
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(ScenarioWorldTest, WorldAloneMatchesTheFullScenario) {
+  // ltam_serve boots GenerateScenarioWorld, while ltam_load and perfbench
+  // build GenerateLoadScenario and send that world's ids over the wire:
+  // the two worlds must be the same bytes, run with the same engine.
+  const std::string dir = ::testing::TempDir();
+  for (ScenarioFamily family :
+       {ScenarioFamily::kSurge, ScenarioFamily::kContactSweep,
+        ScenarioFamily::kPolicyChurn, ScenarioFamily::kMultiTenant,
+        ScenarioFamily::kReplication, ScenarioFamily::kSoak}) {
+    for (uint64_t seed : {1ull, 7919ull}) {
+      SCOPED_TRACE(std::string(ScenarioFamilyToString(family)) + " seed " +
+                   std::to_string(seed));
+      ScenarioOptions o;
+      o.seed = seed;
+      o.streams = 2;
+      o.total_events = 3000;
+      ASSERT_OK_AND_ASSIGN(LoadScenario full, GenerateLoadScenario(family, o));
+      ASSERT_OK_AND_ASSIGN(LoadScenario world,
+                           GenerateScenarioWorld(family, o));
+      EXPECT_EQ(3000u, full.total_events);
+      EXPECT_EQ(SnapshotBytes(full.initial, dir + "/full_world.snap"),
+                SnapshotBytes(world.initial, dir + "/world_only.snap"));
+      EXPECT_EQ(full.engine.enforce_adjacency, world.engine.enforce_adjacency);
+      EXPECT_EQ(full.engine.alert_on_denial, world.engine.alert_on_denial);
+      EXPECT_EQ(full.subjects, world.subjects);
+      EXPECT_EQ(full.queries, world.queries);
+      EXPECT_TRUE(world.streams.empty());
+      EXPECT_TRUE(world.mutations.empty());
+      EXPECT_EQ(0u, world.total_events);
+    }
+  }
+  std::remove((dir + "/full_world.snap").c_str());
+  std::remove((dir + "/world_only.snap").c_str());
 }
 
 TEST(LoadGenTest, RejectsMismatchedOptions) {
