@@ -40,7 +40,11 @@
 #                      # loopback bench rows (the telemetry tax). Ends
 #                      # with a soak pass against a retention-enabled
 #                      # durable server: cold tier must seal + compact
-#                      # and resident bytes must plateau -> BENCH_pr10.json
+#                      # and resident bytes must plateau -> BENCH_pr10.json.
+#                      # Before stopping each server it prints the
+#                      # server's per-thread CPU table (CPU ms and
+#                      # context switches per thread name), kept as
+#                      # THREADS_* rows in BENCH_pr9.json / BENCH_pr10.json
 #   ./ci.sh replication # primary + 2 replicas over real TCP: kill -9
 #                      # the primary mid-ingest, promote the freshest
 #                      # survivor, repoint the other, assert convergence
@@ -385,6 +389,69 @@ for path in sys.argv[1:]:
 EOF
 }
 
+# The per-thread CPU table of a live server: one row per thread name
+# (the library names its threads, see src/util/thread_name.h) with the
+# thread count, CPU ms and context switches summed over that name's live
+# threads, read from /proc/<pid>/task/*/{comm,schedstat}, plus the
+# process total from /proc/<pid>/stat, which also counts threads that
+# already exited. Prints the table and appends its rows, tagged with
+# the label, as JSON lines to the file. Call it just before stopping the
+# server: the counters go with the process.
+# Usage: thread_table <pid> <label> <jsonl-file>
+thread_table() {
+  python3 - "$@" <<'EOF'
+import json
+import os
+import sys
+
+pid, label, out = sys.argv[1], sys.argv[2], sys.argv[3]
+rows = {}
+task_dir = f"/proc/{pid}/task"
+for tid in os.listdir(task_dir):
+    try:
+        with open(f"{task_dir}/{tid}/comm") as f:
+            name = f.read().strip()
+        with open(f"{task_dir}/{tid}/schedstat") as f:
+            run_ns, _, switches = (int(x) for x in f.read().split())
+    except OSError:
+        continue  # The thread exited mid-read.
+    row = rows.setdefault(name, {"threads": 0, "cpu_ms": 0.0, "switches": 0})
+    row["threads"] += 1
+    row["cpu_ms"] += run_ns / 1e6
+    row["switches"] += switches
+with open(f"/proc/{pid}/stat") as f:
+    fields = f.read().rsplit(")", 1)[1].split()
+process_ms = (int(fields[11]) + int(fields[12])) * 1e3 / os.sysconf("SC_CLK_TCK")
+print(f"threads of {label} (pid {pid}): process CPU {process_ms:.0f} ms")
+print(f"  {'thread':16s} {'n':>3s} {'cpu_ms':>9s} {'switches':>9s}")
+with open(out, "a") as f:
+    for name, row in sorted(rows.items(), key=lambda kv: -kv[1]["cpu_ms"]):
+        print(f"  {name:16s} {row['threads']:3d} {row['cpu_ms']:9.1f} "
+              f"{row['switches']:9d}")
+        f.write(json.dumps({"name": f"THREADS_{label}/{name}",
+                            "run_type": "iteration", "iterations": 1,
+                            **row, "process_cpu_ms": process_ms}) + "\n")
+EOF
+}
+
+# Appends the JSON-line rows of $2 to the benchmark artifact $1, then
+# deletes $2. Usage: append_rows <artifact> <jsonl-file>
+append_rows() {
+  python3 - "$1" "$2" <<'EOF'
+import json
+import sys
+
+artifact, rows = sys.argv[1], sys.argv[2]
+with open(artifact) as f:
+    doc = json.load(f)
+with open(rows) as f:
+    doc["benchmarks"].extend(json.loads(line) for line in f if line.strip())
+with open(artifact, "w") as f:
+    json.dump(doc, f, indent=1)
+EOF
+  rm -f "$2"
+}
+
 # Loud artifact gate: a bench/load job that "passed" without emitting
 # the BENCH_pr<N>.json rows it exists to produce is a silent regression
 # in the trajectory record. Usage: require_bench_artifacts <job> <name>...
@@ -493,6 +560,8 @@ load() {
   local duration=1
   local connections=2
   local parts=() proms=()
+  local threads="$BENCH_OUT/BENCH_pr9_threads.jsonl"
+  rm -f "$threads"
   local scenario rate
   for scenario in surge contact churn tenant replication; do
     for rate in 2000 6000; do
@@ -544,11 +613,13 @@ load() {
         || { echo "load: metrics scrape failed for $scenario @ $rate" >&2; kill "$server_pid"; exit 1; }
       proms+=("$prom")
       if [ -n "$replica_pid" ]; then
+        thread_table "$replica_pid" "${scenario}_replica/rate:${rate}" "$threads"
         kill -TERM "$replica_pid"
         wait "$replica_pid" \
           || { echo "load: replica exited uncleanly after $scenario @ $rate" >&2; exit 1; }
         rm -f "$replica_log"
       fi
+      thread_table "$server_pid" "${scenario}/rate:${rate}" "$threads"
       kill -TERM "$server_pid"
       wait "$server_pid" \
         || { echo "load: server exited uncleanly after $scenario @ $rate" >&2; exit 1; }
@@ -725,6 +796,7 @@ EOF
   else
     echo "load: google-benchmark not available; BENCH_pr9.json carries no telemetry-tax rows" >&2
   fi
+  append_rows "$BENCH_OUT/BENCH_pr9.json" "$threads"
   record_host_meta "$BENCH_OUT/BENCH_pr9.json"
   echo "load: wrote $(pwd)/$BENCH_OUT/BENCH_pr9.json"
 
@@ -763,6 +835,9 @@ EOF
   local soak_end
   soak_end="$(soak_scrape)" \
     || { echo "load: soak end scrape failed" >&2; kill "$soak_server_pid"; exit 1; }
+  local soak_threads="$BENCH_OUT/BENCH_pr10_threads.jsonl"
+  rm -f "$soak_threads"
+  thread_table "$soak_server_pid" "soak/rate:4000" "$soak_threads"
   kill -TERM "$soak_server_pid"
   wait "$soak_server_pid" \
     || { echo "load: soak server exited uncleanly" >&2; exit 1; }
@@ -838,6 +913,7 @@ print(f"load: soak plateau ok (rss mid={rss_mid/1e6:.0f}MB "
       f"{int(end['ltam_compaction_runs'])})")
 EOF
   rm -f "$BENCH_OUT/BENCH_pr10_soak.json"
+  append_rows "$BENCH_OUT/BENCH_pr10.json" "$soak_threads"
   record_host_meta "$BENCH_OUT/BENCH_pr10.json"
   echo "load: wrote $(pwd)/$BENCH_OUT/BENCH_pr10.json (soak rows)"
   require_bench_artifacts load BENCH_pr7.json BENCH_pr9.json BENCH_pr10.json

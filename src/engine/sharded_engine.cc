@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/logging.h"
+#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -55,6 +56,7 @@ ShardedDecisionEngine::ShardedDecisionEngine(
   for (size_t k = 1; k < shards_.size(); ++k) {
     Shard* shard = shards_[k].get();
     shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
+    NameThread(&shard->worker, "ltam-shard-" + std::to_string(k));
   }
 }
 
@@ -217,6 +219,7 @@ std::vector<Decision> ShardedDecisionEngine::EvaluateBatch(
     std::unique_lock<std::mutex> done_lock(done_mu_);
     done_cv_.wait(done_lock, [this] { return pending_shards_ == 0; });
   }
+  if (hooks_.after_slices) hooks_.after_slices();
   current_batch_ = Span<const AccessEvent>();
   return std::move(decisions_);
 }

@@ -67,12 +67,12 @@ struct ShardedEngineOptions {
   EngineOptions engine;
 };
 
-/// Per-shard worker callbacks, the seam the durable runtime plugs into.
-/// Both run on the thread that evaluates the shard's slice (the caller
-/// for shard 0, the shard's worker otherwise). Neither blocks on a
-/// pipelined fsync: a pipelined log accepts the record and lets the
-/// shard's log thread make it durable later (the durability watermark
-/// reports when).
+/// Worker callbacks, the seam the durable runtime plugs into. The
+/// per-shard pair runs on the thread that evaluates the shard's slice
+/// (the caller for shard 0, the shard's worker otherwise); the
+/// batch-level one runs on the caller. None blocks on a pipelined fsync:
+/// a pipelined log accepts the record and lets the runtime's log thread
+/// make it durable later (the durability watermark reports when).
 struct ShardHooks {
   /// Invoked for every event before it is applied (write-ahead: append
   /// the event to the shard's log here). A non-OK status refuses the
@@ -84,11 +84,16 @@ struct ShardHooks {
       before_apply;
   /// Invoked once per batch per participating shard, after its whole
   /// slice has been appended and applied — the group-commit boundary
-  /// (one fsync in batch mode; a pipeline-group mark otherwise). A
-  /// non-OK status is reported through TakeBatchError but does NOT undo
-  /// the slice: the events are applied, only their durability is in
-  /// doubt.
+  /// (one fsync in batch mode; a pipeline-group mark that publishes the
+  /// slice to the log thread otherwise). A non-OK status is reported
+  /// through TakeBatchError but does NOT undo the slice: the events are
+  /// applied, only their durability is in doubt.
   std::function<Status(uint32_t shard)> after_batch;
+  /// Invoked once per EvaluateBatch on the calling thread, after every
+  /// slice (and so every after_batch) has finished: the one point where
+  /// the whole batch is published, so the durable runtime wakes its log
+  /// thread here, once per batch instead of once per slice.
+  std::function<void()> after_slices;
 };
 
 /// A batch-oriented, subject-sharded front end over N AccessControlEngine

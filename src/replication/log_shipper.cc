@@ -5,6 +5,8 @@
 #include <chrono>
 #include <utility>
 
+#include "util/thread_name.h"
+
 namespace ltam {
 
 namespace {
@@ -40,6 +42,7 @@ void LogShipper::Start() {
   }
   started_ = true;
   thread_ = std::thread([this] { Run(); });
+  NameThread(&thread_, "ltam-shipper");
 }
 
 void LogShipper::Stop() {

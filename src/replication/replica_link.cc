@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "replication/epoch.h"
+#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -24,6 +25,7 @@ void ReplicaLink::Start() {
   if (started_) return;
   started_ = true;
   thread_ = std::thread([this] { Run(); });
+  NameThread(&thread_, "ltam-replica");
 }
 
 void ReplicaLink::Stop() {

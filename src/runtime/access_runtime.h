@@ -298,7 +298,8 @@ class AccessRuntime {
   // Only durable runtimes replicate: the unit of shipping
   // is the per-shard WAL record stream, and the replication position in
   // shard k is the monotonic record count ShardWatermark(k) reports
-  // (retired generations + current log). Epoch semantics live in
+  // (the shard's floor, persisted in the MANIFEST, + the current log),
+  // so it survives restarts. Epoch semantics live in
   // replication/epoch.h (promotion counter, persisted as REPL_EPOCH in
   // the durable directory; fencing gates compare it).
 

@@ -29,6 +29,7 @@
 #include "service/protocol.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -225,10 +226,13 @@ class ServiceServer::Impl {
     coal_stop_ = false;
     started_ = true;
     io_thread_ = std::thread([this] { IoLoopRun(); });
+    NameThread(&io_thread_, "ltam-io");
     coalescer_thread_ = std::thread([this] { CoalescerLoop(); });
+    NameThread(&coalescer_thread_, "ltam-coalescer");
     read_threads_.reserve(kReadWorkers);
     for (uint32_t i = 0; i < kReadWorkers; ++i) {
       read_threads_.emplace_back([this] { ReadLoop(); });
+      NameThread(&read_threads_.back(), "ltam-read");
     }
     return Status::OK();
   }
@@ -252,7 +256,7 @@ class ServiceServer::Impl {
     coal_cv_.notify_all();
     coalescer_thread_.join();
     // The coalescer is gone; close out any fsync-wait spans it left
-    // (the watermark has settled — the runtime's log threads idle-sync).
+    // (the watermark has settled — the runtime's log thread idle-syncs).
     if (instrumented()) FlushFsyncWaits(/*final=*/true);
     // Phase 3: read workers drain the remaining Query/Stats jobs.
     {
@@ -947,12 +951,11 @@ class ServiceServer::Impl {
       // Drain to empty before exiting: the producer joined before
       // coal_stop_ was set, so every pushed frame is reachable.
       if (coal_stop_ && ingest_queue_.empty() && !AnyStateHasWork()) return;
-      // Unresolved fsync-wait spans cap the nap: their durations are
-      // resolved by polling the watermark at round starts, so a long
-      // idle sleep would overstate them.
-      coal_cv_.wait_for(
-          lock, std::chrono::milliseconds(fsync_pending_.empty() ? 100 : 5),
-          [this] { return coal_stop_ || !ingest_queue_.empty(); });
+      // A fixed nap even with fsync-wait spans pending: each ends at the
+      // durable advance that covered it, whichever round reads it.
+      coal_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
+        return coal_stop_ || !ingest_queue_.empty();
+      });
     }
   }
 
@@ -1126,11 +1129,12 @@ class ServiceServer::Impl {
     if (instrumented()) {
       // Durable-ack span: the pipelined coalescer acks before the fsync
       // lands, so "how long until this batch's records were actually
-      // crash-proof" is measured asynchronously — the span closes when
-      // a later round observes the durable watermark at or past this
-      // batch's applied position (see FlushFsyncWaits). One span per
-      // merged batch: frames share the batch's fsync, counting it per
-      // frame would overstate the fsync load.
+      // crash-proof" is measured asynchronously — a later round that
+      // observes the durable watermark at or past this batch's applied
+      // position ends the span at the log thread's advance (see
+      // FlushFsyncWaits). One span per merged batch: frames share the
+      // batch's fsync, counting it per frame would overstate the fsync
+      // load.
       if (result->watermark.durable >= result->watermark.applied) {
         h_fsync_wait_->Record(0);
       } else {
@@ -1224,28 +1228,30 @@ class ServiceServer::Impl {
   }
 
   /// Resolves queued fsync-wait spans against the runtime's durable
-  /// watermark. Resolution granularity is one coalescer round (or the
-  /// shortened idle nap), so recorded waits overshoot by at most a few
-  /// milliseconds — negligible against a real fsync stall, which is
-  /// what this histogram exists to expose. `final` (shutdown, after
-  /// the producers stopped) drops spans whose target never became
-  /// durable (sticky WAL failure) instead of recording a fake wait.
+  /// watermark. A resolved span ends when the log thread last advanced
+  /// the watermark (DurabilityWatermark::durable_ns), not when this
+  /// round noticed: the round only decides which spans are over, so the
+  /// coalescer need not poll. The advance can precede a span's start
+  /// (it landed between the apply's watermark read and the span's
+  /// clock), so the wait is clamped at 0. `final` (shutdown, after the
+  /// producers stopped) drops spans whose target never became durable
+  /// (sticky WAL failure) instead of recording a fake wait.
   void FlushFsyncWaits(bool final) {
     if (fsync_pending_.empty()) return;
-    uint64_t durable = 0;
+    DurabilityWatermark mark;
     {
       std::shared_lock<std::shared_mutex> lock(runtime_mu_);
-      durable = runtime_->Watermark().durable;
+      mark = runtime_->Watermark();
     }
-    const uint64_t now = MonotonicNowNs();
     while (!fsync_pending_.empty()) {
       const auto& [target, started_ns] = fsync_pending_.front();
-      if (target > durable) {
+      if (target > mark.durable) {
         if (!final) return;
         fsync_pending_.pop_front();
         continue;
       }
-      h_fsync_wait_->Record(now - started_ns);
+      h_fsync_wait_->Record(
+          mark.durable_ns > started_ns ? mark.durable_ns - started_ns : 0);
       fsync_pending_.pop_front();
     }
   }

@@ -6,28 +6,25 @@
 
 namespace ltam {
 
-std::string EscapeField(const std::string& field) {
-  std::string out;
-  out.reserve(field.size());
+void AppendEscapedField(std::string_view field, std::string* out) {
   for (char c : field) {
     switch (c) {
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       default:
-        out += c;
+        *out += c;
     }
   }
-  return out;
 }
 
 Result<std::string> UnescapeField(const std::string& field) {
@@ -63,13 +60,27 @@ Result<std::string> UnescapeField(const std::string& field) {
   return out;
 }
 
-std::string EncodeRecord(const Record& record) {
-  std::string out = EscapeField(record.type);
+namespace {
+
+void AppendRecord(const Record& record, std::string* out) {
+  AppendEscapedField(record.type, out);
   for (const std::string& field : record.fields) {
-    out += '\t';
-    out += EscapeField(field);
+    *out += '\t';
+    AppendEscapedField(field, out);
   }
+}
+
+}  // namespace
+
+std::string EncodeRecord(const Record& record) {
+  std::string out;
+  AppendRecord(record, &out);
   return out;
+}
+
+void AppendRecordLine(const Record& record, std::string* out) {
+  AppendRecord(record, out);
+  *out += '\n';
 }
 
 Result<Record> DecodeRecord(const std::string& line) {

@@ -11,16 +11,18 @@
 #define LTAM_STORAGE_CODEC_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
 
 namespace ltam {
 
-/// Escapes '\t', '\n', '\r', and '\\' so a field is line-safe.
-std::string EscapeField(const std::string& field);
+/// Appends `field` to `*out` with '\t', '\n', '\r', and '\\' escaped, so
+/// the field is line-safe.
+void AppendEscapedField(std::string_view field, std::string* out);
 
-/// Reverses EscapeField; ParseError on dangling escapes.
+/// Reverses AppendEscapedField; ParseError on dangling escapes.
 Result<std::string> UnescapeField(const std::string& field);
 
 /// A decoded record: type tag + fields.
@@ -31,6 +33,10 @@ struct Record {
 
 /// Encodes a record to one line (no trailing newline).
 std::string EncodeRecord(const Record& record);
+
+/// Appends EncodeRecord(record) and its '\n' to `*out`: the writers
+/// that batch many lines into one buffer encode straight into it.
+void AppendRecordLine(const Record& record, std::string* out);
 
 /// Decodes one line.
 Result<Record> DecodeRecord(const std::string& line);

@@ -16,6 +16,7 @@
 #include "storage/event_log.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
+#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -35,9 +36,10 @@ DurableShardedSystem::DurableShardedSystem(std::string dir,
 
 DurableShardedSystem::~DurableShardedSystem() {
   // Join the workers before the logs they append through go away; the
-  // log destructors then drain + best-effort-sync their queues.
+  // pipeline's destructor then stops its log thread, which drains,
+  // writes and best-effort-syncs every shard's queue.
   engine_.reset();
-  logs_.clear();
+  log_.reset();
 }
 
 std::string DurableShardedSystem::FilePath(const std::string& name) const {
@@ -105,6 +107,7 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
   cold_files_.assign(num_shards, {});
   next_cold_index_.assign(num_shards, 0);
   snapshot_stale_.assign(num_shards, false);
+  floor_.assign(num_shards, 0);
 }
 
 Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
@@ -149,6 +152,7 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
         return Status::OK();
       });
     });
+    NameThread(&replayers.back(), "ltam-replay-" + std::to_string(k));
   }
   for (std::thread& t : replayers) t.join();
   for (uint32_t k = 0; k < n; ++k) {
@@ -160,6 +164,9 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
     // though the fresh log has accepted nothing yet.
     if (replayed[k] > 0) snapshot_stale_[k] = true;
     recovery_.replayed_records += replayed[k];
+    // The replayed records keep their positions: the live log's first
+    // append follows them.
+    floor_[k] += replayed[k];
   }
   return Status::OK();
 }
@@ -173,13 +180,13 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot)));
   LTAM_RETURN_IF_ERROR(SyncFile(FilePath(m.base_snapshot)));
   // Epoch 0 — no previous cut — rewrites everything.
-  const bool incremental = manifest_.shards.size() == n && logs_.size() == n;
+  const bool incremental = manifest_.shards.size() == n && log_ != nullptr;
   uint64_t dirty = 0;
   for (uint32_t k = 0; k < n; ++k) {
     ShardManifest::ShardFiles files;
     const MovementDatabase& db = engine_->shard_movements(k);
-    const bool shard_dirty =
-        !incremental || logs_[k]->appended_seq() > 0 || snapshot_stale_[k];
+    const uint64_t logged = log_ != nullptr ? log_->shard(k).appended_seq() : 0;
+    const bool shard_dirty = !incremental || logged > 0 || snapshot_stale_[k];
     if (shard_dirty) {
       files.snapshot = ShardSnapName(k, epoch);
       LTAM_RETURN_IF_ERROR(SaveMovements(db, FilePath(files.snapshot)));
@@ -197,6 +204,8 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
     files.wal = ShardWalName(k, epoch);
     for (const ColdFile& f : cold_files_[k]) files.cold.push_back(f.name);
     files.dropped_events = db.dropped_events();
+    // Every record the retiring log accepted is in the snapshot now.
+    files.floor = floor_[k] + logged;
     m.shards.push_back(std::move(files));
   }
   last_checkpoint_dirty_segments_ = dirty;
@@ -217,32 +226,37 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   // instant this rename lands.
   LTAM_RETURN_IF_ERROR(SaveManifest(m, FilePath(ManifestFileName())));
   snapshot_stale_.assign(n, false);
-  std::vector<std::unique_ptr<ShardLog>> retiring;
+  std::unique_ptr<LogPipeline> retiring;
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
-    manifest_ = std::move(m);
     // Retire the old log generation: everything it accepted is durable
     // now (the snapshot carries the live state, lost pipelined tails
-    // included), and its counters must survive the swap. The floor and
-    // the logs_ vector swap under manifest_mu_ so a shipper thread
+    // included), and its counters must survive the swap. The floors and
+    // the pipeline swap under manifest_mu_ so a shipper thread
     // snapshotting its read position never sees a half-retired shard.
-    retired_records_per_shard_.resize(logs_.size(), 0);
-    for (size_t k = 0; k < logs_.size(); ++k) {
-      const std::unique_ptr<ShardLog>& log = logs_[k];
-      retired_records_ += log->appended_seq();
-      retired_records_per_shard_[k] += log->appended_seq();
-      retired_append_failures_ += log->append_failures();
-      retired_sync_failures_ += log->sync_failures();
+    if (log_ != nullptr) {
+      bool lost_tail = false;
+      for (uint32_t k = 0; k < n; ++k) {
+        const ShardLog& log = log_->shard(k);
+        retired_append_failures_ += log.append_failures();
+        retired_sync_failures_ += log.sync_failures();
+        lost_tail = lost_tail || log.durable_seq() < log.appended_seq();
+      }
+      // A tail a failed log never synced becomes durable with this cut.
+      retired_durable_ns_ = lost_tail
+                                ? MonotonicNowNs()
+                                : std::max(retired_durable_ns_,
+                                           log_->durable_ns());
     }
-    retiring.swap(logs_);
-    for (uint32_t k = 0; k < n; ++k) {
-      logs_.push_back(
-          std::make_unique<ShardLog>(std::move(fresh[k]), options_.durability));
-    }
+    for (uint32_t k = 0; k < n; ++k) floor_[k] = m.shards[k].floor;
+    manifest_ = std::move(m);
+    retiring = std::move(log_);
+    log_ = std::make_unique<LogPipeline>(std::move(fresh),
+                                         options_.durability);
   }
-  // Joins the old log threads before their files go, outside
-  // manifest_mu_ so shippers never wait on a drain.
-  retiring.clear();
+  // Stops the old log thread before its files go, outside manifest_mu_
+  // so shippers never wait on a drain.
+  retiring.reset();
   return Status::OK();
 }
 
@@ -470,11 +484,12 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    return logs_[shard]->Append(EncodeEventRecord(event));
+    return log_->shard(shard).Append(EncodeEventRecord(event));
   };
   hooks.after_batch = [this](uint32_t shard) {
-    return logs_[shard]->BatchBoundary();
+    return log_->shard(shard).BatchBoundary();
   };
+  hooks.after_slices = [this] { log_->Wake(); };
   engine_->SetShardHooks(std::move(hooks));
 }
 
@@ -559,18 +574,24 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
             std::move(segs), files.dropped_events);
       }
     }
-    // The shard views are restored: resume their open stays, then replay.
+    // The shard views are restored: resume their open stays, then replay
+    // on top of the committed floors.
     LTAM_RETURN_IF_ERROR(sys->engine_->Seed(MovementDatabase()));
+    for (uint32_t k = 0; k < manifest.num_shards; ++k) {
+      sys->floor_[k] = manifest.shards[k].floor;
+    }
     LTAM_RETURN_IF_ERROR(sys->ReplayShardLogs(manifest));
     sys->epoch_ = manifest.epoch;
     sys->manifest_ = std::move(manifest);
     // Appends resume on each shard's committed WAL.
+    std::vector<WalWriter> wals;
     for (const ShardManifest::ShardFiles& files : sys->manifest_.shards) {
       LTAM_ASSIGN_OR_RETURN(WalWriter wal,
                             WalWriter::Open(sys->FilePath(files.wal)));
-      sys->logs_.push_back(std::make_unique<ShardLog>(
-          std::move(wal), sys->options_.durability));
+      wals.push_back(std::move(wal));
     }
+    sys->log_ = std::make_unique<LogPipeline>(std::move(wals),
+                                              sys->options_.durability);
   } else {
     sys->base_ = std::move(initial);
     sys->InitEngine(options.num_shards);
@@ -584,11 +605,11 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   sys->SweepOrphanColdFiles();
   if (sys->recovery_.replayed_records > 0) {
     // The recovery cut. The replayed tail would otherwise stay in logs
-    // whose lines precede every record this instance appends, while
-    // replication positions count from this instance's first append:
-    // position 0 would name a pre-crash line. The cut folds the tail
-    // into snapshots and starts every shard on an empty log. A clean
-    // restart replays nothing and commits nothing.
+    // whose lines precede every record this instance appends, so a
+    // replication position would map onto the wrong line. The cut folds
+    // the tail into snapshots, commits each shard's floor (the committed
+    // floor plus the records replay applied), and starts every shard on
+    // an empty log. A clean restart replays nothing and commits nothing.
     LTAM_RETURN_IF_ERROR(
         sys->Checkpoint().WithContext("committing the recovery cut"));
   }
@@ -601,7 +622,8 @@ Status DurableShardedSystem::Tick(Chronon t) {
   const Record record = EncodeTickRecord(t);
   Status first_error;
   for (uint32_t k = 0; k < num_shards(); ++k) {
-    Status appended = logs_[k]->Append(record);
+    ShardLog& log = log_->shard(k);
+    Status appended = log.Append(record);
     if (!appended.ok()) {
       // Write-ahead per shard: a shard whose tick could not be logged is
       // not ticked, so its live state never diverges from what recovery
@@ -610,57 +632,48 @@ Status DurableShardedSystem::Tick(Chronon t) {
       continue;
     }
     engine_->TickShard(k, t);
-    Status boundary = logs_[k]->BatchBoundary();
+    Status boundary = log.BatchBoundary();
     // A failed boundary leaves the tick appended and applied
     // (consistent); only its durability is in doubt — report it.
     if (!boundary.ok() && first_error.ok()) first_error = std::move(boundary);
   }
+  log_->Wake();
   return first_error;
 }
 
-Status DurableShardedSystem::WaitDurable() {
-  Status first_error;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    Status flushed = log->Flush();
-    if (!flushed.ok() && first_error.ok()) first_error = std::move(flushed);
-  }
-  return first_error;
-}
+Status DurableShardedSystem::WaitDurable() { return log_->Flush(); }
 
 DurabilityWatermark DurableShardedSystem::Watermark() const {
   DurabilityWatermark mark;
-  mark.applied = retired_records_;
-  mark.durable = retired_records_;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    mark.applied += log->appended_seq();
-    mark.durable += log->durable_seq();
+  mark.durable_ns = std::max(retired_durable_ns_, log_->durable_ns());
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    const DurabilityWatermark shard = ShardWatermark(k);
+    mark.applied += shard.applied;
+    mark.durable += shard.durable;
   }
   return mark;
 }
 
 DurabilityWatermark DurableShardedSystem::ShardWatermark(
     uint32_t shard) const {
-  const uint64_t retired = shard < retired_records_per_shard_.size()
-                               ? retired_records_per_shard_[shard]
-                               : 0;
   DurabilityWatermark mark;
-  mark.applied = retired + logs_[shard]->appended_seq();
-  mark.durable = retired + logs_[shard]->durable_seq();
+  mark.applied = floor_[shard] + log_->shard(shard).appended_seq();
+  mark.durable = floor_[shard] + log_->shard(shard).durable_seq();
   return mark;
 }
 
 uint64_t DurableShardedSystem::wal_append_failures() const {
   uint64_t total = retired_append_failures_;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    total += log->append_failures();
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    total += log_->shard(k).append_failures();
   }
   return total;
 }
 
 uint64_t DurableShardedSystem::wal_sync_failures() const {
   uint64_t total = retired_sync_failures_;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    total += log->sync_failures();
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    total += log_->shard(k).sync_failures();
   }
   return total;
 }
@@ -693,8 +706,8 @@ Status DurableShardedSystem::Checkpoint() {
 
 size_t DurableShardedSystem::wal_events() const {
   size_t total = 0;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    total += static_cast<size_t>(log->appended_seq());
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    total += static_cast<size_t>(log_->shard(k).appended_seq());
   }
   return total;
 }
@@ -718,11 +731,9 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
     std::string wal;
     {
       std::lock_guard<std::mutex> lock(manifest_mu_);
-      retired = shard < retired_records_per_shard_.size()
-                    ? retired_records_per_shard_[shard]
-                    : 0;
-      durable = retired + logs_[shard]->durable_seq();
-      appended = retired + logs_[shard]->appended_seq();
+      retired = floor_[shard];
+      durable = retired + log_->shard(shard).durable_seq();
+      appended = retired + log_->shard(shard).appended_seq();
       wal = manifest_.shards[shard].wal;
     }
     if (from < retired) {
@@ -771,11 +782,9 @@ DurableShardedSystem::ApplyReplicatedRecords(
                                    std::to_string(shard) + " of " +
                                    std::to_string(num_shards()));
   }
-  const uint64_t retired = shard < retired_records_per_shard_.size()
-                               ? retired_records_per_shard_[shard]
-                               : 0;
+  ShardLog& log = log_->shard(shard);
   ReplicationApply out;
-  out.position = retired + logs_[shard]->appended_seq();
+  out.position = floor_[shard] + log.appended_seq();
   if (start > out.position) {
     return Status::FailedPrecondition(
         "replication gap: chunk for shard " + std::to_string(shard) +
@@ -797,7 +806,7 @@ DurableShardedSystem::ApplyReplicatedRecords(
     // Write-ahead on the replica too: the record lands in this
     // directory's own log before it applies, so a replica restart — or
     // this replica's own promotion — replays the identical stream.
-    Status appended = logs_[shard]->Append(rec);
+    Status appended = log.Append(rec);
     if (!appended.ok()) return appended.WithContext("replica log append");
     if (event.is_tick) {
       engine_->TickShard(shard, event.tick_time);
@@ -806,7 +815,8 @@ DurableShardedSystem::ApplyReplicatedRecords(
     }
     out.position += 1;
   }
-  Status boundary = logs_[shard]->BatchBoundary();
+  Status boundary = log.BatchBoundary();
+  log_->Wake();
   if (!boundary.ok()) return boundary.WithContext("replica commit boundary");
   out.alerts = engine_->DrainAlerts();
   return out;

@@ -21,10 +21,15 @@
 //   kBatch      one fsync per shard per batch, on the batch's critical
 //               path — the original PR-2 discipline, byte-identical
 //               to it (and the strongest per-batch guarantee).
-//   kPipelined  appends go to an in-memory commit queue; a dedicated
-//               log thread per shard writes them and batches fsyncs
+//   kPipelined  appends buffer per shard and each boundary publishes
+//               its slice; once every slice of the batch is done
+//               (ShardHooks::after_slices) the runtime wakes its one log
+//               thread (storage/log_pipeline.h), which writes each
+//               shard's records with one write(2) and batches fsyncs
 //               across multiple engine batches (commit pipelining,
-//               bounded by a fixed batch depth and byte count). The
+//               bounded per shard by a fixed batch depth and byte
+//               count). Tick and replica applies wake it the same way,
+//               once after appending to every shard they touch. The
 //               batch returns before its fsync lands; WaitDurable()
 //               and the (applied, durable) watermark close the gap.
 //
@@ -114,7 +119,7 @@ struct DurableShardedOptions {
 /// Lifecycle mirrors ShardedDecisionEngine: Open (recovers or
 /// initializes), engine().EvaluateBatch/Tick/Checkpoint from one
 /// control thread,
-/// destroy (joins workers, then log threads). Database mutations on
+/// destroy (joins workers, then the log thread). Database mutations on
 /// base() are only legal between batches and are NOT logged — persist
 /// them via Checkpoint().
 class DurableShardedSystem {
@@ -158,18 +163,20 @@ class DurableShardedSystem {
   /// sticky-failed pipelined log lost.
   Status Checkpoint();
 
-  /// Durability barrier: blocks until every accepted log record is
-  /// fsynced (forcing the flush), or returns the first log's sticky
+  /// Durability barrier: one pass over every shard that blocks until
+  /// each accepted log record is fsynced (forcing the flush) or its
+  /// shard is sticky-failed, then returns the first shard's sticky
   /// error. A no-op in kBatch mode, where every batch already synced.
   Status WaitDurable();
 
   /// The runtime's durability position: log records accepted (their
-  /// events applied) vs fsynced, monotonic across checkpoints.
+  /// events applied) vs fsynced, the sum of the shard watermarks, and
+  /// when `durable` last advanced.
   DurabilityWatermark Watermark() const;
 
   /// One shard log's durability position, monotonic across checkpoints
-  /// (retired generations are accumulated per shard). The aggregate
-  /// Watermark() is the sum over shards.
+  /// and restarts: the shard's floor (records its earlier epochs' logs
+  /// accepted, persisted in the MANIFEST) plus the live log's sequence.
   DurabilityWatermark ShardWatermark(uint32_t shard) const;
 
   /// Physical log failures observed since Open (appends that refused or
@@ -222,11 +229,14 @@ class DurableShardedSystem {
   // --- Replication ---------------------------------------------------------
   //
   // The replication position of shard k is the monotonic per-shard
-  // record count ShardWatermark() reports: retired generations plus the
-  // live log's sequence. Shipping reads committed records back out of
-  // the shard's WAL; applying appends them to the replica's own log
-  // (write-ahead, so replica restart and onward promotion replay the
-  // identical stream) and then applies them through the recovery codec.
+  // record count ShardWatermark() reports: the shard's floor plus the
+  // live log's sequence. The MANIFEST records each floor and Open adds
+  // the records recovery replayed, so a position names the same record
+  // across restarts of either side. Shipping reads committed records
+  // back out of the shard's WAL; applying appends them to the replica's
+  // own log (write-ahead, so replica restart and onward promotion replay
+  // the identical stream) and then applies them through the recovery
+  // codec.
 
   /// One shippable slice of a shard's stream: encoded WAL lines
   /// (newline-stripped), starting at position `from`.
@@ -275,7 +285,7 @@ class DurableShardedSystem {
   const SystemState& base() const { return base_; }
   SystemState& mutable_base() { return base_; }
 
-  /// The pipeline this system logs for (its write-ahead hooks are
+  /// The engine this system logs for (its write-ahead hooks are
   /// installed at Open); AccessRuntime drives it directly.
   ShardedDecisionEngine& engine() { return *engine_; }
 
@@ -350,28 +360,30 @@ class DurableShardedSystem {
   /// state lives in the shard views).
   SystemState base_;
   std::unique_ptr<ShardedDecisionEngine> engine_;
-  /// One log per shard; appended by that shard's worker during a batch,
-  /// by the control thread for ticks between batches, and flushed by
-  /// its own log thread in pipelined mode.
-  std::vector<std::unique_ptr<ShardLog>> logs_;
+  /// This epoch's shard logs; shard k's is appended by that shard's
+  /// worker during a batch and by the control thread for ticks and
+  /// replica applies between batches. In pipelined mode its one log
+  /// thread writes and syncs them all. Each checkpoint replaces it.
+  std::unique_ptr<LogPipeline> log_;
   /// The committed cut. Only the control thread (Open/Checkpoint)
   /// writes it, and it does so under manifest_mu_, because shipper
-  /// threads snapshot {WAL name, retired floor, log pointers} under the
-  /// same lock; manifest_mu_ therefore also guards
-  /// retired_records_per_shard_ and the logs_ vector itself. The
-  /// control thread's own reads need no lock.
+  /// threads snapshot {WAL name, floor, log pointer} under the same
+  /// lock; manifest_mu_ therefore also guards floor_ and the log_
+  /// pointer itself. The control thread's own reads need no lock.
   ShardManifest manifest_;
   mutable std::mutex manifest_mu_;
   uint64_t epoch_ = 0;
   RecoveryReport recovery_;
-  /// Watermark/counter accumulators for log generations retired by
-  /// Checkpoint (their records are all durable via the snapshot).
-  uint64_t retired_records_ = 0;
+  /// Per shard, the replication position of the live log's first
+  /// record: the committed MANIFEST floor, plus the records recovery
+  /// replayed until the recovery cut commits them.
+  std::vector<uint64_t> floor_;
+  /// Counter accumulators for log generations retired by Checkpoint
+  /// (their records are all durable via the snapshot), and the last
+  /// durable advance among them.
   uint64_t retired_append_failures_ = 0;
   uint64_t retired_sync_failures_ = 0;
-  /// Per-shard slice of retired_records_, so ShardWatermark stays
-  /// monotonic across checkpoints too.
-  std::vector<uint64_t> retired_records_per_shard_;
+  uint64_t retired_durable_ns_ = 0;
   /// One shard's on-disk cold tier entry. The in-memory segment list of
   /// shard k's MovementDatabase and cold_files_[k] stay index-aligned.
   struct ColdFile {

@@ -86,6 +86,10 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
                          manifest.shards[k].cold.end());
       emit({"cold", std::move(cold_fields)});
     }
+    if (manifest.shards[k].floor > 0) {
+      emit({"floor",
+            {std::to_string(k), std::to_string(manifest.shards[k].floor)}});
+    }
   }
   emit({"commit", {std::to_string(records)}});
   return bytes;
@@ -187,10 +191,10 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       }
       LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[1]));
       LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[2]));
-      ShardManifest::ShardFiles files;
+      // Field-wise: a `cold` or `floor` record may precede its shard's.
+      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
       files.snapshot = rec.fields[1];
       files.wal = rec.fields[2];
-      out.shards[static_cast<size_t>(k)] = std::move(files);
       saw_shard[static_cast<size_t>(k)] = true;
       ++records;
       continue;
@@ -223,6 +227,30 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
         LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[i]));
         files.cold.push_back(rec.fields[i]);
       }
+      ++records;
+      continue;
+    }
+    if (rec.type == "floor") {
+      // <k> <records>, nonzero (a zero floor is never written).
+      if (rec.fields.size() != 2) {
+        return Status::ParseError("floor record field count");
+      }
+      LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
+      if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
+        return Status::ParseError("floor record shard index out of range: " +
+                                  std::to_string(k));
+      }
+      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
+      if (files.floor > 0) {
+        return Status::ParseError("duplicate floor record for shard " +
+                                  std::to_string(k));
+      }
+      LTAM_ASSIGN_OR_RETURN(int64_t floor, Field(rec, 1));
+      if (floor <= 0) {
+        return Status::ParseError("floor record for shard " +
+                                  std::to_string(k) + " must be positive");
+      }
+      files.floor = static_cast<uint64_t>(floor);
       ++records;
       continue;
     }

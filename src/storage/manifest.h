@@ -20,6 +20,11 @@
 //                       sealed cold segments in sequence order plus the
 //                       cumulative count of events already dropped past
 //                       the retention horizon; absent = no cold tier)
+//   floor <k> <records>
+//                      (optional, at most one per shard: the shard's
+//                       replication position at the cut — records its
+//                       earlier epochs' logs accepted, folded into the
+//                       snapshots; absent = 0)
 //   commit <record-count>
 //
 // A shard's WAL is the one file `events-<k>-<epoch>.wal` for the whole
@@ -27,8 +32,12 @@
 // on the shard record; such a manifest is refused with
 // FailedPrecondition (checkpoint it with the release that wrote it).
 // The `cold` record is emitted only for shards that actually sealed (or
-// dropped) history, so directories without tiering serialize
-// byte-identically to the pre-tiering format.
+// dropped) history, and the `floor` record only for shards whose floor
+// is nonzero, so directories without tiering or logged history
+// serialize byte-identically to the formats before them. The floor is a
+// record of its own because a fourth field on `shard` reads as rotated
+// WAL segments; a release that predates it refuses `floor` as an
+// unknown record rather than restarting every position at 0.
 //
 // The trailing `commit` record carries the number of records before it;
 // a manifest without a matching commit record (torn write, truncation)
@@ -64,6 +73,9 @@ struct ShardManifest {
     /// Events dropped past the retention horizon (cumulative), so the
     /// logical history length survives recovery.
     uint64_t dropped_events = 0;
+    /// Replication position of the first record of `wal`: every record
+    /// the shard's earlier logs accepted, so positions survive restarts.
+    uint64_t floor = 0;
   };
   /// Indexed by shard; size() == num_shards after a successful load.
   std::vector<ShardFiles> shards;

@@ -2,9 +2,11 @@
 
 #include "storage/snapshot.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "storage/codec.h"
 #include "util/string_util.h"
@@ -13,8 +15,99 @@ namespace ltam {
 
 namespace {
 
-std::string I64(int64_t v) { return std::to_string(v); }
-std::string U32(uint32_t v) { return std::to_string(v); }
+/// The file codec lines are rendered into, through one buffer that is
+/// written out whenever a line fills it past kSpillBytes and at Finish:
+/// a write per 64 KiB however large the snapshot, and no more memory
+/// than the buffer (one holding a whole base snapshot would stay
+/// resident after every checkpoint).
+class LineFile {
+ public:
+  explicit LineFile(const std::string& path)
+      : file_(path, std::ios::binary | std::ios::trunc) {
+    buffer_.reserve(kSpillBytes + kSpillBytes / 4);
+  }
+
+  bool is_open() const { return file_.is_open(); }
+  std::string* buffer() { return &buffer_; }
+
+  void EndLine() {
+    buffer_ += '\n';
+    if (buffer_.size() >= kSpillBytes) Spill();
+  }
+
+  /// Writes what is buffered; reports any write that failed.
+  Status Finish(const char* what) {
+    Spill();
+    file_.flush();
+    if (!file_.good()) {
+      return Status::IOError(std::string(what) + " write failed");
+    }
+    return Status::OK();
+  }
+
+ private:
+  static constexpr size_t kSpillBytes = size_t{64} << 10;
+
+  void Spill() {
+    file_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+  std::ofstream file_;
+  std::string buffer_;
+};
+
+/// One codec line rendered straight into a LineFile's buffer: the bytes
+/// EncodeRecord produces for a Record of the same fields (strings
+/// escaped, integers in std::to_chars' decimal form, which needs no
+/// escaping, doubles as "%.17g"), without building the Record. The line
+/// ends when it goes out of scope.
+class Line {
+ public:
+  Line(LineFile* file, std::string_view type)
+      : file_(file), out_(file->buffer()) {
+    AppendEscapedField(type, out_);
+  }
+  ~Line() { file_->EndLine(); }
+  Line(const Line&) = delete;
+  Line& operator=(const Line&) = delete;
+
+  Line& Str(std::string_view field) {
+    *out_ += '\t';
+    AppendEscapedField(field, out_);
+    return *this;
+  }
+  template <typename Int>
+  Line& Num(Int value) {
+    char buf[24];
+    const std::to_chars_result end =
+        std::to_chars(buf, buf + sizeof(buf), value);
+    *out_ += '\t';
+    out_->append(buf, end.ptr);
+    return *this;
+  }
+  Line& Real(double value) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+    *out_ += '\t';
+    out_->append(buf, static_cast<size_t>(n));
+    return *this;
+  }
+
+ private:
+  LineFile* file_;
+  std::string* out_;
+};
+
+void RenderMove(const MovementEvent& ev, LineFile* out) {
+  Line line(out, "move");
+  line.Num(ev.time).Num(ev.subject);
+  if (ev.to == kInvalidLocation) {
+    line.Str("out");
+  } else {
+    line.Num(ev.to);
+  }
+}
 
 Result<int64_t> F_I64(const Record& rec, size_t i) {
   if (i >= rec.fields.size()) {
@@ -30,12 +123,6 @@ Result<std::string> F_Str(const Record& rec, size_t i) {
                               std::to_string(i));
   }
   return rec.fields[i];
-}
-
-Record MoveRecord(const MovementEvent& ev) {
-  return Record{"move",
-                {I64(ev.time), U32(ev.subject),
-                 ev.to == kInvalidLocation ? "out" : U32(ev.to)}};
 }
 
 Status ApplyMoveRecord(const Record& rec, MovementDatabase* movements) {
@@ -59,55 +146,50 @@ Status ApplyMoveRecord(const Record& rec, MovementDatabase* movements) {
 }  // namespace
 
 Status SaveSnapshot(const SystemState& state, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
+  LineFile file(path);
+  if (!file.is_open()) {
     return Status::IOError("cannot open snapshot '" + path + "' for write");
   }
-  auto emit = [&out](const Record& rec) {
-    out << EncodeRecord(rec) << '\n';
-  };
 
   // --- Graph ---------------------------------------------------------------
   const MultilevelLocationGraph& g = state.graph;
-  emit({"graph-root", {g.location(g.root()).name}});
+  Line(&file, "graph-root").Str(g.location(g.root()).name);
   for (LocationId id = 1; id < g.size(); ++id) {
     const Location& loc = g.location(id);
-    emit({"loc",
-          {U32(id), loc.name, loc.IsComposite() ? "composite" : "primitive",
-           U32(loc.parent), loc.is_entry ? "1" : "0", loc.description}});
+    Line(&file, "loc")
+        .Num(id)
+        .Str(loc.name)
+        .Str(loc.IsComposite() ? "composite" : "primitive")
+        .Num(loc.parent)
+        .Str(loc.is_entry ? "1" : "0")
+        .Str(loc.description);
     if (loc.boundary.has_value()) {
-      Record rec{"boundary", {U32(id)}};
-      for (const Point& p : loc.boundary->ring()) {
-        rec.fields.push_back(StrFormat("%.17g", p.x));
-        rec.fields.push_back(StrFormat("%.17g", p.y));
-      }
-      emit(rec);
+      Line line(&file, "boundary");
+      line.Num(id);
+      for (const Point& p : loc.boundary->ring()) line.Real(p.x).Real(p.y);
     }
   }
-  for (const auto& [a, b] : g.Edges()) {
-    emit({"edge", {U32(a), U32(b)}});
-  }
+  for (const auto& [a, b] : g.Edges()) Line(&file, "edge").Num(a).Num(b);
 
   // --- Profiles --------------------------------------------------------------
   const UserProfileDatabase& profiles = state.profiles;
   for (SubjectId s : profiles.AllSubjects()) {
-    const Subject& subj = profiles.subject(s);
-    emit({"subject", {U32(s), subj.name}});
+    Line(&file, "subject").Num(s).Str(profiles.subject(s).name);
   }
   // Supervisors after all subjects exist (forward references are legal).
   for (SubjectId s : profiles.AllSubjects()) {
     const Subject& subj = profiles.subject(s);
     if (subj.supervisor != kInvalidSubject) {
-      emit({"supervisor", {U32(s), U32(subj.supervisor)}});
+      Line(&file, "supervisor").Num(s).Num(subj.supervisor);
     }
     for (const std::string& group : subj.groups) {
-      emit({"group", {U32(s), group}});
+      Line(&file, "group").Num(s).Str(group);
     }
     for (const std::string& role : subj.roles) {
-      emit({"role", {U32(s), role}});
+      Line(&file, "role").Num(s).Str(role);
     }
     for (const auto& [key, value] : subj.attributes) {
-      emit({"attr", {U32(s), key, value}});
+      Line(&file, "attr").Num(s).Str(key).Str(value);
     }
   }
 
@@ -115,36 +197,39 @@ Status SaveSnapshot(const SystemState& state, const std::string& path) {
   const AuthorizationDatabase& db = state.auth_db;
   for (AuthId id = 0; id < db.size(); ++id) {
     const AuthRecord& rec = db.record(id);
-    emit({"auth",
-          {U32(id), I64(rec.auth.entry_duration().start()),
-           I64(rec.auth.entry_duration().end()),
-           I64(rec.auth.exit_duration().start()),
-           I64(rec.auth.exit_duration().end()), U32(rec.auth.subject()),
-           U32(rec.auth.location()), I64(rec.auth.max_entries()),
-           rec.origin == AuthOrigin::kDerived ? "derived" : "explicit",
-           U32(rec.source_rule), rec.revoked ? "1" : "0",
-           I64(rec.entries_used)}});
+    Line(&file, "auth")
+        .Num(id)
+        .Num(rec.auth.entry_duration().start())
+        .Num(rec.auth.entry_duration().end())
+        .Num(rec.auth.exit_duration().start())
+        .Num(rec.auth.exit_duration().end())
+        .Num(rec.auth.subject())
+        .Num(rec.auth.location())
+        .Num(rec.auth.max_entries())
+        .Str(rec.origin == AuthOrigin::kDerived ? "derived" : "explicit")
+        .Num(rec.source_rule)
+        .Str(rec.revoked ? "1" : "0")
+        .Num(rec.entries_used);
   }
 
   // --- Rules -------------------------------------------------------------------
   for (const AuthorizationRule& rule : state.rules) {
-    emit({"rule",
-          {I64(rule.valid_from), U32(rule.base),
-           rule.op_entry ? rule.op_entry->ToString() : "WHENEVER",
-           rule.op_exit ? rule.op_exit->ToString() : "WHENEVER",
-           rule.op_subject ? rule.op_subject->ToString() : "Identity",
-           rule.op_location ? rule.op_location->ToString() : "Identity",
-           rule.exp_n.has_value() ? rule.exp_n->text() : "n", rule.label}});
+    Line(&file, "rule")
+        .Num(rule.valid_from)
+        .Num(rule.base)
+        .Str(rule.op_entry ? rule.op_entry->ToString() : "WHENEVER")
+        .Str(rule.op_exit ? rule.op_exit->ToString() : "WHENEVER")
+        .Str(rule.op_subject ? rule.op_subject->ToString() : "Identity")
+        .Str(rule.op_location ? rule.op_location->ToString() : "Identity")
+        .Str(rule.exp_n.has_value() ? rule.exp_n->text() : "n")
+        .Str(rule.label);
   }
 
   // --- Movements -----------------------------------------------------------------
   for (const MovementEvent& ev : state.movements.history()) {
-    emit(MoveRecord(ev));
+    RenderMove(ev, &file);
   }
-
-  out.flush();
-  if (!out.good()) return Status::IOError("snapshot write failed");
-  return Status::OK();
+  return file.Finish("snapshot");
 }
 
 Result<SystemState> LoadSnapshot(const std::string& path) {
@@ -336,17 +421,13 @@ Result<SystemState> LoadSnapshot(
 
 Status SaveMovements(const MovementDatabase& movements,
                      const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
+  LineFile file(path);
+  if (!file.is_open()) {
     return Status::IOError("cannot open movement segment '" + path +
                            "' for write");
   }
-  for (const MovementEvent& ev : movements.history()) {
-    out << EncodeRecord(MoveRecord(ev)) << '\n';
-  }
-  out.flush();
-  if (!out.good()) return Status::IOError("movement segment write failed");
-  return Status::OK();
+  for (const MovementEvent& ev : movements.history()) RenderMove(ev, &file);
+  return file.Finish("movement segment");
 }
 
 Result<MovementDatabase> LoadMovements(const std::string& path) {

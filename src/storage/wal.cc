@@ -13,64 +13,74 @@
 
 namespace ltam {
 
-Result<WalWriter> WalWriter::Open(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    return Status::IOError("cannot open WAL '" + path +
+namespace {
+
+Result<int> OpenWal(const std::string& path, int flags, const char* verb) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | flags,
+                        0666);
+  if (fd < 0) {
+    return Status::IOError(std::string("cannot ") + verb + " WAL '" + path +
                            "': " + std::strerror(errno));
   }
-  return WalWriter(file);
+  return fd;
+}
+
+}  // namespace
+
+Result<WalWriter> WalWriter::Open(const std::string& path) {
+  LTAM_ASSIGN_OR_RETURN(int fd, OpenWal(path, O_APPEND, "open"));
+  return WalWriter(fd);
 }
 
 Result<WalWriter> WalWriter::Create(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot create WAL '" + path +
-                           "': " + std::strerror(errno));
-  }
-  return WalWriter(file);
+  LTAM_ASSIGN_OR_RETURN(int fd, OpenWal(path, O_TRUNC, "create"));
+  return WalWriter(fd);
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
-    : file_(other.file_), appended_(other.appended_) {
-  other.file_ = nullptr;
+    : fd_(other.fd_), appended_(other.appended_) {
+  other.fd_ = -1;
 }
 
 WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = other.file_;
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = other.fd_;
     appended_ = other.appended_;
-    other.file_ = nullptr;
+    other.fd_ = -1;
   }
   return *this;
 }
 
 WalWriter::~WalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status WalWriter::Append(const Record& record) {
-  std::string line = EncodeRecord(record);
-  line += '\n';
-  return AppendEncoded(line);
-}
-
-Status WalWriter::AppendEncoded(const std::string& line) {
-  if (file_ == nullptr) return Status::FailedPrecondition("WAL moved-from");
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return Status::IOError("short WAL write");
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("WAL flush failed");
-  }
+  std::string line;
+  AppendRecordLine(record, &line);
+  LTAM_RETURN_IF_ERROR(Write(line));
   ++appended_;
   return Status::OK();
 }
 
+Status WalWriter::Write(std::string_view lines) {
+  if (fd_ < 0) return Status::FailedPrecondition("WAL moved-from");
+  while (!lines.empty()) {
+    const ssize_t n = ::write(fd_, lines.data(), lines.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      return Status::IOError(std::string("WAL write failed: ") +
+                             (n < 0 ? std::strerror(errno) : "no progress"));
+    }
+    lines.remove_prefix(static_cast<size_t>(n));
+  }
+  return Status::OK();
+}
+
 Status WalWriter::Sync() {
-  if (file_ == nullptr) return Status::FailedPrecondition("WAL moved-from");
-  if (::fsync(::fileno(file_)) != 0) {
+  if (fd_ < 0) return Status::FailedPrecondition("WAL moved-from");
+  if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("fsync failed: ") +
                            std::strerror(errno));
   }

@@ -8,16 +8,18 @@
 #ifndef LTAM_STORAGE_WAL_H_
 #define LTAM_STORAGE_WAL_H_
 
-#include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "storage/codec.h"
 #include "util/result.h"
 
 namespace ltam {
 
-/// Append-only log writer.
+/// Append-only log writer over a raw file descriptor: every call that
+/// writes is one write(2) (retried only to finish a short write), with
+/// no user-space buffer between it and the file.
 class WalWriter {
  public:
   /// Opens (creating or appending) the log at `path`.
@@ -34,24 +36,24 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
   ~WalWriter();
 
-  /// Appends one record (one line) and flushes to the OS.
+  /// Appends one record (one line).
   Status Append(const Record& record);
 
-  /// Appends an already-encoded line (must end in '\n') and flushes to
-  /// the OS. The pipelined log encodes on the worker thread and hands
-  /// finished lines to its flusher, so the writer must not re-encode.
-  Status AppendEncoded(const std::string& line);
+  /// Writes already-encoded lines (each ending in '\n'). The log
+  /// pipeline encodes on the appending thread and hands whole runs of
+  /// lines to its log thread, which writes each run with one call.
+  Status Write(std::string_view lines);
 
   /// fsyncs the file (durability barrier).
   Status Sync();
 
-  /// Records appended through this writer.
+  /// Records appended through Append().
   size_t appended() const { return appended_; }
 
  private:
-  explicit WalWriter(std::FILE* file) : file_(file) {}
+  explicit WalWriter(int fd) : fd_(fd) {}
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   size_t appended_ = 0;
 };
 

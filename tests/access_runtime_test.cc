@@ -767,10 +767,10 @@ RULE FROM 0 BASE 0 SUBJECT Supervisor_Of
 }
 
 TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
-  // Replication position 0 of a reopened runtime must name the first
-  // record this instance appended. Without a recovery cut, appends land
-  // after the pre-crash lines of the reopened log, and a slice from 0
-  // ships those stale records instead.
+  // The recovered replication position of a reopened runtime must name
+  // the first record this instance appended. Without a recovery cut,
+  // appends land after the pre-crash lines of the reopened log, and a
+  // slice from that position ships those stale records instead.
   World w = MakeWorld(83, /*subject_count=*/12);
   std::vector<std::vector<AccessEvent>> batches =
       MakeBatches(w, /*total_events=*/400, 89);
@@ -790,6 +790,8 @@ TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
   }
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(SystemState(), options));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> recovered,
+                       rt->ReplicationPositions());
   const std::vector<AccessEvent>& fresh = batches[crash_at];
   ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(fresh));
   ASSERT_OK(r.durability);
@@ -803,11 +805,87 @@ TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
         expected.push_back(EncodeRecord(EncodeEventRecord(e)));
       }
     }
-    ASSERT_OK_AND_ASSIGN(AccessRuntime::ReplicationSlice slice,
-                         rt->ReadReplicationSlice(k, 0, 1 << 20));
+    ASSERT_OK_AND_ASSIGN(
+        AccessRuntime::ReplicationSlice slice,
+        rt->ReadReplicationSlice(k, recovered[k], 1 << 20));
     EXPECT_EQ(expected, slice.records);
-    EXPECT_EQ(expected.size(), slice.next);
+    EXPECT_EQ(recovered[k] + expected.size(), slice.next);
   }
+}
+
+TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
+  // A replica that applied N shipped records and went down without a
+  // checkpoint must come back at position N: its recovered snapshot
+  // holds those records, so the primary's next slice must carry only
+  // the records after them. Positions that restart at 0 make the
+  // primary re-ship the whole log and the replica re-apply (and
+  // re-log) records it already holds.
+  World w = MakeWorld(97, /*subject_count=*/10);
+  std::vector<std::vector<AccessEvent>> batches =
+      MakeBatches(w, /*total_events=*/200, 101);
+  ASSERT_GE(batches.size(), 2u);
+  const std::string primary_dir = dir_ + "/primary";
+  const std::string replica_dir = dir_ + "/replica";
+  fs::create_directories(primary_dir);
+  fs::create_directories(replica_dir);
+  RuntimeOptions primary_options;
+  primary_options.durable_dir = primary_dir;
+  RuntimeOptions replica_options;
+  replica_options.durable_dir = replica_dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> primary,
+                       AccessRuntime::Open(StateOf(w), primary_options));
+  // Ships everything durable past `from` to the replica; returns the
+  // shipped records.
+  auto ship = [&](AccessRuntime* replica, uint64_t from) {
+    Result<AccessRuntime::ReplicationSlice> slice =
+        primary->ReadReplicationSlice(0, from, 1 << 20);
+    EXPECT_OK(slice.status());
+    if (!slice.ok()) return std::vector<std::string>();
+    EXPECT_OK(replica->ApplyReplicated(0, from, slice->records).status());
+    return slice->records;
+  };
+
+  ASSERT_OK(primary->ApplyBatch(batches[0]).status());
+  ASSERT_OK(primary->WaitDurable());
+  uint64_t applied = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> replica,
+                         AccessRuntime::Open(StateOf(w), replica_options));
+    ASSERT_OK(replica->DemoteToReplica());
+    applied = ship(replica.get(), 0).size();
+    ASSERT_EQ(batches[0].size(), applied);
+    ASSERT_OK(replica->WaitDurable());
+    // No checkpoint: drop the replica as a crash stand-in.
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> replica,
+                       AccessRuntime::Open(SystemState(), replica_options));
+  EXPECT_EQ(applied, replica->recovery().replayed_records);
+  ASSERT_OK(replica->DemoteToReplica());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> positions,
+                       replica->ReplicationPositions());
+  ASSERT_EQ(1u, positions.size());
+  EXPECT_EQ(applied, positions[0]) << "the restart kept the position";
+
+  ASSERT_OK(primary->ApplyBatch(batches[1]).status());
+  ASSERT_OK(primary->WaitDurable());
+  std::vector<std::string> expected;
+  for (const AccessEvent& e : batches[1]) {
+    expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+  }
+  EXPECT_EQ(expected, ship(replica.get(), positions[0]))
+      << "the next slice carries only the new batch";
+  ASSERT_OK_AND_ASSIGN(positions, replica->ReplicationPositions());
+  EXPECT_EQ(applied + batches[1].size(), positions[0]);
+
+  // A second restart starts from the floor the first one's recovery cut
+  // committed to the MANIFEST, plus the tail it replays.
+  ASSERT_OK(replica->WaitDurable());
+  replica.reset();
+  ASSERT_OK_AND_ASSIGN(replica,
+                       AccessRuntime::Open(SystemState(), replica_options));
+  EXPECT_EQ(batches[1].size(), replica->recovery().replayed_records);
+  ASSERT_OK_AND_ASSIGN(positions, replica->ReplicationPositions());
+  EXPECT_EQ(applied + batches[1].size(), positions[0]);
 }
 
 TEST_F(AccessRuntimeDurableTest, StateSurvivesReopenAndCheckpoint) {

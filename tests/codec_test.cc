@@ -9,9 +9,15 @@
 namespace ltam {
 namespace {
 
+std::string Escaped(const std::string& field) {
+  std::string out;
+  AppendEscapedField(field, &out);
+  return out;
+}
+
 TEST(CodecTest, EscapeRoundTrip) {
   std::string nasty = "a\tb\nc\rd\\e";
-  std::string escaped = EscapeField(nasty);
+  std::string escaped = Escaped(nasty);
   EXPECT_EQ(escaped.find('\t'), std::string::npos);
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
   ASSERT_OK_AND_ASSIGN(std::string back, UnescapeField(escaped));
@@ -19,7 +25,7 @@ TEST(CodecTest, EscapeRoundTrip) {
 }
 
 TEST(CodecTest, EscapePlainIsIdentity) {
-  EXPECT_EQ(EscapeField("SCE.GO"), "SCE.GO");
+  EXPECT_EQ(Escaped("SCE.GO"), "SCE.GO");
   ASSERT_OK_AND_ASSIGN(std::string back, UnescapeField("SCE.GO"));
   EXPECT_EQ(back, "SCE.GO");
 }

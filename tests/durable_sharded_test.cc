@@ -26,6 +26,7 @@
 
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
+#include "storage/codec.h"
 #include "storage/event_log.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
@@ -1270,6 +1271,85 @@ TEST_P(DurableShardedTest, RetentionTelemetryReconciles) {
 #if defined(__linux__)
   EXPECT_GT(registry.GetGauge("storage.resident_bytes")->value(), 0);
 #endif
+}
+
+TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
+  // A 2-shard primary with a logged tail restarts. Each shard's position
+  // must carry on from its pre-restart value — the recovery cut folds
+  // the tail into the snapshots and commits the floor in the MANIFEST —
+  // so a replica that resumes at its old position gets exactly the
+  // records appended after the restart, and one below the floor is told
+  // to resync. Positions that restart at 0 would let a replica at
+  // position P silently skip the first P records of the new log.
+  const std::string dir = ::testing::TempDir() + "/ltam_dsh_positions";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(61, 16, &subjects);
+  auto batches = MakeBatches(probe, subjects, 300, 60, 67);
+  ASSERT_GE(batches.size(), 4u);
+  DurableShardedOptions options;
+  options.num_shards = 2;
+  options.durability.mode = SyncMode::kPipelined;
+  std::vector<DurabilityWatermark> before(2);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir, MakeInitialState(61, 16), options));
+    ASSERT_OK(EvaluateBatch(sys.get(), batches[0]).status());
+    ASSERT_OK(sys->Checkpoint());
+    for (size_t i = 1; i < 3; ++i) {
+      ASSERT_OK(EvaluateBatch(sys.get(), batches[i]).status());
+    }
+    ASSERT_OK(sys->WaitDurable());
+    for (uint32_t k = 0; k < 2; ++k) before[k] = sys->ShardWatermark(k);
+    // "Crash": no checkpoint; the tail stays in the logs.
+  }
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir, MakeInitialState(61, 16), options));
+  EXPECT_GT(sys->recovery().replayed_records, 0u);
+  uint64_t total = 0;
+  for (uint32_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    EXPECT_GT(before[k].durable, 0u);
+    EXPECT_EQ(before[k].durable, sys->ShardWatermark(k).durable);
+    EXPECT_EQ(before[k].durable, sys->ShardWatermark(k).applied);
+    total += before[k].durable;
+  }
+  EXPECT_EQ(total, sys->Watermark().durable);
+
+  ASSERT_OK(EvaluateBatch(sys.get(), batches[3]).status());
+  ASSERT_OK(sys->WaitDurable());
+  for (uint32_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    std::vector<std::string> expected;
+    for (const AccessEvent& e : batches[3]) {
+      if (sys->ShardOf(e.subject) == k) {
+        expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(
+        DurableShardedSystem::ReplicationSlice slice,
+        sys->ReadShardRecords(k, before[k].durable, 1 << 20));
+    EXPECT_EQ(expected, slice.records);
+    EXPECT_EQ(before[k].durable + expected.size(), slice.next);
+    Result<DurableShardedSystem::ReplicationSlice> stale =
+        sys->ReadShardRecords(k, before[k].durable - 1, 1 << 20);
+    ASSERT_FALSE(stale.ok());
+    EXPECT_TRUE(stale.status().IsFailedPrecondition());
+    EXPECT_NE(std::string::npos,
+              stale.status().ToString().find("resync required"))
+        << stale.status().ToString();
+  }
+  // The floors are what the MANIFEST committed.
+  ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
+                       LoadManifest(dir + "/MANIFEST"));
+  for (uint32_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(before[k].durable, manifest.shards[k].floor);
+  }
+  sys.reset();
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(

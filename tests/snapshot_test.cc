@@ -1,5 +1,6 @@
 // Copyright 2026 The LTAM Authors.
-// Whole-system snapshot round-trip tests.
+// Whole-system snapshot round-trip tests, and the byte-for-byte pin of
+// the one-buffer encoders against the Record-per-line rendering.
 
 #include "storage/snapshot.h"
 
@@ -7,10 +8,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "core/inaccessible.h"
 #include "sim/graph_gen.h"
+#include "storage/codec.h"
 #include "test_util.h"
+#include "util/string_util.h"
 
 namespace ltam {
 namespace {
@@ -153,6 +157,148 @@ TEST_F(SnapshotTest, LoadedStateIsFunctionallyEquivalent) {
       FindInaccessible(loaded.graph, loaded.graph.root(), alice,
                        loaded.auth_db));
   EXPECT_EQ(before.inaccessible, after.inaccessible);
+}
+
+/// The snapshot as a Record of std::to_string fields per line, through
+/// EncodeRecord: the rendering SaveSnapshot used before it wrote one
+/// buffer, kept as the reference its bytes must match.
+std::string ReferenceMoveLine(const MovementEvent& ev) {
+  return EncodeRecord(Record{
+             "move",
+             {std::to_string(ev.time), std::to_string(ev.subject),
+              ev.to == kInvalidLocation ? "out" : std::to_string(ev.to)}}) +
+         "\n";
+}
+
+std::string ReferenceSnapshot(const SystemState& state) {
+  std::string out;
+  auto emit = [&out](const Record& rec) {
+    out += EncodeRecord(rec);
+    out += '\n';
+  };
+  auto i64 = [](int64_t v) { return std::to_string(v); };
+  auto u32 = [](uint32_t v) { return std::to_string(v); };
+  const MultilevelLocationGraph& g = state.graph;
+  emit({"graph-root", {g.location(g.root()).name}});
+  for (LocationId id = 1; id < g.size(); ++id) {
+    const Location& loc = g.location(id);
+    emit({"loc",
+          {u32(id), loc.name, loc.IsComposite() ? "composite" : "primitive",
+           u32(loc.parent), loc.is_entry ? "1" : "0", loc.description}});
+    if (loc.boundary.has_value()) {
+      Record rec{"boundary", {u32(id)}};
+      for (const Point& p : loc.boundary->ring()) {
+        rec.fields.push_back(StrFormat("%.17g", p.x));
+        rec.fields.push_back(StrFormat("%.17g", p.y));
+      }
+      emit(rec);
+    }
+  }
+  for (const auto& [a, b] : g.Edges()) emit({"edge", {u32(a), u32(b)}});
+  const UserProfileDatabase& profiles = state.profiles;
+  for (SubjectId s : profiles.AllSubjects()) {
+    emit({"subject", {u32(s), profiles.subject(s).name}});
+  }
+  for (SubjectId s : profiles.AllSubjects()) {
+    const Subject& subj = profiles.subject(s);
+    if (subj.supervisor != kInvalidSubject) {
+      emit({"supervisor", {u32(s), u32(subj.supervisor)}});
+    }
+    for (const std::string& group : subj.groups) {
+      emit({"group", {u32(s), group}});
+    }
+    for (const std::string& role : subj.roles) emit({"role", {u32(s), role}});
+    for (const auto& [key, value] : subj.attributes) {
+      emit({"attr", {u32(s), key, value}});
+    }
+  }
+  const AuthorizationDatabase& db = state.auth_db;
+  for (AuthId id = 0; id < db.size(); ++id) {
+    const AuthRecord& rec = db.record(id);
+    emit({"auth",
+          {u32(id), i64(rec.auth.entry_duration().start()),
+           i64(rec.auth.entry_duration().end()),
+           i64(rec.auth.exit_duration().start()),
+           i64(rec.auth.exit_duration().end()), u32(rec.auth.subject()),
+           u32(rec.auth.location()), i64(rec.auth.max_entries()),
+           rec.origin == AuthOrigin::kDerived ? "derived" : "explicit",
+           u32(rec.source_rule), rec.revoked ? "1" : "0",
+           i64(rec.entries_used)}});
+  }
+  for (const AuthorizationRule& rule : state.rules) {
+    emit({"rule",
+          {i64(rule.valid_from), u32(rule.base),
+           rule.op_entry ? rule.op_entry->ToString() : "WHENEVER",
+           rule.op_exit ? rule.op_exit->ToString() : "WHENEVER",
+           rule.op_subject ? rule.op_subject->ToString() : "Identity",
+           rule.op_location ? rule.op_location->ToString() : "Identity",
+           rule.exp_n.has_value() ? rule.exp_n->text() : "n", rule.label}});
+  }
+  for (const MovementEvent& ev : state.movements.history()) {
+    out += ReferenceMoveLine(ev);
+  }
+  return out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(SnapshotTest, EncodersMatchTheRecordRendering) {
+  // Every record type, plus the values whose rendering could drift:
+  // escaped characters, fractional coordinates, negative times, the
+  // unlimited-entries sentinel and the invalid-rule id.
+  SystemState state = MakeRichState();
+  LocationId go = state.graph.Find("SCE.GO").ValueOrDie();
+  LocationId cais = state.graph.Find("CAIS").ValueOrDie();
+  ASSERT_OK(state.graph.SetDescription(go, "tab\there, back\\slash"));
+  ASSERT_OK(state.graph.SetBoundary(
+      cais, Polygon::Rect(0.1, -2.5, 1e-3, 3.0000000000000004)));
+  ASSERT_OK_AND_ASSIGN(SubjectId carol,
+                       state.profiles.AddSubject("Carol\nthe second"));
+  ASSERT_OK(state.profiles.SetAttribute(carol, "note", "a\tb\rc"));
+  ASSERT_OK(state.profiles.AddToGroup(carol, "night shift"));
+  ASSERT_OK_AND_ASSIGN(
+      LocationTemporalAuthorization open_ended,
+      LocationTemporalAuthorization::Make(TimeInterval(-40, 20),
+                                          TimeInterval(-30, 90),
+                                          LocationAuthorization{carol, go}));
+  state.auth_db.Add(open_ended);
+  ASSERT_OK_AND_ASSIGN(
+      LocationTemporalAuthorization derived,
+      LocationTemporalAuthorization::Make(TimeInterval(0, 60),
+                                          TimeInterval(0, 90),
+                                          LocationAuthorization{carol, cais},
+                                          3));
+  AuthId spent = state.auth_db.AddDerived(derived, 0);
+  ASSERT_OK(state.auth_db.RecordEntry(spent));
+  ASSERT_OK(state.auth_db.RecordEntry(spent));
+  ASSERT_OK(state.movements.RecordMovement(-7, carol, go));
+  ASSERT_OK(state.movements.RecordMovement(30, carol, kInvalidLocation));
+  // Enough history that both files outgrow the encoders' 64 KiB buffer.
+  for (Chronon t = 40; t < 12040; t += 2) {
+    ASSERT_OK(state.movements.RecordMovement(t, carol, go));
+    ASSERT_OK(state.movements.RecordMovement(t + 1, carol, kInvalidLocation));
+  }
+
+  ASSERT_OK(SaveSnapshot(state, path_));
+  const std::string want = ReferenceSnapshot(state);
+  EXPECT_EQ(want, ReadFile(path_));
+  EXPECT_GT(want.size(), size_t{2} << 16);
+  EXPECT_NE(std::string::npos, want.find("\nboundary\t"));
+  EXPECT_NE(std::string::npos, want.find("\tout\n"));
+
+  ASSERT_OK(SaveMovements(state.movements, path_));
+  std::string moves;
+  for (const MovementEvent& ev : state.movements.history()) {
+    moves += ReferenceMoveLine(ev);
+  }
+  EXPECT_EQ(moves, ReadFile(path_));
+  EXPECT_GT(moves.size(), size_t{2} << 16);
+  ASSERT_OK(SaveMovements(MovementDatabase(), path_));
+  EXPECT_EQ("", ReadFile(path_));
 }
 
 TEST_F(SnapshotTest, SaveToBadPathFails) {
