@@ -15,7 +15,9 @@
 #                      # whose two relaunches must answer the same
 #                      # history, checks that each boot commits at most
 #                      # one checkpoint (a fresh boot leaves MANIFEST at
-#                      # epoch 0, a crash relaunch adds exactly one), and
+#                      # epoch 0, a crash relaunch adds exactly one), that
+#                      # every cleanly stopped directory holds exactly the
+#                      # files its MANIFEST names (plus REPL_EPOCH), and
 #                      # inputs that must be refused: a
 #                      # removed-layout (state.snap) directory and bad
 #                      # flag values (out-of-range --port, malformed
@@ -253,6 +255,27 @@ EOF
       || { echo "service: durable server skipped the shutdown path ($1)" >&2; exit 1; }
     rm -f "$log"
   }
+  # Demands that stopped directory $1 mirrors its MANIFEST ($2 names the
+  # boot): it holds exactly the MANIFEST, the files it names (base, each
+  # shard's snapshot and WAL, each cold segment) and REPL_EPOCH if
+  # present, so no *.tmp an interrupted write left and no file a
+  # checkpoint failed to sweep.
+  expect_mirror() {
+    local named present
+    named="$( { echo MANIFEST
+                if [ -e "$1/REPL_EPOCH" ]; then echo REPL_EPOCH; fi
+                awk -F'\t' '$1 == "base" { print $2 }
+                            $1 == "shard" { print $3; print $4 }
+                            $1 == "cold" { for (i = 4; i <= NF; i++) print $i }' \
+                  "$1/MANIFEST"
+              } | sort -u)"
+    present="$(ls -A "$1" | sort)"
+    [ "$named" = "$present" ] || {
+      echo "service: $2 left a directory that does not mirror its MANIFEST" >&2
+      diff <(echo "$named") <(echo "$present") >&2 || true
+      exit 1
+    }
+  }
   # Boot, take the same ingest burst, SIGTERM, then relaunch on the same
   # directory and demand a clean recovery boot and a clean second
   # shutdown. The fresh boot commits one cut, epoch 0 (the scenario's
@@ -269,6 +292,7 @@ EOF
       expect_epoch "$durable_dir" "$epoch" "the clean relaunch"
     fi
     stop_durable "$boot"
+    expect_mirror "$durable_dir" "$boot"
     epoch="$(manifest_epoch "$durable_dir")"
   done
   rm -rf "$durable_dir"
@@ -305,6 +329,7 @@ EOF
     fi
     sweep="$(history_sweep "$port")"
     stop_durable "$boot"
+    expect_mirror "$crash_dir" "$boot"
     epoch="$(manifest_epoch "$crash_dir")"
     grep -Eq '^[0-9]+ *\|' <<< "$sweep" \
       || { echo "service: $boot answered no history rows: $sweep" >&2; exit 1; }

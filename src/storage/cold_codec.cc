@@ -8,6 +8,7 @@
 #include <functional>
 #include <tuple>
 
+#include "storage/wal.h"
 #include "util/result.h"
 
 namespace ltam {
@@ -273,16 +274,10 @@ Result<ColdSegment> DecodeColdSegment(const std::string& bytes) {
 
 Status SaveColdSegment(const ColdSegment& segment, const std::string& path) {
   LTAM_ASSIGN_OR_RETURN(std::string bytes, EncodeColdSegment(segment));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open cold segment '" + path + "'");
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out.good()) {
-    return Status::IOError("cold segment write failed: '" + path + "'");
-  }
-  return Status::OK();
+  LTAM_ASSIGN_OR_RETURN(FileWriter out, FileWriter::Create(path));
+  Status written = out.Write(bytes);
+  if (written.ok()) written = out.Sync();
+  return written.WithContext("cold segment '" + path + "'");
 }
 
 Result<std::shared_ptr<const ColdSegment>> LoadColdSegment(

@@ -1,11 +1,11 @@
 // Copyright 2026 The LTAM Authors.
 // Binary codec for sealed cold segments (engine/cold_segment.h).
 //
-// Unlike the administrator-scale line codec (storage/codec.h), cold
-// segments hold millions of machine-written rows, so they get a compact
-// binary layout: a header (row count, sealed-event count, time bounds),
-// then the four columns back to back, each length-prefixed and
-// varint/delta encoded —
+// Unlike the text record lines of the other durable files
+// (storage/codec.h), cold segments hold millions of machine-written
+// rows, so they get a compact binary layout: a header (row count,
+// sealed-event count, time bounds), then the four columns back to back,
+// each length-prefixed and varint/delta encoded —
 //
 //   subjects   unsigned deltas vs the previous row (the sort order makes
 //              them non-negative, and decoding deltas *enforces* the
@@ -40,8 +40,9 @@ Result<std::string> EncodeColdSegment(const ColdSegment& segment);
 /// Parses and fully validates a file image produced by EncodeColdSegment.
 Result<ColdSegment> DecodeColdSegment(const std::string& bytes);
 
-/// Writes `segment` to `path` (overwrites). The caller owns the fsync
-/// (checkpoints sync the batch of new segment files together).
+/// Writes `segment` to `path` (overwrites) through a FileWriter and
+/// fsyncs it: the file is durable when this returns OK. The caller
+/// still fsyncs the directory that names it.
 Status SaveColdSegment(const ColdSegment& segment, const std::string& path);
 
 /// Reads and decodes the segment at `path`.

@@ -140,8 +140,7 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
     // subject's records.
     replayers.emplace_back([this, k, path, &results, &replayed] {
       AccessControlEngine& shard_engine = engine_->shard_engine(k);
-      results[k] = ReplayWal(path, [&](const Record& rec) -> Status {
-        LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventRecord(rec));
+      results[k] = ReplayWal(path, [&](const LoggedEvent& event) -> Status {
         if (!event.is_tick && engine_->ShardOf(event.event.subject) != k) {
           return Status::ParseError("log for shard " + std::to_string(k) +
                                     " contains foreign subject " +
@@ -178,7 +177,6 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   m.num_shards = n;
   m.base_snapshot = BaseSnapName(epoch);
   LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot)));
-  LTAM_RETURN_IF_ERROR(SyncFile(FilePath(m.base_snapshot)));
   // Epoch 0 — no previous cut — rewrites everything.
   const bool incremental = manifest_.shards.size() == n && log_ != nullptr;
   uint64_t dirty = 0;
@@ -190,7 +188,6 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
     if (shard_dirty) {
       files.snapshot = ShardSnapName(k, epoch);
       LTAM_RETURN_IF_ERROR(SaveMovements(db, FilePath(files.snapshot)));
-      LTAM_RETURN_IF_ERROR(SyncFile(FilePath(files.snapshot)));
       ++dirty;
     } else {
       // Clean shard: no log record landed or replayed since the previous
@@ -215,11 +212,11 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   }
   // Fresh, empty logs for the new epoch (truncating any orphan a crashed
   // earlier attempt at this epoch left behind).
-  std::vector<WalWriter> fresh;
+  std::vector<FileWriter> fresh;
   fresh.reserve(n);
   for (uint32_t k = 0; k < n; ++k) {
-    LTAM_ASSIGN_OR_RETURN(WalWriter wal,
-                          WalWriter::Create(FilePath(m.shards[k].wal)));
+    LTAM_ASSIGN_OR_RETURN(FileWriter wal,
+                          FileWriter::Create(FilePath(m.shards[k].wal)));
     fresh.push_back(std::move(wal));
   }
   // The commit point: everything above becomes the recovered state the
@@ -401,9 +398,7 @@ Status DurableShardedSystem::PersistColdFiles() {
   for (std::vector<ColdFile>& shard_files : cold_files_) {
     for (ColdFile& f : shard_files) {
       if (f.persisted) continue;
-      const std::string path = FilePath(f.name);
-      LTAM_RETURN_IF_ERROR(SaveColdSegment(*f.segment, path));
-      LTAM_RETURN_IF_ERROR(SyncFile(path));
+      LTAM_RETURN_IF_ERROR(SaveColdSegment(*f.segment, FilePath(f.name)));
       f.persisted = true;
       created = true;
     }
@@ -484,7 +479,7 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    return log_->shard(shard).Append(EncodeEventRecord(event));
+    return log_->shard(shard).Append(LoggedEvent::Access(event));
   };
   hooks.after_batch = [this](uint32_t shard) {
     return log_->shard(shard).BatchBoundary();
@@ -584,10 +579,10 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
     sys->epoch_ = manifest.epoch;
     sys->manifest_ = std::move(manifest);
     // Appends resume on each shard's committed WAL.
-    std::vector<WalWriter> wals;
+    std::vector<FileWriter> wals;
     for (const ShardManifest::ShardFiles& files : sys->manifest_.shards) {
-      LTAM_ASSIGN_OR_RETURN(WalWriter wal,
-                            WalWriter::Open(sys->FilePath(files.wal)));
+      LTAM_ASSIGN_OR_RETURN(FileWriter wal,
+                            FileWriter::Open(sys->FilePath(files.wal)));
       wals.push_back(std::move(wal));
     }
     sys->log_ = std::make_unique<LogPipeline>(std::move(wals),
@@ -619,11 +614,11 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
 }
 
 Status DurableShardedSystem::Tick(Chronon t) {
-  const Record record = EncodeTickRecord(t);
+  const LoggedEvent tick = LoggedEvent::Tick(t);
   Status first_error;
   for (uint32_t k = 0; k < num_shards(); ++k) {
     ShardLog& log = log_->shard(k);
-    Status appended = log.Append(record);
+    Status appended = log.Append(tick);
     if (!appended.ok()) {
       // Write-ahead per shard: a shard whose tick could not be logged is
       // not ticked, so its live state never diverges from what recovery
@@ -795,18 +790,18 @@ DurableShardedSystem::ApplyReplicatedRecords(
   uint64_t at = start;
   for (const std::string& line : records) {
     if (at++ < out.position) continue;  // Reconnect overlap: applied.
-    LTAM_ASSIGN_OR_RETURN(Record rec, DecodeRecord(line));
-    LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventRecord(rec));
+    LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventLine(line));
     if (!event.is_tick && engine_->ShardOf(event.event.subject) != shard) {
       return Status::ParseError(
           "replicated record for shard " + std::to_string(shard) +
           " carries foreign subject " +
           std::to_string(event.event.subject));
     }
-    // Write-ahead on the replica too: the record lands in this
-    // directory's own log before it applies, so a replica restart — or
-    // this replica's own promotion — replays the identical stream.
-    Status appended = log.Append(rec);
+    // Write-ahead on the replica too: the decoded record lands in this
+    // directory's own log, rendered by the primary's writer into the
+    // primary's bytes, before it applies, so a replica restart — or this
+    // replica's own promotion — replays the identical stream.
+    Status appended = log.Append(event);
     if (!appended.ok()) return appended.WithContext("replica log append");
     if (event.is_tick) {
       engine_->TickShard(shard, event.tick_time);

@@ -233,10 +233,11 @@ class DurableShardedSystem {
   // live log's sequence. The MANIFEST records each floor and Open adds
   // the records recovery replayed, so a position names the same record
   // across restarts of either side. Shipping reads committed records
-  // back out of the shard's WAL; applying appends them to the replica's
-  // own log (write-ahead, so replica restart and onward promotion replay
-  // the identical stream) and then applies them through the recovery
-  // codec.
+  // back out of the shard's WAL; applying decodes each line with the
+  // recovery decoder (DecodeEventLine), appends the decoded record to the
+  // replica's own log, where the one writer renders the primary's bytes
+  // (write-ahead, so replica restart and onward promotion replay the
+  // identical stream), and then applies it.
 
   /// One shippable slice of a shard's stream: encoded WAL lines
   /// (newline-stripped), starting at position `from`.

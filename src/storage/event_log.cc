@@ -2,99 +2,67 @@
 
 #include "storage/event_log.h"
 
-#include <limits>
-
 #include "engine/sharded_engine.h"
-#include "util/string_util.h"
+#include "storage/codec.h"
 
 namespace ltam {
 
 namespace {
 
-constexpr const char kEntryTag[] = "ev-entry";
-constexpr const char kExitTag[] = "ev-exit";
-constexpr const char kObserveTag[] = "ev-obs";
-constexpr const char kTickTag[] = "ev-tick";
-
-Result<int64_t> Field(const Record& rec, size_t i) {
-  if (i >= rec.fields.size()) {
-    return Status::ParseError("WAL record '" + rec.type + "' missing field " +
-                              std::to_string(i));
-  }
-  return ParseInt64(rec.fields[i]);
-}
-
-Status CheckFieldCount(const Record& rec, size_t expected) {
-  if (rec.fields.size() != expected) {
-    return Status::ParseError("WAL record '" + rec.type + "' has " +
-                              std::to_string(rec.fields.size()) +
-                              " fields, expected " + std::to_string(expected));
-  }
-  return Status::OK();
-}
-
-/// Ids are stored as decimal int64 but must round-trip through uint32.
-Result<uint32_t> CheckedId(int64_t v, const char* what) {
-  if (v < 0 || v > static_cast<int64_t>(std::numeric_limits<uint32_t>::max())) {
-    return Status::ParseError(std::string(what) + " id out of range: " +
-                              std::to_string(v));
-  }
-  return static_cast<uint32_t>(v);
-}
+constexpr std::string_view kEntryTag = "ev-entry";
+constexpr std::string_view kExitTag = "ev-exit";
+constexpr std::string_view kObserveTag = "ev-obs";
+constexpr std::string_view kTickTag = "ev-tick";
 
 }  // namespace
 
-Record EncodeEventRecord(const AccessEvent& event) {
+void AppendEventLine(const AccessEvent& event, std::string* out) {
   switch (event.kind) {
     case AccessEventKind::kRequestEntry:
-      return Record{kEntryTag,
-                    {std::to_string(event.time), std::to_string(event.subject),
-                     std::to_string(event.location)}};
+      Line(out, kEntryTag)
+          .Num(event.time)
+          .Num(event.subject)
+          .Num(event.location);
+      return;
     case AccessEventKind::kRequestExit:
-      return Record{kExitTag,
-                    {std::to_string(event.time),
-                     std::to_string(event.subject)}};
+      Line(out, kExitTag).Num(event.time).Num(event.subject);
+      return;
     case AccessEventKind::kObserve:
-      return Record{kObserveTag,
-                    {std::to_string(event.time), std::to_string(event.subject),
-                     std::to_string(event.location)}};
+      Line(out, kObserveTag)
+          .Num(event.time)
+          .Num(event.subject)
+          .Num(event.location);
+      return;
   }
-  return Record{kTickTag, {std::to_string(event.time)}};  // Unreachable.
 }
 
-Record EncodeTickRecord(Chronon t) {
-  return Record{kTickTag, {std::to_string(t)}};
+void AppendTickLine(Chronon t, std::string* out) {
+  Line(out, kTickTag).Num(t);
 }
 
-Result<LoggedEvent> DecodeEventRecord(const Record& record) {
+Result<LoggedEvent> DecodeEventLine(std::string_view line) {
+  LineReader record(line);
+  const std::string_view tag = record.tag();
   LoggedEvent out;
-  if (record.type == kTickTag) {
-    LTAM_RETURN_IF_ERROR(CheckFieldCount(record, 1));
-    LTAM_ASSIGN_OR_RETURN(out.tick_time, Field(record, 0));
-    out.is_tick = true;
-    return out;
-  }
-  if (record.type == kEntryTag || record.type == kObserveTag) {
-    LTAM_RETURN_IF_ERROR(CheckFieldCount(record, 3));
-    LTAM_ASSIGN_OR_RETURN(int64_t t, Field(record, 0));
-    LTAM_ASSIGN_OR_RETURN(int64_t s, Field(record, 1));
-    LTAM_ASSIGN_OR_RETURN(int64_t l, Field(record, 2));
-    LTAM_ASSIGN_OR_RETURN(uint32_t subject, CheckedId(s, "subject"));
-    LTAM_ASSIGN_OR_RETURN(uint32_t location, CheckedId(l, "location"));
-    out.event = record.type == kEntryTag
-                    ? AccessEvent::Entry(t, subject, location)
-                    : AccessEvent::Observe(t, subject, location);
-    return out;
-  }
-  if (record.type == kExitTag) {
-    LTAM_RETURN_IF_ERROR(CheckFieldCount(record, 2));
-    LTAM_ASSIGN_OR_RETURN(int64_t t, Field(record, 0));
-    LTAM_ASSIGN_OR_RETURN(int64_t s, Field(record, 1));
-    LTAM_ASSIGN_OR_RETURN(uint32_t subject, CheckedId(s, "subject"));
+  if (tag == kTickTag) {
+    LTAM_ASSIGN_OR_RETURN(Chronon t, record.Int());
+    out = LoggedEvent::Tick(t);
+  } else if (tag == kEntryTag || tag == kObserveTag) {
+    LTAM_ASSIGN_OR_RETURN(Chronon t, record.Int());
+    LTAM_ASSIGN_OR_RETURN(SubjectId subject, record.Id());
+    LTAM_ASSIGN_OR_RETURN(LocationId location, record.Id());
+    out.event = tag == kEntryTag ? AccessEvent::Entry(t, subject, location)
+                                 : AccessEvent::Observe(t, subject, location);
+  } else if (tag == kExitTag) {
+    LTAM_ASSIGN_OR_RETURN(Chronon t, record.Int());
+    LTAM_ASSIGN_OR_RETURN(SubjectId subject, record.Id());
     out.event = AccessEvent::Exit(t, subject);
-    return out;
+  } else {
+    return Status::ParseError("unknown WAL record '" + std::string(tag) +
+                              "'");
   }
-  return Status::ParseError("unknown WAL record '" + record.type + "'");
+  LTAM_RETURN_IF_ERROR(record.End());
+  return out;
 }
 
 void ApplyLoggedEvent(AccessControlEngine* engine, const LoggedEvent& event) {
@@ -104,12 +72,6 @@ void ApplyLoggedEvent(AccessControlEngine* engine, const LoggedEvent& event) {
   }
   Decision ignored = ApplyAccessEvent(engine, event.event);
   (void)ignored;  // Deterministic re-application; denials repeat.
-}
-
-Status ApplyLoggedRecord(AccessControlEngine* engine, const Record& record) {
-  LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventRecord(record));
-  ApplyLoggedEvent(engine, event);
-  return Status::OK();
 }
 
 }  // namespace ltam

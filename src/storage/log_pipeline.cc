@@ -39,12 +39,20 @@ namespace {
 constexpr uint64_t kPipelineDepth = 4;
 constexpr uint64_t kMaxUnsyncedBytes = 1u << 20;
 
+void AppendLine(const LoggedEvent& record, std::string* out) {
+  if (record.is_tick) {
+    AppendTickLine(record.tick_time, out);
+  } else {
+    AppendEventLine(record.event, out);
+  }
+}
+
 }  // namespace
 
-ShardLog::ShardLog(LogPipeline* pipeline, WalWriter writer)
+ShardLog::ShardLog(LogPipeline* pipeline, FileWriter writer)
     : pipeline_(pipeline), writer_(std::move(writer)) {}
 
-Status ShardLog::Append(const Record& record) {
+Status ShardLog::Append(const LoggedEvent& record) {
   if (pipeline_->options_.mode == SyncMode::kBatch) {
     ++append_attempts_;
     Status written =
@@ -53,7 +61,7 @@ Status ShardLog::Append(const Record& record) {
             : Status::OK();
     if (written.ok()) {
       pending_.lines.clear();
-      AppendRecordLine(record, &pending_.lines);
+      AppendLine(record, &pending_.lines);
       written = writer_.Write(pending_.lines);
     }
     if (!written.ok()) {
@@ -70,7 +78,7 @@ Status ShardLog::Append(const Record& record) {
   // thread woken once per batch. A sticky-failed shard still accepts the
   // record — the event applies either way; the loss is counted when the
   // log thread drops it.
-  AppendRecordLine(record, &pending_.lines);
+  AppendLine(record, &pending_.lines);
   ++pending_.records;
   appended_.store(appended_.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
@@ -204,14 +212,14 @@ uint64_t ShardLog::sync_failures() const {
   return sync_failures_;
 }
 
-LogPipeline::LogPipeline(std::vector<WalWriter> writers,
+LogPipeline::LogPipeline(std::vector<FileWriter> writers,
                          DurabilityOptions options)
     : options_(std::move(options)) {
   if (options_.metrics != nullptr) {
     sync_histogram_ = options_.metrics->GetHistogram("wal.sync");
   }
   shards_.reserve(writers.size());
-  for (WalWriter& writer : writers) {
+  for (FileWriter& writer : writers) {
     shards_.push_back(
         std::unique_ptr<ShardLog>(new ShardLog(this, std::move(writer))));
   }

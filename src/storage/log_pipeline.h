@@ -68,7 +68,7 @@
 #include <thread>
 #include <vector>
 
-#include "storage/codec.h"
+#include "storage/event_log.h"
 #include "storage/wal.h"
 #include "telemetry/metrics.h"
 #include "util/result.h"
@@ -134,11 +134,12 @@ class ShardLog {
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
 
-  /// Appends one record. kBatch: synchronous write-through; a non-OK
-  /// status means the record was NOT written (refuse the event).
-  /// kPipelined: buffers it and returns OK — never an error (failures
-  /// surface asynchronously; see file comment).
-  Status Append(const Record& record);
+  /// Appends one record, rendered straight into the shard's buffer.
+  /// kBatch: synchronous write-through; a non-OK status means the record
+  /// was NOT written (refuse the event). kPipelined: buffers it and
+  /// returns OK — never an error (failures surface asynchronously; see
+  /// file comment).
+  Status Append(const LoggedEvent& record);
 
   /// Marks a batch boundary (the group-commit point). kBatch: fsync
   /// now. kPipelined: counts one pipeline group and publishes the
@@ -175,7 +176,7 @@ class ShardLog {
     }
   };
 
-  ShardLog(LogPipeline* pipeline, WalWriter writer);
+  ShardLog(LogPipeline* pipeline, FileWriter writer);
 
   /// Moves pending_ onto queued_ and returns the sticky error, in one
   /// lock acquisition. Producer thread (or control phase) only.
@@ -194,7 +195,7 @@ class ShardLog {
   LogPipeline* const pipeline_;
 
   // Log-thread-owned (batch mode: owned by the appending thread).
-  WalWriter writer_;
+  FileWriter writer_;
   uint64_t written_seq_ = 0;  // Last seq physically written.
   uint64_t unsynced_bytes_ = 0;
   uint64_t unsynced_groups_ = 0;
@@ -223,10 +224,10 @@ class ShardLog {
 };
 
 /// A durable runtime's shard logs under one SyncMode: one ShardLog per
-/// WalWriter (each positioned at its file's tail), in shard order, and
+/// FileWriter (each positioned at its file's tail), in shard order, and
 /// in kPipelined the one log thread that writes and syncs them all.
 /// kBatch starts no thread and is byte-identical to driving each
-/// WalWriter directly (the equivalence matrix relies on it).
+/// FileWriter directly (the equivalence matrix relies on it).
 ///
 /// Thread contract: Wake/Flush and destruction run on the control
 /// thread; Wake after every shard's BatchBoundary of a batch, Flush and
@@ -235,7 +236,7 @@ class ShardLog {
 /// sync it (best effort), and joins the thread.
 class LogPipeline {
  public:
-  LogPipeline(std::vector<WalWriter> writers, DurabilityOptions options);
+  LogPipeline(std::vector<FileWriter> writers, DurabilityOptions options);
   ~LogPipeline();
   LogPipeline(const LogPipeline&) = delete;
   LogPipeline& operator=(const LogPipeline&) = delete;

@@ -2,12 +2,11 @@
 
 #include "storage/manifest.h"
 
-#include <fstream>
-#include <limits>
+#include <string_view>
+#include <utility>
 
 #include "storage/codec.h"
 #include "storage/wal.h"
-#include "util/string_util.h"
 
 namespace ltam {
 
@@ -20,14 +19,6 @@ constexpr uint32_t kMaxShards = 4096;
 /// lists near compaction_fanin), so a corrupt record cannot drive
 /// allocation.
 constexpr size_t kMaxColdSegments = 65536;
-
-Result<int64_t> Field(const Record& rec, size_t i) {
-  if (i >= rec.fields.size()) {
-    return Status::ParseError("manifest record '" + rec.type +
-                              "' missing field " + std::to_string(i));
-  }
-  return ParseInt64(rec.fields[i]);
-}
 
 /// Segment names must be plain file names: recovery joins them onto the
 /// durable directory, and a corrupted manifest must not escape it.
@@ -63,35 +54,28 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
 
   std::string bytes;
   size_t records = 0;
-  auto emit = [&bytes, &records](const Record& rec) {
-    bytes += EncodeRecord(rec);
-    bytes += '\n';
+  auto emit = [&bytes, &records](std::string_view tag) {
     ++records;
+    return Line(&bytes, tag);
   };
-  emit({"manifest",
-        {std::to_string(kFormatVersion), std::to_string(manifest.epoch),
-         std::to_string(manifest.num_shards)}});
-  emit({"base", {manifest.base_snapshot}});
+  emit("manifest")
+      .Num(kFormatVersion)
+      .Num(manifest.epoch)
+      .Num(manifest.num_shards);
+  emit("base").Str(manifest.base_snapshot);
   for (uint32_t k = 0; k < manifest.num_shards; ++k) {
-    emit({"shard",
-          {std::to_string(k), manifest.shards[k].snapshot,
-           manifest.shards[k].wal}});
+    const ShardManifest::ShardFiles& files = manifest.shards[k];
+    emit("shard").Num(k).Str(files.snapshot).Str(files.wal);
     // Only shards with an actual cold tier emit a record: untiered
     // directories keep the pre-tiering serialization byte for byte.
-    if (!manifest.shards[k].cold.empty() ||
-        manifest.shards[k].dropped_events > 0) {
-      std::vector<std::string> cold_fields{
-          std::to_string(k), std::to_string(manifest.shards[k].dropped_events)};
-      cold_fields.insert(cold_fields.end(), manifest.shards[k].cold.begin(),
-                         manifest.shards[k].cold.end());
-      emit({"cold", std::move(cold_fields)});
+    if (!files.cold.empty() || files.dropped_events > 0) {
+      Line cold = emit("cold");
+      cold.Num(k).Num(files.dropped_events);
+      for (const std::string& seg : files.cold) cold.Str(seg);
     }
-    if (manifest.shards[k].floor > 0) {
-      emit({"floor",
-            {std::to_string(k), std::to_string(manifest.shards[k].floor)}});
-    }
+    if (files.floor > 0) emit("floor").Num(k).Num(files.floor);
   }
-  emit({"commit", {std::to_string(records)}});
+  Line(&bytes, "commit").Num(records);
   return bytes;
 }
 
@@ -103,43 +87,37 @@ Status SaveManifest(const ShardManifest& manifest, const std::string& path) {
 }
 
 Result<ShardManifest> LoadManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open manifest '" + path + "'");
-  }
   ShardManifest out;
   bool saw_header = false;
   bool saw_base = false;
   bool committed = false;
   std::vector<bool> saw_shard;
   size_t records = 0;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    Result<Record> rec_or = DecodeRecord(line);
-    if (!rec_or.ok()) {
-      return rec_or.status().WithContext("manifest line " +
-                                         std::to_string(line_no));
+  // The shard index of a shard/cold/floor record, range-checked.
+  auto shard_index = [&out](LineReader& rec) -> Result<uint32_t> {
+    LTAM_ASSIGN_OR_RETURN(int64_t k, rec.Int());
+    if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
+      return Status::ParseError(std::string(rec.tag()) +
+                                " record shard index out of range: " +
+                                std::to_string(k));
     }
-    const Record& rec = *rec_or;
+    return static_cast<uint32_t>(k);
+  };
+  LTAM_RETURN_IF_ERROR(ForEachRecord(path, "manifest", [&](LineReader& rec) {
+    const std::string_view type = rec.tag();
     if (committed) {
       return Status::ParseError("manifest has records after commit");
     }
-    if (rec.type == "manifest") {
+    if (type == "manifest") {
       if (saw_header) return Status::ParseError("duplicate manifest header");
-      if (rec.fields.size() != 3) {
-        return Status::ParseError("manifest header field count");
-      }
-      LTAM_ASSIGN_OR_RETURN(int64_t version, Field(rec, 0));
+      LTAM_ASSIGN_OR_RETURN(int64_t version, rec.Int());
       if (version != kFormatVersion) {
         return Status::ParseError("unsupported manifest version " +
                                   std::to_string(version));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t epoch, Field(rec, 1));
+      LTAM_ASSIGN_OR_RETURN(int64_t epoch, rec.Int());
       if (epoch < 0) return Status::ParseError("negative manifest epoch");
-      LTAM_ASSIGN_OR_RETURN(int64_t shards, Field(rec, 2));
+      LTAM_ASSIGN_OR_RETURN(int64_t shards, rec.Int());
       if (shards < 1 || shards > static_cast<int64_t>(kMaxShards)) {
         return Status::ParseError("manifest num_shards out of range: " +
                                   std::to_string(shards));
@@ -150,125 +128,104 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       saw_shard.assign(out.num_shards, false);
       saw_header = true;
       ++records;
-      continue;
+      return Status::OK();
     }
     if (!saw_header) {
       return Status::ParseError("manifest must start with its header");
     }
-    if (rec.type == "base") {
+    if (type == "base") {
       if (saw_base) return Status::ParseError("duplicate base record");
-      if (rec.fields.size() != 1) {
-        return Status::ParseError("base record field count");
-      }
-      LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[0]));
-      out.base_snapshot = rec.fields[0];
+      LTAM_ASSIGN_OR_RETURN(out.base_snapshot, rec.Str());
+      LTAM_RETURN_IF_ERROR(CheckFileName(out.base_snapshot));
       saw_base = true;
       ++records;
-      continue;
+      return Status::OK();
     }
-    if (rec.type == "shard") {
+    if (type == "shard") {
       // <k> <snapshot> <wal>.
-      if (rec.fields.size() < 3) {
-        return Status::ParseError("shard record field count");
-      }
-      if (rec.fields.size() > 3) {
+      const size_t fields = rec.remaining();
+      if (fields < 3) return Status::ParseError("shard record field count");
+      LTAM_ASSIGN_OR_RETURN(uint32_t k, shard_index(rec));
+      if (fields > 3) {
         return Status::FailedPrecondition(
-            "manifest '" + path + "' lists " +
-            std::to_string(rec.fields.size() - 2) + " WAL files for shard " +
-            rec.fields[0] +
+            "manifest '" + path + "' lists " + std::to_string(fields - 2) +
+            " WAL files for shard " + std::to_string(k) +
             ": rotated WAL segments were removed; open and checkpoint the "
             "directory with the release that wrote it (a checkpoint leaves "
             "one WAL per shard), then reopen it");
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
-      if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
-        return Status::ParseError("shard index out of range: " +
-                                  std::to_string(k));
-      }
-      if (saw_shard[static_cast<size_t>(k)]) {
+      if (saw_shard[k]) {
         return Status::ParseError("duplicate shard record " +
                                   std::to_string(k));
       }
-      LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[1]));
-      LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[2]));
       // Field-wise: a `cold` or `floor` record may precede its shard's.
-      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
-      files.snapshot = rec.fields[1];
-      files.wal = rec.fields[2];
-      saw_shard[static_cast<size_t>(k)] = true;
+      ShardManifest::ShardFiles& files = out.shards[k];
+      LTAM_ASSIGN_OR_RETURN(files.snapshot, rec.Str());
+      LTAM_RETURN_IF_ERROR(CheckFileName(files.snapshot));
+      LTAM_ASSIGN_OR_RETURN(files.wal, rec.Str());
+      LTAM_RETURN_IF_ERROR(CheckFileName(files.wal));
+      saw_shard[k] = true;
       ++records;
-      continue;
+      return Status::OK();
     }
-    if (rec.type == "cold") {
+    if (type == "cold") {
       // <k> <dropped-events> and any number of sealed segment files.
-      if (rec.fields.size() < 2 || rec.fields.size() > 2 + kMaxColdSegments) {
+      if (rec.remaining() < 2 || rec.remaining() > 2 + kMaxColdSegments) {
         return Status::ParseError("cold record field count");
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
-      if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
-        return Status::ParseError("cold record shard index out of range: " +
-                                  std::to_string(k));
-      }
-      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
+      LTAM_ASSIGN_OR_RETURN(uint32_t k, shard_index(rec));
+      ShardManifest::ShardFiles& files = out.shards[k];
       if (!files.cold.empty() || files.dropped_events > 0) {
         return Status::ParseError("duplicate cold record for shard " +
                                   std::to_string(k));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t dropped, Field(rec, 1));
+      LTAM_ASSIGN_OR_RETURN(int64_t dropped, rec.Int());
       if (dropped < 0) {
         return Status::ParseError("negative cold dropped-event count");
       }
-      if (dropped == 0 && rec.fields.size() == 2) {
+      if (dropped == 0 && rec.remaining() == 0) {
         return Status::ParseError("empty cold record for shard " +
                                   std::to_string(k));
       }
       files.dropped_events = static_cast<uint64_t>(dropped);
-      for (size_t i = 2; i < rec.fields.size(); ++i) {
-        LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[i]));
-        files.cold.push_back(rec.fields[i]);
+      while (rec.remaining() > 0) {
+        LTAM_ASSIGN_OR_RETURN(std::string seg, rec.Str());
+        LTAM_RETURN_IF_ERROR(CheckFileName(seg));
+        files.cold.push_back(std::move(seg));
       }
       ++records;
-      continue;
+      return Status::OK();
     }
-    if (rec.type == "floor") {
+    if (type == "floor") {
       // <k> <records>, nonzero (a zero floor is never written).
-      if (rec.fields.size() != 2) {
-        return Status::ParseError("floor record field count");
-      }
-      LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
-      if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
-        return Status::ParseError("floor record shard index out of range: " +
-                                  std::to_string(k));
-      }
-      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
+      LTAM_ASSIGN_OR_RETURN(uint32_t k, shard_index(rec));
+      ShardManifest::ShardFiles& files = out.shards[k];
       if (files.floor > 0) {
         return Status::ParseError("duplicate floor record for shard " +
                                   std::to_string(k));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t floor, Field(rec, 1));
+      LTAM_ASSIGN_OR_RETURN(int64_t floor, rec.Int());
       if (floor <= 0) {
         return Status::ParseError("floor record for shard " +
                                   std::to_string(k) + " must be positive");
       }
       files.floor = static_cast<uint64_t>(floor);
       ++records;
-      continue;
+      return Status::OK();
     }
-    if (rec.type == "commit") {
-      if (rec.fields.size() != 1) {
-        return Status::ParseError("commit record field count");
-      }
-      LTAM_ASSIGN_OR_RETURN(int64_t count, Field(rec, 0));
+    if (type == "commit") {
+      LTAM_ASSIGN_OR_RETURN(int64_t count, rec.Int());
       if (count != static_cast<int64_t>(records)) {
         return Status::ParseError("commit count mismatch: recorded " +
                                   std::to_string(count) + ", read " +
                                   std::to_string(records));
       }
       committed = true;
-      continue;
+      return Status::OK();
     }
-    return Status::ParseError("unknown manifest record '" + rec.type + "'");
-  }
+    return Status::ParseError("unknown manifest record '" +
+                              std::string(type) + "'");
+  }));
   if (!committed) {
     return Status::ParseError("manifest '" + path +
                               "' has no commit record (torn write?)");

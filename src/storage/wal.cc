@@ -11,15 +11,17 @@
 #include <cstring>
 #include <fstream>
 
+#include "storage/event_log.h"
+
 namespace ltam {
 
 namespace {
 
-Result<int> OpenWal(const std::string& path, int flags, const char* verb) {
+Result<int> OpenFile(const std::string& path, int flags, const char* verb) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | flags,
                         0666);
   if (fd < 0) {
-    return Status::IOError(std::string("cannot ") + verb + " WAL '" + path +
+    return Status::IOError(std::string("cannot ") + verb + " '" + path +
                            "': " + std::strerror(errno));
   }
   return fd;
@@ -27,59 +29,49 @@ Result<int> OpenWal(const std::string& path, int flags, const char* verb) {
 
 }  // namespace
 
-Result<WalWriter> WalWriter::Open(const std::string& path) {
-  LTAM_ASSIGN_OR_RETURN(int fd, OpenWal(path, O_APPEND, "open"));
-  return WalWriter(fd);
+Result<FileWriter> FileWriter::Open(const std::string& path) {
+  LTAM_ASSIGN_OR_RETURN(int fd, OpenFile(path, O_APPEND, "open"));
+  return FileWriter(fd);
 }
 
-Result<WalWriter> WalWriter::Create(const std::string& path) {
-  LTAM_ASSIGN_OR_RETURN(int fd, OpenWal(path, O_TRUNC, "create"));
-  return WalWriter(fd);
+Result<FileWriter> FileWriter::Create(const std::string& path) {
+  LTAM_ASSIGN_OR_RETURN(int fd, OpenFile(path, O_TRUNC, "create"));
+  return FileWriter(fd);
 }
 
-WalWriter::WalWriter(WalWriter&& other) noexcept
-    : fd_(other.fd_), appended_(other.appended_) {
+FileWriter::FileWriter(FileWriter&& other) noexcept : fd_(other.fd_) {
   other.fd_ = -1;
 }
 
-WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
+FileWriter& FileWriter::operator=(FileWriter&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
-    appended_ = other.appended_;
     other.fd_ = -1;
   }
   return *this;
 }
 
-WalWriter::~WalWriter() {
+FileWriter::~FileWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status WalWriter::Append(const Record& record) {
-  std::string line;
-  AppendRecordLine(record, &line);
-  LTAM_RETURN_IF_ERROR(Write(line));
-  ++appended_;
-  return Status::OK();
-}
-
-Status WalWriter::Write(std::string_view lines) {
-  if (fd_ < 0) return Status::FailedPrecondition("WAL moved-from");
-  while (!lines.empty()) {
-    const ssize_t n = ::write(fd_, lines.data(), lines.size());
+Status FileWriter::Write(std::string_view bytes) {
+  if (fd_ < 0) return Status::FailedPrecondition("file writer moved-from");
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
-      return Status::IOError(std::string("WAL write failed: ") +
+      return Status::IOError(std::string("write failed: ") +
                              (n < 0 ? std::strerror(errno) : "no progress"));
     }
-    lines.remove_prefix(static_cast<size_t>(n));
+    bytes.remove_prefix(static_cast<size_t>(n));
   }
   return Status::OK();
 }
 
-Status WalWriter::Sync() {
-  if (fd_ < 0) return Status::FailedPrecondition("WAL moved-from");
+Status FileWriter::Sync() {
+  if (fd_ < 0) return Status::FailedPrecondition("file writer moved-from");
   if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("fsync failed: ") +
                            std::strerror(errno));
@@ -103,14 +95,14 @@ Status ForEachWalLine(const std::string& path,
 }
 
 Status ReplayWal(const std::string& path,
-                 const std::function<Status(const Record&)>& apply) {
+                 const std::function<Status(const LoggedEvent&)>& apply) {
   Status applied;
   LTAM_RETURN_IF_ERROR(ForEachWalLine(path, [&](std::string& line) {
     if (line.empty()) return true;
-    Result<Record> rec = DecodeRecord(line);
-    applied = rec.ok() ? apply(*rec)
-                       : rec.status().WithContext("WAL replay of '" + path +
-                                                  "'");
+    Result<LoggedEvent> event = DecodeEventLine(line);
+    applied = event.ok() ? apply(*event)
+                         : event.status().WithContext("WAL replay of '" +
+                                                      path + "'");
     return applied.ok();
   }));
   return applied;
@@ -135,16 +127,19 @@ Result<size_t> TruncateTornWalTail(const std::string& path) {
   return static_cast<size_t>(size - keep);
 }
 
-namespace {
+bool FileExists(const std::string& path) {
+  struct ::stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
 
-Status SyncFd(const std::string& path, int flags) {
-  int fd = ::open(path.c_str(), flags);
+Status SyncDir(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError("cannot open '" + path +
                            "' for fsync: " + std::strerror(errno));
   }
-  int rc = ::fsync(fd);
-  int saved = errno;
+  const int rc = ::fsync(fd);
+  const int saved = errno;
   ::close(fd);
   if (rc != 0) {
     return Status::IOError("fsync '" + path +
@@ -153,42 +148,26 @@ Status SyncFd(const std::string& path, int flags) {
   return Status::OK();
 }
 
+namespace {
+
+/// Creates `path` holding `bytes`, fsynced on the descriptor that wrote.
+Status CreateSynced(const std::string& path, std::string_view bytes) {
+  LTAM_ASSIGN_OR_RETURN(FileWriter out, FileWriter::Create(path));
+  LTAM_RETURN_IF_ERROR(out.Write(bytes));
+  return out.Sync();
+}
+
 }  // namespace
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-Status SyncFile(const std::string& path) { return SyncFd(path, O_RDONLY); }
-
-Status SyncDir(const std::string& path) {
-  return SyncFd(path, O_RDONLY | O_DIRECTORY);
-}
 
 Status WriteFileAtomically(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::IOError("cannot open temp file '" + tmp + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IOError("write of '" + tmp + "' failed");
-    }
+  Status written = CreateSynced(tmp, bytes).WithContext("'" + tmp + "'");
+  if (written.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::IOError("cannot publish '" + path + "'");
   }
-  Status synced = SyncFile(tmp);
-  if (!synced.ok()) {
+  if (!written.ok()) {
     std::remove(tmp.c_str());
-    return synced;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish '" + path + "'");
+    return written;
   }
   // Make the rename itself durable.
   const size_t slash = path.find_last_of('/');

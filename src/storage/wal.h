@@ -1,9 +1,11 @@
 // Copyright 2026 The LTAM Authors.
-// Write-ahead log for the LTAM databases.
+// The files of a durable directory: the one raw-fd writer every file is
+// written through, the write-ahead log's line reader and replay, and the
+// existence, directory-sync and atomic-replace helpers.
 //
-// Mutations (authorization added/revoked, movement recorded, ...) are
-// appended as codec records before being applied; on restart the log is
-// replayed to rebuild state newer than the last snapshot.
+// Each shard's log takes one codec line per enforcement event or patrol
+// tick (storage/event_log.h) before the event applies; on restart the
+// log is replayed to rebuild state newer than the last snapshot.
 
 #ifndef LTAM_STORAGE_WAL_H_
 #define LTAM_STORAGE_WAL_H_
@@ -12,49 +14,45 @@
 #include <string>
 #include <string_view>
 
-#include "storage/codec.h"
 #include "util/result.h"
 
 namespace ltam {
 
-/// Append-only log writer over a raw file descriptor: every call that
-/// writes is one write(2) (retried only to finish a short write), with
-/// no user-space buffer between it and the file.
-class WalWriter {
+struct LoggedEvent;
+
+/// The writer of every file in a durable directory, over a raw file
+/// descriptor: every Write is one write(2) (retried only to finish a
+/// short write), with no user-space buffer between it and the file, and
+/// Sync fsyncs the descriptor that wrote. The log pipeline hands it runs
+/// of WAL lines; the snapshot, cold-segment and atomic-replace savers
+/// write through it and Sync before they return.
+class FileWriter {
  public:
-  /// Opens (creating or appending) the log at `path`.
-  static Result<WalWriter> Open(const std::string& path);
+  /// Opens (creating or appending) the file at `path`.
+  static Result<FileWriter> Open(const std::string& path);
 
-  /// Creates (truncating any leftover) the log at `path`. Used when a
-  /// checkpoint starts a fresh epoch: an orphaned file from a crashed
-  /// earlier attempt at the same epoch must not leak stale records.
-  static Result<WalWriter> Create(const std::string& path);
+  /// Creates (truncating any leftover) the file at `path`. A checkpoint
+  /// starts a fresh epoch's logs this way: an orphaned file from a
+  /// crashed earlier attempt at the same epoch must not leak stale
+  /// records.
+  static Result<FileWriter> Create(const std::string& path);
 
-  WalWriter(WalWriter&& other) noexcept;
-  WalWriter& operator=(WalWriter&& other) noexcept;
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-  ~WalWriter();
+  FileWriter(FileWriter&& other) noexcept;
+  FileWriter& operator=(FileWriter&& other) noexcept;
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+  ~FileWriter();
 
-  /// Appends one record (one line).
-  Status Append(const Record& record);
-
-  /// Writes already-encoded lines (each ending in '\n'). The log
-  /// pipeline encodes on the appending thread and hands whole runs of
-  /// lines to its log thread, which writes each run with one call.
-  Status Write(std::string_view lines);
+  /// Writes `bytes` at the file's end.
+  Status Write(std::string_view bytes);
 
   /// fsyncs the file (durability barrier).
   Status Sync();
 
-  /// Records appended through Append().
-  size_t appended() const { return appended_; }
-
  private:
-  explicit WalWriter(int fd) : fd_(fd) {}
+  explicit FileWriter(int fd) : fd_(fd) {}
 
   int fd_ = -1;
-  size_t appended_ = 0;
 };
 
 /// Streams the complete lines of a log file to `fn` in order (newline
@@ -64,11 +62,12 @@ class WalWriter {
 Status ForEachWalLine(const std::string& path,
                       const std::function<bool(std::string& line)>& fn);
 
-/// Replays a log file, invoking `apply` per record in order. Stops with
-/// an error on the first malformed line (a torn final line is tolerated
-/// and ignored).
+/// Replays a log file, handing `apply` each record decoded by
+/// DecodeEventLine, in order. Stops with an error on the first malformed
+/// line (a torn final line is tolerated and ignored) or the first error
+/// `apply` returns.
 Status ReplayWal(const std::string& path,
-                 const std::function<Status(const Record&)>& apply);
+                 const std::function<Status(const LoggedEvent&)>& apply);
 
 /// Truncates a torn final record (bytes after the last newline, left by
 /// a crash mid-append) so subsequent appends start on a fresh line —
@@ -82,17 +81,14 @@ Result<size_t> TruncateTornWalTail(const std::string& path);
 /// their notions of "committed state present" can never drift apart.
 bool FileExists(const std::string& path);
 
-/// fsyncs an existing file by path (durability barrier for snapshots and
-/// manifests written through buffered streams).
-Status SyncFile(const std::string& path);
-
 /// fsyncs a directory, making completed renames/creates inside it
 /// durable.
 Status SyncDir(const std::string& path);
 
 /// Replaces `path` with `bytes` atomically and durably: writes
-/// `<path>.tmp`, fsyncs it, renames it over `path`, and fsyncs the
-/// parent directory. A crash leaves either the old file or the new one.
+/// `<path>.tmp` through a FileWriter, fsyncs it, renames it over `path`,
+/// and fsyncs the parent directory. A crash leaves either the old file
+/// or the new one; a failure removes the temp file.
 Status WriteFileAtomically(const std::string& path, const std::string& bytes);
 
 }  // namespace ltam

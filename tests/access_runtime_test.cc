@@ -32,7 +32,6 @@
 #include "query/query_language.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
-#include "storage/codec.h"
 #include "storage/event_log.h"
 #include "storage/policy_script.h"
 #include "test_util.h"
@@ -42,6 +41,14 @@ namespace ltam {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// The line `e`'s shard log holds for it (no newline), as shipped.
+std::string WalLine(const AccessEvent& e) {
+  std::string line;
+  AppendEventLine(e, &line);
+  line.pop_back();
+  return line;
+}
 
 struct World {
   MultilevelLocationGraph graph;
@@ -802,7 +809,7 @@ TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
     for (const AccessEvent& e : fresh) {
       if (ShardedDecisionEngine::ShardOfSubject(e.subject,
                                                 options.num_shards) == k) {
-        expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+        expected.push_back(WalLine(e));
       }
     }
     ASSERT_OK_AND_ASSIGN(
@@ -870,10 +877,16 @@ TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
   ASSERT_OK(primary->WaitDurable());
   std::vector<std::string> expected;
   for (const AccessEvent& e : batches[1]) {
-    expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+    expected.push_back(WalLine(e));
   }
   EXPECT_EQ(expected, ship(replica.get(), positions[0]))
       << "the next slice carries only the new batch";
+  // The replica logs each decoded record through the same writer, so
+  // its own log holds the primary's bytes (and ships them onward).
+  ASSERT_OK(replica->WaitDurable());
+  ASSERT_OK_AND_ASSIGN(AccessRuntime::ReplicationSlice relogged,
+                       replica->ReadReplicationSlice(0, positions[0], 1 << 20));
+  EXPECT_EQ(expected, relogged.records);
   ASSERT_OK_AND_ASSIGN(positions, replica->ReplicationPositions());
   EXPECT_EQ(applied + batches[1].size(), positions[0]);
 

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,7 +27,6 @@
 
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
-#include "storage/codec.h"
 #include "storage/event_log.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
@@ -58,6 +58,14 @@ Result<std::vector<Decision>> EvaluateBatch(DurableShardedSystem* sys,
   std::vector<Decision> decisions = EvaluateBatch(sys, batch, &durability);
   if (!durability.ok()) return durability;
   return decisions;
+}
+
+/// The line `e`'s shard log holds for it (no newline), as shipped.
+std::string WalLine(const AccessEvent& e) {
+  std::string line;
+  AppendEventLine(e, &line);
+  line.pop_back();
+  return line;
 }
 
 /// A reproducible world: grid graph, subjects, random authorizations.
@@ -140,8 +148,9 @@ struct ReferenceShards {
 
   /// Replays shard k's surviving WAL prefix (file already truncated).
   Status ReplaySurvivingLog(uint32_t k, const std::string& path) {
-    return ReplayWal(path, [&](const Record& rec) {
-      return ApplyLoggedRecord(engines[k].get(), rec);
+    return ReplayWal(path, [&](const LoggedEvent& event) {
+      ApplyLoggedEvent(engines[k].get(), event);
+      return Status::OK();
     });
   }
 
@@ -663,7 +672,7 @@ TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
         fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
       }
       // Count whole surviving records for the watermark check.
-      ASSERT_OK(ReplayWal(wal.string(), [&surviving_records](const Record&) {
+      ASSERT_OK(ReplayWal(wal.string(), [&](const LoggedEvent&) {
         ++surviving_records;
         return Status::OK();
       }));
@@ -1326,7 +1335,7 @@ TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
     std::vector<std::string> expected;
     for (const AccessEvent& e : batches[3]) {
       if (sys->ShardOf(e.subject) == k) {
-        expected.push_back(EncodeRecord(EncodeEventRecord(e)));
+        expected.push_back(WalLine(e));
       }
     }
     ASSERT_OK_AND_ASSIGN(
@@ -1349,6 +1358,63 @@ TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
     EXPECT_EQ(before[k].durable, manifest.shards[k].floor);
   }
   sys.reset();
+  fs::remove_all(dir);
+}
+
+/// Name -> bytes of every file in `dir`.
+std::map<std::string, std::string> ReadDirectory(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// A durable directory written by the release before the shared line
+// codec (tests/data/durable_v1) must open unchanged. The fixture was made
+// by a one-off program linked against that release's library: it opened
+// a fresh 2-shard directory (retention.max_hot_events = 4, horizon
+// 2^40) whose state holds every base-snapshot record type — a 3x3 grid
+// with an escaped description and a boundary, four subjects (escaped
+// names, a supervisor, a group, a role, an escaped attribute), one
+// authorization per subject and room, a derived authorization with two
+// spent entries, a revoked one with a spent entry, and a rule with an
+// escaped label. It applied eight events, checkpointed (sealing one
+// cold segment and committing nonzero floors), applied entries, exits,
+// observations and a tick, and closed without a checkpoint: that is
+// before/. It then opened a copy of before/ with the same options, which
+// replayed 9 records and committed its recovery cut: that directory,
+// closed, is after/.
+TEST(DurableFormatTest, DirectoryWrittenBeforeTheSharedCodecOpensUnchanged) {
+  const fs::path fixture = fs::path(LTAM_TEST_DATA_DIR) / "durable_v1";
+  const fs::path dir = fs::path(::testing::TempDir()) / "ltam_dsh_format_v1";
+  fs::remove_all(dir);
+  fs::copy(fixture / "before", dir);
+  DurableShardedOptions options;
+  options.num_shards = 2;
+  options.retention.max_hot_events = 4;
+  options.retention.horizon = Chronon{1} << 40;
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir.string(), SystemState(), options));
+    EXPECT_EQ(9u, sys->recovery().replayed_records);
+    EXPECT_EQ(2u, sys->num_shards());
+  }
+  const std::map<std::string, std::string> want =
+      ReadDirectory(fixture / "after");
+  const std::map<std::string, std::string> got = ReadDirectory(dir);
+  std::vector<std::string> want_names;
+  std::vector<std::string> got_names;
+  for (const auto& [name, bytes] : want) want_names.push_back(name);
+  for (const auto& [name, bytes] : got) got_names.push_back(name);
+  ASSERT_EQ(want_names, got_names);
+  for (const auto& [name, bytes] : want) {
+    EXPECT_EQ(bytes, got.at(name)) << name;
+  }
   fs::remove_all(dir);
 }
 

@@ -1,7 +1,7 @@
 // Copyright 2026 The LTAM Authors.
 // LogPipeline: the write-ahead log primitive, one ShardLog per shard and
 // one log thread for them all. Batch mode must be byte-identical to
-// driving a WalWriter directly (synchronous append, fsync per boundary,
+// driving a FileWriter directly (synchronous append, fsync per boundary,
 // refusal on append failure); pipelined mode must advance the
 // durability watermark asynchronously and freeze it on a sticky failure
 // WITHOUT affecting accepted records' sequence numbers (the decision
@@ -28,7 +28,6 @@
 #include "engine/sharded_engine.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
-#include "storage/codec.h"
 #include "storage/durable_sharded_system.h"
 #include "storage/event_log.h"
 #include "storage/wal.h"
@@ -41,16 +40,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Record NumberedRecord(uint64_t n) {
-  return Record{"rec", {std::to_string(n)}};
+/// Record n of a test stream: a patrol tick at time n.
+LoggedEvent NumberedRecord(uint64_t n) {
+  return LoggedEvent::Tick(static_cast<Chronon>(n));
 }
 
 /// Replays the log file, returning the record numbers seen in order.
 std::vector<uint64_t> ReplayAll(const std::string& path) {
   std::vector<uint64_t> out;
-  Status replayed = ReplayWal(path, [&out](const Record& rec) {
-    EXPECT_EQ(rec.type, "rec");
-    out.push_back(std::stoull(rec.fields.at(0)));
+  Status replayed = ReplayWal(path, [&out](const LoggedEvent& rec) {
+    EXPECT_TRUE(rec.is_tick);
+    out.push_back(static_cast<uint64_t>(rec.tick_time));
     return Status::OK();
   });
   EXPECT_OK(replayed);
@@ -71,8 +71,8 @@ class LogPipelineTest : public ::testing::Test {
 
   /// A one-shard pipeline over LogPath().
   std::unique_ptr<LogPipeline> MakePipeline(DurabilityOptions options) {
-    std::vector<WalWriter> writers;
-    writers.push_back(WalWriter::Create(LogPath()).ValueOrDie());
+    std::vector<FileWriter> writers;
+    writers.push_back(FileWriter::Create(LogPath()).ValueOrDie());
     return std::make_unique<LogPipeline>(std::move(writers), options);
   }
 
@@ -383,7 +383,10 @@ TEST_F(DurableLogTest, FailedShardFreezesAlone) {
   // holds its clean prefix.
   std::vector<std::string> want;
   for (const AccessEvent& e : accepted_on_0) {
-    want.push_back(EncodeRecord(EncodeEventRecord(e)));
+    std::string line;
+    AppendEventLine(e, &line);
+    line.pop_back();
+    want.push_back(std::move(line));
   }
   std::vector<std::string> got;
   ASSERT_OK(ForEachWalLine(dir_ + "/events-0-0.wal", [&](std::string& line) {

@@ -1,6 +1,7 @@
 // Copyright 2026 The LTAM Authors.
-// Whole-system snapshot round-trip tests, and the byte-for-byte pin of
-// the one-buffer encoders against the Record-per-line rendering.
+// Whole-system snapshot round-trip tests, the byte-for-byte pin of the
+// line writer against the vector-of-fields rendering it replaced, and the
+// strict reader's refusals.
 
 #include "storage/snapshot.h"
 
@@ -159,21 +160,37 @@ TEST_F(SnapshotTest, LoadedStateIsFunctionallyEquivalent) {
   EXPECT_EQ(before.inaccessible, after.inaccessible);
 }
 
-/// The snapshot as a Record of std::to_string fields per line, through
-/// EncodeRecord: the rendering SaveSnapshot used before it wrote one
-/// buffer, kept as the reference its bytes must match.
+/// One line as a tag and a vector of std::to_string fields, escaped and
+/// joined by tabs: the rendering the snapshot writer used before it
+/// rendered fields straight into its buffer, kept here as the reference
+/// its bytes must match.
+struct ReferenceRecord {
+  std::string type;
+  std::vector<std::string> fields;
+};
+
+std::string EncodeReference(const ReferenceRecord& rec) {
+  std::string out;
+  AppendEscapedField(rec.type, &out);
+  for (const std::string& field : rec.fields) {
+    out += '\t';
+    AppendEscapedField(field, &out);
+  }
+  return out;
+}
+
 std::string ReferenceMoveLine(const MovementEvent& ev) {
-  return EncodeRecord(Record{
-             "move",
-             {std::to_string(ev.time), std::to_string(ev.subject),
-              ev.to == kInvalidLocation ? "out" : std::to_string(ev.to)}}) +
+  return EncodeReference(
+             {"move",
+              {std::to_string(ev.time), std::to_string(ev.subject),
+               ev.to == kInvalidLocation ? "out" : std::to_string(ev.to)}}) +
          "\n";
 }
 
 std::string ReferenceSnapshot(const SystemState& state) {
   std::string out;
-  auto emit = [&out](const Record& rec) {
-    out += EncodeRecord(rec);
+  auto emit = [&out](const ReferenceRecord& rec) {
+    out += EncodeReference(rec);
     out += '\n';
   };
   auto i64 = [](int64_t v) { return std::to_string(v); };
@@ -186,7 +203,7 @@ std::string ReferenceSnapshot(const SystemState& state) {
           {u32(id), loc.name, loc.IsComposite() ? "composite" : "primitive",
            u32(loc.parent), loc.is_entry ? "1" : "0", loc.description}});
     if (loc.boundary.has_value()) {
-      Record rec{"boundary", {u32(id)}};
+      ReferenceRecord rec{"boundary", {u32(id)}};
       for (const Point& p : loc.boundary->ring()) {
         rec.fields.push_back(StrFormat("%.17g", p.x));
         rec.fields.push_back(StrFormat("%.17g", p.y));
@@ -323,6 +340,94 @@ TEST_F(SnapshotTest, LoadRejectsGarbage) {
     out << "mystery-record\t1\n";
   }
   EXPECT_TRUE(LoadSnapshot(path_).status().IsParseError());
+}
+
+/// A small valid snapshot; each probe below appends one record to it.
+constexpr char kProbeHead[] =
+    "graph-root\tG\n"
+    "loc\t1\tA\tprimitive\t0\t1\t\n"
+    "loc\t2\tB\tprimitive\t0\t0\t\n"
+    "subject\t0\tAlice\n"
+    "subject\t1\tBob\n";
+
+std::string AuthLine(const std::string& subject, const std::string& origin,
+                     const std::string& revoked) {
+  return "auth\t0\t0\t50\t0\t90\t" + subject + "\t1\t5\t" + origin +
+         "\t4294967295\t" + revoked + "\t0\n";
+}
+
+class SnapshotStrictnessTest : public SnapshotTest {
+ protected:
+  Status Load(const std::string& records) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out << kProbeHead << records;
+    }
+    return LoadSnapshot(path_).status();
+  }
+
+  /// `good` loads; `bad`, which differs in one field, is a ParseError.
+  void ExpectRefused(const std::string& good, const std::string& bad) {
+    EXPECT_OK(Load(good));
+    const Status refused = Load(bad);
+    EXPECT_TRUE(refused.IsParseError()) << refused.ToString();
+    EXPECT_NE(std::string::npos, refused.message().find(path_))
+        << "the error names the file: " << refused.ToString();
+  }
+};
+
+TEST_F(SnapshotStrictnessTest, AuthSubjectMustFitAnId) {
+  // 4294967296 wrapped to subject 0 before ids were range-checked.
+  ExpectRefused(AuthLine("0", "explicit", "0"),
+                AuthLine("4294967296", "explicit", "0"));
+  EXPECT_TRUE(Load(AuthLine("-1", "explicit", "0")).IsParseError());
+}
+
+TEST_F(SnapshotStrictnessTest, LocKindIsCompositeOrPrimitive) {
+  ExpectRefused("loc\t3\tC\tcomposite\t0\t0\t\n",
+                "loc\t3\tC\tcompositX\t0\t0\t\n");
+  EXPECT_TRUE(Load("loc\t3\tC\tprimitive\t0\t2\t\n").IsParseError())
+      << "the entry flag is 0 or 1";
+}
+
+TEST_F(SnapshotStrictnessTest, AuthOriginIsDerivedOrExplicit) {
+  ExpectRefused(AuthLine("1", "derived", "0"), AuthLine("1", "derivd", "0"));
+}
+
+TEST_F(SnapshotStrictnessTest, AuthRevokedFlagIsZeroOrOne) {
+  ExpectRefused(AuthLine("1", "explicit", "1"),
+                AuthLine("1", "explicit", "7"));
+}
+
+TEST_F(SnapshotStrictnessTest, EdgeHasExactlyItsFields) {
+  ExpectRefused("edge\t1\t2\n", "edge\t1\t2\t99\n");
+  EXPECT_TRUE(Load("edge\t1\n").IsParseError());
+}
+
+TEST_F(SnapshotStrictnessTest, MoveHasExactlyItsFields) {
+  ExpectRefused("move\t5\t1\t2\n", "move\t5\t1\t2\textra\n");
+  ExpectRefused("move\t5\t1\t2\nmove\t6\t1\tout\n",
+                "move\t5\t1\t2\nmove\t6\t1\toutside\n");
+  // Movement segments decode with the same rule.
+  auto load_segment = [this](const std::string& text) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    return LoadMovements(path_).status();
+  };
+  EXPECT_OK(load_segment("move\t5\t1\t2\nmove\t6\t1\tout\n"));
+  EXPECT_TRUE(load_segment("move\t5\t1\t2\textra\n").IsParseError());
+  EXPECT_TRUE(load_segment("move\t5\t4294967296\t2\n").IsParseError());
+}
+
+TEST_F(SnapshotTest, FinalLineWithoutNewlineStillLoads) {
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << kProbeHead << "edge\t1\t2";
+  }
+  ASSERT_OK_AND_ASSIGN(SystemState loaded, LoadSnapshot(path_));
+  EXPECT_EQ(loaded.graph.Edges().size(), 1u);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "storage/wal.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace ltam {
 namespace {
@@ -102,23 +103,20 @@ std::string ValidWalBytes(Rng* rng, size_t events) {
     t += 1 + static_cast<Chronon>(rng->Uniform(4));
     SubjectId s = static_cast<SubjectId>(rng->Uniform(8));
     LocationId l = static_cast<LocationId>(rng->Uniform(16));
-    Record rec;
     switch (rng->Uniform(4)) {
       case 0:
-        rec = EncodeEventRecord(AccessEvent::Entry(t, s, l));
+        AppendEventLine(AccessEvent::Entry(t, s, l), &out);
         break;
       case 1:
-        rec = EncodeEventRecord(AccessEvent::Exit(t, s));
+        AppendEventLine(AccessEvent::Exit(t, s), &out);
         break;
       case 2:
-        rec = EncodeEventRecord(AccessEvent::Observe(t, s, l));
+        AppendEventLine(AccessEvent::Observe(t, s, l), &out);
         break;
       default:
-        rec = EncodeTickRecord(t);
+        AppendTickLine(t, &out);
         break;
     }
-    out += EncodeRecord(rec);
-    out += '\n';
   }
   return out;
 }
@@ -155,8 +153,9 @@ TEST_P(WalFuzzTest, ReplayWalNeverCrashes) {
     }
     WriteFile(path, corrupted);
     ReplayWorld world;
-    Status st = ReplayWal(path, [&](const Record& rec) {
-      return ApplyLoggedRecord(world.engine.get(), rec);
+    Status st = ReplayWal(path, [&](const LoggedEvent& event) {
+      ApplyLoggedEvent(world.engine.get(), event);
+      return Status::OK();
     });
     (void)st;  // ok or error; never a crash.
     // Whatever replayed, the engine must still be usable: every recorded
@@ -171,37 +170,190 @@ TEST_P(WalFuzzTest, ReplayWalNeverCrashes) {
 }
 
 /// Decoder contract: malformed records are errors, not wrap-arounds.
-TEST(WalFuzzDecodeTest, DecodeEventRecordRejectsMalformedRecords) {
+TEST(WalFuzzDecodeTest, DecodeEventLineRejectsMalformedLines) {
   // Wrong field counts.
-  EXPECT_FALSE(DecodeEventRecord({"ev-entry", {"1", "2"}}).ok());
-  EXPECT_FALSE(DecodeEventRecord({"ev-entry", {"1", "2", "3", "4"}}).ok());
-  EXPECT_FALSE(DecodeEventRecord({"ev-exit", {"1"}}).ok());
-  EXPECT_FALSE(DecodeEventRecord({"ev-tick", {}}).ok());
+  EXPECT_FALSE(DecodeEventLine("ev-entry\t1\t2").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-entry\t1\t2\t3\t4").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-exit\t1").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-tick").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-tick\t").ok());
   // Non-numeric fields.
-  EXPECT_FALSE(DecodeEventRecord({"ev-entry", {"x", "2", "3"}}).ok());
-  EXPECT_FALSE(DecodeEventRecord({"ev-obs", {"1", "", "3"}}).ok());
+  EXPECT_FALSE(DecodeEventLine("ev-entry\tx\t2\t3").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-obs\t1\t\t3").ok());
   // Ids outside uint32 range must NOT wrap into valid-looking ids.
-  EXPECT_FALSE(DecodeEventRecord({"ev-entry", {"1", "-2", "3"}}).ok());
-  EXPECT_FALSE(
-      DecodeEventRecord({"ev-entry", {"1", "4294967296", "3"}}).ok());
-  EXPECT_FALSE(DecodeEventRecord({"ev-obs", {"1", "2", "-1"}}).ok());
+  EXPECT_FALSE(DecodeEventLine("ev-entry\t1\t-2\t3").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-entry\t1\t4294967296\t3").ok());
+  EXPECT_FALSE(DecodeEventLine("ev-obs\t1\t2\t-1").ok());
   // Integer overflow is an error, not UB.
-  EXPECT_FALSE(
-      DecodeEventRecord({"ev-tick", {"999999999999999999999999"}}).ok());
-  // Unknown type tags.
-  EXPECT_FALSE(DecodeEventRecord({"ev-unknown", {"1"}}).ok());
+  EXPECT_FALSE(DecodeEventLine("ev-tick\t999999999999999999999999").ok());
+  // Unknown type tags, and an empty line.
+  EXPECT_FALSE(DecodeEventLine("ev-unknown\t1").ok());
+  EXPECT_FALSE(DecodeEventLine("").ok());
   // And the happy path still round-trips.
-  ASSERT_OK_AND_ASSIGN(LoggedEvent entry,
-                       DecodeEventRecord(EncodeEventRecord(
-                           AccessEvent::Entry(7, 3, 9))));
+  std::string line;
+  AppendEventLine(AccessEvent::Entry(7, 3, 9), &line);
+  line.pop_back();
+  ASSERT_OK_AND_ASSIGN(LoggedEvent entry, DecodeEventLine(line));
   EXPECT_FALSE(entry.is_tick);
   EXPECT_EQ(entry.event.time, 7);
   EXPECT_EQ(entry.event.subject, 3u);
   EXPECT_EQ(entry.event.location, 9u);
-  ASSERT_OK_AND_ASSIGN(LoggedEvent tick,
-                       DecodeEventRecord(EncodeTickRecord(42)));
+  line.clear();
+  AppendTickLine(42, &line);
+  line.pop_back();
+  ASSERT_OK_AND_ASSIGN(LoggedEvent tick, DecodeEventLine(line));
   EXPECT_TRUE(tick.is_tick);
   EXPECT_EQ(tick.tick_time, 42);
+}
+
+// --- Differential decode against the vector-of-fields decoder -------------
+//
+// The decoder the WAL used before it read lines in place: split the line
+// on tabs into strings, unescape every field, then check the tag, the
+// field count, ParseInt64 (which trims whitespace and takes a '+') and
+// the id ranges. Kept here, verbatim in behaviour, as the reference the
+// in-place decoder may refuse more than, but never accept differently.
+
+Result<std::string> ReferenceUnescape(const std::string& field) {
+  std::string out;
+  for (size_t i = 0; i < field.size(); ++i) {
+    if (field[i] != '\\') {
+      out += field[i];
+      continue;
+    }
+    if (i + 1 >= field.size()) return Status::ParseError("dangling escape");
+    switch (field[++i]) {
+      case '\\':
+        out += '\\';
+        break;
+      case 't':
+        out += '\t';
+        break;
+      case 'n':
+        out += '\n';
+        break;
+      case 'r':
+        out += '\r';
+        break;
+      default:
+        return Status::ParseError("unknown escape");
+    }
+  }
+  return out;
+}
+
+Result<LoggedEvent> ReferenceDecode(const std::string& line) {
+  std::vector<std::string> parts = Split(line, '\t');
+  if (parts.empty() || parts[0].empty()) {
+    return Status::ParseError("record line has no type tag");
+  }
+  std::vector<std::string> fields;
+  for (const std::string& part : parts) {
+    LTAM_ASSIGN_OR_RETURN(std::string field, ReferenceUnescape(part));
+    fields.push_back(std::move(field));
+  }
+  const std::string type = fields[0];
+  fields.erase(fields.begin());
+  auto count = [&fields](size_t expected) {
+    return fields.size() == expected
+               ? Status::OK()
+               : Status::ParseError("field count");
+  };
+  auto id = [](int64_t v) -> Result<uint32_t> {
+    if (v < 0 || v > static_cast<int64_t>(UINT32_MAX)) {
+      return Status::ParseError("id out of range");
+    }
+    return static_cast<uint32_t>(v);
+  };
+  LoggedEvent out;
+  if (type == "ev-tick") {
+    LTAM_RETURN_IF_ERROR(count(1));
+    LTAM_ASSIGN_OR_RETURN(out.tick_time, ParseInt64(fields[0]));
+    out.is_tick = true;
+    return out;
+  }
+  if (type == "ev-entry" || type == "ev-obs") {
+    LTAM_RETURN_IF_ERROR(count(3));
+    LTAM_ASSIGN_OR_RETURN(int64_t t, ParseInt64(fields[0]));
+    LTAM_ASSIGN_OR_RETURN(int64_t s, ParseInt64(fields[1]));
+    LTAM_ASSIGN_OR_RETURN(int64_t l, ParseInt64(fields[2]));
+    LTAM_ASSIGN_OR_RETURN(uint32_t subject, id(s));
+    LTAM_ASSIGN_OR_RETURN(uint32_t location, id(l));
+    out.event = type == "ev-entry" ? AccessEvent::Entry(t, subject, location)
+                                   : AccessEvent::Observe(t, subject, location);
+    return out;
+  }
+  if (type == "ev-exit") {
+    LTAM_RETURN_IF_ERROR(count(2));
+    LTAM_ASSIGN_OR_RETURN(int64_t t, ParseInt64(fields[0]));
+    LTAM_ASSIGN_OR_RETURN(int64_t s, ParseInt64(fields[1]));
+    LTAM_ASSIGN_OR_RETURN(uint32_t subject, id(s));
+    out.event = AccessEvent::Exit(t, subject);
+    return out;
+  }
+  return Status::ParseError("unknown WAL record");
+}
+
+bool SameLoggedEvent(const LoggedEvent& a, const LoggedEvent& b) {
+  if (a.is_tick || b.is_tick) {
+    return a.is_tick == b.is_tick && a.tick_time == b.tick_time;
+  }
+  return a.event.kind == b.event.kind && a.event.time == b.event.time &&
+         a.event.subject == b.event.subject &&
+         a.event.location == b.event.location;
+}
+
+/// Whenever the in-place decoder accepts a line, the reference accepts
+/// it with the same record; every line the writer renders, both accept.
+TEST_P(WalFuzzTest, DecodeEventLineAgreesWithTheReference) {
+  Rng rng(GetParam() * 31 + 5);
+  const std::string valid = ValidWalBytes(&rng, 80);
+  size_t accepted = 0;
+  auto check = [&accepted](const std::string& line, bool rendered) {
+    SCOPED_TRACE(line);
+    Result<LoggedEvent> got = DecodeEventLine(line);
+    Result<LoggedEvent> want = ReferenceDecode(line);
+    if (rendered) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+    }
+    if (!got.ok()) return;
+    ++accepted;
+    ASSERT_TRUE(want.ok()) << "the reference refuses a line the decoder took";
+    EXPECT_TRUE(SameLoggedEvent(*got, *want));
+  };
+  for (const std::string& line : Split(valid, '\n')) {
+    if (!line.empty()) check(line, true);
+  }
+  for (int i = 0; i < 600; ++i) {
+    std::string bytes;
+    switch (i % 3) {
+      case 0:
+        bytes = Mutate(valid, &rng);
+        break;
+      case 1:  // Torn write: truncate at an arbitrary byte.
+        bytes = valid.substr(0, rng.Uniform(valid.size() + 1));
+        break;
+      default:
+        bytes = RandomBytes(&rng, 600);
+        break;
+    }
+    for (const std::string& line : Split(bytes, '\n')) check(line, false);
+  }
+  EXPECT_GT(accepted, 80u) << "mutated lines mostly stay decodable";
+}
+
+/// The lines the reference took that the integer rule (-?[0-9]+, parsed
+/// in place) now refuses: a '+' sign, surrounding whitespace, and
+/// whitespace hidden behind an escape.
+TEST(WalFuzzDecodeTest, IntegerRuleRefusesWhatTheReferenceTrimmed) {
+  for (const std::string line :
+       {"ev-tick\t+1", "ev-tick\t 2", "ev-tick\t1\\n",
+        "ev-exit\t5\t+3", "ev-entry\t1\t2\t3 ", "ev-obs\t1\t\\t2\t3"}) {
+    SCOPED_TRACE(line);
+    EXPECT_TRUE(ReferenceDecode(line).ok());
+    EXPECT_TRUE(DecodeEventLine(line).status().IsParseError());
+  }
 }
 
 /// Manifest parsing: mutations, truncations, and garbage must error or
@@ -334,6 +486,51 @@ TEST(ManifestTest, RejectsTornAndMalformedManifests) {
   ASSERT_OK(SaveManifest(m, path));
   ASSERT_OK_AND_ASSIGN(ShardManifest reloaded, LoadManifest(path));
   EXPECT_EQ(reloaded.shards[0].wal, m.shards[0].wal);
+  std::remove(path.c_str());
+}
+
+/// The MANIFEST's exact bytes, `cold` and `floor` records included.
+TEST(ManifestTest, SavesItsGoldenBytes) {
+  const std::string path = ::testing::TempDir() + "/ltam_manifest_golden";
+  ShardManifest m;
+  m.epoch = 12;
+  m.num_shards = 3;
+  m.base_snapshot = "base-12.snap";
+  for (uint32_t k = 0; k < 3; ++k) {
+    ShardManifest::ShardFiles files;
+    files.snapshot = "shard-" + std::to_string(k) + "-12.snap";
+    files.wal = "events-" + std::to_string(k) + "-12.wal";
+    m.shards.push_back(std::move(files));
+  }
+  m.shards[0].cold = {"cold-0-3.seg", "cold-0-4.seg"};
+  m.shards[0].floor = 1234;
+  m.shards[2].dropped_events = 9;
+  m.shards[2].floor = 5;
+  const std::string golden =
+      "manifest\t1\t12\t3\n"
+      "base\tbase-12.snap\n"
+      "shard\t0\tshard-0-12.snap\tevents-0-12.wal\n"
+      "cold\t0\t0\tcold-0-3.seg\tcold-0-4.seg\n"
+      "floor\t0\t1234\n"
+      "shard\t1\tshard-1-12.snap\tevents-1-12.wal\n"
+      "shard\t2\tshard-2-12.snap\tevents-2-12.wal\n"
+      "cold\t2\t9\n"
+      "floor\t2\t5\n"
+      "commit\t9\n";
+  ASSERT_OK(SaveManifest(m, path));
+  {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(golden, std::string((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>()));
+  }
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  ASSERT_OK_AND_ASSIGN(ShardManifest loaded, LoadManifest(path));
+  EXPECT_EQ(loaded.epoch, 12u);
+  EXPECT_EQ(loaded.shards[0].cold, m.shards[0].cold);
+  EXPECT_EQ(loaded.shards[0].floor, 1234u);
+  EXPECT_EQ(loaded.shards[1].floor, 0u);
+  EXPECT_EQ(loaded.shards[2].dropped_events, 9u);
+  EXPECT_EQ(loaded.shards[2].floor, 5u);
   std::remove(path.c_str());
 }
 
