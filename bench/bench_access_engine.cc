@@ -303,8 +303,11 @@ BENCHMARK(BM_FacadeBatchSharded)
 //
 // The same stream as the in-memory benchmarks, but crash-safe: every
 // event is appended to its shard's write-ahead log before it is applied,
-// with one group-commit fsync per shard per batch. The gap between
-// BM_FacadeBatch* and BM_DurableBatch* is the price of durability.
+// and the runtime's one log thread writes and fsyncs the logs (a shard's
+// file once per 4 batches or 1 MiB, and whenever its queue drains).
+// Every iteration ends with WaitDurable(), so the measured work includes
+// full durability. The gap between BM_FacadeBatch* and BM_DurableBatch*
+// is the price of durability.
 
 std::string MakeBenchDir() {
   std::string tmpl = std::filesystem::temp_directory_path().string() +
@@ -325,9 +328,8 @@ void RunDurableBatches(benchmark::State& state, RuntimeOptions options,
     for (const auto& batch : w.batches) {
       benchmark::DoNotOptimize(rt->ApplyBatch(batch));
     }
-    // Same durability for every mode: a pipelined run must land its
-    // in-flight fsyncs inside the timed region, or the comparison
-    // against sync mode would be flattering fiction.
+    // The in-flight fsyncs land inside the timed region: a row that
+    // stopped the clock before them would time a cheaper guarantee.
     Status durable = rt->WaitDurable();
     benchmark::DoNotOptimize(durable);
     state.PauseTiming();
@@ -341,9 +343,8 @@ void RunDurableBatches(benchmark::State& state, RuntimeOptions options,
 
 // Args: {shards, batch_size}. The 2048-event batches are the
 // compute-bound shape (a handful of fsyncs per run); the 128-event
-// batches are the fsync-bound shape — 128 batches, each paying one
-// group commit per shard in sync mode — where the sync discipline is
-// what the benchmark measures.
+// batches are the fsync-bound shape (128 batches), where amortizing
+// fsyncs across batches is what the benchmark measures.
 
 void BM_DurableBatchSharded(benchmark::State& state) {
   BatchWorld w = MakeBatchWorld(static_cast<size_t>(state.range(1)));
@@ -354,31 +355,6 @@ void BM_DurableBatchSharded(benchmark::State& state) {
   RunDurableBatches(state, options, w);
 }
 BENCHMARK(BM_DurableBatchSharded)
-    ->Args({1, 2048})
-    ->Args({4, 2048})
-    ->Args({1, 128})
-    ->Args({4, 128})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Commit pipelining: same stream, same crash-safety data path, but the
-// per-shard fsync moves off the batch's critical path onto a dedicated
-// log thread (one fsync per 4 batches or 1 MiB, and whenever the log
-// goes idle). Every iteration ends with WaitDurable(), so the
-// measured work includes full durability — the win is amortizing fsyncs
-// across batches and overlapping them with the next batch's appends,
-// and it shows on the fsync-bound (small-batch) configurations.
-
-void BM_DurableBatchShardedPipelined(benchmark::State& state) {
-  BatchWorld w = MakeBatchWorld(static_cast<size_t>(state.range(1)));
-  RuntimeOptions options;
-  options.num_shards = static_cast<uint32_t>(state.range(0));
-  options.engine = QuietEngineOptions();
-  options.durability.mode = SyncMode::kPipelined;
-  state.counters["shards"] = static_cast<double>(options.num_shards);
-  RunDurableBatches(state, options, w);
-}
-BENCHMARK(BM_DurableBatchShardedPipelined)
     ->Args({1, 2048})
     ->Args({4, 2048})
     ->Args({1, 128})
@@ -503,8 +479,6 @@ struct QueryBenchWorld {
     DurableShardedOptions opt;
     opt.num_shards = shards;
     opt.engine = QuietEngineOptions();
-    // Query benchmarks, not durability: keep fsyncs off the setup path.
-    opt.durability.mode = SyncMode::kPipelined;
     SystemState init;
     init.graph = q->batch.graph;
     init.profiles = q->batch.profiles;

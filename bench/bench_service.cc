@@ -215,15 +215,13 @@ BENCHMARK(BM_ServiceLoopbackBatchInstrumented)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Durable serving: group commit on vs off the critical path --------------
+// --- Durable serving: every answer waits for its fsync ---------------------
 //
-// The same loopback flood against a crash-safe runtime. In batch mode
-// every merged batch pays its per-shard fsync before the ack; in
-// pipelined mode the coalescer acks as soon as the decisions are out
-// and merges the next round while the log threads fsync the last one.
-// Each iteration ends with a Checkpoint-free WaitDurable barrier via
-// server Stop + runtime reset (the log destructors drain and sync), so
-// both modes deliver identical durability.
+// The same loopback flood against a crash-safe runtime. The coalescer
+// answers a merged batch only once the runtime's log thread has fsynced
+// it, and frames that arrive during the fsync join the next merge, so
+// the row prices the durable ack: when the last response arrives, every
+// event is durable.
 
 std::string MakeServiceBenchDir() {
   std::string tmpl = std::filesystem::temp_directory_path().string() +
@@ -233,7 +231,7 @@ std::string MakeServiceBenchDir() {
   return tmpl;
 }
 
-void RunServiceLoopbackDurable(benchmark::State& state, SyncMode mode) {
+void BM_ServiceLoopbackBatchDurable(benchmark::State& state) {
   ServiceWorld w = MakeServiceWorld();
   const uint32_t shards = 4;
   state.counters["shards"] = static_cast<double>(shards);
@@ -245,7 +243,6 @@ void RunServiceLoopbackDurable(benchmark::State& state, SyncMode mode) {
     std::string dir = MakeServiceBenchDir();
     RuntimeOptions options = QuietOptions(shards);
     options.durable_dir = dir;
-    options.durability.mode = mode;
     auto rt = AccessRuntime::Open(InitStateOf(w), options).ValueOrDie();
     ServiceServer server(rt.get(), ServerOptions{});
     if (!server.Start().ok()) {
@@ -278,8 +275,6 @@ void RunServiceLoopbackDurable(benchmark::State& state, SyncMode mode) {
       });
     }
     for (std::thread& t : threads) t.join();
-    // Equalize durability across modes before the clock stops.
-    benchmark::DoNotOptimize(rt->WaitDurable());
     state.PauseTiming();
     CoalescerStats stats = server.coalescer_stats();
     merged_batches += stats.merged_batches;
@@ -299,17 +294,7 @@ void RunServiceLoopbackDurable(benchmark::State& state, SyncMode mode) {
   }
 }
 
-void BM_ServiceLoopbackBatchDurable(benchmark::State& state) {
-  RunServiceLoopbackDurable(state, SyncMode::kBatch);
-}
 BENCHMARK(BM_ServiceLoopbackBatchDurable)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_ServiceLoopbackBatchPipelined(benchmark::State& state) {
-  RunServiceLoopbackDurable(state, SyncMode::kPipelined);
-}
-BENCHMARK(BM_ServiceLoopbackBatchPipelined)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

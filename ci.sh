@@ -12,7 +12,10 @@
 #                      # ingest counters must have moved) + a one-shard
 #                      # durable server with retention that must recover
 #                      # cleanly after SIGTERM, a kill -9 crash round
-#                      # whose two relaunches must answer the same
+#                      # whose first relaunch must replay at least every
+#                      # event ltam_load saw acknowledged (the burst takes
+#                      # no checkpoint, so all of them are in the logs)
+#                      # and whose two relaunches must answer the same
 #                      # history, checks that each boot commits at most
 #                      # one checkpoint (a fresh boot leaves MANIFEST at
 #                      # epoch 0, a crash relaunch adds exactly one), that
@@ -21,10 +24,12 @@
 #                      # inputs that must be refused: a
 #                      # removed-layout (state.snap) directory and bad
 #                      # flag values (out-of-range --port, malformed
-#                      # numbers, the removed interval sync mode)
+#                      # numbers, the removed interval and batch sync
+#                      # modes)
 #   ./ci.sh bench      # facade vs loopback-server throughput (1 and 4
 #                      # shards) -> BENCH_pr6.json,
-#                      # durable batch vs pipelined sync -> BENCH_pr5.json,
+#                      # the durable batch pipeline and the durable
+#                      # loopback server -> BENCH_pr5.json,
 #                      # checkpoint latency full-rewrite vs incremental+tiered
 #                      # -> BENCH_pr10.json; fails loudly if any expected
 #                      # BENCH_pr<N>.json artifact is missing or empty
@@ -229,9 +234,10 @@ EOF
     server_pid=$serve_pid
     port=$serve_port
   }
+  # The burst's summary line stays in $burst_summary.
   durable_burst() {
-    ./build/examples/ltam_load --port="$port" --scenario=surge \
-      --rate=500 --duration-s=1 --connections=2 > /dev/null \
+    burst_summary="$(./build/examples/ltam_load --port="$port" \
+      --scenario=surge --rate=500 --duration-s=1 --connections=2)" \
       || { echo "service: durable ingest burst failed ($1)" >&2; kill "$server_pid"; exit 1; }
   }
   # The committed checkpoint epoch of directory $1: the third field of
@@ -312,10 +318,21 @@ EOF
     } | ./build/examples/ltam_shell 2>&1 \
       | sed 's/connected to 127.0.0.1:[0-9]*/connected/'
   }
-  local crash_dir sweep first_sweep=""
+  local crash_dir sweep first_sweep="" acked replayed
   crash_dir="$(mktemp -d)"
   start_durable "$crash_dir" crash
   durable_burst crash
+  # Every event ltam_load saw answered, granted or denied, is
+  # acknowledged: "(N events: G grant / D deny)". The burst sends no
+  # Checkpoint, so all of them must still be in the logs when the
+  # relaunch replays them.
+  grep -q ', 0 checkpoints,' <<< "$burst_summary" \
+    || { echo "service: the crash burst checkpointed: $burst_summary" >&2; kill "$server_pid"; exit 1; }
+  acked="$(sed -n 's|.* events: \([0-9]*\) grant / \([0-9]*\) deny).*|\1 + \2|p' \
+    <<< "$burst_summary")"
+  [ -n "$acked" ] \
+    || { echo "service: no acknowledged-event count in: $burst_summary" >&2; kill "$server_pid"; exit 1; }
+  acked=$((acked))
   kill -9 "$server_pid"
   wait "$server_pid" 2>/dev/null || true
   rm -f "$log"
@@ -328,6 +345,15 @@ EOF
       expect_epoch "$crash_dir" "$epoch" "$boot"
     fi
     sweep="$(history_sweep "$port")"
+    if [ "$boot" = relaunch-1 ]; then
+      # The startup line: "open ... (recovered, N records replayed, ...)".
+      replayed="$(sed -n 's/.*recovered, \([0-9]*\) records replayed.*/\1/p' "$log")"
+      [ -n "$replayed" ] && [ "$replayed" -ge "$acked" ] || {
+        echo "service: $boot replayed '$replayed' records, but $acked events were acknowledged" >&2
+        cat "$log" >&2; kill "$server_pid"; exit 1
+      }
+      echo "service: crash round: $acked events acknowledged, $replayed records replayed"
+    fi
     stop_durable "$boot"
     expect_mirror "$crash_dir" "$boot"
     epoch="$(manifest_epoch "$crash_dir")"
@@ -362,7 +388,7 @@ EOF
   # numbers, a sync mode or a knob that does not exist.
   local bad_flag flag_status
   for bad_flag in --port=70000 --shards=abc --max-batch=12x \
-      --sync-mode=interval --pipeline-depth=4; do
+      --sync-mode=interval --sync-mode=batch --pipeline-depth=4; do
     log="$(mktemp)"
     flag_status=0
     timeout 5 ./build/examples/ltam_serve --port=0 "$bad_flag" > "$log" 2>&1 \
@@ -500,7 +526,7 @@ assert doc.get('benchmarks'), '$artifact has no benchmark rows'
 }
 
 bench() {
-  echo "=== bench: loopback overhead -> BENCH_pr6.json, durability modes -> BENCH_pr5.json (under $BENCH_OUT) ==="
+  echo "=== bench: loopback overhead -> BENCH_pr6.json, durable write path -> BENCH_pr5.json (under $BENCH_OUT) ==="
   cmake -B build -S .
   if ! cmake --build build -j"$JOBS" --target bench_service bench_access_engine; then
     echo "bench: google-benchmark not available; skipping" >&2
@@ -521,18 +547,17 @@ bench() {
     --benchmark_out="$BENCH_OUT/BENCH_pr6.json" --benchmark_out_format=json
   record_host_meta "$BENCH_OUT/BENCH_pr6.json"
   echo "bench: wrote $(pwd)/$BENCH_OUT/BENCH_pr6.json"
-  # BENCH_pr5.json: the durable write path's two sync modes (batch,
-  # pipelined) on the identical stream (every iteration ends at the same
-  # durability barrier, so the comparison is honest), plus the durable
-  # loopback server in batch vs pipelined mode.
-  # Longer min time than the service benches: the durable modes differ
-  # by tens of percent with ~10% run-to-run noise at 1-2 iterations.
+  # BENCH_pr5.json: the durable write path on the same stream as the
+  # facade rows (every iteration ends at the durability barrier), plus
+  # the durable loopback server, whose every answer waits for its fsync.
+  # Longer min time than the service benches: the durable rows carry
+  # ~10% run-to-run noise at 1-2 iterations.
   ./build/bench/bench_access_engine \
     --benchmark_filter='BM_DurableBatch' \
     --benchmark_min_time=0.2 \
     --benchmark_out="$BENCH_OUT/BENCH_pr5_durable.json" --benchmark_out_format=json
   ./build/bench/bench_service \
-    --benchmark_filter='ServiceLoopbackBatch(Durable|Pipelined)' \
+    --benchmark_filter='ServiceLoopbackBatchDurable' \
     --benchmark_min_time=0.05 \
     --benchmark_out="$BENCH_OUT/BENCH_pr5_service.json" --benchmark_out_format=json
   python3 - "$BENCH_OUT" <<'EOF'
@@ -733,9 +758,9 @@ for cpath, ppath in zip(client_paths, prom_paths):
             f"{family}@{rate}: ingest.{stage} counted {count}, expected {frames}"
     assert m["ltam_ingest_events"] >= frames
 
-    # One fsync-wait span per merged batch; runtime.apply_batch ticks
-    # at least once per batch (plus any world-boot applies), and spans
-    # still pending at scrape time are allowed to be unresolved.
+    # One fsync-wait span per merged batch, recorded before the batch
+    # is answered; runtime.apply_batch ticks at least once per batch
+    # (plus any world-boot applies).
     fsync = m["ltam_ingest_fsync_wait_seconds_count"]
     batches = m["ltam_runtime_apply_batch_seconds_count"]
     assert 0 < fsync <= batches, f"{family}@{rate}: fsync={fsync} batches={batches}"

@@ -38,10 +38,12 @@
 //   --scenario-tenants=N   tenant count for --scenario=tenant
 //   --max-batch=N     per-ApplyBatch event ceiling (default 65536;
 //                     0 = no ceiling)
-//   --sync-mode=M     durable write path: batch (fsync per batch, the
-//                     default) or pipelined (per-shard log threads
-//                     batch fsyncs across merged batches: one fsync per
-//                     4 batches or 1 MiB, and whenever a log goes idle)
+//   --sync-mode=M     durable write path; pipelined is the one mode
+//                     (and the default): the runtime's one log thread
+//                     writes and fsyncs every shard's records (a file
+//                     once per 4 batches or 1 MiB, and whenever its
+//                     queue drains), and a batch is answered only once
+//                     its fsync has landed. Any other mode exits 2
 //   --retention-horizon-s=N  drop sealed history whose stays ended
 //                          more than N chronons (~seconds of stream
 //                          time) before the newest event, judged at

@@ -2,6 +2,8 @@
 
 #include "core/auth_database.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace ltam {
@@ -145,6 +147,23 @@ Status AuthorizationDatabase::RecordEntry(AuthId id) {
     return Status::FailedPrecondition("authorization entries exhausted");
   }
   ++rec.entries_used;
+  return Status::OK();
+}
+
+Status AuthorizationDatabase::RestoreEntriesUsed(AuthId id, int64_t used) {
+  if (!Exists(id)) return Status::NotFound("no such authorization");
+  AuthRecord& rec = records_[id];
+  // max_entries() is INT64_MAX on an unlimited record, so one bound
+  // covers both kinds; capping it one below keeps the next RecordEntry
+  // on an unlimited record from overflowing.
+  const int64_t limit =
+      std::min(rec.auth.max_entries(), kUnlimitedEntries - 1);
+  if (used < 0 || used > limit) {
+    return Status::InvalidArgument(
+        "spent entries " + std::to_string(used) + " outside [0, " +
+        std::to_string(limit) + "] for authorization " + std::to_string(id));
+  }
+  rec.entries_used = used;
   return Status::OK();
 }
 

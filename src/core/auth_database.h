@@ -98,6 +98,12 @@ class AuthorizationDatabase {
   /// (FailedPrecondition when the record is revoked or exhausted).
   Status RecordEntry(AuthId id);
 
+  /// Sets the spent-entry count of `id` in one step, for loading a
+  /// persisted ledger. InvalidArgument when `used` is negative or above
+  /// the record's max_entries, or, on an unlimited record, INT64_MAX
+  /// (the next RecordEntry would overflow it).
+  Status RestoreEntriesUsed(AuthId id, int64_t used);
+
   // --- Lookup --------------------------------------------------------------
 
   /// True iff `id` denotes an existing (possibly revoked) record.

@@ -30,8 +30,6 @@ const char* DenyReasonToString(DenyReason reason) {
       return "unknown-location";
     case DenyReason::kExitRejected:
       return "exit-rejected";
-    case DenyReason::kWalError:
-      return "wal-error";
     case DenyReason::kObservationRejected:
       return "observation-rejected";
   }

@@ -33,9 +33,8 @@ enum class DenyReason : uint8_t {
   kUnknownLocation = 6,    ///< Location does not exist or is composite.
   kExitRejected = 7,       ///< Exit request refused: the subject is not
                            ///< inside, or the event is out of order.
-  kWalError = 8,           ///< Durability failure: the event could not be
-                           ///< appended to the write-ahead log, so it was
-                           ///< refused rather than applied unlogged.
+  // 8 is retired: the write-ahead log no longer refuses events, and the
+  // wire decoder refuses the value.
   kObservationRejected = 9,  ///< Tracking observation refused: it names an
                              ///< unknown/composite location or arrives out
                              ///< of time order, so nothing was recorded.

@@ -115,17 +115,7 @@ void ShardedDecisionEngine::SetShardHooks(ShardHooks hooks) {
 
 Status ShardedDecisionEngine::TakeBatchError() {
   std::lock_guard<std::mutex> lock(done_mu_);
-  Status append = std::exchange(batch_error_, Status::OK());
-  Status sync = std::exchange(sync_error_, Status::OK());
-  if (sync.ok()) return append;
-  if (append.ok()) return sync;
-  return sync.WithContext("batch also refused events (" + append.ToString() +
-                          ")");
-}
-
-void ShardedDecisionEngine::RecordAppendError(Status status) {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  if (batch_error_.ok()) batch_error_ = std::move(status);
+  return std::exchange(sync_error_, Status::OK());
 }
 
 void ShardedDecisionEngine::RecordSyncError(Status status) {
@@ -151,16 +141,7 @@ void ShardedDecisionEngine::RunSlice(Shard* shard) {
   // indices ascending, and every event of a given subject maps here.
   for (size_t i : shard->todo) {
     const AccessEvent& event = current_batch_[i];
-    if (hooks_.before_apply) {
-      Status logged = hooks_.before_apply(shard->index, event);
-      if (!logged.ok()) {
-        // Write-ahead contract: an event that could not be logged is
-        // refused, never applied — state must not run ahead of the log.
-        decisions_[i] = Decision::Deny(DenyReason::kWalError);
-        RecordAppendError(std::move(logged));
-        continue;
-      }
-    }
+    if (hooks_.before_apply) hooks_.before_apply(shard->index, event);
     decisions_[i] = ApplyAccessEvent(&shard->engine, event);
   }
   if (hooks_.after_batch) {

@@ -70,24 +70,23 @@ struct ShardedEngineOptions {
 /// Worker callbacks, the seam the durable runtime plugs into. The
 /// per-shard pair runs on the thread that evaluates the shard's slice
 /// (the caller for shard 0, the shard's worker otherwise); the
-/// batch-level one runs on the caller. None blocks on a pipelined fsync:
-/// a pipelined log accepts the record and lets the runtime's log thread
-/// make it durable later (the durability watermark reports when).
+/// batch-level one runs on the caller. None blocks on an fsync: the log
+/// accepts the record and lets the runtime's log thread make it durable
+/// later (the durability watermark reports when).
 struct ShardHooks {
   /// Invoked for every event before it is applied (write-ahead: append
-  /// the event to the shard's log here). A non-OK status refuses the
-  /// event — it is NOT applied and its decision becomes
-  /// Deny(kWalError) — so state never runs ahead of the *accepted* log.
-  /// Pipelined logs never refuse here (acceptance happened; failures
-  /// surface through the durability watermark instead).
-  std::function<Status(uint32_t shard, const AccessEvent& event)>
+  /// the event to the shard's log here). It cannot refuse the event:
+  /// acceptance is the append, and a later write or fsync failure
+  /// surfaces through after_batch and the durability watermark, never
+  /// through a decision.
+  std::function<void(uint32_t shard, const AccessEvent& event)>
       before_apply;
   /// Invoked once per batch per participating shard, after its whole
-  /// slice has been appended and applied — the group-commit boundary
-  /// (one fsync in batch mode; a pipeline-group mark that publishes the
-  /// slice to the log thread otherwise). A non-OK status is reported
-  /// through TakeBatchError but does NOT undo the slice: the events are
-  /// applied, only their durability is in doubt.
+  /// slice has been appended and applied — the group-commit boundary,
+  /// which publishes the slice to the log thread. A non-OK status (the
+  /// log's sticky error) is reported through TakeBatchError but does NOT
+  /// undo the slice: the events are applied, only their durability is in
+  /// doubt.
   std::function<Status(uint32_t shard)> after_batch;
   /// Invoked once per EvaluateBatch on the calling thread, after every
   /// slice (and so every after_batch) has finished: the one point where
@@ -143,13 +142,9 @@ class ShardedDecisionEngine {
   /// hooks; pass {} to detach.
   void SetShardHooks(ShardHooks hooks);
 
-  /// The batch's durability outcome, cleared by the read. OK when every
-  /// hook succeeded (always, without hooks). Append (before_apply) and
-  /// group-commit (after_batch) failures are tracked separately and a
-  /// group-commit failure takes precedence — it means applied events'
-  /// durability is in doubt, which must never be masked by a mere append
-  /// refusal (those are already visible as Deny(kWalError) decisions) —
-  /// carrying the append error in its context when both occurred.
+  /// The batch's durability outcome, cleared by the read: the first
+  /// after_batch failure of the batch (the log's sticky error), OK when
+  /// every boundary succeeded (always, without hooks).
   Status TakeBatchError();
 
   /// Seeds the shards from an existing movement history before the
@@ -174,9 +169,9 @@ class ShardedDecisionEngine {
   /// thread; overstay alerts land in the per-shard buffers.
   void Tick(Chronon t);
 
-  /// Ticks a single shard's engine (the durable runtime ticks shard by
-  /// shard so a shard whose log append failed is skipped — its state
-  /// must not run ahead of its log).
+  /// Ticks a single shard's engine (the durable runtime logs a tick on
+  /// each shard before ticking it, and a replica applies each shard's
+  /// shipped ticks to that shard alone).
   void TickShard(uint32_t shard, Chronon t);
 
   /// Merged alerts from every shard so far, ordered by (time, subject,
@@ -211,17 +206,13 @@ class ShardedDecisionEngine {
     std::thread worker;  // Not started for shard 0.
   };
 
-  /// Evaluates shard->todo (write-ahead hooks, decisions, the batch
+  /// Evaluates shard->todo (write-ahead hook, decision, then the batch
   /// boundary) and clears it.
   void RunSlice(Shard* shard);
   void WorkerLoop(Shard* shard);
 
-  /// Records a before_apply (append) failure for the in-flight batch
-  /// (first error wins within the category).
-  void RecordAppendError(Status status);
-
-  /// Records an after_batch (group-commit) failure (first error wins
-  /// within the category; the category outranks append errors).
+  /// Records an after_batch (group-commit) failure; the first error of
+  /// the batch wins.
   void RecordSyncError(Status status);
 
   /// Borrowed; Seed reads them.
@@ -243,9 +234,8 @@ class ShardedDecisionEngine {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   size_t pending_shards_ = 0;
-  /// First append / group-commit failure of the current batch, tracked
-  /// separately so neither masks the other; guarded by done_mu_.
-  Status batch_error_;
+  /// First group-commit failure of the current batch; guarded by
+  /// done_mu_.
   Status sync_error_;
 
   size_t batches_evaluated_ = 0;

@@ -27,19 +27,6 @@ std::unique_ptr<MovementView> MakeShardedView(
       });
 }
 
-/// Deny(kWalError) decisions mark events the durability layer refused.
-/// They can only exist when the batch's durability status is non-OK, so
-/// the scan is skipped on the happy path.
-size_t CountRefusedEvents(const std::vector<Decision>& decisions,
-                          const Status& durability) {
-  if (durability.ok()) return 0;
-  size_t refused = 0;
-  for (const Decision& d : decisions) {
-    if (!d.granted && d.reason == DenyReason::kWalError) ++refused;
-  }
-  return refused;
-}
-
 /// The sequential durable layout (`state.snap` + `events.wal`) was
 /// removed. A directory holding it without a MANIFEST is refused, never
 /// shadowed by a fresh cut that would ignore its committed state.
@@ -158,16 +145,10 @@ Result<Decision> AccessRuntime::Apply(const AccessEvent& event) {
       engine_->EvaluateBatch(Span<const AccessEvent>(&event, 1));
   const Status durability = engine_->TakeBatchError();
   ++events_applied_;
-  events_refused_ += CountRefusedEvents(decisions, durability);
   if (!durability.ok()) {
-    if (!decisions[0].granted &&
-        decisions[0].reason == DenyReason::kWalError) {
-      return durability.WithContext(
-          "event refused before application (resubmit is safe)");
-    }
     return durability.WithContext(
-        "event applied but group commit failed: durability in doubt, do "
-        "not resubmit");
+        "event applied but the write-ahead log failed: durability in "
+        "doubt, do not resubmit");
   }
   return decisions[0];
 }
@@ -202,7 +183,6 @@ Result<BatchResult> AccessRuntime::ApplyBatch(Span<const AccessEvent> batch) {
   out.alerts = engine_->DrainAlerts();
   ++batches_applied_;
   events_applied_ += batch.size();
-  events_refused_ += CountRefusedEvents(out.decisions, out.durability);
   out.watermark = Watermark();
   return out;
 }
@@ -342,7 +322,6 @@ RuntimeStats AccessRuntime::Stats() const {
   stats.requests_granted = engine_->requests_granted();
   stats.batches_applied = batches_applied_;
   stats.events_applied = events_applied_;
-  stats.events_refused = events_refused_;
   stats.batches_rejected = batches_rejected_;
   for (uint32_t k = 0; k < stats.num_shards; ++k) {
     stats.pending_alerts += engine_->shard_engine(k).alerts().size();
@@ -486,7 +465,6 @@ std::string RuntimeStatsToString(const RuntimeStats& stats) {
   line("requests-granted", std::to_string(stats.requests_granted));
   line("batches-applied", std::to_string(stats.batches_applied));
   line("events-applied", std::to_string(stats.events_applied));
-  line("events-refused", std::to_string(stats.events_refused));
   line("batches-rejected", std::to_string(stats.batches_rejected));
   line("pending-alerts", std::to_string(stats.pending_alerts));
   return out;

@@ -74,15 +74,15 @@ struct RuntimeOptions {
   std::optional<std::string> durable_dir;
   /// Per-engine decision/monitoring knobs.
   EngineOptions engine;
-  /// Durable runtimes: the write path's sync mode. kBatch (the
-  /// default) fsyncs each shard log once per Apply/ApplyBatch/Tick, on
-  /// the batch's critical path; kPipelined moves the fsync to per-shard
-  /// log threads (one fsync per 4 batches or 1 MiB, and whenever a log
-  /// goes idle) — ApplyBatch then returns before its fsync lands, and
-  /// callers choose latency vs durability per call via
-  /// BatchResult::watermark and WaitDurable(). An idle kPipelined
-  /// runtime converges to durable == applied. A failed pipelined fsync
-  /// sticky-fails its log (watermark frozen) until Checkpoint().
+  /// Durable runtimes: the write path (storage/log_pipeline.h). Shard
+  /// workers only buffer their records; the runtime's one log thread
+  /// writes and fsyncs them (a shard's file once per 4 batches or 1 MiB,
+  /// and whenever its queue drains). ApplyBatch returns before its fsync
+  /// lands, and callers choose latency vs durability per call via
+  /// BatchResult::watermark and WaitDurable() (a network server always
+  /// waits before it answers). An idle runtime converges to durable ==
+  /// applied. A failed write or fsync sticky-fails its shard's log
+  /// (watermark frozen) until Checkpoint(). Tests inject faults here.
   DurabilityOptions durability;
   /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
   /// batch is rejected whole with kInvalidArgument — nothing is applied —
@@ -107,26 +107,23 @@ struct RuntimeOptions {
 
 /// Everything one ApplyBatch call produced.
 struct BatchResult {
-  /// One decision per event, in input order. An event the durable layer
-  /// refused to log is Deny(kWalError) and was never applied.
+  /// One decision per event, in input order. Every event was applied:
+  /// the durable layer logs before it applies and never refuses one.
   std::vector<Decision> decisions;
   /// Every alert pending after the batch (including ones buffered by
   /// earlier Apply/Tick calls), ordered by (time, subject, location,
   /// type). Draining is built in — there is no separate TakeAlerts.
   std::vector<Alert> alerts;
-  /// Durability outcome. OK on in-memory runtimes. The two failure
-  /// classes are decoupled: refused events are ALWAYS identifiable by
-  /// their Deny(kWalError) decisions (never applied — resubmitting them
-  /// is safe), while a non-OK status of IO kind signals a failed
-  /// group-commit fsync — every applied event's durability is in doubt,
-  /// so do NOT resubmit those. When both happen in one batch the fsync
-  /// failure wins the status (with the append error in its context), so
-  /// the more severe outcome is never masked.
+  /// Durability outcome. OK on in-memory runtimes. Non-OK (IO kind) when
+  /// a shard's log is sticky-failed: the batch's events were applied,
+  /// but their durability is in doubt until a Checkpoint, so do NOT
+  /// resubmit them. A failure of this batch's own write or fsync can
+  /// land after ApplyBatch returns; WaitDurable() reports it.
   Status durability;
   /// The runtime's durability position after this batch: log records
-  /// accepted (events applied) vs fsynced. In-memory runtimes and
-  /// kBatch report durable == applied; kPipelined may trail until the
-  /// log threads catch up (or WaitDurable forces it).
+  /// accepted (events applied) vs fsynced. In-memory runtimes report
+  /// durable == applied; a durable runtime trails until its log thread
+  /// fsyncs the batch (WaitDurable waits for that).
   DurabilityWatermark watermark;
 };
 
@@ -154,22 +151,19 @@ struct RuntimeStats {
   /// there is no side channel to count ingestion twice.
   size_t batches_applied = 0;
   size_t events_applied = 0;
-  /// Events the durability layer refused (their decisions carry
-  /// Deny(kWalError); they were never applied).
-  size_t events_refused = 0;
   /// ApplyBatch calls rejected whole before application: oversized per
   /// RuntimeOptions::max_batch_events, or issued inside Mutate().
   size_t batches_rejected = 0;
   /// Alerts raised but not yet drained.
   size_t pending_alerts = 0;
   /// The durability watermark: records accepted (events applied) vs
-  /// fsynced. Equal on in-memory runtimes and in kBatch mode; durable
-  /// trails applied while pipelined fsyncs are in flight.
+  /// fsynced. Equal on in-memory runtimes; durable trails applied while
+  /// the log thread's fsyncs are in flight.
   uint64_t applied_offset = 0;
   uint64_t durable_offset = 0;
   /// Physical log failures observed (see BatchResult::durability for
-  /// the per-batch view): appends that refused or lost records, fsyncs
-  /// that failed. Zero on in-memory runtimes.
+  /// the per-batch view): records a failed write lost or a failed log
+  /// dropped, fsyncs that failed. Zero on in-memory runtimes.
   uint64_t wal_append_failures = 0;
   uint64_t wal_sync_failures = 0;
   /// Durable runtimes: one (applied, durable) watermark per shard log,
@@ -225,10 +219,9 @@ class AccessRuntime {
 
   /// Applies one event (logged first on durable runtimes) and returns
   /// its decision. Alerts it raises stay buffered for the next
-  /// ApplyBatch/DrainAlerts. Non-OK when the event was refused by the
-  /// durability layer (not applied — safe to resubmit), when a
-  /// group-commit fsync failed (applied, durability in doubt — the
-  /// message says do not resubmit), or when called from inside Mutate.
+  /// ApplyBatch/DrainAlerts. Non-OK when the log is sticky-failed
+  /// (applied, durability in doubt — the message says do not
+  /// resubmit), or when called from inside Mutate.
   Result<Decision> Apply(const AccessEvent& event);
 
   /// Applies a batch (fanned out across the shards;
@@ -270,10 +263,11 @@ class AccessRuntime {
   Status Mutate(const std::function<Status(const MutableStores&)>& fn);
 
   /// Durability barrier: blocks until every accepted log record is
-  /// fsynced (forcing the flush on pipelined runtimes), or returns the
-  /// log's sticky error. In-memory and kBatch runtimes return OK
-  /// immediately. Checkpoint() is the stronger
-  /// barrier (it also persists snapshots and truncates the logs).
+  /// fsynced, or returns the log's sticky error. The log thread fsyncs
+  /// a batch as soon as its queue drains, so the wait costs no extra
+  /// fsync. In-memory runtimes return OK immediately. Checkpoint() is
+  /// the stronger barrier (it also persists snapshots and truncates the
+  /// logs).
   Status WaitDurable();
 
   /// The current durability position (see BatchResult::watermark).
@@ -406,7 +400,6 @@ class AccessRuntime {
   std::string primary_redirect_;
   size_t batches_applied_ = 0;
   size_t events_applied_ = 0;
-  size_t events_refused_ = 0;
   size_t batches_rejected_ = 0;
   /// Resolved once in the ctor from options_.metrics (null when
   /// uninstrumented).

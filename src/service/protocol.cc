@@ -192,7 +192,9 @@ bool ReadDecision(Reader* r, Decision* d) {
     return false;
   }
   if (granted > 1) return false;
-  if (reason > static_cast<uint8_t>(DenyReason::kObservationRejected)) {
+  // 8 was the write-ahead log's refusal, retired in v8.
+  if (reason == 8 ||
+      reason > static_cast<uint8_t>(DenyReason::kObservationRejected)) {
     return false;
   }
   d->granted = granted == 1;
@@ -632,7 +634,6 @@ std::string EncodeStatsResult(const RuntimeStats& stats) {
   PutU64(&out, stats.requests_granted);
   PutU64(&out, stats.batches_applied);
   PutU64(&out, stats.events_applied);
-  PutU64(&out, stats.events_refused);
   PutU64(&out, stats.batches_rejected);
   PutU64(&out, stats.pending_alerts);
   PutU64(&out, stats.applied_offset);
@@ -662,12 +663,12 @@ Result<RuntimeStats> DecodeStatsResult(std::string_view payload) {
   RuntimeStats stats;
   uint8_t durable = 0, overridden = 0;
   uint64_t wal_events = 0, processed = 0, granted = 0, batches = 0,
-           events = 0, refused = 0, rejected = 0, pending = 0;
+           events = 0, rejected = 0, pending = 0;
   if (!r.ReadU32(&stats.num_shards) || !r.ReadU32(&stats.requested_shards) ||
       !r.ReadU8(&durable) || !r.ReadU8(&overridden) ||
       !r.ReadU64(&stats.epoch) || !r.ReadU64(&wal_events) ||
       !r.ReadU64(&processed) || !r.ReadU64(&granted) ||
-      !r.ReadU64(&batches) || !r.ReadU64(&events) || !r.ReadU64(&refused) ||
+      !r.ReadU64(&batches) || !r.ReadU64(&events) ||
       !r.ReadU64(&rejected) || !r.ReadU64(&pending) ||
       !r.ReadU64(&stats.applied_offset) ||
       !r.ReadU64(&stats.durable_offset) ||
@@ -707,7 +708,6 @@ Result<RuntimeStats> DecodeStatsResult(std::string_view payload) {
   stats.requests_granted = granted;
   stats.batches_applied = batches;
   stats.events_applied = events;
-  stats.events_refused = refused;
   stats.batches_rejected = rejected;
   stats.pending_alerts = pending;
   return stats;

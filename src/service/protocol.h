@@ -58,8 +58,11 @@ namespace ltam {
 /// structured primary endpoint in replica write refusals; v7 retired
 /// the single-event apply/apply-result frames (codes 2 and 33), the
 /// alert-push frame (code 40) and the metrics format byte (a metrics
-/// request carries no payload and its answer is always structured).
-inline constexpr uint8_t kWireVersion = 7;
+/// request carries no payload and its answer is always structured); v8
+/// retired deny reason 8 (the write-ahead log's refusal) and the stats
+/// result's refused-events field, and a batch result is sent only once
+/// its batch is durable.
+inline constexpr uint8_t kWireVersion = 8;
 
 /// "LTAM" as a little-endian u32 ('L' is the first byte on the wire).
 inline constexpr uint32_t kWireMagic = 0x4D41544Cu;
@@ -208,10 +211,13 @@ Result<std::string> DecodeQueryRequest(std::string_view payload);
 /// What one ApplyBatch produced, as seen through the wire: the
 /// per-event decisions, the alerts the server attributed to this frame
 /// (routed by subject out of the coalesced batch), the durability
-/// outcome of the underlying AccessRuntime::ApplyBatch, and the
-/// runtime's durability watermark at that moment (under a pipelined
-/// server the ack arrives before the fsync — durable < applied tells
-/// the client exactly how far the crash-proof prefix reaches).
+/// outcome of the batch (the underlying AccessRuntime::ApplyBatch's,
+/// or the failure of the fsync the server waited for), and the
+/// runtime's durability watermark after that wait. A durable server
+/// sends the result only once the fsync covering the batch has landed,
+/// so with an OK `durability` the watermark covers every event of the
+/// frame; a non-OK one means the log failed and the watermark froze
+/// below them (the decisions stand either way).
 struct WireBatchResult {
   std::vector<Decision> decisions;
   std::vector<Alert> alerts;

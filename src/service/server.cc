@@ -255,9 +255,6 @@ class ServiceServer::Impl {
     }
     coal_cv_.notify_all();
     coalescer_thread_.join();
-    // The coalescer is gone; close out any fsync-wait spans it left
-    // (the watermark has settled — the runtime's log thread idle-syncs).
-    if (instrumented()) FlushFsyncWaits(/*final=*/true);
     // Phase 3: read workers drain the remaining Query/Stats jobs.
     {
       std::lock_guard<std::mutex> lock(reads_mu_);
@@ -951,8 +948,6 @@ class ServiceServer::Impl {
       // Drain to empty before exiting: the producer joined before
       // coal_stop_ was set, so every pushed frame is reachable.
       if (coal_stop_ && ingest_queue_.empty() && !AnyStateHasWork()) return;
-      // A fixed nap even with fsync-wait spans pending: each ends at the
-      // durable advance that covered it, whichever round reads it.
       coal_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
         return coal_stop_ || !ingest_queue_.empty();
       });
@@ -964,7 +959,6 @@ class ServiceServer::Impl {
   /// connection into a single runtime batch, then GC dead connections.
   /// Returns whether anything moved.
   bool RoundOnce() {
-    FlushFsyncWaits(/*final=*/false);
     bool any = DrainIngestQueue();
     // Barriers: ApplyFix/Checkpoint apply alone, in their connection's
     // FIFO position.
@@ -1083,8 +1077,7 @@ class ServiceServer::Impl {
       std::unique_lock<std::shared_mutex> lock(runtime_mu_);
       return runtime_->ApplyBatch(merged_);
     }();
-    const uint64_t apply_done = instrumented() ? MonotonicNowNs() : 0;
-    const uint64_t apply_ns = apply_done - t_apply;
+    const uint64_t apply_ns = instrumented() ? MonotonicNowNs() - t_apply : 0;
     {
       std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
       ++coalescer_stats_.merged_batches;
@@ -1126,21 +1119,12 @@ class ServiceServer::Impl {
       return;
     }
 
-    if (instrumented()) {
-      // Durable-ack span: the pipelined coalescer acks before the fsync
-      // lands, so "how long until this batch's records were actually
-      // crash-proof" is measured asynchronously — a later round that
-      // observes the durable watermark at or past this batch's applied
-      // position ends the span at the log thread's advance (see
-      // FlushFsyncWaits). One span per merged batch: frames share the
-      // batch's fsync, counting it per frame would overstate the fsync
-      // load.
-      if (result->watermark.durable >= result->watermark.applied) {
-        h_fsync_wait_->Record(0);
-      } else {
-        fsync_pending_.push_back({result->watermark.applied, apply_done});
-      }
-    }
+    // No frame of the merge is answered before its events are durable.
+    // One span per merged batch: frames share the batch's fsync, so
+    // counting it per frame would overstate the fsync load.
+    const uint64_t wait_ns =
+        AwaitDurable(&result->durability, &result->watermark);
+    if (instrumented()) h_fsync_wait_->Record(wait_ns);
 
     // Demux decisions back to their frames by offset. Every alert this
     // apply drained rides this merge: to the first frame that touched
@@ -1188,8 +1172,8 @@ class ServiceServer::Impl {
         const uint64_t e2e_ns = done - job.recv_ns;
         h_write_->Record(write_ns);
         h_e2e_->Record(e2e_ns);
-        MaybeTraceSlow(job, e2e_ns, decode_ns[i], apply_ns, write_ns,
-                       live_count, merged_.size());
+        MaybeTraceSlow(job, e2e_ns, decode_ns[i], apply_ns, wait_ns,
+                       write_ns, live_count, merged_.size());
       }
     }
   }
@@ -1200,8 +1184,8 @@ class ServiceServer::Impl {
   /// own log (overflow is counted, not printed). Coalescer thread only.
   void MaybeTraceSlow(const IngestJob& job, uint64_t e2e_ns,
                       uint64_t frame_decode_ns, uint64_t apply_ns,
-                      uint64_t write_ns, size_t batch_frames,
-                      size_t batch_events) {
+                      uint64_t wait_ns, uint64_t write_ns,
+                      size_t batch_frames, size_t batch_events) {
     if (options_.trace_threshold_us == 0) return;
     if (e2e_ns < options_.trace_threshold_us * 1000) return;
     static constexpr uint32_t kMaxTracesPerSecond = 10;
@@ -1219,41 +1203,34 @@ class ServiceServer::Impl {
     auto ms = [](uint64_t ns) { return static_cast<double>(ns) / 1e6; };
     LTAM_LOG_WARNING << StrFormat(
         "slow request: conn=%llu req=%u e2e=%.3fms queue_wait=%.3fms "
-        "decode=%.3fms apply=%.3fms write=%.3fms events=%u "
-        "merged_frames=%zu merged_events=%zu",
+        "decode=%.3fms apply=%.3fms fsync_wait=%.3fms write=%.3fms "
+        "events=%u merged_frames=%zu merged_events=%zu",
         static_cast<unsigned long long>(job.conn->id), job.request_id,
         ms(e2e_ns), ms(job.pickup_ns - job.recv_ns), ms(frame_decode_ns),
-        ms(apply_ns), ms(write_ns), job.event_count, batch_frames,
-        batch_events);
+        ms(apply_ns), ms(wait_ns), ms(write_ns), job.event_count,
+        batch_frames, batch_events);
   }
 
-  /// Resolves queued fsync-wait spans against the runtime's durable
-  /// watermark. A resolved span ends when the log thread last advanced
-  /// the watermark (DurabilityWatermark::durable_ns), not when this
-  /// round noticed: the round only decides which spans are over, so the
-  /// coalescer need not poll. The advance can precede a span's start
-  /// (it landed between the apply's watermark read and the span's
-  /// clock), so the wait is clamped at 0. `final` (shutdown, after the
-  /// producers stopped) drops spans whose target never became durable
-  /// (sticky WAL failure) instead of recording a fake wait.
-  void FlushFsyncWaits(bool final) {
-    if (fsync_pending_.empty()) return;
-    DurabilityWatermark mark;
+  /// The durable ack: when `mark` (the watermark the apply returned)
+  /// shows records not yet fsynced, blocks until the log covers every
+  /// applied record, then refreshes `mark` and folds a log failure into
+  /// `status`. It waits under the shared lock, after the apply released
+  /// the exclusive one: readers and log shippers keep running, and no
+  /// producer runs beside it, so what it waits for is exactly what was
+  /// applied. The log thread fsyncs a batch as soon as its queue drains,
+  /// so the wait adds no log round. Returns the nanoseconds waited
+  /// (measured only when instrumented); an in-memory runtime, whose
+  /// watermark never trails, returns after the one comparison.
+  uint64_t AwaitDurable(Status* status, DurabilityWatermark* mark) {
+    if (mark->durable >= mark->applied) return 0;
+    const uint64_t t0 = instrumented() ? MonotonicNowNs() : 0;
     {
       std::shared_lock<std::shared_mutex> lock(runtime_mu_);
-      mark = runtime_->Watermark();
+      Status waited = runtime_->WaitDurable();
+      *mark = runtime_->Watermark();
+      if (status->ok()) *status = std::move(waited);
     }
-    while (!fsync_pending_.empty()) {
-      const auto& [target, started_ns] = fsync_pending_.front();
-      if (target > mark.durable) {
-        if (!final) return;
-        fsync_pending_.pop_front();
-        continue;
-      }
-      h_fsync_wait_->Record(
-          mark.durable_ns > started_ns ? mark.durable_ns - started_ns : 0);
-      fsync_pending_.pop_front();
-    }
+    return instrumented() ? MonotonicNowNs() - t0 : 0;
   }
 
   /// Counts alerts a response carried without its frame touching their
@@ -1264,14 +1241,18 @@ class ServiceServer::Impl {
     coalescer_stats_.stranded_alerts_delivered += unowned;
   }
 
-  /// The fix response carries every alert its drain returned.
+  /// The fix response carries every alert its drain returned, and it
+  /// is sent, like a batch result, once the fix's event is durable.
   void ProcessFix(const IngestJob& job) {
     WireFixResult wire;
+    DurabilityWatermark mark;
     {
       std::unique_lock<std::shared_mutex> lock(runtime_mu_);
       wire.status = runtime_->ApplyFix(job.fix);
       wire.alerts = runtime_->DrainAlerts();
+      mark = runtime_->Watermark();
     }
+    (void)AwaitDurable(&wire.status, &mark);
     size_t unowned = 0;
     for (const Alert& alert : wire.alerts) {
       if (alert.subject != job.fix.subject) ++unowned;
@@ -1442,8 +1423,6 @@ class ServiceServer::Impl {
   Counter* c_quota_refusals_ = nullptr;
   Counter* c_trace_emitted_ = nullptr;
   Counter* c_trace_suppressed_ = nullptr;
-  /// Open durable-ack spans: (applied-offset target, span start).
-  std::deque<std::pair<uint64_t, uint64_t>> fsync_pending_;
   uint64_t trace_window_start_ns_ = 0;
   uint32_t traces_this_window_ = 0;
 

@@ -51,15 +51,18 @@
 // every alert its drain returned. Alerts pending while no frame arrives
 // stay in the runtime's buffer until one does.
 //
-// Commit pipelining (RuntimeOptions::durability, ltam_serve
-// --sync-mode=pipelined): ApplyBatch on a pipelined runtime
-// returns as soon as the decisions are computed and the log records
-// queued — the fsync happens on the runtime's per-shard log threads. The
-// coalescer therefore acks each frame's decisions immediately and merges
-// the NEXT round while the previous round's fsync is still in flight;
-// clients that need the stronger guarantee read the durability watermark
-// echoed in every batch result (and in Stats) or issue a Checkpoint
-// barrier.
+// Durable acknowledgement: on a durable runtime ApplyBatch returns as
+// soon as the decisions are computed and the log records queued, and
+// the runtime's one log thread writes and fsyncs them. The coalescer
+// then releases the exclusive lock and waits, under the shared lock,
+// until the durability watermark covers the merged batch; only then
+// does it answer the batch's frames (an ApplyFix waits the same way).
+// So an answered event survives a crash. Frames that arrive during the
+// fsync join the next merge. Readers are not held back: a Query may see
+// an applied event whose fsync has not landed yet, though that event's
+// writer is answered only once it has. A failed log is answered with
+// the batch's decisions and a non-OK durability status, and a frozen
+// watermark; decisions never change.
 
 #ifndef LTAM_SERVICE_SERVER_H_
 #define LTAM_SERVICE_SERVER_H_
@@ -105,12 +108,13 @@ struct ServerOptions {
   /// server). When set, the ingest path records per-stage histograms —
   /// ingest.queue_wait (dispatch to coalesce pickup), ingest.decode
   /// (queued payload to merge buffer), ingest.apply (the merged
-  /// ApplyBatch, lock wait included), ingest.fsync_wait (apply return
-  /// to durable watermark catch-up, per merged batch — the part of
-  /// durability the pipelined ack does NOT wait for), ingest.write
-  /// (response encode + send) and ingest.e2e (recv to response
-  /// written) — plus query.run, ingest.frames/ingest.events counters,
-  /// and per-replica shipped-lag gauges from the log shippers. Null =
+  /// ApplyBatch, lock wait included), ingest.fsync_wait (the
+  /// coalescer's wait for the merged batch's fsync before it answers,
+  /// one span per merged batch, 0 when nothing was pending),
+  /// ingest.write (response encode + send) and ingest.e2e (recv to
+  /// response written, so the wait included) — plus query.run,
+  /// ingest.frames/ingest.events counters, and per-replica shipped-lag
+  /// gauges from the log shippers. Null =
   /// fully uninstrumented hot path (the bench baseline). Typically the
   /// SAME registry as RuntimeOptions::metrics so one scrape shows
   /// server and runtime stages side by side.

@@ -227,23 +227,16 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
     // Retire the old log generation: everything it accepted is durable
-    // now (the snapshot carries the live state, lost pipelined tails
+    // now (the snapshot carries the live state, the tails of failed logs
     // included), and its counters must survive the swap. The floors and
     // the pipeline swap under manifest_mu_ so a shipper thread
     // snapshotting its read position never sees a half-retired shard.
     if (log_ != nullptr) {
-      bool lost_tail = false;
       for (uint32_t k = 0; k < n; ++k) {
         const ShardLog& log = log_->shard(k);
         retired_append_failures_ += log.append_failures();
         retired_sync_failures_ += log.sync_failures();
-        lost_tail = lost_tail || log.durable_seq() < log.appended_seq();
       }
-      // A tail a failed log never synced becomes durable with this cut.
-      retired_durable_ns_ = lost_tail
-                                ? MonotonicNowNs()
-                                : std::max(retired_durable_ns_,
-                                           log_->durable_ns());
     }
     for (uint32_t k = 0; k < n; ++k) floor_[k] = m.shards[k].floor;
     manifest_ = std::move(m);
@@ -479,7 +472,7 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    return log_->shard(shard).Append(LoggedEvent::Access(event));
+    log_->shard(shard).Append(LoggedEvent::Access(event));
   };
   hooks.after_batch = [this](uint32_t shard) {
     return log_->shard(shard).BatchBoundary();
@@ -618,14 +611,7 @@ Status DurableShardedSystem::Tick(Chronon t) {
   Status first_error;
   for (uint32_t k = 0; k < num_shards(); ++k) {
     ShardLog& log = log_->shard(k);
-    Status appended = log.Append(tick);
-    if (!appended.ok()) {
-      // Write-ahead per shard: a shard whose tick could not be logged is
-      // not ticked, so its live state never diverges from what recovery
-      // would replay (pipelined logs never refuse here).
-      if (first_error.ok()) first_error = std::move(appended);
-      continue;
-    }
+    log.Append(tick);
     engine_->TickShard(k, t);
     Status boundary = log.BatchBoundary();
     // A failed boundary leaves the tick appended and applied
@@ -640,7 +626,6 @@ Status DurableShardedSystem::WaitDurable() { return log_->Flush(); }
 
 DurabilityWatermark DurableShardedSystem::Watermark() const {
   DurabilityWatermark mark;
-  mark.durable_ns = std::max(retired_durable_ns_, log_->durable_ns());
   for (uint32_t k = 0; k < num_shards(); ++k) {
     const DurabilityWatermark shard = ShardWatermark(k);
     mark.applied += shard.applied;
@@ -674,7 +659,7 @@ uint64_t DurableShardedSystem::wal_sync_failures() const {
 }
 
 Status DurableShardedSystem::Checkpoint() {
-  // Quiesce the write path. A sticky-failed pipelined log cannot flush,
+  // Quiesce the write path. A sticky-failed log cannot flush,
   // but the checkpoint REPAIRS it: the snapshot persists the live state
   // (which includes every event whose log bytes were lost), and the new
   // epoch starts with fresh, healthy logs.
@@ -801,8 +786,7 @@ DurableShardedSystem::ApplyReplicatedRecords(
     // directory's own log, rendered by the primary's writer into the
     // primary's bytes, before it applies, so a replica restart — or this
     // replica's own promotion — replays the identical stream.
-    Status appended = log.Append(event);
-    if (!appended.ok()) return appended.WithContext("replica log append");
+    log.Append(event);
     if (event.is_tick) {
       engine_->TickShard(shard, event.tick_time);
     } else {

@@ -15,31 +15,25 @@
 // Durability discipline: each shard appends every event of its batch
 // slice to its own log *before* applying it (write-ahead, via
 // ShardHooks::before_apply), then marks the group-commit boundary
-// (ShardHooks::after_batch). What the boundary costs depends on
-// DurabilityOptions::mode:
+// (ShardHooks::after_batch). Appends buffer per shard and each boundary
+// publishes its slice; once every slice of the batch is done
+// (ShardHooks::after_slices) the runtime wakes its one log thread
+// (storage/log_pipeline.h), which writes each shard's records with one
+// write(2) and batches fsyncs across engine batches (commit pipelining,
+// bounded per shard by a fixed batch depth and byte count, and a shard
+// whose queue drains is fsynced at once). Tick and replica applies wake
+// it the same way, once after appending to every shard they touch. The
+// batch returns before its fsync lands; WaitDurable() waits for it, and
+// the (applied, durable) watermark reports how far it has got.
 //
-//   kBatch      one fsync per shard per batch, on the batch's critical
-//               path — the original PR-2 discipline, byte-identical
-//               to it (and the strongest per-batch guarantee).
-//   kPipelined  appends buffer per shard and each boundary publishes
-//               its slice; once every slice of the batch is done
-//               (ShardHooks::after_slices) the runtime wakes its one log
-//               thread (storage/log_pipeline.h), which writes each
-//               shard's records with one write(2) and batches fsyncs
-//               across multiple engine batches (commit pipelining,
-//               bounded per shard by a fixed batch depth and byte
-//               count). Tick and replica applies wake it the same way,
-//               once after appending to every shard they touch. The
-//               batch returns before its fsync lands; WaitDurable()
-//               and the (applied, durable) watermark close the gap.
-//
-// Decision streams are byte-identical across both modes (pipelined
-// failures surface through the watermark and failure counters, never by
-// rewriting decisions) — the property the equivalence matrix enforces.
+// Decision streams are byte-identical to the in-memory runtime's (log
+// failures surface through the watermark and failure counters, never
+// by rewriting decisions) — the property the equivalence matrix
+// enforces.
 //
 // Checkpoint() flushes every log (restoring durable == applied, even
-// for a sticky-failed pipelined log, whose lost tail the snapshot
-// supersedes), writes the dirty segments of the next epoch, publishes
+// for a sticky-failed log, whose lost tail the snapshot supersedes),
+// writes the dirty segments of the next epoch, publishes
 // them by atomically renaming a fresh MANIFEST, then deletes the files
 // the new cut no longer references. A crash at any instant leaves a
 // committed cut. Checkpoints are INCREMENTAL: a shard whose snapshot is
@@ -73,8 +67,7 @@
 // shutdown the logs are empty, and appends resume on the same files
 // with no new epoch. Recovered state is identical to a sequential
 // replay of the surviving log prefix (the property
-// tests/durable_sharded_test.cc enforces under crash injection, in
-// batch and pipelined modes).
+// tests/durable_sharded_test.cc enforces under crash injection).
 
 #ifndef LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
 #define LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
@@ -107,7 +100,7 @@ struct DurableShardedOptions {
   uint32_t num_shards = 4;
   /// Per-shard engine options.
   EngineOptions engine;
-  /// The write path's sync mode and (tests only) fault injection.
+  /// The write path's telemetry and (tests only) fault injection.
   DurabilityOptions durability;
   /// Tiering + retention (engine/movement_db.h). max_hot_events == 0
   /// disables sealing entirely — the pre-tiering behavior.
@@ -145,12 +138,10 @@ class DurableShardedSystem {
   // Batches run through engine().EvaluateBatch(): each shard's worker
   // appends its slice to its log before applying, then marks the
   // group-commit boundary. engine().TakeBatchError() then reports the
-  // batch's durability outcome: refused events are visible as
-  // Deny(kWalError) decisions and safe to resubmit, while a
-  // boundary/fsync failure — which outranks refusals in the status —
-  // means applied events' durability is in doubt and they must NOT be
-  // resubmitted; in pipelined mode a sticky log failure keeps reporting
-  // there until a Checkpoint repairs it.
+  // batch's durability outcome: a non-OK status is a shard's sticky log
+  // failure, which means applied events' durability is in doubt (they
+  // must NOT be resubmitted), and it keeps reporting there until a
+  // Checkpoint repairs it.
 
   /// Logs and applies a patrol tick on every shard.
   Status Tick(Chronon t);
@@ -160,18 +151,18 @@ class DurableShardedSystem {
   /// Persists the full state as a new epoch and starts every shard on a
   /// fresh, empty log. Subsequent recovery starts from here. Restores
   /// durable == applied: the snapshot supersedes any tail a
-  /// sticky-failed pipelined log lost.
+  /// sticky-failed log lost.
   Status Checkpoint();
 
   /// Durability barrier: one pass over every shard that blocks until
-  /// each accepted log record is fsynced (forcing the flush) or its
-  /// shard is sticky-failed, then returns the first shard's sticky
-  /// error. A no-op in kBatch mode, where every batch already synced.
+  /// each accepted log record is fsynced or its shard is sticky-failed,
+  /// then returns the first shard's sticky error. The log thread fsyncs
+  /// every batch it drains, so waiting forces no extra fsync
+  /// (LogPipeline::Flush).
   Status WaitDurable();
 
   /// The runtime's durability position: log records accepted (their
-  /// events applied) vs fsynced, the sum of the shard watermarks, and
-  /// when `durable` last advanced.
+  /// events applied) vs fsynced, the sum of the shard watermarks.
   DurabilityWatermark Watermark() const;
 
   /// One shard log's durability position, monotonic across checkpoints
@@ -179,8 +170,9 @@ class DurableShardedSystem {
   /// accepted, persisted in the MANIFEST) plus the live log's sequence.
   DurabilityWatermark ShardWatermark(uint32_t shard) const;
 
-  /// Physical log failures observed since Open (appends that refused or
-  /// lost records, fsyncs that failed), monotonic across checkpoints.
+  /// Physical log failures observed since Open (records a failed write
+  /// lost or a failed log dropped, fsyncs that failed), monotonic across
+  /// checkpoints.
   uint64_t wal_append_failures() const;
   uint64_t wal_sync_failures() const;
 
@@ -363,8 +355,8 @@ class DurableShardedSystem {
   std::unique_ptr<ShardedDecisionEngine> engine_;
   /// This epoch's shard logs; shard k's is appended by that shard's
   /// worker during a batch and by the control thread for ticks and
-  /// replica applies between batches. In pipelined mode its one log
-  /// thread writes and syncs them all. Each checkpoint replaces it.
+  /// replica applies between batches. Its one log thread writes and
+  /// syncs them all. Each checkpoint replaces it.
   std::unique_ptr<LogPipeline> log_;
   /// The committed cut. Only the control thread (Open/Checkpoint)
   /// writes it, and it does so under manifest_mu_, because shipper
@@ -380,11 +372,9 @@ class DurableShardedSystem {
   /// replayed until the recovery cut commits them.
   std::vector<uint64_t> floor_;
   /// Counter accumulators for log generations retired by Checkpoint
-  /// (their records are all durable via the snapshot), and the last
-  /// durable advance among them.
+  /// (their records are all durable via the snapshot).
   uint64_t retired_append_failures_ = 0;
   uint64_t retired_sync_failures_ = 0;
-  uint64_t retired_durable_ns_ = 0;
   /// One shard's on-disk cold tier entry. The in-memory segment list of
   /// shard k's MovementDatabase and cold_files_[k] stay index-aligned.
   struct ColdFile {

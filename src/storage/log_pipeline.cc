@@ -12,22 +12,20 @@ namespace ltam {
 
 const char* SyncModeToString(SyncMode mode) {
   switch (mode) {
-    case SyncMode::kBatch: return "batch";
     case SyncMode::kPipelined: return "pipelined";
   }
   return "unknown";
 }
 
 Result<SyncMode> ParseSyncMode(const std::string& name) {
-  if (name == "batch") return SyncMode::kBatch;
   if (name == "pipelined") return SyncMode::kPipelined;
   return Status::InvalidArgument("unknown sync mode '" + name +
-                                 "' (batch|pipelined)");
+                                 "' (the one mode is pipelined)");
 }
 
 namespace {
 
-// Pipelined sync bounds, per shard. The log thread fsyncs a shard's
+// Sync bounds, per shard. The log thread fsyncs a shard's
 // file once kPipelineDepth batch boundaries or kMaxUnsyncedBytes of
 // written records are unsynced on it, and whenever its drained queue
 // leaves a completed batch unsynced. The depth amortizes one fsync over
@@ -52,27 +50,7 @@ void AppendLine(const LoggedEvent& record, std::string* out) {
 ShardLog::ShardLog(LogPipeline* pipeline, FileWriter writer)
     : pipeline_(pipeline), writer_(std::move(writer)) {}
 
-Status ShardLog::Append(const LoggedEvent& record) {
-  if (pipeline_->options_.mode == SyncMode::kBatch) {
-    ++append_attempts_;
-    Status written =
-        pipeline_->options_.fault_injector
-            ? pipeline_->options_.fault_injector("append", append_attempts_)
-            : Status::OK();
-    if (written.ok()) {
-      pending_.lines.clear();
-      AppendLine(record, &pending_.lines);
-      written = writer_.Write(pending_.lines);
-    }
-    if (!written.ok()) {
-      std::lock_guard<std::mutex> lock(pipeline_->mu_);
-      ++append_failures_;
-      return written;
-    }
-    appended_.store(appended_.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-    return Status::OK();
-  }
+void ShardLog::Append(const LoggedEvent& record) {
   // Per-event hot path: an encode into the producer-local buffer, no
   // lock, no wakeup. The slice is published at its boundary and the log
   // thread woken once per batch. A sticky-failed shard still accepts the
@@ -82,13 +60,9 @@ Status ShardLog::Append(const LoggedEvent& record) {
   ++pending_.records;
   appended_.store(appended_.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
-  return Status::OK();
 }
 
 Status ShardLog::BatchBoundary() {
-  if (pipeline_->options_.mode == SyncMode::kBatch) {
-    return SyncThrough(appended_.load(std::memory_order_relaxed));
-  }
   ++pending_.boundaries;
   return Publish();
 }
@@ -157,11 +131,11 @@ void ShardLog::WriteChunk(const Chunk& chunk) {
   }
   if (error.ok()) return;
   std::lock_guard<std::mutex> lock(pipeline_->mu_);
-  sticky_error_ = error.WithContext("pipelined WAL append");
+  sticky_error_ = error.WithContext("WAL append");
   append_failures_ += chunk.records - clean_records;
 }
 
-Status ShardLog::SyncThrough(uint64_t covered) {
+void ShardLog::Sync() {
   ++sync_attempts_;
   const DurabilityOptions& options = pipeline_->options_;
   Status synced = options.fault_injector
@@ -177,20 +151,15 @@ Status ShardLog::SyncThrough(uint64_t covered) {
     unsynced_bytes_ = 0;
     unsynced_groups_ = 0;
   }
-  const uint64_t now = MonotonicNowNs();
   std::lock_guard<std::mutex> lock(pipeline_->mu_);
   if (synced.ok()) {
-    if (covered > durable_) {
-      durable_ = covered;
-      pipeline_->durable_ns_ = now;
-    }
-    return synced;
+    durable_ = written_seq_;
+    return;
   }
   ++sync_failures_;
-  if (options.mode == SyncMode::kPipelined && sticky_error_.ok()) {
-    sticky_error_ = synced.WithContext("pipelined WAL fsync");
+  if (sticky_error_.ok()) {
+    sticky_error_ = synced.WithContext("WAL fsync");
   }
-  return synced;
 }
 
 uint64_t ShardLog::appended_seq() const {
@@ -223,14 +192,11 @@ LogPipeline::LogPipeline(std::vector<FileWriter> writers,
     shards_.push_back(
         std::unique_ptr<ShardLog>(new ShardLog(this, std::move(writer))));
   }
-  if (options_.mode == SyncMode::kPipelined) {
-    thread_ = std::thread([this] { ThreadLoop(); });
-    NameThread(&thread_, "ltam-wal");
-  }
+  thread_ = std::thread([this] { ThreadLoop(); });
+  NameThread(&thread_, "ltam-wal");
 }
 
 LogPipeline::~LogPipeline() {
-  if (!thread_.joinable()) return;
   // The destructor runs on the owner's thread with the producers
   // quiesced, so publishing any unboundaried tail is race-free.
   for (const std::unique_ptr<ShardLog>& log : shards_) (void)log->Publish();
@@ -243,7 +209,6 @@ LogPipeline::~LogPipeline() {
 }
 
 void LogPipeline::Wake() {
-  if (!thread_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const bool published =
@@ -260,21 +225,17 @@ void LogPipeline::Wake() {
 Status LogPipeline::Flush() {
   const size_t n = shards_.size();
   std::vector<uint64_t> targets(n);
-  for (size_t k = 0; k < n; ++k) targets[k] = shards_[k]->appended_seq();
-  if (!thread_.joinable()) {
-    Status first_error;
-    for (size_t k = 0; k < n; ++k) {
-      if (shards_[k]->durable_seq() >= targets[k]) continue;
-      Status synced = shards_[k]->SyncThrough(targets[k]);
-      if (!synced.ok() && first_error.ok()) first_error = std::move(synced);
-    }
-    return first_error;
+  // Barriers run in the control phase (producers quiesced), so a tail
+  // appended since the last boundary can be published race-free here —
+  // without this a Flush between Append and BatchBoundary would wait on
+  // records the log thread cannot see.
+  bool unbounded_tail = false;
+  for (size_t k = 0; k < n; ++k) {
+    ShardLog& log = *shards_[k];
+    targets[k] = log.appended_seq();
+    unbounded_tail = unbounded_tail || log.pending_.records > 0;
+    (void)log.Publish();
   }
-  // Barriers run in the control phase (producers quiesced), so any
-  // unboundaried tail can be published race-free here — without this a
-  // Flush between Append and BatchBoundary would wait on records the
-  // log thread cannot see.
-  for (const std::unique_ptr<ShardLog>& log : shards_) (void)log->Publish();
   std::unique_lock<std::mutex> lock(mu_);
   auto settled = [&] {
     for (size_t k = 0; k < n; ++k) {
@@ -284,25 +245,32 @@ Status LogPipeline::Flush() {
     return true;
   };
   if (!settled()) {
-    flush_requested_ = true;
-    work_cv_.notify_one();
-    durable_cv_.wait(lock, settled);
+    // The round that drains a completed batch fsyncs it (SyncDue's
+    // drained rule), so the barrier adds no round of its own: it only
+    // makes sure a round is due for whatever is queued. A tail with no
+    // boundary is the one thing that rule would leave unsynced, so it
+    // alone forces the round's fsyncs.
+    const bool queued = std::any_of(shards_.begin(), shards_.end(),
+                                    [](const std::unique_ptr<ShardLog>& log) {
+                                      return !log->queued_.empty();
+                                    });
+    if ((queued && !wake_) || unbounded_tail) {
+      wake_ = wake_ || queued;
+      flush_requested_ = flush_requested_ || unbounded_tail;
+      work_cv_.notify_one();
+    }
   }
+  durable_cv_.wait(lock, settled);
   for (const std::unique_ptr<ShardLog>& log : shards_) {
     if (!log->sticky_error_.ok()) return log->sticky_error_;
   }
   return Status::OK();
 }
 
-uint64_t LogPipeline::durable_ns() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return durable_ns_;
-}
-
 bool LogPipeline::SyncDue(const ShardLog& log, bool forced,
                           bool drained) const {
-  // Only this thread writes durable_ and (in kPipelined) sticky_error_,
-  // so reading them unlocked here is race-free.
+  // Only this thread writes durable_ and sticky_error_, so reading them
+  // unlocked here is race-free.
   if (!log.sticky_error_.ok() || log.written_seq_ <= log.durable_) {
     return false;
   }
@@ -337,9 +305,7 @@ void LogPipeline::ThreadLoop() {
     // returned.
     for (size_t k = 0; k < n; ++k) {
       ShardLog& log = *shards_[k];
-      if (SyncDue(log, forced, drained[k] != 0)) {
-        (void)log.SyncThrough(log.written_seq_);
-      }
+      if (SyncDue(log, forced, drained[k] != 0)) log.Sync();
     }
     lock.lock();
     // Every round releases barrier waiters: their shards may have become

@@ -278,9 +278,7 @@ Result<SystemState> LoadSnapshot(
       if (added != id) {
         return Status::ParseError("snapshot auth ids are not dense");
       }
-      for (int64_t i = 0; i < used; ++i) {
-        LTAM_RETURN_IF_ERROR(state.auth_db.RecordEntry(added));
-      }
+      LTAM_RETURN_IF_ERROR(state.auth_db.RestoreEntriesUsed(added, used));
       if (revoked == "1") {
         LTAM_RETURN_IF_ERROR(state.auth_db.Revoke(added));
       }

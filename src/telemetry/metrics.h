@@ -11,8 +11,8 @@
 //     in ltam_serve the coalescer thread records the ingest.*
 //     histograms and the runtime.* and trace.* metrics, the I/O
 //     thread the ingest.frames/events/quota_refusals counters, the two
-//     read workers query.run, each shard's log thread (its worker in
-//     batch mode) wal.sync, and the control thread the storage
+//     read workers query.run, the runtime's one log thread
+//     wal.sync, and the control thread the storage
 //     counters. Per-thread stripes would buy little against that
 //     contention and multiply the memory: each LatencyHistogram
 //     zero-fills about 30 KiB of buckets.

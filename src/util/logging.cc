@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 namespace ltam {
@@ -79,10 +80,10 @@ LogMessage::~LogMessage() {
     struct tm tm_buf;
     localtime_r(&tv.tv_sec, &tm_buf);
     char when[32];
-    std::snprintf(when, sizeof(when), "%04d-%02d-%02d %02d:%02d:%02d.%03d",
-                  tm_buf.tm_year + 1900, tm_buf.tm_mon + 1, tm_buf.tm_mday,
-                  tm_buf.tm_hour, tm_buf.tm_min, tm_buf.tm_sec,
-                  static_cast<int>(tv.tv_usec / 1000));
+    const size_t stamped =
+        std::strftime(when, sizeof(when), "%Y-%m-%d %H:%M:%S", &tm_buf);
+    std::snprintf(when + stamped, sizeof(when) - stamped, ".%03d",
+                  static_cast<int>(tv.tv_usec / 1000 % 1000));
     std::fprintf(stderr, "[%s %s t%u %s:%d] %s\n", LevelName(level_), when,
                  LogThreadId(), Basename(file_), line_,
                  stream_.str().c_str());

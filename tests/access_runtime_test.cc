@@ -289,15 +289,11 @@ TEST_P(AccessRuntimeEquivalenceTest, EveryConfigurationMatchesOracle) {
     RuntimeOptions memory;
     memory.num_shards = shards;
     configs.push_back({tag + "-memory", memory});
+    // The write-ahead log must be invisible to decisions, alerts, and
+    // queries — durability is its only difference.
     RuntimeOptions durable = memory;
     durable.durable_dir = Dir(tag + "-durable");
     configs.push_back({tag + "-durable", durable});
-    // The pipelined write path must be invisible to decisions, alerts,
-    // and queries — durability timing is its only difference.
-    RuntimeOptions pipelined = memory;
-    pipelined.durable_dir = Dir(tag + "-pipelined");
-    pipelined.durability.mode = SyncMode::kPipelined;
-    configs.push_back({tag + "-durable-pipelined", pipelined});
   }
   for (const Config& config : configs) {
     SCOPED_TRACE(config.name);
@@ -1070,40 +1066,25 @@ TEST(AccessRuntimeTest, InMemoryRuntimeAnswersTheDurableOnlySurface) {
 }
 
 TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
-  // One and three durable shards under every sync mode: the watermark
-  // must cover every accepted record after WaitDurable, and batch mode
-  // must report durable == applied on every batch.
+  // One and three durable shards: the watermark must cover every
+  // accepted record after WaitDurable.
   World w = MakeWorld(79);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 400, 83);
-  struct Case {
-    const char* name;
-    uint32_t shards;
-    SyncMode mode;
-  };
-  const Case cases[] = {{"1-shard-batch", 1, SyncMode::kBatch},
-                        {"1-shard-pipelined", 1, SyncMode::kPipelined},
-                        {"3-shard-batch", 3, SyncMode::kBatch},
-                        {"3-shard-pipelined", 3, SyncMode::kPipelined}};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const std::string dir =
-        ::testing::TempDir() + "/ltam_facade_wm_" + c.name;
+  for (uint32_t shards : {1u, 3u}) {
+    const std::string name = std::to_string(shards) + "-shard";
+    SCOPED_TRACE(name);
+    const std::string dir = ::testing::TempDir() + "/ltam_facade_wm_" + name;
     fs::remove_all(dir);
     fs::create_directories(dir);
     RuntimeOptions options;
-    options.num_shards = c.shards;
+    options.num_shards = shards;
     options.durable_dir = dir;
-    options.durability.mode = c.mode;
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                          AccessRuntime::Open(StateOf(w), options));
     for (const auto& batch : batches) {
       ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(batch));
       ASSERT_OK(r.durability);
       EXPECT_LE(r.watermark.durable, r.watermark.applied);
-      if (c.mode == SyncMode::kBatch) {
-        EXPECT_EQ(r.watermark.durable, r.watermark.applied)
-            << "batch mode must never trail";
-      }
     }
     ASSERT_OK(rt->WaitDurable());
     RuntimeStats stats = rt->Stats();
@@ -1144,7 +1125,6 @@ TEST(AccessRuntimeTest, PipelinedSyncConvergesWithoutTraffic) {
   RuntimeOptions options;
   options.num_shards = 1;
   options.durable_dir = dir;
-  options.durability.mode = SyncMode::kPipelined;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(StateOf(w), options));
   for (const auto& batch : batches) {
@@ -1175,7 +1155,6 @@ TEST(AccessRuntimeTest, PipelinedSyncFailureIsStickyUntilCheckpoint) {
   RuntimeOptions options;
   options.num_shards = 1;
   options.durable_dir = dir;
-  options.durability.mode = SyncMode::kPipelined;
   options.durability.fault_injector = [failures_left](const char* op,
                                                       uint64_t) {
     if (std::string(op) == "sync" && failures_left->fetch_sub(1) > 0) {

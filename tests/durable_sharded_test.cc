@@ -263,12 +263,6 @@ class DurableShardedTest : public ::testing::TestWithParam<uint32_t> {
     return opt;
   }
 
-  DurableShardedOptions PipelinedOptions(SyncMode mode) const {
-    DurableShardedOptions opt = Options();
-    opt.durability.mode = mode;
-    return opt;
-  }
-
   std::string dir_;
 };
 
@@ -426,13 +420,15 @@ TEST_P(DurableShardedTest, OpenRejectsMissingDirectory) {
 /// The acceptance criterion: truncate each shard's WAL at randomized
 /// byte offsets (simulating a crash with partially-durable logs), reopen,
 /// and assert the recovered state equals a sequential replay of the
-/// surviving per-shard prefixes — including alerts.
-TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
+/// surviving per-shard prefixes — including alerts — and that a crash
+/// that tears nothing loses nothing below the durable watermark.
+TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
   const uint64_t kWorldSeed = 97;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
   const std::string golden = dir_ + "/golden";
   fs::create_directories(golden);
+  DurabilityWatermark watermark;
   {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
@@ -444,6 +440,9 @@ TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
       if (i == batches.size() / 2) ASSERT_OK(sys->Tick(250));
     }
     ASSERT_OK(sys->Tick(600));
+    ASSERT_OK(sys->WaitDurable());
+    watermark = sys->Watermark();
+    ASSERT_EQ(watermark.durable, watermark.applied);
     // Crash without checkpoint: the whole stream lives in the WALs.
   }
 
@@ -458,12 +457,21 @@ TEST_P(DurableShardedTest, CrashInjectionRecoveryMatrix) {
     // and 1 pin the boundary cases: everything lost / nothing lost.
     std::vector<fs::path> wals = ShardWalPaths(trial_dir);
     ASSERT_EQ(wals.size(), shards());
+    uint64_t surviving_records = 0;
     for (const fs::path& wal : wals) {
       uintmax_t size = fs::file_size(wal);
       uintmax_t keep = trial == 0   ? 0
                        : trial == 1 ? size
                                     : rng.Uniform(size + 1);
       fs::resize_file(wal, keep);
+      ASSERT_OK(ReplayWal(wal.string(), [&](const LoggedEvent&) {
+        ++surviving_records;
+        return Status::OK();
+      }));
+    }
+    if (trial == 1) {
+      // Everything was durable at the crash: nothing may be missing.
+      EXPECT_GE(surviving_records, watermark.durable);
     }
 
     // Reference: sequential replay of exactly the surviving prefixes,
@@ -545,160 +553,6 @@ TEST_P(DurableShardedTest, MissingShardWalIsARecoveryError) {
   EXPECT_TRUE(reopened.status().IsIOError()) << reopened.status().ToString();
 }
 
-/// The tentpole equivalence gate: the pipelined and interval write
-/// paths must produce decision streams (and alerts) byte-identical to
-/// the synchronous group-commit mode — durability timing is the ONLY
-/// difference — and a reopened directory must recover the same state.
-TEST_P(DurableShardedTest, PipelinedDecisionStreamMatchesSyncMode) {
-  const uint64_t kWorldSeed = 211;
-  std::vector<SubjectId> subjects;
-  SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
-  auto batches = MakeBatches(probe, subjects, 500, 80, 223);
-
-  struct ModeRun {
-    const char* name;
-    DurableShardedOptions options;
-    std::vector<std::string> decisions;
-    std::multiset<AlertKey> alerts;
-  };
-  std::vector<ModeRun> runs;
-  runs.push_back({"sync", Options(), {}, {}});
-  runs.push_back({"pipelined", PipelinedOptions(SyncMode::kPipelined), {}, {}});
-
-  for (ModeRun& run : runs) {
-    SCOPED_TRACE(run.name);
-    const std::string mode_dir = dir_ + "/" + run.name;
-    fs::create_directories(mode_dir);
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(mode_dir, MakeInitialState(kWorldSeed),
-                                   run.options));
-    for (const auto& batch : batches) {
-      Status durability;
-      std::vector<Decision> decisions =
-          EvaluateBatch(sys.get(), batch, &durability);
-      ASSERT_OK(durability);
-      for (const Decision& d : decisions) {
-        run.decisions.push_back(d.ToString());
-      }
-    }
-    ASSERT_OK(sys->Tick(500));
-    run.alerts = AlertMultiset(sys->DrainAlerts());
-    // The durability barrier closes the watermark gap in every mode.
-    ASSERT_OK(sys->WaitDurable());
-    DurabilityWatermark mark = sys->Watermark();
-    EXPECT_EQ(mark.durable, mark.applied) << "barrier left a gap";
-    EXPECT_EQ(sys->wal_append_failures(), 0u);
-    EXPECT_EQ(sys->wal_sync_failures(), 0u);
-  }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    SCOPED_TRACE(runs[i].name);
-    ASSERT_EQ(runs[0].decisions.size(), runs[i].decisions.size());
-    for (size_t d = 0; d < runs[0].decisions.size(); ++d) {
-      ASSERT_EQ(runs[0].decisions[d], runs[i].decisions[d])
-          << "decision " << d << " diverged from sync mode";
-    }
-    EXPECT_TRUE(runs[0].alerts == runs[i].alerts) << "alert sets diverged";
-  }
-
-  // Recovery equivalence: every directory reopens (in plain sync mode —
-  // the log format is mode-independent) to the same state.
-  std::unique_ptr<DurableShardedSystem> reference;
-  for (const ModeRun& run : runs) {
-    SCOPED_TRACE(std::string("reopen ") + run.name);
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(dir_ + "/" + run.name,
-                                   MakeInitialState(kWorldSeed), Options()));
-    if (reference == nullptr) {
-      reference = std::move(sys);
-      continue;
-    }
-    for (uint32_t k = 0; k < shards(); ++k) {
-      const auto& got = sys->shard_movements(k).history();
-      const auto& want = reference->shard_movements(k).history();
-      ASSERT_EQ(got.size(), want.size()) << "shard " << k;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(MovementKey(got[i]), MovementKey(want[i]))
-            << "shard " << k << ", movement " << i;
-      }
-    }
-  }
-}
-
-/// Crash injection on the pipelined write path: a pipelined run leaves
-/// one WAL per shard; a simulated crash (directory copy + truncation of
-/// each shard's WAL at a random offset) must recover exactly the
-/// surviving prefix, and never less than the reported durable watermark.
-TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
-  const uint64_t kWorldSeed = 307;
-  std::vector<SubjectId> subjects;
-  SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
-  const std::string golden = dir_ + "/golden";
-  fs::create_directories(golden);
-  DurabilityWatermark watermark;
-  {
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(golden, MakeInitialState(kWorldSeed),
-                                   PipelinedOptions(SyncMode::kPipelined)));
-    auto batches = MakeBatches(probe, subjects, 600, 100, 311);
-    for (const auto& batch : batches) {
-      Status durability;
-      (void)EvaluateBatch(sys.get(), batch, &durability);
-      ASSERT_OK(durability);
-    }
-    ASSERT_OK(sys->Tick(600));
-    ASSERT_OK(sys->WaitDurable());
-    watermark = sys->Watermark();
-    ASSERT_EQ(watermark.durable, watermark.applied);
-    // "Crash": the object goes away without a checkpoint.
-  }
-
-  Rng rng(6464);
-  for (int trial = 0; trial < 6; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const std::string trial_dir = dir_ + "/pipe" + std::to_string(trial);
-    fs::remove_all(trial_dir);
-    fs::copy(golden, trial_dir);
-
-    // Trial 0 pins the no-loss boundary case; the rest tear every
-    // shard's WAL at random offsets.
-    std::vector<fs::path> wals = ShardWalPaths(trial_dir);
-    ASSERT_EQ(wals.size(), shards());
-    uint64_t surviving_records = 0;
-    for (const fs::path& wal : wals) {
-      if (trial > 0) {
-        fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
-      }
-      // Count whole surviving records for the watermark check.
-      ASSERT_OK(ReplayWal(wal.string(), [&](const LoggedEvent&) {
-        ++surviving_records;
-        return Status::OK();
-      }));
-    }
-    if (trial == 0) {
-      // Everything was durable at the crash: nothing may be missing.
-      EXPECT_GE(surviving_records, watermark.durable);
-    }
-
-    // Reference: sequential replay of exactly the surviving prefixes,
-    // read before Open, whose recovery cut retires those logs.
-    ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
-    for (const fs::path& wal : wals) {
-      ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
-                                             wal.string()));
-    }
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<DurableShardedSystem> sys,
-        DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
-                                   Options()));
-    ExpectStateEquals(*sys, reference, "pipelined crash trial");
-    EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
-              AlertMultiset(reference.MergedAlerts()));
-  }
-}
-
 /// Recovery replays a shard's tail into memory while the shard's log has
 /// accepted nothing yet. The next checkpoint must still rewrite that
 /// shard's snapshot: re-referencing the pre-crash one and then deleting
@@ -776,7 +630,7 @@ TEST_P(DurableShardedTest, RotatedSegmentManifestIsRefused) {
       << reopened.status().ToString();
 }
 
-/// Fault injection on the pipelined path: failing the Nth append (and
+/// Fault injection on the write path: failing the Nth append (and
 /// every fsync after it) must never change a single decision — the
 /// failure surfaces exclusively through the batch durability status,
 /// the frozen watermark, and the failure counters — and a checkpoint
@@ -787,7 +641,7 @@ TEST_P(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
   auto batches = MakeBatches(probe, subjects, 400, 80, 409);
 
-  // Healthy sync-mode reference.
+  // Healthy reference.
   std::vector<std::string> want_decisions;
   {
     const std::string ref_dir = dir_ + "/ref";
@@ -808,7 +662,7 @@ TEST_P(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
 
   const std::string faulty_dir = dir_ + "/faulty";
   fs::create_directories(faulty_dir);
-  DurableShardedOptions faulty = PipelinedOptions(SyncMode::kPipelined);
+  DurableShardedOptions faulty = Options();
   // Every shard log fails its 20th append and every subsequent one.
   faulty.durability.fault_injector = [](const char* op, uint64_t count) {
     if (std::string(op) == "append" && count >= 20) {
@@ -1299,7 +1153,6 @@ TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
   ASSERT_GE(batches.size(), 4u);
   DurableShardedOptions options;
   options.num_shards = 2;
-  options.durability.mode = SyncMode::kPipelined;
   std::vector<DurabilityWatermark> before(2);
   {
     ASSERT_OK_AND_ASSIGN(

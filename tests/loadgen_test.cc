@@ -60,7 +60,9 @@ TEST(ArrivalScheduleTest, BurstShapeConfinesArrivalsToDutyWindow) {
   for (size_t i = 0; i < sched.size(); ++i) {
     ASSERT_LE(sched[i] % period_ns, on_ns + 1)
         << "arrival " << i << " lands outside the duty window";
-    if (i > 0) ASSERT_GE(sched[i], sched[i - 1]);
+    if (i > 0) {
+      ASSERT_GE(sched[i], sched[i - 1]);
+    }
   }
   // The mean rate over whole periods must stay at the target: the
   // last arrival of a rate-8000 schedule of 4000 events lands near

@@ -1,16 +1,14 @@
 // Copyright 2026 The LTAM Authors.
 // LogPipeline: the write-ahead log primitive, one ShardLog per shard and
-// one log thread for them all. Batch mode must be byte-identical to
-// driving a FileWriter directly (synchronous append, fsync per boundary,
-// refusal on append failure); pipelined mode must advance the
-// durability watermark asynchronously and freeze it on a sticky failure
-// WITHOUT affecting accepted records' sequence numbers (the decision
-// stream's proxy here). The primitive's cases run on a one-shard
-// pipeline; the DurableLogTest cases drive the durable runtime's
-// pipeline: one log thread per runtime, a failure that freezes only its
-// own shard, and an fsync for every shard that took records. Runs under
-// TSan via ci.sh (the log thread vs the appending/flushing threads is
-// the whole point).
+// one log thread for them all. It must advance the durability watermark
+// asynchronously and freeze it on a sticky failure WITHOUT affecting
+// accepted records' sequence numbers (the decision stream's proxy
+// here). The primitive's cases run on a one-shard pipeline; the
+// DurableLogTest cases drive the durable runtime's pipeline: one log
+// thread per runtime, a failure that freezes only its own shard, an
+// fsync for every shard that took records, and a barrier that makes a
+// tail with no batch boundary durable. Runs under TSan via ci.sh (the
+// log thread vs the appending/flushing threads is the whole point).
 
 #include "storage/log_pipeline.h"
 
@@ -79,56 +77,12 @@ class LogPipelineTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(LogPipelineTest, BatchModeSyncsEveryBoundary) {
-  DurabilityOptions options;
-  options.mode = SyncMode::kBatch;
-  std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
-  for (uint64_t i = 1; i <= 6; ++i) {
-    ASSERT_OK(log.Append(NumberedRecord(i)));
-    EXPECT_EQ(log.appended_seq(), i);
-    if (i % 2 == 0) {
-      ASSERT_OK(log.BatchBoundary());
-      EXPECT_EQ(log.appended_seq(), i);
-      // Group commit happened on this thread: durable == applied now.
-      EXPECT_EQ(log.durable_seq(), i);
-    }
-  }
-  EXPECT_EQ(log.appended_seq(), 6u);
-  EXPECT_EQ(log.durable_seq(), 6u);
-  pipeline.reset();
-  EXPECT_EQ(ReplayAll(LogPath()).size(), 6u);
-}
-
-TEST_F(LogPipelineTest, BatchModeAppendFailureRefuses) {
-  DurabilityOptions options;
-  options.mode = SyncMode::kBatch;
-  options.fault_injector = [](const char* op, uint64_t count) {
-    if (std::string(op) == "append" && count == 2) {
-      return Status::IOError("injected append failure");
-    }
-    return Status::OK();
-  };
-  std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
-  ASSERT_OK(log.Append(NumberedRecord(1)));
-  EXPECT_FALSE(log.Append(NumberedRecord(2)).ok())
-      << "batch mode refuses synchronously (the event is then not applied)";
-  ASSERT_OK(log.Append(NumberedRecord(3)));
-  ASSERT_OK(log.BatchBoundary());
-  EXPECT_EQ(log.appended_seq(), 2u) << "the refused record takes no seq";
-  EXPECT_EQ(log.append_failures(), 1u);
-  pipeline.reset();
-  EXPECT_EQ(ReplayAll(LogPath()), (std::vector<uint64_t>{1, 3}));
-}
-
 TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
   DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
   ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 10; ++i) {
-    ASSERT_OK(log.Append(NumberedRecord(i)));
+    log.Append(NumberedRecord(i));
   }
   ASSERT_OK(log.BatchBoundary());
   pipeline->Wake();
@@ -151,11 +105,10 @@ TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
 
 TEST_F(LogPipelineTest, PipelinedFlushIsABarrier) {
   DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
   ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 50; ++i) {
-    ASSERT_OK(log.Append(NumberedRecord(i)));
+    log.Append(NumberedRecord(i));
     if (i % 10 == 0) {
       ASSERT_OK(log.BatchBoundary());
       pipeline->Wake();
@@ -168,7 +121,6 @@ TEST_F(LogPipelineTest, PipelinedFlushIsABarrier) {
 
 TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
   DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
   options.fault_injector = [](const char* op, uint64_t count) {
     if (std::string(op) == "append" && count >= 4) {
       return Status::IOError("injected append failure");
@@ -178,8 +130,8 @@ TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
   ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 10; ++i) {
-    // Pipelined appends NEVER refuse: the events were already accepted.
-    ASSERT_OK(log.Append(NumberedRecord(i)));
+    // Appends NEVER refuse: the events were already accepted.
+    log.Append(NumberedRecord(i));
     EXPECT_EQ(log.appended_seq(), i);
   }
   Status boundary = log.BatchBoundary();
@@ -209,7 +161,6 @@ TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
 
 TEST_F(LogPipelineTest, PipelinedSyncFailureIsSticky) {
   DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
   options.fault_injector = [](const char* op, uint64_t) {
     if (std::string(op) == "sync") {
       return Status::IOError("injected fsync failure");
@@ -219,7 +170,7 @@ TEST_F(LogPipelineTest, PipelinedSyncFailureIsSticky) {
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
   ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 5; ++i) {
-    ASSERT_OK(log.Append(NumberedRecord(i)));
+    log.Append(NumberedRecord(i));
   }
   ASSERT_TRUE(log.BatchBoundary().ok() || true);  // May race the failure.
   EXPECT_FALSE(pipeline->Flush().ok());
@@ -228,23 +179,27 @@ TEST_F(LogPipelineTest, PipelinedSyncFailureIsSticky) {
   EXPECT_FALSE(log.BatchBoundary().ok()) << "sticky after the first failure";
 }
 
-TEST_F(LogPipelineTest, ParseSyncModeRoundTrips) {
-  for (SyncMode mode : {SyncMode::kBatch, SyncMode::kPipelined}) {
-    ASSERT_OK_AND_ASSIGN(SyncMode parsed,
-                         ParseSyncMode(SyncModeToString(mode)));
-    EXPECT_EQ(parsed, mode);
+TEST_F(LogPipelineTest, ParseSyncModeAcceptsOnlyPipelined) {
+  ASSERT_OK_AND_ASSIGN(SyncMode parsed,
+                       ParseSyncMode(SyncModeToString(SyncMode::kPipelined)));
+  EXPECT_EQ(SyncMode::kPipelined, parsed);
+  // Removed modes are refused with a message naming the one mode.
+  for (const char* name : {"batch", "interval", "yolo"}) {
+    Result<SyncMode> refused = ParseSyncMode(name);
+    ASSERT_FALSE(refused.ok()) << name;
+    EXPECT_TRUE(refused.status().IsInvalidArgument()) << name;
+    EXPECT_NE(std::string::npos,
+              refused.status().ToString().find("pipelined"))
+        << refused.status().ToString();
   }
-  EXPECT_FALSE(ParseSyncMode("yolo").ok());
-  EXPECT_FALSE(ParseSyncMode("interval").ok());
 }
 
 TEST_F(LogPipelineTest, DestructorDrainsAndSyncs) {
   DurabilityOptions options;
-  options.mode = SyncMode::kPipelined;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
   ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 25; ++i) {
-    ASSERT_OK(log.Append(NumberedRecord(i)));
+    log.Append(NumberedRecord(i));
   }
   ASSERT_OK(log.BatchBoundary());
   pipeline.reset();  // Clean shutdown: everything queued must reach the file.
@@ -312,10 +267,9 @@ size_t ThreadsNamed(const std::string& name) {
   return count;
 }
 
-TEST_F(DurableLogTest, OnePipelinedRuntimeRunsOneLogThread) {
+TEST_F(DurableLogTest, OneRuntimeRunsOneLogThread) {
   DurableShardedOptions options;
   options.num_shards = 4;
-  options.durability.mode = SyncMode::kPipelined;
   std::unique_ptr<DurableShardedSystem> sys = Open(options);
   EXPECT_EQ(1u, ThreadsNamed("ltam-wal")) << "after Open";
   std::vector<AccessEvent> batch;
@@ -328,13 +282,6 @@ TEST_F(DurableLogTest, OnePipelinedRuntimeRunsOneLogThread) {
   EXPECT_EQ(1u, ThreadsNamed("ltam-wal")) << "after a Checkpoint";
   sys.reset();
   EXPECT_EQ(0u, ThreadsNamed("ltam-wal")) << "after teardown";
-
-  // Batch mode syncs on the appending threads and starts no log thread.
-  fs::remove_all(dir_);
-  fs::create_directories(dir_);
-  options.durability.mode = SyncMode::kBatch;
-  sys = Open(options);
-  EXPECT_EQ(0u, ThreadsNamed("ltam-wal"));
 }
 
 TEST_F(DurableLogTest, FailedShardFreezesAlone) {
@@ -342,7 +289,6 @@ TEST_F(DurableLogTest, FailedShardFreezesAlone) {
   // and fails from its 10th, shard 0 takes 2 + 3 and never gets there.
   DurableShardedOptions options;
   options.num_shards = 2;
-  options.durability.mode = SyncMode::kPipelined;
   options.durability.fault_injector = [](const char* op, uint64_t count) {
     if (std::string(op) == "append" && count >= 10) {
       return Status::IOError("injected append failure");
@@ -408,7 +354,6 @@ TEST_F(DurableLogTest, EveryShardThatTookRecordsIsSynced) {
   MetricsRegistry registry;
   DurableShardedOptions options;
   options.num_shards = 2;
-  options.durability.mode = SyncMode::kPipelined;
   options.durability.metrics = &registry;
   std::unique_ptr<DurableShardedSystem> sys = Open(options);
   const std::vector<std::pair<size_t, size_t>> shape = {
@@ -428,7 +373,39 @@ TEST_F(DurableLogTest, EveryShardThatTookRecordsIsSynced) {
   }
   const DurabilityWatermark mark = sys->Watermark();
   EXPECT_EQ(mark.applied, mark.durable);
-  EXPECT_GT(mark.durable_ns, 0u);
+}
+
+TEST_F(DurableLogTest, BarrierMakesATailWithNoBoundaryDurable) {
+  // The log thread fsyncs a batch when the round that drains it finds
+  // the queue empty, so a barrier over published batches forces nothing.
+  // Records appended since the last boundary are the exception: the
+  // barrier publishes them itself, and no sync rule counts them, so the
+  // barrier must force their fsync. Shard 0 publishes a batch; shard 1
+  // holds only such a tail.
+  MetricsRegistry registry;
+  DurabilityOptions options;
+  options.metrics = &registry;
+  std::vector<FileWriter> writers;
+  for (uint32_t k = 0; k < 2; ++k) {
+    writers.push_back(
+        FileWriter::Create(dir_ + "/shard" + std::to_string(k) + ".wal")
+            .ValueOrDie());
+  }
+  LogPipeline pipeline(std::move(writers), options);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    pipeline.shard(0).Append(NumberedRecord(i));
+  }
+  ASSERT_OK(pipeline.shard(0).BatchBoundary());
+  pipeline.Wake();
+  for (uint64_t i = 1; i <= 2; ++i) {
+    pipeline.shard(1).Append(NumberedRecord(i));
+  }
+  ASSERT_OK(pipeline.Flush());
+  EXPECT_EQ(3u, pipeline.shard(0).durable_seq());
+  EXPECT_EQ(2u, pipeline.shard(1).durable_seq()) << "the tail is durable";
+  EXPECT_EQ(2u, registry.GetHistogram("wal.sync")->Snapshot().count())
+      << "one fsync per file that took records";
+  EXPECT_EQ((std::vector<uint64_t>{1, 2}), ReplayAll(dir_ + "/shard1.wal"));
 }
 
 }  // namespace

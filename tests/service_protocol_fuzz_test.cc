@@ -131,7 +131,8 @@ TEST(ServiceProtocolTest, ResultPayloadsRoundTrip) {
   WireBatchResult result;
   result.decisions.push_back(Decision::Grant(12));
   result.decisions.push_back(Decision::Deny(DenyReason::kNotAdjacent));
-  result.decisions.push_back(Decision::Deny(DenyReason::kWalError));
+  result.decisions.push_back(
+      Decision::Deny(DenyReason::kObservationRejected));
   result.alerts.push_back(
       Alert{30, 2, 5, AlertType::kOverstay, "stay expired"});
   result.alerts.push_back(
@@ -179,7 +180,6 @@ TEST(ServiceProtocolTest, ResultPayloadsRoundTrip) {
   stats.requests_granted = 900;
   stats.batches_applied = 12;
   stats.events_applied = 1100;
-  stats.events_refused = 5;
   stats.batches_rejected = 2;
   stats.pending_alerts = 1;
   ASSERT_OK_AND_ASSIGN(RuntimeStats decoded_stats,
@@ -195,7 +195,6 @@ TEST(ServiceProtocolTest, ResultPayloadsRoundTrip) {
   EXPECT_EQ(stats.requests_granted, decoded_stats.requests_granted);
   EXPECT_EQ(stats.batches_applied, decoded_stats.batches_applied);
   EXPECT_EQ(stats.events_applied, decoded_stats.events_applied);
-  EXPECT_EQ(stats.events_refused, decoded_stats.events_refused);
   EXPECT_EQ(stats.batches_rejected, decoded_stats.batches_rejected);
   EXPECT_EQ(stats.pending_alerts, decoded_stats.pending_alerts);
 
@@ -445,6 +444,8 @@ TEST(ServiceProtocolTest, HeaderRejectsMalformedFields) {
   std::string bad_version = good;
   bad_version[4] = 99;
   EXPECT_FALSE(decode(bad_version).ok());
+  bad_version[4] = 7;  // The previous version: refused like any other.
+  EXPECT_FALSE(decode(bad_version).ok());
 
   std::string bad_type = good;
   bad_type[5] = static_cast<char>(200);
@@ -510,6 +511,12 @@ TEST(ServiceProtocolTest, PayloadDecodersRejectCorruption) {
   std::string bad_reason = EncodeBatchResult(result);
   bad_reason[4 + 5] = 42;  // count + (granted, auth) then reason.
   EXPECT_FALSE(DecodeBatchResult(bad_reason).ok());
+  // 8 was the write-ahead log's refusal, retired in v8: a gap inside the
+  // range, refused like any unassigned code.
+  bad_reason[4 + 5] = 8;
+  EXPECT_FALSE(DecodeBatchResult(bad_reason).ok());
+  bad_reason[4 + 5] = 9;
+  EXPECT_OK(DecodeBatchResult(bad_reason).status());
 
   // An OK status smuggled into an error frame is rejected.
   std::string ok_error;

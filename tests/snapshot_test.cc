@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -351,9 +352,11 @@ constexpr char kProbeHead[] =
     "subject\t1\tBob\n";
 
 std::string AuthLine(const std::string& subject, const std::string& origin,
-                     const std::string& revoked) {
-  return "auth\t0\t0\t50\t0\t90\t" + subject + "\t1\t5\t" + origin +
-         "\t4294967295\t" + revoked + "\t0\n";
+                     const std::string& revoked,
+                     const std::string& max_entries = "5",
+                     const std::string& used = "0") {
+  return "auth\t0\t0\t50\t0\t90\t" + subject + "\t1\t" + max_entries +
+         "\t" + origin + "\t4294967295\t" + revoked + "\t" + used + "\n";
 }
 
 class SnapshotStrictnessTest : public SnapshotTest {
@@ -419,6 +422,41 @@ TEST_F(SnapshotStrictnessTest, MoveHasExactlyItsFields) {
   EXPECT_OK(load_segment("move\t5\t1\t2\nmove\t6\t1\tout\n"));
   EXPECT_TRUE(load_segment("move\t5\t1\t2\textra\n").IsParseError());
   EXPECT_TRUE(load_segment("move\t5\t4294967296\t2\n").IsParseError());
+}
+
+TEST_F(SnapshotStrictnessTest, SpentEntriesLoadInOneStep) {
+  // The ledger count is restored in one step, not replayed entry by
+  // entry: 10^9 spent entries on an unlimited grant load at once.
+  const std::string unlimited = std::to_string(kUnlimitedEntries);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << kProbeHead
+        << AuthLine("0", "explicit", "0", unlimited, "1000000000");
+  }
+  const auto started = std::chrono::steady_clock::now();
+  ASSERT_OK_AND_ASSIGN(SystemState loaded, LoadSnapshot(path_));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - started);
+  EXPECT_LT(elapsed.count(), 1000) << "ms to load the ledger";
+  EXPECT_EQ(1000000000, loaded.auth_db.record(0).entries_used);
+  // A spent-out, revoked grant loads too.
+  EXPECT_OK(Load(AuthLine("0", "explicit", "1", "5", "5")));
+}
+
+TEST_F(SnapshotStrictnessTest, SpentEntriesOutsideTheGrantAreRefused) {
+  for (const char* used : {"-1", "6"}) {
+    SCOPED_TRACE(std::string("used ") + used);
+    const Status refused = Load(AuthLine("0", "explicit", "0", "5", used));
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+    // The auth record is the file's sixth line.
+    EXPECT_NE(std::string::npos, refused.message().find(path_ + "' line 6"))
+        << "the error names the file and line: " << refused.ToString();
+  }
+  // An unlimited grant may not sit at INT64_MAX: one more entry would
+  // overflow its count.
+  const std::string unlimited = std::to_string(kUnlimitedEntries);
+  EXPECT_TRUE(Load(AuthLine("0", "explicit", "0", unlimited, unlimited))
+                  .IsInvalidArgument());
 }
 
 TEST_F(SnapshotTest, FinalLineWithoutNewlineStillLoads) {
