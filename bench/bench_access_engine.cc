@@ -487,7 +487,7 @@ struct QueryBenchWorld {
                  .ValueOrDie();
     for (const auto& b : q->batch.batches) {
       q->sys->engine().EvaluateBatch(b);
-      LTAM_CHECK(q->sys->engine().TakeBatchError().ok());
+      LTAM_CHECK(q->sys->TakeBatchError().ok());
     }
     return q;
   }

@@ -19,8 +19,10 @@
 #                      # history, checks that each boot commits at most
 #                      # one checkpoint (a fresh boot leaves MANIFEST at
 #                      # epoch 0, a crash relaunch adds exactly one), that
-#                      # every cleanly stopped directory holds exactly the
-#                      # files its MANIFEST names (plus REPL_EPOCH), and
+#                      # each boot leaves exactly one events-<epoch>.wal
+#                      # (the runtime's one log), that every cleanly
+#                      # stopped directory holds exactly the files its
+#                      # version-2 MANIFEST names (plus REPL_EPOCH), and
 #                      # inputs that must be refused: a
 #                      # removed-layout (state.snap) directory and bad
 #                      # flag values (out-of-range --port, malformed
@@ -95,7 +97,7 @@ tsan() {
   cmake -B build-tsan -S . -DLTAM_SANITIZE=thread \
     -DLTAM_BUILD_BENCHMARKS=OFF -DLTAM_BUILD_EXAMPLES=OFF
   # The sharded pipeline, the caches it leans on, the durable runtime
-  # (worker-thread WAL appends + parallel recovery replay), the facade
+  # (worker-thread appends into the one log, its log thread), the facade
   # that drives them, and the TCP server around it all (I/O thread +
   # ingest coalescer + read-worker pool + client threads) are the
   # concurrent surface; engine/movement tests ride along as controls.
@@ -233,6 +235,15 @@ EOF
       || { echo "service: durable server failed its $2 boot" >&2; exit 1; }
     server_pid=$serve_pid
     port=$serve_port
+    expect_one_wal "$1" "$2"
+  }
+  # Demands that directory $1 holds exactly one log, whatever the shard
+  # count: the runtime's events-<epoch>.wal ($2 names the boot).
+  expect_one_wal() {
+    local wals
+    wals="$(find "$1" -maxdepth 1 -name 'events-*.wal' | wc -l)"
+    [ "$wals" = 1 ] \
+      || { echo "service: $2 left $wals WAL files, expected one" >&2; ls -A "$1" >&2; kill "$server_pid"; exit 1; }
   }
   # The burst's summary line stays in $burst_summary.
   durable_burst() {
@@ -262,16 +273,19 @@ EOF
     rm -f "$log"
   }
   # Demands that stopped directory $1 mirrors its MANIFEST ($2 names the
-  # boot): it holds exactly the MANIFEST, the files it names (base, each
-  # shard's snapshot and WAL, each cold segment) and REPL_EPOCH if
+  # boot): it holds exactly the MANIFEST, the files it names (base, the
+  # WAL, each shard's snapshot, each cold segment) and REPL_EPOCH if
   # present, so no *.tmp an interrupted write left and no file a
-  # checkpoint failed to sweep.
+  # checkpoint failed to sweep. The MANIFEST must be format version 2.
   expect_mirror() {
-    local named present
+    local named present version
+    version="$(awk -F'\t' 'NR == 1 && $1 == "manifest" { print $2 }' "$1/MANIFEST")"
+    [ "$version" = 2 ] \
+      || { echo "service: $2 left a version '$version' MANIFEST, expected 2" >&2; exit 1; }
     named="$( { echo MANIFEST
                 if [ -e "$1/REPL_EPOCH" ]; then echo REPL_EPOCH; fi
-                awk -F'\t' '$1 == "base" { print $2 }
-                            $1 == "shard" { print $3; print $4 }
+                awk -F'\t' '$1 == "base" || $1 == "wal" { print $2 }
+                            $1 == "shard" { print $3 }
                             $1 == "cold" { for (i = 4; i <= NF; i++) print $i }' \
                   "$1/MANIFEST"
               } | sort -u)"

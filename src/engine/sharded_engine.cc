@@ -113,27 +113,14 @@ void ShardedDecisionEngine::SetShardHooks(ShardHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-Status ShardedDecisionEngine::TakeBatchError() {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  return std::exchange(sync_error_, Status::OK());
-}
-
-void ShardedDecisionEngine::RecordSyncError(Status status) {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  if (sync_error_.ok()) sync_error_ = std::move(status);
-}
-
 void ShardedDecisionEngine::Tick(Chronon t) {
-  for (uint32_t k = 0; k < shards_.size(); ++k) TickShard(k, t);
-}
-
-void ShardedDecisionEngine::TickShard(uint32_t shard, Chronon t) {
-  LTAM_CHECK(shard < shards_.size()) << "shard index out of range";
   // Control-phase: workers are parked between batches, so ticking the
-  // shard's engine here cannot race a batch slice (the per-shard lock is
+  // shard engines here cannot race a batch slice (the per-shard lock is
   // belt-and-braces, mirroring DrainAlerts).
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  shards_[shard]->engine.Tick(t);
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->engine.Tick(t);
+  }
 }
 
 void ShardedDecisionEngine::RunSlice(Shard* shard) {
@@ -143,10 +130,6 @@ void ShardedDecisionEngine::RunSlice(Shard* shard) {
     const AccessEvent& event = current_batch_[i];
     if (hooks_.before_apply) hooks_.before_apply(shard->index, event);
     decisions_[i] = ApplyAccessEvent(&shard->engine, event);
-  }
-  if (hooks_.after_batch) {
-    Status boundary = hooks_.after_batch(shard->index);
-    if (!boundary.ok()) RecordSyncError(std::move(boundary));
   }
   shard->todo.clear();
 }

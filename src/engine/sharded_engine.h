@@ -67,31 +67,22 @@ struct ShardedEngineOptions {
   EngineOptions engine;
 };
 
-/// Worker callbacks, the seam the durable runtime plugs into. The
-/// per-shard pair runs on the thread that evaluates the shard's slice
-/// (the caller for shard 0, the shard's worker otherwise); the
-/// batch-level one runs on the caller. None blocks on an fsync: the log
-/// accepts the record and lets the runtime's log thread make it durable
-/// later (the durability watermark reports when).
+/// Worker callbacks, the seam the durable runtime plugs into. Neither
+/// blocks on an fsync: the log accepts the record and lets the
+/// runtime's log thread make it durable later (the durability watermark
+/// reports when).
 struct ShardHooks {
-  /// Invoked for every event before it is applied (write-ahead: append
-  /// the event to the shard's log here). It cannot refuse the event:
-  /// acceptance is the append, and a later write or fsync failure
-  /// surfaces through after_batch and the durability watermark, never
-  /// through a decision.
+  /// Invoked for every event before it is applied, on the thread that
+  /// evaluates the shard's slice (the caller for shard 0, the shard's
+  /// worker otherwise) — write-ahead: append the event to the shard's
+  /// slot of the log here. It cannot refuse the event: acceptance is the
+  /// append, and a later write or fsync failure surfaces through the
+  /// durability watermark, never through a decision.
   std::function<void(uint32_t shard, const AccessEvent& event)>
       before_apply;
-  /// Invoked once per batch per participating shard, after its whole
-  /// slice has been appended and applied — the group-commit boundary,
-  /// which publishes the slice to the log thread. A non-OK status (the
-  /// log's sticky error) is reported through TakeBatchError but does NOT
-  /// undo the slice: the events are applied, only their durability is in
-  /// doubt.
-  std::function<Status(uint32_t shard)> after_batch;
   /// Invoked once per EvaluateBatch on the calling thread, after every
-  /// slice (and so every after_batch) has finished: the one point where
-  /// the whole batch is published, so the durable runtime wakes its log
-  /// thread here, once per batch instead of once per slice.
+  /// slice has finished: the group-commit boundary, where the durable
+  /// runtime publishes the whole batch to its log thread in shard order.
   std::function<void()> after_slices;
 };
 
@@ -142,11 +133,6 @@ class ShardedDecisionEngine {
   /// hooks; pass {} to detach.
   void SetShardHooks(ShardHooks hooks);
 
-  /// The batch's durability outcome, cleared by the read: the first
-  /// after_batch failure of the batch (the log's sticky error), OK when
-  /// every boundary succeeded (always, without hooks).
-  Status TakeBatchError();
-
   /// Seeds the shards from an existing movement history before the
   /// first batch: moves every event of `history` into its subject's
   /// shard view (per-subject order preserved), then resumes every open
@@ -168,11 +154,6 @@ class ShardedDecisionEngine {
   /// Patrol tick fanned out to every shard's engine on the control
   /// thread; overstay alerts land in the per-shard buffers.
   void Tick(Chronon t);
-
-  /// Ticks a single shard's engine (the durable runtime logs a tick on
-  /// each shard before ticking it, and a replica applies each shard's
-  /// shipped ticks to that shard alone).
-  void TickShard(uint32_t shard, Chronon t);
 
   /// Merged alerts from every shard so far, ordered by (time, subject,
   /// location, type) for determinism, clearing the per-shard buffers.
@@ -206,14 +187,10 @@ class ShardedDecisionEngine {
     std::thread worker;  // Not started for shard 0.
   };
 
-  /// Evaluates shard->todo (write-ahead hook, decision, then the batch
-  /// boundary) and clears it.
+  /// Evaluates shard->todo (write-ahead hook, then decision, per event)
+  /// and clears it.
   void RunSlice(Shard* shard);
   void WorkerLoop(Shard* shard);
-
-  /// Records an after_batch (group-commit) failure; the first error of
-  /// the batch wins.
-  void RecordSyncError(Status status);
 
   /// Borrowed; Seed reads them.
   const AuthorizationDatabase* auth_db_;
@@ -234,9 +211,6 @@ class ShardedDecisionEngine {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   size_t pending_shards_ = 0;
-  /// First group-commit failure of the current batch; guarded by
-  /// done_mu_.
-  Status sync_error_;
 
   size_t batches_evaluated_ = 0;
 };

@@ -15,20 +15,20 @@ namespace {
 // long one slice read holds the shared runtime lock.
 constexpr uint32_t kMaxRecordsPerChunk = 2048;
 
-// Idle poll cadence: how often the shipper re-checks the shards for new
+// Idle poll cadence: how often the shipper re-checks the log for new
 // durable records when the last sweep moved nothing.
 constexpr std::chrono::milliseconds kPollInterval{20};
 
 }  // namespace
 
 LogShipper::LogShipper(AccessRuntime* runtime, std::shared_mutex* runtime_mu,
-                       std::vector<uint64_t> start_positions, SendFn send,
+                       uint64_t start_position, SendFn send,
                        LogShipperOptions options)
     : runtime_(runtime),
       runtime_mu_(runtime_mu),
       send_(std::move(send)),
       options_(options),
-      positions_(std::move(start_positions)) {}
+      position_(start_position) {}
 
 LogShipper::~LogShipper() { Stop(); }
 
@@ -72,7 +72,7 @@ void LogShipper::Run() {
     if (fatal) return;
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) return;
-    if (moved) continue;  // Drain hot shards before sleeping.
+    if (moved) continue;  // Drain a hot log before sleeping.
     cv_.wait_for(lock, kPollInterval, [this] { return stop_; });
     if (stop_) return;
   }
@@ -80,64 +80,54 @@ void LogShipper::Run() {
 
 bool LogShipper::SweepOnce(bool* fatal) {
   bool moved = false;
-  const uint32_t nshards = static_cast<uint32_t>(positions_.size());
   uint64_t epoch = 0;
-  std::vector<uint64_t> durable(nshards, 0);
-  for (uint32_t k = 0; k < nshards; ++k) {
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stop_) return moved;
-      }
-      Result<AccessRuntime::ReplicationSlice> slice =
-          [&]() -> Result<AccessRuntime::ReplicationSlice> {
-        // Shared lock: checkpoints (exclusive writers server-side)
-        // cannot retire a WAL mid-read.
-        std::shared_lock<std::shared_mutex> lock(*runtime_mu_);
-        epoch = runtime_->replication_epoch();
-        return runtime_->ReadReplicationSlice(k, positions_[k],
-                                              kMaxRecordsPerChunk);
-      }();
-      if (!slice.ok()) {
-        // The stream cannot continue from this position (most likely a
-        // checkpoint retired it — resync required). Tell the replica
-        // once, structurally, and retire the subscription.
-        send_(MessageType::kError,
-              EncodeErrorResult(slice.status().WithContext(
-                  "replication stream for shard " + std::to_string(k))));
-        *fatal = true;
-        return moved;
-      }
-      durable[k] = slice->durable;
-      if (slice->records.empty()) break;
-      SegmentChunk chunk;
-      chunk.epoch = epoch;
-      chunk.shard = k;
-      chunk.start = positions_[k];
-      chunk.records = std::move(slice->records);
-      const uint64_t shipped = chunk.records.size();
-      if (!send_(MessageType::kSegmentChunk, EncodeSegmentChunk(chunk))) {
-        *fatal = true;  // Connection gone.
-        return moved;
-      }
-      records_shipped_.fetch_add(shipped, std::memory_order_relaxed);
-      positions_[k] = slice->next;
-      moved = true;
-      if (slice->next >= slice->durable) break;
+  uint64_t durable = 0;
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stop_) return moved;
     }
+    Result<AccessRuntime::ReplicationSlice> slice =
+        [&]() -> Result<AccessRuntime::ReplicationSlice> {
+      // Shared lock: checkpoints (exclusive writers server-side) cannot
+      // retire the WAL mid-read.
+      std::shared_lock<std::shared_mutex> lock(*runtime_mu_);
+      epoch = runtime_->replication_epoch();
+      return runtime_->ReadReplicationSlice(position_, kMaxRecordsPerChunk);
+    }();
+    if (!slice.ok()) {
+      // The stream cannot continue from this position (most likely a
+      // checkpoint retired it — resync required). Tell the replica once,
+      // structurally, and retire the subscription.
+      send_(MessageType::kError,
+            EncodeErrorResult(
+                slice.status().WithContext("replication stream")));
+      *fatal = true;
+      return moved;
+    }
+    durable = slice->durable;
+    if (slice->records.empty()) break;
+    SegmentChunk chunk;
+    chunk.epoch = epoch;
+    chunk.start = position_;
+    chunk.records = std::move(slice->records);
+    const uint64_t shipped = chunk.records.size();
+    if (!send_(MessageType::kSegmentChunk, EncodeSegmentChunk(chunk))) {
+      *fatal = true;  // Connection gone.
+      return moved;
+    }
+    records_shipped_.fetch_add(shipped, std::memory_order_relaxed);
+    position_ = slice->next;
+    moved = true;
+    if (slice->next >= slice->durable) break;
   }
   if (lag_gauge_ != nullptr) {
-    int64_t lag = 0;
-    for (uint32_t k = 0; k < nshards; ++k) {
-      if (durable[k] > positions_[k]) {
-        lag += static_cast<int64_t>(durable[k] - positions_[k]);
-      }
-    }
-    lag_gauge_->Set(lag);
+    lag_gauge_->Set(
+        durable > position_ ? static_cast<int64_t>(durable - position_) : 0);
   }
-  // Lag accounting: advertise the primary's durable positions whenever
-  // they moved past what the replica last heard.
-  if (durable != sent_durable_) {
+  // Lag accounting: advertise the primary's durable position whenever
+  // it moved past what the replica last heard.
+  if (sent_durable_ != durable) {
     WatermarkAdvance advance;
     advance.epoch = epoch;
     advance.durable = durable;
@@ -146,7 +136,7 @@ bool LogShipper::SweepOnce(bool* fatal) {
       *fatal = true;
       return moved;
     }
-    sent_durable_ = std::move(durable);
+    sent_durable_ = durable;
   }
   return moved;
 }

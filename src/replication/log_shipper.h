@@ -2,14 +2,14 @@
 // Primary-side log shipper: one subscription, one thread.
 //
 // A LogShipper is born when a kReplicaHello lands on a server
-// connection. It owns the replica's per-shard replication positions
-// (seeded from the hello) and streams forward from them: each sweep it
-// reads the committed suffix of every shard's WAL through
+// connection. It owns the replica's replication position (seeded from
+// the hello) and streams forward from it: each sweep it reads the
+// committed suffix of the runtime's WAL through
 // AccessRuntime::ReadReplicationSlice — under the server's SHARED
-// runtime lock, so a checkpoint can never swap the WAL files out from
+// runtime lock, so a checkpoint can never swap the WAL file out from
 // under a read — and pushes the records as server-initiated
 // kSegmentChunk frames (request_id 0), followed by one
-// kWatermarkAdvance whenever the primary's durable positions moved.
+// kWatermarkAdvance whenever the primary's durable position moved.
 //
 // Only durable records ship. The primary's (applied, durable) watermark
 // is the replication position space — the same count the replica
@@ -36,10 +36,10 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "runtime/access_runtime.h"
 #include "service/protocol.h"
@@ -49,10 +49,10 @@ namespace ltam {
 
 struct LogShipperOptions {
   /// Telemetry (may be null). When set, the shipper maintains the gauge
-  /// "replication.replica.<subscriber_id>.lag_records" — the sum over
-  /// shards of (primary durable − shipped position), i.e. how many
-  /// durable records this subscriber has not yet been sent — updated at
-  /// the end of every sweep and unregistered when the shipper stops.
+  /// "replication.replica.<subscriber_id>.lag_records" — primary
+  /// durable − shipped position, i.e. how many durable records this
+  /// subscriber has not yet been sent — updated at the end of every
+  /// sweep and unregistered when the shipper stops.
   MetricsRegistry* metrics = nullptr;
   uint64_t subscriber_id = 0;
 };
@@ -69,7 +69,7 @@ class LogShipper {
   using SendFn = std::function<bool(MessageType, const std::string&)>;
 
   LogShipper(AccessRuntime* runtime, std::shared_mutex* runtime_mu,
-             std::vector<uint64_t> start_positions, SendFn send,
+             uint64_t start_position, SendFn send,
              LogShipperOptions options = {});
   ~LogShipper();
 
@@ -79,13 +79,14 @@ class LogShipper {
   void Start();
   void Stop();
 
-  /// Total records shipped since Start (all shards).
+  /// Total records shipped since Start.
   uint64_t records_shipped() const;
 
  private:
   void Run();
-  /// One sweep over all shards; returns whether anything shipped, or
-  /// false with *fatal set when the subscription cannot continue.
+  /// One sweep up to the durable position; returns whether anything
+  /// shipped, or false with *fatal set when the subscription cannot
+  /// continue.
   bool SweepOnce(bool* fatal);
 
   AccessRuntime* const runtime_;
@@ -93,8 +94,9 @@ class LogShipper {
   const SendFn send_;
   const LogShipperOptions options_;
 
-  std::vector<uint64_t> positions_;     // Thread-only after Start.
-  std::vector<uint64_t> sent_durable_;  // Last kWatermarkAdvance payload.
+  uint64_t position_ = 0;  // Thread-only after Start.
+  /// Last kWatermarkAdvance payload; empty until the first one.
+  std::optional<uint64_t> sent_durable_;
   std::atomic<uint64_t> records_shipped_{0};
 
   /// Resolved at Start when options_.metrics is set; written by the

@@ -66,7 +66,7 @@ Status ReplicaLink::last_error() const {
   return last_error_;
 }
 
-std::vector<uint64_t> ReplicaLink::upstream_durable() const {
+uint64_t ReplicaLink::upstream_durable() const {
   std::lock_guard<std::mutex> lock(mu_);
   return upstream_durable_;
 }
@@ -130,21 +130,21 @@ void ReplicaLink::RunOnce() {
     client_ = std::move(*dialed);
   }
 
-  // Subscribe: our epoch plus per-shard DURABLE positions — the honest
+  // Subscribe: our epoch, shard count and DURABLE position — the honest
   // resume point (an applied-but-unsynced suffix would not survive our
   // own crash, so the primary must re-ship it).
   ReplicaHello hello;
   {
     std::shared_lock<std::shared_mutex> rlock(*runtime_mu_);
     hello.epoch = runtime_->replication_epoch();
-    Result<std::vector<uint64_t>> positions = runtime_->ReplicationPositions();
-    if (!positions.ok()) {
-      RecordError(positions.status());
+    Result<uint64_t> position = runtime_->ReplicationPosition();
+    if (!position.ok()) {
+      RecordError(position.status());
       return;
     }
-    hello.positions = std::move(*positions);
+    hello.position = *position;
+    hello.num_shards = runtime_->Stats().num_shards;
   }
-  hello.num_shards = static_cast<uint32_t>(hello.positions.size());
   Status sent = client->SendRawFrame(MessageType::kReplicaHello, 1,
                                      EncodeReplicaHello(hello));
   if (!sent.ok()) {
@@ -237,11 +237,10 @@ void ReplicaLink::RunOnce() {
           }
         }
         Result<AccessRuntime::ReplicationApplyResult> applied =
-            runtime_->ApplyReplicated(chunk->shard, chunk->start,
-                                      chunk->records);
+            runtime_->ApplyReplicated(chunk->start, chunk->records);
         if (!applied.ok()) {
           // A hole or a refusal: drop the stream and re-hello — the
-          // fresh positions make the primary re-ship what we need.
+          // fresh position makes the primary re-ship what we need.
           RecordError(applied.status());
           return;
         }
@@ -261,7 +260,7 @@ void ReplicaLink::RunOnce() {
           continue;
         }
         std::lock_guard<std::mutex> lock(mu_);
-        upstream_durable_ = std::move(advance->durable);
+        upstream_durable_ = advance->durable;
         break;
       }
       case MessageType::kError: {

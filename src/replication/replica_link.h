@@ -5,7 +5,7 @@
 // a follower of one upstream primary. Its thread loops:
 //
 //   connect(host, port)
-//     -> kReplicaHello{epoch, per-shard durable positions}
+//     -> kReplicaHello{epoch, num_shards, durable position}
 //     <- kReplicaWelcome{epoch, num_shards}   (fence-checked)
 //     <- kSegmentChunk / kWatermarkAdvance stream (request_id 0)
 //
@@ -25,7 +25,7 @@
 // Stop() and Repoint() interrupt the blocking receive by half-closing
 // the socket (the one ServiceClient member that is safe cross-thread);
 // the loop then exits or redials the new target. Every disconnect
-// reconnects with freshly read positions, so duplicates are bounded by
+// reconnects with a freshly read position, so duplicates are bounded by
 // one chunk and the overlap-skip in ApplyReplicated absorbs them.
 
 #ifndef LTAM_REPLICATION_REPLICA_LINK_H_
@@ -86,9 +86,10 @@ class ReplicaLink {
   /// The last error that dropped a dial or a stream (OK when none has).
   Status last_error() const;
 
-  /// The primary's per-shard durable positions from the latest
-  /// kWatermarkAdvance — replica lag is this minus ReplicationPositions.
-  std::vector<uint64_t> upstream_durable() const;
+  /// The primary's durable position from the latest kWatermarkAdvance
+  /// (0 before the first) — replica lag is this minus
+  /// ReplicationPosition.
+  uint64_t upstream_durable() const;
 
   /// Current upstream target.
   std::pair<std::string, uint16_t> upstream() const;
@@ -114,7 +115,7 @@ class ReplicaLink {
   bool started_ = false;
   std::unique_ptr<ServiceClient> client_;  // Shared only for ShutdownSocket.
   Status last_error_;
-  std::vector<uint64_t> upstream_durable_;
+  uint64_t upstream_durable_ = 0;
 
   std::atomic<uint64_t> records_applied_{0};
   std::atomic<uint64_t> fenced_frames_{0};

@@ -143,7 +143,7 @@ Result<Decision> AccessRuntime::Apply(const AccessEvent& event) {
   if (replica_) return ReplicaRefusal("Apply");
   std::vector<Decision> decisions =
       engine_->EvaluateBatch(Span<const AccessEvent>(&event, 1));
-  const Status durability = engine_->TakeBatchError();
+  const Status durability = TakeBatchError();
   ++events_applied_;
   if (!durability.ok()) {
     return durability.WithContext(
@@ -176,7 +176,7 @@ Result<BatchResult> AccessRuntime::ApplyBatch(Span<const AccessEvent> batch) {
   BatchResult out;
   const uint64_t t0 = apply_histogram_ != nullptr ? MonotonicNowNs() : 0;
   out.decisions = engine_->EvaluateBatch(batch);
-  out.durability = engine_->TakeBatchError();
+  out.durability = TakeBatchError();
   if (apply_histogram_ != nullptr) {
     apply_histogram_->Record(MonotonicNowNs() - t0);
   }
@@ -297,6 +297,10 @@ Status AccessRuntime::Checkpoint() {
   return status;
 }
 
+Status AccessRuntime::TakeBatchError() {
+  return durable_ != nullptr ? durable_->TakeBatchError() : Status::OK();
+}
+
 Status AccessRuntime::WaitDurable() {
   return durable_ != nullptr ? durable_->WaitDurable() : Status::OK();
 }
@@ -337,10 +341,6 @@ RuntimeStats AccessRuntime::Stats() const {
     stats.wal_events = durable_->wal_events();
     stats.wal_append_failures = durable_->wal_append_failures();
     stats.wal_sync_failures = durable_->wal_sync_failures();
-    stats.shard_watermarks.reserve(stats.num_shards);
-    for (uint32_t k = 0; k < stats.num_shards; ++k) {
-      stats.shard_watermarks.push_back(durable_->ShardWatermark(k));
-    }
     stats.cold_segments = durable_->cold_segment_count();
     stats.cold_bytes = durable_->cold_bytes();
     stats.dropped_events = durable_->dropped_events();
@@ -388,24 +388,19 @@ Status AccessRuntime::AdoptReplicationEpoch(uint64_t epoch) {
   return Status::OK();
 }
 
-Result<std::vector<uint64_t>> AccessRuntime::ReplicationPositions() const {
+Result<uint64_t> AccessRuntime::ReplicationPosition() const {
   if (durable_ == nullptr) return ReplicationNeedsDurability();
-  std::vector<uint64_t> positions;
-  positions.reserve(durable_->num_shards());
-  for (uint32_t k = 0; k < durable_->num_shards(); ++k) {
-    positions.push_back(durable_->ShardWatermark(k).durable);
-  }
-  return positions;
+  return durable_->Watermark().durable;
 }
 
 Result<AccessRuntime::ReplicationSlice> AccessRuntime::ReadReplicationSlice(
-    uint32_t shard, uint64_t from, size_t max_records) {
+    uint64_t from, size_t max_records) {
   if (durable_ == nullptr) return ReplicationNeedsDurability();
-  return durable_->ReadShardRecords(shard, from, max_records);
+  return durable_->ReadLogRecords(from, max_records);
 }
 
 Result<AccessRuntime::ReplicationApplyResult> AccessRuntime::ApplyReplicated(
-    uint32_t shard, uint64_t start, const std::vector<std::string>& records) {
+    uint64_t start, const std::vector<std::string>& records) {
   if (!replica_) {
     return Status::FailedPrecondition(
         "ApplyReplicated on a primary: only replicas apply shipped records");
@@ -416,7 +411,7 @@ Result<AccessRuntime::ReplicationApplyResult> AccessRuntime::ApplyReplicated(
   // Only a durable runtime can be demoted, so a replica holds durable_.
   LTAM_ASSIGN_OR_RETURN(
       ReplicationApplyResult out,
-      durable_->ApplyReplicatedRecords(shard, start, records));
+      durable_->ApplyReplicatedRecords(start, records));
   ++batches_applied_;
   events_applied_ += out.decisions.size();
   return out;
@@ -451,16 +446,6 @@ std::string RuntimeStatsToString(const RuntimeStats& stats) {
   line("durability-watermark", std::to_string(stats.durable_offset) + "/" +
                                    std::to_string(stats.applied_offset) +
                                    " durable/applied");
-  if (!stats.shard_watermarks.empty()) {
-    std::string marks;
-    for (size_t k = 0; k < stats.shard_watermarks.size(); ++k) {
-      const DurabilityWatermark& w = stats.shard_watermarks[k];
-      if (k > 0) marks += ' ';
-      marks += std::to_string(k) + ":" + std::to_string(w.durable) + "/" +
-               std::to_string(w.applied);
-    }
-    line("shard-watermarks", marks + " durable/applied");
-  }
   line("requests-processed", std::to_string(stats.requests_processed));
   line("requests-granted", std::to_string(stats.requests_granted));
   line("batches-applied", std::to_string(stats.batches_applied));

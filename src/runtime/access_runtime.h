@@ -65,7 +65,7 @@ struct RuntimeOptions {
   /// shard count makes byte-identical decisions.
   uint32_t num_shards = 1;
   /// When set, the runtime is crash-safe and rooted at this existing
-  /// directory (per-shard write-ahead logs + snapshots under a
+  /// directory (one write-ahead log + per-shard snapshots under a
   /// MANIFEST). When the directory already holds a committed state, that
   /// state wins over `initial`, and its pinned shard count wins over
   /// `num_shards` (see RuntimeStats::shard_count_overridden). A directory
@@ -76,13 +76,14 @@ struct RuntimeOptions {
   EngineOptions engine;
   /// Durable runtimes: the write path (storage/log_pipeline.h). Shard
   /// workers only buffer their records; the runtime's one log thread
-  /// writes and fsyncs them (a shard's file once per 4 batches or 1 MiB,
-  /// and whenever its queue drains). ApplyBatch returns before its fsync
+  /// writes and fsyncs its one file (once per 4 batches or 1 MiB, and
+  /// whenever its queue drains). ApplyBatch returns before its fsync
   /// lands, and callers choose latency vs durability per call via
   /// BatchResult::watermark and WaitDurable() (a network server always
   /// waits before it answers). An idle runtime converges to durable ==
-  /// applied. A failed write or fsync sticky-fails its shard's log
-  /// (watermark frozen) until Checkpoint(). Tests inject faults here.
+  /// applied. A failed write or fsync sticky-fails the log, and with it
+  /// every shard's durability (watermark frozen), until Checkpoint().
+  /// Tests inject faults here.
   DurabilityOptions durability;
   /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
   /// batch is rejected whole with kInvalidArgument — nothing is applied —
@@ -115,7 +116,7 @@ struct BatchResult {
   /// type). Draining is built in — there is no separate TakeAlerts.
   std::vector<Alert> alerts;
   /// Durability outcome. OK on in-memory runtimes. Non-OK (IO kind) when
-  /// a shard's log is sticky-failed: the batch's events were applied,
+  /// the runtime's log is sticky-failed: the batch's events were applied,
   /// but their durability is in doubt until a Checkpoint, so do NOT
   /// resubmit them. A failure of this batch's own write or fsync can
   /// land after ApplyBatch returns; WaitDurable() reports it.
@@ -166,12 +167,6 @@ struct RuntimeStats {
   /// dropped, fsyncs that failed. Zero on in-memory runtimes.
   uint64_t wal_append_failures = 0;
   uint64_t wal_sync_failures = 0;
-  /// Durable runtimes: one (applied, durable) watermark per shard log,
-  /// monotonic across checkpoints — the aggregate applied/durable_offset
-  /// above is their sum, so a single stuck shard log is visible here
-  /// rather than drowned in global lag. In-memory runtimes report none.
-  /// Carried over the wire verbatim (protocol v3).
-  std::vector<DurabilityWatermark> shard_watermarks;
   /// Replication role and promotion epoch (replication/epoch.h): a
   /// replica refuses writes and applies shipped records instead.
   /// Carried over the wire since protocol v4.
@@ -289,11 +284,11 @@ class AccessRuntime {
   RecoveryReport recovery() const;
 
   // --- Replication surface -------------------------------------------------
-  // Only durable runtimes replicate: the unit of shipping
-  // is the per-shard WAL record stream, and the replication position in
-  // shard k is the monotonic record count ShardWatermark(k) reports
-  // (the shard's floor, persisted in the MANIFEST, + the current log),
-  // so it survives restarts. Epoch semantics live in
+  // Only durable runtimes replicate: the unit of shipping is the
+  // runtime's WAL record stream, and the replication position is the
+  // monotonic record count Watermark() reports (the floor, persisted in
+  // the MANIFEST, + the records appended since Open), so it survives
+  // restarts. A tick is one record. Epoch semantics live in
   // replication/epoch.h (promotion counter, persisted as REPL_EPOCH in
   // the durable directory; fencing gates compare it).
 
@@ -335,30 +330,30 @@ class AccessRuntime {
   }
   const std::string& primary_redirect() const { return primary_redirect_; }
 
-  /// Per-shard replication positions (monotonic durable record counts)
-  /// — what a replica reports in its subscription hello so the primary
+  /// The replication position (the monotonic durable record count) —
+  /// what a replica reports in its subscription hello so the primary
   /// resumes shipping exactly past the last durable record.
-  Result<std::vector<uint64_t>> ReplicationPositions() const;
+  Result<uint64_t> ReplicationPosition() const;
 
-  /// A slice of shard `shard`'s committed WAL record stream starting at
-  /// position `from` (primary side of the shipper). Only durable
-  /// records ship; `next` is the position after the last returned
-  /// record, `durable` the shard's current durable position. A `from`
-  /// below the retained floor (a checkpoint retired it) fails:
-  /// the replica must resync from a snapshot.
+  /// A slice of the committed WAL record stream starting at position
+  /// `from` (primary side of the shipper). Only durable records ship;
+  /// `next` is the position after the last returned record, `durable`
+  /// the current durable position. A `from` below the retained floor (a
+  /// checkpoint retired it) fails: the replica must resync from a
+  /// snapshot.
   using ReplicationSlice = DurableShardedSystem::ReplicationSlice;
-  Result<ReplicationSlice> ReadReplicationSlice(uint32_t shard,
-                                                uint64_t from,
+  Result<ReplicationSlice> ReadReplicationSlice(uint64_t from,
                                                 size_t max_records);
 
-  /// Replica side: write-ahead logs and applies shipped records for
-  /// `shard` starting at position `start` (records below the current
-  /// position are skipped — reconnect overlap is idempotent; a gap is
-  /// an error). Returns the decisions the events produced (byte-
-  /// identical to the primary's), alerts raised, and the new position.
+  /// Replica side: write-ahead logs and applies shipped records starting
+  /// at position `start` (records below the current position are
+  /// skipped — reconnect overlap is idempotent; a gap is an error), each
+  /// event on its subject's shard and each tick on every shard. Returns
+  /// the decisions the events produced (byte-identical to the
+  /// primary's), alerts raised, and the new position.
   using ReplicationApplyResult = DurableShardedSystem::ReplicationApply;
   Result<ReplicationApplyResult> ApplyReplicated(
-      uint32_t shard, uint64_t start, const std::vector<std::string>& records);
+      uint64_t start, const std::vector<std::string>& records);
 
   // --- Read surface --------------------------------------------------------
 
@@ -378,6 +373,9 @@ class AccessRuntime {
   /// The kFailedPrecondition every write path returns while demoted;
   /// appends the structured primary token when the hint is set.
   Status ReplicaRefusal(const char* op) const;
+
+  /// The last batch's durability outcome (OK in memory).
+  Status TakeBatchError();
 
   RuntimeOptions options_;
   /// Set iff options_.durable_dir is: the durable system then owns the

@@ -640,12 +640,6 @@ std::string EncodeStatsResult(const RuntimeStats& stats) {
   PutU64(&out, stats.durable_offset);
   PutU64(&out, stats.wal_append_failures);
   PutU64(&out, stats.wal_sync_failures);
-  // v3: per-shard durability watermarks (empty for in-memory runtimes).
-  PutU32(&out, static_cast<uint32_t>(stats.shard_watermarks.size()));
-  for (const DurabilityWatermark& w : stats.shard_watermarks) {
-    PutU64(&out, w.applied);
-    PutU64(&out, w.durable);
-  }
   // v4: replication role + promotion epoch.
   PutU8(&out, stats.replica ? 1 : 0);
   PutU64(&out, stats.replication_epoch);
@@ -676,17 +670,6 @@ Result<RuntimeStats> DecodeStatsResult(std::string_view payload) {
       !r.ReadU64(&stats.wal_sync_failures) || durable > 1 ||
       overridden > 1 || stats.durable_offset > stats.applied_offset) {
     return Status::ParseError("stats-result: malformed stats");
-  }
-  uint32_t shard_count = 0;
-  if (!ReadCount(&r, 16, &shard_count)) {
-    return Status::ParseError("stats-result: malformed shard watermark count");
-  }
-  stats.shard_watermarks.resize(shard_count);
-  for (DurabilityWatermark& w : stats.shard_watermarks) {
-    if (!r.ReadU64(&w.applied) || !r.ReadU64(&w.durable) ||
-        w.durable > w.applied) {
-      return Status::ParseError("stats-result: malformed shard watermark");
-    }
   }
   uint8_t replica = 0;
   if (!r.ReadU8(&replica) || !r.ReadU64(&stats.replication_epoch) ||
@@ -724,27 +707,19 @@ std::string EncodeReplicaHello(const ReplicaHello& hello) {
   std::string out;
   PutU64(&out, hello.epoch);
   PutU32(&out, hello.num_shards);
-  for (uint64_t p : hello.positions) PutU64(&out, p);
+  PutU64(&out, hello.position);
   return out;
 }
 
 Result<ReplicaHello> DecodeReplicaHello(std::string_view payload) {
   Reader r(payload);
   ReplicaHello hello;
-  if (!r.ReadU64(&hello.epoch) || !r.ReadU32(&hello.num_shards)) {
+  if (!r.ReadU64(&hello.epoch) || !r.ReadU32(&hello.num_shards) ||
+      !r.ReadU64(&hello.position)) {
     return Status::ParseError("replica-hello: truncated payload");
   }
-  // The shard count doubles as the position count; each position is 8
-  // bytes, so an implausible count is caught before any allocation.
-  if (hello.num_shards == 0 ||
-      static_cast<uint64_t>(hello.num_shards) * 8 != r.remaining()) {
+  if (hello.num_shards == 0) {
     return Status::ParseError("replica-hello: malformed shard count");
-  }
-  hello.positions.resize(hello.num_shards);
-  for (uint32_t k = 0; k < hello.num_shards; ++k) {
-    if (!r.ReadU64(&hello.positions[k])) {
-      return Status::ParseError("replica-hello: truncated positions");
-    }
   }
   LTAM_RETURN_IF_ERROR(r.Finish("replica-hello"));
   return hello;
@@ -773,7 +748,6 @@ std::string EncodeSegmentChunk(const SegmentChunk& chunk) {
       << "segment chunk over the record ceiling";
   std::string out;
   PutU64(&out, chunk.epoch);
-  PutU32(&out, chunk.shard);
   PutU64(&out, chunk.start);
   PutU32(&out, static_cast<uint32_t>(chunk.records.size()));
   for (const std::string& record : chunk.records) PutString(&out, record);
@@ -784,8 +758,7 @@ Result<SegmentChunk> DecodeSegmentChunk(std::string_view payload) {
   Reader r(payload);
   SegmentChunk chunk;
   uint32_t count = 0;
-  if (!r.ReadU64(&chunk.epoch) || !r.ReadU32(&chunk.shard) ||
-      !r.ReadU64(&chunk.start) ||
+  if (!r.ReadU64(&chunk.epoch) || !r.ReadU64(&chunk.start) ||
       // Each record costs at least its 4-byte length prefix.
       !ReadCount(&r, 4, &count) || count > kMaxReplicationRecords) {
     return Status::ParseError("segment-chunk: malformed record count");
@@ -803,24 +776,15 @@ Result<SegmentChunk> DecodeSegmentChunk(std::string_view payload) {
 std::string EncodeWatermarkAdvance(const WatermarkAdvance& advance) {
   std::string out;
   PutU64(&out, advance.epoch);
-  PutU32(&out, static_cast<uint32_t>(advance.durable.size()));
-  for (uint64_t d : advance.durable) PutU64(&out, d);
+  PutU64(&out, advance.durable);
   return out;
 }
 
 Result<WatermarkAdvance> DecodeWatermarkAdvance(std::string_view payload) {
   Reader r(payload);
   WatermarkAdvance advance;
-  uint32_t count = 0;
-  if (!r.ReadU64(&advance.epoch) || !ReadCount(&r, 8, &count) ||
-      count == 0) {
-    return Status::ParseError("watermark-advance: malformed shard count");
-  }
-  advance.durable.resize(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    if (!r.ReadU64(&advance.durable[k])) {
-      return Status::ParseError("watermark-advance: truncated positions");
-    }
+  if (!r.ReadU64(&advance.epoch) || !r.ReadU64(&advance.durable)) {
+    return Status::ParseError("watermark-advance: truncated payload");
   }
   LTAM_RETURN_IF_ERROR(r.Finish("watermark-advance"));
   return advance;

@@ -61,8 +61,11 @@ namespace ltam {
 /// request carries no payload and its answer is always structured); v8
 /// retired deny reason 8 (the write-ahead log's refusal) and the stats
 /// result's refused-events field, and a batch result is sent only once
-/// its batch is durable.
-inline constexpr uint8_t kWireVersion = 8;
+/// its batch is durable; v9 gave a durable runtime one log and one
+/// replication position: the replica hello carries one position, the
+/// segment chunk no shard, the watermark advance one durable count, and
+/// the stats result no per-shard watermark list.
+inline constexpr uint8_t kWireVersion = 9;
 
 /// "LTAM" as a little-endian u32 ('L' is the first byte on the wire).
 inline constexpr uint32_t kWireMagic = 0x4D41544Cu;
@@ -91,7 +94,7 @@ enum class MessageType : uint8_t {
   kCheckpoint = 6,
   kStats = 7,
   /// A replica subscribing to the primary's log stream: carries the
-  /// replica's replication epoch and per-shard resume positions.
+  /// replica's replication epoch, shard count and resume position.
   kReplicaHello = 8,
   /// Promote a replica server to primary (bumps + persists its
   /// replication epoch, stops its upstream link, accepts writes).
@@ -113,10 +116,10 @@ enum class MessageType : uint8_t {
   /// The primary's answer to kReplicaHello: its epoch + shard count.
   kReplicaWelcome = 41,
   /// Server-initiated on a subscribed connection (request_id 0): one
-  /// run of committed log records for one shard.
+  /// run of committed log records.
   kSegmentChunk = 42,
   /// Server-initiated on a subscribed connection (request_id 0): the
-  /// primary's per-shard durable positions (replica lag accounting).
+  /// primary's durable position (replica lag accounting).
   kWatermarkAdvance = 43,
   /// kPromote's answer: the new replication epoch.
   kPromoteResult = 44,
@@ -244,8 +247,7 @@ std::string EncodeQueryResult(const QueryResult& result);
 Result<QueryResult> DecodeQueryResult(std::string_view payload);
 
 /// kStatsResult carries the runtime's own counters verbatim — the remote
-/// Stats() answer is the same struct a local caller sees (since v3
-/// including the per-shard watermarks).
+/// Stats() answer is the same struct a local caller sees.
 std::string EncodeStatsResult(const RuntimeStats& stats);
 Result<RuntimeStats> DecodeStatsResult(std::string_view payload);
 
@@ -262,14 +264,14 @@ Status DecodeErrorResult(std::string_view payload, Status* error);
 /// shipper's batching and a corrupt count field's allocation.
 inline constexpr uint32_t kMaxReplicationRecords = 1u << 14;
 
-/// kReplicaHello: a replica announcing itself to a primary. `positions`
-/// has one entry per shard — the count of log records the replica
-/// already holds durably (records retired by its checkpoints included),
-/// i.e. where shipping must resume.
+/// kReplicaHello: a replica announcing itself to a primary. `position`
+/// is the count of log records the replica already holds durably
+/// (records retired by its checkpoints included), i.e. where shipping
+/// must resume; `num_shards` must match the primary's.
 struct ReplicaHello {
   uint64_t epoch = 0;
   uint32_t num_shards = 0;
-  std::vector<uint64_t> positions;
+  uint64_t position = 0;
 };
 
 std::string EncodeReplicaHello(const ReplicaHello& hello);
@@ -284,14 +286,13 @@ struct ReplicaWelcome {
 std::string EncodeReplicaWelcome(const ReplicaWelcome& welcome);
 Result<ReplicaWelcome> DecodeReplicaWelcome(std::string_view payload);
 
-/// kSegmentChunk: `records.size()` consecutive committed log records of
-/// one shard, starting at per-shard position `start` (each record is one
-/// WAL line, newline stripped — exactly what recovery replay decodes).
-/// `epoch` is the sender's replication epoch; a receiver on a higher
-/// epoch rejects the chunk (the fencing rule).
+/// kSegmentChunk: `records.size()` consecutive committed log records,
+/// starting at position `start` (each record is one WAL line, newline
+/// stripped — exactly what recovery replay decodes). `epoch` is the
+/// sender's replication epoch; a receiver on a higher epoch rejects the
+/// chunk (the fencing rule).
 struct SegmentChunk {
   uint64_t epoch = 0;
-  uint32_t shard = 0;
   uint64_t start = 0;
   std::vector<std::string> records;
 };
@@ -299,10 +300,10 @@ struct SegmentChunk {
 std::string EncodeSegmentChunk(const SegmentChunk& chunk);
 Result<SegmentChunk> DecodeSegmentChunk(std::string_view payload);
 
-/// kWatermarkAdvance: the primary's per-shard durable record counts.
+/// kWatermarkAdvance: the primary's durable record count.
 struct WatermarkAdvance {
   uint64_t epoch = 0;
-  std::vector<uint64_t> durable;
+  uint64_t durable = 0;
 };
 
 std::string EncodeWatermarkAdvance(const WatermarkAdvance& advance);

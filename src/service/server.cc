@@ -634,7 +634,7 @@ class ServiceServer::Impl {
         welcome.num_shards = nshards_;
         Respond(conn, MessageType::kReplicaWelcome, id,
                 EncodeReplicaWelcome(welcome));
-        StartShipper(conn, std::move(hello->positions));
+        StartShipper(conn, hello->position);
         return;
       }
       case MessageType::kPromote: {
@@ -704,7 +704,7 @@ class ServiceServer::Impl {
       *local_epoch = runtime_->replication_epoch();
       // Probes replication capability (in-memory runtimes refuse
       // here).
-      LTAM_RETURN_IF_ERROR(runtime_->ReplicationPositions().status());
+      LTAM_RETURN_IF_ERROR(runtime_->ReplicationPosition().status());
     }
     if (hello.num_shards != nshards_) {
       return Status::FailedPrecondition(
@@ -718,8 +718,7 @@ class ServiceServer::Impl {
   /// Spawns the per-subscription shipper, keyed by connection id so the
   /// I/O thread can retire it when the connection drops. A second hello
   /// on the same connection replaces (and stops) the first shipper.
-  void StartShipper(const ConnectionPtr& conn,
-                    std::vector<uint64_t> positions) {
+  void StartShipper(const ConnectionPtr& conn, uint64_t position) {
     auto send = [this, conn](MessageType type,
                              const std::string& payload) -> bool {
       if (conn->dead.load(std::memory_order_acquire)) return false;
@@ -735,7 +734,7 @@ class ServiceServer::Impl {
     shipper_options.metrics = options_.metrics;
     shipper_options.subscriber_id = conn->id;
     auto shipper = std::make_unique<LogShipper>(
-        runtime_, &runtime_mu_, std::move(positions), std::move(send),
+        runtime_, &runtime_mu_, position, std::move(send),
         shipper_options);
     std::unique_ptr<LogShipper> replaced;
     {

@@ -28,7 +28,7 @@
 //    originating frames by offset and drained alerts are routed to
 //    frames by subject (exact, because one round holds one frame per
 //    connection). This is the scaling mechanism: the sharded fan-out
-//    and the per-shard group-commit fsync are paid once per merged
+//    and the group-commit fsync are paid once per merged
 //    batch, not once per connection. ApplyFix and Checkpoint frames are
 //    per-connection barriers, applied alone when they reach the front
 //    of their connection's queue.

@@ -1,7 +1,6 @@
 // Copyright 2026 The LTAM Authors.
 // The record line format of every text file in a durable directory: the
-// per-shard write-ahead logs, the base and shard snapshots, and the
-// MANIFEST.
+// write-ahead log, the base and shard snapshots, and the MANIFEST.
 //
 // A record is one line: a tag, then tab-separated fields, then '\n'.
 // Inside a string field '\t', '\n', '\r' and '\\' are escaped, so a raw

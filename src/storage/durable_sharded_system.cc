@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <thread>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -16,7 +16,6 @@
 #include "storage/event_log.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
-#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -35,9 +34,9 @@ DurableShardedSystem::DurableShardedSystem(std::string dir,
 }
 
 DurableShardedSystem::~DurableShardedSystem() {
-  // Join the workers before the logs they append through go away; the
+  // Join the workers before the log they append through goes away; the
   // pipeline's destructor then stops its log thread, which drains,
-  // writes and best-effort-syncs every shard's queue.
+  // writes and best-effort-syncs the queue.
   engine_.reset();
   log_.reset();
 }
@@ -56,10 +55,8 @@ std::string DurableShardedSystem::ShardSnapName(uint32_t shard,
          ".snap";
 }
 
-std::string DurableShardedSystem::ShardWalName(uint32_t shard,
-                                               uint64_t epoch) const {
-  return "events-" + std::to_string(shard) + "-" + std::to_string(epoch) +
-         ".wal";
+std::string DurableShardedSystem::WalName(uint64_t epoch) const {
+  return "events-" + std::to_string(epoch) + ".wal";
 }
 
 std::string DurableShardedSystem::ColdSegName(uint32_t shard,
@@ -107,66 +104,63 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
   cold_files_.assign(num_shards, {});
   next_cold_index_.assign(num_shards, 0);
   snapshot_stale_.assign(num_shards, false);
-  floor_.assign(num_shards, 0);
+  // One slot per shard worker, and one for the control thread.
+  log_ = std::make_unique<LogPipeline>(num_shards + 1, options_.durability);
 }
 
-Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
-  const uint32_t n = engine_->num_shards();
-  std::vector<Status> results(n, Status::OK());
-  std::vector<uint64_t> replayed(n, 0);
-  std::vector<std::thread> replayers;
-  replayers.reserve(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    const std::string path = FilePath(manifest.shards[k].wal);
+Status DurableShardedSystem::ReplayLogs(const ShardManifest& manifest) {
+  // Replays `name`'s records in order; `shard` confines a version-1
+  // shard log to its own shard (its ticks tick that shard alone).
+  auto replay = [&](const std::string& name,
+                    std::optional<uint32_t> shard) -> Status {
+    const std::string path = FilePath(name);
     if (!FileExists(path)) {
-      // WriteEpoch creates every log (and fsyncs the directory through
-      // the manifest rename) before the manifest names it, so a
-      // committed cut whose log vanished is data loss, not a crash
-      // window — refuse to silently drop the shard's tail.
-      results[k] = Status::IOError("shard WAL '" + path +
-                                   "' named by the manifest is missing");
-      continue;
+      // WriteEpoch creates the log (and fsyncs the directory through the
+      // manifest rename) before the manifest names it, so a committed
+      // cut whose log vanished is data loss, not a crash window — refuse
+      // to silently drop the tail.
+      return Status::IOError("WAL '" + path +
+                             "' named by the manifest is missing");
     }
     // Repair a torn final record now, before replay and before any new
     // append lands on the same line as the torn bytes.
-    Result<size_t> dropped = TruncateTornWalTail(path);
-    if (!dropped.ok()) {
-      results[k] = dropped.status();
-      continue;
-    }
-    // Parallel replay across shards is safe under the live pipeline's
-    // discipline: each log holds only its own shard's subjects
-    // (validated below), so no two replayers ever touch the same
-    // subject's records.
-    replayers.emplace_back([this, k, path, &results, &replayed] {
-      AccessControlEngine& shard_engine = engine_->shard_engine(k);
-      results[k] = ReplayWal(path, [&](const LoggedEvent& event) -> Status {
-        if (!event.is_tick && engine_->ShardOf(event.event.subject) != k) {
-          return Status::ParseError("log for shard " + std::to_string(k) +
+    LTAM_RETURN_IF_ERROR(TruncateTornWalTail(path).status());
+    return ReplayWal(path, [&](const LoggedEvent& event) -> Status {
+      if (event.is_tick) {
+        if (shard.has_value()) {
+          ApplyLoggedEvent(&engine_->shard_engine(*shard), event);
+        } else {
+          engine_->Tick(event.tick_time);
+        }
+      } else {
+        const uint32_t owner = engine_->ShardOf(event.event.subject);
+        if (shard.has_value() && owner != *shard) {
+          return Status::ParseError("log for shard " + std::to_string(*shard) +
                                     " contains foreign subject " +
                                     std::to_string(event.event.subject));
         }
-        ApplyLoggedEvent(&shard_engine, event);
-        ++replayed[k];
-        return Status::OK();
-      });
+        ApplyLoggedEvent(&engine_->shard_engine(owner), event);
+        // The replayed tail lives only in the log, which the next
+        // checkpoint deletes: that checkpoint must rewrite the snapshot
+        // even though no slot has logged anything yet.
+        snapshot_stale_[owner] = true;
+      }
+      ++recovery_.replayed_records;
+      return Status::OK();
     });
-    NameThread(&replayers.back(), "ltam-replay-" + std::to_string(k));
-  }
-  for (std::thread& t : replayers) t.join();
-  for (uint32_t k = 0; k < n; ++k) {
-    if (!results[k].ok()) {
-      return results[k].WithContext("replaying shard " + std::to_string(k));
+  };
+  if (manifest.v1_shard_wals.empty()) {
+    LTAM_RETURN_IF_ERROR(replay(manifest.wal, std::nullopt));
+  } else {
+    for (uint32_t k = 0; k < manifest.num_shards; ++k) {
+      LTAM_RETURN_IF_ERROR(replay(manifest.v1_shard_wals[k], k)
+                               .WithContext("replaying shard " +
+                                            std::to_string(k)));
     }
-    // The replayed tail lives only in this shard's log, which the next
-    // checkpoint deletes: that checkpoint must rewrite the snapshot even
-    // though the fresh log has accepted nothing yet.
-    if (replayed[k] > 0) snapshot_stale_[k] = true;
-    recovery_.replayed_records += replayed[k];
-    // The replayed records keep their positions: the live log's first
-    // append follows them.
-    floor_[k] += replayed[k];
   }
+  // The replayed records keep their positions: the live log's first
+  // append follows them.
+  floor_ += recovery_.replayed_records;
   return Status::OK();
 }
 
@@ -178,13 +172,13 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   m.base_snapshot = BaseSnapName(epoch);
   LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot)));
   // Epoch 0 — no previous cut — rewrites everything.
-  const bool incremental = manifest_.shards.size() == n && log_ != nullptr;
+  const bool incremental = manifest_.shards.size() == n;
   uint64_t dirty = 0;
   for (uint32_t k = 0; k < n; ++k) {
     ShardManifest::ShardFiles files;
     const MovementDatabase& db = engine_->shard_movements(k);
-    const uint64_t logged = log_ != nullptr ? log_->shard(k).appended_seq() : 0;
-    const bool shard_dirty = !incremental || logged > 0 || snapshot_stale_[k];
+    const bool shard_dirty =
+        !incremental || log_->slot_records(k) > 0 || snapshot_stale_[k];
     if (shard_dirty) {
       files.snapshot = ShardSnapName(k, epoch);
       LTAM_RETURN_IF_ERROR(SaveMovements(db, FilePath(files.snapshot)));
@@ -198,11 +192,8 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
       // events since the last checkpoint, not to total history.
       files.snapshot = manifest_.shards[k].snapshot;
     }
-    files.wal = ShardWalName(k, epoch);
     for (const ColdFile& f : cold_files_[k]) files.cold.push_back(f.name);
     files.dropped_events = db.dropped_events();
-    // Every record the retiring log accepted is in the snapshot now.
-    files.floor = floor_[k] + logged;
     m.shards.push_back(std::move(files));
   }
   last_checkpoint_dirty_segments_ = dirty;
@@ -210,43 +201,22 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   if (dirty_segments_counter_ != nullptr && dirty > 0) {
     dirty_segments_counter_->Increment(dirty);
   }
-  // Fresh, empty logs for the new epoch (truncating any orphan a crashed
-  // earlier attempt at this epoch left behind).
-  std::vector<FileWriter> fresh;
-  fresh.reserve(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    LTAM_ASSIGN_OR_RETURN(FileWriter wal,
-                          FileWriter::Create(FilePath(m.shards[k].wal)));
-    fresh.push_back(std::move(wal));
-  }
+  // Every record the retiring log accepted is in the snapshots now.
+  m.wal = WalName(epoch);
+  m.floor = floor_ + log_->appended_seq();
+  // A fresh, empty log for the new epoch (truncating any orphan a
+  // crashed earlier attempt at this epoch left behind).
+  LTAM_ASSIGN_OR_RETURN(FileWriter wal, FileWriter::Create(FilePath(m.wal)));
   // The commit point: everything above becomes the recovered state the
   // instant this rename lands.
   LTAM_RETURN_IF_ERROR(SaveManifest(m, FilePath(ManifestFileName())));
   snapshot_stale_.assign(n, false);
-  std::unique_ptr<LogPipeline> retiring;
-  {
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    // Retire the old log generation: everything it accepted is durable
-    // now (the snapshot carries the live state, the tails of failed logs
-    // included), and its counters must survive the swap. The floors and
-    // the pipeline swap under manifest_mu_ so a shipper thread
-    // snapshotting its read position never sees a half-retired shard.
-    if (log_ != nullptr) {
-      for (uint32_t k = 0; k < n; ++k) {
-        const ShardLog& log = log_->shard(k);
-        retired_append_failures_ += log.append_failures();
-        retired_sync_failures_ += log.sync_failures();
-      }
-    }
-    for (uint32_t k = 0; k < n; ++k) floor_[k] = m.shards[k].floor;
-    manifest_ = std::move(m);
-    retiring = std::move(log_);
-    log_ = std::make_unique<LogPipeline>(std::move(fresh),
-                                         options_.durability);
-  }
-  // Stops the old log thread before its files go, outside manifest_mu_
-  // so shippers never wait on a drain.
-  retiring.reset();
+  // The cut and the file swap move together under manifest_mu_, so a
+  // shipper thread snapshotting its read position never pairs the new
+  // cut's floor with the old file, or the other way round.
+  std::lock_guard<std::mutex> lock(manifest_mu_);
+  manifest_ = std::move(m);
+  log_->SwapFile(std::move(wal));
   return Status::OK();
 }
 
@@ -254,19 +224,22 @@ void DurableShardedSystem::RemoveEpochFiles(const ShardManifest& old_manifest) {
   // Incremental checkpoints re-reference clean shards' snapshot files
   // (and cold segments live across many epochs), so only files the NEW
   // committed cut no longer names may go.
-  std::unordered_set<std::string> keep{manifest_.base_snapshot};
+  std::unordered_set<std::string> keep{manifest_.base_snapshot,
+                                       manifest_.wal};
   for (const ShardManifest::ShardFiles& files : manifest_.shards) {
     keep.insert(files.snapshot);
-    keep.insert(files.wal);
     keep.insert(files.cold.begin(), files.cold.end());
   }
   auto remove_unless_kept = [this, &keep](const std::string& name) {
     if (keep.count(name) == 0) std::remove(FilePath(name).c_str());
   };
   remove_unless_kept(old_manifest.base_snapshot);
+  if (!old_manifest.wal.empty()) remove_unless_kept(old_manifest.wal);
+  for (const std::string& wal : old_manifest.v1_shard_wals) {
+    remove_unless_kept(wal);
+  }
   for (const ShardManifest::ShardFiles& files : old_manifest.shards) {
     remove_unless_kept(files.snapshot);
-    remove_unless_kept(files.wal);
     for (const std::string& seg : files.cold) remove_unless_kept(seg);
   }
 }
@@ -472,12 +445,9 @@ uint64_t DurableShardedSystem::dropped_events() const {
 void DurableShardedSystem::InstallHooks() {
   ShardHooks hooks;
   hooks.before_apply = [this](uint32_t shard, const AccessEvent& event) {
-    log_->shard(shard).Append(LoggedEvent::Access(event));
+    log_->Append(shard, LoggedEvent::Access(event));
   };
-  hooks.after_batch = [this](uint32_t shard) {
-    return log_->shard(shard).BatchBoundary();
-  };
-  hooks.after_slices = [this] { log_->Wake(); };
+  hooks.after_slices = [this] { batch_error_ = log_->Publish(); };
   engine_->SetShardHooks(std::move(hooks));
 }
 
@@ -492,6 +462,7 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   std::unique_ptr<DurableShardedSystem> sys(
       new DurableShardedSystem(dir, options));
   const std::string manifest_path = sys->FilePath(ManifestFileName());
+  bool upgrade = false;
   if (FileExists(manifest_path)) {
     LTAM_ASSIGN_OR_RETURN(ShardManifest manifest,
                           LoadManifest(manifest_path));
@@ -563,23 +534,21 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
       }
     }
     // The shard views are restored: resume their open stays, then replay
-    // on top of the committed floors.
+    // on top of the committed floor.
     LTAM_RETURN_IF_ERROR(sys->engine_->Seed(MovementDatabase()));
-    for (uint32_t k = 0; k < manifest.num_shards; ++k) {
-      sys->floor_[k] = manifest.shards[k].floor;
-    }
-    LTAM_RETURN_IF_ERROR(sys->ReplayShardLogs(manifest));
+    sys->floor_ = manifest.floor;
+    LTAM_RETURN_IF_ERROR(sys->ReplayLogs(manifest));
     sys->epoch_ = manifest.epoch;
+    // A version-1 cut always gets the recovery cut below, which writes
+    // the one-WAL layout; its per-shard WALs are never appended to.
+    upgrade = !manifest.v1_shard_wals.empty();
     sys->manifest_ = std::move(manifest);
-    // Appends resume on each shard's committed WAL.
-    std::vector<FileWriter> wals;
-    for (const ShardManifest::ShardFiles& files : sys->manifest_.shards) {
+    if (!upgrade && sys->recovery_.replayed_records == 0) {
+      // A clean shutdown: appends resume on the committed WAL.
       LTAM_ASSIGN_OR_RETURN(FileWriter wal,
-                            FileWriter::Open(sys->FilePath(files.wal)));
-      wals.push_back(std::move(wal));
+                            FileWriter::Open(sys->FilePath(sys->manifest_.wal)));
+      sys->log_->SwapFile(std::move(wal));
     }
-    sys->log_ = std::make_unique<LogPipeline>(std::move(wals),
-                                              sys->options_.durability);
   } else {
     sys->base_ = std::move(initial);
     sys->InitEngine(options.num_shards);
@@ -591,13 +560,14 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
     sys->epoch_ = 0;
   }
   sys->SweepOrphanColdFiles();
-  if (sys->recovery_.replayed_records > 0) {
-    // The recovery cut. The replayed tail would otherwise stay in logs
+  if (sys->recovery_.replayed_records > 0 || upgrade) {
+    // The recovery cut. The replayed tail would otherwise stay in a log
     // whose lines precede every record this instance appends, so a
     // replication position would map onto the wrong line. The cut folds
-    // the tail into snapshots, commits each shard's floor (the committed
-    // floor plus the records replay applied), and starts every shard on
-    // an empty log. A clean restart replays nothing and commits nothing.
+    // the tail into snapshots, commits the floor (the committed floor
+    // plus the records replay applied), and starts the log on an empty
+    // file. A clean restart replays nothing and commits nothing; a
+    // version-1 directory is always committed in the one-WAL layout.
     LTAM_RETURN_IF_ERROR(
         sys->Checkpoint().WithContext("committing the recovery cut"));
   }
@@ -606,63 +576,40 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   return sys;
 }
 
+Status DurableShardedSystem::TakeBatchError() {
+  return std::exchange(batch_error_, Status::OK());
+}
+
 Status DurableShardedSystem::Tick(Chronon t) {
-  const LoggedEvent tick = LoggedEvent::Tick(t);
-  Status first_error;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    ShardLog& log = log_->shard(k);
-    log.Append(tick);
-    engine_->TickShard(k, t);
-    Status boundary = log.BatchBoundary();
-    // A failed boundary leaves the tick appended and applied
-    // (consistent); only its durability is in doubt — report it.
-    if (!boundary.ok() && first_error.ok()) first_error = std::move(boundary);
-  }
-  log_->Wake();
-  return first_error;
+  // One record, applied to every shard; it changes no snapshot, so it
+  // dirties none. A failed publish leaves the tick appended and applied
+  // (consistent); only its durability is in doubt — report it.
+  log_->Append(num_shards(), LoggedEvent::Tick(t));
+  engine_->Tick(t);
+  return log_->Publish();
 }
 
 Status DurableShardedSystem::WaitDurable() { return log_->Flush(); }
 
 DurabilityWatermark DurableShardedSystem::Watermark() const {
-  DurabilityWatermark mark;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const DurabilityWatermark shard = ShardWatermark(k);
-    mark.applied += shard.applied;
-    mark.durable += shard.durable;
-  }
-  return mark;
-}
-
-DurabilityWatermark DurableShardedSystem::ShardWatermark(
-    uint32_t shard) const {
-  DurabilityWatermark mark;
-  mark.applied = floor_[shard] + log_->shard(shard).appended_seq();
-  mark.durable = floor_[shard] + log_->shard(shard).durable_seq();
-  return mark;
+  // Durable first: it never passes the appended count read after it.
+  const uint64_t durable = log_->durable_seq();
+  return DurabilityWatermark{floor_ + log_->appended_seq(), floor_ + durable};
 }
 
 uint64_t DurableShardedSystem::wal_append_failures() const {
-  uint64_t total = retired_append_failures_;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    total += log_->shard(k).append_failures();
-  }
-  return total;
+  return log_->append_failures();
 }
 
 uint64_t DurableShardedSystem::wal_sync_failures() const {
-  uint64_t total = retired_sync_failures_;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    total += log_->shard(k).sync_failures();
-  }
-  return total;
+  return log_->sync_failures();
 }
 
 Status DurableShardedSystem::Checkpoint() {
   // Quiesce the write path. A sticky-failed log cannot flush,
   // but the checkpoint REPAIRS it: the snapshot persists the live state
   // (which includes every event whose log bytes were lost), and the new
-  // epoch starts with fresh, healthy logs.
+  // epoch's log starts healthy on a fresh file.
   Status flushed = WaitDurable();
   if (!flushed.ok()) {
     LTAM_LOG_WARNING << "checkpoint proceeding over a failed log flush "
@@ -685,55 +632,44 @@ Status DurableShardedSystem::Checkpoint() {
 }
 
 size_t DurableShardedSystem::wal_events() const {
-  size_t total = 0;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    total += static_cast<size_t>(log_->shard(k).appended_seq());
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(manifest_mu_);
+  return static_cast<size_t>(floor_ + log_->appended_seq() - manifest_.floor);
 }
 
 Result<DurableShardedSystem::ReplicationSlice>
-DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
-                                       size_t max_records) {
-  if (shard >= num_shards()) {
-    return Status::InvalidArgument("replication read from shard " +
-                                   std::to_string(shard) + " of " +
-                                   std::to_string(num_shards()));
-  }
+DurableShardedSystem::ReadLogRecords(uint64_t from, size_t max_records) {
   // Two passes: a checkpoint may sweep the log we snapshotted out from
   // under the file read; the second pass sees the fresh cut (and its
   // higher retired floor turns the race into "resync required").
   Status last_read = Status::OK();
   for (int attempt = 0; attempt < 2; ++attempt) {
     uint64_t retired = 0;
-    uint64_t durable = 0;
-    uint64_t appended = 0;
+    DurabilityWatermark mark;
     std::string wal;
     {
       std::lock_guard<std::mutex> lock(manifest_mu_);
-      retired = floor_[shard];
-      durable = retired + log_->shard(shard).durable_seq();
-      appended = retired + log_->shard(shard).appended_seq();
-      wal = manifest_.shards[shard].wal;
+      retired = manifest_.floor;
+      mark = Watermark();
+      wal = manifest_.wal;
     }
     if (from < retired) {
       return Status::FailedPrecondition(
-          "resync required: shard " + std::to_string(shard) + " position " +
-          std::to_string(from) + " precedes the retained log floor " +
-          std::to_string(retired) + " (a checkpoint retired it)");
+          "resync required: position " + std::to_string(from) +
+          " precedes the retained log floor " + std::to_string(retired) +
+          " (a checkpoint retired it)");
     }
-    if (from > appended) {
+    if (from > mark.applied) {
       return Status::FailedPrecondition(
-          "replica ahead of primary: shard " + std::to_string(shard) +
-          " position " + std::to_string(from) + " exceeds the log end " +
-          std::to_string(appended) + " (diverged history, resync required)");
+          "replica ahead of primary: position " + std::to_string(from) +
+          " exceeds the log end " + std::to_string(mark.applied) +
+          " (diverged history, resync required)");
     }
     ReplicationSlice slice;
-    slice.durable = durable;
+    slice.durable = mark.durable;
     slice.next = from;
-    if (from >= durable) return slice;  // Nothing durable to ship yet.
-    const uint64_t want =
-        std::min<uint64_t>(durable - from, static_cast<uint64_t>(max_records));
+    if (from >= mark.durable) return slice;  // Nothing durable to ship yet.
+    const uint64_t want = std::min<uint64_t>(
+        mark.durable - from, static_cast<uint64_t>(max_records));
     uint64_t skip = from - retired;
     last_read = ForEachWalLine(FilePath(wal), [&](std::string& line) {
       if (skip > 0) {
@@ -750,53 +686,44 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
     }
   }
   if (!last_read.ok()) return last_read;
-  return Status::IOError("shard " + std::to_string(shard) +
-                         " log is shorter than its durable watermark");
+  return Status::IOError("the log is shorter than its durable watermark");
 }
 
 Result<DurableShardedSystem::ReplicationApply>
 DurableShardedSystem::ApplyReplicatedRecords(
-    uint32_t shard, uint64_t start, const std::vector<std::string>& records) {
-  if (shard >= num_shards()) {
-    return Status::InvalidArgument("replicated chunk for shard " +
-                                   std::to_string(shard) + " of " +
-                                   std::to_string(num_shards()));
-  }
-  ShardLog& log = log_->shard(shard);
+    uint64_t start, const std::vector<std::string>& records) {
   ReplicationApply out;
-  out.position = floor_[shard] + log.appended_seq();
+  out.position = Watermark().applied;
   if (start > out.position) {
     return Status::FailedPrecondition(
-        "replication gap: chunk for shard " + std::to_string(shard) +
-        " starts at " + std::to_string(start) + ", shard is at " +
-        std::to_string(out.position));
+        "replication gap: chunk starts at " + std::to_string(start) +
+        ", this log is at " + std::to_string(out.position));
   }
-  AccessControlEngine& shard_engine = engine_->shard_engine(shard);
   uint64_t at = start;
   for (const std::string& line : records) {
     if (at++ < out.position) continue;  // Reconnect overlap: applied.
     LTAM_ASSIGN_OR_RETURN(LoggedEvent event, DecodeEventLine(line));
-    if (!event.is_tick && engine_->ShardOf(event.event.subject) != shard) {
-      return Status::ParseError(
-          "replicated record for shard " + std::to_string(shard) +
-          " carries foreign subject " +
-          std::to_string(event.event.subject));
-    }
     // Write-ahead on the replica too: the decoded record lands in this
-    // directory's own log, rendered by the primary's writer into the
-    // primary's bytes, before it applies, so a replica restart — or this
-    // replica's own promotion — replays the identical stream.
-    log.Append(event);
+    // directory's own log, in stream order through the control slot,
+    // rendered by the primary's writer into the primary's bytes, before
+    // it applies, so a replica restart — or this replica's own
+    // promotion — replays the identical stream.
+    log_->Append(num_shards(), event);
     if (event.is_tick) {
-      engine_->TickShard(shard, event.tick_time);
+      engine_->Tick(event.tick_time);
     } else {
-      out.decisions.push_back(ApplyAccessEvent(&shard_engine, event.event));
+      const uint32_t shard = engine_->ShardOf(event.event.subject);
+      // Logged through the control slot, which marks no shard.
+      snapshot_stale_[shard] = true;
+      out.decisions.push_back(
+          ApplyAccessEvent(&engine_->shard_engine(shard), event.event));
     }
     out.position += 1;
   }
-  Status boundary = log.BatchBoundary();
-  log_->Wake();
-  if (!boundary.ok()) return boundary.WithContext("replica commit boundary");
+  Status published = log_->Publish();
+  if (!published.ok()) {
+    return published.WithContext("replica commit boundary");
+  }
   out.alerts = engine_->DrainAlerts();
   return out;
 }

@@ -10,38 +10,42 @@
 //   base-<epoch>.snap           shared state: graph, profiles,
 //                               authorization ledger, rules
 //   shard-<k>-<epoch>.snap      shard k's movement history at the cut
-//   events-<k>-<epoch>.wal      shard k's log tail since the cut
+//   cold-<k>-<n>.seg            shard k's sealed cold segments
+//   events-<epoch>.wal          the runtime's one log tail since the cut
 //
-// Durability discipline: each shard appends every event of its batch
-// slice to its own log *before* applying it (write-ahead, via
-// ShardHooks::before_apply), then marks the group-commit boundary
-// (ShardHooks::after_batch). Appends buffer per shard and each boundary
-// publishes its slice; once every slice of the batch is done
-// (ShardHooks::after_slices) the runtime wakes its one log thread
-// (storage/log_pipeline.h), which writes each shard's records with one
-// write(2) and batches fsyncs across engine batches (commit pipelining,
-// bounded per shard by a fixed batch depth and byte count, and a shard
-// whose queue drains is fsynced at once). Tick and replica applies wake
-// it the same way, once after appending to every shard they touch. The
-// batch returns before its fsync lands; WaitDurable() waits for it, and
-// the (applied, durable) watermark reports how far it has got.
+// Durability discipline: each shard worker appends every event of its
+// batch slice to its own slot of the runtime's log *before* applying it
+// (write-ahead, via ShardHooks::before_apply). Once every slice of the
+// batch is done (ShardHooks::after_slices) the control thread publishes
+// the batch: every slot's records move onto the log's queue in shard
+// order and the one log thread (storage/log_pipeline.h) is woken. It
+// writes each round with one write(2) and fsyncs the one file, batching
+// fsyncs across engine batches (commit pipelining, bounded by a fixed
+// group depth and byte count; a round that drains the queue fsyncs at
+// once). Ticks and replica applies append through the control thread's
+// own slot and publish the same way. The batch returns before its fsync
+// lands; WaitDurable() waits for it, and the (applied, durable)
+// watermark reports how far it has got.
+// Records carry no shard: recovery routes each event by its subject and
+// applies a tick to every shard.
 //
 // Decision streams are byte-identical to the in-memory runtime's (log
 // failures surface through the watermark and failure counters, never
 // by rewriting decisions) — the property the equivalence matrix
 // enforces.
 //
-// Checkpoint() flushes every log (restoring durable == applied, even
-// for a sticky-failed log, whose lost tail the snapshot supersedes),
-// writes the dirty segments of the next epoch, publishes
-// them by atomically renaming a fresh MANIFEST, then deletes the files
-// the new cut no longer references. A crash at any instant leaves a
-// committed cut. Checkpoints are INCREMENTAL: a shard whose snapshot is
-// still exact — its log accepted no records since the previous cut,
-// recovery replayed none into it, and its cold tier did not change —
-// re-references its previous snapshot file in the new manifest instead
-// of rewriting it, so checkpoint latency scales with the events since
-// the last checkpoint, not with total history.
+// Checkpoint() flushes the log (restoring durable == applied, even for
+// a sticky-failed log, whose lost tail the snapshot supersedes), writes
+// the dirty segments of the next epoch, publishes them by atomically
+// renaming a fresh MANIFEST, hands the log thread the new epoch's empty
+// WAL, then deletes the files the new cut no longer references. A crash
+// at any instant leaves a committed cut. Checkpoints are INCREMENTAL: a
+// shard whose snapshot is still exact — no record was logged through
+// its slot since the previous cut, recovery and replication applied
+// none to it, and its cold tier did not change — re-references its
+// previous snapshot file in the new manifest instead of rewriting it,
+// so checkpoint latency scales with the events since the last
+// checkpoint, not with total history.
 //
 // With RetentionOptions::max_hot_events set, Checkpoint() also runs the
 // per-shard tier maintenance pass first: shards whose hot history
@@ -57,17 +61,18 @@
 // Open() recovers by loading the manifest's base snapshot and shard
 // segments, rebuilding each shard's open-stay attribution with the
 // choice CheckAccess would make (first in-window authorization wins),
-// then truncating any torn final record off each shard's WAL and
-// replaying it line by line (so replay memory stays one record however
-// long the tail) — across shards *in parallel*, safe because the
-// partition confines each subject's events to one shard. When replay
-// applied any record, Open then checkpoints the recovered state as the
-// next epoch (the recovery cut), so appends start on empty logs and a
-// replication position never names a pre-crash line; after a clean
-// shutdown the logs are empty, and appends resume on the same files
-// with no new epoch. Recovered state is identical to a sequential
-// replay of the surviving log prefix (the property
-// tests/durable_sharded_test.cc enforces under crash injection).
+// then truncating any torn final record off the WAL and replaying it in
+// order on the opening thread, line by line (so replay memory stays one
+// record however long the tail). When replay applied any record, Open
+// then checkpoints the recovered state as the next epoch (the recovery
+// cut), so appends start on an empty log and a replication position
+// never names a pre-crash line; after a clean shutdown the log is
+// empty, and appends resume on the same file with no new epoch. A
+// version-1 directory (one WAL per shard) replays each shard's WAL into
+// its shard and always commits the recovery cut, in the one-WAL layout.
+// Recovered state is identical to a sequential replay of the surviving
+// log prefix (the property tests/durable_sharded_test.cc enforces under
+// crash injection).
 
 #ifndef LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
 #define LTAM_STORAGE_DURABLE_SHARDED_SYSTEM_H_
@@ -136,48 +141,45 @@ class DurableShardedSystem {
   // --- Logged entry points -------------------------------------------------
   //
   // Batches run through engine().EvaluateBatch(): each shard's worker
-  // appends its slice to its log before applying, then marks the
-  // group-commit boundary. engine().TakeBatchError() then reports the
-  // batch's durability outcome: a non-OK status is a shard's sticky log
-  // failure, which means applied events' durability is in doubt (they
-  // must NOT be resubmitted), and it keeps reporting there until a
-  // Checkpoint repairs it.
+  // appends its slice to the log before applying, and the batch is
+  // published once every slice is done.
 
-  /// Logs and applies a patrol tick on every shard.
+  /// The durability outcome of the last batch's publish, cleared by the
+  /// read: a non-OK status is the log's sticky failure, which means
+  /// applied events' durability is in doubt (they must NOT be
+  /// resubmitted), and it keeps reporting until a Checkpoint repairs it.
+  Status TakeBatchError();
+
+  /// Logs one tick record and applies it on every shard.
   Status Tick(Chronon t);
 
   // --- Durability ----------------------------------------------------------
 
-  /// Persists the full state as a new epoch and starts every shard on a
-  /// fresh, empty log. Subsequent recovery starts from here. Restores
+  /// Persists the full state as a new epoch and hands the log a fresh,
+  /// empty file. Subsequent recovery starts from here. Restores
   /// durable == applied: the snapshot supersedes any tail a
   /// sticky-failed log lost.
   Status Checkpoint();
 
-  /// Durability barrier: one pass over every shard that blocks until
-  /// each accepted log record is fsynced or its shard is sticky-failed,
-  /// then returns the first shard's sticky error. The log thread fsyncs
-  /// every batch it drains, so waiting forces no extra fsync
-  /// (LogPipeline::Flush).
+  /// Durability barrier: blocks until every accepted log record is
+  /// fsynced or the log is sticky-failed, then returns the sticky
+  /// error. The log thread fsyncs every group it drains, so waiting
+  /// forces no extra fsync (LogPipeline::Flush).
   Status WaitDurable();
 
-  /// The runtime's durability position: log records accepted (their
-  /// events applied) vs fsynced, the sum of the shard watermarks.
+  /// The runtime's durability position and replication position, in
+  /// log records accepted (their events applied) vs fsynced, monotonic
+  /// across checkpoints and restarts: the floor at Open (persisted in
+  /// the MANIFEST) plus the records appended since.
   DurabilityWatermark Watermark() const;
 
-  /// One shard log's durability position, monotonic across checkpoints
-  /// and restarts: the shard's floor (records its earlier epochs' logs
-  /// accepted, persisted in the MANIFEST) plus the live log's sequence.
-  DurabilityWatermark ShardWatermark(uint32_t shard) const;
-
   /// Physical log failures observed since Open (records a failed write
-  /// lost or a failed log dropped, fsyncs that failed), monotonic across
-  /// checkpoints.
+  /// lost or a failed log dropped, fsyncs that failed).
   uint64_t wal_append_failures() const;
   uint64_t wal_sync_failures() const;
 
-  /// Events appended across all shard logs through this instance (reset
-  /// by Checkpoint; a recovered tail replayed at Open is not counted).
+  /// Records appended to the log since the last cut (reset by
+  /// Checkpoint; a recovered tail replayed at Open is not counted).
   size_t wal_events() const;
 
   /// Current committed checkpoint epoch.
@@ -187,8 +189,9 @@ class DurableShardedSystem {
   struct RecoveryReport {
     /// A committed cut was loaded (and `initial` ignored).
     bool recovered = false;
-    /// Log records (events and ticks) replayed across every shard. Open
-    /// committed a recovery cut exactly when this is nonzero.
+    /// Log records (events and ticks) replayed. Open committed a
+    /// recovery cut when this is nonzero, and always for a version-1
+    /// directory.
     uint64_t replayed_records = 0;
   };
   const RecoveryReport& recovery() const { return recovery_; }
@@ -220,34 +223,34 @@ class DurableShardedSystem {
 
   // --- Replication ---------------------------------------------------------
   //
-  // The replication position of shard k is the monotonic per-shard
-  // record count ShardWatermark() reports: the shard's floor plus the
-  // live log's sequence. The MANIFEST records each floor and Open adds
-  // the records recovery replayed, so a position names the same record
-  // across restarts of either side. Shipping reads committed records
-  // back out of the shard's WAL; applying decodes each line with the
-  // recovery decoder (DecodeEventLine), appends the decoded record to the
-  // replica's own log, where the one writer renders the primary's bytes
+  // The replication position is the monotonic record count Watermark()
+  // reports: the floor plus the live log's sequence. The MANIFEST
+  // records the floor and Open adds the records recovery replayed, so a
+  // position names the same record across restarts of either side.
+  // Shipping reads committed records back out of the WAL; applying
+  // decodes each line with the recovery decoder (DecodeEventLine),
+  // appends the decoded record to the replica's own log in stream
+  // order, where the one writer renders the primary's bytes
   // (write-ahead, so replica restart and onward promotion replay the
-  // identical stream), and then applies it.
+  // identical stream), and then applies it to its subject's shard, or
+  // to every shard for a tick.
 
-  /// One shippable slice of a shard's stream: encoded WAL lines
+  /// One shippable slice of the log: encoded WAL lines
   /// (newline-stripped), starting at position `from`.
   struct ReplicationSlice {
     std::vector<std::string> records;
     uint64_t next = 0;     ///< Position after the last returned record.
-    uint64_t durable = 0;  ///< The shard's durable position at read time.
+    uint64_t durable = 0;  ///< The durable position at read time.
   };
 
-  /// Reads up to `max_records` records of shard `shard` starting at
-  /// position `from`. Only durable records ship (a replica must never
-  /// hold a record its primary could still lose); `from` at or beyond
-  /// the durable position returns an empty slice — poll again. `from`
-  /// below the retired floor is FailedPrecondition "resync required":
-  /// a checkpoint folded those records into a snapshot and swept them.
-  /// Callable from a shipper thread concurrent with the write path.
-  Result<ReplicationSlice> ReadShardRecords(uint32_t shard, uint64_t from,
-                                            size_t max_records);
+  /// Reads up to `max_records` records starting at position `from`.
+  /// Only durable records ship (a replica must never hold a record its
+  /// primary could still lose); `from` at or beyond the durable position
+  /// returns an empty slice — poll again. `from` below the retired
+  /// floor is FailedPrecondition "resync required": a checkpoint folded
+  /// those records into a snapshot and swept them. Callable from a
+  /// shipper thread concurrent with the write path.
+  Result<ReplicationSlice> ReadLogRecords(uint64_t from, size_t max_records);
 
   /// The outcome of applying one shipped chunk on a replica.
   struct ReplicationApply {
@@ -260,16 +263,16 @@ class DurableShardedSystem {
     uint64_t position = 0;  ///< Applied position after the chunk.
   };
 
-  /// Appends and applies one shipped chunk: records before the shard's
-  /// current position are skipped (a reconnect re-ships the durable
-  /// suffix, which may overlap what this replica already applied), a
-  /// chunk starting beyond it is a gap error. Each surviving record is
-  /// validated (codec + shard ownership), appended to this directory's
-  /// own log, then applied. NOT concurrency-safe with the batch write
-  /// path — a replica has no batch traffic, and the caller serializes
-  /// against reads with the runtime lock.
+  /// Appends and applies one shipped chunk: records before the current
+  /// position are skipped (a reconnect re-ships the durable suffix,
+  /// which may overlap what this replica already applied), a chunk
+  /// starting beyond it is a gap error. Each surviving record is
+  /// decoded, appended to this directory's own log, then applied. NOT
+  /// concurrency-safe with the batch write path — a replica has no batch
+  /// traffic, and the caller serializes against reads with the runtime
+  /// lock.
   Result<ReplicationApply> ApplyReplicatedRecords(
-      uint32_t shard, uint64_t start, const std::vector<std::string>& records);
+      uint64_t start, const std::vector<std::string>& records);
 
   // --- Introspection -------------------------------------------------------
 
@@ -303,20 +306,22 @@ class DurableShardedSystem {
   /// every subsequent manifest until retention or compaction retires
   /// it).
   std::string ColdSegName(uint32_t shard, uint64_t index) const;
-  std::string ShardWalName(uint32_t shard, uint64_t epoch) const;
+  std::string WalName(uint64_t epoch) const;
 
-  /// Constructs the engine over base_ with `num_shards` shards.
+  /// Constructs the engine over base_ with `num_shards` shards, and the
+  /// log with one slot per shard (its thread starts here).
   void InitEngine(uint32_t num_shards);
 
-  /// Repairs and replays every shard's committed WAL (parallel across
-  /// shards), marking each shard that replayed a record stale;
-  /// `manifest` names the files.
-  Status ReplayShardLogs(const ShardManifest& manifest);
+  /// Repairs and replays the committed log(s) `manifest` names, in
+  /// order on this thread, marking each shard a record replayed into
+  /// stale: the one WAL, or a version-1 cut's per-shard WALs, each into
+  /// its own shard.
+  Status ReplayLogs(const ShardManifest& manifest);
 
-  /// Writes the dirty segments of `epoch` + its manifest and swaps in
-  /// fresh logs; clean shards re-reference their previous snapshot
-  /// file. On success the committed cut is in manifest_ and every
-  /// snapshot_stale_ mark is cleared.
+  /// Writes the dirty segments of `epoch` + its manifest and hands the
+  /// log the epoch's fresh WAL; clean shards re-reference their
+  /// previous snapshot file. On success the committed cut is in
+  /// manifest_ and every snapshot_stale_ mark is cleared.
   Status WriteEpoch(uint64_t epoch);
 
   /// Checkpoint's tier maintenance pass: seals oversized hot shards,
@@ -353,28 +358,25 @@ class DurableShardedSystem {
   /// state lives in the shard views).
   SystemState base_;
   std::unique_ptr<ShardedDecisionEngine> engine_;
-  /// This epoch's shard logs; shard k's is appended by that shard's
-  /// worker during a batch and by the control thread for ticks and
-  /// replica applies between batches. Its one log thread writes and
-  /// syncs them all. Each checkpoint replaces it.
+  /// The runtime's log, for its whole life: slot k < num_shards() is
+  /// appended by shard k's worker during a batch, slot num_shards() by
+  /// the control thread for ticks and replica applies between batches.
+  /// Checkpoints swap its file.
   std::unique_ptr<LogPipeline> log_;
+  /// The last batch's publish outcome (TakeBatchError).
+  Status batch_error_;
   /// The committed cut. Only the control thread (Open/Checkpoint)
-  /// writes it, and it does so under manifest_mu_, because shipper
-  /// threads snapshot {WAL name, floor, log pointer} under the same
-  /// lock; manifest_mu_ therefore also guards floor_ and the log_
-  /// pointer itself. The control thread's own reads need no lock.
+  /// writes it, and it does so under manifest_mu_, together with the
+  /// log's file swap, because shipper threads snapshot {WAL name, floor,
+  /// durable sequence} under the same lock. The control thread's own
+  /// reads need no lock.
   ShardManifest manifest_;
   mutable std::mutex manifest_mu_;
   uint64_t epoch_ = 0;
   RecoveryReport recovery_;
-  /// Per shard, the replication position of the live log's first
-  /// record: the committed MANIFEST floor, plus the records recovery
-  /// replayed until the recovery cut commits them.
-  std::vector<uint64_t> floor_;
-  /// Counter accumulators for log generations retired by Checkpoint
-  /// (their records are all durable via the snapshot).
-  uint64_t retired_append_failures_ = 0;
-  uint64_t retired_sync_failures_ = 0;
+  /// The replication position of the log's sequence 0: the committed
+  /// MANIFEST floor at Open plus the records recovery replayed.
+  uint64_t floor_ = 0;
   /// One shard's on-disk cold tier entry. The in-memory segment list of
   /// shard k's MovementDatabase and cold_files_[k] stay index-aligned.
   struct ColdFile {
@@ -389,10 +391,10 @@ class DurableShardedSystem {
   std::vector<std::vector<ColdFile>> cold_files_;
   /// Per-shard naming counter for the next sealed/merged segment file.
   std::vector<uint64_t> next_cold_index_;
-  /// Shards whose previous snapshot is stale although their live log
-  /// may be empty: recovery replayed log records into them, or the tier
-  /// maintenance pass sealed hot history. Cleared only by a committed
-  /// WriteEpoch.
+  /// Shards whose previous snapshot is stale although their log slot
+  /// may be empty: recovery or replication applied records to them, or
+  /// the tier maintenance pass sealed hot history. Cleared only by a
+  /// committed WriteEpoch.
   std::vector<bool> snapshot_stale_;
   uint64_t last_checkpoint_dirty_segments_ = 0;
   uint64_t checkpoint_dirty_segments_ = 0;

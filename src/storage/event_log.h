@@ -1,8 +1,10 @@
 // Copyright 2026 The LTAM Authors.
 // Logged-event codec of the durable runtime.
 //
-// The write-ahead logs (one per shard, `events-<k>-<epoch>.wal`) persist
-// the enforcement event stream as codec lines (storage/codec.h):
+// The write-ahead log (one per runtime, `events-<epoch>.wal`) persists
+// the enforcement event stream as codec lines (storage/codec.h); a record
+// carries no shard, since replay routes an event by its subject and
+// applies a tick to every shard:
 //
 //   ev-entry <t> <s> <l>   access request (Definition 6)
 //   ev-exit  <t> <s>       site exit

@@ -12,7 +12,9 @@ namespace ltam {
 
 namespace {
 
-constexpr uint32_t kFormatVersion = 1;
+constexpr int64_t kFormatVersion = 2;
+/// Per-shard logs; read, never written.
+constexpr int64_t kV1FormatVersion = 1;
 /// Generous ceiling; a corrupted shard count must not drive allocation.
 constexpr uint32_t kMaxShards = 4096;
 /// Ceiling on a shard's sealed cold-segment list (compaction keeps real
@@ -43,10 +45,13 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
   if (manifest.shards.size() != manifest.num_shards) {
     return Status::InvalidArgument("manifest shard list size mismatch");
   }
+  if (!manifest.v1_shard_wals.empty()) {
+    return Status::InvalidArgument("manifest version 1 is read, not written");
+  }
   LTAM_RETURN_IF_ERROR(CheckFileName(manifest.base_snapshot));
+  LTAM_RETURN_IF_ERROR(CheckFileName(manifest.wal));
   for (const ShardManifest::ShardFiles& files : manifest.shards) {
     LTAM_RETURN_IF_ERROR(CheckFileName(files.snapshot));
-    LTAM_RETURN_IF_ERROR(CheckFileName(files.wal));
     for (const std::string& seg : files.cold) {
       LTAM_RETURN_IF_ERROR(CheckFileName(seg));
     }
@@ -63,17 +68,16 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
       .Num(manifest.epoch)
       .Num(manifest.num_shards);
   emit("base").Str(manifest.base_snapshot);
+  emit("wal").Str(manifest.wal).Num(manifest.floor);
   for (uint32_t k = 0; k < manifest.num_shards; ++k) {
     const ShardManifest::ShardFiles& files = manifest.shards[k];
-    emit("shard").Num(k).Str(files.snapshot).Str(files.wal);
-    // Only shards with an actual cold tier emit a record: untiered
-    // directories keep the pre-tiering serialization byte for byte.
+    emit("shard").Num(k).Str(files.snapshot);
+    // Only shards with an actual cold tier emit a record.
     if (!files.cold.empty() || files.dropped_events > 0) {
       Line cold = emit("cold");
       cold.Num(k).Num(files.dropped_events);
       for (const std::string& seg : files.cold) cold.Str(seg);
     }
-    if (files.floor > 0) emit("floor").Num(k).Num(files.floor);
   }
   Line(&bytes, "commit").Num(records);
   return bytes;
@@ -88,10 +92,12 @@ Status SaveManifest(const ShardManifest& manifest, const std::string& path) {
 
 Result<ShardManifest> LoadManifest(const std::string& path) {
   ShardManifest out;
-  bool saw_header = false;
+  int64_t version = 0;
   bool saw_base = false;
+  bool saw_wal = false;
   bool committed = false;
   std::vector<bool> saw_shard;
+  std::vector<bool> saw_v1_floor;
   size_t records = 0;
   // The shard index of a shard/cold/floor record, range-checked.
   auto shard_index = [&out](LineReader& rec) -> Result<uint32_t> {
@@ -103,36 +109,44 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
     }
     return static_cast<uint32_t>(k);
   };
+  // A nonnegative count field; `what` names it in the error.
+  auto count = [](LineReader& rec, const char* what) -> Result<uint64_t> {
+    LTAM_ASSIGN_OR_RETURN(int64_t n, rec.Int());
+    if (n < 0) return Status::ParseError(std::string("negative ") + what);
+    return static_cast<uint64_t>(n);
+  };
   LTAM_RETURN_IF_ERROR(ForEachRecord(path, "manifest", [&](LineReader& rec) {
     const std::string_view type = rec.tag();
     if (committed) {
       return Status::ParseError("manifest has records after commit");
     }
     if (type == "manifest") {
-      if (saw_header) return Status::ParseError("duplicate manifest header");
-      LTAM_ASSIGN_OR_RETURN(int64_t version, rec.Int());
-      if (version != kFormatVersion) {
+      if (version != 0) return Status::ParseError("duplicate manifest header");
+      LTAM_ASSIGN_OR_RETURN(version, rec.Int());
+      if (version != kFormatVersion && version != kV1FormatVersion) {
         return Status::ParseError("unsupported manifest version " +
                                   std::to_string(version));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t epoch, rec.Int());
-      if (epoch < 0) return Status::ParseError("negative manifest epoch");
+      LTAM_ASSIGN_OR_RETURN(out.epoch, count(rec, "manifest epoch"));
       LTAM_ASSIGN_OR_RETURN(int64_t shards, rec.Int());
       if (shards < 1 || shards > static_cast<int64_t>(kMaxShards)) {
         return Status::ParseError("manifest num_shards out of range: " +
                                   std::to_string(shards));
       }
-      out.epoch = static_cast<uint64_t>(epoch);
       out.num_shards = static_cast<uint32_t>(shards);
       out.shards.resize(out.num_shards);
       saw_shard.assign(out.num_shards, false);
-      saw_header = true;
+      if (version == kV1FormatVersion) {
+        out.v1_shard_wals.resize(out.num_shards);
+        saw_v1_floor.assign(out.num_shards, false);
+      }
       ++records;
       return Status::OK();
     }
-    if (!saw_header) {
+    if (version == 0) {
       return Status::ParseError("manifest must start with its header");
     }
+    const bool v1 = version == kV1FormatVersion;
     if (type == "base") {
       if (saw_base) return Status::ParseError("duplicate base record");
       LTAM_ASSIGN_OR_RETURN(out.base_snapshot, rec.Str());
@@ -141,12 +155,25 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       ++records;
       return Status::OK();
     }
+    if (type == "wal" && !v1) {
+      // <file> <floor>.
+      if (saw_wal) return Status::ParseError("duplicate wal record");
+      LTAM_ASSIGN_OR_RETURN(out.wal, rec.Str());
+      LTAM_RETURN_IF_ERROR(CheckFileName(out.wal));
+      LTAM_ASSIGN_OR_RETURN(out.floor, count(rec, "wal floor"));
+      saw_wal = true;
+      ++records;
+      return Status::OK();
+    }
     if (type == "shard") {
-      // <k> <snapshot> <wal>.
+      // <k> <snapshot>, and in version 1 the shard's <wal>.
       const size_t fields = rec.remaining();
-      if (fields < 3) return Status::ParseError("shard record field count");
+      const size_t want = v1 ? 3 : 2;
+      if (fields < want || (!v1 && fields > want)) {
+        return Status::ParseError("shard record field count");
+      }
       LTAM_ASSIGN_OR_RETURN(uint32_t k, shard_index(rec));
-      if (fields > 3) {
+      if (fields > want) {
         return Status::FailedPrecondition(
             "manifest '" + path + "' lists " + std::to_string(fields - 2) +
             " WAL files for shard " + std::to_string(k) +
@@ -162,8 +189,10 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       ShardManifest::ShardFiles& files = out.shards[k];
       LTAM_ASSIGN_OR_RETURN(files.snapshot, rec.Str());
       LTAM_RETURN_IF_ERROR(CheckFileName(files.snapshot));
-      LTAM_ASSIGN_OR_RETURN(files.wal, rec.Str());
-      LTAM_RETURN_IF_ERROR(CheckFileName(files.wal));
+      if (v1) {
+        LTAM_ASSIGN_OR_RETURN(out.v1_shard_wals[k], rec.Str());
+        LTAM_RETURN_IF_ERROR(CheckFileName(out.v1_shard_wals[k]));
+      }
       saw_shard[k] = true;
       ++records;
       return Status::OK();
@@ -179,15 +208,12 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
         return Status::ParseError("duplicate cold record for shard " +
                                   std::to_string(k));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t dropped, rec.Int());
-      if (dropped < 0) {
-        return Status::ParseError("negative cold dropped-event count");
-      }
-      if (dropped == 0 && rec.remaining() == 0) {
+      LTAM_ASSIGN_OR_RETURN(files.dropped_events,
+                            count(rec, "cold dropped-event count"));
+      if (files.dropped_events == 0 && rec.remaining() == 0) {
         return Status::ParseError("empty cold record for shard " +
                                   std::to_string(k));
       }
-      files.dropped_events = static_cast<uint64_t>(dropped);
       while (rec.remaining() > 0) {
         LTAM_ASSIGN_OR_RETURN(std::string seg, rec.Str());
         LTAM_RETURN_IF_ERROR(CheckFileName(seg));
@@ -196,28 +222,28 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
       ++records;
       return Status::OK();
     }
-    if (type == "floor") {
-      // <k> <records>, nonzero (a zero floor is never written).
+    if (type == "floor" && v1) {
+      // <k> <records>, nonzero (version 1 never wrote a zero floor).
       LTAM_ASSIGN_OR_RETURN(uint32_t k, shard_index(rec));
-      ShardManifest::ShardFiles& files = out.shards[k];
-      if (files.floor > 0) {
+      if (saw_v1_floor[k]) {
         return Status::ParseError("duplicate floor record for shard " +
                                   std::to_string(k));
       }
-      LTAM_ASSIGN_OR_RETURN(int64_t floor, rec.Int());
-      if (floor <= 0) {
+      LTAM_ASSIGN_OR_RETURN(uint64_t floor, count(rec, "floor"));
+      if (floor == 0) {
         return Status::ParseError("floor record for shard " +
                                   std::to_string(k) + " must be positive");
       }
-      files.floor = static_cast<uint64_t>(floor);
+      out.floor += floor;
+      saw_v1_floor[k] = true;
       ++records;
       return Status::OK();
     }
     if (type == "commit") {
-      LTAM_ASSIGN_OR_RETURN(int64_t count, rec.Int());
-      if (count != static_cast<int64_t>(records)) {
+      LTAM_ASSIGN_OR_RETURN(int64_t recorded, rec.Int());
+      if (recorded != static_cast<int64_t>(records)) {
         return Status::ParseError("commit count mismatch: recorded " +
-                                  std::to_string(count) + ", read " +
+                                  std::to_string(recorded) + ", read " +
                                   std::to_string(records));
       }
       committed = true;
@@ -231,6 +257,9 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
                               "' has no commit record (torn write?)");
   }
   if (!saw_base) return Status::ParseError("manifest has no base record");
+  if (version == kFormatVersion && !saw_wal) {
+    return Status::ParseError("manifest has no wal record");
+  }
   for (uint32_t k = 0; k < out.num_shards; ++k) {
     if (!saw_shard[k]) {
       return Status::ParseError("manifest missing shard record " +

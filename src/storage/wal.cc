@@ -57,7 +57,7 @@ FileWriter::~FileWriter() {
 }
 
 Status FileWriter::Write(std::string_view bytes) {
-  if (fd_ < 0) return Status::FailedPrecondition("file writer moved-from");
+  if (fd_ < 0) return Status::FailedPrecondition("file writer has no file");
   while (!bytes.empty()) {
     const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
     if (n < 0 && errno == EINTR) continue;
@@ -71,7 +71,7 @@ Status FileWriter::Write(std::string_view bytes) {
 }
 
 Status FileWriter::Sync() {
-  if (fd_ < 0) return Status::FailedPrecondition("file writer moved-from");
+  if (fd_ < 0) return Status::FailedPrecondition("file writer has no file");
   if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("fsync failed: ") +
                            std::strerror(errno));

@@ -3,9 +3,9 @@
 // written through, the write-ahead log's line reader and replay, and the
 // existence, directory-sync and atomic-replace helpers.
 //
-// Each shard's log takes one codec line per enforcement event or patrol
-// tick (storage/event_log.h) before the event applies; on restart the
-// log is replayed to rebuild state newer than the last snapshot.
+// A durable runtime's log takes one codec line per enforcement event or
+// patrol tick (storage/event_log.h) before the event applies; on restart
+// the log is replayed to rebuild state newer than the last snapshot.
 
 #ifndef LTAM_STORAGE_WAL_H_
 #define LTAM_STORAGE_WAL_H_
@@ -37,6 +37,8 @@ class FileWriter {
   /// records.
   static Result<FileWriter> Create(const std::string& path);
 
+  /// A writer with no file: Write and Sync fail until one is moved in.
+  FileWriter() = default;
   FileWriter(FileWriter&& other) noexcept;
   FileWriter& operator=(FileWriter&& other) noexcept;
   FileWriter(const FileWriter&) = delete;

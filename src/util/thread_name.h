@@ -11,8 +11,7 @@
 //   ltam-coalescer    the server's ingest coalescer (also shard 0's slice)
 //   ltam-read         the server's query/stats workers
 //   ltam-shard-<k>    the sharded engine's worker for shard k >= 1
-//   ltam-wal          a durable runtime's log thread
-//   ltam-replay-<k>   recovery's replayer for shard k
+//   ltam-wal          a durable runtime's log thread, one for its life
 //   ltam-shipper      a primary's log shipper, one per replica
 //   ltam-replica      a replica's link to its primary
 //

@@ -536,9 +536,7 @@ TEST_F(AccessRuntimeDurableTest, OneShardDurableRuntimeRetainsAndReplicates) {
     EXPECT_GT(stats.cold_segments, 0u);
     EXPECT_GT(stats.compaction_runs, 0u);
     EXPECT_GT(stats.dropped_events, 0u);
-    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> positions,
-                         rt->ReplicationPositions());
-    EXPECT_EQ(1u, positions.size());
+    ASSERT_OK(rt->ReplicationPosition().status());
     for (SubjectId s : w.subjects) {
       live[s] = rt->movements().CurrentLocation(s);
     }
@@ -793,27 +791,25 @@ TEST_F(AccessRuntimeDurableTest, RecoveredRuntimeShipsOnlyItsOwnAppends) {
   }
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(SystemState(), options));
-  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> recovered,
-                       rt->ReplicationPositions());
+  ASSERT_OK_AND_ASSIGN(uint64_t recovered, rt->ReplicationPosition());
   const std::vector<AccessEvent>& fresh = batches[crash_at];
   ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(fresh));
   ASSERT_OK(r.durability);
   ASSERT_OK(rt->WaitDurable());
+  // The batch's records, in shard order.
+  std::vector<std::string> expected;
   for (uint32_t k = 0; k < options.num_shards; ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    std::vector<std::string> expected;
     for (const AccessEvent& e : fresh) {
       if (ShardedDecisionEngine::ShardOfSubject(e.subject,
                                                 options.num_shards) == k) {
         expected.push_back(WalLine(e));
       }
     }
-    ASSERT_OK_AND_ASSIGN(
-        AccessRuntime::ReplicationSlice slice,
-        rt->ReadReplicationSlice(k, recovered[k], 1 << 20));
-    EXPECT_EQ(expected, slice.records);
-    EXPECT_EQ(recovered[k] + expected.size(), slice.next);
   }
+  ASSERT_OK_AND_ASSIGN(AccessRuntime::ReplicationSlice slice,
+                       rt->ReadReplicationSlice(recovered, 1 << 20));
+  EXPECT_EQ(expected, slice.records);
+  EXPECT_EQ(recovered + expected.size(), slice.next);
 }
 
 TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
@@ -841,10 +837,10 @@ TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
   // shipped records.
   auto ship = [&](AccessRuntime* replica, uint64_t from) {
     Result<AccessRuntime::ReplicationSlice> slice =
-        primary->ReadReplicationSlice(0, from, 1 << 20);
+        primary->ReadReplicationSlice(from, 1 << 20);
     EXPECT_OK(slice.status());
     if (!slice.ok()) return std::vector<std::string>();
-    EXPECT_OK(replica->ApplyReplicated(0, from, slice->records).status());
+    EXPECT_OK(replica->ApplyReplicated(from, slice->records).status());
     return slice->records;
   };
 
@@ -864,10 +860,8 @@ TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
                        AccessRuntime::Open(SystemState(), replica_options));
   EXPECT_EQ(applied, replica->recovery().replayed_records);
   ASSERT_OK(replica->DemoteToReplica());
-  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> positions,
-                       replica->ReplicationPositions());
-  ASSERT_EQ(1u, positions.size());
-  EXPECT_EQ(applied, positions[0]) << "the restart kept the position";
+  ASSERT_OK_AND_ASSIGN(uint64_t position, replica->ReplicationPosition());
+  EXPECT_EQ(applied, position) << "the restart kept the position";
 
   ASSERT_OK(primary->ApplyBatch(batches[1]).status());
   ASSERT_OK(primary->WaitDurable());
@@ -875,16 +869,16 @@ TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
   for (const AccessEvent& e : batches[1]) {
     expected.push_back(WalLine(e));
   }
-  EXPECT_EQ(expected, ship(replica.get(), positions[0]))
+  EXPECT_EQ(expected, ship(replica.get(), position))
       << "the next slice carries only the new batch";
   // The replica logs each decoded record through the same writer, so
   // its own log holds the primary's bytes (and ships them onward).
   ASSERT_OK(replica->WaitDurable());
   ASSERT_OK_AND_ASSIGN(AccessRuntime::ReplicationSlice relogged,
-                       replica->ReadReplicationSlice(0, positions[0], 1 << 20));
+                       replica->ReadReplicationSlice(position, 1 << 20));
   EXPECT_EQ(expected, relogged.records);
-  ASSERT_OK_AND_ASSIGN(positions, replica->ReplicationPositions());
-  EXPECT_EQ(applied + batches[1].size(), positions[0]);
+  ASSERT_OK_AND_ASSIGN(position, replica->ReplicationPosition());
+  EXPECT_EQ(applied + batches[1].size(), position);
 
   // A second restart starts from the floor the first one's recovery cut
   // committed to the MANIFEST, plus the tail it replays.
@@ -893,8 +887,8 @@ TEST_F(AccessRuntimeDurableTest, RestartedReplicaResumesFromItsPosition) {
   ASSERT_OK_AND_ASSIGN(replica,
                        AccessRuntime::Open(SystemState(), replica_options));
   EXPECT_EQ(batches[1].size(), replica->recovery().replayed_records);
-  ASSERT_OK_AND_ASSIGN(positions, replica->ReplicationPositions());
-  EXPECT_EQ(applied + batches[1].size(), positions[0]);
+  ASSERT_OK_AND_ASSIGN(position, replica->ReplicationPosition());
+  EXPECT_EQ(applied + batches[1].size(), position);
 }
 
 TEST_F(AccessRuntimeDurableTest, StateSurvivesReopenAndCheckpoint) {
@@ -1031,15 +1025,15 @@ TEST(AccessRuntimeTest, InMemoryRuntimeAnswersTheDurableOnlySurface) {
     EXPECT_NE(std::string::npos, demoted.ToString().find(needs_dir))
         << demoted.ToString();
     EXPECT_FALSE(rt->is_replica());
-    Status positions = rt->ReplicationPositions().status();
-    EXPECT_TRUE(positions.IsFailedPrecondition()) << positions.ToString();
-    EXPECT_NE(std::string::npos, positions.ToString().find(needs_dir))
-        << positions.ToString();
-    Status slice = rt->ReadReplicationSlice(0, 0, 16).status();
+    Status position = rt->ReplicationPosition().status();
+    EXPECT_TRUE(position.IsFailedPrecondition()) << position.ToString();
+    EXPECT_NE(std::string::npos, position.ToString().find(needs_dir))
+        << position.ToString();
+    Status slice = rt->ReadReplicationSlice(0, 16).status();
     EXPECT_TRUE(slice.IsFailedPrecondition()) << slice.ToString();
     EXPECT_NE(std::string::npos, slice.ToString().find(needs_dir))
         << slice.ToString();
-    EXPECT_TRUE(rt->ApplyReplicated(0, 0, {}).status().IsFailedPrecondition());
+    EXPECT_TRUE(rt->ApplyReplicated(0, {}).status().IsFailedPrecondition());
     EXPECT_TRUE(rt->Promote().status().IsFailedPrecondition());
     EXPECT_OK(rt->AdoptReplicationEpoch(0));
     EXPECT_TRUE(rt->AdoptReplicationEpoch(1).IsFailedPrecondition());
@@ -1056,7 +1050,6 @@ TEST(AccessRuntimeTest, InMemoryRuntimeAnswersTheDurableOnlySurface) {
     EXPECT_EQ(0u, stats.replication_epoch);
     EXPECT_EQ(0u, stats.epoch);
     EXPECT_EQ(0u, stats.wal_events);
-    EXPECT_TRUE(stats.shard_watermarks.empty());
     EXPECT_EQ(0u, stats.cold_segments);
     EXPECT_EQ(0u, stats.cold_bytes);
     EXPECT_EQ(0u, stats.dropped_events);

@@ -35,7 +35,7 @@ namespace fs = std::filesystem;
 Result<std::vector<Decision>> EvaluateBatch(DurableShardedSystem* sys,
                                             Span<const AccessEvent> batch) {
   std::vector<Decision> decisions = sys->engine().EvaluateBatch(batch);
-  LTAM_RETURN_IF_ERROR(sys->engine().TakeBatchError());
+  LTAM_RETURN_IF_ERROR(sys->TakeBatchError());
   return decisions;
 }
 

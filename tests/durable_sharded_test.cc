@@ -46,7 +46,7 @@ std::vector<Decision> EvaluateBatch(DurableShardedSystem* sys,
                                     Span<const AccessEvent> batch,
                                     Status* durability) {
   std::vector<Decision> decisions = sys->engine().EvaluateBatch(batch);
-  *durability = sys->engine().TakeBatchError();
+  *durability = sys->TakeBatchError();
   return decisions;
 }
 
@@ -146,10 +146,15 @@ struct ReferenceShards {
     for (auto& engine : engines) engine->Tick(t);
   }
 
-  /// Replays shard k's surviving WAL prefix (file already truncated).
-  Status ReplaySurvivingLog(uint32_t k, const std::string& path) {
+  /// Replays the surviving WAL prefix (file already truncated): each
+  /// event on its subject's shard, each tick on every shard.
+  Status ReplaySurvivingLog(const std::string& path) {
     return ReplayWal(path, [&](const LoggedEvent& event) {
-      ApplyLoggedEvent(engines[k].get(), event);
+      if (event.is_tick) {
+        ApplyTick(event.tick_time);
+      } else {
+        ApplyLoggedEvent(engines[ShardOf(event.event.subject)].get(), event);
+      }
       return Status::OK();
     });
   }
@@ -221,7 +226,7 @@ void ExpectStateEquals(const DurableShardedSystem& recovered,
   }
 }
 
-std::vector<fs::path> ShardWalPaths(const std::string& dir) {
+std::vector<fs::path> WalPaths(const std::string& dir) {
   std::vector<fs::path> out;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -232,14 +237,6 @@ std::vector<fs::path> ShardWalPaths(const std::string& dir) {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-/// Shard index parsed from "events-<k>-<epoch>.wal".
-uint32_t ShardIndexOf(const fs::path& wal) {
-  const std::string name = wal.filename().string();
-  size_t start = std::string("events-").size();
-  size_t end = name.find('-', start);
-  return static_cast<uint32_t>(std::stoul(name.substr(start, end - start)));
 }
 
 /// Parameterized by shard count.
@@ -277,7 +274,7 @@ TEST_P(DurableShardedTest, FreshOpenWritesEpochZeroCut) {
   EXPECT_EQ(sys->wal_events(), 0u);
   EXPECT_TRUE(fs::exists(dir_ + "/MANIFEST"));
   EXPECT_TRUE(fs::exists(dir_ + "/base-0.snap"));
-  EXPECT_EQ(ShardWalPaths(dir_).size(), shards());
+  EXPECT_EQ(WalPaths(dir_).size(), 1u) << "one WAL per runtime";
 
   auto batches = MakeBatches(sys->base(), subjects, 120, 40, 11);
   size_t fed = 0;
@@ -453,34 +450,30 @@ TEST_P(DurableShardedTest, PipelinedCrashInjectionRecoveryMatrix) {
     fs::remove_all(trial_dir);
     fs::copy(golden, trial_dir);
 
-    // Truncate every shard WAL at an independent random offset. Trials 0
-    // and 1 pin the boundary cases: everything lost / nothing lost.
-    std::vector<fs::path> wals = ShardWalPaths(trial_dir);
-    ASSERT_EQ(wals.size(), shards());
+    // Truncate the WAL at a random offset. Trials 0 and 1 pin the
+    // boundary cases: everything lost / nothing lost.
+    std::vector<fs::path> wals = WalPaths(trial_dir);
+    ASSERT_EQ(wals.size(), 1u);
+    const fs::path& wal = wals[0];
     uint64_t surviving_records = 0;
-    for (const fs::path& wal : wals) {
-      uintmax_t size = fs::file_size(wal);
-      uintmax_t keep = trial == 0   ? 0
-                       : trial == 1 ? size
-                                    : rng.Uniform(size + 1);
-      fs::resize_file(wal, keep);
-      ASSERT_OK(ReplayWal(wal.string(), [&](const LoggedEvent&) {
-        ++surviving_records;
-        return Status::OK();
-      }));
-    }
+    const uintmax_t size = fs::file_size(wal);
+    const uintmax_t keep = trial == 0   ? 0
+                           : trial == 1 ? size
+                                        : rng.Uniform(size + 1);
+    fs::resize_file(wal, keep);
+    ASSERT_OK(ReplayWal(wal.string(), [&](const LoggedEvent&) {
+      ++surviving_records;
+      return Status::OK();
+    }));
     if (trial == 1) {
       // Everything was durable at the crash: nothing may be missing.
       EXPECT_GE(surviving_records, watermark.durable);
     }
 
-    // Reference: sequential replay of exactly the surviving prefixes,
-    // read before Open, whose recovery cut retires those logs.
+    // Reference: sequential replay of exactly the surviving prefix,
+    // read before Open, whose recovery cut retires the log.
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
-    for (const fs::path& wal : wals) {
-      ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
-                                             wal.string()));
-    }
+    ASSERT_OK(reference.ReplaySurvivingLog(wal.string()));
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
         DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
@@ -544,8 +537,8 @@ TEST_P(DurableShardedTest, MissingShardWalIsARecoveryError) {
       ASSERT_OK(EvaluateBatch(sys.get(), batch).status());
     }
   }
-  std::vector<fs::path> wals = ShardWalPaths(dir_);
-  ASSERT_EQ(wals.size(), shards());
+  std::vector<fs::path> wals = WalPaths(dir_);
+  ASSERT_EQ(wals.size(), 1u);
   fs::remove(wals.back());
   Result<std::unique_ptr<DurableShardedSystem>> reopened =
       DurableShardedSystem::Open(dir_, MakeInitialState(41, 12), Options());
@@ -603,21 +596,22 @@ TEST_P(DurableShardedTest, RotatedSegmentManifestIsRefused) {
         std::unique_ptr<DurableShardedSystem> sys,
         DurableShardedSystem::Open(dir_, MakeInitialState(61, 12), Options()));
   }
-  // Extend shard 0's record the way a rotation committed a second
-  // segment.
-  const std::string manifest_path = dir_ + "/MANIFEST";
-  std::string text;
-  {
-    std::ifstream in(manifest_path, std::ios::binary);
-    text.assign((std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
+  // Rewrite the cut as a version-1 manifest (one WAL per shard) whose
+  // shard 0 record lists a second segment, the way a rotation committed
+  // one.
+  std::string text = "manifest\t1\t0\t" + std::to_string(shards()) +
+                     "\nbase\tbase-0.snap\n";
+  for (uint32_t k = 0; k < shards(); ++k) {
+    const std::string wal = "events-" + std::to_string(k) + "-0.wal";
+    text += "shard\t" + std::to_string(k) + "\tshard-" + std::to_string(k) +
+            "-0.snap\t" + wal;
+    if (k == 0) text += "\tevents-0-0-1.wal";
+    text += "\n";
+    std::ofstream(dir_ + "/" + wal, std::ios::binary | std::ios::trunc);
   }
-  const std::string wal0 = "\tevents-0-0.wal\n";
-  const size_t at = text.find(wal0);
-  ASSERT_NE(at, std::string::npos) << text;
-  text.replace(at, wal0.size(), "\tevents-0-0.wal\tevents-0-0-1.wal\n");
+  text += "commit\t" + std::to_string(shards() + 2) + "\n";
   {
-    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(dir_ + "/MANIFEST", std::ios::binary | std::ios::trunc);
     out << text;
   }
   Result<std::unique_ptr<DurableShardedSystem>> reopened =
@@ -762,11 +756,9 @@ TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
     const std::string trial_dir = dir_ + "/ckpt" + std::to_string(trial);
     fs::remove_all(trial_dir);
     fs::copy(golden, trial_dir);
-    std::vector<fs::path> wals = ShardWalPaths(trial_dir);
-    ASSERT_EQ(wals.size(), shards());
-    for (const fs::path& wal : wals) {
-      fs::resize_file(wal, rng.Uniform(fs::file_size(wal) + 1));
-    }
+    std::vector<fs::path> wals = WalPaths(trial_dir);
+    ASSERT_EQ(wals.size(), 1u);
+    fs::resize_file(wals[0], rng.Uniform(fs::file_size(wals[0]) + 1));
 
     ReferenceShards reference(MakeInitialState(kWorldSeed), shards());
     for (size_t i = 0; i < cut; ++i) {
@@ -774,11 +766,8 @@ TEST_P(DurableShardedTest, CrashInjectionAfterCheckpoint) {
     }
     reference.RebuildStaysAtCut();
     reference.ClearAlerts();
-    // Read before Open, whose recovery cut retires the logs.
-    for (const fs::path& wal : wals) {
-      ASSERT_OK(reference.ReplaySurvivingLog(ShardIndexOf(wal),
-                                             wal.string()));
-    }
+    // Read before Open, whose recovery cut retires the log.
+    ASSERT_OK(reference.ReplaySurvivingLog(wals[0].string()));
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
         DurableShardedSystem::Open(trial_dir, MakeInitialState(kWorldSeed),
@@ -834,6 +823,11 @@ TEST_P(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
     EXPECT_TRUE(fs::exists(dir_ + "/" + after_idle.shards[k].snapshot));
   }
 
+  // A tick is one record that changes no snapshot: it dirties none.
+  ASSERT_OK(sys->Tick(400));
+  ASSERT_OK(sys->Checkpoint());
+  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), 0u);
+
   // Traffic confined to one subject: exactly its shard is rewritten.
   const SubjectId lone = subjects[0];
   const uint32_t lone_shard = sys->ShardOf(lone);
@@ -850,6 +844,63 @@ TEST_P(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
       EXPECT_EQ(after_lone.shards[k].snapshot, after_idle.shards[k].snapshot)
           << "clean shard " << k << " was rewritten";
     }
+  }
+}
+
+/// A replica logs shipped records through its control slot, in stream
+/// order, so its checkpoint must still rewrite exactly the shards the
+/// records belong to, and a restart must recover them.
+TEST_P(DurableShardedTest, ReplicatedRecordsDirtyTheirShards) {
+  const uint64_t kWorldSeed = 307;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(kWorldSeed, 16, &subjects);
+  const std::string primary_dir = dir_ + "/primary";
+  const std::string replica_dir = dir_ + "/replica";
+  fs::create_directories(primary_dir);
+  fs::create_directories(replica_dir);
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> primary,
+      DurableShardedSystem::Open(primary_dir, MakeInitialState(kWorldSeed, 16),
+                                 Options()));
+  // Two subjects' events, so at most two shards take records.
+  std::vector<AccessEvent> events;
+  for (const auto& batch : MakeBatches(probe, subjects, 200, 50, 311)) {
+    for (const AccessEvent& e : batch) {
+      if (e.subject == subjects[0] || e.subject == subjects[1]) {
+        events.push_back(e);
+      }
+    }
+  }
+  ASSERT_FALSE(events.empty());
+  std::set<uint32_t> touched;
+  for (const AccessEvent& e : events) touched.insert(primary->ShardOf(e.subject));
+  ASSERT_OK(EvaluateBatch(primary.get(), events).status());
+  ASSERT_OK(primary->Tick(100000));
+  ASSERT_OK(primary->WaitDurable());
+  ASSERT_OK_AND_ASSIGN(DurableShardedSystem::ReplicationSlice slice,
+                       primary->ReadLogRecords(0, 1 << 20));
+  ASSERT_EQ(events.size() + 1, slice.records.size());
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> replica,
+        DurableShardedSystem::Open(replica_dir,
+                                   MakeInitialState(kWorldSeed, 16),
+                                   Options()));
+    ASSERT_OK(replica->ApplyReplicatedRecords(0, slice.records).status());
+    ASSERT_OK(replica->Checkpoint());
+    EXPECT_EQ(touched.size(), replica->last_checkpoint_dirty_segments());
+  }
+  ASSERT_OK(primary->Checkpoint());
+  EXPECT_EQ(touched.size(), primary->last_checkpoint_dirty_segments());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> reopened,
+      DurableShardedSystem::Open(replica_dir, SystemState(), Options()));
+  EXPECT_EQ(0u, reopened->recovery().replayed_records);
+  EXPECT_EQ(slice.records.size(), reopened->Watermark().durable);
+  for (uint32_t k = 0; k < shards(); ++k) {
+    EXPECT_EQ(primary->shard_movements(k).history().size(),
+              reopened->shard_movements(k).history().size())
+        << "shard " << k;
   }
 }
 
@@ -1137,12 +1188,12 @@ TEST_P(DurableShardedTest, RetentionTelemetryReconciles) {
 }
 
 TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
-  // A 2-shard primary with a logged tail restarts. Each shard's position
-  // must carry on from its pre-restart value — the recovery cut folds
-  // the tail into the snapshots and commits the floor in the MANIFEST —
-  // so a replica that resumes at its old position gets exactly the
-  // records appended after the restart, and one below the floor is told
-  // to resync. Positions that restart at 0 would let a replica at
+  // A 2-shard primary with a logged tail restarts. Its position must
+  // carry on from its pre-restart value — the recovery cut folds the
+  // tail into the snapshots and commits the floor in the MANIFEST — so a
+  // replica that resumes at its old position gets exactly the records
+  // appended after the restart, and one below the floor is told to
+  // resync. A position that restarted at 0 would let a replica at
   // position P silently skip the first P records of the new log.
   const std::string dir = ::testing::TempDir() + "/ltam_dsh_positions";
   fs::remove_all(dir);
@@ -1153,7 +1204,7 @@ TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
   ASSERT_GE(batches.size(), 4u);
   DurableShardedOptions options;
   options.num_shards = 2;
-  std::vector<DurabilityWatermark> before(2);
+  DurabilityWatermark before;
   {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
@@ -1164,52 +1215,41 @@ TEST(DurableShardedPositionTest, PositionsSurviveAPrimaryRestart) {
       ASSERT_OK(EvaluateBatch(sys.get(), batches[i]).status());
     }
     ASSERT_OK(sys->WaitDurable());
-    for (uint32_t k = 0; k < 2; ++k) before[k] = sys->ShardWatermark(k);
-    // "Crash": no checkpoint; the tail stays in the logs.
+    before = sys->Watermark();
+    // "Crash": no checkpoint; the tail stays in the log.
   }
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DurableShardedSystem> sys,
       DurableShardedSystem::Open(dir, MakeInitialState(61, 16), options));
   EXPECT_GT(sys->recovery().replayed_records, 0u);
-  uint64_t total = 0;
-  for (uint32_t k = 0; k < 2; ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    EXPECT_GT(before[k].durable, 0u);
-    EXPECT_EQ(before[k].durable, sys->ShardWatermark(k).durable);
-    EXPECT_EQ(before[k].durable, sys->ShardWatermark(k).applied);
-    total += before[k].durable;
-  }
-  EXPECT_EQ(total, sys->Watermark().durable);
+  EXPECT_GT(before.durable, 0u);
+  EXPECT_EQ(before.durable, sys->Watermark().durable);
+  EXPECT_EQ(before.durable, sys->Watermark().applied);
 
   ASSERT_OK(EvaluateBatch(sys.get(), batches[3]).status());
   ASSERT_OK(sys->WaitDurable());
+  // The batch's records, in shard order.
+  std::vector<std::string> expected;
   for (uint32_t k = 0; k < 2; ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    std::vector<std::string> expected;
     for (const AccessEvent& e : batches[3]) {
-      if (sys->ShardOf(e.subject) == k) {
-        expected.push_back(WalLine(e));
-      }
+      if (sys->ShardOf(e.subject) == k) expected.push_back(WalLine(e));
     }
-    ASSERT_OK_AND_ASSIGN(
-        DurableShardedSystem::ReplicationSlice slice,
-        sys->ReadShardRecords(k, before[k].durable, 1 << 20));
-    EXPECT_EQ(expected, slice.records);
-    EXPECT_EQ(before[k].durable + expected.size(), slice.next);
-    Result<DurableShardedSystem::ReplicationSlice> stale =
-        sys->ReadShardRecords(k, before[k].durable - 1, 1 << 20);
-    ASSERT_FALSE(stale.ok());
-    EXPECT_TRUE(stale.status().IsFailedPrecondition());
-    EXPECT_NE(std::string::npos,
-              stale.status().ToString().find("resync required"))
-        << stale.status().ToString();
   }
-  // The floors are what the MANIFEST committed.
+  ASSERT_OK_AND_ASSIGN(DurableShardedSystem::ReplicationSlice slice,
+                       sys->ReadLogRecords(before.durable, 1 << 20));
+  EXPECT_EQ(expected, slice.records);
+  EXPECT_EQ(before.durable + expected.size(), slice.next);
+  Result<DurableShardedSystem::ReplicationSlice> stale =
+      sys->ReadLogRecords(before.durable - 1, 1 << 20);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_TRUE(stale.status().IsFailedPrecondition());
+  EXPECT_NE(std::string::npos,
+            stale.status().ToString().find("resync required"))
+      << stale.status().ToString();
+  // The floor is what the MANIFEST committed.
   ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
                        LoadManifest(dir + "/MANIFEST"));
-  for (uint32_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(before[k].durable, manifest.shards[k].floor);
-  }
+  EXPECT_EQ(before.durable, manifest.floor);
   sys.reset();
   fs::remove_all(dir);
 }
@@ -1238,9 +1278,14 @@ std::map<std::string, std::string> ReadDirectory(const fs::path& dir) {
 // escaped label. It applied eight events, checkpointed (sealing one
 // cold segment and committing nonzero floors), applied entries, exits,
 // observations and a tick, and closed without a checkpoint: that is
-// before/. It then opened a copy of before/ with the same options, which
-// replayed 9 records and committed its recovery cut: that directory,
-// closed, is after/.
+// before/, a version-1 directory with one WAL per shard. It then opened
+// a copy of before/ with the same options, which replayed 9 records and
+// committed its recovery cut: that directory, closed, is after/. Since
+// the runtime keeps one WAL, the recovery cut writes the version-2
+// layout, so two of after/'s files were edited by hand and are pinned
+// literally below: the MANIFEST (one WAL, whose floor is the sum of the
+// shard floors plus the replayed records) and the WAL's name. Every
+// snapshot and cold segment is compared byte for byte as written.
 TEST(DurableFormatTest, DirectoryWrittenBeforeTheSharedCodecOpensUnchanged) {
   const fs::path fixture = fs::path(LTAM_TEST_DATA_DIR) / "durable_v1";
   const fs::path dir = fs::path(::testing::TempDir()) / "ltam_dsh_format_v1";
@@ -1268,6 +1313,52 @@ TEST(DurableFormatTest, DirectoryWrittenBeforeTheSharedCodecOpensUnchanged) {
   for (const auto& [name, bytes] : want) {
     EXPECT_EQ(bytes, got.at(name)) << name;
   }
+  // The two edited expectations: floor 17 is the shard floors 6 + 2 plus
+  // the 9 replayed records (11 + 6 per shard).
+  EXPECT_EQ(
+      "manifest\t2\t2\t2\n"
+      "base\tbase-2.snap\n"
+      "wal\tevents-2.wal\t17\n"
+      "shard\t0\tshard-0-2.snap\n"
+      "cold\t0\t0\tcold-0-0.seg\tcold-0-1.seg\n"
+      "shard\t1\tshard-1-2.snap\n"
+      "cold\t1\t0\tcold-1-0.seg\n"
+      "commit\t7\n",
+      got.at("MANIFEST"));
+  EXPECT_EQ(1u, got.count("events-2.wal"));
+  fs::remove_all(dir);
+}
+
+// A clean version-1 directory (every shard WAL empty, as a clean
+// shutdown leaves it) still commits exactly one cut at Open, in the
+// one-WAL layout, and a second Open commits none.
+TEST(DurableFormatTest, CleanVersionOneDirectoryCommitsOneCut) {
+  const fs::path fixture = fs::path(LTAM_TEST_DATA_DIR) / "durable_v1";
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "ltam_dsh_format_v1_clean";
+  fs::remove_all(dir);
+  fs::copy(fixture / "before", dir);
+  fs::resize_file(dir / "events-0-1.wal", 0);
+  fs::resize_file(dir / "events-1-1.wal", 0);
+  DurableShardedOptions options;
+  options.num_shards = 2;
+  for (int boot = 0; boot < 2; ++boot) {
+    SCOPED_TRACE("boot " + std::to_string(boot));
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir.string(), SystemState(), options));
+    EXPECT_EQ(0u, sys->recovery().replayed_records);
+    EXPECT_EQ(2u, sys->epoch()) << "one cut, at the first boot only";
+    EXPECT_EQ(8u, sys->Watermark().durable) << "the shard floors 6 + 2";
+  }
+  ASSERT_OK_AND_ASSIGN(ShardManifest manifest,
+                       LoadManifest((dir / "MANIFEST").string()));
+  EXPECT_EQ(2u, manifest.epoch);
+  EXPECT_EQ("events-2.wal", manifest.wal);
+  EXPECT_EQ(8u, manifest.floor);
+  EXPECT_TRUE(manifest.v1_shard_wals.empty());
+  EXPECT_EQ((std::vector<fs::path>{dir / "events-2.wal"}),
+            WalPaths(dir.string()));
   fs::remove_all(dir);
 }
 

@@ -1,14 +1,15 @@
 // Copyright 2026 The LTAM Authors.
-// LogPipeline: the write-ahead log primitive, one ShardLog per shard and
-// one log thread for them all. It must advance the durability watermark
+// LogPipeline: the write-ahead log primitive, one file and one log
+// thread per durable runtime. It must advance the durability watermark
 // asynchronously and freeze it on a sticky failure WITHOUT affecting
 // accepted records' sequence numbers (the decision stream's proxy
-// here). The primitive's cases run on a one-shard pipeline; the
+// here). The primitive's cases run on a one-slot pipeline; the
 // DurableLogTest cases drive the durable runtime's pipeline: one log
-// thread per runtime, a failure that freezes only its own shard, an
-// fsync for every shard that took records, and a barrier that makes a
-// tail with no batch boundary durable. Runs under TSan via ci.sh (the
-// log thread vs the appending/flushing threads is the whole point).
+// thread for the runtime's whole life, one fsync per published batch, a
+// failure that freezes every shard's durability until a checkpoint, a
+// batch's bytes in shard order, and a barrier that makes a tail with no
+// batch boundary durable. Runs under TSan via ci.sh (the log thread vs
+// the appending/flushing threads is the whole point).
 
 #include "storage/log_pipeline.h"
 
@@ -67,11 +68,11 @@ class LogPipelineTest : public ::testing::Test {
 
   std::string LogPath() const { return dir_ + "/shard.wal"; }
 
-  /// A one-shard pipeline over LogPath().
+  /// A one-slot pipeline over LogPath().
   std::unique_ptr<LogPipeline> MakePipeline(DurabilityOptions options) {
-    std::vector<FileWriter> writers;
-    writers.push_back(FileWriter::Create(LogPath()).ValueOrDie());
-    return std::make_unique<LogPipeline>(std::move(writers), options);
+    auto pipeline = std::make_unique<LogPipeline>(1, options);
+    pipeline->SwapFile(FileWriter::Create(LogPath()).ValueOrDie());
+    return pipeline;
   }
 
   std::string dir_;
@@ -80,23 +81,21 @@ class LogPipelineTest : public ::testing::Test {
 TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
   DurabilityOptions options;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 10; ++i) {
-    log.Append(NumberedRecord(i));
+    pipeline->Append(0, NumberedRecord(i));
   }
-  ASSERT_OK(log.BatchBoundary());
-  pipeline->Wake();
-  EXPECT_EQ(log.appended_seq(), 10u);
+  ASSERT_OK(pipeline->Publish());
+  EXPECT_EQ(pipeline->appended_seq(), 10u);
   // No barrier: woken once, the log thread syncs on the drained queue's
   // completed group by itself.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (log.durable_seq() < 10 &&
+  while (pipeline->durable_seq() < 10 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(log.durable_seq(), 10u);
-  EXPECT_EQ(log.append_failures(), 0u);
+  EXPECT_GE(pipeline->durable_seq(), 10u);
+  EXPECT_EQ(pipeline->append_failures(), 0u);
   pipeline.reset();
   std::vector<uint64_t> replayed = ReplayAll(LogPath());
   ASSERT_EQ(replayed.size(), 10u);
@@ -106,17 +105,13 @@ TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
 TEST_F(LogPipelineTest, PipelinedFlushIsABarrier) {
   DurabilityOptions options;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 50; ++i) {
-    log.Append(NumberedRecord(i));
-    if (i % 10 == 0) {
-      ASSERT_OK(log.BatchBoundary());
-      pipeline->Wake();
-    }
+    pipeline->Append(0, NumberedRecord(i));
+    if (i % 10 == 0) ASSERT_OK(pipeline->Publish());
   }
   ASSERT_OK(pipeline->Flush());
-  EXPECT_EQ(log.durable_seq(), 50u);
-  EXPECT_EQ(log.appended_seq(), 50u);
+  EXPECT_EQ(pipeline->durable_seq(), 50u);
+  EXPECT_EQ(pipeline->appended_seq(), 50u);
 }
 
 TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
@@ -128,32 +123,24 @@ TEST_F(LogPipelineTest, PipelinedAppendFailureFreezesWatermark) {
     return Status::OK();
   };
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 10; ++i) {
     // Appends NEVER refuse: the events were already accepted.
-    log.Append(NumberedRecord(i));
-    EXPECT_EQ(log.appended_seq(), i);
+    pipeline->Append(0, NumberedRecord(i));
   }
-  Status boundary = log.BatchBoundary();
+  Status boundary = pipeline->Publish();
+  EXPECT_EQ(pipeline->appended_seq(), 10u);
   // The boundary may or may not have observed the failure yet, but the
   // barrier must surface it, every time.
   EXPECT_FALSE(pipeline->Flush().ok());
   EXPECT_FALSE(pipeline->Flush().ok());
   (void)boundary;
-  EXPECT_EQ(log.appended_seq(), 10u) << "accepted seqs never rewind";
-  EXPECT_EQ(log.durable_seq(), 0u) << "nothing was fsynced";
-  // Flush returns on the sticky error; the log thread may still be
-  // dropping the queued suffix — poll the counter to its fixpoint.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (log.append_failures() < 7 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(log.append_failures(), 7u)
+  EXPECT_EQ(pipeline->appended_seq(), 10u) << "accepted seqs never rewind";
+  EXPECT_EQ(pipeline->durable_seq(), 0u) << "nothing was fsynced";
+  EXPECT_EQ(pipeline->append_failures(), 7u)
       << "the failed record and every dropped successor count";
-  // Once sticky, the boundary keeps reporting trouble.
-  EXPECT_FALSE(log.BatchBoundary().ok());
+  // Once sticky, every publish keeps reporting trouble.
+  pipeline->Append(0, NumberedRecord(11));
+  EXPECT_FALSE(pipeline->Publish().ok());
   pipeline.reset();
   // The file holds exactly the clean prefix — no holes.
   EXPECT_EQ(ReplayAll(LogPath()), (std::vector<uint64_t>{1, 2, 3}));
@@ -168,15 +155,14 @@ TEST_F(LogPipelineTest, PipelinedSyncFailureIsSticky) {
     return Status::OK();
   };
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 5; ++i) {
-    log.Append(NumberedRecord(i));
+    pipeline->Append(0, NumberedRecord(i));
   }
-  ASSERT_TRUE(log.BatchBoundary().ok() || true);  // May race the failure.
+  (void)pipeline->Publish();  // May race the failure.
   EXPECT_FALSE(pipeline->Flush().ok());
-  EXPECT_EQ(log.durable_seq(), 0u);
-  EXPECT_GE(log.sync_failures(), 1u);
-  EXPECT_FALSE(log.BatchBoundary().ok()) << "sticky after the first failure";
+  EXPECT_EQ(pipeline->durable_seq(), 0u);
+  EXPECT_GE(pipeline->sync_failures(), 1u);
+  EXPECT_FALSE(pipeline->Publish().ok()) << "sticky after the first failure";
 }
 
 TEST_F(LogPipelineTest, ParseSyncModeAcceptsOnlyPipelined) {
@@ -197,13 +183,17 @@ TEST_F(LogPipelineTest, ParseSyncModeAcceptsOnlyPipelined) {
 TEST_F(LogPipelineTest, DestructorDrainsAndSyncs) {
   DurabilityOptions options;
   std::unique_ptr<LogPipeline> pipeline = MakePipeline(options);
-  ShardLog& log = pipeline->shard(0);
   for (uint64_t i = 1; i <= 25; ++i) {
-    log.Append(NumberedRecord(i));
+    pipeline->Append(0, NumberedRecord(i));
   }
-  ASSERT_OK(log.BatchBoundary());
-  pipeline.reset();  // Clean shutdown: everything queued must reach the file.
-  EXPECT_EQ(ReplayAll(LogPath()).size(), 25u);
+  ASSERT_OK(pipeline->Publish());
+  for (uint64_t i = 26; i <= 30; ++i) {
+    pipeline->Append(0, NumberedRecord(i));
+  }
+  // Clean shutdown: everything queued, and the unpublished tail, must
+  // reach the file.
+  pipeline.reset();
+  EXPECT_EQ(ReplayAll(LogPath()).size(), 30u);
 }
 
 /// The durable runtime's pipeline: a small grid world whose subjects the
@@ -255,157 +245,281 @@ class DurableLogTest : public ::testing::Test {
   LocationId entry_ = kInvalidLocation;
 };
 
-/// Threads of this process named `name` (/proc/self/task/*/comm).
-size_t ThreadsNamed(const std::string& name) {
-  size_t count = 0;
+/// Thread ids of this process named `name` (/proc/self/task/*/comm).
+std::vector<std::string> ThreadsNamed(const std::string& name) {
+  std::vector<std::string> tids;
   for (const fs::directory_entry& task :
        fs::directory_iterator("/proc/self/task")) {
     std::ifstream comm(task.path() / "comm");
     std::string line;
-    if (std::getline(comm, line) && line == name) ++count;
+    if (std::getline(comm, line) && line == name) {
+      tids.push_back(task.path().filename().string());
+    }
   }
-  return count;
+  return tids;
+}
+
+/// The lines of a log file, newline-stripped.
+std::vector<std::string> WalLines(const std::string& path) {
+  std::vector<std::string> lines;
+  EXPECT_OK(ForEachWalLine(path, [&](std::string& line) {
+    lines.push_back(line);
+    return true;
+  }));
+  return lines;
+}
+
+/// The WAL line of `event`, newline-stripped.
+std::string EventLine(const AccessEvent& event) {
+  std::string line;
+  AppendEventLine(event, &line);
+  line.pop_back();
+  return line;
 }
 
 TEST_F(DurableLogTest, OneRuntimeRunsOneLogThread) {
+  // The log thread starts at Open and lives until the runtime goes: a
+  // checkpoint hands it the next epoch's file instead of starting a
+  // thread of its own.
   DurableShardedOptions options;
   options.num_shards = 4;
   std::unique_ptr<DurableShardedSystem> sys = Open(options);
-  EXPECT_EQ(1u, ThreadsNamed("ltam-wal")) << "after Open";
-  std::vector<AccessEvent> batch;
-  for (uint32_t k = 0; k < 4; ++k) {
-    for (const AccessEvent& e : EventsOn(k, 4, 3, 10)) batch.push_back(e);
-  }
-  (void)sys->engine().EvaluateBatch(batch);
-  ASSERT_OK(sys->engine().TakeBatchError());
-  ASSERT_OK(sys->Checkpoint());
-  EXPECT_EQ(1u, ThreadsNamed("ltam-wal")) << "after a Checkpoint";
-  sys.reset();
-  EXPECT_EQ(0u, ThreadsNamed("ltam-wal")) << "after teardown";
-}
-
-TEST_F(DurableLogTest, FailedShardFreezesAlone) {
-  // Append attempts are counted per shard: shard 1 takes 6 + 10 records
-  // and fails from its 10th, shard 0 takes 2 + 3 and never gets there.
-  DurableShardedOptions options;
-  options.num_shards = 2;
-  options.durability.fault_injector = [](const char* op, uint64_t count) {
-    if (std::string(op) == "append" && count >= 10) {
-      return Status::IOError("injected append failure");
+  const std::vector<std::string> at_open = ThreadsNamed("ltam-wal");
+  ASSERT_EQ(1u, at_open.size()) << "after Open";
+  Chronon t = 10;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<AccessEvent> batch;
+    for (uint32_t k = 0; k < 4; ++k) {
+      for (const AccessEvent& e : EventsOn(k, 4, 3, t)) batch.push_back(e);
     }
-    return Status::OK();
-  };
-  std::unique_ptr<DurableShardedSystem> sys = Open(options);
-  std::vector<AccessEvent> accepted_on_0;
-  auto apply = [&](size_t on_0, size_t on_1, Chronon t0) {
-    std::vector<AccessEvent> batch = EventsOn(0, 2, on_0, t0);
-    accepted_on_0.insert(accepted_on_0.end(), batch.begin(), batch.end());
-    for (const AccessEvent& e : EventsOn(1, 2, on_1, t0)) batch.push_back(e);
-    std::vector<Decision> decisions = sys->engine().EvaluateBatch(batch);
-    EXPECT_EQ(batch.size(), decisions.size());
-    (void)sys->engine().TakeBatchError();
-  };
-  apply(2, 6, 10);
-  ASSERT_OK(sys->WaitDurable());
-  const DurabilityWatermark before = sys->ShardWatermark(1);
-  EXPECT_EQ(6u, before.durable);
-
-  apply(3, 10, 100);
-  const Status waited = sys->WaitDurable();
-  EXPECT_FALSE(waited.ok()) << "the barrier reports shard 1's sticky error";
-  EXPECT_NE(std::string::npos, waited.ToString().find("injected"))
-      << waited.ToString();
-  const DurabilityWatermark frozen = sys->ShardWatermark(1);
-  EXPECT_EQ(16u, frozen.applied) << "pipelined appends never refuse";
-  EXPECT_EQ(before.durable, frozen.durable) << "shard 1's watermark froze";
-  EXPECT_EQ(7u, sys->wal_append_failures())
-      << "shard 1's failed record and its dropped successors";
-  const DurabilityWatermark healthy = sys->ShardWatermark(0);
-  EXPECT_EQ(5u, healthy.applied);
-  EXPECT_EQ(healthy.applied, healthy.durable) << "shard 0 kept logging";
-
-  sys.reset();
-  // Shard 0's file holds every record it accepted, in order; shard 1's
-  // holds its clean prefix.
-  std::vector<std::string> want;
-  for (const AccessEvent& e : accepted_on_0) {
-    std::string line;
-    AppendEventLine(e, &line);
-    line.pop_back();
-    want.push_back(std::move(line));
+    t += 10;
+    (void)sys->engine().EvaluateBatch(batch);
+    ASSERT_OK(sys->TakeBatchError());
+    ASSERT_OK(sys->Checkpoint());
   }
-  std::vector<std::string> got;
-  ASSERT_OK(ForEachWalLine(dir_ + "/events-0-0.wal", [&](std::string& line) {
-    got.push_back(line);
-    return true;
-  }));
-  EXPECT_EQ(want, got);
-  size_t shard1_lines = 0;
-  ASSERT_OK(ForEachWalLine(dir_ + "/events-1-0.wal", [&](std::string&) {
-    ++shard1_lines;
-    return true;
-  }));
-  EXPECT_EQ(9u, shard1_lines);
+  EXPECT_EQ(at_open, ThreadsNamed("ltam-wal")) << "after two Checkpoints";
+  sys.reset();
+  EXPECT_TRUE(ThreadsNamed("ltam-wal").empty()) << "after teardown";
 }
 
-TEST_F(DurableLogTest, EveryShardThatTookRecordsIsSynced) {
-  // One fsync per (batch, shard that took records), as with a log thread
-  // per shard: waking the log once per batch must not skip a file.
+TEST_F(DurableLogTest, FailedLogFreezesEveryShardUntilACheckpoint) {
+  // One log, one sticky error: the injected failure of the runtime's
+  // 10th append (the second record of the second batch) drops every
+  // later record of every shard, the watermark stays at the last fsync,
+  // decisions are those of a clean run, and a checkpoint's file swap
+  // repairs the log.
+  const std::vector<std::pair<size_t, size_t>> shape = {
+      {2, 6}, {3, 10}, {4, 1}, {2, 2}};
+  auto run = [&](const std::string& dir, bool inject,
+                 std::vector<Decision>* decisions,
+                 std::vector<Alert>* alerts) {
+    DurableShardedOptions options;
+    options.num_shards = 2;
+    if (inject) {
+      options.durability.fault_injector = [](const char* op, uint64_t n) {
+        if (std::string(op) == "append" && n == 10) {
+          return Status::IOError("injected append failure");
+        }
+        return Status::OK();
+      };
+    }
+    SystemState state;
+    state.graph = state_.graph;
+    state.profiles = state_.profiles;
+    std::unique_ptr<DurableShardedSystem> sys =
+        DurableShardedSystem::Open(dir, std::move(state), options)
+            .ValueOrDie();
+    Chronon t = 10;
+    for (size_t b = 0; b < shape.size(); ++b) {
+      std::vector<AccessEvent> batch = EventsOn(0, 2, shape[b].first, t);
+      for (const AccessEvent& e : EventsOn(1, 2, shape[b].second, t)) {
+        batch.push_back(e);
+      }
+      t += 100;
+      for (const Decision& d : sys->engine().EvaluateBatch(batch)) {
+        decisions->push_back(d);
+      }
+      for (const Alert& a : sys->DrainAlerts()) alerts->push_back(a);
+      const Status published = sys->TakeBatchError();
+      const Status waited = sys->WaitDurable();
+      if (!inject) {
+        EXPECT_OK(waited);
+        continue;
+      }
+      const DurabilityWatermark mark = sys->Watermark();
+      if (b == 0) {
+        EXPECT_OK(waited);
+        EXPECT_EQ(8u, mark.durable);
+        continue;
+      }
+      if (b == 1) {
+        EXPECT_FALSE(waited.ok()) << "the barrier reports the sticky error";
+        EXPECT_NE(std::string::npos, waited.ToString().find("injected"))
+            << waited.ToString();
+        // The clean prefix is in the file: the first batch and the
+        // second batch's first record.
+        EXPECT_EQ(9u, WalLines(dir + "/events-0.wal").size());
+      }
+      if (b == 2) {
+        EXPECT_FALSE(published.ok()) << "a sticky log fails every publish";
+        EXPECT_FALSE(waited.ok());
+        // Every later record of every shard is dropped and counted:
+        // batch 2's 12 after the failed one, and batch 3's 5.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (sys->wal_append_failures() < 17 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(17u, sys->wal_append_failures());
+        EXPECT_EQ(26u, mark.applied) << "appends never refuse";
+        EXPECT_EQ(8u, mark.durable) << "frozen at the last fsync";
+        EXPECT_EQ(9u, WalLines(dir + "/events-0.wal").size())
+            << "nothing follows the hole";
+        ASSERT_OK(sys->Checkpoint());
+        const DurabilityWatermark repaired = sys->Watermark();
+        EXPECT_EQ(repaired.applied, repaired.durable)
+            << "the snapshot holds what the log lost";
+      }
+      if (b == 3) {
+        // The checkpoint cleared the sticky error: the batch is durable.
+        EXPECT_OK(published);
+        EXPECT_OK(waited);
+        EXPECT_EQ(30u, mark.durable);
+        EXPECT_EQ(mark.applied, mark.durable);
+        EXPECT_EQ(4u, WalLines(dir + "/events-1.wal").size());
+        EXPECT_EQ(17u, sys->wal_append_failures()) << "counted since Open";
+      }
+    }
+  };
+  std::vector<Decision> clean_decisions, failed_decisions;
+  std::vector<Alert> clean_alerts, failed_alerts;
+  const std::string clean_dir = dir_ + "/clean";
+  const std::string failed_dir = dir_ + "/failed";
+  fs::create_directories(clean_dir);
+  fs::create_directories(failed_dir);
+  run(clean_dir, false, &clean_decisions, &clean_alerts);
+  run(failed_dir, true, &failed_decisions, &failed_alerts);
+  ASSERT_EQ(clean_decisions.size(), failed_decisions.size());
+  for (size_t i = 0; i < clean_decisions.size(); ++i) {
+    EXPECT_EQ(clean_decisions[i].granted, failed_decisions[i].granted) << i;
+    EXPECT_EQ(clean_decisions[i].reason, failed_decisions[i].reason) << i;
+    EXPECT_EQ(clean_decisions[i].auth, failed_decisions[i].auth) << i;
+  }
+  EXPECT_EQ(clean_alerts.size(), failed_alerts.size());
+}
+
+TEST_F(DurableLogTest, OneFsyncPerBatch) {
+  // However many shards took records, a published batch costs one
+  // write(2) and one fsync of the runtime's one file.
   MetricsRegistry registry;
   DurableShardedOptions options;
-  options.num_shards = 2;
+  options.num_shards = 4;
   options.durability.metrics = &registry;
   std::unique_ptr<DurableShardedSystem> sys = Open(options);
-  const std::vector<std::pair<size_t, size_t>> shape = {
-      {3, 4}, {0, 5}, {2, 0}, {1, 1}, {6, 2}, {0, 3}};
-  uint64_t expected_syncs = 0;
+  const std::vector<std::vector<size_t>> shape = {
+      {3, 4, 0, 1}, {0, 5, 2, 2}, {2, 0, 0, 0},
+      {1, 1, 1, 1}, {6, 2, 0, 3}, {0, 3, 4, 0}};
+  uint64_t batches = 0;
   Chronon t = 10;
-  for (const auto& [on_0, on_1] : shape) {
-    std::vector<AccessEvent> batch = EventsOn(0, 2, on_0, t);
-    for (const AccessEvent& e : EventsOn(1, 2, on_1, t)) batch.push_back(e);
+  for (const std::vector<size_t>& counts : shape) {
+    std::vector<AccessEvent> batch;
+    for (uint32_t k = 0; k < 4; ++k) {
+      for (const AccessEvent& e : EventsOn(k, 4, counts[k], t)) {
+        batch.push_back(e);
+      }
+    }
     t += 20;
     (void)sys->engine().EvaluateBatch(batch);
-    ASSERT_OK(sys->engine().TakeBatchError());
+    ASSERT_OK(sys->TakeBatchError());
     ASSERT_OK(sys->WaitDurable());
-    expected_syncs += (on_0 > 0 ? 1 : 0) + (on_1 > 0 ? 1 : 0);
-    EXPECT_EQ(expected_syncs,
-              registry.GetHistogram("wal.sync")->Snapshot().count());
+    ++batches;
+    EXPECT_EQ(batches, registry.GetHistogram("wal.sync")->Snapshot().count());
   }
   const DurabilityWatermark mark = sys->Watermark();
   EXPECT_EQ(mark.applied, mark.durable);
 }
 
+TEST_F(DurableLogTest, SameBatchStreamWritesTheSameBytes) {
+  // A batch's records reach the file in shard order, whichever worker
+  // finished first, so the same stream writes byte-identical logs.
+  std::vector<std::vector<AccessEvent>> batches;
+  Chronon t = 10;
+  for (size_t b = 0; b < 8; ++b) {
+    // Interleave the shards' events inside each batch.
+    std::vector<std::vector<AccessEvent>> per_shard;
+    for (uint32_t k = 0; k < 4; ++k) {
+      per_shard.push_back(EventsOn(k, 4, 1 + (b + k) % 4, t));
+    }
+    std::vector<AccessEvent> batch;
+    for (size_t i = 0; i < 4; ++i) {
+      for (uint32_t k = 0; k < 4; ++k) {
+        if (i < per_shard[3 - k].size()) batch.push_back(per_shard[3 - k][i]);
+      }
+    }
+    batches.push_back(std::move(batch));
+    t += 10;
+  }
+  auto write = [&](const std::string& dir) {
+    fs::create_directories(dir);
+    DurableShardedOptions options;
+    options.num_shards = 4;
+    SystemState state;
+    state.graph = state_.graph;
+    state.profiles = state_.profiles;
+    std::unique_ptr<DurableShardedSystem> sys =
+        DurableShardedSystem::Open(dir, std::move(state), options)
+            .ValueOrDie();
+    for (const std::vector<AccessEvent>& batch : batches) {
+      (void)sys->engine().EvaluateBatch(batch);
+      EXPECT_OK(sys->TakeBatchError());
+    }
+    EXPECT_OK(sys->WaitDurable());
+    sys.reset();
+    std::ifstream in(dir + "/events-0.wal", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string first = write(dir_ + "/a");
+  const std::string second = write(dir_ + "/b");
+  EXPECT_EQ(first, second);
+  // And the order is the shard order within each batch.
+  std::string want;
+  for (const std::vector<AccessEvent>& batch : batches) {
+    for (uint32_t k = 0; k < 4; ++k) {
+      for (const AccessEvent& e : batch) {
+        if (ShardedDecisionEngine::ShardOfSubject(e.subject, 4) == k) {
+          want += EventLine(e) + "\n";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(want, first);
+}
+
 TEST_F(DurableLogTest, BarrierMakesATailWithNoBoundaryDurable) {
-  // The log thread fsyncs a batch when the round that drains it finds
-  // the queue empty, so a barrier over published batches forces nothing.
-  // Records appended since the last boundary are the exception: the
-  // barrier publishes them itself, and no sync rule counts them, so the
-  // barrier must force their fsync. Shard 0 publishes a batch; shard 1
+  // Records appended since the last boundary are published by the
+  // barrier itself, as a group of their own, so the round that drains
+  // them fsyncs them like any batch. Slot 0 publishes a batch; slot 1
   // holds only such a tail.
   MetricsRegistry registry;
   DurabilityOptions options;
   options.metrics = &registry;
-  std::vector<FileWriter> writers;
-  for (uint32_t k = 0; k < 2; ++k) {
-    writers.push_back(
-        FileWriter::Create(dir_ + "/shard" + std::to_string(k) + ".wal")
-            .ValueOrDie());
-  }
-  LogPipeline pipeline(std::move(writers), options);
-  for (uint64_t i = 1; i <= 3; ++i) {
-    pipeline.shard(0).Append(NumberedRecord(i));
-  }
-  ASSERT_OK(pipeline.shard(0).BatchBoundary());
-  pipeline.Wake();
-  for (uint64_t i = 1; i <= 2; ++i) {
-    pipeline.shard(1).Append(NumberedRecord(i));
-  }
+  LogPipeline pipeline(2, options);
+  pipeline.SwapFile(FileWriter::Create(dir_ + "/log.wal").ValueOrDie());
+  for (uint64_t i = 1; i <= 3; ++i) pipeline.Append(0, NumberedRecord(i));
+  ASSERT_OK(pipeline.Publish());
+  for (uint64_t i = 4; i <= 5; ++i) pipeline.Append(1, NumberedRecord(i));
   ASSERT_OK(pipeline.Flush());
-  EXPECT_EQ(3u, pipeline.shard(0).durable_seq());
-  EXPECT_EQ(2u, pipeline.shard(1).durable_seq()) << "the tail is durable";
-  EXPECT_EQ(2u, registry.GetHistogram("wal.sync")->Snapshot().count())
-      << "one fsync per file that took records";
-  EXPECT_EQ((std::vector<uint64_t>{1, 2}), ReplayAll(dir_ + "/shard1.wal"));
+  EXPECT_EQ(5u, pipeline.appended_seq());
+  EXPECT_EQ(5u, pipeline.durable_seq()) << "the tail is durable";
+  // One round per group, unless the first group's round had not run
+  // before the barrier published the tail.
+  const uint64_t syncs = registry.GetHistogram("wal.sync")->Snapshot().count();
+  EXPECT_GE(syncs, 1u);
+  EXPECT_LE(syncs, 2u);
+  EXPECT_EQ((std::vector<uint64_t>{1, 2, 3, 4, 5}),
+            ReplayAll(dir_ + "/log.wal"));
 }
 
 }  // namespace

@@ -327,19 +327,11 @@ TEST_F(ReplicationTest, ReplicaCatchesUpServesReadsAndRefusesWrites) {
   EXPECT_TRUE(caught.replica);
   EXPECT_EQ(0u, caught.replication_epoch);
 
-  // Per-shard positions agree with the primary's own watermarks.
+  // The position agrees with the primary's own watermark.
   ASSERT_OK_AND_ASSIGN(RuntimeStats primary_stats, primary_client->Stats());
   EXPECT_FALSE(primary_stats.replica);
-  ASSERT_EQ(primary_stats.shard_watermarks.size(),
-            caught.shard_watermarks.size());
-  for (size_t k = 0; k < caught.shard_watermarks.size(); ++k) {
-    EXPECT_EQ(primary_stats.shard_watermarks[k].applied,
-              caught.shard_watermarks[k].applied)
-        << "shard " << k;
-    EXPECT_LE(caught.shard_watermarks[k].durable,
-              caught.shard_watermarks[k].applied)
-        << "shard " << k;
-  }
+  EXPECT_EQ(primary_stats.applied_offset, caught.applied_offset);
+  EXPECT_LE(caught.durable_offset, caught.applied_offset);
 
   // Live remote reads answer byte-identical over both runtimes.
   for (size_t i = 0; i < w.subjects.size(); ++i) {
@@ -391,8 +383,7 @@ TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
       "one-shard replica catch-up to " + std::to_string(fed) + " records");
   EXPECT_TRUE(caught.replica);
   EXPECT_EQ(1u, caught.num_shards);
-  ASSERT_EQ(1u, caught.shard_watermarks.size());
-  EXPECT_EQ(fed, caught.shard_watermarks[0].applied);
+  EXPECT_EQ(fed, caught.applied_offset);
 
   for (size_t i = 0; i < w.subjects.size(); ++i) {
     const std::string statement =

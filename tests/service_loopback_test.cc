@@ -484,16 +484,13 @@ TEST_F(ServiceLoopbackTest, BatchResultsCarryTheDurabilityWatermark) {
   server.Stop();
 }
 
-/// Records in a fresh durable directory's epoch-0 shard logs.
-size_t LoggedRecords(const std::string& dir, uint32_t shards) {
+/// Records in a fresh durable directory's epoch-0 log.
+size_t LoggedRecords(const std::string& dir) {
   size_t records = 0;
-  for (uint32_t k = 0; k < shards; ++k) {
-    const std::string wal = dir + "/events-" + std::to_string(k) + "-0.wal";
-    EXPECT_OK(ForEachWalLine(wal, [&records](std::string&) {
-      ++records;
-      return true;
-    }));
-  }
+  EXPECT_OK(ForEachWalLine(dir + "/events-0.wal", [&records](std::string&) {
+    ++records;
+    return true;
+  }));
   return records;
 }
 
@@ -542,7 +539,7 @@ TEST_F(ServiceLoopbackTest, AnswerWaitsUntilTheBatchIsDurable) {
     gate->cv.notify_all();
   });
   Result<WireBatchResult> answered = client->ApplyBatch(batch);
-  const size_t logged = LoggedRecords(dir, 2);
+  const size_t logged = LoggedRecords(dir);
   timer.join();
   ASSERT_OK(answered.status());
   EXPECT_OK(answered->durability);
@@ -804,9 +801,10 @@ TEST_F(ServiceLoopbackTest, UnownedAlertsRideTheFirstResponseThatDrainsThem) {
   }
 }
 
-TEST_F(ServiceLoopbackTest, StatsCarryPerShardWatermarks) {
-  // Protocol v3: the remote Stats answer carries one (applied, durable)
-  // watermark pair per shard log, and they sum to the aggregate.
+TEST_F(ServiceLoopbackTest, StatsWatermarkSurvivesACheckpoint) {
+  // The remote Stats answer carries the runtime's one (applied,
+  // durable) watermark, a record count that a checkpoint's file swap
+  // does not reset.
   World w = MakeWorld(1201);
   fs::create_directories(root_ + "/shard-wm");
   RuntimeOptions options;
@@ -829,28 +827,14 @@ TEST_F(ServiceLoopbackTest, StatsCarryPerShardWatermarks) {
   ASSERT_OK(client->ApplyBatch(batch).status());
 
   ASSERT_OK_AND_ASSIGN(RuntimeStats remote, client->Stats());
-  ASSERT_EQ(3u, remote.shard_watermarks.size());
-  uint64_t applied_sum = 0;
-  uint64_t durable_sum = 0;
-  for (const DurabilityWatermark& wm : remote.shard_watermarks) {
-    EXPECT_LE(wm.durable, wm.applied);
-    applied_sum += wm.applied;
-    durable_sum += wm.durable;
-  }
-  EXPECT_EQ(remote.applied_offset, applied_sum);
-  EXPECT_EQ(remote.durable_offset, durable_sum);
-  EXPECT_EQ(8u, applied_sum);
+  EXPECT_EQ(8u, remote.applied_offset);
+  EXPECT_EQ(remote.applied_offset, remote.durable_offset)
+      << "the batch was answered once durable";
 
-  // Checkpoint retires the logs into per-shard bases: the per-shard
-  // watermarks must stay monotonic, not reset.
   ASSERT_OK(client->Checkpoint());
   ASSERT_OK_AND_ASSIGN(RuntimeStats after, client->Stats());
-  ASSERT_EQ(3u, after.shard_watermarks.size());
-  for (size_t k = 0; k < 3; ++k) {
-    EXPECT_GE(after.shard_watermarks[k].applied,
-              remote.shard_watermarks[k].applied)
-        << "shard " << k;
-  }
+  EXPECT_EQ(remote.applied_offset, after.applied_offset);
+  EXPECT_EQ(remote.durable_offset, after.durable_offset);
   server.Stop();
 }
 

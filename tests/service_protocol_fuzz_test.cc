@@ -204,29 +204,18 @@ TEST(ServiceProtocolTest, ResultPayloadsRoundTrip) {
   EXPECT_TRUE(error == decoded_error);
 }
 
-TEST(ServiceProtocolTest, StatsShardWatermarksRoundTrip) {
+TEST(ServiceProtocolTest, StatsWatermarkRoundTrips) {
   RuntimeStats stats;
   stats.num_shards = 3;
   stats.durable = true;
   stats.applied_offset = 60;
   stats.durable_offset = 55;
-  stats.shard_watermarks = {{20, 20}, {25, 21}, {15, 14}};
   ASSERT_OK_AND_ASSIGN(RuntimeStats decoded,
                        DecodeStatsResult(EncodeStatsResult(stats)));
-  ASSERT_EQ(3u, decoded.shard_watermarks.size());
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(stats.shard_watermarks[i].applied,
-              decoded.shard_watermarks[i].applied);
-    EXPECT_EQ(stats.shard_watermarks[i].durable,
-              decoded.shard_watermarks[i].durable);
-  }
-  // In-memory runtimes carry none, and that round-trips too.
-  stats.shard_watermarks.clear();
-  ASSERT_OK_AND_ASSIGN(decoded, DecodeStatsResult(EncodeStatsResult(stats)));
-  EXPECT_TRUE(decoded.shard_watermarks.empty());
-
+  EXPECT_EQ(60u, decoded.applied_offset);
+  EXPECT_EQ(55u, decoded.durable_offset);
   // durable > applied is corruption, not a legal watermark.
-  stats.shard_watermarks = {{5, 9}};
+  stats.durable_offset = 61;
   EXPECT_FALSE(DecodeStatsResult(EncodeStatsResult(stats)).ok());
 }
 
@@ -236,12 +225,12 @@ TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
   ReplicaHello hello;
   hello.epoch = 3;
   hello.num_shards = 4;
-  hello.positions = {0, 17, 250, 9001};
+  hello.position = 9001;
   ASSERT_OK_AND_ASSIGN(ReplicaHello decoded_hello,
                        DecodeReplicaHello(EncodeReplicaHello(hello)));
   EXPECT_EQ(hello.epoch, decoded_hello.epoch);
   EXPECT_EQ(hello.num_shards, decoded_hello.num_shards);
-  EXPECT_EQ(hello.positions, decoded_hello.positions);
+  EXPECT_EQ(hello.position, decoded_hello.position);
 
   ReplicaWelcome welcome;
   welcome.epoch = 5;
@@ -253,13 +242,11 @@ TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
 
   SegmentChunk chunk;
   chunk.epoch = 2;
-  chunk.shard = 1;
   chunk.start = 4096;
   chunk.records = {"E 1 2 3", "", std::string("x\0y\xff", 4)};
   ASSERT_OK_AND_ASSIGN(SegmentChunk decoded_chunk,
                        DecodeSegmentChunk(EncodeSegmentChunk(chunk)));
   EXPECT_EQ(chunk.epoch, decoded_chunk.epoch);
-  EXPECT_EQ(chunk.shard, decoded_chunk.shard);
   EXPECT_EQ(chunk.start, decoded_chunk.start);
   EXPECT_EQ(chunk.records, decoded_chunk.records);
   // A record-free chunk is a legal (if pointless) frame.
@@ -270,7 +257,7 @@ TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
 
   WatermarkAdvance advance;
   advance.epoch = 2;
-  advance.durable = {100, 0, 77};
+  advance.durable = 177;
   ASSERT_OK_AND_ASSIGN(
       WatermarkAdvance decoded_advance,
       DecodeWatermarkAdvance(EncodeWatermarkAdvance(advance)));
@@ -304,28 +291,21 @@ TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
   ReplicaHello hello;
   hello.epoch = 1;
   hello.num_shards = 3;
-  hello.positions = {5, 6, 7};
+  hello.position = 18;
   const std::string hello_bytes = EncodeReplicaHello(hello);
   // Truncation at every byte boundary, and strict consumption.
   for (size_t cut = 0; cut < hello_bytes.size(); ++cut) {
     EXPECT_FALSE(DecodeReplicaHello(hello_bytes.substr(0, cut)).ok());
   }
   EXPECT_FALSE(DecodeReplicaHello(hello_bytes + 'x').ok());
-  // A corrupt shard count cannot drive an allocation: the count must be
-  // bounded against the remaining bytes before anything reserves.
-  std::string lying = hello_bytes;
-  lying[8] = static_cast<char>(0xff);
-  lying[9] = static_cast<char>(0xff);
-  lying[10] = static_cast<char>(0xff);
-  lying[11] = static_cast<char>(0x7f);
-  EXPECT_FALSE(DecodeReplicaHello(lying).ok());
+  // A v8 hello (one position per shard) is not a v9 one.
+  EXPECT_FALSE(DecodeReplicaHello(hello_bytes + std::string(16, '\0')).ok());
   // Zero shards is not a subscription.
   ReplicaHello empty;
   EXPECT_FALSE(DecodeReplicaHello(EncodeReplicaHello(empty)).ok());
 
   SegmentChunk chunk;
   chunk.epoch = 1;
-  chunk.shard = 0;
   chunk.start = 10;
   chunk.records = {"E 1 2 3", "X 4 5"};
   const std::string chunk_bytes = EncodeSegmentChunk(chunk);
@@ -337,15 +317,15 @@ TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
   // count field alone — it could not have been produced by a shipper.
   std::string flooded = chunk_bytes;
   const uint32_t too_many = kMaxReplicationRecords + 1;
-  flooded[20] = static_cast<char>(too_many & 0xff);
-  flooded[21] = static_cast<char>((too_many >> 8) & 0xff);
-  flooded[22] = static_cast<char>((too_many >> 16) & 0xff);
-  flooded[23] = static_cast<char>((too_many >> 24) & 0xff);
+  flooded[16] = static_cast<char>(too_many & 0xff);
+  flooded[17] = static_cast<char>((too_many >> 8) & 0xff);
+  flooded[18] = static_cast<char>((too_many >> 16) & 0xff);
+  flooded[19] = static_cast<char>((too_many >> 24) & 0xff);
   EXPECT_FALSE(DecodeSegmentChunk(flooded).ok());
 
   WatermarkAdvance advance;
   advance.epoch = 1;
-  advance.durable = {1, 2};
+  advance.durable = 3;
   const std::string advance_bytes = EncodeWatermarkAdvance(advance);
   for (size_t cut = 0; cut < advance_bytes.size(); ++cut) {
     EXPECT_FALSE(DecodeWatermarkAdvance(advance_bytes.substr(0, cut)).ok());
@@ -444,8 +424,12 @@ TEST(ServiceProtocolTest, HeaderRejectsMalformedFields) {
   std::string bad_version = good;
   bad_version[4] = 99;
   EXPECT_FALSE(decode(bad_version).ok());
-  bad_version[4] = 7;  // The previous version: refused like any other.
-  EXPECT_FALSE(decode(bad_version).ok());
+  // Earlier versions are refused like any other: v8 carried per-shard
+  // replication positions, which a v9 peer cannot resume from.
+  for (const uint8_t previous : {7, 8}) {
+    bad_version[4] = static_cast<char>(previous);
+    EXPECT_FALSE(decode(bad_version).ok()) << "v" << int{previous};
+  }
 
   std::string bad_type = good;
   bad_type[5] = static_cast<char>(200);
@@ -659,12 +643,11 @@ TEST_P(ServiceProtocolFuzzTest, AssemblerNeverCrashes) {
   ReplicaHello hello;
   hello.epoch = 1;
   hello.num_shards = 2;
-  hello.positions = {10, 20};
+  hello.position = 30;
   valid += EncodeFrame(MessageType::kReplicaHello, 4,
                        EncodeReplicaHello(hello));
   SegmentChunk chunk;
   chunk.epoch = 1;
-  chunk.shard = 1;
   chunk.start = 10;
   chunk.records = {"E 1 2 3", "T 9"};
   valid += EncodeFrame(MessageType::kSegmentChunk, 0,
@@ -710,15 +693,14 @@ TEST_P(ServiceProtocolFuzzTest, PayloadDecodersNeverCrash) {
   ReplicaHello hello;
   hello.epoch = 2;
   hello.num_shards = 3;
-  hello.positions = {1, 2, 3};
+  hello.position = 6;
   SegmentChunk chunk;
   chunk.epoch = 2;
-  chunk.shard = 0;
   chunk.start = 6;
   chunk.records = {"E 1 2 3"};
   WatermarkAdvance advance;
   advance.epoch = 2;
-  advance.durable = {7, 8, 9};
+  advance.durable = 24;
   MetricsSnapshot snapshot;
   snapshot.counters = {{"ingest.events", 7}};
   snapshot.gauges = {{"replication.replica.1.lag_records", 3}};

@@ -358,17 +358,20 @@ TEST(WalFuzzDecodeTest, IntegerRuleRefusesWhatTheReferenceTrimmed) {
 
 /// Manifest parsing: mutations, truncations, and garbage must error or
 /// produce a structurally valid manifest — never crash, never accept a
-/// cut that escapes the directory or misses segments.
+/// cut that escapes the directory or misses segments. The corpus holds
+/// both versions: a saved version-2 cut and a version-1 one (one WAL per
+/// shard, per-shard floors), which Open still reads.
 TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
   const std::string path = TempPath("manifest");
   ShardManifest valid;
   valid.epoch = 3;
   valid.num_shards = 4;
   valid.base_snapshot = "base-3.snap";
+  valid.wal = "events-3.wal";
+  valid.floor = 4242;
   for (uint32_t k = 0; k < 4; ++k) {
     ShardManifest::ShardFiles files;
     files.snapshot = "shard-" + std::to_string(k) + "-3.snap";
-    files.wal = "events-" + std::to_string(k) + "-3.wal";
     // Cold-tier records (sealed segment lists + dropped counts) are part
     // of the fuzzed surface.
     if (k % 2 == 0) {
@@ -379,16 +382,27 @@ TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
     valid.shards.push_back(std::move(files));
   }
   ASSERT_OK(SaveManifest(valid, path));
-  std::string contents;
+  std::string v2;
   {
     std::ifstream in(path, std::ios::binary);
-    contents.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+    v2.assign((std::istreambuf_iterator<char>(in)),
+              std::istreambuf_iterator<char>());
   }
-  ASSERT_FALSE(contents.empty());
+  ASSERT_FALSE(v2.empty());
+  const std::string v1 =
+      "manifest\t1\t3\t2\nbase\tbase-3.snap\n"
+      "shard\t0\tshard-0-3.snap\tevents-0-3.wal\n"
+      "cold\t0\t17\tcold-0-0.seg\nfloor\t0\t40\n"
+      "shard\t1\tshard-1-3.snap\tevents-1-3.wal\nfloor\t1\t2\n"
+      "commit\t7\n";
+  WriteFile(path, v1);
+  ASSERT_OK_AND_ASSIGN(ShardManifest loaded_v1, LoadManifest(path));
+  EXPECT_EQ(42u, loaded_v1.floor);
+  ASSERT_EQ(2u, loaded_v1.v1_shard_wals.size());
 
   Rng rng(GetParam());
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 300; ++i) {
+    const std::string& contents = i % 2 == 0 ? v2 : v1;
     std::string corrupted;
     switch (i % 3) {
       case 0:
@@ -408,11 +422,19 @@ TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
       EXPECT_GE(m->num_shards, 1u);
       EXPECT_EQ(m->shards.size(), m->num_shards);
       EXPECT_EQ(m->base_snapshot.find('/'), std::string::npos);
+      if (m->v1_shard_wals.empty()) {
+        EXPECT_FALSE(m->wal.empty());
+        EXPECT_EQ(m->wal.find('/'), std::string::npos);
+      } else {
+        EXPECT_EQ(m->v1_shard_wals.size(), m->num_shards);
+        for (const std::string& wal : m->v1_shard_wals) {
+          EXPECT_FALSE(wal.empty());
+          EXPECT_EQ(wal.find('/'), std::string::npos);
+        }
+      }
       for (const ShardManifest::ShardFiles& files : m->shards) {
         EXPECT_FALSE(files.snapshot.empty());
         EXPECT_EQ(files.snapshot.find('/'), std::string::npos);
-        EXPECT_FALSE(files.wal.empty());
-        EXPECT_EQ(files.wal.find('/'), std::string::npos);
         for (const std::string& seg : files.cold) {
           EXPECT_FALSE(seg.empty());
           EXPECT_EQ(seg.find('/'), std::string::npos);
@@ -430,51 +452,94 @@ TEST(ManifestTest, RejectsTornAndMalformedManifests) {
     WriteFile(path, text);
     return LoadManifest(path);
   };
+  const std::string head = "manifest\t2\t0\t1\nbase\tb.snap\n";
   // No commit record (torn write).
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\n")
-                   .ok());
+  EXPECT_FALSE(load(head + "wal\tw.wal\t0\nshard\t0\ts.snap\n").ok());
   // Commit count mismatch.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\ncommit\t7\n")
-                   .ok());
+  EXPECT_FALSE(
+      load(head + "wal\tw.wal\t0\nshard\t0\ts.snap\ncommit\t7\n").ok());
   // Records after commit.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\ncommit\t3\n"
-                    "shard\t0\ts.snap\tw.wal\n")
+  EXPECT_FALSE(load(head +
+                    "wal\tw.wal\t0\nshard\t0\ts.snap\ncommit\t4\n"
+                    "shard\t0\ts.snap\n")
                    .ok());
   // Missing shard entry.
-  EXPECT_FALSE(load("manifest\t1\t0\t2\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\ncommit\t3\n")
+  EXPECT_FALSE(load("manifest\t2\t0\t2\nbase\tb.snap\n"
+                    "wal\tw.wal\t0\nshard\t0\ts.snap\ncommit\t4\n")
                    .ok());
   // Duplicate shard entry.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\tw.wal\nshard\t0\ts.snap\tw.wal\n"
-                    "commit\t4\n")
+  EXPECT_FALSE(load(head +
+                    "wal\tw.wal\t0\nshard\t0\ts.snap\nshard\t0\ts.snap\n"
+                    "commit\t5\n")
                    .ok());
   // Path-escaping file names.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\t../../etc/passwd\n"
-                    "shard\t0\ts.snap\tw.wal\ncommit\t3\n")
+  EXPECT_FALSE(load("manifest\t2\t0\t1\nbase\t../../etc/passwd\n"
+                    "wal\tw.wal\t0\nshard\t0\ts.snap\ncommit\t4\n")
                    .ok());
   // Absurd shard counts must not drive allocation.
-  EXPECT_FALSE(load("manifest\t1\t0\t999999999\nbase\tb.snap\ncommit\t2\n")
+  EXPECT_FALSE(load("manifest\t2\t0\t999999999\nbase\tb.snap\ncommit\t2\n")
                    .ok());
-  // A shard record needs its WAL.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\ncommit\t3\n")
+  // A version-2 cut needs its one WAL, named once, with a floor.
+  EXPECT_FALSE(load(head + "shard\t0\ts.snap\ncommit\t3\n").ok());
+  EXPECT_FALSE(load(head +
+                    "wal\tw.wal\t0\nwal\tw.wal\t0\nshard\t0\ts.snap\n"
+                    "commit\t5\n")
                    .ok());
+  EXPECT_FALSE(load(head + "wal\tw.wal\nshard\t0\ts.snap\ncommit\t4\n").ok());
+  EXPECT_FALSE(
+      load(head + "wal\tw.wal\t-1\nshard\t0\ts.snap\ncommit\t4\n").ok());
   // The WAL name must obey the plain-file-name rule too.
-  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
-                    "shard\t0\ts.snap\t../w.wal\ncommit\t3\n")
+  EXPECT_FALSE(
+      load(head + "wal\t../w.wal\t0\nshard\t0\ts.snap\ncommit\t4\n").ok());
+  // Version-1 records are not version-2 records.
+  EXPECT_FALSE(
+      load(head + "wal\tw.wal\t0\nshard\t0\ts.snap\tw.wal\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head +
+                    "wal\tw.wal\t0\nshard\t0\ts.snap\nfloor\t0\t3\n"
+                    "commit\t5\n")
                    .ok());
-  // The well-formed equivalent loads.
-  ASSERT_OK_AND_ASSIGN(ShardManifest m,
-                       load("manifest\t1\t5\t1\nbase\tb.snap\n"
-                            "shard\t0\ts.snap\tw.wal\ncommit\t3\n"));
+  // The well-formed cut loads and survives a save/load round trip.
+  ASSERT_OK_AND_ASSIGN(
+      ShardManifest m,
+      load("manifest\t2\t5\t1\nbase\tb.snap\nwal\tw.wal\t9\n"
+           "shard\t0\ts.snap\ncommit\t4\n"));
   EXPECT_EQ(m.epoch, 5u);
   EXPECT_EQ(m.num_shards, 1u);
   EXPECT_EQ(m.base_snapshot, "b.snap");
-  EXPECT_EQ(m.shards[0].wal, "w.wal");
+  EXPECT_EQ(m.wal, "w.wal");
+  EXPECT_EQ(m.floor, 9u);
+  EXPECT_TRUE(m.v1_shard_wals.empty());
+  ASSERT_OK(SaveManifest(m, path));
+  ASSERT_OK_AND_ASSIGN(ShardManifest reloaded, LoadManifest(path));
+  EXPECT_EQ(reloaded.wal, m.wal);
+  EXPECT_EQ(reloaded.floor, m.floor);
+
+  // Version 1 (one WAL per shard) still loads: its logs land in
+  // v1_shard_wals and its floors are summed, and it is never written.
+  ASSERT_OK_AND_ASSIGN(ShardManifest old,
+                       load("manifest\t1\t5\t2\nbase\tb.snap\n"
+                            "shard\t0\ts0.snap\tw0.wal\nfloor\t0\t4\n"
+                            "shard\t1\ts1.snap\tw1.wal\nfloor\t1\t3\n"
+                            "commit\t6\n"));
+  EXPECT_EQ((std::vector<std::string>{"w0.wal", "w1.wal"}),
+            old.v1_shard_wals);
+  EXPECT_EQ(7u, old.floor);
+  EXPECT_TRUE(old.wal.empty());
+  EXPECT_TRUE(SaveManifest(old, path).IsInvalidArgument());
+  // A version-1 shard record needs its WAL, named plainly.
+  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
+                    "shard\t0\ts.snap\ncommit\t3\n")
+                   .ok());
+  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
+                    "shard\t0\ts.snap\t../w.wal\ncommit\t3\n")
+                   .ok());
+  // Version 1 has no wal record, and its floors are positive.
+  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\nwal\tw.wal\t0\n"
+                    "shard\t0\ts.snap\tw.wal\ncommit\t4\n")
+                   .ok());
+  EXPECT_FALSE(load("manifest\t1\t0\t1\nbase\tb.snap\n"
+                    "shard\t0\ts.snap\tw.wal\nfloor\t0\t0\ncommit\t4\n")
+                   .ok());
   // Rotated-segment lists (a removed layout) are refused, not misread.
   Result<ShardManifest> rotated =
       load("manifest\t1\t5\t1\nbase\tb.snap\n"
@@ -482,41 +547,39 @@ TEST(ManifestTest, RejectsTornAndMalformedManifests) {
   ASSERT_FALSE(rotated.ok());
   EXPECT_TRUE(rotated.status().IsFailedPrecondition())
       << rotated.status().ToString();
-  // The one-WAL cut survives a save/load round trip unchanged.
-  ASSERT_OK(SaveManifest(m, path));
-  ASSERT_OK_AND_ASSIGN(ShardManifest reloaded, LoadManifest(path));
-  EXPECT_EQ(reloaded.shards[0].wal, m.shards[0].wal);
+  // Unknown versions are refused.
+  EXPECT_FALSE(load("manifest\t3\t0\t1\nbase\tb.snap\nwal\tw.wal\t0\n"
+                    "shard\t0\ts.snap\ncommit\t4\n")
+                   .ok());
   std::remove(path.c_str());
 }
 
-/// The MANIFEST's exact bytes, `cold` and `floor` records included.
+/// The MANIFEST's exact bytes, `wal` and `cold` records included.
 TEST(ManifestTest, SavesItsGoldenBytes) {
   const std::string path = ::testing::TempDir() + "/ltam_manifest_golden";
   ShardManifest m;
   m.epoch = 12;
   m.num_shards = 3;
   m.base_snapshot = "base-12.snap";
+  m.wal = "events-12.wal";
+  m.floor = 1239;
   for (uint32_t k = 0; k < 3; ++k) {
     ShardManifest::ShardFiles files;
     files.snapshot = "shard-" + std::to_string(k) + "-12.snap";
-    files.wal = "events-" + std::to_string(k) + "-12.wal";
     m.shards.push_back(std::move(files));
   }
   m.shards[0].cold = {"cold-0-3.seg", "cold-0-4.seg"};
-  m.shards[0].floor = 1234;
   m.shards[2].dropped_events = 9;
-  m.shards[2].floor = 5;
   const std::string golden =
-      "manifest\t1\t12\t3\n"
+      "manifest\t2\t12\t3\n"
       "base\tbase-12.snap\n"
-      "shard\t0\tshard-0-12.snap\tevents-0-12.wal\n"
+      "wal\tevents-12.wal\t1239\n"
+      "shard\t0\tshard-0-12.snap\n"
       "cold\t0\t0\tcold-0-3.seg\tcold-0-4.seg\n"
-      "floor\t0\t1234\n"
-      "shard\t1\tshard-1-12.snap\tevents-1-12.wal\n"
-      "shard\t2\tshard-2-12.snap\tevents-2-12.wal\n"
+      "shard\t1\tshard-1-12.snap\n"
+      "shard\t2\tshard-2-12.snap\n"
       "cold\t2\t9\n"
-      "floor\t2\t5\n"
-      "commit\t9\n";
+      "commit\t8\n";
   ASSERT_OK(SaveManifest(m, path));
   {
     std::ifstream in(path, std::ios::binary);
@@ -526,11 +589,10 @@ TEST(ManifestTest, SavesItsGoldenBytes) {
   EXPECT_FALSE(FileExists(path + ".tmp"));
   ASSERT_OK_AND_ASSIGN(ShardManifest loaded, LoadManifest(path));
   EXPECT_EQ(loaded.epoch, 12u);
+  EXPECT_EQ(loaded.wal, "events-12.wal");
+  EXPECT_EQ(loaded.floor, 1239u);
   EXPECT_EQ(loaded.shards[0].cold, m.shards[0].cold);
-  EXPECT_EQ(loaded.shards[0].floor, 1234u);
-  EXPECT_EQ(loaded.shards[1].floor, 0u);
   EXPECT_EQ(loaded.shards[2].dropped_events, 9u);
-  EXPECT_EQ(loaded.shards[2].floor, 5u);
   std::remove(path.c_str());
 }
 
@@ -543,29 +605,29 @@ TEST(ManifestTest, RejectsMalformedColdRecords) {
     return LoadManifest(path);
   };
   const std::string head =
-      "manifest\t1\t0\t1\nbase\tb.snap\nshard\t0\ts.snap\tw.wal\n";
+      "manifest\t2\t0\t1\nbase\tb.snap\nwal\tw.wal\t0\nshard\t0\ts.snap\n";
   // Shard index out of range.
-  EXPECT_FALSE(load(head + "cold\t7\t0\tc.seg\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head + "cold\t7\t0\tc.seg\ncommit\t5\n").ok());
   // Duplicate cold record for one shard.
   EXPECT_FALSE(
-      load(head + "cold\t0\t0\tc.seg\ncold\t0\t0\td.seg\ncommit\t5\n").ok());
+      load(head + "cold\t0\t0\tc.seg\ncold\t0\t0\td.seg\ncommit\t6\n").ok());
   // Negative dropped-event count.
-  EXPECT_FALSE(load(head + "cold\t0\t-3\tc.seg\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head + "cold\t0\t-3\tc.seg\ncommit\t5\n").ok());
   // Nothing sealed AND nothing dropped: the record should not exist.
-  EXPECT_FALSE(load(head + "cold\t0\t0\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head + "cold\t0\t0\ncommit\t5\n").ok());
   // Too few fields.
-  EXPECT_FALSE(load(head + "cold\t0\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head + "cold\t0\ncommit\t5\n").ok());
   // Path-escaping segment names.
-  EXPECT_FALSE(load(head + "cold\t0\t0\t../c.seg\ncommit\t4\n").ok());
+  EXPECT_FALSE(load(head + "cold\t0\t0\t../c.seg\ncommit\t5\n").ok());
   // A dropped-only record (everything past the horizon, nothing sealed)
   // is legal; so is a full record, and both round-trip.
   ASSERT_OK_AND_ASSIGN(ShardManifest dropped_only,
-                       load(head + "cold\t0\t12\ncommit\t4\n"));
+                       load(head + "cold\t0\t12\ncommit\t5\n"));
   EXPECT_EQ(dropped_only.shards[0].dropped_events, 12u);
   EXPECT_TRUE(dropped_only.shards[0].cold.empty());
   ASSERT_OK_AND_ASSIGN(
       ShardManifest full,
-      load(head + "cold\t0\t5\tc0.seg\tc1.seg\tc2.seg\ncommit\t4\n"));
+      load(head + "cold\t0\t5\tc0.seg\tc1.seg\tc2.seg\ncommit\t5\n"));
   EXPECT_EQ(full.shards[0].dropped_events, 5u);
   ASSERT_EQ(full.shards[0].cold.size(), 3u);
   EXPECT_EQ(full.shards[0].cold[0], "c0.seg");
