@@ -54,7 +54,8 @@
 #                      # server's per-thread CPU table (CPU ms and
 #                      # context switches per thread name), kept as
 #                      # THREADS_* rows in BENCH_pr9.json / BENCH_pr10.json
-#   ./ci.sh replication # primary + 2 replicas over real TCP: kill -9
+#   ./ci.sh replication # 2-shard primary + 2 replicas (one of them
+#                      # 1-shard) over real TCP: kill -9
 #                      # the primary mid-ingest, promote the freshest
 #                      # survivor, repoint the other, assert convergence
 #                      # (including the per-replica lag gauges draining
@@ -96,7 +97,8 @@ tsan() {
   echo "=== tsan: thread sanitizer, concurrency tests ==="
   cmake -B build-tsan -S . -DLTAM_SANITIZE=thread \
     -DLTAM_BUILD_BENCHMARKS=OFF -DLTAM_BUILD_EXAMPLES=OFF
-  # The sharded pipeline, the caches it leans on, the durable runtime
+  # The sharded pipeline, the shared authorization lookups it leans on
+  # (read by many threads at once, with no lock), the durable runtime
   # (worker-thread appends into the one log, its log thread), the facade
   # that drives them, and the TCP server around it all (I/O thread +
   # ingest coalescer + read-worker pool + client threads) are the
@@ -998,12 +1000,14 @@ replication() {
   # mix; the primary is kill -9'd mid-ingest, the freshest survivor is
   # promoted (epoch 0 -> 1), the other survivor repointed at it, and
   # the pair must converge to the identical watermark and answer a
-  # query sweep byte-identically.
+  # query sweep byte-identically. The primary and replica 1 run two
+  # shards and replica 2 runs one, so whichever survivor leads, the
+  # convergence check and the sweep cover mixed shard counts.
   local root
   root="$(mktemp -d)"
   mkdir -p "$root/primary" "$root/r1" "$root/r2"
   local events=4000
-  local world=(--scenario=replication --scenario-events="$events" --shards=2)
+  local world=(--scenario=replication --scenario-events="$events")
 
   # Prints a server's applied offset (the "durable/applied" watermark's
   # right half) via the shell's remote stats.
@@ -1026,14 +1030,14 @@ replication() {
   }
 
   boot_serve "$root/primary.log" --durable="$root/primary" \
-    --sync-mode=pipelined "${world[@]}" \
+    --sync-mode=pipelined "${world[@]}" --shards=2 \
     || { echo "replication: primary never came up" >&2; exit 1; }
   local primary_pid=$serve_pid pport=$serve_port
-  boot_serve "$root/r1.log" --durable="$root/r1" "${world[@]}" \
+  boot_serve "$root/r1.log" --durable="$root/r1" "${world[@]}" --shards=2 \
     --replica-of=127.0.0.1:"$pport" \
     || { echo "replication: replica 1 never came up" >&2; kill "$primary_pid"; exit 1; }
   local r1_pid=$serve_pid r1port=$serve_port
-  boot_serve "$root/r2.log" --durable="$root/r2" "${world[@]}" \
+  boot_serve "$root/r2.log" --durable="$root/r2" "${world[@]}" --shards=1 \
     --replica-of=127.0.0.1:"$pport" \
     || { echo "replication: replica 2 never came up" >&2; kill "$primary_pid" "$r1_pid"; exit 1; }
   local r2_pid=$serve_pid r2port=$serve_port

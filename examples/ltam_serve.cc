@@ -64,8 +64,8 @@
 //   --replica-of=H:P  serve as a read-only replica following the
 //                     primary at H:P: writes are refused with a
 //                     redirect, reads answer from the replicated state.
-//                     Requires --durable and the primary's --shards
-//                     value, and BOTH sides must boot the same
+//                     Requires --durable (any --shards value), and
+//                     BOTH sides must boot the same
 //                     --policy/--scenario flags (the stream carries
 //                     only WAL deltas, not the initial world). A
 //                     `promote` through ltam_shell turns this server

@@ -8,88 +8,6 @@
 
 namespace ltam {
 
-void AuthorizationDatabase::ClearCache() const {
-  for (CacheBucket& bucket : cache_) {
-    std::lock_guard<std::mutex> lock(bucket.mu);
-    bucket.entries.clear();
-  }
-}
-
-AuthorizationDatabase::AuthorizationDatabase(
-    AuthorizationDatabase&& other) noexcept
-    : records_(std::move(other.records_)),
-      by_subject_location_(std::move(other.by_subject_location_)),
-      by_subject_(std::move(other.by_subject_)),
-      by_location_(std::move(other.by_location_)),
-      by_rule_(std::move(other.by_rule_)),
-      active_count_(other.active_count_),
-      version_(other.version_.load(std::memory_order_acquire)),
-      subject_version_(std::move(other.subject_version_)) {
-  other.active_count_ = 0;
-  // The moved-from database keeps its (untouched) cache buckets but has
-  // lost its records; drop the buckets so a later read rescans the now-
-  // empty indexes instead of serving dangling AuthIds.
-  other.ClearCache();
-}
-
-AuthorizationDatabase& AuthorizationDatabase::operator=(
-    AuthorizationDatabase&& other) noexcept {
-  if (this == &other) return *this;
-  records_ = std::move(other.records_);
-  by_subject_location_ = std::move(other.by_subject_location_);
-  by_subject_ = std::move(other.by_subject_);
-  by_location_ = std::move(other.by_location_);
-  by_rule_ = std::move(other.by_rule_);
-  active_count_ = other.active_count_;
-  subject_version_ = std::move(other.subject_version_);
-  version_.store(other.version_.load(std::memory_order_acquire),
-                 std::memory_order_release);
-  other.active_count_ = 0;
-  // Our old cache entries could collide with the incoming per-subject
-  // versions; both sides start cold.
-  ClearCache();
-  other.ClearCache();
-  return *this;
-}
-
-AuthorizationDatabase::AuthorizationDatabase(
-    const AuthorizationDatabase& other)
-    : records_(other.records_),
-      by_subject_location_(other.by_subject_location_),
-      by_subject_(other.by_subject_),
-      by_location_(other.by_location_),
-      by_rule_(other.by_rule_),
-      active_count_(other.active_count_),
-      version_(other.version_.load(std::memory_order_acquire)),
-      subject_version_(other.subject_version_) {}
-
-AuthorizationDatabase& AuthorizationDatabase::operator=(
-    const AuthorizationDatabase& other) {
-  if (this == &other) return *this;
-  records_ = other.records_;
-  by_subject_location_ = other.by_subject_location_;
-  by_subject_ = other.by_subject_;
-  by_location_ = other.by_location_;
-  by_rule_ = other.by_rule_;
-  active_count_ = other.active_count_;
-  subject_version_ = other.subject_version_;
-  version_.store(other.version_.load(std::memory_order_acquire),
-                 std::memory_order_release);
-  // Our old entries could collide with the incoming per-subject versions.
-  ClearCache();
-  return *this;
-}
-
-void AuthorizationDatabase::TouchSubject(SubjectId s) {
-  ++subject_version_[s];
-  version_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-uint64_t AuthorizationDatabase::SubjectVersion(SubjectId s) const {
-  auto it = subject_version_.find(s);
-  return it == subject_version_.end() ? 0 : it->second;
-}
-
 AuthId AuthorizationDatabase::Add(const LocationTemporalAuthorization& auth) {
   AuthId id = static_cast<AuthId>(records_.size());
   records_.push_back(AuthRecord{id, auth, AuthOrigin::kExplicit,
@@ -98,7 +16,6 @@ AuthId AuthorizationDatabase::Add(const LocationTemporalAuthorization& auth) {
   by_subject_[auth.subject()].push_back(id);
   by_location_[auth.location()].push_back(id);
   ++active_count_;
-  TouchSubject(auth.subject());
   return id;
 }
 
@@ -116,7 +33,6 @@ Status AuthorizationDatabase::Revoke(AuthId id) {
   if (!records_[id].revoked) {
     records_[id].revoked = true;
     --active_count_;
-    TouchSubject(records_[id].auth.subject());
   }
   return Status::OK();
 }
@@ -130,7 +46,6 @@ size_t AuthorizationDatabase::RevokeDerivedBy(RuleId rule) {
       records_[id].revoked = true;
       --active_count_;
       ++revoked;
-      TouchSubject(records_[id].auth.subject());
     }
   }
   return revoked;
@@ -186,39 +101,11 @@ std::vector<AuthId> FilterActive(
 }
 }  // namespace
 
-std::vector<AuthId> AuthorizationDatabase::ScanSubjectLocation(
+std::vector<AuthId> AuthorizationDatabase::ForSubjectLocation(
     SubjectId s, LocationId l) const {
   auto it = by_subject_location_.find(Key(s, l));
   return FilterActive(records_,
                       it == by_subject_location_.end() ? nullptr : &it->second);
-}
-
-const std::vector<AuthId>& AuthorizationDatabase::CachedActive(
-    CacheBucket& bucket, SubjectId s, LocationId l) const {
-  // Entries are tagged with the *subject's* version: a mutation touching
-  // one subject invalidates only that subject's cached lists. (A subject
-  // that was never mutated has version 0 and no authorizations, which a
-  // default-constructed entry — version 0, empty list — already answers
-  // correctly.)
-  uint64_t ver = SubjectVersion(s);
-  CacheEntry& entry = bucket.entries[Key(s, l)];
-  if (entry.version != ver) {
-    entry.version = ver;
-    entry.active = ScanSubjectLocation(s, l);
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return entry.active;
-}
-
-std::vector<AuthId> AuthorizationDatabase::ForSubjectLocation(
-    SubjectId s, LocationId l) const {
-  // Deliberately uncached: bulk analytic sweeps (Algorithm 1 seeding,
-  // conflict scans, interval aggregates) would otherwise insert one
-  // never-evicted cache entry per (subject, location) pair they touch.
-  // Only the request hot path (CheckAccess) populates the cache.
-  return ScanSubjectLocation(s, l);
 }
 
 std::vector<AuthId> AuthorizationDatabase::ForSubject(SubjectId s) const {
@@ -248,17 +135,16 @@ std::vector<AuthId> AuthorizationDatabase::DerivedBy(RuleId rule) const {
 
 Decision AuthorizationDatabase::CheckAccess(Chronon t, SubjectId s,
                                             LocationId l) const {
-  // Hot path: candidate ids come from the derived-authorization cache
-  // (no allocation on a hit); ledger state is read live from records_.
-  CacheBucket& bucket = cache_[s % kCacheBuckets];
-  std::lock_guard<std::mutex> lock(bucket.mu);
-  const std::vector<AuthId>& candidates = CachedActive(bucket, s, l);
-  if (candidates.empty()) {
+  auto it = by_subject_location_.find(Key(s, l));
+  if (it == by_subject_location_.end()) {
     return Decision::Deny(DenyReason::kNoAuthorization);
   }
+  bool any_active = false;
   bool any_in_window = false;
-  for (AuthId id : candidates) {
+  for (AuthId id : it->second) {
     const AuthRecord& rec = records_[id];
+    if (rec.revoked) continue;
+    any_active = true;
     if (!rec.auth.entry_duration().Contains(t)) continue;
     any_in_window = true;
     // Definition 7: "s has entered l during [tis, tie] for less than n
@@ -268,6 +154,7 @@ Decision AuthorizationDatabase::CheckAccess(Chronon t, SubjectId s,
       return Decision::Grant(id);
     }
   }
+  if (!any_active) return Decision::Deny(DenyReason::kNoAuthorization);
   return Decision::Deny(any_in_window ? DenyReason::kEntriesExhausted
                                       : DenyReason::kOutsideEntryDuration);
 }

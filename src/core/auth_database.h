@@ -5,10 +5,7 @@
 #ifndef LTAM_CORE_AUTH_DATABASE_H_
 #define LTAM_CORE_AUTH_DATABASE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -45,41 +42,20 @@ struct AuthRecord {
 /// revocation), and the reachability analysis of Section 6 (per-location
 /// authorization scans).
 ///
-/// ### Caching and concurrency contract
+/// ### Concurrency contract
 ///
-/// CheckAccess goes through a per-subject *derived-authorization cache*:
-/// the active (explicit + rule-derived, non-revoked) authorization ids
-/// per (subject, location) pair, tagged with the subject's mutation
-/// version. A mutation (Add/AddDerived/Revoke/RevokeDerivedBy) bumps
-/// only the touched subject's version, so only that subject's cached
-/// lists refresh; everyone else keeps hitting. Repeated CheckAccess
-/// calls therefore skip the re-derivation scan and its allocation.
-/// Bulk analytic lookups (ForSubjectLocation and the interval
-/// aggregates) deliberately bypass the cache so sweeps over millions of
-/// (subject, location) pairs do not grow it unboundedly.
-///
-/// Concurrency follows the sharded-engine discipline (phase-based):
-///  - CheckAccess / RecordEntry / ForSubjectLocation may be called from
-///    multiple threads concurrently **as long as no two threads touch the
-///    same subject** (the sharded engine partitions subjects per shard).
-///    The candidate cache is internally bucketed by subject so concurrent
-///    readers do not race.
+/// Every lookup (CheckAccess, ForSubjectLocation, the interval
+/// aggregates, ...) is a plain read of indexes that change only between
+/// batches, so any number of threads may read at once — the server's
+/// read workers may check the same subject at the same time.
+///  - RecordEntry writes one record's ledger; the sharded engine calls it
+///    only for records of the calling shard's subjects, so no two
+///    threads write one record.
 ///  - Mutations (Add, AddDerived, Revoke, RevokeDerivedBy) must be
 ///    externally synchronized against all readers — run them between
 ///    batches, never during one.
 class AuthorizationDatabase {
  public:
-  AuthorizationDatabase() = default;
-
-  /// Movable and copyable (snapshot restore moves a rebuilt database
-  /// into place; benchmarks copy a template database to get a fresh
-  /// ledger). The candidate cache does not travel — the destination
-  /// starts cold and refills lazily.
-  AuthorizationDatabase(AuthorizationDatabase&& other) noexcept;
-  AuthorizationDatabase& operator=(AuthorizationDatabase&& other) noexcept;
-  AuthorizationDatabase(const AuthorizationDatabase& other);
-  AuthorizationDatabase& operator=(const AuthorizationDatabase& other);
-
   // --- Mutation ------------------------------------------------------------
 
   /// Adds an explicit authorization; returns its id.
@@ -143,29 +119,13 @@ class AuthorizationDatabase {
   /// CheckAccess + RecordEntry on the granting authorization.
   Decision CheckAndRecordAccess(Chronon t, SubjectId s, LocationId l);
 
+  /// Always 0: CheckAccess reads the (subject, location) index in place
+  /// and caches nothing. The accessors stay so that the benchmark code
+  /// reading them keeps building.
+  uint64_t cache_hits() const { return 0; }
+  uint64_t cache_misses() const { return 0; }
+
   // --- Aggregates for Section 6 --------------------------------------------
-
-  // --- Cache observability ---------------------------------------------
-
-  /// Global database version; bumped by every mutation (observability /
-  /// change detection across the whole store).
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Per-subject mutation version: bumped whenever an authorization
-  /// mentioning `s` is added, revoked, or re-derived. Tags the candidate
-  /// cache and lets incremental analyses (core/inaccessible.h) recompute
-  /// only subjects that changed.
-  uint64_t SubjectVersion(SubjectId s) const;
-
-  /// Candidate-cache hit/miss counters (CheckAccess + ForSubjectLocation).
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
 
   /// Union of entry durations of active authorizations for (s, l) — the
   /// raw material of the overall grant time.
@@ -184,50 +144,12 @@ class AuthorizationDatabase {
     return (static_cast<uint64_t>(s) << 32) | l;
   }
 
-  /// One cached candidate list: the active AuthIds for a (s, l) key as of
-  /// the subject's version. entries_used / ledger state is *not* cached —
-  /// CheckAccess reads it live — so RecordEntry needs no invalidation.
-  struct CacheEntry {
-    uint64_t version = 0;
-    std::vector<AuthId> active;
-  };
-  /// Cache shard; bucketed by subject so concurrent readers of distinct
-  /// subjects rarely contend (and per the class contract, same-subject
-  /// calls are single-threaded anyway).
-  struct CacheBucket {
-    std::mutex mu;
-    std::unordered_map<uint64_t, CacheEntry> entries;
-  };
-  static constexpr size_t kCacheBuckets = 16;
-
-  /// Uncached scan (the pre-cache ForSubjectLocation body).
-  std::vector<AuthId> ScanSubjectLocation(SubjectId s, LocationId l) const;
-
-  /// Returns the cached active list for (s, l), refreshing it when stale.
-  /// `bucket.mu` must be held by the caller; the reference is valid while
-  /// the lock is held.
-  const std::vector<AuthId>& CachedActive(CacheBucket& bucket, SubjectId s,
-                                          LocationId l) const;
-
-  /// Records a mutation touching subject `s` (invalidates caches).
-  void TouchSubject(SubjectId s);
-
-  /// Drops every cached candidate list (used by move/copy, where entry
-  /// tags could collide with another database's version history).
-  void ClearCache() const;
-
   std::vector<AuthRecord> records_;
   std::unordered_map<uint64_t, std::vector<AuthId>> by_subject_location_;
   std::unordered_map<SubjectId, std::vector<AuthId>> by_subject_;
   std::unordered_map<LocationId, std::vector<AuthId>> by_location_;
   std::unordered_map<RuleId, std::vector<AuthId>> by_rule_;
   size_t active_count_ = 0;
-
-  std::atomic<uint64_t> version_{1};
-  std::unordered_map<SubjectId, uint64_t> subject_version_;
-  mutable std::array<CacheBucket, kCacheBuckets> cache_;
-  mutable std::atomic<uint64_t> cache_hits_{0};
-  mutable std::atomic<uint64_t> cache_misses_{0};
 };
 
 }  // namespace ltam

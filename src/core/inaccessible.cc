@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ltam {
@@ -241,55 +240,6 @@ Result<InaccessibleResult> FindInaccessible(
     }
   }
   return Finish(w, options, updates, std::move(trace));
-}
-
-IncrementalInaccessibleAnalyzer::IncrementalInaccessibleAnalyzer(
-    const MultilevelLocationGraph* graph, LocationId scope,
-    const AuthorizationDatabase* auth_db, InaccessibleOptions options)
-    : graph_(graph), scope_(scope), auth_db_(auth_db), options_(options) {
-  LTAM_CHECK(graph != nullptr);
-  LTAM_CHECK(auth_db != nullptr);
-}
-
-Result<const InaccessibleResult*> IncrementalInaccessibleAnalyzer::Freshen(
-    SubjectId subject, bool* recomputed) {
-  uint64_t current = auth_db_->SubjectVersion(subject);
-  auto it = cache_.find(subject);
-  if (it != cache_.end() && it->second.version == current) {
-    if (recomputed != nullptr) *recomputed = false;
-    return &it->second.result;
-  }
-  LTAM_ASSIGN_OR_RETURN(
-      InaccessibleResult result,
-      FindInaccessible(*graph_, scope_, subject, *auth_db_, options_));
-  Entry& entry = cache_[subject];
-  entry.version = current;
-  entry.result = std::move(result);
-  if (recomputed != nullptr) *recomputed = true;
-  return &entry.result;
-}
-
-Result<const InaccessibleResult*> IncrementalInaccessibleAnalyzer::Analyze(
-    SubjectId subject) {
-  return Freshen(subject, nullptr);
-}
-
-Result<IncrementalInaccessibleAnalyzer::RefreshReport>
-IncrementalInaccessibleAnalyzer::Refresh(
-    const std::vector<SubjectId>& subjects) {
-  RefreshReport report;
-  for (SubjectId s : subjects) {
-    bool recomputed = false;
-    LTAM_ASSIGN_OR_RETURN(const InaccessibleResult* unused,
-                          Freshen(s, &recomputed));
-    (void)unused;
-    if (recomputed) {
-      ++report.recomputed;
-    } else {
-      ++report.reused;
-    }
-  }
-  return report;
 }
 
 Result<std::vector<LocationId>> HierarchicalInaccessiblePrune(

@@ -15,7 +15,6 @@
 #define LTAM_CORE_INACCESSIBLE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/auth_database.h"
@@ -94,68 +93,6 @@ Result<InaccessibleResult> FindInaccessible(
     const MultilevelLocationGraph& graph, LocationId scope,
     SubjectId subject, const AuthorizationDatabase& auth_db,
     const InaccessibleOptions& options = {});
-
-/// Incremental driver for the inaccessible-location analysis across many
-/// subjects.
-///
-/// The fixpoint of Algorithm 1 is per-subject: only `subject`'s
-/// authorizations feed the seeds and update steps. A production control
-/// station re-answers "which locations can s reach?" for millions of
-/// subjects after every policy change; recomputing every subject's
-/// fixpoint is wasted work when a mutation touched only a few. This
-/// analyzer caches each subject's result tagged with
-/// AuthorizationDatabase::SubjectVersion and re-runs the fixpoint only
-/// for subjects whose authorizations actually changed (added, revoked, or
-/// re-derived) since their cached run.
-///
-/// Not thread-safe; drive it from the control thread between batches.
-class IncrementalInaccessibleAnalyzer {
- public:
-  /// Borrows the graph and database; they must outlive the analyzer.
-  IncrementalInaccessibleAnalyzer(const MultilevelLocationGraph* graph,
-                                  LocationId scope,
-                                  const AuthorizationDatabase* auth_db,
-                                  InaccessibleOptions options = {});
-
-  /// Result for `subject`: cached when fresh, recomputed when the
-  /// subject's authorizations changed. The reference is valid until the
-  /// next Analyze/Refresh/InvalidateAll call for that subject.
-  Result<const InaccessibleResult*> Analyze(SubjectId subject);
-
-  /// Outcome of a Refresh sweep.
-  struct RefreshReport {
-    size_t recomputed = 0;  ///< Subjects whose fixpoint was re-run.
-    size_t reused = 0;      ///< Subjects served from cache.
-  };
-
-  /// Ensures every subject in `subjects` is fresh, re-seeding only the
-  /// changed ones. Typical call after a rule-engine derivation pass.
-  Result<RefreshReport> Refresh(const std::vector<SubjectId>& subjects);
-
-  /// Drops every cached result (e.g. after the graph itself changed,
-  /// which per-subject versions do not track).
-  void InvalidateAll() { cache_.clear(); }
-
-  /// Cached subject count (observability).
-  size_t cached_subjects() const { return cache_.size(); }
-
- private:
-  struct Entry {
-    uint64_t version = 0;
-    InaccessibleResult result;
-  };
-
-  /// Returns the fresh cache entry for `subject`, recomputing if stale;
-  /// sets `*recomputed` accordingly when non-null.
-  Result<const InaccessibleResult*> Freshen(SubjectId subject,
-                                            bool* recomputed);
-
-  const MultilevelLocationGraph* graph_;
-  LocationId scope_;
-  const AuthorizationDatabase* auth_db_;
-  InaccessibleOptions options_;
-  std::unordered_map<SubjectId, Entry> cache_;
-};
 
 /// Lemma-1-based hierarchical pruning: runs the analysis locally inside
 /// every composite (considering only that composite's entry locations)

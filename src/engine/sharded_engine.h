@@ -22,11 +22,11 @@
 // running the sequential engine event-by-event (the equivalence property
 // checked by tests/sharded_engine_test.cc).
 //
-// The shared AuthorizationDatabase is safe under this discipline: reads
-// go through its subject-bucketed candidate cache, ledger updates touch
-// only records owned by the deciding shard's subjects, and mutations
-// (rule derivation, revocation) happen between batches on the control
-// thread.
+// The shared AuthorizationDatabase is safe under this discipline: its
+// lookups are plain reads of indexes that change only between batches,
+// ledger updates touch only records owned by the deciding shard's
+// subjects, and mutations (rule derivation, revocation) happen between
+// batches on the control thread.
 
 #ifndef LTAM_ENGINE_SHARDED_ENGINE_H_
 #define LTAM_ENGINE_SHARDED_ENGINE_H_

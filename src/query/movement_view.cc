@@ -66,44 +66,22 @@ ShardedMovementView::ShardedMovementView(
   }
 }
 
-const MovementDatabase* ShardedMovementView::OwnerShard(SubjectId s) const {
-  if (!route_) return nullptr;
+const MovementDatabase& ShardedMovementView::OwnerShard(SubjectId s) const {
   uint32_t k = route_(s);
   LTAM_CHECK(k < shards_.size()) << "router mapped subject out of range";
-  return shards_[k];
+  return *shards_[k];
 }
 
 LocationId ShardedMovementView::CurrentLocation(SubjectId s) const {
-  if (const MovementDatabase* owner = OwnerShard(s)) {
-    return owner->CurrentLocation(s);
-  }
-  for (const MovementDatabase* db : shards_) {
-    LocationId l = db->CurrentLocation(s);
-    if (l != kInvalidLocation) return l;
-  }
-  return kInvalidLocation;
+  return OwnerShard(s).CurrentLocation(s);
 }
 
 Result<Chronon> ShardedMovementView::CurrentStaySince(SubjectId s) const {
-  if (const MovementDatabase* owner = OwnerShard(s)) {
-    return owner->CurrentStaySince(s);
-  }
-  for (const MovementDatabase* db : shards_) {
-    Result<Chronon> since = db->CurrentStaySince(s);
-    if (since.ok()) return since;
-  }
-  return Status::NotFound("subject is not inside any location");
+  return OwnerShard(s).CurrentStaySince(s);
 }
 
 LocationId ShardedMovementView::LocationAt(SubjectId s, Chronon t) const {
-  if (const MovementDatabase* owner = OwnerShard(s)) {
-    return owner->LocationAt(s, t);
-  }
-  for (const MovementDatabase* db : shards_) {
-    LocationId l = db->LocationAt(s, t);
-    if (l != kInvalidLocation) return l;
-  }
-  return kInvalidLocation;
+  return OwnerShard(s).LocationAt(s, t);
 }
 
 std::vector<SubjectId> ShardedMovementView::OccupantsAt(LocationId l,
@@ -131,14 +109,7 @@ std::vector<SubjectId> ShardedMovementView::CurrentOccupants(
 }
 
 std::vector<Stay> ShardedMovementView::StaysOf(SubjectId s) const {
-  if (const MovementDatabase* owner = OwnerShard(s)) {
-    return owner->StaysOf(s);
-  }
-  for (const MovementDatabase* db : shards_) {
-    std::vector<Stay> stays = db->StaysOf(s);
-    if (!stays.empty()) return stays;
-  }
-  return {};
+  return OwnerShard(s).StaysOf(s);
 }
 
 std::vector<Stay> ShardedMovementView::StaysIn(LocationId l) const {

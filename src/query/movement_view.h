@@ -80,10 +80,10 @@ class MovementDatabaseView final : public MovementView {
 
 /// The sharded implementation: fans queries out over N per-shard
 /// movement databases (all borrowed; they must outlive the view) and
-/// merges the answers. An optional `route` function maps a subject to
-/// its owning shard; subject-keyed queries then touch exactly one shard
-/// instead of all of them. Every subject must live on at most one shard
-/// (the partition discipline of the sharded engines).
+/// merges the answers. `route` maps a subject to its owning shard, so
+/// subject-keyed queries touch exactly that shard. Every subject must
+/// live on at most one shard, the one `route` names (the partition
+/// discipline of the sharded engines).
 ///
 /// Thread-safety mirrors the engines' phase discipline: query only
 /// while no batch is in flight.
@@ -91,8 +91,8 @@ class ShardedMovementView final : public MovementView {
  public:
   using ShardRouter = std::function<uint32_t(SubjectId)>;
 
-  explicit ShardedMovementView(std::vector<const MovementDatabase*> shards,
-                               ShardRouter route = nullptr);
+  ShardedMovementView(std::vector<const MovementDatabase*> shards,
+                      ShardRouter route);
 
   LocationId CurrentLocation(SubjectId s) const override;
   Result<Chronon> CurrentStaySince(SubjectId s) const override;
@@ -111,9 +111,8 @@ class ShardedMovementView final : public MovementView {
   size_t num_shards() const { return shards_.size(); }
 
  private:
-  /// The shard owning `s` when a router is attached; nullptr means "scan
-  /// every shard" (still correct — non-owners have no record of s).
-  const MovementDatabase* OwnerShard(SubjectId s) const;
+  /// The shard owning `s`.
+  const MovementDatabase& OwnerShard(SubjectId s) const;
 
   std::vector<const MovementDatabase*> shards_;
   ShardRouter route_;

@@ -61,10 +61,6 @@ void LogShipper::Stop() {
   }
 }
 
-uint64_t LogShipper::records_shipped() const {
-  return records_shipped_.load(std::memory_order_relaxed);
-}
-
 void LogShipper::Run() {
   while (true) {
     bool fatal = false;
@@ -111,12 +107,10 @@ bool LogShipper::SweepOnce(bool* fatal) {
     chunk.epoch = epoch;
     chunk.start = position_;
     chunk.records = std::move(slice->records);
-    const uint64_t shipped = chunk.records.size();
     if (!send_(MessageType::kSegmentChunk, EncodeSegmentChunk(chunk))) {
       *fatal = true;  // Connection gone.
       return moved;
     }
-    records_shipped_.fetch_add(shipped, std::memory_order_relaxed);
     position_ = slice->next;
     moved = true;
     if (slice->next >= slice->durable) break;
@@ -124,19 +118,6 @@ bool LogShipper::SweepOnce(bool* fatal) {
   if (lag_gauge_ != nullptr) {
     lag_gauge_->Set(
         durable > position_ ? static_cast<int64_t>(durable - position_) : 0);
-  }
-  // Lag accounting: advertise the primary's durable position whenever
-  // it moved past what the replica last heard.
-  if (sent_durable_ != durable) {
-    WatermarkAdvance advance;
-    advance.epoch = epoch;
-    advance.durable = durable;
-    if (!send_(MessageType::kWatermarkAdvance,
-               EncodeWatermarkAdvance(advance))) {
-      *fatal = true;
-      return moved;
-    }
-    sent_durable_ = durable;
   }
   return moved;
 }

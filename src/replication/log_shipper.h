@@ -8,8 +8,7 @@
 // AccessRuntime::ReadReplicationSlice — under the server's SHARED
 // runtime lock, so a checkpoint can never swap the WAL file out from
 // under a read — and pushes the records as server-initiated
-// kSegmentChunk frames (request_id 0), followed by one
-// kWatermarkAdvance whenever the primary's durable position moved.
+// kSegmentChunk frames (request_id 0).
 //
 // Only durable records ship. The primary's (applied, durable) watermark
 // is the replication position space — the same count the replica
@@ -31,12 +30,10 @@
 #ifndef LTAM_REPLICATION_LOG_SHIPPER_H_
 #define LTAM_REPLICATION_LOG_SHIPPER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -79,9 +76,6 @@ class LogShipper {
   void Start();
   void Stop();
 
-  /// Total records shipped since Start.
-  uint64_t records_shipped() const;
-
  private:
   void Run();
   /// One sweep up to the durable position; returns whether anything
@@ -95,9 +89,6 @@ class LogShipper {
   const LogShipperOptions options_;
 
   uint64_t position_ = 0;  // Thread-only after Start.
-  /// Last kWatermarkAdvance payload; empty until the first one.
-  std::optional<uint64_t> sent_durable_;
-  std::atomic<uint64_t> records_shipped_{0};
 
   /// Resolved at Start when options_.metrics is set; written by the
   /// shipper thread only, removed from the registry by Stop (after the

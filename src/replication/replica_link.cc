@@ -3,6 +3,7 @@
 #include "replication/replica_link.h"
 
 #include <chrono>
+#include <utility>
 
 #include "replication/epoch.h"
 #include "util/thread_name.h"
@@ -53,27 +54,9 @@ uint64_t ReplicaLink::records_applied() const {
   return records_applied_.load(std::memory_order_relaxed);
 }
 
-uint64_t ReplicaLink::fenced_frames() const {
-  return fenced_frames_.load(std::memory_order_relaxed);
-}
-
-bool ReplicaLink::connected() const {
-  return connected_.load(std::memory_order_acquire);
-}
-
 Status ReplicaLink::last_error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_error_;
-}
-
-uint64_t ReplicaLink::upstream_durable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return upstream_durable_;
-}
-
-std::pair<std::string, uint16_t> ReplicaLink::upstream() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {host_, port_};
 }
 
 void ReplicaLink::RecordError(Status status) {
@@ -96,7 +79,6 @@ void ReplicaLink::Run() {
       if (stop_) return;
     }
     RunOnce();
-    connected_.store(false, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock(mu_);
       client_.reset();
@@ -130,9 +112,9 @@ void ReplicaLink::RunOnce() {
     client_ = std::move(*dialed);
   }
 
-  // Subscribe: our epoch, shard count and DURABLE position — the honest
-  // resume point (an applied-but-unsynced suffix would not survive our
-  // own crash, so the primary must re-ship it).
+  // Subscribe: our epoch and DURABLE position — the honest resume point
+  // (an applied-but-unsynced suffix would not survive our own crash, so
+  // the primary must re-ship it).
   ReplicaHello hello;
   {
     std::shared_lock<std::shared_mutex> rlock(*runtime_mu_);
@@ -143,7 +125,6 @@ void ReplicaLink::RunOnce() {
       return;
     }
     hello.position = *position;
-    hello.num_shards = runtime_->Stats().num_shards;
   }
   Status sent = client->SendRawFrame(MessageType::kReplicaHello, 1,
                                      EncodeReplicaHello(hello));
@@ -177,13 +158,6 @@ void ReplicaLink::RunOnce() {
     RecordError(welcome.status());
     return;
   }
-  if (welcome->num_shards != hello.num_shards) {
-    RecordError(Status::FailedPrecondition(
-        "upstream runs " + std::to_string(welcome->num_shards) +
-        " shards, this replica " + std::to_string(hello.num_shards) +
-        " — replication requires identical sharding"));
-    return;
-  }
   if (welcome->epoch < hello.epoch) {
     // The upstream itself is a fenced ex-primary; park and retry (it
     // may be repointed away or restarted at the new epoch).
@@ -200,8 +174,6 @@ void ReplicaLink::RunOnce() {
       return;
     }
   }
-  connected_.store(true, std::memory_order_release);
-
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -225,7 +197,6 @@ void ReplicaLink::RunOnce() {
         if (chunk->epoch < local) {
           // The fencing rule: a stale-epoch primary's records must
           // never reach the engine.
-          fenced_frames_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         std::unique_lock<std::shared_mutex> wlock(*runtime_mu_);
@@ -246,21 +217,6 @@ void ReplicaLink::RunOnce() {
         }
         records_applied_.fetch_add(chunk->records.size(),
                                    std::memory_order_relaxed);
-        break;
-      }
-      case MessageType::kWatermarkAdvance: {
-        Result<WatermarkAdvance> advance =
-            DecodeWatermarkAdvance(frame->payload);
-        if (!advance.ok()) {
-          RecordError(advance.status());
-          return;
-        }
-        if (advance->epoch < runtime_->replication_epoch()) {
-          fenced_frames_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        upstream_durable_ = advance->durable;
         break;
       }
       case MessageType::kError: {

@@ -5,9 +5,9 @@
 // a follower of one upstream primary. Its thread loops:
 //
 //   connect(host, port)
-//     -> kReplicaHello{epoch, num_shards, durable position}
-//     <- kReplicaWelcome{epoch, num_shards}   (fence-checked)
-//     <- kSegmentChunk / kWatermarkAdvance stream (request_id 0)
+//     -> kReplicaHello{epoch, durable position}
+//     <- kReplicaWelcome{epoch}   (fence-checked)
+//     <- kSegmentChunk stream (request_id 0)
 //
 // Each chunk is applied under the EXCLUSIVE runtime lock shared with
 // the replica's own server (the same lock its query/stats workers take
@@ -16,11 +16,14 @@
 // the replica's directory recovers exactly like a primary's and its
 // durable watermark is an honest resume position for the next hello.
 //
-// Fencing (replication/epoch.h): any frame whose epoch is below the
-// replica's is from a superseded ex-primary — counted in
-// fenced_frames() and dropped, never applied. A higher frame epoch is
-// adopted (the replica lagged a promotion). A welcome below the local
-// epoch parks the link in backoff: the upstream itself is stale.
+// The replica's shard count need not match the primary's: a log record
+// carries no shard, and every shard count makes the same decisions.
+//
+// Fencing (replication/epoch.h): any chunk whose epoch is below the
+// replica's is from a superseded ex-primary — dropped, never applied.
+// A higher chunk epoch is adopted (the replica lagged a promotion). A
+// welcome below the local epoch parks the link in backoff: the upstream
+// itself is stale.
 //
 // Stop() and Repoint() interrupt the blocking receive by half-closing
 // the socket (the one ServiceClient member that is safe cross-thread);
@@ -39,7 +42,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "runtime/access_runtime.h"
@@ -77,22 +79,8 @@ class ReplicaLink {
   /// reconnect re-shipped included — the runtime skipped those).
   uint64_t records_applied() const;
 
-  /// Stream frames dropped by the fencing gate (stale epoch).
-  uint64_t fenced_frames() const;
-
-  /// True while a subscription is live (welcome received, stream open).
-  bool connected() const;
-
   /// The last error that dropped a dial or a stream (OK when none has).
   Status last_error() const;
-
-  /// The primary's durable position from the latest kWatermarkAdvance
-  /// (0 before the first) — replica lag is this minus
-  /// ReplicationPosition.
-  uint64_t upstream_durable() const;
-
-  /// Current upstream target.
-  std::pair<std::string, uint16_t> upstream() const;
 
  private:
   void Run();
@@ -115,11 +103,8 @@ class ReplicaLink {
   bool started_ = false;
   std::unique_ptr<ServiceClient> client_;  // Shared only for ShutdownSocket.
   Status last_error_;
-  uint64_t upstream_durable_ = 0;
 
   std::atomic<uint64_t> records_applied_{0};
-  std::atomic<uint64_t> fenced_frames_{0};
-  std::atomic<bool> connected_{false};
 
   std::thread thread_;
 };

@@ -122,9 +122,9 @@ class ServiceClient {
   Status SendRawFrame(MessageType type, uint32_t request_id,
                       const std::string& payload);
 
-  /// Blocks until the next complete frame — server-initiated frames
-  /// (kSegmentChunk, kWatermarkAdvance) included. The replica link's
-  /// receive loop lives here.
+  /// Blocks until the next complete frame — server-initiated
+  /// kSegmentChunk frames included. The replica link's receive loop
+  /// lives here.
   Result<Frame> ReceiveRaw();
 
   /// Half-closes the socket from another thread so a blocked

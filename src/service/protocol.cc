@@ -273,7 +273,6 @@ const char* MessageTypeToString(MessageType type) {
     case MessageType::kMetrics: return "metrics";
     case MessageType::kReplicaWelcome: return "replica-welcome";
     case MessageType::kSegmentChunk: return "segment-chunk";
-    case MessageType::kWatermarkAdvance: return "watermark-advance";
     case MessageType::kPromoteResult: return "promote-result";
     case MessageType::kRepointResult: return "repoint-result";
     case MessageType::kMetricsResult: return "metrics-result";
@@ -306,7 +305,6 @@ bool IsKnownType(uint8_t type) {
     case MessageType::kError:
     case MessageType::kReplicaWelcome:
     case MessageType::kSegmentChunk:
-    case MessageType::kWatermarkAdvance:
     case MessageType::kPromoteResult:
     case MessageType::kRepointResult:
     case MessageType::kMetricsResult:
@@ -706,7 +704,6 @@ std::string EncodeErrorResult(const Status& status) {
 std::string EncodeReplicaHello(const ReplicaHello& hello) {
   std::string out;
   PutU64(&out, hello.epoch);
-  PutU32(&out, hello.num_shards);
   PutU64(&out, hello.position);
   return out;
 }
@@ -714,12 +711,8 @@ std::string EncodeReplicaHello(const ReplicaHello& hello) {
 Result<ReplicaHello> DecodeReplicaHello(std::string_view payload) {
   Reader r(payload);
   ReplicaHello hello;
-  if (!r.ReadU64(&hello.epoch) || !r.ReadU32(&hello.num_shards) ||
-      !r.ReadU64(&hello.position)) {
+  if (!r.ReadU64(&hello.epoch) || !r.ReadU64(&hello.position)) {
     return Status::ParseError("replica-hello: truncated payload");
-  }
-  if (hello.num_shards == 0) {
-    return Status::ParseError("replica-hello: malformed shard count");
   }
   LTAM_RETURN_IF_ERROR(r.Finish("replica-hello"));
   return hello;
@@ -728,16 +721,14 @@ Result<ReplicaHello> DecodeReplicaHello(std::string_view payload) {
 std::string EncodeReplicaWelcome(const ReplicaWelcome& welcome) {
   std::string out;
   PutU64(&out, welcome.epoch);
-  PutU32(&out, welcome.num_shards);
   return out;
 }
 
 Result<ReplicaWelcome> DecodeReplicaWelcome(std::string_view payload) {
   Reader r(payload);
   ReplicaWelcome welcome;
-  if (!r.ReadU64(&welcome.epoch) || !r.ReadU32(&welcome.num_shards) ||
-      welcome.num_shards == 0) {
-    return Status::ParseError("replica-welcome: malformed payload");
+  if (!r.ReadU64(&welcome.epoch)) {
+    return Status::ParseError("replica-welcome: truncated payload");
   }
   LTAM_RETURN_IF_ERROR(r.Finish("replica-welcome"));
   return welcome;
@@ -771,23 +762,6 @@ Result<SegmentChunk> DecodeSegmentChunk(std::string_view payload) {
   }
   LTAM_RETURN_IF_ERROR(r.Finish("segment-chunk"));
   return chunk;
-}
-
-std::string EncodeWatermarkAdvance(const WatermarkAdvance& advance) {
-  std::string out;
-  PutU64(&out, advance.epoch);
-  PutU64(&out, advance.durable);
-  return out;
-}
-
-Result<WatermarkAdvance> DecodeWatermarkAdvance(std::string_view payload) {
-  Reader r(payload);
-  WatermarkAdvance advance;
-  if (!r.ReadU64(&advance.epoch) || !r.ReadU64(&advance.durable)) {
-    return Status::ParseError("watermark-advance: truncated payload");
-  }
-  LTAM_RETURN_IF_ERROR(r.Finish("watermark-advance"));
-  return advance;
 }
 
 std::string EncodeRepointRequest(const RepointRequest& repoint) {

@@ -64,8 +64,10 @@ namespace ltam {
 /// its batch is durable; v9 gave a durable runtime one log and one
 /// replication position: the replica hello carries one position, the
 /// segment chunk no shard, the watermark advance one durable count, and
-/// the stats result no per-shard watermark list.
-inline constexpr uint8_t kWireVersion = 9;
+/// the stats result no per-shard watermark list; v10 dropped the shard
+/// count from the replica hello and welcome (a replica may run any shard
+/// count) and retired the watermark-advance frame (code 43).
+inline constexpr uint8_t kWireVersion = 10;
 
 /// "LTAM" as a little-endian u32 ('L' is the first byte on the wire).
 inline constexpr uint32_t kWireMagic = 0x4D41544Cu;
@@ -83,8 +85,8 @@ inline constexpr uint32_t kMaxWireBatchEvents = 1u << 16;
 inline constexpr size_t kFrameHeaderBytes = 16;
 
 /// Every message type of the protocol. Requests and responses share the
-/// numbering space; responses start at 32. Retired codes (2, 33, 40)
-/// stay unassigned: a frame carrying one is refused at the header.
+/// numbering space; responses start at 32. Retired codes (2, 33, 40,
+/// 43) stay unassigned: a frame carrying one is refused at the header.
 enum class MessageType : uint8_t {
   // Requests.
   kPing = 1,
@@ -94,7 +96,7 @@ enum class MessageType : uint8_t {
   kCheckpoint = 6,
   kStats = 7,
   /// A replica subscribing to the primary's log stream: carries the
-  /// replica's replication epoch, shard count and resume position.
+  /// replica's replication epoch and resume position.
   kReplicaHello = 8,
   /// Promote a replica server to primary (bumps + persists its
   /// replication epoch, stops its upstream link, accepts writes).
@@ -113,14 +115,11 @@ enum class MessageType : uint8_t {
   kCheckpointResult = 37,
   kStatsResult = 38,
   kError = 39,
-  /// The primary's answer to kReplicaHello: its epoch + shard count.
+  /// The primary's answer to kReplicaHello: its epoch.
   kReplicaWelcome = 41,
   /// Server-initiated on a subscribed connection (request_id 0): one
   /// run of committed log records.
   kSegmentChunk = 42,
-  /// Server-initiated on a subscribed connection (request_id 0): the
-  /// primary's durable position (replica lag accounting).
-  kWatermarkAdvance = 43,
   /// kPromote's answer: the new replication epoch.
   kPromoteResult = 44,
   kRepointResult = 45,
@@ -267,10 +266,10 @@ inline constexpr uint32_t kMaxReplicationRecords = 1u << 14;
 /// kReplicaHello: a replica announcing itself to a primary. `position`
 /// is the count of log records the replica already holds durably
 /// (records retired by its checkpoints included), i.e. where shipping
-/// must resume; `num_shards` must match the primary's.
+/// must resume. Every shard count makes the same decisions, so the
+/// replica's need not match the primary's.
 struct ReplicaHello {
   uint64_t epoch = 0;
-  uint32_t num_shards = 0;
   uint64_t position = 0;
 };
 
@@ -280,7 +279,6 @@ Result<ReplicaHello> DecodeReplicaHello(std::string_view payload);
 /// kReplicaWelcome: the primary accepting a subscription.
 struct ReplicaWelcome {
   uint64_t epoch = 0;
-  uint32_t num_shards = 0;
 };
 
 std::string EncodeReplicaWelcome(const ReplicaWelcome& welcome);
@@ -299,15 +297,6 @@ struct SegmentChunk {
 
 std::string EncodeSegmentChunk(const SegmentChunk& chunk);
 Result<SegmentChunk> DecodeSegmentChunk(std::string_view payload);
-
-/// kWatermarkAdvance: the primary's durable record count.
-struct WatermarkAdvance {
-  uint64_t epoch = 0;
-  uint64_t durable = 0;
-};
-
-std::string EncodeWatermarkAdvance(const WatermarkAdvance& advance);
-Result<WatermarkAdvance> DecodeWatermarkAdvance(std::string_view payload);
 
 /// kRepoint: the new upstream endpoint for a replica server.
 struct RepointRequest {

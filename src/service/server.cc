@@ -197,9 +197,6 @@ class ServiceServer::Impl {
       return st;
     }
 
-    // Pinned for the replication handshake (a replica must match it).
-    nshards_ = std::max<uint32_t>(1, runtime_->Stats().num_shards);
-
     epoll_fd_ = ::epoll_create1(0);
     event_fd_ = ::eventfd(0, EFD_NONBLOCK);
     if (epoll_fd_ < 0 || event_fd_ < 0) {
@@ -631,7 +628,6 @@ class ServiceServer::Impl {
         // the shipper starts pushing chunks behind it.
         ReplicaWelcome welcome;
         welcome.epoch = local_epoch;
-        welcome.num_shards = nshards_;
         Respond(conn, MessageType::kReplicaWelcome, id,
                 EncodeReplicaWelcome(welcome));
         StartShipper(conn, hello->position);
@@ -696,8 +692,8 @@ class ServiceServer::Impl {
   // --- Replication subscriptions ---------------------------------------------
 
   /// Gate for an incoming subscription: the runtime must be able to
-  /// ship (durable sharded), the sharding must match, and the fencing
-  /// rule must admit the replica's epoch.
+  /// ship (durable), and the fencing rule must admit the replica's
+  /// epoch.
   Status ValidateHello(const ReplicaHello& hello, uint64_t* local_epoch) {
     {
       std::shared_lock<std::shared_mutex> lock(runtime_mu_);
@@ -705,12 +701,6 @@ class ServiceServer::Impl {
       // Probes replication capability (in-memory runtimes refuse
       // here).
       LTAM_RETURN_IF_ERROR(runtime_->ReplicationPosition().status());
-    }
-    if (hello.num_shards != nshards_) {
-      return Status::FailedPrecondition(
-          "replica runs " + std::to_string(hello.num_shards) +
-          " shards, this primary " + std::to_string(nshards_) +
-          " — replication requires identical sharding");
     }
     return CheckSubscriptionEpoch(*local_epoch, hello.epoch);
   }
@@ -1363,7 +1353,6 @@ class ServiceServer::Impl {
   std::atomic<bool> stopping_{false};
   int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
-  uint32_t nshards_ = 0;
 
   // The I/O loop. The connection map, the id counter and all epoll
   // interest changes belong to io_thread_; other threads hand it work

@@ -1,9 +1,11 @@
 // Copyright 2026 The LTAM Authors.
-// Regression tests for the derived-authorization candidate cache in
-// AuthorizationDatabase: every mutation (explicit add, revoke, rule
-// re-derivation) must invalidate cached candidate lists so a stale grant
-// is never served, and the incremental inaccessible analyzer must
-// recompute exactly the subjects whose authorizations changed.
+// Regression tests for stale answers from AuthorizationDatabase's
+// Definition-7 lookup: every mutation (explicit add, revoke, ledger
+// update, rule re-derivation) must be visible to the very next
+// CheckAccess on a (subject, location) pair that was already checked, so
+// an earlier grant or denial is never served again after it changed. The
+// file keeps the name of the candidate cache these cases were written
+// against; CheckAccess now reads the (subject, location) index in place.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +13,8 @@
 #include <utility>
 
 #include "core/auth_database.h"
-#include "core/inaccessible.h"
 #include "core/rules/rule_engine.h"
 #include "core/rules/subject_op.h"
-#include "sim/graph_gen.h"
 #include "test_util.h"
 
 namespace ltam {
@@ -31,53 +31,32 @@ LocationTemporalAuthorization MakeAuth(SubjectId s, LocationId l, Chronon es,
       .ValueOrDie();
 }
 
-TEST(AuthCacheTest, RepeatLookupsHitTheCache) {
+TEST(AuthCacheTest, RevocationIsVisibleToTheNextCheck) {
   Fig4Fixture f = Fig4Fixture::Make();
-  uint64_t misses_before = f.auth_db.cache_misses();
-  EXPECT_TRUE(f.auth_db.CheckAccess(10, f.alice, f.a).granted);
-  uint64_t misses_after_first = f.auth_db.cache_misses();
-  EXPECT_GT(misses_after_first, misses_before);
-
-  uint64_t hits_before = f.auth_db.cache_hits();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(f.auth_db.CheckAccess(10, f.alice, f.a).granted);
-  }
-  EXPECT_EQ(f.auth_db.cache_misses(), misses_after_first)
-      << "repeat lookups must not re-derive";
-  EXPECT_GE(f.auth_db.cache_hits(), hits_before + 10);
-}
-
-TEST(AuthCacheTest, RevocationInvalidatesCachedGrant) {
-  Fig4Fixture f = Fig4Fixture::Make();
-  // Warm the cache with a granted decision.
   Decision before = f.auth_db.CheckAccess(10, f.alice, f.a);
   ASSERT_TRUE(before.granted);
 
-  // Revoke the very authorization that granted; the cached candidate
-  // list must not serve the stale grant.
+  // Revoke the very authorization that granted.
   ASSERT_OK(f.auth_db.Revoke(before.auth));
   Decision after = f.auth_db.CheckAccess(10, f.alice, f.a);
   EXPECT_FALSE(after.granted);
   EXPECT_EQ(after.reason, DenyReason::kNoAuthorization);
 }
 
-TEST(AuthCacheTest, AddInvalidatesCachedDenial) {
+TEST(AuthCacheTest, AddIsVisibleToTheNextCheck) {
   Fig4Fixture f = Fig4Fixture::Make();
   SubjectId bob = f.profiles.AddSubject("Bob").ValueOrDie();
-  // Warm the cache with a denial for Bob (no authorizations yet).
   EXPECT_FALSE(f.auth_db.CheckAccess(10, bob, f.a).granted);
 
-  // Adding an authorization must be visible immediately.
   f.auth_db.Add(MakeAuth(bob, f.a, 0, 100, 0, 200));
   EXPECT_TRUE(f.auth_db.CheckAccess(10, bob, f.a).granted);
 }
 
-TEST(AuthCacheTest, LedgerExhaustionNeedsNoInvalidation) {
+TEST(AuthCacheTest, LedgerExhaustionIsVisibleToTheNextCheck) {
   Fig4Fixture f = Fig4Fixture::Make();
   SubjectId bob = f.profiles.AddSubject("Bob").ValueOrDie();
   AuthId id = f.auth_db.Add(MakeAuth(bob, f.a, 0, 100, 0, 200, /*n=*/2));
 
-  // Two grants allowed; ledger state is read live, not cached.
   EXPECT_TRUE(f.auth_db.CheckAndRecordAccess(5, bob, f.a).granted);
   EXPECT_TRUE(f.auth_db.CheckAndRecordAccess(6, bob, f.a).granted);
   Decision third = f.auth_db.CheckAccess(7, bob, f.a);
@@ -86,12 +65,12 @@ TEST(AuthCacheTest, LedgerExhaustionNeedsNoInvalidation) {
   EXPECT_EQ(f.auth_db.record(id).entries_used, 2);
 }
 
-TEST(AuthCacheTest, RuleRederivationInvalidatesDerivedGrants) {
+TEST(AuthCacheTest, RuleRederivationIsVisibleToTheNextCheck) {
   Fig4Fixture f = Fig4Fixture::Make();
   SubjectId bob = f.profiles.AddSubject("Bob").ValueOrDie();
   ASSERT_OK(f.profiles.SetSupervisor(f.alice, bob));
 
-  // Base authorization for Alice at B; rule derives the same for her
+  // Base authorization for Alice at B; the rule derives the same for her
   // supervisor (Example 1's shape).
   AuthId base = f.auth_db.Add(MakeAuth(f.alice, f.b, 0, 100, 0, 200));
   RuleEngine rules(&f.auth_db, &f.profiles, &f.graph);
@@ -100,118 +79,30 @@ TEST(AuthCacheTest, RuleRederivationInvalidatesDerivedGrants) {
   rule.op_subject = std::make_shared<SupervisorOfOp>();
   RuleId rid = rules.AddRule(rule).ValueOrDie();
   ASSERT_OK(rules.DeriveRule(rid).status());
-
-  // Warm the cache: Bob (Alice's supervisor) is granted via derivation.
   ASSERT_TRUE(f.auth_db.CheckAccess(10, bob, f.b).granted);
 
   // Reassign the supervisor and re-derive: Bob's derived authorization is
-  // revoked, Carol's is created. The cached grant for Bob must die.
+  // revoked, Carol's is created.
   SubjectId carol = f.profiles.AddSubject("Carol").ValueOrDie();
   ASSERT_OK(f.profiles.SetSupervisor(f.alice, carol));
   ASSERT_OK(rules.DeriveRule(rid).status());
 
-  EXPECT_FALSE(f.auth_db.CheckAccess(10, bob, f.b).granted)
-      << "stale derived grant served from cache";
+  EXPECT_FALSE(f.auth_db.CheckAccess(10, bob, f.b).granted);
   EXPECT_TRUE(f.auth_db.CheckAccess(10, carol, f.b).granted);
 }
 
-TEST(AuthCacheTest, SubjectVersionTracksOnlyTouchedSubjects) {
-  Fig4Fixture f = Fig4Fixture::Make();
-  SubjectId bob = f.profiles.AddSubject("Bob").ValueOrDie();
-  uint64_t alice_v = f.auth_db.SubjectVersion(f.alice);
-  uint64_t bob_v = f.auth_db.SubjectVersion(bob);
-
-  f.auth_db.Add(MakeAuth(bob, f.a, 0, 10, 0, 20));
-  EXPECT_EQ(f.auth_db.SubjectVersion(f.alice), alice_v);
-  EXPECT_GT(f.auth_db.SubjectVersion(bob), bob_v);
-
-  // Revoking one of Alice's records bumps only Alice.
-  bob_v = f.auth_db.SubjectVersion(bob);
-  ASSERT_OK(f.auth_db.Revoke(f.auth_db.ForSubject(f.alice)[0]));
-  EXPECT_GT(f.auth_db.SubjectVersion(f.alice), alice_v);
-  EXPECT_EQ(f.auth_db.SubjectVersion(bob), bob_v);
-}
-
-TEST(AuthCacheTest, MoveAndCopyStartWithColdCacheButFreshData) {
+TEST(AuthCacheTest, CopyIsIndependentOfItsSource) {
   Fig4Fixture f = Fig4Fixture::Make();
   ASSERT_TRUE(f.auth_db.CheckAccess(10, f.alice, f.a).granted);
 
   AuthorizationDatabase copy = f.auth_db;
   EXPECT_TRUE(copy.CheckAccess(10, f.alice, f.a).granted);
-  // The copy answers mutations independently of the original's cache.
   ASSERT_OK(copy.Revoke(copy.ForSubjectLocation(f.alice, f.a)[0]));
   EXPECT_FALSE(copy.CheckAccess(10, f.alice, f.a).granted);
   EXPECT_TRUE(f.auth_db.CheckAccess(10, f.alice, f.a).granted);
 
-  // Warm the source's cache, then move it out: the moved-from database
-  // must answer reads from its (now empty) indexes, never from stale
-  // cache entries pointing at records it no longer holds.
-  ASSERT_TRUE(f.auth_db.CheckAccess(10, f.alice, f.a).granted);
   AuthorizationDatabase moved = std::move(f.auth_db);
   EXPECT_TRUE(moved.CheckAccess(10, f.alice, f.a).granted);
-  Decision from_husk = f.auth_db.CheckAccess(10, f.alice, f.a);
-  EXPECT_FALSE(from_husk.granted);
-  EXPECT_EQ(from_husk.reason, DenyReason::kNoAuthorization);
-  EXPECT_EQ(f.auth_db.size(), 0u);
-}
-
-TEST(IncrementalInaccessibleTest, RecomputesOnlyChangedSubjects) {
-  Fig4Fixture f = Fig4Fixture::Make();
-  SubjectId bob = f.profiles.AddSubject("Bob").ValueOrDie();
-  f.auth_db.Add(MakeAuth(bob, f.a, 2, 35, 20, 50));
-
-  IncrementalInaccessibleAnalyzer analyzer(&f.graph, f.graph.root(),
-                                           &f.auth_db);
-  std::vector<SubjectId> everyone = {f.alice, bob};
-
-  auto first = analyzer.Refresh(everyone).ValueOrDie();
-  EXPECT_EQ(first.recomputed, 2u);
-  EXPECT_EQ(first.reused, 0u);
-
-  // Nothing changed: everything reused.
-  auto second = analyzer.Refresh(everyone).ValueOrDie();
-  EXPECT_EQ(second.recomputed, 0u);
-  EXPECT_EQ(second.reused, 2u);
-
-  // Touch only Bob: exactly one recompute.
-  f.auth_db.Add(MakeAuth(bob, f.b, 40, 60, 55, 80));
-  auto third = analyzer.Refresh(everyone).ValueOrDie();
-  EXPECT_EQ(third.recomputed, 1u);
-  EXPECT_EQ(third.reused, 1u);
-
-  // And the recomputed result reflects the new authorization: B becomes
-  // reachable for Bob (A's departure window overlaps B's entry window).
-  const InaccessibleResult* bob_result = analyzer.Analyze(bob).ValueOrDie();
-  EXPECT_FALSE(bob_result->IsInaccessible(f.b));
-}
-
-TEST(IncrementalInaccessibleTest, MatchesFromScratchAnalysis) {
-  Fig4Fixture f = Fig4Fixture::Make();
-  IncrementalInaccessibleAnalyzer analyzer(&f.graph, f.graph.root(),
-                                           &f.auth_db);
-
-  const InaccessibleResult* cached = analyzer.Analyze(f.alice).ValueOrDie();
-  InaccessibleResult fresh =
-      FindInaccessible(f.graph, f.graph.root(), f.alice, f.auth_db)
-          .ValueOrDie();
-  EXPECT_EQ(cached->inaccessible, fresh.inaccessible);
-
-  // Revoke everything for Alice; the incremental answer must flip to
-  // all-inaccessible, same as from scratch.
-  for (AuthId id : f.auth_db.ForSubject(f.alice)) {
-    ASSERT_OK(f.auth_db.Revoke(id));
-  }
-  cached = analyzer.Analyze(f.alice).ValueOrDie();
-  fresh = FindInaccessible(f.graph, f.graph.root(), f.alice, f.auth_db)
-              .ValueOrDie();
-  EXPECT_EQ(cached->inaccessible, fresh.inaccessible);
-  EXPECT_EQ(cached->inaccessible.size(), cached->analyzed.size());
-
-  // InvalidateAll drops the cache; next Analyze recomputes.
-  analyzer.InvalidateAll();
-  EXPECT_EQ(analyzer.cached_subjects(), 0u);
-  EXPECT_EQ(analyzer.Analyze(f.alice).ValueOrDie()->inaccessible,
-            fresh.inaccessible);
 }
 
 }  // namespace

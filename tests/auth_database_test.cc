@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "test_util.h"
 
 namespace ltam {
@@ -158,6 +161,46 @@ TEST(AuthDatabaseTest, UnlimitedEntriesNeverExhaust) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(db.CheckAndRecordAccess(50, 0, 10).granted);
   }
+}
+
+// The server's read workers may check one subject at the same time, with
+// no writer running; every reader must see what a lone reader sees.
+TEST(AuthDatabaseTest, ConcurrentReadersOfOneSubject) {
+  AuthorizationDatabase db;
+  db.Add(MakeAuth(0, 10, 0, 30, 0, 60, 1));
+  db.Add(MakeAuth(0, 10, 20, 50, 20, 90));
+  AuthId revoked = db.Add(MakeAuth(0, 10, 40, 70, 40, 90));
+  db.Add(MakeAuth(0, 10, 80, 90, 80, 99, 2));
+  ASSERT_OK(db.Revoke(revoked));
+  ASSERT_TRUE(db.CheckAndRecordAccess(5, 0, 10).granted);
+
+  constexpr Chronon kHorizon = 100;
+  std::vector<Decision> expected;
+  for (Chronon t = 0; t < kHorizon; ++t) {
+    expected.push_back(db.CheckAccess(t, 0, 10));
+  }
+  const std::vector<AuthId> expected_ids = db.ForSubjectLocation(0, 10);
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int k = 0; k < kThreads; ++k) {
+    readers.emplace_back([&, k] {
+      for (int round = 0; round < 200; ++round) {
+        for (Chronon t = 0; t < kHorizon; ++t) {
+          Decision d = db.CheckAccess(t, 0, 10);
+          const Decision& want = expected[static_cast<size_t>(t)];
+          if (d.granted != want.granted || d.auth != want.auth ||
+              d.reason != want.reason) {
+            ++mismatches[k];
+          }
+        }
+        if (db.ForSubjectLocation(0, 10) != expected_ids) ++mismatches[k];
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int k = 0; k < kThreads; ++k) EXPECT_EQ(mismatches[k], 0) << k;
 }
 
 }  // namespace

@@ -89,7 +89,10 @@ std::map<SubjectId, std::vector<std::string>> TracesOf(
   for (uint32_t k = 0; k < sys.num_shards(); ++k) {
     shards.push_back(&sys.shard_movements(k));
   }
-  return TracesOf(ShardedMovementView(std::move(shards)), subjects);
+  return TracesOf(
+      ShardedMovementView(std::move(shards),
+                          [&sys](SubjectId s) { return sys.ShardOf(s); }),
+      subjects);
 }
 
 /// Authorization ledger usage counts, indexed by AuthId.

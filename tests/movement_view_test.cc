@@ -1,8 +1,7 @@
 // Copyright 2026 The LTAM Authors.
 // MovementView: the sharded fan-out implementation must answer every
 // query exactly like one sequential database holding the union history
-// (modulo the documented StaysIn tie normalization), with and without a
-// subject router attached.
+// (modulo the documented StaysIn tie normalization).
 
 #include "query/movement_view.h"
 
@@ -88,20 +87,10 @@ std::string ContactString(const std::vector<MovementDatabase::Contact>& cs) {
   return out;
 }
 
-class MovementViewTest : public ::testing::TestWithParam<bool> {
- protected:
-  ShardedMovementView MakeView(const SplitWorld& w) const {
-    if (GetParam()) {
-      return ShardedMovementView(ShardPtrs(w), &ShardOf);
-    }
-    return ShardedMovementView(ShardPtrs(w));  // Router-less: scan all.
-  }
-};
-
-TEST_P(MovementViewTest, MatchesSequentialDatabase) {
+TEST(MovementViewTest, MatchesSequentialDatabase) {
   SplitWorld w = MakeWorld(2026);
   MovementDatabaseView sequential(&w.reference);
-  ShardedMovementView fanout = MakeView(w);
+  ShardedMovementView fanout(ShardPtrs(w), &ShardOf);
 
   const uint32_t subjects = 17;
   const uint32_t locations = 9;
@@ -137,9 +126,9 @@ TEST_P(MovementViewTest, MatchesSequentialDatabase) {
   }
 }
 
-TEST_P(MovementViewTest, StaysInIsDeterministicallyOrdered) {
+TEST(MovementViewTest, StaysInIsDeterministicallyOrdered) {
   SplitWorld w = MakeWorld(7);
-  ShardedMovementView fanout = MakeView(w);
+  ShardedMovementView fanout(ShardPtrs(w), &ShardOf);
   for (LocationId l = 0; l < 9; ++l) {
     std::vector<Stay> stays = fanout.StaysIn(l);
     for (size_t i = 1; i < stays.size(); ++i) {
@@ -150,9 +139,6 @@ TEST_P(MovementViewTest, StaysInIsDeterministicallyOrdered) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(RoutedAndScanned, MovementViewTest,
-                         ::testing::Bool());
 
 TEST(MovementViewQueryEngineTest, QueryEngineConsumesAnyView) {
   // The same QueryEngine code answers over a fan-out view and over the

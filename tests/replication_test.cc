@@ -241,6 +241,10 @@ class ReplicationTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
+  /// Feeds 320 events to a primary of `primary_shards` shards and checks
+  /// that a one-shard replica catches up and answers like the primary.
+  void PrimaryFeedsOneShardReplica(uint32_t primary_shards);
+
   std::string root_;
 };
 
@@ -355,16 +359,14 @@ TEST_F(ReplicationTest, ReplicaCatchesUpServesReadsAndRefusesWrites) {
   }
 }
 
-TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
-  // One shard is a full durable citizen: its single log ships and
-  // applies like any shard of a multi-shard runtime.
+void ReplicationTest::PrimaryFeedsOneShardReplica(uint32_t primary_shards) {
   World w = MakeWorld(7101);
   auto batches = MakeBatches(w, /*total_events=*/320, 7109);
 
   Node primary;
   Node replica;
   primary.Start(w, root_ + "/primary", -1, /*advertise_primary=*/false,
-                /*shards=*/1);
+                primary_shards);
   replica.Start(w, root_ + "/replica", primary.port,
                 /*advertise_primary=*/false, /*shards=*/1);
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
@@ -384,6 +386,8 @@ TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
   EXPECT_TRUE(caught.replica);
   EXPECT_EQ(1u, caught.num_shards);
   EXPECT_EQ(fed, caught.applied_offset);
+  ASSERT_OK_AND_ASSIGN(RuntimeStats primary_stats, primary_client->Stats());
+  EXPECT_EQ(primary_shards, primary_stats.num_shards);
 
   for (size_t i = 0; i < w.subjects.size(); ++i) {
     const std::string statement =
@@ -402,6 +406,18 @@ TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
               replica.runtime->movements().CurrentLocation(s))
         << "subject " << s;
   }
+}
+
+// One shard is a full durable citizen: its single log ships and applies
+// like the log of a multi-shard runtime.
+TEST_F(ReplicationTest, OneShardPrimaryFeedsOneShardReplica) {
+  PrimaryFeedsOneShardReplica(1);
+}
+
+// A log record carries no shard and every shard count makes the same
+// decisions, so a replica need not run its primary's shard count.
+TEST_F(ReplicationTest, FourShardPrimaryFeedsOneShardReplica) {
+  PrimaryFeedsOneShardReplica(4);
 }
 
 /// Grabs an ephemeral port the kernel just released — connecting to it

@@ -74,7 +74,6 @@ void DecodeEverything(const std::string& payload) {
   (void)DecodeReplicaHello(payload);
   (void)DecodeReplicaWelcome(payload);
   (void)DecodeSegmentChunk(payload);
-  (void)DecodeWatermarkAdvance(payload);
   (void)DecodeRepointRequest(payload);
   (void)DecodePromoteResult(payload);
   (void)DecodeMetricsResult(payload);
@@ -224,21 +223,21 @@ TEST(ServiceProtocolTest, StatsWatermarkRoundTrips) {
 TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
   ReplicaHello hello;
   hello.epoch = 3;
-  hello.num_shards = 4;
   hello.position = 9001;
   ASSERT_OK_AND_ASSIGN(ReplicaHello decoded_hello,
                        DecodeReplicaHello(EncodeReplicaHello(hello)));
   EXPECT_EQ(hello.epoch, decoded_hello.epoch);
-  EXPECT_EQ(hello.num_shards, decoded_hello.num_shards);
   EXPECT_EQ(hello.position, decoded_hello.position);
+  // A fresh replica (epoch 0, nothing held yet) is a valid subscriber.
+  ASSERT_OK_AND_ASSIGN(decoded_hello,
+                       DecodeReplicaHello(EncodeReplicaHello(ReplicaHello{})));
+  EXPECT_EQ(0u, decoded_hello.position);
 
   ReplicaWelcome welcome;
   welcome.epoch = 5;
-  welcome.num_shards = 4;
   ASSERT_OK_AND_ASSIGN(ReplicaWelcome decoded_welcome,
                        DecodeReplicaWelcome(EncodeReplicaWelcome(welcome)));
   EXPECT_EQ(welcome.epoch, decoded_welcome.epoch);
-  EXPECT_EQ(welcome.num_shards, decoded_welcome.num_shards);
 
   SegmentChunk chunk;
   chunk.epoch = 2;
@@ -254,15 +253,6 @@ TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
   ASSERT_OK_AND_ASSIGN(decoded_chunk,
                        DecodeSegmentChunk(EncodeSegmentChunk(chunk)));
   EXPECT_TRUE(decoded_chunk.records.empty());
-
-  WatermarkAdvance advance;
-  advance.epoch = 2;
-  advance.durable = 177;
-  ASSERT_OK_AND_ASSIGN(
-      WatermarkAdvance decoded_advance,
-      DecodeWatermarkAdvance(EncodeWatermarkAdvance(advance)));
-  EXPECT_EQ(advance.epoch, decoded_advance.epoch);
-  EXPECT_EQ(advance.durable, decoded_advance.durable);
 
   RepointRequest repoint;
   repoint.host = "replica-2.internal";
@@ -290,7 +280,6 @@ TEST(ServiceProtocolTest, ReplicationPayloadsRoundTrip) {
 TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
   ReplicaHello hello;
   hello.epoch = 1;
-  hello.num_shards = 3;
   hello.position = 18;
   const std::string hello_bytes = EncodeReplicaHello(hello);
   // Truncation at every byte boundary, and strict consumption.
@@ -298,11 +287,19 @@ TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
     EXPECT_FALSE(DecodeReplicaHello(hello_bytes.substr(0, cut)).ok());
   }
   EXPECT_FALSE(DecodeReplicaHello(hello_bytes + 'x').ok());
-  // A v8 hello (one position per shard) is not a v9 one.
-  EXPECT_FALSE(DecodeReplicaHello(hello_bytes + std::string(16, '\0')).ok());
-  // Zero shards is not a subscription.
-  ReplicaHello empty;
-  EXPECT_FALSE(DecodeReplicaHello(EncodeReplicaHello(empty)).ok());
+  // A v9 hello (a u32 shard count between epoch and position) is not a
+  // v10 one.
+  EXPECT_FALSE(DecodeReplicaHello(hello_bytes + std::string(4, '\0')).ok());
+
+  ReplicaWelcome welcome;
+  welcome.epoch = 4;
+  const std::string welcome_bytes = EncodeReplicaWelcome(welcome);
+  for (size_t cut = 0; cut < welcome_bytes.size(); ++cut) {
+    EXPECT_FALSE(DecodeReplicaWelcome(welcome_bytes.substr(0, cut)).ok());
+  }
+  // A v9 welcome carried a u32 shard count after the epoch.
+  EXPECT_FALSE(
+      DecodeReplicaWelcome(welcome_bytes + std::string(4, '\0')).ok());
 
   SegmentChunk chunk;
   chunk.epoch = 1;
@@ -322,15 +319,6 @@ TEST(ServiceProtocolTest, ReplicationDecodersRejectCorruption) {
   flooded[18] = static_cast<char>((too_many >> 16) & 0xff);
   flooded[19] = static_cast<char>((too_many >> 24) & 0xff);
   EXPECT_FALSE(DecodeSegmentChunk(flooded).ok());
-
-  WatermarkAdvance advance;
-  advance.epoch = 1;
-  advance.durable = 3;
-  const std::string advance_bytes = EncodeWatermarkAdvance(advance);
-  for (size_t cut = 0; cut < advance_bytes.size(); ++cut) {
-    EXPECT_FALSE(DecodeWatermarkAdvance(advance_bytes.substr(0, cut)).ok());
-  }
-  EXPECT_FALSE(DecodeWatermarkAdvance(advance_bytes + 'x').ok());
 
   RepointRequest repoint;
   repoint.host = "h";
@@ -425,8 +413,9 @@ TEST(ServiceProtocolTest, HeaderRejectsMalformedFields) {
   bad_version[4] = 99;
   EXPECT_FALSE(decode(bad_version).ok());
   // Earlier versions are refused like any other: v8 carried per-shard
-  // replication positions, which a v9 peer cannot resume from.
-  for (const uint8_t previous : {7, 8}) {
+  // replication positions, which a later peer cannot resume from, and a
+  // v9 hello and welcome carry a shard count a v10 peer does not read.
+  for (const uint8_t previous : {7, 8, 9}) {
     bad_version[4] = static_cast<char>(previous);
     EXPECT_FALSE(decode(bad_version).ok()) << "v" << int{previous};
   }
@@ -449,11 +438,12 @@ TEST(ServiceProtocolTest, HeaderRejectsMalformedFields) {
 }
 
 TEST(ServiceProtocolTest, HeaderRefusesRetiredTypeCodes) {
-  // v7 retired apply (2), apply-result (33) and alert-push (40). The
-  // last two sit inside the response range, so only an explicit list
-  // of assigned codes refuses them.
+  // v7 retired apply (2), apply-result (33) and alert-push (40), and
+  // v10 retired watermark-advance (43). The last three sit inside the
+  // response range, so only an explicit list of assigned codes refuses
+  // them.
   std::string frame = EncodeFrame(MessageType::kPing, 7, "");
-  for (const uint8_t code : {2, 33, 40}) {
+  for (const uint8_t code : {2, 33, 40, 43}) {
     frame[5] = static_cast<char>(code);
     EXPECT_FALSE(DecodeFrameHeader(
                      reinterpret_cast<const uint8_t*>(frame.data()),
@@ -642,7 +632,6 @@ TEST_P(ServiceProtocolFuzzTest, AssemblerNeverCrashes) {
                        EncodeQueryResult({{"c"}, {{"v"}}}));
   ReplicaHello hello;
   hello.epoch = 1;
-  hello.num_shards = 2;
   hello.position = 30;
   valid += EncodeFrame(MessageType::kReplicaHello, 4,
                        EncodeReplicaHello(hello));
@@ -692,15 +681,11 @@ TEST_P(ServiceProtocolFuzzTest, PayloadDecodersNeverCrash) {
   stats.num_shards = 3;
   ReplicaHello hello;
   hello.epoch = 2;
-  hello.num_shards = 3;
   hello.position = 6;
   SegmentChunk chunk;
   chunk.epoch = 2;
   chunk.start = 6;
   chunk.records = {"E 1 2 3"};
-  WatermarkAdvance advance;
-  advance.epoch = 2;
-  advance.durable = 24;
   MetricsSnapshot snapshot;
   snapshot.counters = {{"ingest.events", 7}};
   snapshot.gauges = {{"replication.replica.1.lag_records", 3}};
@@ -717,9 +702,8 @@ TEST_P(ServiceProtocolFuzzTest, PayloadDecodersNeverCrash) {
       EncodeStatsResult(stats),
       EncodeErrorResult(Status::Internal("boom")),
       EncodeReplicaHello(hello),
-      EncodeReplicaWelcome({2, 3}),
+      EncodeReplicaWelcome({2}),
       EncodeSegmentChunk(chunk),
-      EncodeWatermarkAdvance(advance),
       EncodeRepointRequest({"replica-2.internal", 7411}),
       EncodePromoteResult(3),
       EncodeMetricsResult(snapshot),
