@@ -126,17 +126,19 @@ BENCHMARK(BM_EngineRequestWalk);
 /// Ledger update cost.
 void BM_CheckAndRecord(benchmark::State& state) {
   World w = MakeWorld(8, 8, 1);
+  // Primitives() builds a fresh vector per call: resolve the location
+  // once, outside the timed loop.
+  const LocationId location = w.graph.Primitives()[0];
   // Unlimited-entry blanket auth for one subject/location pair.
   AuthId id = w.auth_db.Add(
       LocationTemporalAuthorization::Make(
           TimeInterval(0, kChrononMax), TimeInterval(0, kChrononMax),
-          LocationAuthorization{w.subjects[0], w.graph.Primitives()[0]},
-          kUnlimitedEntries)
+          LocationAuthorization{w.subjects[0], location}, kUnlimitedEntries)
           .ValueOrDie());
   (void)id;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(w.auth_db.CheckAndRecordAccess(
-        100, w.subjects[0], w.graph.Primitives()[0]));
+    benchmark::DoNotOptimize(
+        w.auth_db.CheckAndRecordAccess(100, w.subjects[0], location));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

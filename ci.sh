@@ -24,10 +24,11 @@
 #                      # stopped directory holds exactly the files its
 #                      # version-2 MANIFEST names (plus REPL_EPOCH), and
 #                      # inputs that must be refused: a
-#                      # removed-layout (state.snap) directory and bad
+#                      # removed-layout (state.snap) directory, a
+#                      # --replica-of server without --durable, and bad
 #                      # flag values (out-of-range --port, malformed
 #                      # numbers, the removed interval and batch sync
-#                      # modes)
+#                      # modes, removed flags)
 #   ./ci.sh bench      # facade vs loopback-server throughput (1 and 4
 #                      # shards) -> BENCH_pr6.json,
 #                      # the durable batch pipeline and the durable
@@ -101,8 +102,9 @@ tsan() {
   # (read by many threads at once, with no lock), the durable runtime
   # (worker-thread appends into the one log, its log thread), the facade
   # that drives them, and the TCP server around it all (I/O thread +
-  # ingest coalescer + read-worker pool + client threads) are the
-  # concurrent surface; engine/movement tests ride along as controls.
+  # ingest coalescer + read-worker pool + a replica's upstream link +
+  # log shippers + client threads) are the concurrent surface;
+  # engine/movement tests ride along as controls.
   local targets=(sharded_engine_test auth_cache_test auth_database_test
                  engine_test movement_db_test durable_sharded_test
                  durable_equivalence_test access_runtime_test
@@ -399,9 +401,24 @@ EOF
   grep -q "state.snap.*removed" "$log" \
     || { echo "service: removed-layout refusal lacks its message" >&2; cat "$log" >&2; exit 1; }
   rm -rf "$legacy_dir" "$log"
+  # A replica needs a durable runtime: the server refuses to start one
+  # over an in-memory runtime, before it listens, and says why.
+  log="$(mktemp)"
+  if timeout 10 ./build/examples/ltam_serve --port=0 \
+      --replica-of=127.0.0.1:1 > "$log" 2>&1; then
+    echo "service: ltam_serve followed a primary without --durable" >&2
+    exit 1
+  fi
+  if grep -q "listening" "$log" || ! grep -q "durable" "$log"; then
+    echo "service: the in-memory replica refusal is wrong" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  rm -f "$log"
   # A bad flag value is a usage error (exit 2) naming the flag, never a
-  # listener booted with a guessed value: an out-of-range port, malformed
-  # numbers, a sync mode or a knob that does not exist.
+  # listener booted with a guessed value: an out-of-range port, a
+  # malformed number, a sync mode, or a knob that does not exist
+  # (--max-batch and --pipeline-depth were both removed).
   local bad_flag flag_status
   for bad_flag in --port=70000 --shards=abc --max-batch=12x \
       --sync-mode=interval --sync-mode=batch --pipeline-depth=4; do
@@ -434,7 +451,7 @@ EOF
       || { echo "service: the ltam_load $bad_flag refusal does not name the flag" >&2; cat "$log" >&2; exit 1; }
     rm -f "$log"
   done
-  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round + flag refusals passed"
+  echo "service: round-trip + smoke + clean shutdown + durable relaunch + crash round + in-memory replica refusal + flag refusals passed"
 }
 
 # Stamps the host core count into an emitted BENCH_*.json's context.

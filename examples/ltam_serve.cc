@@ -36,8 +36,6 @@
 //                          the authorization horizon, so it must match
 //                          the load driver)
 //   --scenario-tenants=N   tenant count for --scenario=tenant
-//   --max-batch=N     per-ApplyBatch event ceiling (default 65536;
-//                     0 = no ceiling)
 //   --sync-mode=M     durable write path; pipelined is the one mode
 //                     (and the default): the runtime's one log thread
 //                     writes and fsyncs every shard's records (a file
@@ -86,14 +84,10 @@
 #include <ctime>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 
-#include "replication/replica_link.h"
 #include "runtime/access_runtime.h"
 #include "service/client.h"
-#include "service/protocol.h"
 #include "service/server.h"
 #include "service/shutdown.h"
 #include "sim/workload.h"
@@ -122,15 +116,6 @@ int64_t NumericFlag(const std::string& arg, size_t prefix, int64_t lo,
   return *parsed;
 }
 
-/// What the failover hooks act on: the upstream link (promote retires
-/// it, repoint re-targets it) and the runtime behind the server's lock.
-struct ReplicaControl {
-  std::mutex mu;
-  std::unique_ptr<ltam::ReplicaLink> link;
-  ltam::AccessRuntime* runtime = nullptr;
-  std::shared_mutex* runtime_mu = nullptr;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,9 +124,6 @@ int main(int argc, char** argv) {
   InstallShutdownSignalHandlers();
 
   std::string policy_path;
-  std::string upstream_host;
-  uint16_t upstream_port = 0;
-  bool replica = false;
   std::string scenario_name;
   ScenarioOptions scenario_options;
   uint32_t metrics_dump_s = 0;
@@ -150,7 +132,6 @@ int main(int argc, char** argv) {
   // here, so one scrape shows the full request path.
   MetricsRegistry metrics;
   RuntimeOptions runtime_options;
-  runtime_options.max_batch_events = kMaxWireBatchEvents;
   runtime_options.metrics = &metrics;
   ServerOptions server_options;
   server_options.port = 7447;
@@ -189,9 +170,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--scenario-tenants=", 0) == 0) {
       scenario_options.tenants =
           static_cast<uint32_t>(NumericFlag(arg, 19, 1, kUint32Max));
-    } else if (arg.rfind("--max-batch=", 0) == 0) {
-      runtime_options.max_batch_events =
-          static_cast<size_t>(NumericFlag(arg, 12, 0, kInt64Max));
     } else if (arg.rfind("--retention-horizon-s=", 0) == 0) {
       runtime_options.retention.horizon = NumericFlag(arg, 22, 0, kInt64Max);
     } else if (arg.rfind("--retention-hot-events=", 0) == 0) {
@@ -219,22 +197,22 @@ int main(int argc, char** argv) {
       }
       SetLogLevel(*level);
     } else if (arg.rfind("--replica-of=", 0) == 0) {
-      Status endpoint = ParseEndpoint(value(13), &upstream_host,
-                                      &upstream_port);
+      std::string host;
+      uint16_t port = 0;
+      Status endpoint = ParseEndpoint(value(13), &host, &port);
       if (!endpoint.ok()) {
         std::fprintf(stderr, "--replica-of: %s\n",
                      endpoint.ToString().c_str());
         return 2;
       }
-      replica = true;
+      server_options.replica_of = host + ":" + std::to_string(port);
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s'\nusage: ltam_serve [--port=N] "
                    "[--host=ADDR] [--shards=N] [--durable=DIR] "
                    "[--policy=FILE] [--scenario=NAME] [--scenario-seed=N] "
                    "[--scenario-subjects=N] [--scenario-events=N] "
-                   "[--scenario-tenants=N] "
-                   "[--max-batch=N] [--sync-mode=M] "
+                   "[--scenario-tenants=N] [--sync-mode=M] "
                    "[--retention-horizon-s=N] "
                    "[--retention-hot-events=N] [--metrics-dump-s=N] "
                    "[--trace-threshold-us=N] [--log-level=L] "
@@ -299,81 +277,25 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<AccessRuntime> runtime = std::move(opened).ValueOrDie();
   const uint64_t open_ns = MonotonicNowNs();
-
-  ReplicaControl control;
-  if (replica) {
-    Status demoted = runtime->DemoteToReplica();
-    if (!demoted.ok()) {
-      std::fprintf(stderr, "replica error: %s\n", demoted.ToString().c_str());
-      return 1;
-    }
-    // Advertise the upstream in write refusals so clients re-dial the
-    // primary instead of failing; the hooks below keep it current
-    // across repoints and clear it on promotion.
-    runtime->SetPrimaryRedirect(upstream_host + ":" +
-                                std::to_string(upstream_port));
-    server_options.promote_hook = [&control]() -> Result<uint64_t> {
-      // Retire the upstream link FIRST (outside the runtime lock — the
-      // link thread needs it to finish an in-flight apply), then bump
-      // and persist the epoch: from that instant every frame the old
-      // primary ships is provably stale.
-      std::unique_ptr<ReplicaLink> link;
-      {
-        std::lock_guard<std::mutex> lock(control.mu);
-        link = std::move(control.link);
-      }
-      if (link != nullptr) link->Stop();
-      std::unique_lock<std::shared_mutex> wlock(*control.runtime_mu);
-      Result<uint64_t> epoch = control.runtime->Promote();
-      // This node IS the primary now — refusals (none should fire, but
-      // a demote-reopen could) must stop pointing clients elsewhere.
-      if (epoch.ok()) control.runtime->SetPrimaryRedirect("");
-      return epoch;
-    };
-    server_options.repoint_hook = [&control](const std::string& host,
-                                             uint16_t port) -> Status {
-      std::lock_guard<std::mutex> lock(control.mu);
-      if (control.link == nullptr) {
-        return Status::FailedPrecondition(
-            "not following an upstream (already promoted?)");
-      }
-      control.link->Repoint(host, port);
-      // Refusal redirects must chase the link: after a failover the
-      // survivor's clients should be handed the NEW primary.
-      std::unique_lock<std::shared_mutex> wlock(*control.runtime_mu);
-      control.runtime->SetPrimaryRedirect(host + ":" +
-                                          std::to_string(port));
-      return Status::OK();
-    };
-  }
-
+  // Read before Start(), after which the server's threads own the runtime.
+  const RuntimeStats stats = runtime->Stats();
   const uint64_t start_ns = MonotonicNowNs();
   ServiceServer server(runtime.get(), server_options);
-  control.runtime = runtime.get();
-  control.runtime_mu = &server.runtime_mutex();
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "server error: %s\n", started.ToString().c_str());
     return 1;
   }
   const uint64_t started_ns = MonotonicNowNs();
-  if (replica) {
-    auto link = std::make_unique<ReplicaLink>(
-        runtime.get(), &server.runtime_mutex(), upstream_host, upstream_port);
-    link->Start();
-    std::lock_guard<std::mutex> lock(control.mu);
-    control.link = std::move(link);
-  }
-  RuntimeStats stats = runtime->Stats();
   std::printf(
       "ltam_serve: listening on %s:%u (%u shard%s, %s, %s sync)\n",
       server_options.host.c_str(), server.bound_port(), stats.num_shards,
       stats.num_shards == 1 ? "" : "s",
       stats.durable ? "durable" : "in-memory",
       SyncModeToString(runtime_options.durability.mode));
-  if (replica) {
-    std::printf("ltam_serve: replica of %s:%u (epoch %llu, read-only)\n",
-                upstream_host.c_str(), upstream_port,
+  if (!server_options.replica_of.empty()) {
+    std::printf("ltam_serve: replica of %s (epoch %llu, read-only)\n",
+                server_options.replica_of.c_str(),
                 static_cast<unsigned long long>(stats.replication_epoch));
   }
   if (!scenario_name.empty()) {
@@ -417,15 +339,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("ltam_serve: shutting down\n");
-  {
-    std::unique_ptr<ReplicaLink> link;
-    {
-      std::lock_guard<std::mutex> lock(control.mu);
-      link = std::move(control.link);
-    }
-    if (link != nullptr) link->Stop();
-  }
-  server.Stop();
+  server.Stop();  // Retires a replica's link: nothing lands after this.
   if (!CheckpointBeforeExit(runtime.get()).ok()) return 1;
   std::printf("ltam_serve: bye\n");
   return 0;

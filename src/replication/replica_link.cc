@@ -10,12 +10,17 @@
 
 namespace ltam {
 
+namespace {
+
+/// Backoff between failed dials and dropped streams.
+constexpr auto kReconnectBackoff = std::chrono::milliseconds(200);
+
+}  // namespace
+
 ReplicaLink::ReplicaLink(AccessRuntime* runtime, std::shared_mutex* runtime_mu,
-                         std::string host, uint16_t port,
-                         ReplicaLinkOptions options)
+                         std::string host, uint16_t port)
     : runtime_(runtime),
       runtime_mu_(runtime_mu),
-      options_(options),
       host_(std::move(host)),
       port_(port) {}
 
@@ -50,10 +55,6 @@ void ReplicaLink::Repoint(const std::string& host, uint16_t port) {
   cv_.notify_all();
 }
 
-uint64_t ReplicaLink::records_applied() const {
-  return records_applied_.load(std::memory_order_relaxed);
-}
-
 Status ReplicaLink::last_error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_error_;
@@ -67,8 +68,7 @@ void ReplicaLink::RecordError(Status status) {
 
 bool ReplicaLink::Backoff() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::milliseconds(options_.reconnect_backoff_ms),
-               [this] { return stop_; });
+  cv_.wait_for(lock, kReconnectBackoff, [this] { return stop_; });
   return !stop_;
 }
 
@@ -215,8 +215,6 @@ void ReplicaLink::RunOnce() {
           RecordError(applied.status());
           return;
         }
-        records_applied_.fetch_add(chunk->records.size(),
-                                   std::memory_order_relaxed);
         break;
       }
       case MessageType::kError: {

@@ -2,7 +2,8 @@
 // Replica-side upstream link: dial, subscribe, apply, repeat.
 //
 // A ReplicaLink turns a read-only AccessRuntime (DemoteToReplica) into
-// a follower of one upstream primary. Its thread loops:
+// a follower of one upstream primary, owned by the replica's
+// ServiceServer (ServerOptions::replica_of). Its thread loops:
 //
 //   connect(host, port)
 //     -> kReplicaHello{epoch, durable position}
@@ -29,12 +30,12 @@
 // the socket (the one ServiceClient member that is safe cross-thread);
 // the loop then exits or redials the new target. Every disconnect
 // reconnects with a freshly read position, so duplicates are bounded by
-// one chunk and the overlap-skip in ApplyReplicated absorbs them.
+// one chunk and the overlap-skip in ApplyReplicated absorbs them. A
+// failed dial or a dropped stream redials after a fixed 200 ms backoff.
 
 #ifndef LTAM_REPLICATION_REPLICA_LINK_H_
 #define LTAM_REPLICATION_REPLICA_LINK_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -49,18 +50,13 @@
 
 namespace ltam {
 
-struct ReplicaLinkOptions {
-  /// Backoff between failed dials / dropped streams.
-  uint32_t reconnect_backoff_ms = 200;
-};
-
 class ReplicaLink {
  public:
   /// `runtime` must already be a replica (DemoteToReplica) and stays
   /// alive longer than the link; `runtime_mu` is the server's runtime
   /// lock (exclusive for every apply).
   ReplicaLink(AccessRuntime* runtime, std::shared_mutex* runtime_mu,
-              std::string host, uint16_t port, ReplicaLinkOptions options = {});
+              std::string host, uint16_t port);
   ~ReplicaLink();
 
   ReplicaLink(const ReplicaLink&) = delete;
@@ -72,12 +68,6 @@ class ReplicaLink {
   /// Re-targets the upstream (the survivor-reconnect step of a
   /// failover): drops the current stream and redials host:port.
   void Repoint(const std::string& host, uint16_t port);
-
-  // --- Introspection ---------------------------------------------------------
-
-  /// Log records applied from the stream since Start (duplicates a
-  /// reconnect re-shipped included — the runtime skipped those).
-  uint64_t records_applied() const;
 
   /// The last error that dropped a dial or a stream (OK when none has).
   Status last_error() const;
@@ -92,7 +82,6 @@ class ReplicaLink {
 
   AccessRuntime* const runtime_;
   std::shared_mutex* const runtime_mu_;
-  const ReplicaLinkOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -103,8 +92,6 @@ class ReplicaLink {
   bool started_ = false;
   std::unique_ptr<ServiceClient> client_;  // Shared only for ShutdownSocket.
   Status last_error_;
-
-  std::atomic<uint64_t> records_applied_{0};
 
   std::thread thread_;
 };

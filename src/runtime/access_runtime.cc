@@ -164,15 +164,6 @@ Result<BatchResult> AccessRuntime::ApplyBatch(Span<const AccessEvent> batch) {
     ++batches_rejected_;
     return ReplicaRefusal("ApplyBatch");
   }
-  if (options_.max_batch_events > 0 &&
-      batch.size() > options_.max_batch_events) {
-    ++batches_rejected_;
-    return Status::InvalidArgument(
-        "ApplyBatch of " + std::to_string(batch.size()) +
-        " events exceeds max_batch_events=" +
-        std::to_string(options_.max_batch_events) +
-        "; nothing was applied");
-  }
   BatchResult out;
   const uint64_t t0 = apply_histogram_ != nullptr ? MonotonicNowNs() : 0;
   out.decisions = engine_->EvaluateBatch(batch);

@@ -85,12 +85,6 @@ struct RuntimeOptions {
   /// every shard's durability (watermark frozen), until Checkpoint().
   /// Tests inject faults here.
   DurabilityOptions durability;
-  /// Ceiling on events per ApplyBatch call (0 = unlimited). An oversized
-  /// batch is rejected whole with kInvalidArgument — nothing is applied —
-  /// and counted in RuntimeStats::batches_rejected. Network front ends
-  /// set this so a remote client cannot stall every shard with one
-  /// giant frame.
-  size_t max_batch_events = 0;
   /// Telemetry (may be null; borrowed, must outlive the runtime). When
   /// set, the facade records "runtime.apply_batch" and
   /// "runtime.checkpoint" duration histograms, and the registry flows
@@ -152,8 +146,8 @@ struct RuntimeStats {
   /// there is no side channel to count ingestion twice.
   size_t batches_applied = 0;
   size_t events_applied = 0;
-  /// ApplyBatch calls rejected whole before application: oversized per
-  /// RuntimeOptions::max_batch_events, or issued inside Mutate().
+  /// ApplyBatch calls rejected whole before application: on a replica,
+  /// or issued inside Mutate().
   size_t batches_rejected = 0;
   /// Alerts raised but not yet drained.
   size_t pending_alerts = 0;
@@ -323,8 +317,8 @@ class AccessRuntime {
   /// Where a replica believes the primary lives ("host:port"). When
   /// set, write refusals carry a structured ` [primary=host:port]`
   /// token so clients can re-dial instead of guessing; empty (the
-  /// default) keeps the bare refusal. The serving shell owns this hint
-  /// — it tracks --replica-of and every repoint.
+  /// default) keeps the bare refusal. The server owns this hint — it
+  /// tracks ServerOptions::replica_of and every repoint.
   void SetPrimaryRedirect(std::string endpoint) {
     primary_redirect_ = std::move(endpoint);
   }

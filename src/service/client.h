@@ -107,12 +107,11 @@ class ServiceClient {
   Result<MetricsSnapshot> Metrics();
 
   /// Promotes a replica server to primary; returns the new replication
-  /// epoch. Legal against a primary too (an epoch bump that fences any
-  /// stream still flowing from an older-epoch node).
+  /// epoch. A server started as a primary refuses (kFailedPrecondition).
   Result<uint64_t> Promote();
 
-  /// Re-targets a replica server's upstream — the survivor-reconnect
-  /// step of a failover.
+  /// Re-targets a replica server's upstream (the survivor-reconnect
+  /// step of a failover); a server following none refuses.
   Status Repoint(const std::string& host, uint16_t port);
 
   // --- Raw frame surface (replication links) ---------------------------------

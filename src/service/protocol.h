@@ -77,8 +77,8 @@ inline constexpr uint32_t kWireMagic = 0x4D41544Cu;
 /// can never drive allocation.
 inline constexpr uint32_t kMaxFramePayload = 8u << 20;
 
-/// Protocol-level ceiling on events per ApplyBatch frame (a server may
-/// enforce a tighter one via RuntimeOptions::max_batch_events).
+/// Protocol-level ceiling on events per ApplyBatch frame: the one bound
+/// on a remote batch (PeekApplyEventCount refuses more).
 inline constexpr uint32_t kMaxWireBatchEvents = 1u << 16;
 
 /// Frame header size on the wire.

@@ -26,6 +26,8 @@
 #include "query/query_language.h"
 #include "replication/epoch.h"
 #include "replication/log_shipper.h"
+#include "replication/replica_link.h"
+#include "service/client.h"
 #include "service/protocol.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -160,6 +162,15 @@ class ServiceServer::Impl {
   Status Start() {
     if (started_) return Status::FailedPrecondition("server already started");
 
+    if (!options_.replica_of.empty()) {
+      std::string host;
+      uint16_t port = 0;
+      LTAM_RETURN_IF_ERROR(ParseEndpoint(options_.replica_of, &host, &port));
+      LTAM_RETURN_IF_ERROR(runtime_->DemoteToReplica());
+      runtime_->SetPrimaryRedirect(host + ":" + std::to_string(port));
+      link_ = std::make_unique<ReplicaLink>(runtime_, &runtime_mu_, host, port);
+    }
+
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) return Errno("socket");
     int one = 1;
@@ -219,6 +230,8 @@ class ServiceServer::Impl {
         &runtime_->query(), &runtime_->graph(), &runtime_->profiles(),
         &runtime_->movements(), &runtime_->auth_db());
 
+    // Before the I/O loop runs, so a kPromote always finds the link.
+    if (link_ != nullptr) link_->Start();
     stopping_ = false;
     coal_stop_ = false;
     started_ = true;
@@ -241,8 +254,10 @@ class ServiceServer::Impl {
     stopping_ = true;
     SignalLoop();
     io_thread_.join();
-    // The loop is gone, so no new subscription can start; retire the
-    // log shippers before their connections are torn down.
+    // The loop is gone, so no promote, repoint or subscription can run:
+    // retire the upstream link (no replicated record lands once Stop()
+    // returns), then the log shippers, before their connections close.
+    RetireLink();
     StopAllShippers();
     // Phase 2: the producer is gone, so the coalescer can drain the
     // queue before exiting.
@@ -273,7 +288,10 @@ class ServiceServer::Impl {
 
   uint16_t bound_port() const { return bound_port_; }
 
-  std::shared_mutex& runtime_mutex() { return runtime_mu_; }
+  Status upstream_error() const {
+    std::lock_guard<std::mutex> lock(link_mu_);
+    return link_ == nullptr ? Status::OK() : link_->last_error();
+  }
 
   CoalescerStats coalescer_stats() const {
     std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
@@ -640,14 +658,7 @@ class ServiceServer::Impl {
                       Status::ParseError("promote: unexpected payload")));
           return;
         }
-        if (!options_.promote_hook) {
-          Respond(conn, MessageType::kError, id,
-                  EncodeErrorResult(Status::FailedPrecondition(
-                      "this server has no promotion hook (not started as "
-                      "a replica)")));
-          return;
-        }
-        Result<uint64_t> epoch = options_.promote_hook();
+        Result<uint64_t> epoch = Promote();
         if (!epoch.ok()) {
           Respond(conn, MessageType::kError, id,
                   EncodeErrorResult(epoch.status()));
@@ -664,14 +675,7 @@ class ServiceServer::Impl {
                   EncodeErrorResult(repoint.status()));
           return;
         }
-        if (!options_.repoint_hook) {
-          Respond(conn, MessageType::kError, id,
-                  EncodeErrorResult(Status::FailedPrecondition(
-                      "this server has no repoint hook (not started as "
-                      "a replica)")));
-          return;
-        }
-        Status repointed = options_.repoint_hook(repoint->host, repoint->port);
+        Status repointed = Repoint(repoint->host, repoint->port);
         if (!repointed.ok()) {
           Respond(conn, MessageType::kError, id,
                   EncodeErrorResult(repointed));
@@ -687,6 +691,48 @@ class ServiceServer::Impl {
                     MessageTypeToString(type) + ")")));
         return;
     }
+  }
+
+  // --- Replica role ----------------------------------------------------------
+
+  /// kPromote: retires the link, then durably bumps the epoch — from
+  /// then on every frame the old primary ships is stale.
+  Result<uint64_t> Promote() {
+    if (options_.replica_of.empty()) {
+      return Status::FailedPrecondition(
+          "this server was not started as a replica (replica_of unset)");
+    }
+    RetireLink();
+    std::unique_lock<std::shared_mutex> lock(runtime_mu_);
+    Result<uint64_t> epoch = runtime_->Promote();
+    if (epoch.ok()) runtime_->SetPrimaryRedirect("");
+    return epoch;
+  }
+
+  /// kRepoint: re-aims the link, and the refusals' primary hint with it.
+  Status Repoint(const std::string& host, uint16_t port) {
+    {
+      std::lock_guard<std::mutex> lock(link_mu_);
+      if (link_ == nullptr) {
+        return Status::FailedPrecondition(
+            "not following an upstream (already promoted?)");
+      }
+      link_->Repoint(host, port);
+    }
+    std::unique_lock<std::shared_mutex> lock(runtime_mu_);
+    runtime_->SetPrimaryRedirect(host + ":" + std::to_string(port));
+    return Status::OK();
+  }
+
+  /// Takes the link out and joins it outside the runtime lock: its
+  /// thread may need that lock to finish an in-flight apply.
+  void RetireLink() {
+    std::unique_ptr<ReplicaLink> link;
+    {
+      std::lock_guard<std::mutex> lock(link_mu_);
+      link = std::move(link_);
+    }
+    if (link != nullptr) link->Stop();
   }
 
   // --- Replication subscriptions ---------------------------------------------
@@ -987,15 +1033,13 @@ class ServiceServer::Impl {
       ReleaseUnits(front);
       if (pickup_ns != 0) {
         front.pickup_ns = pickup_ns;
-        // Recorded once per frame, here: the refusal-retry path below
-        // re-enters ProcessMergedBatch but never re-picks-up.
         h_queue_wait_->Record(pickup_ns - front.recv_ns);
       }
       group_.push_back(std::move(front));
       st.ready.pop_front();
       any = true;
     }
-    if (!group_.empty()) ProcessMergedBatch(&group_);
+    if (!group_.empty()) ProcessMergedBatch(group_);
     for (auto it = states_.begin(); it != states_.end();) {
       if (it->second.wconn.expired() && it->second.ready.empty()) {
         it = states_.erase(it);
@@ -1030,19 +1074,19 @@ class ServiceServer::Impl {
     queued_units_.fetch_sub(job.units, std::memory_order_acq_rel);
   }
 
-  void ProcessMergedBatch(std::vector<IngestJob>* group) {
+  void ProcessMergedBatch(const std::vector<IngestJob>& group) {
     // The ONE event decode: straight from each frame's payload into
     // the reused merge buffer, each frame's events contiguous in
     // arrival order. A frame that fails validation here gets its error
     // now and drops out of the merge.
     merged_.clear();
-    const size_t n = group->size();
+    const size_t n = group.size();
     std::vector<size_t> offsets(n, 0);
     std::vector<bool> live(n, false);
     std::vector<uint64_t> decode_ns(instrumented() ? n : 0, 0);
     size_t live_count = 0;
     for (size_t i = 0; i < n; ++i) {
-      IngestJob& job = (*group)[i];
+      const IngestJob& job = group[i];
       offsets[i] = merged_.size();
       const uint64_t t_decode = instrumented() ? MonotonicNowNs() : 0;
       Status decoded = DecodeApplyEventsInto(job.payload, &merged_);
@@ -1076,31 +1120,17 @@ class ServiceServer::Impl {
       coalescer_stats_.merged_events += merged_.size();
     }
     if (instrumented()) {
-      // Once per frame per ApplyBatch attempt — the same basis as
-      // CoalescerStats::merged_frames (the refusal-retry path below
-      // re-enters with single frames and both tick again), so the two
-      // reconcile exactly.
+      // Once per live frame — the same basis as
+      // CoalescerStats::merged_frames, so the two reconcile exactly.
       for (size_t i = 0; i < live_count; ++i) h_apply_->Record(apply_ns);
     }
     if (!result.ok()) {
-      // A whole-batch refusal: nothing was applied. A MERGED refusal can
-      // be the coalescer's own doing (individually-legal frames summing
-      // past the runtime's max_batch_events), so degrade to applying
-      // each frame alone — every frame then gets its own accurate
-      // verdict instead of inheriting its neighbors'. A single frame's
-      // refusal is final.
-      if (live_count > 1) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!live[i]) continue;
-          std::vector<IngestJob> alone;
-          alone.push_back(std::move((*group)[i]));
-          ProcessMergedBatch(&alone);
-        }
-        return;
-      }
+      // A whole-batch refusal (a replica's, or one inside a Mutate
+      // window): nothing was applied, and every live frame of the merge
+      // gets the same refusal.
       for (size_t i = 0; i < n; ++i) {
         if (!live[i]) continue;
-        const IngestJob& job = (*group)[i];
+        const IngestJob& job = group[i];
         Respond(job.conn, MessageType::kError, job.request_id,
                 EncodeErrorResult(result.status().WithContext(
                     "batch refused; nothing applied")));
@@ -1142,7 +1172,7 @@ class ServiceServer::Impl {
 
     for (size_t i = 0; i < n; ++i) {
       if (!live[i]) continue;
-      const IngestJob& job = (*group)[i];
+      const IngestJob& job = group[i];
       WireBatchResult wire;
       const size_t begin = offsets[i];
       const size_t end = i + 1 < n ? offsets[i + 1] : merged_.size();
@@ -1422,6 +1452,10 @@ class ServiceServer::Impl {
   /// Stop().
   std::mutex shippers_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<LogShipper>> shippers_;
+
+  /// A replica's upstream link; null on a primary and once retired.
+  mutable std::mutex link_mu_;
+  std::unique_ptr<ReplicaLink> link_;
 };
 
 ServiceServer::ServiceServer(AccessRuntime* runtime, ServerOptions options)
@@ -1439,8 +1473,8 @@ CoalescerStats ServiceServer::coalescer_stats() const {
   return impl_->coalescer_stats();
 }
 
-std::shared_mutex& ServiceServer::runtime_mutex() {
-  return impl_->runtime_mutex();
+Status ServiceServer::upstream_error() const {
+  return impl_->upstream_error();
 }
 
 }  // namespace ltam

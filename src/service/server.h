@@ -37,6 +37,10 @@
 //    take the runtime lock shared (Metrics takes none), so reads run in
 //    parallel with each other and with all network I/O, and only
 //    exclude the coalescer's exclusive application window.
+//  - on a replica (ServerOptions::replica_of), the upstream link: one
+//    thread applying the primary's log stream under the exclusive
+//    runtime lock. The server answers kPromote and kRepoint itself, and
+//    Stop() retires the link before anything else.
 //
 // Responses preserve per-connection order within the ingest path (the
 // coalescer is FIFO per connection) but reads may overtake writes; every
@@ -68,9 +72,7 @@
 #define LTAM_SERVICE_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 
 #include "runtime/access_runtime.h"
@@ -96,14 +98,12 @@ struct ServerOptions {
   /// every other connection. Refusals are counted in
   /// CoalescerStats::connection_quota_refusals.
   size_t max_connection_queued_events = 1u << 16;
-  /// Failover hooks, supplied by the embedding binary (which owns the
-  /// replica link and knows how to retire it). A kPromote / kRepoint
-  /// frame invokes the hook inline on the I/O thread — these are rare,
-  /// operator-driven frames, and blocking the loop briefly during a
-  /// failover is the point. An unset hook refuses the frame with a
-  /// structured error.
-  std::function<Result<uint64_t>()> promote_hook;
-  std::function<Status(const std::string& host, uint16_t port)> repoint_hook;
+  /// "host:port" of the primary to follow; empty serves as a primary.
+  /// When set, Start() demotes the (durable) runtime, names this
+  /// endpoint in write refusals and runs the upstream link, and the I/O
+  /// thread answers kPromote/kRepoint inline. A primary refuses both:
+  /// promoting it could hand a fenced ex-primary its successor's epoch.
+  std::string replica_of;
   /// Telemetry registry (may be null; borrowed, must outlive the
   /// server). When set, the ingest path records per-stage histograms —
   /// ingest.queue_wait (dispatch to coalesce pickup), ingest.decode
@@ -162,12 +162,15 @@ class ServiceServer {
   ServiceServer& operator=(const ServiceServer&) = delete;
 
   /// Binds, listens, and spawns the thread groups. kFailedPrecondition
-  /// when already started; IOError for socket failures.
+  /// when already started or asked to follow with an in-memory runtime,
+  /// kInvalidArgument for a malformed `replica_of` (both before anything
+  /// is bound); IOError for socket failures.
   Status Start();
 
-  /// Stops accepting, drains the ingest queue (queued frames still get
-  /// their responses), flushes what the sockets will take, closes every
-  /// connection, and joins all threads. Idempotent.
+  /// Stops accepting, retires the upstream link (no replicated record
+  /// lands once Stop() returns), drains the ingest queue (queued frames
+  /// still get their responses), flushes what the sockets will take,
+  /// closes every connection, and joins all threads. Idempotent.
   void Stop();
 
   /// The port actually bound (== options.port unless it was 0).
@@ -176,11 +179,10 @@ class ServiceServer {
   /// Live coalescing counters.
   CoalescerStats coalescer_stats() const;
 
-  /// The lock arbitrating the runtime between the coalescer (exclusive)
-  /// and the read workers (shared). A replica's upstream link applies
-  /// shipped records under THIS lock, exclusive — that is the entire
-  /// reason it is exposed. Valid for the server's lifetime.
-  std::shared_mutex& runtime_mutex();
+  /// The last error that dropped the upstream link's dial or stream
+  /// (OK when none has, and whenever no link runs: on a primary, once
+  /// promoted, after Stop()).
+  Status upstream_error() const;
 
  private:
   class Impl;

@@ -15,10 +15,11 @@
 //    parks rather than subscribe to an epoch N-1 upstream, and none of
 //    the ex-primary's post-partition writes ever reach it.
 //
-// Each test wires nodes exactly the way ltam_serve --replica-of does:
-// the embedding code owns the ReplicaLink and supplies the server's
-// promote/repoint hooks. The whole suite runs under the TSan CI job —
-// shipper threads, link threads, I/O loops, and the failover hooks
+// A replica node is a ServiceServer started with
+// ServerOptions::replica_of, exactly what ltam_serve --replica-of sets:
+// the server demotes its runtime, owns the upstream link, and answers
+// promote/repoint itself. The whole suite runs under the TSan CI job —
+// shipper threads, link threads, I/O loops, and the failover paths
 // exercise every replication lock.
 
 #include <gtest/gtest.h>
@@ -32,16 +33,14 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "replication/epoch.h"
-#include "replication/replica_link.h"
 #include "runtime/access_runtime.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/server.h"
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
@@ -111,24 +110,18 @@ std::string Render(const Result<QueryResult>& r) {
   return r.ok() ? r->ToString() : r.status().ToString();
 }
 
-/// One server node, wired the way ltam_serve --replica-of wires it: the
-/// node owns the runtime, the server, and (replica only) the upstream
-/// link, and supplies the promote/repoint hooks that retire the link.
+/// One server node: the runtime and the server over it. A replica's
+/// server follows its upstream on its own (ServerOptions::replica_of).
 struct Node {
   std::string dir;
   std::unique_ptr<AccessRuntime> runtime;
   std::unique_ptr<ServiceServer> server;
-  std::mutex link_mu;
-  std::unique_ptr<ReplicaLink> link;
   uint16_t port = 0;
 
   /// upstream_port < 0 starts a primary; otherwise a replica following
-  /// 127.0.0.1:upstream_port. `advertise_primary` mirrors what
-  /// ltam_serve always does: write refusals carry the structured
-  /// [primary=...] token, kept current across repoints and cleared on
-  /// promotion. Default off so refusal-shape tests see the bare error.
+  /// 127.0.0.1:upstream_port, whose write refusals name that primary.
   void Start(const World& w, const std::string& d, int upstream_port,
-             bool advertise_primary = false, uint32_t shards = kShards) {
+             uint32_t shards = kShards) {
     dir = d;
     fs::create_directories(dir);
     RuntimeOptions options;
@@ -140,76 +133,36 @@ struct Node {
     runtime = std::move(opened).ValueOrDie();
     ServerOptions server_options;
     if (upstream_port >= 0) {
-      ASSERT_OK(runtime->DemoteToReplica());
-      if (advertise_primary) {
-        runtime->SetPrimaryRedirect("127.0.0.1:" +
-                                    std::to_string(upstream_port));
-      }
-      server_options.promote_hook = [this]() -> Result<uint64_t> {
-        std::unique_ptr<ReplicaLink> retiring;
-        {
-          std::lock_guard<std::mutex> lock(link_mu);
-          retiring = std::move(link);
-        }
-        // Outside the runtime lock: the link thread may need it to
-        // finish an in-flight apply before it can join.
-        if (retiring != nullptr) retiring->Stop();
-        std::unique_lock<std::shared_mutex> wlock(server->runtime_mutex());
-        Result<uint64_t> epoch = runtime->Promote();
-        if (epoch.ok()) runtime->SetPrimaryRedirect("");
-        return epoch;
-      };
-      server_options.repoint_hook = [this, advertise_primary](
-                                        const std::string& host,
-                                        uint16_t p) -> Status {
-        std::lock_guard<std::mutex> lock(link_mu);
-        if (link == nullptr) {
-          return Status::FailedPrecondition(
-              "not following an upstream (already promoted?)");
-        }
-        link->Repoint(host, p);
-        if (advertise_primary) {
-          std::unique_lock<std::shared_mutex> wlock(server->runtime_mutex());
-          runtime->SetPrimaryRedirect(host + ":" + std::to_string(p));
-        }
-        return Status::OK();
-      };
+      server_options.replica_of = "127.0.0.1:" + std::to_string(upstream_port);
     }
     server = std::make_unique<ServiceServer>(runtime.get(), server_options);
     ASSERT_OK(server->Start());
     port = server->bound_port();
-    if (upstream_port >= 0) {
-      ReplicaLinkOptions link_options;
-      link_options.reconnect_backoff_ms = 25;  // Fast retries for tests.
-      auto fresh = std::make_unique<ReplicaLink>(
-          runtime.get(), &server->runtime_mutex(), "127.0.0.1",
-          static_cast<uint16_t>(upstream_port), link_options);
-      fresh->Start();
-      std::lock_guard<std::mutex> lock(link_mu);
-      link = std::move(fresh);
-    }
   }
 
   void Stop() {
-    std::unique_ptr<ReplicaLink> retiring;
-    {
-      std::lock_guard<std::mutex> lock(link_mu);
-      retiring = std::move(link);
-    }
-    if (retiring != nullptr) retiring->Stop();
     if (server != nullptr) server->Stop();
   }
 
-  Status LinkError() {
-    std::lock_guard<std::mutex> lock(link_mu);
-    return link == nullptr ? Status::OK() : link->last_error();
-  }
-
-  uint64_t LinkApplied() {
-    std::lock_guard<std::mutex> lock(link_mu);
-    return link == nullptr ? 0 : link->records_applied();
-  }
+  Status LinkError() const { return server->upstream_error(); }
 };
+
+/// Sends `events` as one raw ApplyBatch frame and returns the error the
+/// server answers with. Raw, because ServiceClient::ApplyBatch would
+/// follow a replica's [primary=...] token and land the write there.
+Status RawApplyRefusal(ServiceClient* client,
+                       const std::vector<AccessEvent>& events) {
+  LTAM_RETURN_IF_ERROR(client->SendRawFrame(MessageType::kApplyBatch, 1,
+                                            EncodeApplyBatchRequest(events)));
+  LTAM_ASSIGN_OR_RETURN(Frame reply, client->ReceiveRaw());
+  if (reply.header.type != MessageType::kError) {
+    return Status::Internal(std::string("expected a refusal, got ") +
+                            MessageTypeToString(reply.header.type));
+  }
+  Status refused;
+  LTAM_RETURN_IF_ERROR(DecodeErrorResult(reply.payload, &refused));
+  return refused;
+}
 
 /// Polls `client`'s remote Stats until `pred` holds; fails the test
 /// (and returns the last observation) after ~10s.
@@ -302,21 +255,21 @@ TEST_F(ReplicationTest, ReplicaCatchesUpServesReadsAndRefusesWrites) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
                        ServiceClient::Connect("127.0.0.1", replica.port));
 
-  // A replica refuses writes with a structured redirect — batch and
-  // single-event paths both, before any traffic has flowed.
-  Result<WireBatchResult> refused = replica_client->ApplyBatch(batches[0]);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsFailedPrecondition())
-      << refused.status().ToString();
-  EXPECT_NE(refused.status().ToString().find("replica"), std::string::npos)
-      << refused.status().ToString();
-  EXPECT_NE(refused.status().ToString().find("primary"), std::string::npos)
-      << "the refusal must redirect to the primary, got: "
-      << refused.status().ToString();
-  Result<WireBatchResult> single = replica_client->ApplyBatch({batches[0][0]});
-  ASSERT_FALSE(single.ok());
-  EXPECT_TRUE(single.status().IsFailedPrecondition())
-      << single.status().ToString();
+  // A replica refuses writes with a structured redirect naming its
+  // primary — a full batch and a one-event frame both, before any
+  // traffic has flowed.
+  const std::string token =
+      "[primary=127.0.0.1:" + std::to_string(primary.port) + "]";
+  for (const std::vector<AccessEvent>& write :
+       {batches[0], std::vector<AccessEvent>{batches[0][0]}}) {
+    Status refused = RawApplyRefusal(replica_client.get(), write);
+    EXPECT_TRUE(refused.IsFailedPrecondition()) << refused.ToString();
+    EXPECT_NE(refused.ToString().find("replica"), std::string::npos)
+        << refused.ToString();
+    EXPECT_NE(refused.ToString().find(token), std::string::npos)
+        << "the refusal must redirect to the primary, got: "
+        << refused.ToString();
+  }
 
   // Ingest through the primary; the shipper streams committed records.
   size_t fed = 0;
@@ -365,10 +318,8 @@ void ReplicationTest::PrimaryFeedsOneShardReplica(uint32_t primary_shards) {
 
   Node primary;
   Node replica;
-  primary.Start(w, root_ + "/primary", -1, /*advertise_primary=*/false,
-                primary_shards);
-  replica.Start(w, root_ + "/replica", primary.port,
-                /*advertise_primary=*/false, /*shards=*/1);
+  primary.Start(w, root_ + "/primary", -1, primary_shards);
+  replica.Start(w, root_ + "/replica", primary.port, /*shards=*/1);
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
                        ServiceClient::Connect("127.0.0.1", primary.port));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
@@ -443,8 +394,7 @@ TEST_F(ReplicationTest, ClientFollowsStructuredPrimaryRedirect) {
   Node primary;
   Node replica;
   primary.Start(w, root_ + "/primary", -1);
-  replica.Start(w, root_ + "/replica", primary.port,
-                /*advertise_primary=*/true);
+  replica.Start(w, root_ + "/replica", primary.port);
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> client,
                        ServiceClient::Connect("127.0.0.1", replica.port));
 
@@ -652,9 +602,9 @@ TEST_F(ReplicationTest, StaleEpochPrimaryIsFencedAndSurvivorRecovers) {
   }
   EXPECT_TRUE(fenced) << "expected a fencing refusal, last link error: "
                       << c.LinkError().ToString();
-  // ...and none of them may ever reach C: after several reconnect
-  // cycles it still holds exactly the promoted lineage.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // ...and none of them may ever reach C: after at least three more
+  // redials (200 ms apart) it still holds exactly the promoted lineage.
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
   ASSERT_OK_AND_ASSIGN(RuntimeStats c_stats, c_client->Stats());
   EXPECT_EQ(fed, c_stats.applied_offset)
       << "a fenced upstream's writes leaked into the replica";
@@ -675,6 +625,104 @@ TEST_F(ReplicationTest, StaleEpochPrimaryIsFencedAndSurvivorRecovers) {
   c.Stop();
   b.Stop();
   a.Stop();
+}
+
+TEST_F(ReplicationTest, ReplicaStartValidatesBeforeBinding) {
+  World w = MakeWorld(8101);
+
+  // An in-memory runtime cannot follow a primary: Start() fails before
+  // anything is bound.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> in_memory,
+                       AccessRuntime::Open(StateOf(w), RuntimeOptions{}));
+  ServerOptions follow;
+  follow.replica_of = "127.0.0.1:" + std::to_string(ClosedPort());
+  ServiceServer refused(in_memory.get(), follow);
+  Status started = refused.Start();
+  EXPECT_TRUE(started.IsFailedPrecondition()) << started.ToString();
+  EXPECT_NE(started.ToString().find("durable"), std::string::npos)
+      << started.ToString();
+  EXPECT_EQ(0u, refused.bound_port()) << "a refused replica must not listen";
+  EXPECT_FALSE(in_memory->is_replica());
+  refused.Stop();  // Nothing started, so nothing to stop.
+
+  // A malformed endpoint is refused before the runtime is demoted.
+  fs::create_directories(root_ + "/durable");
+  RuntimeOptions durable;
+  durable.durable_dir = root_ + "/durable";
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(StateOf(w), durable));
+  for (const char* endpoint : {"h:0", "nohost"}) {
+    ServerOptions bad;
+    bad.replica_of = endpoint;
+    ServiceServer server(rt.get(), bad);
+    Status st = server.Start();
+    EXPECT_TRUE(st.IsInvalidArgument()) << endpoint << ": " << st.ToString();
+    EXPECT_EQ(0u, server.bound_port()) << endpoint;
+    EXPECT_FALSE(rt->is_replica()) << endpoint;
+  }
+}
+
+TEST_F(ReplicationTest, StopRetiresTheUpstreamLink) {
+  World w = MakeWorld(8201);
+  auto batches = MakeBatches(w, /*total_events=*/160, 8209);
+  ASSERT_GE(batches.size(), 2u);
+
+  Node primary;
+  Node replica;
+  primary.Start(w, root_ + "/primary", -1);
+  replica.Start(w, root_ + "/replica", primary.port);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
+                       ServiceClient::Connect("127.0.0.1", primary.port));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
+                       ServiceClient::Connect("127.0.0.1", replica.port));
+  ASSERT_OK(primary_client->ApplyBatch(batches[0]).status());
+  const size_t fed = batches[0].size();
+  AwaitStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) { return s.applied_offset == fed; },
+      "replica catch-up before Stop");
+
+  // Once Stop() returns no replicated record lands — the exit
+  // checkpoint a host takes next relies on that — however much the
+  // primary goes on shipping.
+  replica_client.reset();
+  replica.Stop();
+  size_t shipped = fed;
+  for (size_t k = 1; k < batches.size(); ++k) {
+    ASSERT_OK(primary_client->ApplyBatch(batches[k]).status());
+    shipped += batches[k].size();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(fed, replica.runtime->Stats().applied_offset)
+      << "records landed after Stop() (the primary holds " << shipped << ")";
+  EXPECT_OK(replica.LinkError());
+
+  primary_client.reset();
+  primary.Stop();
+}
+
+TEST_F(ReplicationTest, PrimaryRefusesPromoteAndRepoint) {
+  World w = MakeWorld(8301);
+  Node primary;
+  primary.Start(w, root_ + "/primary", -1);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> client,
+                       ServiceClient::Connect("127.0.0.1", primary.port));
+
+  Result<uint64_t> promoted = client->Promote();
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_TRUE(promoted.status().IsFailedPrecondition())
+      << promoted.status().ToString();
+  Status repointed = client->Repoint("127.0.0.1", ClosedPort());
+  EXPECT_TRUE(repointed.IsFailedPrecondition()) << repointed.ToString();
+
+  // Neither refusal touched the role or the epoch.
+  ASSERT_OK_AND_ASSIGN(RuntimeStats stats, client->Stats());
+  EXPECT_FALSE(stats.replica);
+  EXPECT_EQ(0u, stats.replication_epoch);
+  EXPECT_OK(primary.LinkError());
+
+  client.reset();
+  primary.Stop();
 }
 
 }  // namespace

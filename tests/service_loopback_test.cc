@@ -370,92 +370,6 @@ TEST_F(ServiceLoopbackTest, RemoteQueriesAndStatsAnswerOverLiveRuntime) {
   server.Stop();
 }
 
-TEST_F(ServiceLoopbackTest, OversizedBatchIsRefusedAndCounted) {
-  World w = MakeWorld(601);
-  RuntimeOptions options;
-  options.max_batch_events = 4;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
-                       AccessRuntime::Open(StateOf(w), options));
-  ServiceServer server(rt.get(), ServerOptions{});
-  ASSERT_OK(server.Start());
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<ServiceClient> client,
-      ServiceClient::Connect("127.0.0.1", server.bound_port()));
-
-  std::vector<AccessEvent> oversized;
-  for (int i = 0; i < 8; ++i) {
-    oversized.push_back(AccessEvent::Entry(i + 1, w.subjects[0], 1));
-  }
-  Result<WireBatchResult> refused = client->ApplyBatch(oversized);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsInvalidArgument())
-      << refused.status().ToString();
-
-  // The refusal is visible in the runtime's own counters — the same
-  // numbers the shell and the /stats endpoint report.
-  ASSERT_OK_AND_ASSIGN(RuntimeStats stats, client->Stats());
-  EXPECT_EQ(1u, stats.batches_rejected);
-  EXPECT_EQ(0u, stats.batches_applied);
-
-  // A fitting batch still applies afterwards.
-  std::vector<AccessEvent> small(oversized.begin(), oversized.begin() + 2);
-  ASSERT_OK_AND_ASSIGN(WireBatchResult ok, client->ApplyBatch(small));
-  EXPECT_EQ(2u, ok.decisions.size());
-
-  server.Stop();
-}
-
-TEST_F(ServiceLoopbackTest, CoalescedOverflowFallsBackToPerFrameBatches) {
-  // Individually-legal frames must not be refused just because the
-  // coalescer merged them past the runtime's max_batch_events: the
-  // server degrades to per-frame application. Two pipelined
-  // connections flood 3-event frames at a 4-event runtime ceiling, so
-  // any merge of two frames (6 events) would trip it.
-  World w = MakeWorld(809);
-  RuntimeOptions options;
-  options.max_batch_events = 4;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
-                       AccessRuntime::Open(StateOf(w), options));
-  ServiceServer server(rt.get(), ServerOptions{});
-  ASSERT_OK(server.Start());
-  constexpr size_t kFrames = 20;
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < 2; ++c) {
-    clients.emplace_back([&, c] {
-      Result<std::unique_ptr<ServiceClient>> connected =
-          ServiceClient::Connect("127.0.0.1", server.bound_port());
-      ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-      std::unique_ptr<ServiceClient> client =
-          std::move(connected).ValueOrDie();
-      SubjectId mine = w.subjects[c];
-      std::vector<uint32_t> ids;
-      for (size_t k = 0; k < kFrames; ++k) {
-        std::vector<AccessEvent> batch;
-        for (int i = 0; i < 3; ++i) {
-          batch.push_back(AccessEvent::Entry(
-              static_cast<Chronon>(k * 3 + i + 1), mine, 1));
-        }
-        Result<uint32_t> id = client->SubmitBatch(batch);
-        ASSERT_TRUE(id.ok()) << id.status().ToString();
-        ids.push_back(*id);
-      }
-      ASSERT_OK(client->Flush());
-      for (uint32_t id : ids) {
-        Result<ServiceClient::PipelinedBatch> r =
-            client->ReceiveBatchResult();
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(id, r->request_id);
-        EXPECT_EQ(3u, r->result.decisions.size());
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  server.Stop();
-  // Every event applied; no frame inherited a neighbor's refusal.
-  RuntimeStats stats = rt->Stats();
-  EXPECT_EQ(2 * kFrames * 3, stats.events_applied);
-}
-
 TEST_F(ServiceLoopbackTest, BatchResultsCarryTheDurabilityWatermark) {
   World w = MakeWorld(919);
   fs::create_directories(root_ + "/wm");

@@ -500,6 +500,38 @@ TEST(ServiceProtocolTest, PayloadDecodersRejectCorruption) {
   EXPECT_FALSE(DecodeErrorResult(ok_error, &sink).ok());
 }
 
+TEST(ServiceProtocolTest, ApplyBatchRefusesOneEventOverTheWireCeiling) {
+  // kMaxWireBatchEvents is the one bound on a remote batch: a frame at
+  // it decodes, and one event more is refused by both the O(1) shape
+  // check and the decoder, even with the payload sized to match.
+  const AccessEvent event = AccessEvent::Entry(1, 7, 3);
+  std::string payload = EncodeApplyBatchRequest(
+      std::vector<AccessEvent>(kMaxWireBatchEvents, event));
+  ASSERT_OK_AND_ASSIGN(uint32_t count, PeekApplyEventCount(payload));
+  EXPECT_EQ(kMaxWireBatchEvents, count);
+  std::vector<AccessEvent> decoded;
+  EXPECT_OK(DecodeApplyEventsInto(payload, &decoded));
+  EXPECT_EQ(kMaxWireBatchEvents, decoded.size());
+
+  // One more event's bytes, and a little-endian count that matches.
+  payload += EncodeApplyBatchRequest({event}).substr(4);
+  const uint32_t over = kMaxWireBatchEvents + 1;
+  for (int i = 0; i < 4; ++i) {
+    payload[i] = static_cast<char>((over >> (8 * i)) & 0xff);
+  }
+  Result<uint32_t> peeked = PeekApplyEventCount(payload);
+  ASSERT_FALSE(peeked.ok());
+  EXPECT_TRUE(peeked.status().IsParseError()) << peeked.status().ToString();
+  EXPECT_NE(peeked.status().ToString().find("ceiling"), std::string::npos)
+      << peeked.status().ToString();
+  decoded.clear();
+  Status refused = DecodeApplyEventsInto(payload, &decoded);
+  EXPECT_TRUE(refused.IsParseError()) << refused.ToString();
+  EXPECT_NE(refused.ToString().find("ceiling"), std::string::npos)
+      << refused.ToString();
+  EXPECT_TRUE(decoded.empty());
+}
+
 // --- Assembler ---------------------------------------------------------------
 
 TEST(ServiceProtocolTest, AssemblerReassemblesArbitrarySplits) {
