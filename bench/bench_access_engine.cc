@@ -219,9 +219,16 @@ BENCHMARK(BM_BatchDecisionSequential)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Sharded pipeline at state.range(0) shards over the same stream.
+/// Sharded pipeline over the same 16,384-event stream, cut into batches
+/// of state.range(1) events, at state.range(0) shards. The batch-size
+/// sweep places the fan-out threshold (kMinFanOutEvents,
+/// src/engine/sharded_engine.cc): built with every batch fanned out, the
+/// first size at which the 2- and 4-shard rows beat the 1-shard row is
+/// where handing slices to the workers starts to pay. With the
+/// threshold in place, multi-shard rows below it time the inline path
+/// (every slice on the caller).
 void BM_BatchDecisionSharded(benchmark::State& state) {
-  BatchWorld w = MakeBatchWorld();
+  BatchWorld w = MakeBatchWorld(static_cast<size_t>(state.range(1)));
   ShardedEngineOptions opt;
   opt.num_shards = static_cast<uint32_t>(state.range(0));
   opt.engine = QuietEngineOptions();
@@ -246,10 +253,7 @@ void BM_BatchDecisionSharded(benchmark::State& state) {
 // Real time, not CPU time: the work happens on the shard workers, and
 // the speedup claim is wall-clock throughput vs the sequential path.
 BENCHMARK(BM_BatchDecisionSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->ArgsProduct({{1, 2, 4}, {16, 32, 64, 128, 256, 512, 1024, 2048}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -304,12 +308,14 @@ BENCHMARK(BM_FacadeBatchSharded)
 // --- Durable batch pipeline (WAL + group commit), via the facade ------------
 //
 // The same stream as the in-memory benchmarks, but crash-safe: every
-// event is appended to its shard's write-ahead log before it is applied,
-// and the runtime's one log thread writes and fsyncs the logs (a shard's
-// file once per 4 batches or 1 MiB, and whenever its queue drains).
-// Every iteration ends with WaitDurable(), so the measured work includes
-// full durability. The gap between BM_FacadeBatch* and BM_DurableBatch*
-// is the price of durability.
+// event is appended to its shard's slot of the runtime's write-ahead log
+// before it is applied, and each batch is published to the log's queue.
+// The log has no thread and the loop runs no barrier between batches, so
+// a row times the applies, one more write(2) whenever 1 MiB has queued,
+// and the closing WaitDurable()'s write and one fsync of the rest on the
+// calling thread. The gap between BM_FacadeBatch* and BM_DurableBatch*
+// is the price of durability at one barrier per stream; a server pays
+// one barrier per merged batch (bench/bench_service.cc).
 
 std::string MakeBenchDir() {
   std::string tmpl = std::filesystem::temp_directory_path().string() +
@@ -330,8 +336,9 @@ void RunDurableBatches(benchmark::State& state, RuntimeOptions options,
     for (const auto& batch : w.batches) {
       benchmark::DoNotOptimize(rt->ApplyBatch(batch));
     }
-    // The in-flight fsyncs land inside the timed region: a row that
-    // stopped the clock before them would time a cheaper guarantee.
+    // The closing barrier's write and fsync land inside the timed
+    // region: a row that stopped the clock before them would time a
+    // cheaper guarantee.
     Status durable = rt->WaitDurable();
     benchmark::DoNotOptimize(durable);
     state.PauseTiming();
@@ -343,10 +350,10 @@ void RunDurableBatches(benchmark::State& state, RuntimeOptions options,
       static_cast<int64_t>(state.iterations() * w.total_events));
 }
 
-// Args: {shards, batch_size}. The 2048-event batches are the
-// compute-bound shape (a handful of fsyncs per run); the 128-event
-// batches are the fsync-bound shape (128 batches), where amortizing
-// fsyncs across batches is what the benchmark measures.
+// Args: {shards, batch_size}. The 2048-event batches fan out to the
+// shard workers; the 128-event batches run every slice on the caller
+// and publish 128 groups, which the closing barrier writes and fsyncs
+// as one round.
 
 void BM_DurableBatchSharded(benchmark::State& state) {
   BatchWorld w = MakeBatchWorld(static_cast<size_t>(state.range(1)));

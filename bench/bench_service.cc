@@ -217,11 +217,11 @@ BENCHMARK(BM_ServiceLoopbackBatchInstrumented)
 
 // --- Durable serving: every answer waits for its fsync ---------------------
 //
-// The same loopback flood against a crash-safe runtime. The coalescer
-// answers a merged batch only once the runtime's log thread has fsynced
-// it, and frames that arrive during the fsync join the next merge, so
-// the row prices the durable ack: when the last response arrives, every
-// event is durable.
+// The same loopback flood against a crash-safe runtime. The server's
+// I/O thread writes and fsyncs each merged batch itself before it
+// answers it, and frames that arrive during the fsync join the next
+// merge, so the row prices the durable ack: when the last response
+// arrives, every event is durable.
 
 std::string MakeServiceBenchDir() {
   std::string tmpl = std::filesystem::temp_directory_path().string() +

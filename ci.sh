@@ -98,13 +98,15 @@ tsan() {
   echo "=== tsan: thread sanitizer, concurrency tests ==="
   cmake -B build-tsan -S . -DLTAM_SANITIZE=thread \
     -DLTAM_BUILD_BENCHMARKS=OFF -DLTAM_BUILD_EXAMPLES=OFF
-  # The sharded pipeline, the shared authorization lookups it leans on
-  # (read by many threads at once, with no lock), the durable runtime
-  # (worker-thread appends into the one log, its log thread), the facade
-  # that drives them, and the TCP server around it all (I/O thread +
-  # ingest coalescer + read-worker pool + a replica's upstream link +
-  # log shippers + client threads) are the concurrent surface;
-  # engine/movement tests ride along as controls.
+  # The sharded pipeline (a large batch's slices on the workers, a small
+  # one's all on the caller), the shared authorization lookups it leans
+  # on (read by many threads at once, with no lock), the durable runtime
+  # (worker-thread appends into the one log, flushers racing on its
+  # round mutex and watermark readers), the facade that drives them, and
+  # the TCP server around it all (the I/O thread that runs the ingest
+  # rounds + read-worker pool + a replica's upstream link and its
+  # per-chunk flush + log shippers + client threads) are the concurrent
+  # surface; engine/movement tests ride along as controls.
   local targets=(sharded_engine_test auth_cache_test auth_database_test
                  engine_test movement_db_test durable_sharded_test
                  durable_equivalence_test access_runtime_test
@@ -570,10 +572,10 @@ bench() {
   # workload; BM_ServiceLoopbackBatch drives the identical per-stream
   # batches through a loopback ltam-serve with 4 pipelined connections
   # at 1 and 4 shards — the gap is the network + coalescing overhead,
-  # and frames_per_merge reports how much the coalescer amortizes. The
-  # filter is deliberately unanchored: the shard arg suffixes benchmark
-  # names ("BM_ServiceLoopbackBatch/4/real_time"), so a '$'-anchored
-  # filter would silently drop every loopback row.
+  # and frames_per_merge reports how much the I/O thread's ingest rounds
+  # amortize. The filter is deliberately unanchored: the shard arg
+  # suffixes benchmark names ("BM_ServiceLoopbackBatch/4/real_time"), so
+  # a '$'-anchored filter would silently drop every loopback row.
   ./build/bench/bench_service \
     --benchmark_filter='FacadeBatch|ServiceLoopbackBatch/' \
     --benchmark_min_time=0.05 \

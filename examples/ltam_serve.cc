@@ -37,11 +37,11 @@
 //                          the load driver)
 //   --scenario-tenants=N   tenant count for --scenario=tenant
 //   --sync-mode=M     durable write path; pipelined is the one mode
-//                     (and the default): the runtime's one log thread
-//                     writes and fsyncs every shard's records (a file
-//                     once per 4 batches or 1 MiB, and whenever its
-//                     queue drains), and a batch is answered only once
-//                     its fsync has landed. Any other mode exits 2
+//                     (and the default): batches are published to the
+//                     runtime's one log, and the server's I/O thread
+//                     writes and fsyncs each merged batch (one write(2),
+//                     one fsync) before it answers it. Any other mode
+//                     exits 2
 //   --retention-horizon-s=N  drop sealed history whose stays ended
 //                          more than N chronons (~seconds of stream
 //                          time) before the newest event, judged at

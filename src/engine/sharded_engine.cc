@@ -10,6 +10,20 @@
 
 namespace ltam {
 
+namespace {
+
+/// Batches with fewer events than this run every slice on the calling
+/// thread; larger ones hand shards 1..n-1 to their workers. Set at the
+/// crossover of BM_BatchDecisionSharded (bench/bench_access_engine.cc):
+/// with every batch fanned out, on a 4-core host, 4 shards first beat
+/// one at 512-event batches (2.45 vs 3.12 ms per 16,384-event stream,
+/// medians of 5 runs) and 2 shards drew level there, while at 256 both
+/// lost. Below it, a worker's wake and the done latch cost more wall
+/// time than the slices they overlap.
+constexpr size_t kMinFanOutEvents = 512;
+
+}  // namespace
+
 Decision ApplyAccessEvent(AccessControlEngine* engine, const AccessEvent& e) {
   switch (e.kind) {
     case AccessEventKind::kRequestEntry:
@@ -158,34 +172,50 @@ std::vector<Decision> ShardedDecisionEngine::EvaluateBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     parts[ShardOf(batch[i].subject)].push_back(i);
   }
+  if (batch.size() < kMinFanOutEvents) {
+    // Too small to pay for a worker's wake and the done latch: every
+    // slice runs here, in shard order. A worker's last slice finished
+    // before its latch released the caller, so the caller's appends to
+    // that shard's log slot follow the worker's.
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      if (parts[k].empty()) continue;
+      shards_[k]->todo = std::move(parts[k]);
+      RunSlice(shards_[k].get());
+    }
+  } else {
+    FanOut(&parts);
+  }
+  if (hooks_.after_slices) hooks_.after_slices();
+  current_batch_ = Span<const AccessEvent>();
+  return std::move(decisions_);
+}
+
+void ShardedDecisionEngine::FanOut(std::vector<std::vector<size_t>>* parts) {
   size_t handed_off = 0;
-  for (size_t k = 1; k < parts.size(); ++k) {
-    if (!parts[k].empty()) ++handed_off;
+  for (size_t k = 1; k < parts->size(); ++k) {
+    if (!(*parts)[k].empty()) ++handed_off;
   }
   {
     std::lock_guard<std::mutex> done_lock(done_mu_);
     pending_shards_ = handed_off;
   }
   for (size_t k = 1; k < shards_.size(); ++k) {
-    if (parts[k].empty()) continue;
+    if ((*parts)[k].empty()) continue;
     {
       std::lock_guard<std::mutex> lock(shards_[k]->mu);
-      shards_[k]->todo = std::move(parts[k]);
+      shards_[k]->todo = std::move((*parts)[k]);
       shards_[k]->has_work = true;
     }
     shards_[k]->cv.notify_one();
   }
-  if (!parts[0].empty()) {
-    shards_[0]->todo = std::move(parts[0]);
+  if (!(*parts)[0].empty()) {
+    shards_[0]->todo = std::move((*parts)[0]);
     RunSlice(shards_[0].get());
   }
   if (handed_off > 0) {
     std::unique_lock<std::mutex> done_lock(done_mu_);
     done_cv_.wait(done_lock, [this] { return pending_shards_ == 0; });
   }
-  if (hooks_.after_slices) hooks_.after_slices();
-  current_batch_ = Span<const AccessEvent>();
-  return std::move(decisions_);
 }
 
 std::vector<Alert> ShardedDecisionEngine::DrainAlerts() {

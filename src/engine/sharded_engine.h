@@ -13,9 +13,15 @@
 // ShardedDecisionEngine exploits that: subjects are hash-partitioned
 // across N shards, each shard owns a private MovementDatabase view and a
 // private AccessControlEngine (hence a private alert buffer), and each
-// batch is split into per-shard slices. Shard 0's slice runs on the
-// calling thread; shards 1..N-1 each have a persistent worker thread
-// that drains theirs in parallel. One rule for every shard count, so a
+// batch is split into per-shard slices. Shards 1..N-1 each have a
+// persistent worker thread. The fan-out rule is one size test: a batch
+// of fewer than kMinFanOutEvents events (sharded_engine.cc; set where
+// fan-out starts to win wall time) runs every slice on the calling
+// thread, in shard order, since waking a worker and waiting on the
+// done latch would cost more than the slices overlap. A larger batch
+// runs shard 0's slice on the caller while the workers drain theirs in
+// parallel. Either way each shard's slice runs on one thread at a time,
+// so decisions, alerts and log bytes do not depend on the path, and a
 // one-shard engine is the sequential engine plus the batch split — no
 // thread hand-off. Within a batch, events of one subject are processed
 // in batch order on one shard, so decisions are byte-identical to
@@ -68,13 +74,14 @@ struct ShardedEngineOptions {
 };
 
 /// Worker callbacks, the seam the durable runtime plugs into. Neither
-/// blocks on an fsync: the log accepts the record and lets the
-/// runtime's log thread make it durable later (the durability watermark
+/// blocks on an fsync: the log accepts the record, and the runtime's
+/// next durability barrier makes it durable (the durability watermark
 /// reports when).
 struct ShardHooks {
   /// Invoked for every event before it is applied, on the thread that
-  /// evaluates the shard's slice (the caller for shard 0, the shard's
-  /// worker otherwise) — write-ahead: append the event to the shard's
+  /// evaluates the shard's slice (the caller for shard 0 and for every
+  /// shard of a batch below the fan-out threshold, the shard's worker
+  /// otherwise) — write-ahead: append the event to the shard's
   /// slot of the log here. It cannot refuse the event: acceptance is the
   /// append, and a later write or fsync failure surfaces through the
   /// durability watermark, never through a decision.
@@ -82,7 +89,7 @@ struct ShardHooks {
       before_apply;
   /// Invoked once per EvaluateBatch on the calling thread, after every
   /// slice has finished: the group-commit boundary, where the durable
-  /// runtime publishes the whole batch to its log thread in shard order.
+  /// runtime publishes the whole batch to its log in shard order.
   std::function<void()> after_slices;
 };
 
@@ -91,8 +98,9 @@ struct ShardHooks {
 ///
 /// Lifecycle: construct (spawns the workers for shards 1..n-1), call
 /// EvaluateBatch any number of times from one control thread (which
-/// also evaluates shard 0's slice), destroy (joins workers). Database
-/// mutations are only legal between EvaluateBatch calls.
+/// also evaluates shard 0's slice, and every slice of a small batch),
+/// destroy (joins workers). Database mutations are only legal between
+/// EvaluateBatch calls.
 class ShardedDecisionEngine {
  public:
   /// Borrows all stores; they must outlive the engine.
@@ -191,6 +199,9 @@ class ShardedDecisionEngine {
   /// and clears it.
   void RunSlice(Shard* shard);
   void WorkerLoop(Shard* shard);
+  /// Hands (*parts)[k] to shard k's worker for every k >= 1, runs shard
+  /// 0's part here, and waits on the done latch.
+  void FanOut(std::vector<std::vector<size_t>>* parts);
 
   /// Borrowed; Seed reads them.
   const AuthorizationDatabase* auth_db_;

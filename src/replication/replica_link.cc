@@ -68,7 +68,11 @@ void ReplicaLink::RecordError(Status status) {
 
 bool ReplicaLink::Backoff() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, kReconnectBackoff, [this] { return stop_; });
+  // A repoint since the dial ends the wait: the new target is dialed at
+  // once, not when the backoff runs out.
+  cv_.wait_for(lock, kReconnectBackoff, [this] {
+    return stop_ || target_generation_ != dialed_generation_;
+  });
   return !stop_;
 }
 
@@ -97,6 +101,7 @@ void ReplicaLink::RunOnce() {
     host = host_;
     port = port_;
     generation = target_generation_;
+    dialed_generation_ = generation;
   }
 
   Result<std::unique_ptr<ServiceClient>> dialed =
@@ -199,20 +204,26 @@ void ReplicaLink::RunOnce() {
           // never reach the engine.
           continue;
         }
-        std::unique_lock<std::shared_mutex> wlock(*runtime_mu_);
-        if (chunk->epoch > local) {
-          Status adopted = runtime_->AdoptReplicationEpoch(chunk->epoch);
-          if (!adopted.ok()) {
-            RecordError(std::move(adopted));
-            return;
+        Status applied = [&]() -> Status {
+          std::unique_lock<std::shared_mutex> wlock(*runtime_mu_);
+          if (chunk->epoch > local) {
+            LTAM_RETURN_IF_ERROR(runtime_->AdoptReplicationEpoch(chunk->epoch));
           }
+          return runtime_->ApplyReplicated(chunk->start, chunk->records)
+              .status();
+        }();
+        if (applied.ok()) {
+          // The chunk's durability barrier, under the shared lock so
+          // queries keep running: the durable position is this
+          // replica's resume point and all it ships onward.
+          std::shared_lock<std::shared_mutex> rlock(*runtime_mu_);
+          applied = runtime_->WaitDurable();
         }
-        Result<AccessRuntime::ReplicationApplyResult> applied =
-            runtime_->ApplyReplicated(chunk->start, chunk->records);
         if (!applied.ok()) {
-          // A hole or a refusal: drop the stream and re-hello — the
-          // fresh position makes the primary re-ship what we need.
-          RecordError(applied.status());
+          // A hole, a refusal or a failed log: drop the stream and
+          // re-hello — the fresh position makes the primary re-ship
+          // what we need.
+          RecordError(std::move(applied));
           return;
         }
         break;

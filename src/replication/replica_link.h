@@ -14,8 +14,10 @@
 // the replica's own server (the same lock its query/stats workers take
 // shared), through AccessRuntime::ApplyReplicated — which write-ahead
 // logs the records to the replica's own WAL before replaying them, so
-// the replica's directory recovers exactly like a primary's and its
-// durable watermark is an honest resume position for the next hello.
+// the replica's directory recovers exactly like a primary's. The link
+// then makes the chunk durable (WaitDurable, under the shared lock), so
+// its durable watermark is an honest resume position for the next hello
+// and keeps up with what it applied.
 //
 // The replica's shard count need not match the primary's: a log record
 // carries no shard, and every shard count makes the same decisions.
@@ -31,7 +33,8 @@
 // the loop then exits or redials the new target. Every disconnect
 // reconnects with a freshly read position, so duplicates are bounded by
 // one chunk and the overlap-skip in ApplyReplicated absorbs them. A
-// failed dial or a dropped stream redials after a fixed 200 ms backoff.
+// failed dial or a dropped stream redials after a fixed 200 ms backoff;
+// a repoint cuts the backoff short and dials the new target at once.
 
 #ifndef LTAM_REPLICATION_REPLICA_LINK_H_
 #define LTAM_REPLICATION_REPLICA_LINK_H_
@@ -77,7 +80,8 @@ class ReplicaLink {
   /// One dial + subscription + stream, until it drops or stop/repoint.
   void RunOnce();
   void RecordError(Status status);
-  /// Interruptible backoff sleep; false when stopping.
+  /// Backoff sleep, cut short by Stop() or by a repoint since the last
+  /// dial; false when stopping.
   bool Backoff();
 
   AccessRuntime* const runtime_;
@@ -88,6 +92,7 @@ class ReplicaLink {
   std::string host_;
   uint16_t port_;
   uint64_t target_generation_ = 0;  // Bumped by Repoint.
+  uint64_t dialed_generation_ = 0;  // The target RunOnce last dialed.
   bool stop_ = false;
   bool started_ = false;
   std::unique_ptr<ServiceClient> client_;  // Shared only for ShutdownSocket.

@@ -60,7 +60,8 @@ namespace ltam {
 /// Which engine the facade runs on and how.
 struct RuntimeOptions {
   /// Subject shards of the batch pipeline. Shard 0 runs on the calling
-  /// thread and each further shard on its own worker, so 1 (the
+  /// thread and each further shard on its own worker (a small batch runs
+  /// every shard on the caller; engine/sharded_engine.h), so 1 (the
   /// default) is a one-shard pipeline with no thread hand-off. Every
   /// shard count makes byte-identical decisions.
   uint32_t num_shards = 1;
@@ -75,15 +76,18 @@ struct RuntimeOptions {
   /// Per-engine decision/monitoring knobs.
   EngineOptions engine;
   /// Durable runtimes: the write path (storage/log_pipeline.h). Shard
-  /// workers only buffer their records; the runtime's one log thread
-  /// writes and fsyncs its one file (once per 4 batches or 1 MiB, and
-  /// whenever its queue drains). ApplyBatch returns before its fsync
-  /// lands, and callers choose latency vs durability per call via
+  /// workers only buffer their records, and ApplyBatch returns before
+  /// anything is written. Records become durable at the next barrier —
+  /// WaitDurable(), Checkpoint(), a Tick, a replica link's per-chunk
+  /// flush, or destruction — which writes every pending record with one
+  /// write(2) and one fsync of the runtime's one file, on the calling
+  /// thread. Callers choose latency vs durability per call via
   /// BatchResult::watermark and WaitDurable() (a network server always
-  /// waits before it answers). An idle runtime converges to durable ==
-  /// applied. A failed write or fsync sticky-fails the log, and with it
-  /// every shard's durability (watermark frozen), until Checkpoint().
-  /// Tests inject faults here.
+  /// waits before it answers). A runtime that runs no barrier stays at
+  /// durable < applied: nothing closes the gap on its own. A failed
+  /// write or fsync sticky-fails the log, and with it every shard's
+  /// durability (watermark frozen), until Checkpoint(). Tests inject
+  /// faults here.
   DurabilityOptions durability;
   /// Telemetry (may be null; borrowed, must outlive the runtime). When
   /// set, the facade records "runtime.apply_batch" and
@@ -112,13 +116,13 @@ struct BatchResult {
   /// Durability outcome. OK on in-memory runtimes. Non-OK (IO kind) when
   /// the runtime's log is sticky-failed: the batch's events were applied,
   /// but their durability is in doubt until a Checkpoint, so do NOT
-  /// resubmit them. A failure of this batch's own write or fsync can
-  /// land after ApplyBatch returns; WaitDurable() reports it.
+  /// resubmit them. This batch's own write and fsync run at the next
+  /// barrier; WaitDurable() reports their failure.
   Status durability;
   /// The runtime's durability position after this batch: log records
   /// accepted (events applied) vs fsynced. In-memory runtimes report
-  /// durable == applied; a durable runtime trails until its log thread
-  /// fsyncs the batch (WaitDurable waits for that).
+  /// durable == applied; a durable runtime trails until a barrier
+  /// (WaitDurable, Checkpoint, a Tick) writes and fsyncs the batch.
   DurabilityWatermark watermark;
 };
 
@@ -152,8 +156,8 @@ struct RuntimeStats {
   /// Alerts raised but not yet drained.
   size_t pending_alerts = 0;
   /// The durability watermark: records accepted (events applied) vs
-  /// fsynced. Equal on in-memory runtimes; durable trails applied while
-  /// the log thread's fsyncs are in flight.
+  /// fsynced. Equal on in-memory runtimes; durable trails applied from a
+  /// batch until the next durability barrier.
   uint64_t applied_offset = 0;
   uint64_t durable_offset = 0;
   /// Physical log failures observed (see BatchResult::durability for
@@ -230,8 +234,10 @@ class AccessRuntime {
   /// AccessControlEngine::HandlePositionFix).
   Status ApplyFix(const PositionFix& fix);
 
-  /// Patrol tick on every shard (logged on durable runtimes): raises
-  /// overstay alerts into the pending buffer.
+  /// Patrol tick on every shard (logged on durable runtimes, and a
+  /// durability barrier there: it returns once the tick and every
+  /// record before it are fsynced): raises overstay alerts into the
+  /// pending buffer.
   Status Tick(Chronon t);
 
   /// Pending alerts in deterministic (time, subject, location, type)
@@ -251,12 +257,12 @@ class AccessRuntime {
   /// live state.
   Status Mutate(const std::function<Status(const MutableStores&)>& fn);
 
-  /// Durability barrier: blocks until every accepted log record is
-  /// fsynced, or returns the log's sticky error. The log thread fsyncs
-  /// a batch as soon as its queue drains, so the wait costs no extra
-  /// fsync. In-memory runtimes return OK immediately. Checkpoint() is
-  /// the stronger barrier (it also persists snapshots and truncates the
-  /// logs).
+  /// Durability barrier: writes and fsyncs every accepted log record on
+  /// the calling thread (one write(2) and one fsync for everything
+  /// pending; nothing when an earlier barrier covered it), or returns
+  /// the log's sticky error. In-memory runtimes return OK immediately.
+  /// Checkpoint() is the stronger barrier (it also persists snapshots
+  /// and truncates the logs).
   Status WaitDurable();
 
   /// The current durability position (see BatchResult::watermark).

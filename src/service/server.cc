@@ -13,10 +13,10 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -49,9 +49,9 @@ bool SetNonBlocking(int fd) {
 /// Read worker pool size (Query/Stats/Metrics concurrency).
 constexpr uint32_t kReadWorkers = 2;
 
-/// Ceiling on events merged into one coalesced ApplyBatch. The
-/// coalescer always takes at least one frame, so a single frame at the
-/// wire maximum still applies.
+/// Ceiling on events merged into one coalesced ApplyBatch. A round
+/// always takes at least one frame, so a single frame at the wire
+/// maximum still applies.
 constexpr size_t kMaxCoalescedEvents = 8192;
 
 /// Read-queue backpressure: Query/Stats/Metrics frames beyond this many
@@ -76,15 +76,16 @@ struct Connection {
   }
 
   const int fd;
-  const uint64_t id;  // Unique forever (keys coalescer state safely
+  const uint64_t id;  // Unique forever (keys the ingest FIFOs safely
                       // across address reuse).
 
   // I/O-thread-only state.
   FrameAssembler assembler;
 
   /// This connection's share of the global ingest quota, in queue
-  /// units. Charged by the I/O thread, released by the coalescer.
-  std::atomic<size_t> queued_units{0};
+  /// units: charged at dispatch, released when a round picks the frame
+  /// up.
+  size_t queued_units = 0;
 
   /// True once the connection is torn down; set under out_mu, readable
   /// without it. Responders drop their bytes instead of touching a
@@ -108,9 +109,9 @@ bool IsBarrier(MessageType type) {
   return type == MessageType::kApplyFix || type == MessageType::kCheckpoint;
 }
 
-/// One ingest frame queued for the coalescer. ApplyBatch frames carry
-/// their undecoded payload — the events are decoded exactly once, at
-/// merge time.
+/// One ingest frame queued for a round. ApplyBatch frames carry their
+/// undecoded payload — the events are decoded exactly once, at merge
+/// time.
 struct IngestJob {
   ConnectionPtr conn;
   uint32_t request_id = 0;
@@ -121,7 +122,7 @@ struct IngestJob {
   size_t units = 0;         // Quota units charged for this frame.
   // Telemetry stamps (0 when the server runs uninstrumented):
   uint64_t recv_ns = 0;     // Dispatch saw the complete frame.
-  uint64_t pickup_ns = 0;   // The coalescer merged it into a group.
+  uint64_t pickup_ns = 0;   // A round merged it into a group.
 };
 
 /// One frame bound for the read pool.
@@ -233,12 +234,9 @@ class ServiceServer::Impl {
     // Before the I/O loop runs, so a kPromote always finds the link.
     if (link_ != nullptr) link_->Start();
     stopping_ = false;
-    coal_stop_ = false;
     started_ = true;
     io_thread_ = std::thread([this] { IoLoopRun(); });
     NameThread(&io_thread_, "ltam-io");
-    coalescer_thread_ = std::thread([this] { CoalescerLoop(); });
-    NameThread(&coalescer_thread_, "ltam-coalescer");
     read_threads_.reserve(kReadWorkers);
     for (uint32_t i = 0; i < kReadWorkers; ++i) {
       read_threads_.emplace_back([this] { ReadLoop(); });
@@ -259,14 +257,9 @@ class ServiceServer::Impl {
     // returns), then the log shippers, before their connections close.
     RetireLink();
     StopAllShippers();
-    // Phase 2: the producer is gone, so the coalescer can drain the
-    // queue before exiting.
-    {
-      std::lock_guard<std::mutex> lock(coal_mu_);
-      coal_stop_ = true;
-    }
-    coal_cv_.notify_all();
-    coalescer_thread_.join();
+    // Phase 2: this thread now owns the ingest FIFOs; its rounds answer
+    // every frame still queued.
+    while (!ingest_.empty()) RoundOnce();
     // Phase 3: read workers drain the remaining Query/Stats jobs.
     {
       std::lock_guard<std::mutex> lock(reads_mu_);
@@ -280,7 +273,6 @@ class ServiceServer::Impl {
     attention_.clear();
     CloseLoopFds();
     CloseListen();
-    states_.clear();
     read_queue_.clear();
     queued_units_ = 0;
     started_ = false;
@@ -299,14 +291,6 @@ class ServiceServer::Impl {
   }
 
  private:
-  /// One connection's queued frames on the coalescer, in arrival
-  /// order: the I/O thread is the only producer, and the queue drains
-  /// in push order, so FIFO needs no bookkeeping.
-  struct ConnState {
-    std::weak_ptr<Connection> wconn;
-    std::deque<IngestJob> ready;
-  };
-
   void CloseListen() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     listen_fd_ = -1;
@@ -339,10 +323,15 @@ class ServiceServer::Impl {
 
   // --- I/O loop --------------------------------------------------------------
 
+  /// The epoll loop, and the ingest path's one thread: after each pass
+  /// it runs one round (RoundOnce). While frames remain queued it polls
+  /// instead of sleeping, so reads interleave with the rounds that
+  /// drain them and one pipelining client cannot starve another.
   void IoLoopRun() {
     epoll_event events[64];
     while (!stopping_) {
-      int n = ::epoll_wait(epoll_fd_, events, 64, /*timeout_ms=*/200);
+      const int timeout_ms = ingest_.empty() ? 200 : 0;
+      int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
       if (n < 0) {
         if (errno == EINTR) continue;
         LTAM_LOG_ERROR << "server epoll_wait failed: " << std::strerror(errno);
@@ -376,6 +365,7 @@ class ServiceServer::Impl {
         if (!drop && (ev & EPOLLOUT)) drop = !FlushTo(conn);
         if (drop) Drop(conn);
       }
+      RoundOnce();
     }
     // Leave connections intact: Stop() still owes them queued responses
     // and the final flush.
@@ -895,30 +885,24 @@ class ServiceServer::Impl {
     if (need_attention) SignalAttention(conn);
   }
 
-  // --- Ingest queue ----------------------------------------------------------
+  // --- Ingest FIFOs ----------------------------------------------------------
 
   /// Quota check (global budget first, then the per-connection share),
-  /// then a push onto the ingest queue.
+  /// then a push onto the connection's FIFO.
   void EnqueueIngest(IngestJob job) {
     const size_t units = job.units;
-    const size_t global_before =
-        queued_units_.fetch_add(units, std::memory_order_acq_rel);
-    if (global_before + units > options_.max_queued_events) {
-      queued_units_.fetch_sub(units, std::memory_order_acq_rel);
+    if (queued_units_ + units > options_.max_queued_events) {
       Respond(job.conn, MessageType::kError, job.request_id,
               EncodeErrorResult(Status::FailedPrecondition(
-                  "ingest queue full (" + std::to_string(global_before) +
+                  "ingest queue full (" + std::to_string(queued_units_) +
                   " events queued); retry later")));
       return;
     }
     // Per-connection quota: one flooding client is refused on ITS share
     // long before it can exhaust the global budget and starve every
     // other connection.
-    const size_t conn_before =
-        job.conn->queued_units.fetch_add(units, std::memory_order_acq_rel);
-    if (conn_before + units > options_.max_connection_queued_events) {
-      job.conn->queued_units.fetch_sub(units, std::memory_order_acq_rel);
-      queued_units_.fetch_sub(units, std::memory_order_acq_rel);
+    Connection& conn = *job.conn;
+    if (conn.queued_units + units > options_.max_connection_queued_events) {
       {
         std::lock_guard<std::mutex> lock(coalescer_stats_mu_);
         ++coalescer_stats_.connection_quota_refusals;
@@ -927,11 +911,13 @@ class ServiceServer::Impl {
       Respond(job.conn, MessageType::kError, job.request_id,
               EncodeErrorResult(Status::FailedPrecondition(
                   "connection ingest quota full (" +
-                  std::to_string(conn_before) +
+                  std::to_string(conn.queued_units) +
                   " events queued on this connection); read responses or "
                   "retry later")));
       return;
     }
+    queued_units_ += units;
+    conn.queued_units += units;
     // Apply frames only: barriers (Checkpoint/ApplyFix) never enter the
     // merge group, so counting them here would strand the counter above
     // every per-frame stage histogram and break the reconciliation.
@@ -939,11 +925,7 @@ class ServiceServer::Impl {
       c_frames_->Increment();
       c_events_->Increment(job.event_count);
     }
-    {
-      std::lock_guard<std::mutex> lock(coal_mu_);
-      ingest_queue_.push_back(std::move(job));
-    }
-    coal_cv_.notify_one();
+    ingest_[conn.id].push_back(std::move(job));
   }
 
   void EnqueueRead(ReadJob job) {
@@ -967,47 +949,27 @@ class ServiceServer::Impl {
     reads_cv_.notify_one();
   }
 
-  // --- Ingest coalescer ------------------------------------------------------
+  // --- Ingest rounds ---------------------------------------------------------
 
-  bool AnyStateHasWork() const {
-    for (const auto& [id, st] : states_) {
-      if (!st.ready.empty()) return true;
-    }
-    return false;
-  }
-
-  void CoalescerLoop() {
-    while (true) {
-      if (RoundOnce()) continue;
-      std::unique_lock<std::mutex> lock(coal_mu_);
-      // Drain to empty before exiting: the producer joined before
-      // coal_stop_ was set, so every pushed frame is reachable.
-      if (coal_stop_ && ingest_queue_.empty() && !AnyStateHasWork()) return;
-      coal_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
-        return coal_stop_ || !ingest_queue_.empty();
-      });
-    }
-  }
-
-  /// One coalescer round: drain the ingest queue into per-connection
-  /// FIFO state, apply any leading barriers, merge one apply frame per
-  /// connection into a single runtime batch, then GC dead connections.
-  /// Returns whether anything moved.
-  bool RoundOnce() {
-    bool any = DrainIngestQueue();
+  /// One ingest round (the coalescer): apply every connection's leading
+  /// barriers, then merge one apply frame per connection into a single
+  /// runtime batch, wait for it to be durable and answer its frames.
+  /// The I/O thread runs one after each epoll pass, and Stop() runs the
+  /// rest once the loop is gone.
+  void RoundOnce() {
+    if (ingest_.empty()) return;
     // Barriers: ApplyFix/Checkpoint apply alone, in their connection's
     // FIFO position.
-    for (auto& [id, st] : states_) {
-      while (!st.ready.empty() && IsBarrier(st.ready.front().type)) {
-        IngestJob job = std::move(st.ready.front());
-        st.ready.pop_front();
+    for (auto& [id, fifo] : ingest_) {
+      while (!fifo.empty() && IsBarrier(fifo.front().type)) {
+        IngestJob job = std::move(fifo.front());
+        fifo.pop_front();
         ReleaseUnits(job);
         if (job.type == MessageType::kApplyFix) {
           ProcessFix(job);
         } else {
           ProcessCheckpoint(job);
         }
-        any = true;
       }
     }
     // Merge group: at most ONE ApplyBatch frame per connection
@@ -1016,15 +978,14 @@ class ServiceServer::Impl {
     // fan-out and group commit — while one-frame-per-connection keeps
     // batch-scoped alert attribution exact and preserves every
     // connection's (hence every subject's, when subjects are not shared
-    // across connections) time order.
+    // across connections) time order. Every front is an apply frame
+    // now: the loop above took the leading barriers.
     group_.clear();
     size_t events = 0;
     const uint64_t pickup_ns = instrumented() ? MonotonicNowNs() : 0;
-    for (auto& [id, st] : states_) {
-      if (st.ready.empty()) continue;
-      IngestJob& front = st.ready.front();
-      if (IsBarrier(front.type)) continue;  // Arrived during this loop? No —
-                                            // but cheap to keep exact.
+    for (auto& [id, fifo] : ingest_) {
+      if (fifo.empty()) continue;
+      IngestJob& front = fifo.front();
       if (!group_.empty() &&
           events + front.event_count > kMaxCoalescedEvents) {
         continue;  // Over budget this round; a smaller frame may still fit.
@@ -1036,42 +997,19 @@ class ServiceServer::Impl {
         h_queue_wait_->Record(pickup_ns - front.recv_ns);
       }
       group_.push_back(std::move(front));
-      st.ready.pop_front();
-      any = true;
+      fifo.pop_front();
     }
     if (!group_.empty()) ProcessMergedBatch(group_);
-    for (auto it = states_.begin(); it != states_.end();) {
-      if (it->second.wconn.expired() && it->second.ready.empty()) {
-        it = states_.erase(it);
-      } else {
-        ++it;
-      }
+    for (auto it = ingest_.begin(); it != ingest_.end();) {
+      it = it->second.empty() ? ingest_.erase(it) : std::next(it);
     }
-    return any;
-  }
-
-  /// Swaps the pushed frames out (in push order) and files each under
-  /// its connection's FIFO state. Returns whether anything arrived.
-  bool DrainIngestQueue() {
-    {
-      std::lock_guard<std::mutex> lock(coal_mu_);
-      draining_.swap(ingest_queue_);
-    }
-    const bool any = !draining_.empty();
-    for (IngestJob& job : draining_) {
-      ConnState& st = states_[job.conn->id];
-      if (st.wconn.expired()) st.wconn = job.conn;
-      st.ready.push_back(std::move(job));
-    }
-    draining_.clear();
-    return any;
   }
 
   /// Returns the frame's quota units (charged at dispatch) as its
   /// processing begins — this bounds queued + in-flight memory.
   void ReleaseUnits(const IngestJob& job) {
-    job.conn->queued_units.fetch_sub(job.units, std::memory_order_acq_rel);
-    queued_units_.fetch_sub(job.units, std::memory_order_acq_rel);
+    job.conn->queued_units -= job.units;
+    queued_units_ -= job.units;
   }
 
   void ProcessMergedBatch(const std::vector<IngestJob>& group) {
@@ -1200,7 +1138,7 @@ class ServiceServer::Impl {
   /// Emits one per-stage span timeline for a slow ingest frame —
   /// enough to explain a tail outlier from a single log line — bounded
   /// to a few lines per second so a saturated server cannot flood its
-  /// own log (overflow is counted, not printed). Coalescer thread only.
+  /// own log (overflow is counted, not printed). Round thread only.
   void MaybeTraceSlow(const IngestJob& job, uint64_t e2e_ns,
                       uint64_t frame_decode_ns, uint64_t apply_ns,
                       uint64_t wait_ns, uint64_t write_ns,
@@ -1231,15 +1169,15 @@ class ServiceServer::Impl {
   }
 
   /// The durable ack: when `mark` (the watermark the apply returned)
-  /// shows records not yet fsynced, blocks until the log covers every
-  /// applied record, then refreshes `mark` and folds a log failure into
-  /// `status`. It waits under the shared lock, after the apply released
-  /// the exclusive one: readers and log shippers keep running, and no
-  /// producer runs beside it, so what it waits for is exactly what was
-  /// applied. The log thread fsyncs a batch as soon as its queue drains,
-  /// so the wait adds no log round. Returns the nanoseconds waited
-  /// (measured only when instrumented); an in-memory runtime, whose
-  /// watermark never trails, returns after the one comparison.
+  /// shows records not yet fsynced, runs the log round itself
+  /// (WaitDurable: one write(2) and one fsync for everything applied),
+  /// then refreshes `mark` and folds a log failure into `status`. It
+  /// runs under the shared lock, after the apply released the exclusive
+  /// one: readers and log shippers keep running, and no producer runs
+  /// beside it, so what it makes durable is exactly what was applied.
+  /// Returns the nanoseconds the round took (measured only when
+  /// instrumented); an in-memory runtime, whose watermark never trails,
+  /// returns after the one comparison.
   uint64_t AwaitDurable(Status* status, DurabilityWatermark* mark) {
     if (mark->durable >= mark->applied) return 0;
     const uint64_t t0 = instrumented() ? MonotonicNowNs() : 0;
@@ -1353,7 +1291,7 @@ class ServiceServer::Impl {
       }
       if (job.type == MessageType::kMetrics) {
         // No runtime lock: the registry has its own synchronization, so
-        // a scrape can never stall behind (or stall) the coalescer.
+        // a scrape can never stall behind (or stall) an ingest round.
         const MetricsSnapshot snapshot = options_.metrics->Snapshot();
         Respond(job.conn, MessageType::kMetricsResult, job.request_id,
                 EncodeMetricsResult(snapshot));
@@ -1395,38 +1333,32 @@ class ServiceServer::Impl {
   std::vector<ConnectionPtr> attention_;
   std::thread io_thread_;
 
-  std::thread coalescer_thread_;
   std::vector<std::thread> read_threads_;
 
-  /// Writers (coalescer) take it exclusive; readers (query/stats
-  /// workers) take it shared. This is the entire concurrency contract
-  /// between the runtime's single-control-thread discipline and the
-  /// server's parallel read path.
+  /// The ingest rounds take it exclusive to apply and shared to make
+  /// the batch durable; readers (query/stats workers) take it shared.
+  /// This is the entire concurrency contract between the runtime's
+  /// single-control-thread discipline and the server's parallel read
+  /// path.
   std::shared_mutex runtime_mu_;
-
-  /// Queue units pending in the ingest queue and the coalescer's ready
-  /// frames (released as processing begins).
-  std::atomic<size_t> queued_units_{0};
-
-  /// The ingest queue: the I/O thread pushes, the coalescer swaps the
-  /// whole vector out. One producer, so push order is already
-  /// per-connection FIFO.
-  std::mutex coal_mu_;
-  std::condition_variable coal_cv_;
-  std::vector<IngestJob> ingest_queue_;  // Guarded by coal_mu_.
-  bool coal_stop_ = false;               // Guarded by coal_mu_.
 
   std::mutex reads_mu_;
   std::condition_variable reads_cv_;
   std::deque<ReadJob> read_queue_;
 
-  // Coalescer-thread-only state (Stop() touches it after the join).
-  std::unordered_map<uint64_t, ConnState> states_;  // By Connection::id.
-  std::vector<IngestJob> draining_;  // Swapped with ingest_queue_.
+  // The ingest path's state, owned by the I/O thread (by Stop()'s
+  // thread once the loop is joined).
+  /// Each connection's queued ingest frames in arrival order, keyed by
+  /// Connection::id, so rounds visit connections in accept order. A
+  /// connection leaves the map once its FIFO drains; its queued frames
+  /// keep a dropped connection alive until a round has applied them.
+  std::map<uint64_t, std::deque<IngestJob>> ingest_;
+  /// Queue units of every queued frame (released at pickup).
+  size_t queued_units_ = 0;
   std::vector<IngestJob> group_;
   std::vector<AccessEvent> merged_;
 
-  // Telemetry (all coalescer-thread-only except the registry handles,
+  // Telemetry (all round-thread-only except the registry handles,
   // which are internally synchronized). Handles resolved once in the
   // ctor; null when ServerOptions::metrics is null.
   Histogram* h_queue_wait_ = nullptr;

@@ -4,21 +4,17 @@
 // AccessRuntime demands single-threaded event application (the same
 // discipline every engine below it requires), so a server cannot simply
 // hand each connection its own runtime calls. ServiceServer instead runs
-// three thread groups around one runtime:
+// these thread groups around one runtime:
 //
 //  - one I/O thread: an epoll(7) readiness loop with an eventfd wakeup
-//    that accepts connections and owns every socket's reads and epoll
-//    interest. Each read lands in the connection's FrameAssembler,
+//    that accepts connections, owns every socket's reads and epoll
+//    interest, and carries every ingest frame from its socket to its
+//    fsynced answer. Each read lands in the connection's FrameAssembler,
 //    which hands out complete frames with owned payloads: the I/O
 //    thread validates an ApplyBatch payload's shape in O(1) (count vs
-//    size), never decodes the events, and queues the payload for the
-//    coalescer. Response bytes are written directly from whichever
-//    thread produced them when the socket is writable (the common
-//    loopback case); only a short write falls back to the loop's
-//    EPOLLOUT.
-//  - the ingest coalescer: ONE thread that owns event application. It
-//    swaps out the ingest queue the I/O thread pushes to (one producer,
-//    so the queue's push order is already per-connection FIFO) and
+//    size), never decodes the events there, and files ApplyBatch,
+//    ApplyFix and Checkpoint frames into the connection's FIFO. After
+//    each epoll pass it runs one ingest round (the coalescer): it
 //    merges ApplyBatch frames — at most one per connection per round,
 //    each frame's events contiguous and in order, so per-subject time
 //    order within a connection is preserved — into a single
@@ -28,45 +24,53 @@
 //    originating frames by offset and drained alerts are routed to
 //    frames by subject (exact, because one round holds one frame per
 //    connection). This is the scaling mechanism: the sharded fan-out
-//    and the group-commit fsync are paid once per merged
-//    batch, not once per connection. ApplyFix and Checkpoint frames are
+//    and the group-commit fsync are paid once per merged batch, not
+//    once per connection. ApplyFix and Checkpoint frames are
 //    per-connection barriers, applied alone when they reach the front
-//    of their connection's queue.
+//    of their connection's FIFO. While frames remain queued the loop
+//    polls instead of sleeping, so reads interleave with rounds and one
+//    pipelining client cannot starve another. Response bytes are
+//    written directly from whichever thread produced them when the
+//    socket is writable (the common loopback case); only a short write
+//    falls back to the loop's EPOLLOUT.
 //  - read workers: a small pool answering Query (the query language over
 //    the runtime's MovementView), Stats and Metrics concurrently — they
 //    take the runtime lock shared (Metrics takes none), so reads run in
 //    parallel with each other and with all network I/O, and only
-//    exclude the coalescer's exclusive application window.
+//    exclude a round's exclusive application window.
 //  - on a replica (ServerOptions::replica_of), the upstream link: one
 //    thread applying the primary's log stream under the exclusive
 //    runtime lock. The server answers kPromote and kRepoint itself, and
 //    Stop() retires the link before anything else.
 //
+// The runtime's own threads (a sharded engine's workers, woken only for
+// batches large enough to pay for the hand-off) run under the round.
+//
 // Responses preserve per-connection order within the ingest path (the
-// coalescer is FIFO per connection) but reads may overtake writes; every
-// response echoes its request_id, so pipelined clients demultiplex by id.
+// FIFO is per connection) but reads may overtake writes; every response
+// echoes its request_id, so pipelined clients demultiplex by id.
 //
 // Alert delivery: every alert rides the response of the frame whose
-// application drained it, so the server holds no alert from one
-// coalescer round to the next. Within a merged batch that is the first
-// frame that touched the alert's subject, else the merge's first live
-// frame (an alert already pending before the merge: a Tick before
-// Start(), or one recovery replay raised). An ApplyFix response carries
-// every alert its drain returned. Alerts pending while no frame arrives
-// stay in the runtime's buffer until one does.
+// application drained it, so the server holds no alert from one round
+// to the next. Within a merged batch that is the first frame that
+// touched the alert's subject, else the merge's first live frame (an
+// alert already pending before the merge: a Tick before Start(), or one
+// recovery replay raised). An ApplyFix response carries every alert its
+// drain returned. Alerts pending while no frame arrives stay in the
+// runtime's buffer until one does.
 //
 // Durable acknowledgement: on a durable runtime ApplyBatch returns as
-// soon as the decisions are computed and the log records queued, and
-// the runtime's one log thread writes and fsyncs them. The coalescer
-// then releases the exclusive lock and waits, under the shared lock,
-// until the durability watermark covers the merged batch; only then
-// does it answer the batch's frames (an ApplyFix waits the same way).
-// So an answered event survives a crash. Frames that arrive during the
-// fsync join the next merge. Readers are not held back: a Query may see
-// an applied event whose fsync has not landed yet, though that event's
-// writer is answered only once it has. A failed log is answered with
-// the batch's decisions and a non-OK durability status, and a frozen
-// watermark; decisions never change.
+// soon as the decisions are computed and the log records queued. The
+// round then releases the exclusive lock and, under the shared lock,
+// runs the log round itself (WaitDurable: one write(2) and one fsync
+// for the merged batch, on the I/O thread); only then does it answer
+// the batch's frames (an ApplyFix is made durable the same way). So an
+// answered event survives a crash. Frames that arrive during the fsync
+// wait in their socket buffers and join the next merge. Readers are not
+// held back: a Query may see an applied event whose fsync has not
+// landed yet, though that event's writer is answered only once it has.
+// A failed log is answered with the batch's decisions and a non-OK
+// durability status, and a frozen watermark; decisions never change.
 
 #ifndef LTAM_SERVICE_SERVER_H_
 #define LTAM_SERVICE_SERVER_H_
@@ -106,11 +110,11 @@ struct ServerOptions {
   std::string replica_of;
   /// Telemetry registry (may be null; borrowed, must outlive the
   /// server). When set, the ingest path records per-stage histograms —
-  /// ingest.queue_wait (dispatch to coalesce pickup), ingest.decode
+  /// ingest.queue_wait (dispatch to a round's pickup), ingest.decode
   /// (queued payload to merge buffer), ingest.apply (the merged
-  /// ApplyBatch, lock wait included), ingest.fsync_wait (the
-  /// coalescer's wait for the merged batch's fsync before it answers,
-  /// one span per merged batch, 0 when nothing was pending),
+  /// ApplyBatch, lock wait included), ingest.fsync_wait (the round's
+  /// own write and fsync of the merged batch before it answers, one
+  /// span per merged batch, 0 when nothing was pending),
   /// ingest.write (response encode + send) and ingest.e2e (recv to
   /// response written, so the wait included) — plus query.run,
   /// ingest.frames/ingest.events counters, and per-replica shipped-lag
@@ -128,7 +132,7 @@ struct ServerOptions {
   uint64_t trace_threshold_us = 0;
 };
 
-/// Counters describing what the coalescer actually merged — the
+/// Counters describing what the ingest rounds actually merged — the
 /// observable proof that concurrent connections amortize into shared
 /// batches (asserted by tests, reported by benches).
 struct CoalescerStats {
@@ -168,9 +172,10 @@ class ServiceServer {
   Status Start();
 
   /// Stops accepting, retires the upstream link (no replicated record
-  /// lands once Stop() returns), drains the ingest queue (queued frames
-  /// still get their responses), flushes what the sockets will take,
-  /// closes every connection, and joins all threads. Idempotent.
+  /// lands once Stop() returns), runs the remaining ingest rounds on the
+  /// calling thread (queued frames still get their responses), flushes
+  /// what the sockets will take, closes every connection, and joins all
+  /// threads. Idempotent.
   void Stop();
 
   /// The port actually bound (== options.port unless it was 0).

@@ -35,8 +35,8 @@ DurableShardedSystem::DurableShardedSystem(std::string dir,
 
 DurableShardedSystem::~DurableShardedSystem() {
   // Join the workers before the log they append through goes away; the
-  // pipeline's destructor then stops its log thread, which drains,
-  // writes and best-effort-syncs the queue.
+  // pipeline's destructor then writes and best-effort-syncs what is
+  // left.
   engine_.reset();
   log_.reset();
 }
@@ -582,11 +582,13 @@ Status DurableShardedSystem::TakeBatchError() {
 
 Status DurableShardedSystem::Tick(Chronon t) {
   // One record, applied to every shard; it changes no snapshot, so it
-  // dirties none. A failed publish leaves the tick appended and applied
-  // (consistent); only its durability is in doubt — report it.
+  // dirties none. A tick is a durability barrier: it returns once the
+  // tick (and every record before it) is fsynced. A failed log leaves
+  // the tick appended and applied (consistent); only its durability is
+  // in doubt — report it.
   log_->Append(num_shards(), LoggedEvent::Tick(t));
   engine_->Tick(t);
-  return log_->Publish();
+  return log_->Flush();
 }
 
 Status DurableShardedSystem::WaitDurable() { return log_->Flush(); }

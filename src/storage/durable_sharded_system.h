@@ -18,14 +18,14 @@
 // (write-ahead, via ShardHooks::before_apply). Once every slice of the
 // batch is done (ShardHooks::after_slices) the control thread publishes
 // the batch: every slot's records move onto the log's queue in shard
-// order and the one log thread (storage/log_pipeline.h) is woken. It
-// writes each round with one write(2) and fsyncs the one file, batching
-// fsyncs across engine batches (commit pipelining, bounded by a fixed
-// group depth and byte count; a round that drains the queue fsyncs at
-// once). Ticks and replica applies append through the control thread's
-// own slot and publish the same way. The batch returns before its fsync
-// lands; WaitDurable() waits for it, and the (applied, durable)
-// watermark reports how far it has got.
+// order (storage/log_pipeline.h), and no thread is woken. The batch
+// returns before anything is written. The next durability barrier —
+// WaitDurable(), a Tick, a Checkpoint, destruction — writes every
+// published batch with one write(2) and fsyncs the one file once, on
+// the calling thread, and the (applied, durable) watermark reports how
+// far that has got. Ticks and replica applies append through the
+// control thread's own slot; a replica apply publishes like a batch,
+// and a tick is a barrier of its own.
 // Records carry no shard: recovery routes each event by its subject and
 // applies a tick to every shard.
 //
@@ -37,8 +37,8 @@
 // Checkpoint() flushes the log (restoring durable == applied, even for
 // a sticky-failed log, whose lost tail the snapshot supersedes), writes
 // the dirty segments of the next epoch, publishes them by atomically
-// renaming a fresh MANIFEST, hands the log thread the new epoch's empty
-// WAL, then deletes the files the new cut no longer references. A crash
+// renaming a fresh MANIFEST, hands the log the new epoch's empty WAL,
+// then deletes the files the new cut no longer references. A crash
 // at any instant leaves a committed cut. Checkpoints are INCREMENTAL: a
 // shard whose snapshot is still exact — no record was logged through
 // its slot since the previous cut, recovery and replication applied
@@ -116,10 +116,9 @@ struct DurableShardedOptions {
 ///
 /// Lifecycle mirrors ShardedDecisionEngine: Open (recovers or
 /// initializes), engine().EvaluateBatch/Tick/Checkpoint from one
-/// control thread,
-/// destroy (joins workers, then the log thread). Database mutations on
-/// base() are only legal between batches and are NOT logged — persist
-/// them via Checkpoint().
+/// control thread, destroy (joins workers, then flushes the log, best
+/// effort). Database mutations on base() are only legal between batches
+/// and are NOT logged — persist them via Checkpoint().
 class DurableShardedSystem {
  public:
   /// Opens (or creates) the runtime in `dir`. A fresh directory is
@@ -150,7 +149,9 @@ class DurableShardedSystem {
   /// resubmitted), and it keeps reporting until a Checkpoint repairs it.
   Status TakeBatchError();
 
-  /// Logs one tick record and applies it on every shard.
+  /// Logs one tick record, applies it on every shard, and returns once
+  /// the log is durable through it (a durability barrier, like
+  /// WaitDurable), with the log's sticky error.
   Status Tick(Chronon t);
 
   // --- Durability ----------------------------------------------------------
@@ -161,10 +162,11 @@ class DurableShardedSystem {
   /// sticky-failed log lost.
   Status Checkpoint();
 
-  /// Durability barrier: blocks until every accepted log record is
-  /// fsynced or the log is sticky-failed, then returns the sticky
-  /// error. The log thread fsyncs every group it drains, so waiting
-  /// forces no extra fsync (LogPipeline::Flush).
+  /// Durability barrier: writes and fsyncs every accepted log record on
+  /// the calling thread (one write(2), one fsync; nothing when an
+  /// earlier barrier covered them), then returns the sticky error
+  /// (LogPipeline::Flush). Records are durable only once some barrier
+  /// has run.
   Status WaitDurable();
 
   /// The runtime's durability position and replication position, in
@@ -309,7 +311,7 @@ class DurableShardedSystem {
   std::string WalName(uint64_t epoch) const;
 
   /// Constructs the engine over base_ with `num_shards` shards, and the
-  /// log with one slot per shard (its thread starts here).
+  /// log with one slot per shard and one for the control thread.
   void InitEngine(uint32_t num_shards);
 
   /// Repairs and replays the committed log(s) `manifest` names, in

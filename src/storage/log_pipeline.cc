@@ -2,11 +2,8 @@
 
 #include "storage/log_pipeline.h"
 
-#include <algorithm>
 #include <string_view>
 #include <utility>
-
-#include "util/thread_name.h"
 
 namespace ltam {
 
@@ -25,17 +22,9 @@ Result<SyncMode> ParseSyncMode(const std::string& name) {
 
 namespace {
 
-// Sync bounds. The log thread fsyncs the runtime's file once
-// kPipelineDepth published groups or kMaxUnsyncedBytes of written
-// records are unsynced on it, and whenever a round drains the queue
-// with a group unsynced. The depth amortizes one fsync over up to four
-// batches under sustained ingest while keeping the durable watermark at
-// most four batches behind; the byte bound caps what one fsync must
-// flush when batches are large. Every durable server
-// perfbench and ci.sh boot runs at these values, so they are constants,
-// not options.
-constexpr uint64_t kPipelineDepth = 4;
-constexpr uint64_t kMaxUnsyncedBytes = 1u << 20;
+// Once this many published bytes wait for a barrier, Publish writes them
+// (no fsync), so a caller that never flushes holds at most this much.
+constexpr size_t kMaxUnsyncedBytes = 1u << 20;
 
 void AppendLine(const LoggedEvent& record, std::string* out) {
   if (record.is_tick) {
@@ -54,34 +43,25 @@ LogPipeline::LogPipeline(uint32_t num_slots, DurabilityOptions options)
   if (options_.metrics != nullptr) {
     sync_histogram_ = options_.metrics->GetHistogram("wal.sync");
   }
-  thread_ = std::thread([this] { ThreadLoop(); });
-  NameThread(&thread_, "ltam-wal");
 }
 
 LogPipeline::~LogPipeline() {
   // The destructor runs on the owner's thread with the producers
-  // quiesced, so publishing any unpublished tail is race-free.
-  (void)Publish();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  thread_.join();
+  // quiesced: publish the unpublished tail, write it and sync it.
+  (void)Flush();
 }
 
 void LogPipeline::Append(uint32_t slot, const LoggedEvent& record) {
   // Per-event hot path: an encode into the producer's own buffer, no
-  // lock, no wakeup. A sticky-failed log still accepts the record — the
-  // event applies either way; the loss is counted when the log thread
-  // drops it.
+  // lock. A sticky-failed log still accepts the record — the event
+  // applies either way; the loss is counted when a round drops it.
   Slot& buffer = slots_[slot];
   AppendLine(record, &buffer.lines);
   ++buffer.records;
 }
 
 Status LogPipeline::Publish() {
-  bool published = false;
+  bool write = false;
   Status sticky;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -90,8 +70,8 @@ Status LogPipeline::Publish() {
       Slot& slot = slots_[k];
       if (slot.records == 0) continue;
       if (queued_.lines.empty()) {
-        // The common case for the first slot: the log thread drained the
-        // queue since the last publish. Swapping hands over the records
+        // The common case for the first slot: a round drained the queue
+        // since the last publish. Swapping hands over the records
         // without a copy and recycles the drained buffer's capacity.
         std::swap(queued_.lines, slot.lines);
       } else {
@@ -102,44 +82,45 @@ Status LogPipeline::Publish() {
       file_records_[k] += slot.records;
       slot.records = 0;
     }
-    if (records > 0) {
-      queued_.records += records;
-      ++queued_.boundaries;
-      appended_.store(appended_.load(std::memory_order_relaxed) + records,
-                      std::memory_order_relaxed);
-      wake_ = true;
-      published = true;
-    }
+    queued_.records += records;
+    appended_.store(appended_.load(std::memory_order_relaxed) + records,
+                    std::memory_order_relaxed);
+    write = queued_.lines.size() >= kMaxUnsyncedBytes;
     sticky = sticky_error_;
   }
-  if (published) work_cv_.notify_one();
-  return sticky;
+  if (!write) return sticky;
+  std::lock_guard<std::mutex> round(round_mu_);
+  WriteQueued();
+  std::lock_guard<std::mutex> lock(mu_);
+  return sticky_error_;
 }
 
 Status LogPipeline::Flush() {
-  // Barriers run in the control phase (producers quiesced), so records
-  // appended since the last boundary are published here as a group of
-  // their own, which the round that drains it fsyncs.
   (void)Publish();
-  std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t target = appended_.load(std::memory_order_relaxed);
-  durable_cv_.wait(lock, [&] {
-    return durable_ >= target || !sticky_error_.ok();
-  });
+  std::lock_guard<std::mutex> round(round_mu_);
+  // A round that ran while this one waited for round_mu_ may have
+  // covered everything: then nothing is queued or unsynced, and the
+  // barrier returns without a write or an fsync.
+  WriteQueued();
+  bool sync = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    sync = sticky_error_.ok() && written_seq_ > durable_;
+  }
+  if (sync) Sync();
+  std::lock_guard<std::mutex> lock(mu_);
   return sticky_error_;
 }
 
 void LogPipeline::SwapFile(FileWriter writer) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // After the owner's Flush nothing is queued, but the thread may still
-  // be finishing its last round (a failed log drops records without
-  // syncing); its state is only touched here once it waits for work.
-  durable_cv_.wait(lock, [this] { return idle_ && queued_.empty(); });
+  // After the owner's Flush nothing is queued or unsynced (a failed log
+  // dropped what it could not write), so the file changes between
+  // rounds with no record in flight.
+  std::lock_guard<std::mutex> round(round_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   writer_ = std::move(writer);
   written_seq_ = appended_.load(std::memory_order_relaxed);
   durable_ = written_seq_;
-  unsynced_bytes_ = 0;
-  unsynced_groups_ = 0;
   sticky_error_ = Status::OK();
   file_records_.assign(file_records_.size(), 0);
 }
@@ -163,62 +144,57 @@ uint64_t LogPipeline::sync_failures() const {
   return sync_failures_;
 }
 
-void LogPipeline::WriteChunk(const Chunk& chunk) {
-  unsynced_groups_ += chunk.boundaries;
-  if (chunk.records == 0) return;
-  if (!sticky_error_.ok()) {
+void LogPipeline::WriteQueued() {
+  Status sticky;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queued_.records == 0) return;
+    chunk_.clear();
+    std::swap(chunk_, queued_);
+    sticky = sticky_error_;
+  }
+  if (!sticky.ok()) {
     // Sticky: writing anything after a lost record would leave a hole —
     // replay would apply a stream that never happened — so the whole
     // suffix is dropped and counted.
     std::lock_guard<std::mutex> lock(mu_);
-    append_failures_ += chunk.records;
+    append_failures_ += chunk_.records;
     return;
   }
-  uint64_t clean_records = chunk.records;
-  size_t clean_bytes = chunk.lines.size();
+  uint64_t clean_records = chunk_.records;
+  size_t clean_bytes = chunk_.lines.size();
   Status error;
   if (options_.fault_injector) {
     // Consulted once per record, as if each were its own write: a
     // failure at record i writes the clean prefix [0, i).
     size_t end = 0;
-    for (uint64_t i = 0; i < chunk.records; ++i) {
+    for (uint64_t i = 0; i < chunk_.records; ++i) {
       error = options_.fault_injector("append", ++append_attempts_);
       if (!error.ok()) {
         clean_records = i;
         clean_bytes = end;
         break;
       }
-      end = chunk.lines.find('\n', end) + 1;
+      end = chunk_.lines.find('\n', end) + 1;
     }
   } else {
-    append_attempts_ += chunk.records;
+    append_attempts_ += chunk_.records;
   }
   if (clean_bytes > 0) {
     Status written =
-        writer_.Write(std::string_view(chunk.lines.data(), clean_bytes));
-    if (written.ok()) {
-      // Until the first failure every drained record is written, so the
-      // chunk's records follow written_seq_.
-      written_seq_ += clean_records;
-      unsynced_bytes_ += clean_bytes;
-    } else {
+        writer_.Write(std::string_view(chunk_.lines.data(), clean_bytes));
+    if (!written.ok()) {
       clean_records = 0;
       error = std::move(written);
     }
   }
-  if (error.ok()) return;
   std::lock_guard<std::mutex> lock(mu_);
+  // Until the first failure every queued record is written, so the
+  // chunk's clean records follow written_seq_.
+  written_seq_ += clean_records;
+  if (error.ok()) return;
   sticky_error_ = error.WithContext("WAL append");
-  append_failures_ += chunk.records - clean_records;
-}
-
-bool LogPipeline::SyncDue(bool forced, bool drained) const {
-  // Only this thread writes durable_ and sticky_error_ during a round,
-  // so reading them unlocked here is race-free.
-  if (!sticky_error_.ok() || written_seq_ <= durable_) return false;
-  return forced || unsynced_groups_ >= kPipelineDepth ||
-         unsynced_bytes_ >= kMaxUnsyncedBytes ||
-         (unsynced_groups_ >= 1 && drained);
+  append_failures_ += chunk_.records - clean_records;
 }
 
 void LogPipeline::Sync() {
@@ -233,10 +209,6 @@ void LogPipeline::Sync() {
       sync_histogram_->Record(MonotonicNowNs() - t0);
     }
   }
-  if (synced.ok()) {
-    unsynced_bytes_ = 0;
-    unsynced_groups_ = 0;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   if (synced.ok()) {
     durable_ = written_seq_;
@@ -244,34 +216,6 @@ void LogPipeline::Sync() {
   }
   ++sync_failures_;
   if (sticky_error_.ok()) sticky_error_ = synced.WithContext("WAL fsync");
-}
-
-void LogPipeline::ThreadLoop() {
-  Chunk chunk;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    idle_ = true;
-    work_cv_.wait(lock, [this] { return wake_ || stop_; });
-    idle_ = false;
-    wake_ = false;
-    const bool stopping = stop_;
-    chunk.clear();
-    std::swap(chunk, queued_);
-    lock.unlock();
-    // One write(2) for everything published since the last round.
-    WriteChunk(chunk);
-    lock.lock();
-    const bool drained = queued_.empty();
-    lock.unlock();
-    // At most one fsync, with no lock held; the durable sequence moves
-    // only once it returned.
-    if (SyncDue(stopping, drained)) Sync();
-    lock.lock();
-    // Every round releases waiters: the log may have become durable or
-    // failed, and SwapFile waits for the thread to go idle.
-    durable_cv_.notify_all();
-    if (stopping && queued_.empty()) return;
-  }
 }
 
 }  // namespace ltam

@@ -1,36 +1,49 @@
 // Copyright 2026 The LTAM Authors.
-// Write-ahead logging: one log per durable runtime, written by one log
-// thread, with commit pipelining.
+// Write-ahead logging: one log per durable runtime, written and fsynced
+// by the thread that needs its records durable.
 //
 // Every shard worker logs its slice before it applies it, but no worker
-// writes or fsyncs: a LogPipeline keeps both off the batch's critical
-// path, the way journaling filesystems and replicated-log daemons do:
+// writes or fsyncs. A LogPipeline keeps both off the slices and puts
+// them on the barrier, the way a write-group leader does in an LSM
+// store's log: the thread that waits for a commit writes and syncs it
+// itself, so no hand-off wakes a sleeping log thread.
 //
 //  - append fast: each producer slot (one per shard worker, and one for
 //    the owner's control thread) encodes its records into its own
 //    buffer, with no lock and no wakeup;
 //  - publish once per batch: the control thread's Publish moves every
-//    slot's buffer onto the one queue in slot order, as one group, and
-//    wakes the log thread. A batch's bytes in the file therefore do not
-//    depend on which worker finished first;
-//  - sync in one flusher: the log thread writes each drained queue with
-//    one write(2) to the runtime's one file, fsyncs it when a bound is
-//    due, and only then advances the durable sequence. Batching several
-//    groups into one fsync (commit pipelining) is bounded by a fixed
-//    group depth and byte count (log_pipeline.cc), and a round whose
-//    queue drains fsyncs at once.
+//    slot's buffer onto the one queue in slot order, as one group. A
+//    batch's bytes in the file therefore do not depend on which worker
+//    finished first. Publish wakes nobody; once 1 MiB is queued it
+//    writes the queue itself (no fsync), which bounds the memory of a
+//    caller that never flushes;
+//  - flush at the barrier: Flush publishes, then takes the round mutex
+//    and, unless an earlier round already covered its records, writes
+//    everything queued with one write(2) to the runtime's one file and
+//    fsyncs it once; only then does the durable sequence advance. A
+//    second flusher whose records that round covered returns at once.
+//
+// Barriers: a network server flushes after every merged batch and every
+// fix, before it answers; Checkpoint, a durable Tick and a replica
+// link's applied chunk flush; destruction flushes, best effort. Records
+// between barriers are applied but not durable: an in-process runtime
+// that stops calling barriers keeps durable < applied until the next
+// one (at most 1 MiB of them still in memory).
+//
+// Lock order: the runtime's lock (a server's shared or exclusive hold),
+// then the round mutex, then the pipeline's state mutex. Nothing takes
+// the runtime lock while holding the round mutex.
 //
 // The pipeline has one file, one sequence, one sticky error, one set of
-// failure counters and one set of fault-injector attempt counts. Its
-// thread starts with the pipeline and stops at its destruction; a
+// failure counters and one set of fault-injector attempt counts. A
 // checkpoint hands it the next epoch's file (SwapFile), and the
 // sequence carries on across files.
 //
 // The durability position is the watermark pair (applied, durable):
 // `applied` counts published records (their events are applied to live
 // state), `durable` counts records whose bytes an fsync has made
-// crash-proof. LogPipeline::Flush is the barrier that waits for the gap
-// to close; a network server answers a batch only after it.
+// crash-proof. LogPipeline::Flush is the barrier that closes the gap; a
+// network server answers a batch only after it.
 //
 // Error semantics: an append never fails. The event was already
 // accepted when the worker buffered it, so a later write/fsync failure
@@ -49,12 +62,10 @@
 #define LTAM_STORAGE_LOG_PIPELINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/event_log.h"
@@ -68,11 +79,9 @@ namespace ltam {
 /// enum and its parser stay so that configurations naming it keep
 /// working.
 enum class SyncMode {
-  /// One log thread per runtime batches published groups into one
-  /// fsync of the runtime's one file; the file is synced once 4 groups
-  /// or 1 MiB of unsynced bytes accumulate, and whenever a round drains
-  /// the queue with a group unsynced (so an idle system converges to
-  /// durable == applied without waiting on a timer).
+  /// Batches are published without a write; the next barrier (Flush)
+  /// writes every published batch with one write(2) and one fsync of
+  /// the runtime's one file, on the calling thread.
   kPipelined,
 };
 
@@ -85,11 +94,11 @@ Result<SyncMode> ParseSyncMode(const std::string& name);
 /// down to the runtime's log.
 struct DurabilityOptions {
   SyncMode mode = SyncMode::kPipelined;
-  /// Test-only fault injection, called by the log thread before every
-  /// record it writes and every fsync, with op "append"/"sync" and the
-  /// 1-based attempt count on the runtime's log (counted across
-  /// checkpoints); a non-OK return simulates that failure. Null in
-  /// production.
+  /// Test-only fault injection, called on the thread that runs a log
+  /// round before every record it writes and every fsync, with op
+  /// "append"/"sync" and the 1-based attempt count on the runtime's log
+  /// (counted across checkpoints); a non-OK return simulates that
+  /// failure. Null in production.
   std::function<Status(const char* op, uint64_t count)> fault_injector;
   /// Telemetry (may be null; borrowed, must outlive the runtime). When
   /// set, every physical WAL fsync records its wall duration in the
@@ -105,20 +114,20 @@ struct DurabilityWatermark {
   uint64_t durable = 0;
 };
 
-/// A durable runtime's write-ahead log: its producer slots, one file,
-/// and the one log thread that writes and syncs it.
+/// A durable runtime's write-ahead log: its producer slots and one file.
+/// It runs no thread of its own.
 ///
 /// Thread contract: Append(k, …) is called by slot k's producer (one
 /// thread at a time per slot). Publish, Flush, SwapFile and destruction
-/// run on the control thread with the producers quiesced (a server's
-/// coalescer flushes under the runtime's shared lock, which excludes
-/// every producer). The sequence and failure accessors may be called
-/// from any thread. The destructor publishes any unpublished tail, lets
-/// the log thread write and sync it (best effort), and joins the thread.
+/// run with the producers quiesced (a server flushes under the
+/// runtime's shared lock, which excludes every producer); several
+/// threads may flush at once, and their rounds serialize on the round
+/// mutex. The sequence and failure accessors may be called from any
+/// thread. The destructor flushes (best effort).
 class LogPipeline {
  public:
-  /// Starts the log thread. Records go to the file the first SwapFile
-  /// hands over; the owner does that before anything is appended.
+  /// Records go to the file the first SwapFile hands over; the owner
+  /// does that before anything is appended.
   LogPipeline(uint32_t num_slots, DurabilityOptions options);
   ~LogPipeline();
   LogPipeline(const LogPipeline&) = delete;
@@ -129,24 +138,23 @@ class LogPipeline {
   void Append(uint32_t slot, const LoggedEvent& record);
 
   /// The group-commit boundary: moves every slot's buffered records
-  /// onto the queue, in slot order, as one group, and wakes the log
-  /// thread if anything moved. Returns the sticky error — applied
-  /// events' durability is in doubt, but they were applied.
+  /// onto the queue, in slot order, as one group. It wakes nobody; once
+  /// 1 MiB is queued it writes the queue, without an fsync. Returns the
+  /// sticky error — applied events' durability is in doubt, but they
+  /// were applied.
   Status Publish();
 
-  /// Durability barrier: publishes any unpublished records, then blocks
-  /// until every published record is durable or the log is
-  /// sticky-failed, and returns the sticky error (OK if none). The
-  /// round that drains a group fsyncs it, so the barrier adds no round
-  /// of its own.
+  /// Durability barrier: publishes any unpublished records, then, under
+  /// the round mutex, writes everything queued with one write(2) and
+  /// fsyncs the file once, unless an earlier round already made every
+  /// published record durable. Returns the sticky error (OK if none).
   Status Flush();
 
-  /// Hands the idle log thread `writer` (positioned at its file's end)
-  /// for every later record, under the pipeline's lock. The owner
-  /// calls it after Flush, so nothing is queued: the sequence carries
-  /// on, the durable sequence catches up with the appended one (the
-  /// caller's snapshot holds whatever a failed log lost), and the
-  /// sticky error clears.
+  /// Hands the log `writer` (positioned at its file's end) for every
+  /// later record, under the round mutex. The owner calls it after
+  /// Flush, so nothing is queued: the sequence carries on, the durable
+  /// sequence catches up with the appended one (the caller's snapshot
+  /// holds whatever a failed log lost), and the sticky error clears.
   void SwapFile(FileWriter writer);
 
   /// Records published / fsynced since construction.
@@ -162,17 +170,13 @@ class LogPipeline {
   uint64_t sync_failures() const;
 
  private:
-  /// Records in order and how many boundaries they span (the sync
-  /// policy needs only the count).
+  /// Published records in order, not yet written.
   struct Chunk {
     std::string lines;  // Encoded records, one '\n'-terminated line each.
     uint64_t records = 0;
-    uint64_t boundaries = 0;
-    bool empty() const { return records == 0; }
     void clear() {
       lines.clear();
       records = 0;
-      boundaries = 0;
     }
   };
   /// One producer's buffer, on its own cache line so that workers
@@ -182,16 +186,14 @@ class LogPipeline {
     uint64_t records = 0;
   };
 
-  void ThreadLoop();
-  /// Log thread: writes the clean prefix of a drained chunk with one
+  /// Round holder: writes the clean prefix of everything queued with one
   /// write(2), consulting the fault injector once per record. A failure
-  /// makes the log sticky; a sticky log drops the chunk and counts it.
-  void WriteChunk(const Chunk& chunk);
-  /// Log thread: whether the file must be fsynced after this round.
-  bool SyncDue(bool forced, bool drained) const;
-  /// Log thread: fsyncs through the fault injector, then publishes the
+  /// makes the log sticky; a sticky log drops the records and counts
+  /// them.
+  void WriteQueued();
+  /// Round holder: fsyncs through the fault injector, then publishes the
   /// outcome: durable_ advances to written_seq_, or the failure is
-  /// counted and made sticky. No lock held on entry.
+  /// counted and made sticky.
   void Sync();
 
   const DurabilityOptions options_;
@@ -199,38 +201,30 @@ class LogPipeline {
 
   /// Producer-side buffers, one per slot, published by Publish.
   std::vector<Slot> slots_;
-  /// Per slot, records published into the current file. Control
-  /// thread only (Publish, SwapFile).
+  /// Per slot, records published into the current file. Written by
+  /// Publish and SwapFile under mu_; the owner reads it between batches.
   std::vector<uint64_t> file_records_;
-  /// Published records. Written by the control thread only; read by
-  /// watermark and stats threads.
+  /// Published records. Written under mu_; read by watermark and stats
+  /// threads without it.
   std::atomic<uint64_t> appended_{0};
 
-  // Log-thread-owned; SwapFile resets them while the thread is idle,
-  // under mu_.
+  /// Serializes log rounds (a write, and a flush's fsync) and SwapFile.
+  /// The members below it up to mu_ belong to its holder.
+  std::mutex round_mu_;
   FileWriter writer_;
-  uint64_t written_seq_ = 0;  // Last seq physically written.
-  uint64_t unsynced_bytes_ = 0;
-  uint64_t unsynced_groups_ = 0;
+  Chunk chunk_;  // The round's records, swapped out of queued_.
   uint64_t append_attempts_ = 0;
   uint64_t sync_attempts_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;     // The log thread waits here.
-  std::condition_variable durable_cv_;  // Barriers and SwapFile wait here.
-  // Guarded by mu_. Only the log thread writes durable_ and
-  // sticky_error_ while it runs a round, so it reads them unlocked.
+  // Guarded by mu_; only a round holder (or SwapFile) writes
+  // written_seq_, durable_ and sticky_error_.
   Chunk queued_;
-  uint64_t durable_ = 0;  // Last fsynced seq.
-  Status sticky_error_;   // First write/sync failure since the last swap.
+  uint64_t written_seq_ = 0;  // Last seq physically written.
+  uint64_t durable_ = 0;      // Last fsynced seq.
+  Status sticky_error_;       // First write/sync failure since the swap.
   uint64_t append_failures_ = 0;
   uint64_t sync_failures_ = 0;
-  bool wake_ = false;
-  /// The log thread waits for work (true until its first round, too).
-  bool idle_ = true;
-  bool stop_ = false;
-
-  std::thread thread_;
 };
 
 }  // namespace ltam

@@ -8,14 +8,13 @@
 //     histogram is one LatencyHistogram behind one mutex (an update
 //     touches several fields, and an uncontended lock is cheaper than
 //     making every bucket atomic). Few threads write any one metric:
-//     in ltam_serve the coalescer thread records the ingest.*
-//     histograms and the runtime.* and trace.* metrics, the I/O
-//     thread the ingest.frames/events/quota_refusals counters, the two
-//     read workers query.run, the runtime's one log thread
-//     wal.sync, and the control thread the storage
-//     counters. Per-thread stripes would buy little against that
-//     contention and multiply the memory: each LatencyHistogram
-//     zero-fills about 30 KiB of buckets.
+//     in ltam_serve the I/O thread records the ingest.* histograms and
+//     counters, the runtime.* and trace.* metrics and (its rounds make
+//     each batch durable) wal.sync, the two read workers query.run, a
+//     replica's link the wal.sync of its chunks, and the control
+//     thread the storage counters. Per-thread stripes would buy little
+//     against that contention and multiply the memory: each
+//     LatencyHistogram zero-fills about 30 KiB of buckets.
 //  2. A metric handle, once returned, is valid for the registry's
 //     lifetime. Lookup (Counter()/Gauge()/Histogram()) takes the
 //     registry mutex, so call sites resolve handles once and reuse

@@ -3,17 +3,18 @@
 //
 // Every thread the library starts is named by its creator as soon as it
 // exists, so a per-thread profile (`/proc/<pid>/task/*/comm`, `top -H`,
-// a debugger's thread list) tells the I/O loop from the coalescer from
-// the log thread without guessing from tid order, and the name is in
-// place before the creating call returns. The names in use:
+// a debugger's thread list) tells the I/O loop from a shard worker
+// without guessing from tid order, and the name is in place before the
+// creating call returns. The names in use:
 //
-//   ltam-io           the server's epoll loop
-//   ltam-coalescer    the server's ingest coalescer (also shard 0's slice)
+//   ltam-io           the server's epoll loop and its ingest rounds
+//                     (also every slice of a small batch, shard 0's of a
+//                     large one, and the log's write and fsync)
 //   ltam-read         the server's query/stats workers
 //   ltam-shard-<k>    the sharded engine's worker for shard k >= 1
-//   ltam-wal          a durable runtime's log thread, one for its life
 //   ltam-shipper      a primary's log shipper, one per replica
-//   ltam-replica      a replica's link to its primary
+//   ltam-replica      a replica's link to its primary (and its log's
+//                     per-chunk write and fsync)
 //
 // A host's main thread keeps its process name.
 

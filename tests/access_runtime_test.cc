@@ -1091,25 +1091,11 @@ TEST(AccessRuntimeTest, PipelinedWatermarkAndWaitDurable) {
   }
 }
 
-/// Polls the durability watermark until durable == applied or the
-/// deadline passes. The point: NO further traffic and NO WaitDurable —
-/// only the log thread's own sync may close the gap.
-bool WatermarkConvergesUnprompted(AccessRuntime* rt,
-                                  std::chrono::milliseconds deadline) {
-  const auto until = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < until) {
-    RuntimeStats stats = rt->Stats();
-    if (stats.durable_offset == stats.applied_offset) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  RuntimeStats stats = rt->Stats();
-  return stats.durable_offset == stats.applied_offset;
-}
-
-TEST(AccessRuntimeTest, PipelinedSyncConvergesWithoutTraffic) {
-  // An idle one-shard durable runtime still converges: the shard log's
-  // own thread syncs as soon as its queue drains, with no further
-  // traffic and no WaitDurable.
+TEST(AccessRuntimeTest, PipelinedSyncTrailsUntilABarrier) {
+  // A durable runtime's batches are applied and published, not written:
+  // durable trails applied, and stays there with no further traffic,
+  // until a barrier writes and fsyncs the tail. An in-process runtime
+  // does not converge on its own.
   World w = MakeWorld(997);
   std::vector<std::vector<AccessEvent>> batches = MakeBatches(w, 60, 991);
   const std::string dir = ::testing::TempDir() + "/ltam_idle_sync";
@@ -1123,19 +1109,28 @@ TEST(AccessRuntimeTest, PipelinedSyncConvergesWithoutTraffic) {
   for (const auto& batch : batches) {
     ASSERT_OK(rt->ApplyBatch(batch).status());
   }
-  EXPECT_TRUE(
-      WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
-      << "the log thread never synced the tail";
+  const RuntimeStats published = rt->Stats();
+  EXPECT_GT(published.applied_offset, 0u);
+  EXPECT_LT(published.durable_offset, published.applied_offset)
+      << "a batch is durable only once a barrier ran";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(published.durable_offset, rt->Stats().durable_offset)
+      << "nothing closes the gap on its own";
+  ASSERT_OK(rt->WaitDurable());
+  const RuntimeStats flushed = rt->Stats();
+  EXPECT_EQ(flushed.applied_offset, flushed.durable_offset)
+      << "the barrier made the tail durable";
+  EXPECT_EQ(published.applied_offset, flushed.applied_offset);
   rt.reset();
   fs::remove_all(dir);
 }
 
 TEST(AccessRuntimeTest, PipelinedSyncFailureIsStickyUntilCheckpoint) {
-  // Fault injection through the log thread's own sync at one shard:
-  // the first fsync, which the thread issues unprompted once its queue
-  // drains, fails. The log does NOT retry — a retried fsync can report
-  // success for dirty pages the kernel dropped after the first failure —
-  // so the failure is counted, the watermark freezes, every barrier
+  // Fault injection through the log's own sync at one shard: the first
+  // fsync, which the first barrier (WaitDurable) issues, fails. The log
+  // does NOT retry — a retried fsync can report success for dirty pages
+  // the kernel dropped after the first failure — so the failure is
+  // counted, the watermark freezes, every barrier and every later batch
   // reports it, and only Checkpoint() (a fresh snapshot plus fresh
   // logs) repairs the log.
   World w = MakeWorld(1013);
@@ -1158,26 +1153,25 @@ TEST(AccessRuntimeTest, PipelinedSyncFailureIsStickyUntilCheckpoint) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
                        AccessRuntime::Open(StateOf(w), options));
   ASSERT_OK(rt->ApplyBatch(batches[0]).status());
-  // The log thread's first fsync fails; wait for the log to notice.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (rt->Stats().wal_sync_failures == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  RuntimeStats failed = rt->Stats();
-  ASSERT_EQ(1u, failed.wal_sync_failures) << "one failure, no retries";
-  EXPECT_EQ(0u, failed.wal_append_failures);
-  EXPECT_FALSE(
-      WatermarkConvergesUnprompted(rt.get(), std::chrono::milliseconds(100)))
-      << "a failed fsync must freeze the watermark, not retry";
-  EXPECT_LT(rt->Stats().durable_offset, rt->Stats().applied_offset);
+  EXPECT_EQ(0u, rt->Stats().wal_sync_failures) << "no fsync before a barrier";
   EXPECT_FALSE(rt->WaitDurable().ok()) << "the barrier reports the failure";
+  RuntimeStats failed = rt->Stats();
+  ASSERT_EQ(1u, failed.wal_sync_failures) << "one failure";
+  EXPECT_EQ(0u, failed.wal_append_failures);
+  EXPECT_LT(failed.durable_offset, failed.applied_offset);
+  EXPECT_FALSE(rt->WaitDurable().ok()) << "every barrier reports it";
+  RuntimeStats frozen = rt->Stats();
+  EXPECT_EQ(1u, frozen.wal_sync_failures) << "no retry";
+  EXPECT_EQ(failed.durable_offset, frozen.durable_offset)
+      << "a failed fsync must freeze the watermark, not retry";
   ASSERT_OK_AND_ASSIGN(BatchResult after, rt->ApplyBatch(batches[1]));
   EXPECT_FALSE(after.durability.ok()) << "later batches report it too";
+  EXPECT_FALSE(rt->WaitDurable().ok());
+  EXPECT_EQ(failed.durable_offset, rt->Stats().durable_offset);
+  EXPECT_EQ(1u, rt->Stats().wal_sync_failures) << "still no retry";
 
   // Checkpoint repairs: the snapshot covers everything applied, and the
-  // fresh log syncs on its own again.
+  // fresh log syncs at its barriers again.
   ASSERT_OK(rt->Checkpoint());
   RuntimeStats repaired = rt->Stats();
   EXPECT_EQ(repaired.durable_offset, repaired.applied_offset);
@@ -1187,9 +1181,10 @@ TEST(AccessRuntimeTest, PipelinedSyncFailureIsStickyUntilCheckpoint) {
     ASSERT_OK_AND_ASSIGN(BatchResult r, rt->ApplyBatch(batches[i]));
     EXPECT_OK(r.durability);
   }
-  EXPECT_TRUE(
-      WatermarkConvergesUnprompted(rt.get(), std::chrono::seconds(5)))
-      << "the repaired log must sync on its own again";
+  // The repaired log syncs again.
+  EXPECT_OK(rt->WaitDurable());
+  RuntimeStats synced = rt->Stats();
+  EXPECT_EQ(synced.applied_offset, synced.durable_offset);
   rt.reset();
   fs::remove_all(dir);
 }

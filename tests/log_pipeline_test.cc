@@ -1,15 +1,16 @@
 // Copyright 2026 The LTAM Authors.
-// LogPipeline: the write-ahead log primitive, one file and one log
-// thread per durable runtime. It must advance the durability watermark
-// asynchronously and freeze it on a sticky failure WITHOUT affecting
-// accepted records' sequence numbers (the decision stream's proxy
-// here). The primitive's cases run on a one-slot pipeline; the
-// DurableLogTest cases drive the durable runtime's pipeline: one log
-// thread for the runtime's whole life, one fsync per published batch, a
-// failure that freezes every shard's durability until a checkpoint, a
-// batch's bytes in shard order, and a barrier that makes a tail with no
-// batch boundary durable. Runs under TSan via ci.sh (the log thread vs
-// the appending/flushing threads is the whole point).
+// LogPipeline: the write-ahead log primitive, one file per durable
+// runtime and no thread of its own. It must advance the durability
+// watermark at each barrier and freeze it on a sticky failure WITHOUT
+// affecting accepted records' sequence numbers (the decision stream's
+// proxy here). The primitive's cases run on a one-slot pipeline; the
+// DurableLogTest cases drive the durable runtime's pipeline: writes and
+// fsyncs on the flushing thread, one fsync per published batch, one
+// round for concurrent flushers, a failure that freezes every shard's
+// durability until a checkpoint, a batch's bytes in shard order, and a
+// barrier that makes a tail with no batch boundary durable. Runs under
+// TSan via ci.sh (flushers racing each other and the watermark readers
+// are the point).
 
 #include "storage/log_pipeline.h"
 
@@ -86,15 +87,10 @@ TEST_F(LogPipelineTest, PipelinedWatermarkCatchesUp) {
   }
   ASSERT_OK(pipeline->Publish());
   EXPECT_EQ(pipeline->appended_seq(), 10u);
-  // No barrier: woken once, the log thread syncs on the drained queue's
-  // completed group by itself.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (pipeline->durable_seq() < 10 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(pipeline->durable_seq(), 10u);
+  // A publish writes nothing: durable trails applied until a barrier.
+  EXPECT_EQ(pipeline->durable_seq(), 0u);
+  ASSERT_OK(pipeline->Flush());
+  EXPECT_EQ(pipeline->durable_seq(), 10u);
   EXPECT_EQ(pipeline->append_failures(), 0u);
   pipeline.reset();
   std::vector<uint64_t> replayed = ReplayAll(LogPath());
@@ -245,20 +241,6 @@ class DurableLogTest : public ::testing::Test {
   LocationId entry_ = kInvalidLocation;
 };
 
-/// Thread ids of this process named `name` (/proc/self/task/*/comm).
-std::vector<std::string> ThreadsNamed(const std::string& name) {
-  std::vector<std::string> tids;
-  for (const fs::directory_entry& task :
-       fs::directory_iterator("/proc/self/task")) {
-    std::ifstream comm(task.path() / "comm");
-    std::string line;
-    if (std::getline(comm, line) && line == name) {
-      tids.push_back(task.path().filename().string());
-    }
-  }
-  return tids;
-}
-
 /// The lines of a log file, newline-stripped.
 std::vector<std::string> WalLines(const std::string& path) {
   std::vector<std::string> lines;
@@ -277,15 +259,19 @@ std::string EventLine(const AccessEvent& event) {
   return line;
 }
 
-TEST_F(DurableLogTest, OneRuntimeRunsOneLogThread) {
-  // The log thread starts at Open and lives until the runtime goes: a
-  // checkpoint hands it the next epoch's file instead of starting a
-  // thread of its own.
+TEST_F(DurableLogTest, FlushWritesOnTheCallingThread) {
+  // The log runs no thread: the barrier's caller writes and fsyncs, so
+  // the fault injector sees every "append" and "sync" on the thread
+  // that called WaitDurable, and a checkpoint starts no thread either.
+  auto seen = std::make_shared<std::vector<std::pair<std::string,
+                                                     std::thread::id>>>();
   DurableShardedOptions options;
   options.num_shards = 4;
+  options.durability.fault_injector = [seen](const char* op, uint64_t) {
+    seen->emplace_back(op, std::this_thread::get_id());
+    return Status::OK();
+  };
   std::unique_ptr<DurableShardedSystem> sys = Open(options);
-  const std::vector<std::string> at_open = ThreadsNamed("ltam-wal");
-  ASSERT_EQ(1u, at_open.size()) << "after Open";
   Chronon t = 10;
   for (int round = 0; round < 2; ++round) {
     std::vector<AccessEvent> batch;
@@ -297,9 +283,60 @@ TEST_F(DurableLogTest, OneRuntimeRunsOneLogThread) {
     ASSERT_OK(sys->TakeBatchError());
     ASSERT_OK(sys->Checkpoint());
   }
-  EXPECT_EQ(at_open, ThreadsNamed("ltam-wal")) << "after two Checkpoints";
-  sys.reset();
-  EXPECT_TRUE(ThreadsNamed("ltam-wal").empty()) << "after teardown";
+  EXPECT_TRUE(testing_util::ThreadsNamed("ltam-wal").empty())
+      << "after Open and two Checkpoints";
+  seen->clear();
+  std::vector<AccessEvent> batch;
+  for (uint32_t k = 0; k < 4; ++k) {
+    for (const AccessEvent& e : EventsOn(k, 4, 2, t)) batch.push_back(e);
+  }
+  (void)sys->engine().EvaluateBatch(batch);
+  ASSERT_OK(sys->TakeBatchError());
+  EXPECT_TRUE(seen->empty()) << "a batch publishes without writing";
+  std::thread::id flusher;
+  std::thread barrier([&sys, &flusher] {
+    flusher = std::this_thread::get_id();
+    EXPECT_OK(sys->WaitDurable());
+  });
+  barrier.join();
+  ASSERT_EQ(batch.size() + 1, seen->size()) << "one call per record, one sync";
+  for (const auto& [op, id] : *seen) {
+    EXPECT_EQ(flusher, id) << op << " ran off the flushing thread";
+  }
+  EXPECT_EQ("sync", seen->back().first);
+  const DurabilityWatermark mark = sys->Watermark();
+  EXPECT_EQ(mark.applied, mark.durable);
+}
+
+TEST_F(DurableLogTest, ConcurrentFlushersShareOneRound) {
+  // Two threads flush one published group: both return durable, and the
+  // round that one of them runs covers the other, so the group costs
+  // one fsync.
+  MetricsRegistry registry;
+  DurableShardedOptions options;
+  options.num_shards = 2;
+  options.durability.metrics = &registry;
+  std::unique_ptr<DurableShardedSystem> sys = Open(options);
+  Histogram* syncs = registry.GetHistogram("wal.sync");
+  const uint64_t before = syncs->Snapshot().count();
+  std::vector<AccessEvent> batch = EventsOn(0, 2, 5, 10);
+  for (const AccessEvent& e : EventsOn(1, 2, 5, 10)) batch.push_back(e);
+  (void)sys->engine().EvaluateBatch(batch);
+  ASSERT_OK(sys->TakeBatchError());
+  std::vector<std::thread> flushers;
+  std::vector<DurabilityWatermark> marks(2);
+  for (size_t i = 0; i < 2; ++i) {
+    flushers.emplace_back([&sys, &marks, i] {
+      EXPECT_OK(sys->WaitDurable());
+      marks[i] = sys->Watermark();
+    });
+  }
+  for (std::thread& f : flushers) f.join();
+  for (const DurabilityWatermark& mark : marks) {
+    EXPECT_EQ(batch.size(), mark.durable);
+    EXPECT_EQ(mark.applied, mark.durable);
+  }
+  EXPECT_EQ(before + 1, syncs->Snapshot().count()) << "one fsync per group";
 }
 
 TEST_F(DurableLogTest, FailedLogFreezesEveryShardUntilACheckpoint) {

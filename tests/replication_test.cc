@@ -386,6 +386,141 @@ uint16_t ClosedPort() {
   return ntohs(addr.sin_port);
 }
 
+/// Polls `client`'s remote Stats every millisecond until `pred` holds
+/// and returns the milliseconds that took (a failure after ~5 s).
+double MsUntilStats(ServiceClient* client,
+                    const std::function<bool(const RuntimeStats&)>& pred,
+                    const std::string& what) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    Result<RuntimeStats> stats = client->Stats();
+    if (stats.ok() && pred(*stats)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline)
+      << "timed out waiting for " << what;
+  return ms;
+}
+
+TEST_F(ReplicationTest, ReplicaMakesEveryAppliedChunkDurable) {
+  // No checkpoint and no other barrier runs on a replica: the link's
+  // per-chunk flush alone brings its durable position up to what it
+  // applied, which is its resume point and what it ships onward.
+  World w = MakeWorld(3301);
+  auto batches = MakeBatches(w, /*total_events=*/240, 3307);
+  Node primary;
+  Node replica;
+  primary.Start(w, root_ + "/primary", -1);
+  replica.Start(w, root_ + "/replica", primary.port);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
+                       ServiceClient::Connect("127.0.0.1", primary.port));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
+                       ServiceClient::Connect("127.0.0.1", replica.port));
+  size_t fed = 0;
+  for (const auto& batch : batches) {
+    ASSERT_OK(primary_client->ApplyBatch(batch).status());
+    fed += batch.size();
+  }
+  RuntimeStats caught = AwaitStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) {
+        return s.applied_offset == fed && s.durable_offset == fed;
+      },
+      "replica durable at " + std::to_string(fed) + " records");
+  EXPECT_EQ(caught.applied_offset, caught.durable_offset);
+  EXPECT_EQ(0u, caught.epoch) << "no checkpoint ran";
+
+  primary_client.reset();
+  replica_client.reset();
+  replica.Stop();
+  primary.Stop();
+}
+
+TEST_F(ReplicationTest, RepointEndsTheBackoffOfAFailedDial) {
+  // A replica dialing a closed port backs off 200 ms between dials. A
+  // repoint 20 ms into that backoff must dial the new primary at once,
+  // not when the backoff runs out.
+  World w = MakeWorld(3401);
+  auto batches = MakeBatches(w, /*total_events=*/120, 3407);
+  Node primary;
+  primary.Start(w, root_ + "/primary", -1);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> primary_client,
+                       ServiceClient::Connect("127.0.0.1", primary.port));
+  size_t fed = 0;
+  for (const auto& batch : batches) {
+    ASSERT_OK(primary_client->ApplyBatch(batch).status());
+    fed += batch.size();
+  }
+  Node replica;
+  replica.Start(w, root_ + "/replica", ClosedPort());
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
+                       ServiceClient::Connect("127.0.0.1", replica.port));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_FALSE(replica.LinkError().ok()) << "the first dial must have failed";
+  ASSERT_OK(replica_client->Repoint("127.0.0.1", primary.port));
+  const double ms = MsUntilStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) { return s.applied_offset == fed; },
+      "catch-up after the repoint");
+  EXPECT_LT(ms, 100.0) << "the repoint waited out the backoff";
+
+  primary_client.reset();
+  replica_client.reset();
+  replica.Stop();
+  primary.Stop();
+}
+
+TEST_F(ReplicationTest, RepointRedialsAStreamingReplicaAtOnce) {
+  // Two primaries fed the same batches hold the same log. A replica
+  // streaming from the first is repointed at the second, which then
+  // holds more: the repoint breaks the live stream, and the link must
+  // redial the new upstream without the 200 ms backoff.
+  World w = MakeWorld(3501);
+  auto batches = MakeBatches(w, /*total_events=*/200, 3507);
+  ASSERT_GE(batches.size(), 2u);
+  Node first;
+  Node second;
+  first.Start(w, root_ + "/first", -1);
+  second.Start(w, root_ + "/second", -1);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> first_client,
+                       ServiceClient::Connect("127.0.0.1", first.port));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> second_client,
+                       ServiceClient::Connect("127.0.0.1", second.port));
+  Node replica;
+  replica.Start(w, root_ + "/replica", first.port);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ServiceClient> replica_client,
+                       ServiceClient::Connect("127.0.0.1", replica.port));
+  ASSERT_OK(first_client->ApplyBatch(batches[0]).status());
+  ASSERT_OK(second_client->ApplyBatch(batches[0]).status());
+  const size_t shared = batches[0].size();
+  AwaitStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) { return s.applied_offset == shared; },
+      "replica streaming from the first primary");
+  size_t fed = shared;
+  for (size_t k = 1; k < batches.size(); ++k) {
+    ASSERT_OK(second_client->ApplyBatch(batches[k]).status());
+    fed += batches[k].size();
+  }
+  ASSERT_OK(replica_client->Repoint("127.0.0.1", second.port));
+  const double ms = MsUntilStats(
+      replica_client.get(),
+      [&](const RuntimeStats& s) { return s.applied_offset == fed; },
+      "catch-up from the second primary");
+  EXPECT_LT(ms, 100.0) << "the repoint waited out a backoff";
+
+  first_client.reset();
+  second_client.reset();
+  replica_client.reset();
+  replica.Stop();
+  second.Stop();
+  first.Stop();
+}
+
 TEST_F(ReplicationTest, ClientFollowsStructuredPrimaryRedirect) {
   World w = MakeWorld(6401);
   auto batches = MakeBatches(w, /*total_events=*/160, 6407);

@@ -4,15 +4,17 @@
 // connections is byte-identical to replaying the same per-subject
 // streams directly on AccessRuntime — for in-memory and
 // durable-sharded configurations — even though the server's ingest
-// coalescer merges the connections' frames into shared batches.
+// rounds merge the connections' frames into shared batches.
 // (Connections own disjoint subjects, the same independence property
 // the subject-sharded pipeline exploits, so interleaving cannot change
 // any decision.) Also under test: the pipelined client API actually
-// feeding the coalescer, remote queries/stats against the live server,
+// feeding the coalescing rounds, the one-thread ingest path (no
+// coalescer or log thread, one fsync per merged batch, no starvation by
+// a pipelining client), remote queries/stats against the live server,
 // and the error paths (refused oversized batches, malformed queries).
 //
 // The whole suite is part of the TSan CI job: client threads, the I/O
-// thread, read workers, and the coalescer exercise every lock in
+// thread and its rounds, and read workers exercise every lock in
 // service/server.cc.
 
 #include <gtest/gtest.h>
@@ -507,6 +509,128 @@ TEST_F(ServiceLoopbackTest, FailedFsyncIsAnsweredWithDecisionsAndAnError) {
         << "decision " << i;
   }
   EXPECT_LT(got.watermark.durable, got.watermark.applied);
+  server.Stop();
+}
+
+TEST_F(ServiceLoopbackTest, DurableServerRunsNoCoalescerOrLogThread) {
+  // The I/O thread carries each merged batch from its socket to its
+  // fsynced answer, so a durable two-shard server runs no coalescer
+  // thread, and its runtime no log thread.
+  World w = MakeWorld(941);
+  const std::string dir = root_ + "/threads";
+  fs::create_directories(dir);
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(StateOf(w), options));
+  ServiceServer server(rt.get(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<ServiceClient> client,
+      ServiceClient::Connect("127.0.0.1", server.bound_port()));
+  std::vector<AccessEvent> batch;
+  for (SubjectId s : w.subjects) {
+    batch.push_back(AccessEvent::Entry(10, s, 1));
+  }
+  ASSERT_OK_AND_ASSIGN(WireBatchResult answered, client->ApplyBatch(batch));
+  EXPECT_EQ(answered.watermark.durable, answered.watermark.applied);
+  EXPECT_EQ(1u, testing_util::ThreadsNamed("ltam-io").size());
+  EXPECT_TRUE(testing_util::ThreadsNamed("ltam-coalescer").empty());
+  EXPECT_TRUE(testing_util::ThreadsNamed("ltam-wal").empty());
+  server.Stop();
+}
+
+TEST_F(ServiceLoopbackTest, OneFsyncPerAnsweredMergedBatch) {
+  // The round that answers a merged batch writes and fsyncs it once,
+  // however many frames it merged: wal.sync counts exactly one fsync
+  // per merged batch.
+  World w = MakeWorld(947);
+  auto streams = MakeConnectionStreams(w, 953);
+  const std::string dir = root_ + "/fsyncs";
+  fs::create_directories(dir);
+  MetricsRegistry registry;
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir;
+  options.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(StateOf(w), options));
+  ServiceServer server(rt.get(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < streams.size(); ++c) {
+    clients.emplace_back([&, c] {
+      Result<std::unique_ptr<ServiceClient>> connected =
+          ServiceClient::Connect("127.0.0.1", server.bound_port());
+      ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+      std::unique_ptr<ServiceClient> client =
+          std::move(connected).ValueOrDie();
+      for (const auto& batch : streams[c]) {
+        ASSERT_TRUE(client->SubmitBatch(batch).ok());
+      }
+      ASSERT_OK(client->Flush());
+      for (size_t k = 0; k < streams[c].size(); ++k) {
+        Result<ServiceClient::PipelinedBatch> r =
+            client->ReceiveBatchResult();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_OK(r->result.durability);
+        EXPECT_EQ(r->result.watermark.durable, r->result.watermark.applied);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const CoalescerStats coalescing = server.coalescer_stats();
+  const uint64_t syncs = registry.GetHistogram("wal.sync")->Snapshot().count();
+  server.Stop();
+  EXPECT_EQ(coalescing.merged_batches, syncs);
+  EXPECT_GE(coalescing.max_frames_per_batch, 2u)
+      << "the pipelined connections should have shared a batch";
+}
+
+TEST_F(ServiceLoopbackTest, PipeliningClientCannotStarveAnother) {
+  // One connection pipelines 200 frames, then a second sends one. A
+  // round takes at most one frame per connection and the loop reads
+  // between rounds, so the second frame is applied, and answered,
+  // before the first connection's last: the runtime's applied position
+  // in its answer sits below the one in the flood's last answer.
+  World w = MakeWorld(967);
+  RuntimeOptions options;
+  options.num_shards = 2;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(StateOf(w), options));
+  ServiceServer server(rt.get(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<ServiceClient> flooder,
+      ServiceClient::Connect("127.0.0.1", server.bound_port()));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<ServiceClient> polite,
+      ServiceClient::Connect("127.0.0.1", server.bound_port()));
+  constexpr size_t kFrames = 200;
+  constexpr size_t kEventsPerFrame = 100;
+  for (size_t k = 0; k < kFrames; ++k) {
+    std::vector<AccessEvent> batch;
+    for (size_t e = 0; e < kEventsPerFrame; ++e) {
+      batch.push_back(AccessEvent::Entry(
+          static_cast<Chronon>(k * kEventsPerFrame + e + 1), w.subjects[0],
+          1));
+    }
+    ASSERT_TRUE(flooder->SubmitBatch(batch).ok());
+  }
+  ASSERT_OK(flooder->Flush());
+  ASSERT_OK_AND_ASSIGN(
+      WireBatchResult answered,
+      polite->ApplyBatch({AccessEvent::Entry(1, w.subjects[1], 1)}));
+  DurabilityWatermark last_flood;
+  for (size_t k = 0; k < kFrames; ++k) {
+    Result<ServiceClient::PipelinedBatch> r = flooder->ReceiveBatchResult();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    last_flood = r->result.watermark;
+  }
+  EXPECT_EQ(kFrames * kEventsPerFrame + 1, last_flood.applied);
+  EXPECT_LT(answered.watermark.applied, last_flood.applied)
+      << "the single frame waited behind the whole flood";
   server.Stop();
 }
 

@@ -1,5 +1,6 @@
 // Copyright 2026 The LTAM Authors.
-// The sharded batch pipeline: equivalence with the sequential engine,
+// The sharded batch pipeline: equivalence with the sequential engine on
+// both sides of the fan-out threshold, the threshold's thread placement,
 // deterministic alert merging, and a multi-thread stress case (run this
 // binary under -fsanitize=thread via ci.sh to certify the shard
 // discipline).
@@ -9,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -74,42 +77,92 @@ SequentialReplay RunSequential(World* w,
 
 /// The headline equivalence property (acceptance criterion): for random
 /// workload batches, the sharded engine's decisions are identical to the
-/// sequential engine's, event by event — >= 1000 events, >= 4 shards.
+/// sequential engine's, event by event — >= 1000 events, >= 4 shards —
+/// whether a batch runs every slice on the caller (32 events, below the
+/// fan-out threshold) or fans out to the workers (2048).
 TEST(ShardedEngineTest, DecisionsMatchSequentialEngine) {
-  for (uint32_t shards : {4u, 7u}) {
-    // Two independent worlds so the sequential and sharded runs see
-    // identical starting ledgers (the run itself mutates entries_used).
-    World sequential_world = MakeWorld(8, 48, /*seed=*/11);
-    World sharded_world = MakeWorld(8, 48, /*seed=*/11);
-    auto batches = MakeBatches(sequential_world, /*total_events=*/1500,
-                               /*batch_size=*/256, /*seed=*/22);
-    ASSERT_GE(batches.size(), 5u);
+  for (size_t batch_size : {32u, 256u, 2048u}) {
+    for (uint32_t shards : {4u, 7u}) {
+      SCOPED_TRACE("batch size " + std::to_string(batch_size));
+      // Two independent worlds so the sequential and sharded runs see
+      // identical starting ledgers (the run itself mutates entries_used).
+      World sequential_world = MakeWorld(8, 48, /*seed=*/11);
+      World sharded_world = MakeWorld(8, 48, /*seed=*/11);
+      auto batches = MakeBatches(
+          sequential_world,
+          /*total_events=*/std::max<size_t>(1500, 5 * batch_size),
+          batch_size, /*seed=*/22);
+      ASSERT_GE(batches.size(), 5u);
 
-    SequentialReplay reference =
-        RunSequential(&sequential_world, batches, EngineOptions{});
+      SequentialReplay reference =
+          RunSequential(&sequential_world, batches, EngineOptions{});
 
-    ShardedEngineOptions opt;
-    opt.num_shards = shards;
-    ShardedDecisionEngine engine(&sharded_world.graph, &sharded_world.auth_db,
-                                 &sharded_world.profiles, opt);
-    std::vector<Decision> sharded;
-    for (const auto& batch : batches) {
-      std::vector<Decision> d = engine.EvaluateBatch(batch);
-      sharded.insert(sharded.end(), d.begin(), d.end());
-    }
-
-    ASSERT_EQ(sharded.size(), reference.decisions.size());
-    for (size_t i = 0; i < sharded.size(); ++i) {
-      EXPECT_EQ(DecisionKey(sharded[i]), DecisionKey(reference.decisions[i]))
-          << "event " << i << " with " << shards << " shards";
-    }
-    size_t entry_events = 0;
-    for (const auto& batch : batches) {
-      for (const AccessEvent& e : batch) {
-        if (e.kind == AccessEventKind::kRequestEntry) ++entry_events;
+      ShardedEngineOptions opt;
+      opt.num_shards = shards;
+      ShardedDecisionEngine engine(&sharded_world.graph,
+                                   &sharded_world.auth_db,
+                                   &sharded_world.profiles, opt);
+      std::vector<Decision> sharded;
+      for (const auto& batch : batches) {
+        std::vector<Decision> d = engine.EvaluateBatch(batch);
+        sharded.insert(sharded.end(), d.begin(), d.end());
       }
+
+      ASSERT_EQ(sharded.size(), reference.decisions.size());
+      for (size_t i = 0; i < sharded.size(); ++i) {
+        EXPECT_EQ(DecisionKey(sharded[i]),
+                  DecisionKey(reference.decisions[i]))
+            << "event " << i << " with " << shards << " shards";
+      }
+      size_t entry_events = 0;
+      for (const auto& batch : batches) {
+        for (const AccessEvent& e : batch) {
+          if (e.kind == AccessEventKind::kRequestEntry) ++entry_events;
+        }
+      }
+      EXPECT_EQ(engine.requests_processed(), entry_events);
     }
-    EXPECT_EQ(engine.requests_processed(), entry_events);
+  }
+}
+
+/// The fan-out rule: a batch below the threshold runs every slice on the
+/// calling thread, and a large one runs shard k >= 1 on its worker.
+TEST(ShardedEngineTest, SmallBatchRunsOnTheCallingThread) {
+  World w = MakeWorld(8, 64, /*seed=*/131);
+  ShardedEngineOptions opt;
+  opt.num_shards = 4;
+  ShardedDecisionEngine engine(&w.graph, &w.auth_db, &w.profiles, opt);
+  std::mutex mu;
+  std::vector<std::set<std::thread::id>> ran_on(opt.num_shards);
+  ShardHooks hooks;
+  hooks.before_apply = [&mu, &ran_on](uint32_t shard, const AccessEvent&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on[shard].insert(std::this_thread::get_id());
+  };
+  engine.SetShardHooks(std::move(hooks));
+  const std::thread::id caller = std::this_thread::get_id();
+  // One stream, so the large batch continues the small one in time.
+  auto stream = MakeBatches(w, 32 + 2048, 32 + 2048, /*seed=*/141);
+  ASSERT_EQ(1u, stream.size());
+  const std::vector<AccessEvent>& events = stream[0];
+
+  engine.EvaluateBatch(Span<const AccessEvent>(events.data(), 32));
+  size_t shards_used = 0;
+  for (uint32_t k = 0; k < opt.num_shards; ++k) {
+    if (ran_on[k].empty()) continue;
+    ++shards_used;
+    EXPECT_EQ(std::set<std::thread::id>{caller}, ran_on[k])
+        << "shard " << k << " of a 32-event batch left the caller";
+  }
+  EXPECT_GE(shards_used, 2u) << "the small batch should span shards";
+
+  for (std::set<std::thread::id>& ids : ran_on) ids.clear();
+  engine.EvaluateBatch(Span<const AccessEvent>(events.data() + 32, 2048));
+  EXPECT_EQ(std::set<std::thread::id>{caller}, ran_on[0]);
+  for (uint32_t k = 1; k < opt.num_shards; ++k) {
+    ASSERT_EQ(1u, ran_on[k].size()) << "shard " << k;
+    EXPECT_NE(caller, *ran_on[k].begin())
+        << "shard " << k << " of a 2048-event batch ran on the caller";
   }
 }
 

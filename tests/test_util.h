@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,20 @@ inline std::vector<std::string> Names(const MultilevelLocationGraph& graph,
   out.reserve(ids.size());
   for (LocationId id : ids) out.push_back(graph.location(id).name);
   return out;
+}
+
+/// Thread ids of this process named `name` (/proc/self/task/*/comm).
+inline std::vector<std::string> ThreadsNamed(const std::string& name) {
+  std::vector<std::string> tids;
+  for (const std::filesystem::directory_entry& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string line;
+    if (std::getline(comm, line) && line == name) {
+      tids.push_back(task.path().filename().string());
+    }
+  }
+  return tids;
 }
 
 }  // namespace testing_util
